@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, interpolate
 from switchvi.mc import (
+    BsdeEstimate,
     RegressionBasis,
     SingularRegressionError,
     feynman_kac_check,
     simulate_paths,
     solve_bsde_regression,
 )
+from switchvi.model import GrowthBound
 from switchvi.pde_solver import solve_penalized
 
 from conftest import make_spec
@@ -201,3 +203,23 @@ class TestFeynmanKac:
         est = solve_bsde_regression(batch, spec_two_atom, 0.0, 0.0)
         report = feynman_kac_check(traj, est, 0.0)
         assert not report.passed
+
+    def test_pde_value_beyond_the_box_uses_the_spec_growth_bound(self):
+        # v(0, x0) at x0 > x_max must be growth-extrapolated, not clamped
+        spec = make_spec(
+            modes={"m1": 1, "m2": 1},
+            drivers={"default": "0.7"},
+            lower_costs={},
+            upper_costs={},
+            terminal={"default": "0.5"},
+            growth={"C": 1.0, "gamma": 1.0},
+        )
+        quad = build_levy_quadrature(spec.levy)
+        grid = SpatialGrid.line(-2.0, 2.0, 41)
+        traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0)
+        est = BsdeEstimate(y0=np.zeros((1, 1)), stderr=np.zeros((1, 1)), n_paths=1, n=0.0, m=0.0)
+        x0 = 2.5
+        report = feynman_kac_check(traj, est, x0, spec.growth)
+        expected = interpolate(traj.level(0), (0, 0), x0, grid, spec.growth)
+        assert expected != interpolate(traj.level(0), (0, 0), x0, grid, GrowthBound())
+        assert report.records[0]["pde_value"] == expected
