@@ -1,9 +1,9 @@
 """Batch front end: validate | solve | sweep | check.
 
-Everything a run needs except paths, seed, thread cap and output format
-lives in a JSON config file, so studies re-run byte-identically from the
-same config.  Commands write CSV surfaces, plot-ready data and JSON reports;
-plotting itself happens elsewhere.
+Everything a run needs except paths, seed and output format lives in a
+JSON config file, so studies re-run byte-identically from the same config.
+Commands write CSV surfaces, plot-ready data and JSON reports; plotting
+itself happens elsewhere.
 
 Exit codes: 0 success, 1 domain failure (assumption violated, solve or
 check failed), 2 usage / IO / parse failure.
@@ -285,7 +285,7 @@ def cmd_check(args) -> int:
     traj, _ = solve_penalized(spec, grid, tgrid, quad, n_pen, m_pen, scheme)
     batch = mc.simulate_paths(spec, quad, x0, n_paths, mc_tgrid, seed)
     estimate = mc.solve_bsde_regression(batch, spec, n_pen, m_pen, mc.RegressionBasis(int(ck.get("basis_degree", 3))))
-    fk = mc.feynman_kac_check(traj, estimate, x0)
+    fk = mc.feynman_kac_check(traj, estimate, x0, spec.growth)
     ok = ok and fk.passed
     results["feynman_kac"] = fk.to_dict()
 
@@ -305,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--threads", type=int, default=None, help="worker cap; the solvers are vectorized single-process, so any cap is honored")
         p.add_argument("--format", choices=("csv", "json", "bin"), default="csv")
         p.add_argument("--override-a4", action="store_true", help="proceed despite inconsistent terminal data (the report records the magnitude)")
         p.set_defaults(fn=fn)

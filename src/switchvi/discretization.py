@@ -21,7 +21,19 @@ re-implements them independently):
 Off-grid evaluation is linear inside the box.  Beyond it the value is the
 boundary value plus, when the growth bound has a positive coefficient, a
 growth increment ``sign(v_b) * C * (|x|^gamma - |x_b|^gamma)`` clipped to the
-envelope ``C * (1 + |x|^gamma)``; with ``C = 0`` it is a plain clamp.
+envelope ``C * (1 + |x|^gamma)``; with ``C = 0`` it is a plain clamp.  All
+of this lives in one place, the destination table: ``destination_table``
+snaps, locates and classifies a set of query points of any shape once, and
+``DestinationTable.apply`` evaluates a surface there.  ``offgrid_eval`` is a
+table applied once; the solver builds one ``(atoms, nodes)`` table of the
+jump destinations ``x + beta(x, e_k)`` per workspace.
+
+The jump sums, the compensated generator part
+``sum_k w_k [v(x+beta_k) - v(x) - beta_k Dv(x)]`` and the driver's jump
+argument ``sum_k w_k gamma_k [v(x+beta_k) - v(x)]``, come from the single
+routine ``jump_terms``, which the solver step calls for every mode pair.
+The dynamic-programming cross-check re-implements both the table and the
+sums on purpose: it is the independent check, not a copy.
 
 Grids and quadratures are immutable; operator evaluations at distinct nodes
 are independent, and per-node sums run over atoms in fixed order, so results
@@ -47,12 +59,13 @@ __all__ = [
     "build_levy_quadrature",
     "NonIntegrableDensityError",
     "interpolate",
+    "DestinationTable",
+    "destination_table",
     "offgrid_eval",
     "gradient_surface",
     "second_derivative_surface",
     "local_generator",
-    "nonlocal_generator",
-    "nonlocal_driver_term",
+    "jump_terms",
     "beta_slope_at_zero",
 ]
 
@@ -247,44 +260,68 @@ class ValueField:
 # --- off-grid evaluation ---------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class DestinationTable:
+    """Off-grid evaluation at fixed query points, built once by :func:`destination_table`.
+
+    Arrays ``lo``, ``theta`` and ``outside`` have the shape of the queries.
+    ``boundary`` and the growth data hold one entry per outside query, in
+    the order of ``outside``; the growth data are ``None`` under a plain
+    clamp.
+    """
+
+    lo: np.ndarray
+    theta: np.ndarray
+    outside: np.ndarray
+    boundary: np.ndarray
+    growth_inc: np.ndarray | None = None
+    growth_cap: np.ndarray | None = None
+
+    def apply(self, surface: np.ndarray) -> np.ndarray:
+        """Values of a node-value surface at the query points."""
+        vals = (1.0 - self.theta) * surface[self.lo] + self.theta * surface[self.lo + 1]
+        if self.boundary.size:
+            vb = surface[self.boundary]
+            if self.growth_inc is not None:
+                vb = np.clip(vb + np.sign(vb) * self.growth_inc, -self.growth_cap, self.growth_cap)
+            vals[self.outside] = vb
+        return vals
+
+
+def destination_table(grid: SpatialGrid, xq: np.ndarray, growth: GrowthBound | None = None) -> DestinationTable:
+    """Interpolation data for query points of any shape, e.g. ``(atoms, nodes)``.
+
+    Queries snap onto a node within a 1e-9 relative tolerance; ``lo`` is the
+    left node of the cell and ``theta`` the weight of its right node.
+    """
+    grid.require_1d()
+    x0, x1 = grid.x_min[0], grid.x_max[0]
+    n = grid.n_nodes[0]
+    xq = np.asarray(xq, dtype=float)
+    pos = (xq - x0) / grid.spacing[0]
+    snapped = np.rint(pos)
+    pos = np.where(np.abs(pos - snapped) < _NODE_SNAP, snapped, pos)
+    lo = np.clip(np.floor(pos), 0, n - 2).astype(int)
+    below = xq < x0
+    outside = below | (xq > x1)
+    inc = cap = None
+    if growth is not None and growth.coeff > 0.0:
+        xq_g = np.abs(xq[outside]) ** growth.exponent
+        xb_g = np.abs(np.where(below, x0, x1)[outside]) ** growth.exponent
+        inc = growth.coeff * (xq_g - xb_g)
+        cap = growth.coeff * (1.0 + xq_g)
+    return DestinationTable(lo, pos - lo, outside, np.where(below, 0, n - 1)[outside], inc, cap)
+
+
 def offgrid_eval(surface: np.ndarray, grid: SpatialGrid, xq: np.ndarray, growth: GrowthBound | None = None) -> np.ndarray:
     """Evaluate a node-value surface at arbitrary 1-D query points.
 
     Linear between nodes (exact on nodes, queries snap onto nodes within a
     1e-9 relative tolerance), clamp or growth-bounded extrapolation outside.
     """
-    grid.require_1d()
-    x0, x1 = grid.x_min[0], grid.x_max[0]
-    n = grid.n_nodes[0]
-    dx = grid.spacing[0]
     xq = np.asarray(xq, dtype=float)
-    scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq)
-
-    pos = (xq - x0) / dx
-    snapped = np.rint(pos)
-    snap = np.abs(pos - snapped) < _NODE_SNAP
-    pos = np.where(snap, snapped, pos)
-    lo = np.clip(np.floor(pos), 0, n - 2).astype(int)
-    theta = pos - lo
-    vals = (1.0 - theta) * surface[lo] + theta * surface[lo + 1]
-
-    below = xq < x0
-    above = xq > x1
-    outside = below | above
-    if np.any(outside):
-        bidx = np.where(below, 0, n - 1)[outside]
-        vb = surface[bidx]
-        if growth is None or growth.coeff == 0.0:
-            out_vals = vb
-        else:
-            xb = np.where(below, x0, x1)[outside]
-            inc = growth.coeff * (np.abs(xq[outside]) ** growth.exponent - np.abs(xb) ** growth.exponent)
-            out_vals = vb + np.sign(vb) * inc
-            cap = growth.coeff * (1.0 + np.abs(xq[outside]) ** growth.exponent)
-            out_vals = np.clip(out_vals, -cap, cap)
-        vals[outside] = out_vals
-    return float(vals[0]) if scalar else vals
+    vals = destination_table(grid, np.atleast_1d(xq), growth).apply(surface)
+    return float(vals[0]) if xq.ndim == 0 else vals
 
 
 def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: SpatialGrid, growth: GrowthBound | None = None) -> float:
@@ -345,77 +382,24 @@ def beta_slope_at_zero(beta_of: Callable[[np.ndarray, float], np.ndarray], x: np
     return (np.asarray(beta_of(x, h)) - np.asarray(beta_of(x, -h))) / (2.0 * h)
 
 
-def nonlocal_generator(
+def jump_terms(
     surface: np.ndarray,
     grad: np.ndarray,
-    grid: SpatialGrid,
-    quad: LevyQuadrature,
-    beta_of: Callable[[np.ndarray, float], np.ndarray],
-    growth: GrowthBound | None = None,
-    second_deriv: np.ndarray | None = None,
-    node: int | None = None,
-    split: bool = False,
-):
-    """Compensated jump part of the generator.
+    table: DestinationTable,
+    weights: np.ndarray,
+    beta: np.ndarray,
+    gamma: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both jump sums of one surface, over all atoms at once.
 
-    ``I2 = sum_k w_k [ v(x + beta(x,e_k)) - v(x) - Dv(x) beta(x,e_k) ]`` over
-    the quadrature atoms plus the small-jump diffusion surrogate
-    ``I1 = 0.5 * s_delta * (d_e beta(x,0))^2 * v''(x)``.  With ``split=True``
-    the pair ``(I1, I2)`` is returned, otherwise their sum.  The split is
-    exact by construction: atoms live on ``|e| >= cutoff`` and the surrogate
-    carries everything below.
+    ``table`` holds the destinations ``x + beta(x, e_k)`` and ``beta``,
+    ``gamma`` their ``(atoms, nodes)`` coefficients.  Returns the compensated
+    generator part ``sum_k w_k [v(x+beta_k) - v(x) - beta_k Dv(x)]`` and the
+    driver's jump argument ``sum_k w_k gamma_k [v(x+beta_k) - v(x)]``.  The
+    small-jump surrogate is not included: it enters as diffusion.
     """
-    grid.require_1d()
-    x = grid.axis()
-    acc = np.zeros_like(surface)
-    for e_k, w_k in zip(quad.marks, quad.weights):
-        disp = np.asarray(beta_of(x, float(e_k)), dtype=float)
-        disp = np.broadcast_to(disp, x.shape)
-        vals = offgrid_eval(surface, grid, x + disp, growth)
-        acc = acc + w_k * (vals - surface - grad * disp)
-    if quad.small_jump_second_moment > 0.0:
-        if second_deriv is None:
-            second_deriv = second_derivative_surface(surface, grid)
-        slope = beta_slope_at_zero(beta_of, x)
-        corr = 0.5 * quad.small_jump_second_moment * slope**2 * second_deriv
-    else:
-        corr = np.zeros_like(surface)
-    if split:
-        if node is None:
-            return corr, acc
-        return float(corr[node]), float(acc[node])
-    total = corr + acc
-    return total if node is None else float(total[node])
-
-
-def nonlocal_driver_term(
-    surface: np.ndarray,
-    grid: SpatialGrid,
-    quad: LevyQuadrature,
-    beta_of: Callable[[np.ndarray, float], np.ndarray],
-    gamma_of: Callable[[np.ndarray, float], np.ndarray],
-    growth: GrowthBound | None = None,
-    node: int | None = None,
-    split: bool = False,
-):
-    """Jump argument of the driver: ``sum_k w_k gamma(x,e_k) [v(x+beta) - v(x)]``.
-
-    With ``split=True`` returns the (small-jump, large-jump) pair; the
-    small-jump half is identically zero at the quadrature level because the
-    first-order mass below the cutoff is dropped (it vanishes with the
-    cutoff, unlike the generator's second-order part).
-    """
-    grid.require_1d()
-    x = grid.axis()
-    acc = np.zeros_like(surface)
-    for e_k, w_k in zip(quad.marks, quad.weights):
-        disp = np.broadcast_to(np.asarray(beta_of(x, float(e_k)), dtype=float), x.shape)
-        gam = np.broadcast_to(np.asarray(gamma_of(x, float(e_k)), dtype=float), x.shape)
-        vals = offgrid_eval(surface, grid, x + disp, growth)
-        acc = acc + w_k * gam * (vals - surface)
-    if split:
-        zero = np.zeros_like(surface)
-        if node is None:
-            return zero, acc
-        return 0.0, float(acc[node])
-    return acc if node is None else float(acc[node])
+    if not weights.size:  # diffusion-only problems call this for every pair and step
+        return np.zeros_like(surface), np.zeros_like(surface)
+    w = weights[:, None]
+    shift = table.apply(surface) - surface
+    return np.sum(w * (shift - grad * beta), axis=0), np.sum(w * gamma * shift, axis=0)

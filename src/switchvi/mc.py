@@ -304,10 +304,13 @@ def feynman_kac_check(
     trajectory: Trajectory,
     estimate: BsdeEstimate,
     x0: float,
+    growth: GrowthBound,
     bias_allowance: float = 0.05,
 ) -> CheckReport:
     """Compare ``v(0, x0)`` per mode pair against the regression estimate.
 
+    ``v(0, x0)`` is read off the grid with the problem's growth bound, so a
+    start point outside the box is extrapolated as the solver would.
     Pass threshold per pair: ``4 * stderr + bias_allowance * (1 + |v|)``.
     """
     from .discretization import interpolate
@@ -319,7 +322,6 @@ def feynman_kac_check(
     )
     level0 = trajectory.level(0)
     m1, m2 = estimate.y0.shape
-    growth = GrowthBound()
     for i in range(m1):
         for j in range(m2):
             v = interpolate(level0, (i, j), x0, trajectory.grid, growth)

@@ -49,7 +49,6 @@ __all__ = [
     "validate_terminal_consistency",
     "validate_coefficient_bounds",
     "eval_obstacles",
-    "obstacles_for_field",
     "eval_penalized_driver",
     "eval_f_ij",
     "neg_part",
@@ -361,11 +360,6 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
                 cands = [y[i, l] + upper_costs[j, l] for l in range(m2) if l != j]
                 U[i, j] = np.min(np.stack(cands), axis=0) if tail else min(cands)
     return L, U
-
-
-def obstacles_for_field(values: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarray):
-    """Alias of :func:`eval_obstacles` for (m1, m2, nodes) value fields."""
-    return eval_obstacles(values, lower_costs, upper_costs)
 
 
 # --- penalized driver and integral driver --------------------------------

@@ -49,6 +49,8 @@ from .discretization import (
     TimeGrid,
     ValueField,
     beta_slope_at_zero,
+    destination_table,
+    jump_terms,
     second_derivative_surface,
 )
 from .model import (
@@ -302,36 +304,13 @@ class _Workspace:
         self.n_nodes = grid.n_nodes[0]
         self.m1, self.m2 = spec.modes.m1, spec.modes.m2
         self.pairs = list(spec.modes.pairs())
-        self.growth = spec.growth
 
-        # jump tables: destinations, interpolation indices, growth data
+        # jump destinations x + beta(x, e_k), one (atoms, nodes) table
         n = self.n_nodes
-        x0, x1 = grid.x_min[0], grid.x_max[0]
         self.beta = np.empty((quad.n_atoms, n))
-        self.lo = np.empty((quad.n_atoms, n), dtype=int)
-        self.theta = np.empty((quad.n_atoms, n))
-        self.below = np.empty((quad.n_atoms, n), dtype=bool)
-        self.above = np.empty((quad.n_atoms, n), dtype=bool)
-        self.bidx = np.empty((quad.n_atoms, n), dtype=int)
-        self.ginc = np.zeros((quad.n_atoms, n))
-        self.gcap = np.zeros((quad.n_atoms, n))
         for a, e_k in enumerate(quad.marks):
-            disp = np.broadcast_to(np.asarray(spec.eval_beta(self.x, float(e_k)), dtype=float), self.x.shape)
-            self.beta[a] = disp
-            xq = self.x + disp
-            pos = (xq - x0) / self.dx
-            snapped = np.rint(pos)
-            pos = np.where(np.abs(pos - snapped) < 1e-9, snapped, pos)
-            self.lo[a] = np.clip(np.floor(pos), 0, n - 2).astype(int)
-            self.theta[a] = pos - self.lo[a]
-            self.below[a] = xq < x0
-            self.above[a] = xq > x1
-            self.bidx[a] = np.where(self.below[a], 0, n - 1)
-            if self.growth.coeff > 0.0:
-                xb = np.where(self.below[a], x0, x1)
-                self.ginc[a] = self.growth.coeff * (np.abs(xq) ** self.growth.exponent - np.abs(xb) ** self.growth.exponent)
-                self.gcap[a] = self.growth.coeff * (1.0 + np.abs(xq) ** self.growth.exponent)
-        self.any_outside = bool(np.any(self.below | self.above))
+            self.beta[a] = np.broadcast_to(np.asarray(spec.eval_beta(self.x, float(e_k)), dtype=float), self.x.shape)
+        self.jumps = destination_table(grid, self.x + self.beta, spec.growth)
 
         # gamma(x, e_k) per pair and atom
         self.gamma = np.empty((self.m1, self.m2, quad.n_atoms, n))
@@ -351,19 +330,6 @@ class _Workspace:
         self.lip_g = estimate_driver_lipschitz(spec, grid, tgrid)
 
     # -- pieces ------------------------------------------------------------
-
-    def offgrid(self, surface: np.ndarray, a: int) -> np.ndarray:
-        """Surface values at the jump destinations of atom ``a``."""
-        vals = (1.0 - self.theta[a]) * surface[self.lo[a]] + self.theta[a] * surface[self.lo[a] + 1]
-        out = self.below[a] | self.above[a]
-        if np.any(out):
-            vb = surface[self.bidx[a][out]]
-            if self.growth.coeff == 0.0:
-                vals[out] = vb
-            else:
-                ext = vb + np.sign(vb) * self.ginc[a][out]
-                vals[out] = np.clip(ext, -self.gcap[a][out], self.gcap[a][out])
-        return vals
 
     def cfl(self, n: float, m: float) -> tuple[float, dict]:
         value, terms = compute_cfl_bound(self.spec, self.grid, self.tgrid, self.quad, n, m, lip_g=self.lip_g)
@@ -418,14 +384,7 @@ class _Workspace:
             bwd[1:] = (s[1:] - s[:-1]) / dx
             drift_term = bp * fwd + bm * bwd
 
-            jump_gen = np.zeros_like(s)
-            q = np.zeros_like(s)
-            for a, w_k in enumerate(self.quad.weights):
-                vals = self.offgrid(s, a)
-                dshift = vals - s
-                jump_gen = jump_gen + w_k * (dshift - grad * self.beta[a])
-                q = q + w_k * self.gamma[i, j, a] * dshift
-
+            jump_gen, q = jump_terms(s, grad, self.jumps, self.quad.weights, self.beta, self.gamma[i, j])
             z = sig * grad
             g = spec.eval_driver((i, j), t_next, self.x, y_entries, z, q)
 

@@ -133,7 +133,7 @@ def test_criterion_5_feynman_kac():
     traj, _ = solve_penalized(spec, GRID, TGRID, quad, 4.0, 4.0)
     batch = simulate_paths(spec, quad, 0.0, 10_000, TGRID, seed=20240901)
     est = solve_bsde_regression(batch, spec, 4.0, 4.0)
-    report = feynman_kac_check(traj, est, 0.0)
+    report = feynman_kac_check(traj, est, 0.0, spec.growth)
 
     # closed-form control: constant driver, zero terminal
     const = make_spec(

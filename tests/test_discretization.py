@@ -8,10 +8,10 @@ from switchvi.discretization import (
     ValueField,
     build_levy_quadrature,
     gradient_surface,
+    destination_table,
     interpolate,
+    jump_terms,
     local_generator,
-    nonlocal_driver_term,
-    nonlocal_generator,
     offgrid_eval,
     second_derivative_surface,
 )
@@ -20,6 +20,25 @@ from switchvi.model import GrowthBound, LevyMeasureSpec, MalformedSpecError
 
 def beta_identity(x, e):
     return np.full_like(np.asarray(x, dtype=float), e)
+
+
+def atom_table(coeff_of, x, quad):
+    """``(atoms, nodes)`` table of a coefficient ``coeff_of(x, e_k)``."""
+    return np.array([np.broadcast_to(coeff_of(x, float(e)), x.shape) for e in quad.marks]).reshape(quad.n_atoms, x.size)
+
+
+def jump_sums(surface, grid, quad, beta_of=beta_identity, gamma_of=None, grad=None, growth=None):
+    """Both jump sums of one surface, with tables built as the solver builds them."""
+    x = grid.axis()
+    beta = atom_table(beta_of, x, quad)
+    gamma = atom_table(gamma_of, x, quad) if gamma_of is not None else np.zeros_like(beta)
+    grad = np.zeros_like(surface) if grad is None else grad
+    return jump_terms(surface, grad, destination_table(grid, x + beta, growth), quad.weights, beta, gamma)
+
+
+def interpolation_matrices(table, n):
+    """``P[k, i, j]``: weight of node ``j`` in the value at destination ``(k, i)``."""
+    return np.stack([table.apply(e) for e in np.eye(n)], axis=-1)
 
 
 class TestGrids:
@@ -63,6 +82,13 @@ class TestQuadrature:
         moment = float(np.sum(quad.weights * np.minimum(1.0, quad.marks**2)))
         assert moment == pytest.approx(1.8, rel=2e-3)
         assert quad.small_jump_second_moment == pytest.approx(0.2, rel=2e-3)  # 2 * int_0^0.1 e^-2 e^2
+
+    def test_uniform_density_small_jump_second_moment(self):
+        # atoms carry |e| >= cutoff, the surrogate everything below it
+        spec = LevyMeasureSpec.from_dict({"density": "1", "radius": 1.0, "cutoff": 0.2})
+        quad = build_levy_quadrature(spec, n_atoms=32)
+        assert np.all(np.abs(quad.marks) >= 0.2)
+        assert quad.small_jump_second_moment == pytest.approx(2 * 0.2**3 / 3, rel=1e-4)
 
     def test_empty_atoms_valid(self):
         quad = build_levy_quadrature(LevyMeasureSpec(atoms=()))
@@ -155,7 +181,7 @@ class TestNonlocalGenerator:
         surf = x**2
         grad = gradient_surface(surf, g)
         quad = LevyQuadrature(marks=np.array([1.0, -1.0]), weights=np.array([1.0, 1.0]))
-        out = nonlocal_generator(surf, grad, g, quad, beta_identity)
+        out, _ = jump_sums(surf, g, quad, grad=grad)
         mid = 12  # x = 0
         assert out[mid] == pytest.approx(2.0, abs=1e-12)
 
@@ -165,7 +191,7 @@ class TestNonlocalGenerator:
         surf = 0.7 - 1.3 * x
         grad = gradient_surface(surf, g)
         quad = LevyQuadrature(marks=np.array([0.5, -0.25, 0.1]), weights=np.array([0.3, 0.8, 2.0]))
-        out = nonlocal_generator(surf, grad, g, quad, beta_identity)
+        out, _ = jump_sums(surf, g, quad, grad=grad)
         inside = (x + 0.5 <= 3.0) & (x - 0.25 >= -3.0)
         inside[0] = inside[-1] = False  # boundary gradient is one-sided
         np.testing.assert_allclose(out[inside], 0.0, atol=1e-12)
@@ -176,42 +202,41 @@ class TestNonlocalGenerator:
         surf = x.copy()
         grad = gradient_surface(surf, g)
         quad = LevyQuadrature(marks=np.array([1.0, -1.0]), weights=np.array([1.0, 1.0]))
-        out = nonlocal_generator(surf, grad, g, quad, beta_identity, growth=GrowthBound(1.0, 1.0))
+        out, _ = jump_sums(surf, g, quad, grad=grad, growth=GrowthBound(1.0, 1.0))
         np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
     def test_empty_quadrature_zero(self):
         g = SpatialGrid.line(-1.0, 1.0, 11)
         surf = np.random.default_rng(0).normal(size=11)
         quad = LevyQuadrature(marks=np.array([]), weights=np.array([]))
-        out = nonlocal_generator(surf, gradient_surface(surf, g), g, quad, beta_identity)
-        np.testing.assert_array_equal(out, 0.0)
-
-    def test_split_consistency_with_small_jump_surrogate(self):
-        spec = LevyMeasureSpec.from_dict({"density": "1", "radius": 1.0, "cutoff": 0.2})
-        quad = build_levy_quadrature(spec, n_atoms=32)
-        assert quad.small_jump_second_moment == pytest.approx(2 * 0.2**3 / 3, rel=1e-4)
-        g = SpatialGrid.line(-2.0, 2.0, 41)
-        surf = np.cos(g.axis())
-        grad = gradient_surface(surf, g)
-        i1, i2 = nonlocal_generator(surf, grad, g, quad, beta_identity, split=True)
-        total = nonlocal_generator(surf, grad, g, quad, beta_identity)
-        np.testing.assert_allclose(i1 + i2, total, atol=1e-15)
-        assert float(np.max(np.abs(i1))) > 0.0
+        gen, q = jump_sums(surf, g, quad, gamma_of=lambda x, e: np.ones_like(x), grad=gradient_surface(surf, g))
+        np.testing.assert_array_equal(gen, 0.0)
+        np.testing.assert_array_equal(q, 0.0)
 
     def test_monotone_in_field(self):
         g = SpatialGrid.line(-1.0, 1.0, 21)
-        rng = np.random.default_rng(5)
+        x = g.axis()
         quad = LevyQuadrature(marks=np.array([0.3, -0.4]), weights=np.array([0.5, 0.5]))
+        # exact: every destination is a convex combination of node values
+        table = destination_table(g, x + atom_table(beta_identity, x, quad))
+        assert table.outside.any()
+        inside = ~table.outside
+        assert np.all(table.theta[inside] >= 0.0) and np.all(1.0 - table.theta[inside] >= 0.0)
+        weights = interpolation_matrices(table, 21)
+        assert np.all(weights >= 0.0)
+        np.testing.assert_array_equal(np.sum(weights, axis=-1), 1.0)
+        assert np.all(quad.weights > 0.0)
+        # and the assembled sum follows it
+        rng = np.random.default_rng(5)
         for _ in range(20):
             v = rng.normal(size=21)
             bump = np.abs(rng.normal(size=21))
             node = rng.integers(1, 20)
             w = v + bump
             w[node] = v[node]  # equality at the evaluation node
-            grad = np.zeros(21)  # shared gradient: isolates the field dependence
-            iv = nonlocal_generator(v, grad, g, quad, beta_identity, node=int(node))
-            iw = nonlocal_generator(w, grad, g, quad, beta_identity, node=int(node))
-            assert iv <= iw + 1e-12
+            iv, _ = jump_sums(v, g, quad)  # shared zero gradient: isolates the field dependence
+            iw, _ = jump_sums(w, g, quad)
+            assert iv[node] <= iw[node] + 1e-12
 
 
 class TestNonlocalDriverTerm:
@@ -221,14 +246,14 @@ class TestNonlocalDriverTerm:
     def test_constant_surface_zero(self):
         g = SpatialGrid.line(-1.0, 1.0, 11)
         quad = LevyQuadrature(marks=np.array([0.3]), weights=np.array([2.0]))
-        out = nonlocal_driver_term(np.full(11, 3.3), g, quad, beta_identity, self.gamma_one)
+        _, out = jump_sums(np.full(11, 3.3), g, quad, gamma_of=self.gamma_one)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_two_atom_cancellation(self):
         g = SpatialGrid.line(-3.0, 3.0, 25)
         surf = g.axis().copy()
         quad = LevyQuadrature(marks=np.array([1.0, -1.0]), weights=np.array([1.0, 1.0]))
-        out = nonlocal_driver_term(surf, g, quad, beta_identity, self.gamma_one)
+        _, out = jump_sums(surf, g, quad, gamma_of=self.gamma_one)
         x = g.axis()
         inside = (x + 1 <= 3) & (x - 1 >= -3)
         np.testing.assert_allclose(out[inside], 0.0, atol=1e-13)
@@ -236,29 +261,62 @@ class TestNonlocalDriverTerm:
     def test_zero_gamma(self):
         g = SpatialGrid.line(-1.0, 1.0, 11)
         quad = LevyQuadrature(marks=np.array([0.5]), weights=np.array([1.0]))
-        out = nonlocal_driver_term(np.random.default_rng(1).normal(size=11), g, quad, beta_identity, lambda x, e: np.zeros_like(x))
+        _, out = jump_sums(np.random.default_rng(1).normal(size=11), g, quad, gamma_of=lambda x, e: np.zeros_like(x))
         np.testing.assert_array_equal(out, 0.0)
 
-    def test_split_small_half_is_zero(self):
-        g = SpatialGrid.line(-1.0, 1.0, 11)
-        quad = LevyQuadrature(marks=np.array([0.5]), weights=np.array([1.0]), cutoff=0.1, small_jump_second_moment=0.01)
-        i1, i2 = nonlocal_driver_term(np.linspace(0, 1, 11), g, quad, beta_identity, self.gamma_one, split=True)
-        np.testing.assert_array_equal(i1, 0.0)
-        total = nonlocal_driver_term(np.linspace(0, 1, 11), g, quad, beta_identity, self.gamma_one)
-        np.testing.assert_array_equal(i2, total)
+    def test_growth_branch_matches_per_atom_reference(self):
+        # gamma != 0, destinations beyond both ends of the box, C > 0, cap binding somewhere
+        g = SpatialGrid.line(-1.0, 1.0, 21)
+        x = g.axis()
+        quad = LevyQuadrature(marks=np.array([0.7, -0.45, 1.3]), weights=np.array([0.4, 0.9, 0.2]))
+        growth = GrowthBound(coeff=1.0, exponent=1.5)
+        surf = 0.5 * np.sin(3.0 * x) + 3.0 * (x > 0.8)  # right end above the envelope
+
+        def beta_of(xx, e):
+            return 0.8 * e * (1.0 + 0.5 * xx)
+
+        def gamma_of(xx, e):
+            return 0.5 + 0.25 * e * np.cos(xx)
+
+        grad = gradient_surface(surf, g)
+        gen, q = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of, grad=grad, growth=growth)
+        ref_gen = np.zeros_like(surf)
+        ref_q = np.zeros_like(surf)
+        for e_k, w_k in zip(quad.marks, quad.weights):
+            disp = beta_of(x, e_k)
+            shift = offgrid_eval(surf, g, x + disp, growth) - surf
+            ref_gen += w_k * (shift - grad * disp)
+            ref_q += w_k * gamma_of(x, e_k) * shift
+        np.testing.assert_allclose(gen, ref_gen, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(q, ref_q, rtol=0.0, atol=1e-14)
+
+        table = destination_table(g, x + atom_table(beta_of, x, quad), growth)
+        dest = (x + atom_table(beta_of, x, quad))[table.outside]
+        assert np.any(dest < -1.0) and np.any(dest > 1.0)
+        extrapolated = surf[table.boundary] + np.sign(surf[table.boundary]) * table.growth_inc
+        assert np.any(np.abs(extrapolated) > table.growth_cap)  # the cap binds
+        assert np.any(np.abs(extrapolated) < table.growth_cap)  # and does not bind
+        _, q_clamped = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of, grad=grad)
+        assert np.max(np.abs(q - q_clamped)) > 1e-3
 
     def test_monotone_in_field_with_nonneg_gamma(self):
         g = SpatialGrid.line(-1.0, 1.0, 21)
-        rng = np.random.default_rng(9)
+        x = g.axis()
         quad = LevyQuadrature(marks=np.array([0.3, -0.2]), weights=np.array([1.0, 0.5]))
+        # exact: non-negative interpolation weights, gamma and atom weights
+        table = destination_table(g, x + atom_table(beta_identity, x, quad))
+        assert table.outside.any()
+        assert np.all(interpolation_matrices(table, 21) >= 0.0)
+        assert np.all(atom_table(self.gamma_one, x, quad) >= 0.0) and np.all(quad.weights > 0.0)
+        rng = np.random.default_rng(9)
         for _ in range(20):
             v = rng.normal(size=21)
             w = v + np.abs(rng.normal(size=21))
             node = int(rng.integers(1, 20))
             w[node] = v[node]
-            dv = nonlocal_driver_term(v, g, quad, beta_identity, self.gamma_one, node=node)
-            dw = nonlocal_driver_term(w, g, quad, beta_identity, self.gamma_one, node=node)
-            assert dv <= dw + 1e-12
+            _, dv = jump_sums(v, g, quad, gamma_of=self.gamma_one)
+            _, dw = jump_sums(w, g, quad, gamma_of=self.gamma_one)
+            assert dv[node] <= dw[node] + 1e-12
 
 
 class TestDerivativeSurfaces:

@@ -183,7 +183,7 @@ class TestFeynmanKac:
         traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0)
         batch = simulate_paths(spec, quad, 0.0, 2_000, TG, seed=3)
         est = solve_bsde_regression(batch, spec, 0.0, 0.0)
-        report = feynman_kac_check(traj, est, 0.0)
+        report = feynman_kac_check(traj, est, 0.0, spec.growth)
         assert report.passed
         assert report.records[0]["difference"] <= 1e-8
 
@@ -192,7 +192,7 @@ class TestFeynmanKac:
         traj, _ = solve_penalized(spec_two_atom, grid, TG, quad_two_atom, 4.0, 4.0)
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 10_000, TG, seed=42)
         est = solve_bsde_regression(batch, spec_two_atom, 4.0, 4.0)
-        report = feynman_kac_check(traj, est, 0.0)
+        report = feynman_kac_check(traj, est, 0.0, spec_two_atom.growth)
         assert report.passed
         assert any("engineering" in note for note in report.notes)
 
@@ -201,7 +201,7 @@ class TestFeynmanKac:
         traj, _ = solve_penalized(spec_two_atom, grid, TG, quad_two_atom, 16.0, 0.0)
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 10_000, TG, seed=42)
         est = solve_bsde_regression(batch, spec_two_atom, 0.0, 0.0)
-        report = feynman_kac_check(traj, est, 0.0)
+        report = feynman_kac_check(traj, est, 0.0, spec_two_atom.growth)
         assert not report.passed
 
     def test_pde_value_beyond_the_box_uses_the_spec_growth_bound(self):
