@@ -274,8 +274,8 @@ class DestinationTable:
     theta: np.ndarray
     outside: np.ndarray
     boundary: np.ndarray
-    growth_inc: np.ndarray | None = None
-    growth_cap: np.ndarray | None = None
+    growth_inc: np.ndarray | None
+    growth_cap: np.ndarray | None
 
     def apply(self, surface: np.ndarray) -> np.ndarray:
         """Values of a node-value surface at the query points."""

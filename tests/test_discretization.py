@@ -7,8 +7,8 @@ from switchvi.discretization import (
     TimeGrid,
     ValueField,
     build_levy_quadrature,
-    gradient_surface,
     destination_table,
+    gradient_surface,
     interpolate,
     jump_terms,
     local_generator,
