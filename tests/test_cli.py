@@ -1,5 +1,6 @@
 import json
 import time
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -196,6 +197,23 @@ class TestCheck:
     def test_oversized_instance_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 5001})
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_growth_extrapolation_exit_2_with_one_line_error(self, tmp_path, capsys):
+        """The oracle only mirrors clamp extrapolation; a growth bound C > 0 is a usage error."""
+        prob = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
+        prob["growth"] = {"C": 1.0, "gamma": 1.0}
+        cfg = write_config(
+            tmp_path,
+            problem=prob,
+            grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 21},
+            time={"n_steps": 10},
+            check={"paths": 100, "x0": 0.0, "n": 4, "m": 4, "n_steps": 10},
+        )
+        capsys.readouterr()
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "growth" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestExportRoundTrip:
