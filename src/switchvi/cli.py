@@ -40,6 +40,7 @@ from . import export, mc, oracle, pde_solver
 from .discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from .exprdsl import ExprError
 from .model import (
+    CapacityError,
     MalformedSpecError,
     ProblemSpec,
     load_builtin_problem,
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ExprError, MalformedSpecError, json.JSONDecodeError) as exc:
