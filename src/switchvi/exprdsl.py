@@ -22,10 +22,24 @@ continuity of a coefficient, so prefer polynomial/exp forms.
 Every non-finite intermediate (overflow, log of a non-positive value,
 division by zero) raises :class:`NumericDomainError` naming the offending
 subexpression; evaluation never returns NaN or infinity.
+
+:func:`evaluate` compiles a tree once, on its first call, into nested
+closures that apply every operator as a numpy ufunc (``np.add``,
+``np.multiply``, ``np.power``, ...), on Python-float scalars too, and keeps
+the compiled form on the root node so that it is freed with the tree.  A
+call checks each bound free variable for finiteness once, runs the closures
+under ``np.errstate(over/divide/invalid="raise")`` and checks the result
+once.  Plain Python float arithmetic is never used: it would overflow to inf
+silently, and ``min(x*x, 1)`` at ``x = 1e200`` would return 1.  On any
+floating-point error, missing binding or non-finite value, the call is
+re-run by the tree-walker, which checks every node and names the first bad
+subexpression, so errors and their messages are those of the walker, and
+every successful result is bitwise the walker's.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -90,30 +104,43 @@ class NumericDomainError(ExprError):
         super().__init__(f"{detail} in subexpression '{subexpr}'")
 
 
+class _Node:
+    """Base of the AST nodes.
+
+    :func:`evaluate` stores a tree's compiled form on its root node, so the
+    form lives exactly as long as the tree; pickles leave it out.
+    """
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     args: tuple["Expr", ...]
 
@@ -348,7 +375,20 @@ def _check_finite(value: Value, node: Expr, detail: str) -> Value:
     return value
 
 
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_CALLS = {
+    "min": np.minimum,
+    "max": np.maximum,
+    "pow": np.power,
+    "abs": np.abs,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+}
+
+
 def _eval(expr: Expr, ctx: Mapping[str, Value]) -> Value:
+    """Reference tree-walker: checks every node and names the first non-finite one."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -363,36 +403,72 @@ def _eval(expr: Expr, ctx: Mapping[str, Value]) -> Value:
         a = _eval(expr.left, ctx)
         b = _eval(expr.right, ctx)
         with np.errstate(all="ignore"):
-            if expr.op == "+":
-                out = a + b
-            elif expr.op == "-":
-                out = a - b
-            elif expr.op == "*":
-                out = a * b
-            elif expr.op == "/":
-                out = np.divide(a, b)
-            else:  # ^
-                out = np.power(a, b)
+            out = _BINARY[expr.op](a, b)
         return _check_finite(out, expr, "non-finite result")
     if isinstance(expr, Call):
         vals = [_eval(a, ctx) for a in expr.args]
         with np.errstate(all="ignore"):
-            if expr.fn == "min":
-                out = np.minimum(vals[0], vals[1])
-            elif expr.fn == "max":
-                out = np.maximum(vals[0], vals[1])
-            elif expr.fn == "pow":
-                out = np.power(vals[0], vals[1])
-            elif expr.fn == "abs":
-                out = np.abs(vals[0])
-            elif expr.fn == "exp":
-                out = np.exp(vals[0])
-            elif expr.fn == "log":
-                out = np.log(vals[0])
-            else:  # sqrt
-                out = np.sqrt(vals[0])
+            out = _CALLS[expr.fn](*vals)
         return _check_finite(out, expr, "non-finite result")
     raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def _closure(expr: Expr):
+    """The tree as nested closures calling numpy ufuncs, without checks."""
+    if isinstance(expr, Num):
+        value = expr.value
+        if not math.isfinite(value):
+            # such a literal can turn into a finite result without raising a
+            # floating-point flag (min(1e999*2, 1)), so the walker decides
+            def walker_decides(ctx):
+                raise FloatingPointError
+
+            return walker_decides
+        return lambda ctx: value
+    if isinstance(expr, Var):
+        name = expr.name
+        return lambda ctx: ctx[name]
+    if isinstance(expr, Neg):
+        f = _closure(expr.operand)
+        return lambda ctx: np.negative(f(ctx))
+    if isinstance(expr, BinOp):
+        op, f, g = _BINARY[expr.op], _closure(expr.left), _closure(expr.right)
+        return lambda ctx: op(f(ctx), g(ctx))
+    if isinstance(expr, Call):
+        fn = _CALLS[expr.fn]
+        if len(expr.args) == 1:
+            f = _closure(expr.args[0])
+            return lambda ctx: fn(f(ctx))
+        f, g = (_closure(a) for a in expr.args)
+        return lambda ctx: fn(f(ctx), g(ctx))
+    raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def _compiled(expr: Expr):
+    """``(closure, free variable names)``, built on first use and kept on the node."""
+    try:
+        return expr._compiled
+    except AttributeError:
+        pass
+    form = (_closure(expr), tuple(sorted(free_variables(expr))))
+    object.__setattr__(expr, "_compiled", form)
+    return form
+
+
+def _finite(value: Value) -> bool:
+    """True only if every element is finite.
+
+    A vector's dot product with itself is finite exactly when no element is
+    NaN or infinite and the sum of squares does not overflow, and it is
+    several times cheaper than ``isfinite(v).all()``.  The overflow (possible
+    once an element exceeds ~1e154) raises under :func:`evaluate`'s errstate
+    and only sends it to the walker, which decides.
+    """
+    if not isinstance(value, np.ndarray):
+        return math.isfinite(value)
+    if value.ndim == 1:
+        return math.isfinite(value.dot(value))
+    return bool(np.isfinite(value).all())
 
 
 def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
@@ -401,4 +477,13 @@ def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
     Pure: identical context gives a bitwise-identical result.  Raises
     :class:`NumericDomainError` instead of ever propagating NaN/inf.
     """
+    fn, names = _compiled(expr)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if all(_finite(ctx[name]) for name in names):
+                out = fn(ctx)
+                if _finite(out):
+                    return out
+    except (KeyError, TypeError, FloatingPointError):
+        pass
     return _eval(expr, ctx)

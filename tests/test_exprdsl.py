@@ -1,8 +1,12 @@
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchvi import exprdsl
 from switchvi.exprdsl import (
     ArityError,
     BinOp,
@@ -118,6 +122,56 @@ class TestParseEvaluate:
         assert a == b
 
 
+class TestCompiledEvaluation:
+    """``evaluate`` runs a compiled form and falls back to the walker ``_eval``."""
+
+    @pytest.mark.parametrize(
+        "text, x, subexpr",
+        [
+            ("min(x*x, 1)", 1e200, "x*x"),
+            ("min(x + x, 1)", 1e308, "x + x"),
+            ("max(exp(x), 1) - exp(x)", 1000.0, "exp(x)"),
+        ],
+    )
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_only_an_intermediate_is_non_finite(self, text, x, subexpr, as_array):
+        """The final value is finite or masked; the error still names the subexpression."""
+        e = parse(text, ("x",))
+        ctx = {"x": np.array([0.5, x, -0.25]) if as_array else x}
+        with pytest.raises(NumericDomainError) as err:
+            evaluate(e, ctx)
+        assert err.value.subexpr == subexpr
+        with pytest.raises(NumericDomainError) as ref:
+            exprdsl._eval(e, ctx)
+        assert str(err.value) == str(ref.value)
+
+    def test_non_finite_literal_takes_the_walker(self):
+        """inf*2 raises no floating-point flag, and min() would hide it."""
+        with pytest.raises(NumericDomainError) as err:
+            evaluate(parse("min(1e999*2, x)", ("x",)), {"x": 1.0})
+        assert err.value.subexpr == "inf*2.0"
+
+    def test_huge_finite_vector_is_evaluated(self):
+        """Squares of these elements overflow, the elements do not."""
+        x = np.array([1e200, -3e300, 1.0])
+        np.testing.assert_array_equal(evaluate(parse("min(x, 2) - 1", ("x",)), {"x": x}), np.minimum(x, 2) - 1)
+
+    def test_tree_and_compiled_form_are_freed_with_the_tree(self):
+        tree = parse("0.6 + 0.2*max(x, 0) - exp(-x*x)", ("x",))
+        evaluate(tree, {"x": np.linspace(-1.0, 1.0, 5)})
+        tree_ref = weakref.ref(tree)
+        form_ref = weakref.ref(tree._compiled[0])
+        del tree
+        assert tree_ref() is None and form_ref() is None  # no reference cycle: freed before any collection
+
+    def test_pickle_after_evaluate(self):
+        tree = parse("x*t + 1", ("x", "t"))
+        evaluate(tree, {"x": 2.0, "t": 3.0})
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == tree
+        assert evaluate(copy, {"x": 2.0, "t": 3.0}) == 7.0
+
+
 class TestAstUtilities:
     def test_substitute(self):
         e = parse("y_0_1 + z", ("y_0_1", "z"))
@@ -169,3 +223,38 @@ def test_eval_matches_reparse(expr, x, t):
     a = evaluate(expr, ctx)
     b = evaluate(parse(format_expr(expr), ("x", "t")), ctx)
     assert a == b
+
+
+def _any_exprs(depth: int):
+    """Trees over every operator and function, so results can overflow or leave a domain."""
+    if depth == 0:
+        return st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 700.0, 1e200]).map(Num),
+            _vars.map(Var),
+        )
+    sub = _any_exprs(depth - 1)
+    return st.one_of(
+        sub,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(t[0], t[1], t[2])),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["min", "max", "pow"]), sub, sub).map(lambda t: Call(t[0], (t[1], t[2]))),
+        st.tuples(st.sampled_from(["abs", "exp", "log", "sqrt"]), sub).map(lambda t: Call(t[0], (t[1],))),
+    )
+
+
+_values = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 710.0, np.inf, np.nan])
+
+
+def _outcome(fn, expr, ctx):
+    try:
+        return "value", np.asarray(fn(expr, ctx), dtype=float).tobytes()
+    except NumericDomainError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_exprs(3), _values, _values, st.booleans())
+def test_evaluate_matches_walker_bitwise(expr, x, t, as_array):
+    """The compiled form returns the walker's bytes, or raises the walker's error."""
+    ctx = {"x": np.array([x, -x, 0.5 * x]) if as_array else x, "t": t}
+    assert _outcome(evaluate, expr, ctx) == _outcome(exprdsl._eval, expr, ctx)
