@@ -329,6 +329,12 @@ class _Workspace:
 
         self.lip_g = estimate_driver_lipschitz(spec, grid, tgrid)
 
+        # coefficients whose expressions never read t are evaluated once, on first use
+        self._local_reads_t = any("t" in exprdsl.free_variables(e) for e in (spec.drift, spec.vol))
+        costs = (*spec.lower_costs.values(), *spec.upper_costs.values())
+        self._costs_read_t = any("t" in exprdsl.free_variables(e) for e in costs)
+        self._local = self._costs = None
+
     # -- pieces ------------------------------------------------------------
 
     def cfl(self, n: float, m: float) -> tuple[float, dict]:
@@ -355,7 +361,18 @@ class _Workspace:
         return out
 
     def cost_tables(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.spec.lower_cost_table(t, self.x), self.spec.upper_cost_table(t, self.x)
+        """Lower and upper cost tables at t; callers must not write to them."""
+        if self._costs is None or self._costs_read_t:
+            self._costs = self.spec.lower_cost_table(t, self.x), self.spec.upper_cost_table(t, self.x)
+        return self._costs
+
+    def local_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Upwind drift parts ``b^+``, ``b^-``, volatility and diffusion coefficient at t."""
+        if self._local is None or self._local_reads_t:
+            b = np.broadcast_to(np.asarray(self.spec.eval_drift(t, self.x), dtype=float), self.x.shape)
+            sig = np.broadcast_to(np.asarray(self.spec.eval_vol(t, self.x), dtype=float), self.x.shape)
+            self._local = np.maximum(b, 0.0), np.minimum(b, 0.0), sig, 0.5 * sig**2 + self.corr_coeff
+        return self._local
 
     # -- the explicit / imex step ------------------------------------------
 
@@ -363,11 +380,7 @@ class _Workspace:
         """One backward step; all coupling terms read the previous level."""
         spec = self.spec
         dx, dt = self.dx, self.dt
-        b = np.broadcast_to(np.asarray(spec.eval_drift(t_next, self.x), dtype=float), self.x.shape)
-        sig = np.broadcast_to(np.asarray(spec.eval_vol(t_next, self.x), dtype=float), self.x.shape)
-        a_diff = 0.5 * sig**2 + self.corr_coeff
-        bp = np.maximum(b, 0.0)
-        bm = np.minimum(b, 0.0)
+        bp, bm, sig, a_diff = self.local_coefficients(t_next)
         if n > 0.0 or m > 0.0:
             lc, uc = self.cost_tables(t_next)
             L, U = eval_obstacles(values, lc, uc)
@@ -671,19 +684,16 @@ def solve_upper_reflected(
     config = config or SchemeConfig()
     if spec.modes.m2 > 1:
         _gate_loops(spec, grid, tgrid, moves="upper")
-    conj = negated_transposed_spec(spec)
-    traj_c, report = _solve_backward(
-        _Workspace(conj, grid, tgrid, quad, config), 0.0, n, "lower", system=f"upper_reflected(n={n})"
-    )
+    ws = _Workspace(negated_transposed_spec(spec), grid, tgrid, quad, config)
+    traj_c, report = _solve_backward(ws, 0.0, n, "lower", system=f"upper_reflected(n={n})")
     values = -np.transpose(traj_c.values, (0, 2, 1, 3))
     traj = Trajectory(times=traj_c.times, values=values, grid=grid, tgrid=tgrid)
-    # re-express the obstacle diagnostics against the original costs
+    # re-express the obstacle diagnostics against the original costs; the
+    # conjugate's lower costs are the original upper costs and vice versa
     report.obstacle_lower_violation.clear()
     report.obstacle_upper_violation.clear()
-    x = grid.axis()
     for k, t in enumerate(traj.times):
-        lc = spec.lower_cost_table(float(t), x)
-        uc = spec.upper_cost_table(float(t), x)
+        uc, lc = ws.cost_tables(float(t))
         L, U = eval_obstacles(values[k], lc, uc)
         report.obstacle_lower_violation.append(float(np.max(neg_part(values[k] - L))) if spec.modes.m1 > 1 else 0.0)
         report.obstacle_upper_violation.append(float(np.max(pos_part(values[k] - U))) if spec.modes.m2 > 1 else 0.0)
@@ -826,7 +836,6 @@ def residual_report(
     ws = _Workspace(spec, grid, tgrid, quad, config)
     report = SolverReport(system=f"residual({system})", dt=ws.dt, n_steps=tgrid.n_steps)
     per_pair = {f"{i},{j}": 0.0 for i, j in ws.pairs}
-    x = grid.axis()
     for k in range(tgrid.n_steps - 1, -1, -1):
         t_next = float(trajectory.times[k + 1])
         t_here = float(trajectory.times[k])
@@ -835,8 +844,7 @@ def residual_report(
         else:
             pde = ws.step(trajectory.values[k + 1], t_next, 0.0, m if system == "lower" else 0.0)
             vk = trajectory.values[k]
-            lc = spec.lower_cost_table(t_here, x)
-            uc = spec.upper_cost_table(t_here, x)
+            lc, uc = ws.cost_tables(t_here)
             L, U = eval_obstacles(vk, lc, uc)
             if system == "lower":
                 candidate = np.maximum(pde, L)

@@ -1,7 +1,12 @@
+import json
+from collections import Counter
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, ValueField, build_levy_quadrature
+from switchvi.model import ProblemSpec
 from switchvi.pde_solver import (
     AssumptionViolationError,
     CflViolationError,
@@ -17,6 +22,7 @@ from switchvi.pde_solver import (
     solve_penalized,
     solve_upper_reflected,
     step_penalized,
+    _Workspace,
 )
 
 from conftest import assert_all_le, make_spec
@@ -318,3 +324,58 @@ class TestResiduals:
         traj, _ = solve_lower_reflected(spec_2x2, GRID, TGRID, quad_2x2, 4.0)
         rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="lower", m=4.0)
         assert rep.residual_norms["overall"] <= 1e-12
+
+
+def no_jump_in_time():
+    """``no_jump`` with drift, volatility and lower costs that read t."""
+    raw = json.loads((files("switchvi.problems") / "no_jump.json").read_text(encoding="utf-8"))
+    raw.update(drift="0.1*x + 0.2*t", vol="0.25 + 0.1*t", lower_costs={"default": "0.3 + t"})
+    return ProblemSpec.from_dict(raw)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTimeFreeCoefficients:
+    """The workspace keeps coefficients that do not read t and re-evaluates the rest."""
+
+    def test_time_dependent_coefficients_follow_t(self):
+        spec = no_jump_in_time()
+        quad = build_levy_quadrature(spec.levy)
+        ws = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode="imex"))
+        x = GRID.axis()
+        for t in (0.5, 0.1, 0.5, 0.3, 0.0):
+            lc, uc = ws.cost_tables(t)
+            assert same_bits(lc, spec.lower_cost_table(t, x)) and same_bits(uc, spec.upper_cost_table(t, x))
+            bp, bm, sig, a_diff = ws.local_coefficients(t)
+            b = spec.eval_drift(t, x)
+            assert same_bits(bp, np.maximum(b, 0.0)) and same_bits(bm, np.minimum(b, 0.0))
+            assert same_bits(sig, spec.eval_vol(t, x))
+            assert same_bits(a_diff, 0.5 * spec.eval_vol(t, x) ** 2 + ws.corr_coeff)
+
+        values = ws.terminal_values()
+        fresh = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode="imex"))
+        assert same_bits(ws.step(values, 0.1, 2.0, 2.0), fresh.step(values, 0.1, 2.0, 2.0))
+
+    def test_time_free_coefficients_are_evaluated_independently_of_n_steps(self, spec_no_jump, monkeypatch):
+        counts = Counter()
+        for name in ("eval_drift", "eval_vol", "eval_lower_cost", "eval_upper_cost"):
+
+            def counted(self, *args, _original=getattr(ProblemSpec, name), _name=name):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ProblemSpec, name, counted)
+        quad = build_levy_quadrature(spec_no_jump.levy)
+        imex = SchemeConfig(mode="imex")
+        per_n_steps = []
+        for n_steps in (5, 20):
+            counts.clear()
+            tgrid = TimeGrid(horizon=0.5, n_steps=n_steps)
+            solve_minmax(spec_no_jump, GRID, tgrid, quad, mode="direct", config=imex)
+            solve_penalized(spec_no_jump, GRID, tgrid, quad, 2.0, 2.0, imex)
+            per_n_steps.append(dict(counts))
+        assert set(per_n_steps[0]) == {"eval_drift", "eval_vol", "eval_lower_cost", "eval_upper_cost"}
+        assert per_n_steps[0] == per_n_steps[1]
