@@ -456,19 +456,7 @@ def _compiled(expr: Expr):
 
 
 def _finite(value: Value) -> bool:
-    """True only if every element is finite.
-
-    A vector's dot product with itself is finite exactly when no element is
-    NaN or infinite and the sum of squares does not overflow, and it is
-    several times cheaper than ``isfinite(v).all()``.  The overflow (possible
-    once an element exceeds ~1e154) raises under :func:`evaluate`'s errstate
-    and only sends it to the walker, which decides.
-    """
-    if not isinstance(value, np.ndarray):
-        return math.isfinite(value)
-    if value.ndim == 1:
-        return math.isfinite(value.dot(value))
-    return bool(np.isfinite(value).all())
+    return bool(np.isfinite(value).all()) if isinstance(value, np.ndarray) else math.isfinite(value)
 
 
 def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
