@@ -472,6 +472,6 @@ def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
                 out = fn(ctx)
                 if _finite(out):
                     return out
-    except (KeyError, TypeError, FloatingPointError):
+    except (KeyError, TypeError, FloatingPointError):  # TypeError: bindings math.isfinite cannot read
         pass
     return _eval(expr, ctx)
