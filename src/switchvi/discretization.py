@@ -339,13 +339,14 @@ def gradient_surface(surface: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 
 def second_derivative_surface(surface: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Central second difference with clamped ghost nodes at the boundary."""
+    """Central second difference along the last (node) axis, with clamped
+    ghost nodes at the boundary."""
     grid.require_1d()
     dx2 = grid.spacing[0] ** 2
     out = np.empty_like(surface)
-    out[1:-1] = (surface[2:] - 2.0 * surface[1:-1] + surface[:-2]) / dx2
-    out[0] = (surface[1] - surface[0]) / dx2
-    out[-1] = (surface[-2] - surface[-1]) / dx2
+    out[..., 1:-1] = (surface[..., 2:] - 2.0 * surface[..., 1:-1] + surface[..., :-2]) / dx2
+    out[..., 0] = (surface[..., 1] - surface[..., 0]) / dx2
+    out[..., -1] = (surface[..., -2] - surface[..., -1]) / dx2
     return out
 
 

@@ -25,6 +25,7 @@ across workers; every validator is a pure function.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -336,6 +337,30 @@ class ProblemSpec:
 # --- obstacles ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _other_modes(m: int) -> tuple[np.ndarray, ...]:
+    """``_other_modes(m)[i]`` indexes the modes ``k != i`` of a player with ``m`` modes."""
+    rows = tuple(np.delete(np.arange(m), i) for i in range(m))
+    for r in rows:
+        r.setflags(write=False)
+    return rows
+
+
+def obstacle_row(y: np.ndarray, costs: np.ndarray, i: int, combine: np.ufunc, pick: np.ufunc) -> np.ndarray:
+    """``pick`` over ``k != i`` of ``combine(y[k], costs[i, k])``, along the leading axis of ``y``.
+
+    One player's obstacle for its mode ``i``: ``np.subtract`` with
+    ``np.maximum`` gives the lower obstacle, ``np.add`` with ``np.minimum`` the
+    upper one.  ``costs`` is ``(m, m) + cost_tail``; ``cost_tail`` broadcasts
+    against the trailing axes of ``y[k]``.  The candidates are reduced in
+    increasing ``k``, as a per-mode loop would.
+    """
+    ks = _other_modes(y.shape[0])[i]
+    c = costs[i].take(ks, axis=0)
+    c = c.reshape(ks.shape + (1,) * (y.ndim - costs.ndim + 1) + costs.shape[2:])
+    return pick.reduce(combine(y.take(ks, axis=0), c), axis=0)
+
+
 def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interconnected obstacles built from a value matrix.
 
@@ -344,21 +369,22 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     a single mode the corresponding obstacle is the sentinel -inf / +inf,
     which makes downstream penalties and projections vanish.
 
-    ``y`` may carry trailing axes (e.g. grid nodes); costs broadcast along
-    them.
+    ``y`` is ``(m1, m2) + tail`` and may carry trailing axes such as grid
+    nodes or paths.  ``lower_costs`` is ``(m1, m1) + cost_tail`` and
+    ``upper_costs`` ``(m2, m2) + cost_tail``, where ``cost_tail`` broadcasts
+    against ``tail`` (``()`` for constant costs, or ``tail`` itself); ``L``
+    and ``U`` have the shape of ``y``.  Work runs one row at a time (``i``
+    for ``L``, ``j`` for ``U``), so temporaries stay the size of ``y``.
     """
-    m1, m2 = y.shape[0], y.shape[1]
-    tail = y.shape[2:]
-    L = np.full((m1, m2) + tail, -np.inf)
-    U = np.full((m1, m2) + tail, np.inf)
-    for i in range(m1):
-        for j in range(m2):
-            if m1 > 1:
-                cands = [y[k, j] - lower_costs[i, k] for k in range(m1) if k != i]
-                L[i, j] = np.max(np.stack(cands), axis=0) if tail else max(cands)
-            if m2 > 1:
-                cands = [y[i, l] + upper_costs[j, l] for l in range(m2) if l != j]
-                U[i, j] = np.min(np.stack(cands), axis=0) if tail else min(cands)
+    L = np.full(y.shape, -np.inf)
+    U = np.full(y.shape, np.inf)
+    if y.shape[0] > 1:
+        for i in range(y.shape[0]):
+            L[i] = obstacle_row(y, lower_costs, i, np.subtract, np.maximum)
+    if y.shape[1] > 1:
+        yt, Ut = y.swapaxes(0, 1), U.swapaxes(0, 1)
+        for j in range(y.shape[1]):
+            Ut[j] = obstacle_row(yt, upper_costs, j, np.add, np.minimum)
     return L, U
 
 

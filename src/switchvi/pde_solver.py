@@ -28,15 +28,17 @@ and ``m`` enter the CFL bound linearly; that trade-off is inherent to the
 explicit treatment.
 
 Within one backward step node updates only read the previous level, so they
-are order-independent; obstacle sweeps run sequentially over mode pairs
-(lexicographic order, direction alternating each sweep) but are vectorized
-over nodes.  Identical inputs give bitwise-identical results.
+are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
+at once, and only the driver and the jump sums run pair by pair.  Obstacle
+sweeps run sequentially over mode pairs (lexicographic order, direction
+alternating each sweep) but are vectorized over nodes.  Identical inputs give
+bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +61,7 @@ from .model import (
     driver_variable,
     eval_obstacles,
     neg_part,
+    obstacle_row,
     pos_part,
     validate_non_free_loop,
     validate_terminal_consistency,
@@ -163,24 +166,7 @@ class SolverReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "dt": self.dt,
-            "n_steps": self.n_steps,
-            "cfl_bound": self.cfl_bound,
-            "cfl_terms": self.cfl_terms,
-            "update_norms": [float(v) for v in self.update_norms],
-            "obstacle_lower_violation": [float(v) for v in self.obstacle_lower_violation],
-            "obstacle_upper_violation": [float(v) for v in self.obstacle_upper_violation],
-            "sweep_counts": [int(c) for c in self.sweep_counts],
-            "residual_norms": self.residual_norms,
-            "schedule": list(self.schedule),
-            "schedule_gaps": [float(g) for g in self.schedule_gaps],
-            "converged": self.converged,
-            "terminal_inconsistency": float(self.terminal_inconsistency),
-            "wall_clock_s": self.wall_clock_s,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -333,7 +319,7 @@ class _Workspace:
         self._local_reads_t = any("t" in exprdsl.free_variables(e) for e in (spec.drift, spec.vol))
         costs = (*spec.lower_costs.values(), *spec.upper_costs.values())
         self._costs_read_t = any("t" in exprdsl.free_variables(e) for e in costs)
-        self._local = self._costs = None
+        self._local = self._costs = self._banded = None
 
     # -- pieces ------------------------------------------------------------
 
@@ -376,39 +362,39 @@ class _Workspace:
 
     # -- the explicit / imex step ------------------------------------------
 
-    def step(self, values: np.ndarray, t_next: float, n: float, m: float) -> np.ndarray:
-        """One backward step; all coupling terms read the previous level."""
+    def step(self, values: np.ndarray, t_next: float, n: float, m: float, obstacles=None) -> np.ndarray:
+        """One backward step; all coupling terms read the previous level.
+
+        ``obstacles`` is ``eval_obstacles`` of ``values`` at ``t_next`` when
+        the caller already holds it; otherwise the step computes it.
+        """
         spec = self.spec
         dx, dt = self.dx, self.dt
         bp, bm, sig, a_diff = self.local_coefficients(t_next)
-        if n > 0.0 or m > 0.0:
-            lc, uc = self.cost_tables(t_next)
-            L, U = eval_obstacles(values, lc, uc)
+        if (n > 0.0 or m > 0.0) and obstacles is None:
+            obstacles = eval_obstacles(values, *self.cost_tables(t_next))
         y_entries = {driver_variable(i, j): values[i, j] for i, j in self.pairs}
 
-        out = np.empty_like(values)
+        grad = np.gradient(values, dx, axis=-1)
+        diff = (values[..., 1:] - values[..., :-1]) / dx
+        fwd = np.zeros_like(values)
+        bwd = np.zeros_like(values)
+        fwd[..., :-1] = diff
+        bwd[..., 1:] = diff
+        rhs = bp * fwd + bm * bwd
+        z = sig * grad
         for i, j in self.pairs:
-            s = values[i, j]
-            grad = np.gradient(s, dx)
-            d2 = second_derivative_surface(s, self.grid)
-            fwd = np.zeros_like(s)
-            bwd = np.zeros_like(s)
-            fwd[:-1] = (s[1:] - s[:-1]) / dx
-            bwd[1:] = (s[1:] - s[:-1]) / dx
-            drift_term = bp * fwd + bm * bwd
+            jump_gen, q = jump_terms(values[i, j], grad[i, j], self.jumps, self.quad.weights, self.beta, self.gamma[i, j])
+            rhs[i, j] += jump_gen
+            rhs[i, j] += spec.eval_driver((i, j), t_next, self.x, y_entries, z[i, j], q)
 
-            jump_gen, q = jump_terms(s, grad, self.jumps, self.quad.weights, self.beta, self.gamma[i, j])
-            z = sig * grad
-            g = spec.eval_driver((i, j), t_next, self.x, y_entries, z, q)
-
-            rhs = drift_term + jump_gen + g
-            if self.config.mode == "explicit":
-                rhs = rhs + a_diff * d2
-            if n > 0.0:
-                rhs = rhs + n * neg_part(s - L[i, j])
-            if m > 0.0:
-                rhs = rhs - m * pos_part(s - U[i, j])
-            out[i, j] = s + dt * rhs
+        if self.config.mode == "explicit":
+            rhs += a_diff * second_derivative_surface(values, self.grid)
+        if n > 0.0:
+            rhs += n * neg_part(values - obstacles[0])
+        if m > 0.0:
+            rhs -= m * pos_part(values - obstacles[1])
+        out = values + dt * rhs
 
         if self.config.mode == "imex":
             out = self._implicit_diffusion(out, a_diff)
@@ -421,17 +407,18 @@ class _Workspace:
 
     def _implicit_diffusion(self, values: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
         """Solve (I - dt * a * D2) v = rhs per surface; clamped ghost rows."""
-        n = self.n_nodes
-        r = self.dt * a_diff / self.dx**2
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -r[:-1]  # superdiagonal
-        ab[2, :-1] = -r[1:]  # subdiagonal
-        ab[1] = 1.0 + 2.0 * r
-        ab[1, 0] = 1.0 + r[0]
-        ab[1, -1] = 1.0 + r[-1]
+        if self._banded is None or self._local_reads_t:
+            r = self.dt * a_diff / self.dx**2
+            ab = np.zeros((3, self.n_nodes))
+            ab[0, 1:] = -r[:-1]  # superdiagonal
+            ab[2, :-1] = -r[1:]  # subdiagonal
+            ab[1] = 1.0 + 2.0 * r
+            ab[1, 0] = 1.0 + r[0]
+            ab[1, -1] = 1.0 + r[-1]
+            self._banded = ab
         out = np.empty_like(values)
         for i, j in self.pairs:
-            out[i, j] = scipy.linalg.solve_banded((1, 1), ab, values[i, j])
+            out[i, j] = scipy.linalg.solve_banded((1, 1), self._banded, values[i, j])
         return out
 
 
@@ -440,18 +427,6 @@ class _Workspace:
 
 def _pair_order(pairs: list, sweep_index: int) -> list:
     return pairs if sweep_index % 2 == 0 else list(reversed(pairs))
-
-
-def _lower_candidate(values: np.ndarray, lc: np.ndarray, i: int, j: int) -> np.ndarray:
-    m1 = values.shape[0]
-    cands = [values[k, j] - lc[i, k] for k in range(m1) if k != i]
-    return np.max(np.stack(cands), axis=0)
-
-
-def _upper_candidate(values: np.ndarray, uc: np.ndarray, i: int, j: int) -> np.ndarray:
-    m2 = values.shape[1]
-    cands = [values[i, l] + uc[j, l] for l in range(m2) if l != j]
-    return np.min(np.stack(cands), axis=0)
 
 
 def _sweep_lower(values: np.ndarray, lc: np.ndarray, config: SchemeConfig, pairs: list) -> int:
@@ -463,8 +438,7 @@ def _sweep_lower(values: np.ndarray, lc: np.ndarray, config: SchemeConfig, pairs
     for sweep in range(config.max_sweeps):
         worst = 0.0
         for i, j in _pair_order(pairs, sweep):
-            cand = _lower_candidate(values, lc, i, j)
-            new = np.maximum(values[i, j], cand)
+            new = np.maximum(values[i, j], obstacle_row(values[:, j], lc, i, np.subtract, np.maximum))
             delta = float(np.max(np.abs(new - values[i, j])))
             if delta > 0.0:
                 values[i, j] = new
@@ -492,8 +466,8 @@ def _sweep_bilateral(
     for sweep in range(config.max_sweeps):
         worst = 0.0
         for i, j in _pair_order(pairs, sweep):
-            L = _lower_candidate(values, lc, i, j) if m1 > 1 else np.full_like(values[i, j], -np.inf)
-            U = _upper_candidate(values, uc, i, j) if m2 > 1 else np.full_like(values[i, j], np.inf)
+            L = obstacle_row(values[:, j], lc, i, np.subtract, np.maximum) if m1 > 1 else np.full_like(values[i, j], -np.inf)
+            U = obstacle_row(values[i], uc, j, np.add, np.minimum) if m2 > 1 else np.full_like(values[i, j], np.inf)
             if priority == "minmax":
                 new = np.maximum(L, np.minimum(U, pde_values[i, j]))
             else:
@@ -549,13 +523,14 @@ def step_penalized(
     return ValueField(new_values, field.t - tgrid.dt)
 
 
-def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float) -> None:
-    lc, uc = ws.cost_tables(t)
-    L, U = eval_obstacles(values, lc, uc)
+def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Append the level's obstacle violations; returns the obstacles ``(L, U)``."""
+    L, U = eval_obstacles(values, *ws.cost_tables(t))
     low = float(np.max(neg_part(values - L))) if ws.m1 > 1 else 0.0
     up = float(np.max(pos_part(values - U))) if ws.m2 > 1 else 0.0
     report.obstacle_lower_violation.append(low)
     report.obstacle_upper_violation.append(up)
+    return L, U
 
 
 def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, system: str) -> tuple[Trajectory, SolverReport]:
@@ -568,12 +543,12 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
     n_levels = ws.tgrid.n_steps + 1
     values = np.empty((n_levels, ws.m1, ws.m2, ws.n_nodes))
     values[-1] = ws.terminal_values()
-    _record_obstacles(report, ws, values[-1], float(times[-1]))
+    obstacles = _record_obstacles(report, ws, values[-1], float(times[-1]))
 
     for k in range(ws.tgrid.n_steps - 1, -1, -1):
         t_next = float(times[k + 1])
         t_here = float(times[k])
-        new = ws.step(values[k + 1], t_next, n, m)
+        new = ws.step(values[k + 1], t_next, n, m, obstacles)
         sweeps = 0
         if projection == "lower" and ws.m1 > 1:
             lc, _ = ws.cost_tables(t_here)
@@ -585,7 +560,7 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
         values[k] = new
         report.update_norms.append(float(np.max(np.abs(values[k] - values[k + 1]))))
         report.sweep_counts.append(sweeps)
-        _record_obstacles(report, ws, values[k], t_here)
+        obstacles = _record_obstacles(report, ws, values[k], t_here)
 
     report.update_norms.reverse()
     report.sweep_counts.reverse()
@@ -688,15 +663,13 @@ def solve_upper_reflected(
     traj_c, report = _solve_backward(ws, 0.0, n, "lower", system=f"upper_reflected(n={n})")
     values = -np.transpose(traj_c.values, (0, 2, 1, 3))
     traj = Trajectory(times=traj_c.times, values=values, grid=grid, tgrid=tgrid)
-    # re-express the obstacle diagnostics against the original costs; the
-    # conjugate's lower costs are the original upper costs and vice versa
-    report.obstacle_lower_violation.clear()
-    report.obstacle_upper_violation.clear()
-    for k, t in enumerate(traj.times):
-        uc, lc = ws.cost_tables(float(t))
-        L, U = eval_obstacles(values[k], lc, uc)
-        report.obstacle_lower_violation.append(float(np.max(neg_part(values[k] - L))) if spec.modes.m1 > 1 else 0.0)
-        report.obstacle_upper_violation.append(float(np.max(pos_part(values[k] - U))) if spec.modes.m2 > 1 else 0.0)
+    # The original's lower obstacle is minus the transposed conjugate's upper
+    # one (and vice versa), and negation is exact, so each original violation
+    # list is the conjugate's other list.
+    report.obstacle_lower_violation, report.obstacle_upper_violation = (
+        report.obstacle_upper_violation,
+        report.obstacle_lower_violation,
+    )
     report.extra["penalties"] = {"n": n}
     return traj, report
 

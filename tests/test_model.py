@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from switchvi.discretization import build_levy_quadrature
 from switchvi.exprdsl import NumericDomainError
@@ -147,8 +150,44 @@ class TestObstacles:
         L, U = eval_obstacles(y, lc, uc)
         for p in range(5):
             Lp, Up = eval_obstacles(y[:, :, p], lc[:, :, p], uc[:, :, p])
-            np.testing.assert_allclose(L[:, :, p], Lp)
-            np.testing.assert_allclose(U[:, :, p], Up)
+            assert np.array_equal(L[:, :, p], Lp)
+            assert np.array_equal(U[:, :, p], Up)
+
+
+def reference_obstacles(y, lower_costs, upper_costs):
+    """Per-pair loop over the candidate lists of the obstacle definitions."""
+    m1, m2 = y.shape[0], y.shape[1]
+    L = np.full(y.shape, -np.inf)
+    U = np.full(y.shape, np.inf)
+    for i in range(m1):
+        for j in range(m2):
+            if m1 > 1:
+                L[i, j] = np.max(np.stack([y[k, j] - lower_costs[i, k] for k in range(m1) if k != i]), axis=0)
+            if m2 > 1:
+                U[i, j] = np.min(np.stack([y[i, l] + upper_costs[j, l] for l in range(m2) if l != j]), axis=0)
+    return L, U
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([(), (5,)]),
+    st.booleans(),
+    st.data(),
+)
+def test_eval_obstacles_matches_per_pair_loop_bitwise(m1, m2, tail, costs_per_node, data):
+    """Any mode counts, with or without a node axis, and cost tables with the
+    node axis or constant along it: the same bytes as the per-pair loop."""
+    cost_tail = tail if costs_per_node else ()
+    values = st.floats(-4.0, 4.0, allow_nan=False)
+    y = data.draw(hnp.arrays(float, (m1, m2) + tail, elements=values))
+    lc = data.draw(hnp.arrays(float, (m1, m1) + cost_tail, elements=values))
+    uc = data.draw(hnp.arrays(float, (m2, m2) + cost_tail, elements=values))
+    L, U = eval_obstacles(y, lc, uc)
+    L_ref, U_ref = reference_obstacles(y, lc, uc)
+    assert L.shape == U.shape == y.shape
+    assert L.tobytes() == L_ref.tobytes() and U.tobytes() == U_ref.tobytes()
 
 
 class TestPenalizedDriver:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, ValueField, build_levy_quadrature
-from switchvi.model import ProblemSpec
+from switchvi.model import ProblemSpec, eval_obstacles, neg_part, pos_part
 from switchvi.pde_solver import (
     AssumptionViolationError,
     CflViolationError,
     SchemeConfig,
+    SolverReport,
     SweepNonConvergenceError,
     _sweep_bilateral,
     compute_cfl_bound,
@@ -22,6 +23,7 @@ from switchvi.pde_solver import (
     solve_penalized,
     solve_upper_reflected,
     step_penalized,
+    _record_obstacles,
     _Workspace,
 )
 
@@ -379,3 +381,53 @@ class TestTimeFreeCoefficients:
             per_n_steps.append(dict(counts))
         assert set(per_n_steps[0]) == {"eval_drift", "eval_vol", "eval_lower_cost", "eval_upper_cost"}
         assert per_n_steps[0] == per_n_steps[1]
+
+
+def switching_in_time(m1: int, m2: int) -> ProblemSpec:
+    """An ``m1 x m2`` game whose drift, volatility and switching costs read t."""
+    pairs = [(i, j) for i in range(m1) for j in range(m2)]
+    return make_spec(
+        modes={"m1": m1, "m2": m2},
+        drift="0.1*x + 0.2*t",
+        vol="0.3 + 0.1*t",
+        drivers={f"{i},{j}": f"{0.6 * (i - j)}*x + 0.05*z + 0.1*q - 0.1*y_{i}_{j}" for i, j in pairs},
+        lower_costs={"default": "0.3 + t"},
+        upper_costs={"default": "0.2 + 0.5*t"},
+        terminal={f"{i},{j}": repr(0.1 * (i - j)) for i, j in pairs},
+    )
+
+
+class TestObstaclesOncePerLevel:
+    """The solver reuses each level's recorded obstacles instead of recomputing them."""
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    def test_step_with_recorded_obstacles_matches_a_fresh_step(self, mode):
+        spec = switching_in_time(3, 2)
+        quad = build_levy_quadrature(spec.levy)
+        config = SchemeConfig(mode=mode)
+        traj, _ = solve_penalized(spec, GRID, TGRID, quad, 2.0, 2.0, config)
+        k = 12
+        values, t = traj.values[k], float(traj.times[k])
+        ws = _Workspace(spec, GRID, TGRID, quad, config)
+        report = SolverReport(system="probe", dt=TGRID.dt, n_steps=TGRID.n_steps)
+        obstacles = _record_obstacles(report, ws, values, t)
+        stepped = ws.step(values, t, 2.0, 2.0, obstacles)
+        fresh = _Workspace(spec, GRID, TGRID, quad, config).step(values, t, 2.0, 2.0)
+        assert same_bits(stepped, fresh)
+        assert same_bits(stepped, traj.values[k - 1])
+
+    @pytest.mark.parametrize("modes", [(3, 2), (1, 3), (3, 1)])
+    def test_upper_reflected_violations_match_recomputation(self, modes):
+        spec = switching_in_time(*modes)
+        quad = build_levy_quadrature(spec.levy)
+        traj, report = solve_upper_reflected(spec, GRID, TGRID, quad, 3.0)
+        m1, m2 = modes
+        x = GRID.axis()
+        lower, upper = [], []
+        for values, t in zip(traj.values, traj.times):
+            L, U = eval_obstacles(values, spec.lower_cost_table(float(t), x), spec.upper_cost_table(float(t), x))
+            lower.append(float(np.max(neg_part(values - L))) if m1 > 1 else 0.0)
+            upper.append(float(np.max(pos_part(values - U))) if m2 > 1 else 0.0)
+        assert same_bits(report.obstacle_lower_violation, lower)
+        assert same_bits(report.obstacle_upper_violation, upper)
+        assert m1 == 1 or max(lower) > 0.0  # the penalized lower obstacle is active
