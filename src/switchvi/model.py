@@ -346,19 +346,20 @@ def _other_modes(m: int) -> tuple[np.ndarray, ...]:
     return rows
 
 
-def obstacle_row(y: np.ndarray, costs: np.ndarray, i: int, combine: np.ufunc, pick: np.ufunc) -> np.ndarray:
+def obstacle_row(y: np.ndarray, costs: np.ndarray, i: int, combine: np.ufunc, pick: np.ufunc, out=None) -> np.ndarray:
     """``pick`` over ``k != i`` of ``combine(y[k], costs[i, k])``, along the leading axis of ``y``.
 
     One player's obstacle for its mode ``i``: ``np.subtract`` with
     ``np.maximum`` gives the lower obstacle, ``np.add`` with ``np.minimum`` the
     upper one.  ``costs`` is ``(m, m) + cost_tail``; ``cost_tail`` broadcasts
     against the trailing axes of ``y[k]``.  The candidates are reduced in
-    increasing ``k``, as a per-mode loop would.
+    increasing ``k``, as a per-mode loop would, into ``out`` if given.
     """
     ks = _other_modes(y.shape[0])[i]
     c = costs[i].take(ks, axis=0)
     c = c.reshape(ks.shape + (1,) * (y.ndim - costs.ndim + 1) + costs.shape[2:])
-    return pick.reduce(combine(y.take(ks, axis=0), c), axis=0)
+    cands = y[ks]
+    return pick.reduce(combine(cands, c, out=cands), axis=0, out=out)
 
 
 def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,11 +381,11 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     U = np.full(y.shape, np.inf)
     if y.shape[0] > 1:
         for i in range(y.shape[0]):
-            L[i] = obstacle_row(y, lower_costs, i, np.subtract, np.maximum)
+            obstacle_row(y, lower_costs, i, np.subtract, np.maximum, out=L[i])
     if y.shape[1] > 1:
         yt, Ut = y.swapaxes(0, 1), U.swapaxes(0, 1)
         for j in range(y.shape[1]):
-            Ut[j] = obstacle_row(yt, upper_costs, j, np.add, np.minimum)
+            obstacle_row(yt, upper_costs, j, np.add, np.minimum, out=Ut[j])
     return L, U
 
 
