@@ -356,8 +356,7 @@ def obstacle_row(y: np.ndarray, costs: np.ndarray, i: int, combine: np.ufunc, pi
     increasing ``k``, as a per-mode loop would, into ``out`` if given.
     """
     ks = _other_modes(y.shape[0])[i]
-    c = costs[i].take(ks, axis=0)
-    c = c.reshape(ks.shape + (1,) * (y.ndim - costs.ndim + 1) + costs.shape[2:])
+    c = costs[i].take(ks, axis=0).reshape(ks.shape + (1,) * (y.ndim - costs.ndim + 1) + costs.shape[2:])
     cands = y[ks]
     return pick.reduce(combine(cands, c, out=cands), axis=0, out=out)
 
@@ -375,7 +374,7 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     ``upper_costs`` ``(m2, m2) + cost_tail``, where ``cost_tail`` broadcasts
     against ``tail`` (``()`` for constant costs, or ``tail`` itself); ``L``
     and ``U`` have the shape of ``y``.  Work runs one row at a time (``i``
-    for ``L``, ``j`` for ``U``), so temporaries stay the size of ``y``.
+    for ``L``, ``j`` for ``U``), so no temporary is larger than ``y``.
     """
     L = np.full(y.shape, -np.inf)
     U = np.full(y.shape, np.inf)
