@@ -43,7 +43,6 @@ from .pde_solver import (
     solve_minmax,
     solve_penalized,
     solve_upper_reflected,
-    step_penalized,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "solve_minmax",
     "solve_penalized",
     "solve_upper_reflected",
-    "step_penalized",
     "validate_non_free_loop",
     "validate_terminal_consistency",
     "__version__",

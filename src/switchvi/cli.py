@@ -256,12 +256,11 @@ def cmd_check(args) -> int:
     scheme = _scheme(cfg, args.override_a4)
     out = _out_dir(args)
     ck = cfg.get("check", {})
-    n_states = grid.n_nodes[0] * spec.modes.m1 * spec.modes.m2
+    n_states = grid.n_nodes * spec.modes.m1 * spec.modes.m2
     if n_states > MAX_CHECK_STATES:
         raise UsageError(f"instance has {n_states} states; the cross-check caps at {MAX_CHECK_STATES}")
 
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    results: dict = {"seed": seed}
+    results: dict = {"seed": args.seed}
     ok = True
 
     # dynamic-programming equivalence on both bilateral systems
@@ -284,7 +283,7 @@ def cmd_check(args) -> int:
     n_paths = int(ck.get("paths", 10_000))
     mc_tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(ck.get("n_steps", tgrid.n_steps)))
     traj, _ = solve_penalized(spec, grid, tgrid, quad, n_pen, m_pen, scheme)
-    batch = mc.simulate_paths(spec, quad, x0, n_paths, mc_tgrid, seed)
+    batch = mc.simulate_paths(spec, quad, x0, n_paths, mc_tgrid, args.seed)
     estimate = mc.solve_bsde_regression(batch, spec, n_pen, m_pen, mc.RegressionBasis(int(ck.get("basis_degree", 3))))
     fk = mc.feynman_kac_check(traj, estimate, x0, spec.growth)
     ok = ok and fk.passed
@@ -305,9 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--format", choices=("csv", "json", "bin"), default="csv")
-        p.add_argument("--override-a4", action="store_true", help="proceed despite inconsistent terminal data (the report records the magnitude)")
+        if name != "validate":
+            p.add_argument("--override-a4", action="store_true", help="proceed despite inconsistent terminal data (the report records the magnitude)")
+        if name == "solve":
+            p.add_argument("--format", choices=("csv", "json", "bin"), default="csv")
+        if name == "check":
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
         p.set_defaults(fn=fn)
     return parser
 

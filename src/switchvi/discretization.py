@@ -7,16 +7,21 @@ and re-enters the generator as a matched diffusion correction
 part of the non-local integral bounded while preserving its infinitesimal
 variance.
 
-Stencil conventions (shared with the dynamic-programming cross-check, which
-re-implements them independently):
+Stencil conventions.  Each has a single implementation here, and the solver
+step calls it: ``gradient_surface``, ``upwind_drift`` and
+``second_derivative_surface`` all act along the last (node) axis, so one
+call covers every mode pair.  The dynamic-programming cross-check keeps its
+own independent copy.
 
-* first derivative surfaces: central differences inside, one-sided
-  first-order at the two boundary nodes;
-* drift term: upwind in the sign of ``b``; when the upwind neighbour falls
-  outside the grid the directional difference is zero (ghost node clamped to
-  the boundary value, consistent with clamp extrapolation);
-* second derivative: central inside, clamped ghost at the boundary (so the
-  boundary row reduces to a one-sided single difference).
+* first derivative surfaces (``gradient_surface``): central differences
+  inside, one-sided first-order at the two boundary nodes;
+* drift term (``upwind_drift``): upwind in the sign of ``b``; when the
+  upwind neighbour falls outside the grid the directional difference is zero
+  (ghost node clamped to the boundary value, consistent with clamp
+  extrapolation);
+* second derivative (``second_derivative_surface``): central inside, clamped
+  ghost at the boundary (so the boundary row reduces to a one-sided single
+  difference).
 
 Off-grid evaluation is linear inside the box.  Beyond it the value is the
 boundary value plus, when the growth bound has a positive coefficient, a
@@ -49,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .exprdsl import evaluate
-from .model import CapacityError, GrowthBound, LevyMeasureSpec, MalformedSpecError
+from .model import GrowthBound, LevyMeasureSpec, MalformedSpecError
 
 __all__ = [
     "SpatialGrid",
@@ -64,7 +69,7 @@ __all__ = [
     "offgrid_eval",
     "gradient_surface",
     "second_derivative_surface",
-    "local_generator",
+    "upwind_drift",
     "jump_terms",
     "beta_slope_at_zero",
 ]
@@ -79,37 +84,28 @@ class NonIntegrableDensityError(ValueError):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform box grid; per-dimension bounds and node counts, row-major layout."""
+    """Uniform grid of ``n_nodes`` nodes on the interval ``[x_min, x_max]``."""
 
-    x_min: tuple[float, ...]
-    x_max: tuple[float, ...]
-    n_nodes: tuple[int, ...]
+    x_min: float
+    x_max: float
+    n_nodes: int
 
     def __post_init__(self):
-        for lo, hi, n in zip(self.x_min, self.x_max, self.n_nodes):
-            if n < 3:
-                raise MalformedSpecError(f"need at least 3 nodes per dimension, got {n}")
-            if not hi > lo:
-                raise MalformedSpecError(f"empty spatial box [{lo}, {hi}]")
+        if self.n_nodes < 3:
+            raise MalformedSpecError(f"need at least 3 nodes, got {self.n_nodes}")
+        if not self.x_max > self.x_min:
+            raise MalformedSpecError(f"empty spatial box [{self.x_min}, {self.x_max}]")
 
     @staticmethod
     def line(x_min: float, x_max: float, n_nodes: int) -> "SpatialGrid":
-        return SpatialGrid((float(x_min),), (float(x_max),), (int(n_nodes),))
+        return SpatialGrid(float(x_min), float(x_max), int(n_nodes))
 
     @property
-    def dim(self) -> int:
-        return len(self.n_nodes)
+    def dx(self) -> float:
+        return (self.x_max - self.x_min) / (self.n_nodes - 1)
 
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple((hi - lo) / (n - 1) for lo, hi, n in zip(self.x_min, self.x_max, self.n_nodes))
-
-    def axis(self, d: int = 0) -> np.ndarray:
-        return np.linspace(self.x_min[d], self.x_max[d], self.n_nodes[d])
-
-    def require_1d(self) -> None:
-        if self.dim != 1:
-            raise CapacityError("finite-difference operators support only 1-D grids")
+    def axis(self) -> np.ndarray:
+        return np.linspace(self.x_min, self.x_max, self.n_nodes)
 
 
 @dataclass(frozen=True)
@@ -244,17 +240,10 @@ class ValueField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim < 3:
-            raise MalformedSpecError("value field must have shape (m1, m2, nodes...)")
+        if self.values.ndim != 3:
+            raise MalformedSpecError("value field must have shape (m1, m2, nodes)")
         if not np.all(np.isfinite(self.values)):
             raise MalformedSpecError("value field contains non-finite entries")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.values.shape[0] * self.values.shape[1]
-
-    def surface(self, i: int, j: int) -> np.ndarray:
-        return self.values[i, j]
 
 
 # --- off-grid evaluation ---------------------------------------------------
@@ -294,11 +283,10 @@ def destination_table(grid: SpatialGrid, xq: np.ndarray, growth: GrowthBound | N
     Queries snap onto a node within a 1e-9 relative tolerance; ``lo`` is the
     left node of the cell and ``theta`` the weight of its right node.
     """
-    grid.require_1d()
-    x0, x1 = grid.x_min[0], grid.x_max[0]
-    n = grid.n_nodes[0]
+    x0, x1 = grid.x_min, grid.x_max
+    n = grid.n_nodes
     xq = np.asarray(xq, dtype=float)
-    pos = (xq - x0) / grid.spacing[0]
+    pos = (xq - x0) / grid.dx
     snapped = np.rint(pos)
     pos = np.where(np.abs(pos - snapped) < _NODE_SNAP, snapped, pos)
     lo = np.clip(np.floor(pos), 0, n - 2).astype(int)
@@ -326,53 +314,42 @@ def offgrid_eval(surface: np.ndarray, grid: SpatialGrid, xq: np.ndarray, growth:
 
 def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: SpatialGrid, growth: GrowthBound | None = None) -> float:
     """Value of surface (i, j) at an arbitrary point."""
-    return float(offgrid_eval(field.surface(*pair), grid, np.asarray(x_query, dtype=float), growth))
+    return float(offgrid_eval(field.values[pair], grid, np.asarray(x_query, dtype=float), growth))
 
 
 # --- derivative surfaces ---------------------------------------------------
 
 
 def gradient_surface(surface: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Central differences inside, one-sided first order at the boundary."""
-    grid.require_1d()
-    return np.gradient(surface, grid.spacing[0])
+    """Central differences along the last (node) axis, one-sided first order
+    at the boundary."""
+    return np.gradient(surface, grid.dx, axis=-1)
+
+
+def upwind_drift(surface: np.ndarray, grid: SpatialGrid, b_plus: np.ndarray, b_minus: np.ndarray) -> np.ndarray:
+    """Upwinded drift term ``b^+ D^+ v + b^- D^- v`` along the last (node) axis.
+
+    ``b_plus = max(b, 0)`` multiplies the forward and ``b_minus = min(b, 0)``
+    the backward difference.  The outward difference at each boundary node
+    is zero (clamped ghost node).
+    """
+    diff = (surface[..., 1:] - surface[..., :-1]) / grid.dx
+    fwd = np.zeros_like(surface)
+    bwd = np.zeros_like(surface)
+    fwd[..., :-1] = diff
+    bwd[..., 1:] = diff
+    return b_plus * fwd + b_minus * bwd
 
 
 def second_derivative_surface(surface: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Central second difference along the last (node) axis, with clamped
     ghost nodes at the boundary."""
-    grid.require_1d()
-    dx2 = grid.spacing[0] ** 2
+    dx2 = grid.dx**2
     out = np.empty_like(surface)
     out[..., 1:-1] = (surface[..., 2:] - 2.0 * surface[..., 1:-1] + surface[..., :-2]) / dx2
     out[..., 0] = (surface[..., 1] - surface[..., 0]) / dx2
     out[..., -1] = (surface[..., -2] - surface[..., -1]) / dx2
     return out
-
-
-def local_generator(
-    surface: np.ndarray,
-    grid: SpatialGrid,
-    drift_values: np.ndarray,
-    vol_values: np.ndarray,
-    node: int | None = None,
-):
-    """Drift-upwinded first derivative plus central diffusion term.
-
-    Returns ``b * D_upwind v + 0.5 * sigma^2 * D2 v`` at every node (or one
-    node).  Outward upwind differences vanish at the boundary; the diffusion
-    stencil clamps its ghost node, both consistent with clamp extrapolation.
-    """
-    grid.require_1d()
-    dx = grid.spacing[0]
-    fwd = np.zeros_like(surface)
-    bwd = np.zeros_like(surface)
-    fwd[:-1] = (surface[1:] - surface[:-1]) / dx
-    bwd[1:] = (surface[1:] - surface[:-1]) / dx
-    drift_term = np.maximum(drift_values, 0.0) * fwd + np.minimum(drift_values, 0.0) * bwd
-    diff_term = 0.5 * vol_values**2 * second_derivative_surface(surface, grid)
-    out = drift_term + diff_term
-    return out if node is None else float(out[node])
 
 
 # --- non-local operators ----------------------------------------------------

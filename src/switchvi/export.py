@@ -102,7 +102,7 @@ def write_binary_snapshot(trajectory: Trajectory, path: Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", m1, m2, n))
-        fh.write(struct.pack("<dd", trajectory.grid.x_min[0], trajectory.grid.x_max[0]))
+        fh.write(struct.pack("<dd", trajectory.grid.x_min, trajectory.grid.x_max))
         fh.write(struct.pack("<I", trajectory.n_levels))
         fh.write(np.ascontiguousarray(trajectory.times, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(trajectory.values, dtype="<f8").tobytes())

@@ -221,14 +221,11 @@ class ProblemSpec:
     terminal: Mapping[tuple[int, int], Expr]
     levy: LevyMeasureSpec
     growth: GrowthBound = GrowthBound()
-    dim: int = 1
     name: str = ""
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise MalformedSpecError(f"horizon must be positive, got {self.horizon}")
-        if self.dim != 1:
-            raise CapacityError("only state dimension 1 is supported by this solver suite")
         m1, m2 = self.modes.m1, self.modes.m2
         pairs = set(self.modes.pairs())
         for label, mapping, keys in (

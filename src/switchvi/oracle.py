@@ -45,9 +45,9 @@ class DiscreteGame:
 
 def _interp_weights(grid: SpatialGrid, xq: float) -> list[tuple[int, float]]:
     """Linear interpolation weights of one query point, clamped outside."""
-    x0, x1 = grid.x_min[0], grid.x_max[0]
-    n = grid.n_nodes[0]
-    dx = grid.spacing[0]
+    x0, x1 = grid.x_min, grid.x_max
+    n = grid.n_nodes
+    dx = grid.dx
     if xq < x0:
         return [(0, 1.0)]
     if xq > x1:
@@ -80,7 +80,6 @@ def build_discrete_game(
     deliberately corrupts one kernel weight; cross-checks against the solver
     must then fail (negative control).
     """
-    grid.require_1d()
     config = config or SchemeConfig()
     if config.mode != "explicit":
         raise ValueError("the discrete game mirrors the explicit scheme only")
@@ -89,11 +88,11 @@ def build_discrete_game(
             "the discrete game needs clamp extrapolation (growth coefficient 0); "
             "growth extrapolation is not a linear map of node values"
         )
-    n = grid.n_nodes[0]
+    n = grid.n_nodes
     if n * spec.modes.m1 * spec.modes.m2 > MAX_ORACLE_STATES:
         raise CapacityError(f"instance exceeds the oracle cap of {MAX_ORACLE_STATES} states")
     x = grid.axis()
-    dx = grid.spacing[0]
+    dx = grid.dx
     dt = tgrid.dt
     times = tgrid.times()
 
@@ -187,8 +186,8 @@ def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
     spec = game.spec
     grid = game.grid
     x = grid.axis()
-    n = grid.n_nodes[0]
-    dx = grid.spacing[0]
+    n = grid.n_nodes
+    dx = grid.dx
     m1, m2 = spec.modes.m1, spec.modes.m2
     out = np.empty_like(values)
     for i in range(m1):
@@ -230,7 +229,7 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> InductionRe
     spec = game.spec
     grid = game.grid
     x = grid.axis()
-    n = grid.n_nodes[0]
+    n = grid.n_nodes
     m1, m2 = spec.modes.m1, spec.modes.m2
     times = game.tgrid.times()
     n_steps = game.tgrid.n_steps

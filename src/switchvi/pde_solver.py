@@ -52,8 +52,10 @@ from .discretization import (
     ValueField,
     beta_slope_at_zero,
     destination_table,
+    gradient_surface,
     jump_terms,
     second_derivative_surface,
+    upwind_drift,
 )
 from .model import (
     ModeSet,
@@ -77,7 +79,6 @@ __all__ = [
     "AssumptionViolationError",
     "compute_cfl_bound",
     "estimate_driver_lipschitz",
-    "step_penalized",
     "solve_penalized",
     "solve_lower_reflected",
     "solve_upper_reflected",
@@ -242,9 +243,8 @@ def compute_cfl_bound(
     coefficients they augment, so leaving them out would understate the
     bound.
     """
-    grid.require_1d()
     x = grid.axis()
-    dx = grid.spacing[0]
+    dx = grid.dx
     dt = tgrid.dt
     ts = (0.0, 0.5 * tgrid.horizon, tgrid.horizon)
     sig2_max = max(float(np.max(spec.eval_vol(t, x) ** 2)) for t in ts)
@@ -278,16 +278,15 @@ class _Workspace:
     """Per-(spec, grids, quadrature) tables shared by all backward steps."""
 
     def __init__(self, spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, quad: LevyQuadrature, config: SchemeConfig):
-        grid.require_1d()
         self.spec = spec
         self.grid = grid
         self.tgrid = tgrid
         self.quad = quad
         self.config = config
         self.x = grid.axis()
-        self.dx = grid.spacing[0]
+        self.dx = grid.dx
         self.dt = tgrid.dt
-        self.n_nodes = grid.n_nodes[0]
+        self.n_nodes = grid.n_nodes
         self.m1, self.m2 = spec.modes.m1, spec.modes.m2
         self.pairs = list(spec.modes.pairs())
 
@@ -369,19 +368,13 @@ class _Workspace:
         the caller already holds it; otherwise the step computes it.
         """
         spec = self.spec
-        dx, dt = self.dx, self.dt
         bp, bm, sig, a_diff = self.local_coefficients(t_next)
         if (n > 0.0 or m > 0.0) and obstacles is None:
             obstacles = eval_obstacles(values, *self.cost_tables(t_next))
         y_entries = {driver_variable(i, j): values[i, j] for i, j in self.pairs}
 
-        grad = np.gradient(values, dx, axis=-1)
-        diff = (values[..., 1:] - values[..., :-1]) / dx
-        fwd = np.zeros_like(values)
-        bwd = np.zeros_like(values)
-        fwd[..., :-1] = diff
-        bwd[..., 1:] = diff
-        rhs = bp * fwd + bm * bwd
+        grad = gradient_surface(values, self.grid)
+        rhs = upwind_drift(values, self.grid, bp, bm)
         z = sig * grad
         for i, j in self.pairs:
             jump_gen, q = jump_terms(values[i, j], grad[i, j], self.jumps, self.quad.weights, self.beta, self.gamma[i, j])
@@ -394,7 +387,7 @@ class _Workspace:
             rhs += n * neg_part(values - obstacles[0])
         if m > 0.0:
             rhs -= m * pos_part(values - obstacles[1])
-        out = values + dt * rhs
+        out = values + self.dt * rhs
 
         if self.config.mode == "imex":
             out = self._implicit_diffusion(out, a_diff)
@@ -503,24 +496,6 @@ def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, moves: st
 
 
 # --- backward solves --------------------------------------------------------
-
-
-def step_penalized(
-    field: ValueField,
-    n: float,
-    m: float,
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    quad: LevyQuadrature,
-    config: SchemeConfig | None = None,
-) -> ValueField:
-    """One backward step of the doubly penalized system (CFL-guarded)."""
-    config = config or SchemeConfig()
-    ws = _Workspace(spec, grid, tgrid, quad, config)
-    ws.check_cfl(n, m)
-    new_values = ws.step(np.asarray(field.values, dtype=float), field.t, n, m)
-    return ValueField(new_values, field.t - tgrid.dt)
 
 
 def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -674,44 +649,50 @@ def solve_upper_reflected(
     return traj, report
 
 
-def _solve_limit(
+def _solve_bilateral(
+    priority: str,
     one_sided,
     spec: ProblemSpec,
     grid: SpatialGrid,
     tgrid: TimeGrid,
     quad: LevyQuadrature,
-    config: SchemeConfig,
+    mode: str,
+    config: SchemeConfig | None,
     schedule: Sequence[float],
     gap_tol: float | None,
     raise_on_nonconvergence: bool,
-    system: str,
 ) -> tuple[Trajectory, SolverReport]:
-    ws_probe = _Workspace(spec, grid, tgrid, quad, config)
+    """Bilateral system with ``priority`` ``"minmax"`` or ``"maxmin"``;
+    limit mode runs the reflected solver ``one_sided`` along ``schedule``."""
+    config = config or SchemeConfig()
+    if spec.modes.m1 > 1 or spec.modes.m2 > 1:
+        _gate_loops(spec, grid, tgrid, moves="both")
+    if mode not in ("direct", "limit"):
+        raise ValueError(f"unknown mode '{mode}'")
+    ws = _Workspace(spec, grid, tgrid, quad, config)
+    system = f"{priority}({mode})"
+    if mode == "direct":
+        return _solve_backward(ws, 0.0, 0.0, priority, system=system)
     gaps: list[float] = []
     used: list[float] = []
     prev: Trajectory | None = None
-    last_report: SolverReport | None = None
     converged = False
     for p in schedule:
         try:
-            ws_probe.check_cfl(0.0, p)
+            ws.check_cfl(0.0, p)
         except CflViolationError:
             break
-        traj, rep = one_sided(spec, grid, tgrid, quad, p, config)
+        traj, report = one_sided(spec, grid, tgrid, quad, p, config)
         used.append(p)
-        last_report = rep
         if prev is not None:
-            gap = traj.sup_distance(prev)
-            gaps.append(gap)
+            gaps.append(traj.sup_distance(prev))
             tol = gap_tol if gap_tol is not None else 1e-6 * (1.0 + float(np.max(np.abs(traj.values))))
-            if gap < tol:
-                prev = traj
-                converged = True
-                break
+            converged = gaps[-1] < tol
         prev = traj
+        if converged:
+            break
     if prev is None:
         raise ScheduleNonConvergenceError(gaps)
-    report = last_report if last_report is not None else SolverReport(system=system, dt=tgrid.dt, n_steps=tgrid.n_steps)
     report.system = system
     report.schedule = used
     report.schedule_gaps = gaps
@@ -740,17 +721,8 @@ def solve_minmax(
     penalty schedule until successive solutions agree (the schedule stops
     early if the next penalty would break the CFL guard).
     """
-    config = config or SchemeConfig()
-    if spec.modes.m1 > 1 or spec.modes.m2 > 1:
-        _gate_loops(spec, grid, tgrid, moves="both")
-    if mode == "direct":
-        ws = _Workspace(spec, grid, tgrid, quad, config)
-        traj, report = _solve_backward(ws, 0.0, 0.0, "minmax", system="minmax(direct)")
-        return traj, report
-    if mode != "limit":
-        raise ValueError(f"unknown mode '{mode}'")
-    return _solve_limit(
-        solve_lower_reflected, spec, grid, tgrid, quad, config, schedule, gap_tol, raise_on_nonconvergence, "minmax(limit)"
+    return _solve_bilateral(
+        "minmax", solve_lower_reflected, spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence
     )
 
 
@@ -766,17 +738,8 @@ def solve_maxmin(
     raise_on_nonconvergence: bool = True,
 ) -> tuple[Trajectory, SolverReport]:
     """Bilateral system with upper-obstacle priority (mirror of solve_minmax)."""
-    config = config or SchemeConfig()
-    if spec.modes.m1 > 1 or spec.modes.m2 > 1:
-        _gate_loops(spec, grid, tgrid, moves="both")
-    if mode == "direct":
-        ws = _Workspace(spec, grid, tgrid, quad, config)
-        traj, report = _solve_backward(ws, 0.0, 0.0, "maxmin", system="maxmin(direct)")
-        return traj, report
-    if mode != "limit":
-        raise ValueError(f"unknown mode '{mode}'")
-    return _solve_limit(
-        solve_upper_reflected, spec, grid, tgrid, quad, config, schedule, gap_tol, raise_on_nonconvergence, "maxmin(limit)"
+    return _solve_bilateral(
+        "maxmin", solve_upper_reflected, spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence
     )
 
 

@@ -216,6 +216,37 @@ class TestCheck:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--seed", "1"],
+            ["validate", "--format", "bin"],
+            ["validate", "--override-a4"],
+            ["solve", "--seed", "1"],
+            ["sweep", "--format", "bin"],
+            ["check", "--format", "bin"],
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_exits_2(self, tmp_path, argv):
+        cfg = write_config(tmp_path)
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_check_reads_seed(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 41},
+            time={"n_steps": 20},
+            check={"paths": 4000, "x0": 0.0, "n": 4, "m": 4, "n_steps": 20},
+        )
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+        assert json.loads((out / "check_report.json").read_text())["seed"] == 7
+
+
 class TestExportRoundTrip:
     def test_binary_snapshot_round_trip(self, tmp_path):
         spec = load_builtin_problem("switch_2x2_jump")

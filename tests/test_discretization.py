@@ -11,9 +11,9 @@ from switchvi.discretization import (
     gradient_surface,
     interpolate,
     jump_terms,
-    local_generator,
     offgrid_eval,
     second_derivative_surface,
+    upwind_drift,
 )
 from switchvi.model import GrowthBound, LevyMeasureSpec, MalformedSpecError
 
@@ -44,7 +44,7 @@ def interpolation_matrices(table, n):
 class TestGrids:
     def test_spacing_and_axis(self):
         g = SpatialGrid.line(-2.0, 2.0, 101)
-        assert g.spacing[0] == pytest.approx(0.04)
+        assert g.dx == pytest.approx(0.04)
         assert g.axis()[0] == -2.0 and g.axis()[-1] == 2.0
 
     def test_min_nodes(self):
@@ -59,6 +59,11 @@ class TestGrids:
     def test_value_field_rejects_nan(self):
         with pytest.raises(MalformedSpecError):
             ValueField(np.full((1, 1, 4), np.nan), 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 1, 3, 3)])
+    def test_value_field_needs_one_node_axis(self, shape):
+        with pytest.raises(MalformedSpecError):
+            ValueField(np.zeros(shape), 0.0)
 
 
 class TestQuadrature:
@@ -146,30 +151,37 @@ class TestInterpolate:
         assert out == pytest.approx(1.0 + 3.0)  # clipped to C (1 + |x|)
 
 
+def drift_parts(b):
+    b = np.asarray(b, dtype=float)
+    return np.maximum(b, 0.0), np.minimum(b, 0.0)
+
+
 class TestLocalGenerator:
+    """The step's drift and diffusion stencils, ``b D_upwind v + 0.5 sigma^2 D2 v``."""
+
     def test_affine_drift_exact_interior(self):
         g = SpatialGrid.line(-1.0, 1.0, 21)
         surf = 3.0 + 1.5 * g.axis()
-        b = np.full(21, 2.0)
-        out = local_generator(surf, g, b, np.zeros(21))
+        out = upwind_drift(surf, g, *drift_parts(np.full(21, 2.0)))
         np.testing.assert_allclose(out[1:-1], 3.0, atol=1e-12)
 
     def test_quadratic_diffusion_exact(self):
         g = SpatialGrid.line(-1.0, 1.0, 21)
         surf = g.axis() ** 2
-        out = local_generator(surf, g, np.zeros(21), np.full(21, np.sqrt(2.0)))
+        out = 0.5 * np.full(21, np.sqrt(2.0)) ** 2 * second_derivative_surface(surf, g)
         np.testing.assert_allclose(out[1:-1], 2.0, atol=1e-10)
 
     def test_constant_is_zero(self):
         g = SpatialGrid.line(-1.0, 1.0, 11)
-        out = local_generator(np.full(11, 4.2), g, np.full(11, -1.0), np.full(11, 0.7))
+        surf = np.full(11, 4.2)
+        out = upwind_drift(surf, g, *drift_parts(np.full(11, -1.0))) + 0.5 * 0.7**2 * second_derivative_surface(surf, g)
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_upwind_direction(self):
         g = SpatialGrid.line(0.0, 1.0, 11)
         surf = g.axis().copy()
         # negative drift at the left boundary: the outward difference vanishes
-        out = local_generator(surf, g, np.full(11, -1.0), np.zeros(11))
+        out = upwind_drift(surf, g, *drift_parts(np.full(11, -1.0)))
         assert out[0] == 0.0
         assert out[5] == pytest.approx(-1.0)
 

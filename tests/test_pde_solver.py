@@ -5,7 +5,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, ValueField, build_levy_quadrature
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi.model import ProblemSpec, eval_obstacles, neg_part, pos_part
 from switchvi.pde_solver import (
     AssumptionViolationError,
@@ -22,7 +22,6 @@ from switchvi.pde_solver import (
     solve_minmax,
     solve_penalized,
     solve_upper_reflected,
-    step_penalized,
     _record_obstacles,
     _Workspace,
 )
@@ -75,10 +74,13 @@ class TestStepAndCfl:
         x = GRID.axis()
         assert float(np.max(np.abs(traj.values - x[None, None, None, :]))) <= 1e-10
 
-    def test_cfl_guard_rejects_before_stepping(self, spec_2x2, quad_2x2):
-        field = ValueField(np.zeros((2, 2, 41)), 0.5)
+    def test_cfl_guard_rejects_before_stepping(self, spec_2x2, quad_2x2, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped past a failing CFL guard")
+
+        monkeypatch.setattr(_Workspace, "step", no_step)
         with pytest.raises(CflViolationError):
-            step_penalized(field, 500.0, 0.0, spec_2x2, GRID, TGRID, quad_2x2)
+            solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 500.0, 0.0)
 
     def test_cfl_terms_reported(self, spec_2x2, quad_2x2):
         value, terms = compute_cfl_bound(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
@@ -86,24 +88,19 @@ class TestStepAndCfl:
         assert terms["penalties"] == pytest.approx(TGRID.dt * 4.0)
         assert value < 1.0
 
-    def test_single_step_matches_solver_tail(self, spec_2x2, quad_2x2):
-        traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
-        last = ValueField(traj.values[-1], float(traj.times[-1]))
-        stepped = step_penalized(last, 2.0, 2.0, spec_2x2, GRID, TGRID, quad_2x2)
-        np.testing.assert_array_equal(stepped.values, traj.values[-2])
-        assert stepped.t == pytest.approx(traj.times[-2])
-
     def test_monotone_step_by_directional_probing(self, spec_2x2, quad_2x2):
         tiny = SpatialGrid.line(-1.0, 1.0, 9)
         ttiny = TimeGrid(horizon=0.5, n_steps=25)
+        ws = _Workspace(spec_2x2, tiny, ttiny, quad_2x2, SchemeConfig())
+        ws.check_cfl(2.0, 2.0)
         rng = np.random.default_rng(2)
         base = rng.normal(scale=0.2, size=(2, 2, 9))
-        f0 = step_penalized(ValueField(base, 0.5), 2.0, 2.0, spec_2x2, tiny, ttiny, quad_2x2)
+        f0 = ws.step(base, 0.5, 2.0, 2.0)
         for trial in range(12):
             bump = np.zeros_like(base)
             bump[rng.integers(2), rng.integers(2), rng.integers(9)] = rng.uniform(0.01, 0.5)
-            f1 = step_penalized(ValueField(base + bump, 0.5), 2.0, 2.0, spec_2x2, tiny, ttiny, quad_2x2)
-            assert_all_le(f0.values, f1.values, 1e-12, "monotone step")
+            f1 = ws.step(base + bump, 0.5, 2.0, 2.0)
+            assert_all_le(f0, f1, 1e-12, "monotone step")
 
     def test_imex_closed_form_and_looser_cfl(self):
         spec = const_driver_spec(0.4)
