@@ -116,6 +116,14 @@ class TestSolve:
         for name in ("minmax_level0000.csv", "minmax_level0025.csv", "plotdata.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_non_finite_grid_bound_exit_2_naming_the_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid={"x_min": "-Infinity", "x_max": 2.0, "n_nodes": 11})
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid" in err and "-inf" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unwritable_out_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocker"

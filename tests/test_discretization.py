@@ -51,6 +51,11 @@ class TestGrids:
         with pytest.raises(MalformedSpecError):
             SpatialGrid.line(0, 1, 2)
 
+    @pytest.mark.parametrize("x_min, x_max", [(float("-inf"), 2.0), (-2.0, float("inf")), (-1e308, 1e308)])
+    def test_non_finite_bounds_or_width_rejected(self, x_min, x_max):
+        with pytest.raises(MalformedSpecError, match=rf"grid bounds \[{x_min!r}, {x_max!r}\]"):
+            SpatialGrid.line(x_min, x_max, 11)
+
     def test_time_grid_hits_horizon_exactly(self):
         tg = TimeGrid(horizon=0.7, n_steps=7)
         assert tg.times()[-1] == 0.7
