@@ -105,7 +105,10 @@ def _load_spec(cfg: dict, config_dir: Path) -> ProblemSpec:
 
 def _grids(cfg: dict, spec: ProblemSpec) -> tuple[SpatialGrid, TimeGrid]:
     g = cfg.get("grid", {})
-    grid = SpatialGrid.line(float(g.get("x_min", -2.0)), float(g.get("x_max", 2.0)), int(g.get("n_nodes", 101)))
+    try:
+        grid = SpatialGrid.line(float(g.get("x_min", -2.0)), float(g.get("x_max", 2.0)), int(g.get("n_nodes", 101)))
+    except MalformedSpecError as exc:  # the config's grid, not the problem definition
+        raise UsageError(f"config 'grid': {exc}") from exc
     t = cfg.get("time", {})
     tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(t.get("n_steps", 50)))
     return grid, tgrid

@@ -93,6 +93,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.n_nodes < 3:
             raise MalformedSpecError(f"need at least 3 nodes, got {self.n_nodes}")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise MalformedSpecError(f"spatial grid bounds [{self.x_min!r}, {self.x_max!r}] must be finite, with a finite width")
         if not self.x_max > self.x_min:
             raise MalformedSpecError(f"empty spatial box [{self.x_min}, {self.x_max}]")
 
