@@ -29,16 +29,25 @@ growth increment ``sign(v_b) * C * (|x|^gamma - |x_b|^gamma)`` clipped to the
 envelope ``C * (1 + |x|^gamma)``; with ``C = 0`` it is a plain clamp.  All
 of this lives in one place, the destination table: ``destination_table``
 snaps, locates and classifies a set of query points of any shape once, and
-``DestinationTable.apply`` evaluates a surface there.  ``offgrid_eval`` is a
-table applied once; the solver builds one ``(atoms, nodes)`` table of the
-jump destinations ``x + beta(x, e_k)`` per workspace.
+``DestinationTable.apply`` evaluates a surface there.
 
 The jump sums, the compensated generator part
 ``sum_k w_k [v(x+beta_k) - v(x) - beta_k Dv(x)]`` and the driver's jump
-argument ``sum_k w_k gamma_k [v(x+beta_k) - v(x)]``, come from the single
-routine ``jump_terms``, which the solver step calls for every mode pair.
-The dynamic-programming cross-check re-implements both the table and the
-sums on purpose: it is the independent check, not a copy.
+argument ``sum_k w_k gamma_k [v(x+beta_k) - v(x)]``, are linear in ``v`` and
+do not depend on ``t``, so ``jump_operator`` assembles them once per
+workspace as dense ``nodes x nodes`` matrices, with ``P_k`` the
+interpolation at ``x + beta(x, e_k)``: the generator ``sum_k w_k (P_k - I)``
+and one driver matrix ``sum_k w_k gamma_k (P_k - I)`` per distinct gamma
+table (pairs with bitwise-equal tables share one).  ``JumpOperator.apply``
+runs both on a whole ``(m1, m2, nodes)`` stack with one matrix product each
+and takes the compensator ``sum_k w_k beta_k`` times the gradient off the
+generator part.  The matrices hold the clamp in their outside rows; growth
+extrapolation is not linear, so with ``C > 0`` each step adds the
+difference between the growth-extrapolated and the clamped value at the
+outside destinations.  Dense storage costs ``(1 + distinct gamma tables) x
+nodes^2`` doubles.  The dynamic-programming cross-check re-implements the
+interpolation and the sums on purpose: it is the independent check, not a
+copy.
 
 Grids and quadratures are immutable; operator evaluations at distinct nodes
 are independent, and per-node sums run over atoms in fixed order, so results
@@ -66,11 +75,11 @@ __all__ = [
     "interpolate",
     "DestinationTable",
     "destination_table",
-    "offgrid_eval",
+    "JumpOperator",
+    "jump_operator",
     "gradient_surface",
     "second_derivative_surface",
     "upwind_drift",
-    "jump_terms",
     "beta_slope_at_zero",
 ]
 
@@ -303,20 +312,14 @@ def destination_table(grid: SpatialGrid, xq: np.ndarray, growth: GrowthBound | N
     return DestinationTable(lo, pos - lo, outside, np.where(below, 0, n - 1)[outside], inc, cap)
 
 
-def offgrid_eval(surface: np.ndarray, grid: SpatialGrid, xq: np.ndarray, growth: GrowthBound | None = None) -> np.ndarray:
-    """Evaluate a node-value surface at arbitrary 1-D query points.
+def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: SpatialGrid, growth: GrowthBound | None = None) -> float:
+    """Value of surface (i, j) at an arbitrary point.
 
     Linear between nodes (exact on nodes, queries snap onto nodes within a
     1e-9 relative tolerance), clamp or growth-bounded extrapolation outside.
     """
-    xq = np.asarray(xq, dtype=float)
-    vals = destination_table(grid, np.atleast_1d(xq), growth).apply(surface)
-    return float(vals[0]) if xq.ndim == 0 else vals
-
-
-def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: SpatialGrid, growth: GrowthBound | None = None) -> float:
-    """Value of surface (i, j) at an arbitrary point."""
-    return float(offgrid_eval(field.values[pair], grid, np.asarray(x_query, dtype=float), growth))
+    xq = np.atleast_1d(np.asarray(x_query, dtype=float))
+    return float(destination_table(grid, xq, growth).apply(field.values[pair])[0])
 
 
 # --- derivative surfaces ---------------------------------------------------
@@ -362,24 +365,112 @@ def beta_slope_at_zero(beta_of: Callable[[np.ndarray, float], np.ndarray], x: np
     return (np.asarray(beta_of(x, h)) - np.asarray(beta_of(x, -h))) / (2.0 * h)
 
 
-def jump_terms(
-    surface: np.ndarray,
-    grad: np.ndarray,
-    table: DestinationTable,
-    weights: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class JumpOperator:
+    """The jump sums of one workspace as matrices, built once by :func:`jump_operator`.
+
+    ``generator`` is ``sum_k w_k (P_k - I)`` and ``drivers[d]`` is
+    ``sum_k w_k gamma_k (P_k - I)`` for the ``d``-th distinct gamma table;
+    ``driver_index[i, j]`` is the table of pair ``(i, j)``.  ``P_k``
+    interpolates at ``x + beta(x, e_k)`` and clamps outside the box.
+    ``compensator`` is ``sum_k w_k beta_k``.  The ``growth_*`` arrays are
+    ``None`` under a plain clamp; with ``C > 0`` they hold one entry per
+    outside destination: its row, its boundary node, the growth increment
+    and cap, and its weight in the generator (``w_k``) and in each driver
+    matrix (``w_k gamma_k``).
+    """
+
+    generator: np.ndarray
+    drivers: np.ndarray
+    driver_index: np.ndarray
+    compensator: np.ndarray
+    growth_row: np.ndarray | None = None
+    growth_node: np.ndarray | None = None
+    growth_inc: np.ndarray | None = None
+    growth_cap: np.ndarray | None = None
+    growth_weight: np.ndarray | None = None
+    growth_driver_weight: np.ndarray | None = None
+
+    def apply(self, values: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both jump sums of an ``(m1, m2, nodes)`` stack and its gradient.
+
+        Returns the compensated generator part and the drivers' jump
+        argument, each of the stack's shape.  The small-jump surrogate is not
+        included: it enters as diffusion.
+        """
+        flat = values.reshape(-1, values.shape[-1])
+        gen = flat @ self.generator.T
+        index = self.driver_index.reshape(-1)
+        q = np.empty_like(flat)
+        for d, matrix in enumerate(self.drivers):
+            sel = index == d
+            q[sel] = flat[sel] @ matrix.T
+        if self.growth_inc is not None:
+            vb = flat[:, self.growth_node]
+            corr = np.clip(vb + np.sign(vb) * self.growth_inc, -self.growth_cap, self.growth_cap) - vb
+            np.add.at(gen, (slice(None), self.growth_row), corr * self.growth_weight)
+            np.add.at(q, (slice(None), self.growth_row), corr * self.growth_driver_weight[index])
+        gen = gen.reshape(values.shape)
+        gen -= self.compensator * grad
+        return gen, q.reshape(values.shape)
+
+
+def jump_operator(
+    grid: SpatialGrid,
+    quad: LevyQuadrature,
     beta: np.ndarray,
     gamma: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both jump sums of one surface, over all atoms at once.
+    growth: GrowthBound | None = None,
+) -> JumpOperator:
+    """Assemble the jump sums over ``quad``'s atoms as ``nodes x nodes`` matrices.
 
-    ``table`` holds the destinations ``x + beta(x, e_k)`` and ``beta``,
-    ``gamma`` their ``(atoms, nodes)`` coefficients.  Returns the compensated
-    generator part ``sum_k w_k [v(x+beta_k) - v(x) - beta_k Dv(x)]`` and the
-    driver's jump argument ``sum_k w_k gamma_k [v(x+beta_k) - v(x)]``.  The
-    small-jump surrogate is not included: it enters as diffusion.
+    ``beta`` is the ``(atoms, nodes)`` table of ``beta(x, e_k)`` and
+    ``gamma`` the ``(m1, m2, atoms, nodes)`` table of ``gamma_ij(x, e_k)``.
+    Pairs whose gamma tables are bitwise equal share one driver matrix.
     """
-    if not weights.size:  # diffusion-only problems call this for every pair and step
-        return np.zeros_like(surface), np.zeros_like(surface)
-    w = weights[:, None]
-    shift = table.apply(surface) - surface
-    return np.sum(w * (shift - grad * beta), axis=0), np.sum(w * gamma * shift, axis=0)
+    n = grid.n_nodes
+    w = quad.weights[:, None]
+    table = destination_table(grid, grid.axis() + beta, growth)
+
+    m1, m2 = gamma.shape[:2]
+    pair_tables = gamma.reshape(m1 * m2, *beta.shape)
+    ids: dict[bytes, int] = {}
+    index = np.array([ids.setdefault(g.tobytes(), len(ids)) for g in pair_tables])
+    tables = pair_tables[np.unique(index, return_index=True)[1]]
+
+    # interpolation weights of every destination: the two cell ends inside
+    # the box, the boundary node (weight 1) outside it
+    inside = ~table.outside
+    rows = np.broadcast_to(np.arange(n), beta.shape)
+    atom = np.broadcast_to(np.arange(quad.n_atoms)[:, None], beta.shape)
+    theta = table.theta[inside]
+    ent_row = np.concatenate([rows[inside], rows[inside], rows[table.outside]])
+    ent_col = np.concatenate([table.lo[inside], table.lo[inside] + 1, table.boundary])
+    ent_atom = np.concatenate([atom[inside], atom[inside], atom[table.outside]])
+    ent_p = np.concatenate([1.0 - theta, theta, np.ones(table.boundary.size)])
+    flat = ent_row * n + ent_col
+    ent_w = quad.weights[ent_atom] * ent_p
+
+    mats = np.zeros((1 + len(tables), n, n))
+    np.add.at(mats[0].reshape(-1), flat, ent_w)
+    mats[0].reshape(-1)[:: n + 1] -= np.sum(quad.weights)
+    for d, g in enumerate(tables, start=1):
+        np.add.at(mats[d].reshape(-1), flat, ent_w * g[ent_atom, ent_row])
+        mats[d].reshape(-1)[:: n + 1] -= np.sum(w * g, axis=0)
+
+    compensator = np.sum(w * beta, axis=0)
+    if table.growth_inc is None:
+        return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2), compensator)
+    out_atom, out_row = np.nonzero(table.outside)
+    return JumpOperator(
+        mats[0],
+        mats[1:],
+        index.reshape(m1, m2),
+        compensator,
+        growth_row=out_row,
+        growth_node=table.boundary,
+        growth_inc=table.growth_inc,
+        growth_cap=table.growth_cap,
+        growth_weight=quad.weights[out_atom],
+        growth_driver_weight=quad.weights[out_atom] * tables[:, out_atom, out_row],
+    )

@@ -29,7 +29,8 @@ explicit treatment.
 
 Within one backward step node updates only read the previous level, so they
 are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
-at once, and only the driver and the jump sums run pair by pair.  Obstacle
+at once, the jump sums included (one matrix product per assembled jump
+matrix), and only the driver runs pair by pair.  Obstacle
 sweeps run sequentially over mode pairs (lexicographic order, direction
 alternating each sweep) but are vectorized over nodes.  Identical inputs give
 bitwise-identical results.
@@ -51,9 +52,8 @@ from .discretization import (
     TimeGrid,
     ValueField,
     beta_slope_at_zero,
-    destination_table,
     gradient_surface,
-    jump_terms,
+    jump_operator,
     second_derivative_surface,
     upwind_drift,
 )
@@ -290,20 +290,20 @@ class _Workspace:
         self.m1, self.m2 = spec.modes.m1, spec.modes.m2
         self.pairs = list(spec.modes.pairs())
 
-        # jump destinations x + beta(x, e_k), one (atoms, nodes) table
+        # the jump sums as matrices; the (atoms, nodes) coefficient tables are dropped after assembly
         n = self.n_nodes
-        self.beta = np.empty((quad.n_atoms, n))
-        for a, e_k in enumerate(quad.marks):
-            self.beta[a] = np.broadcast_to(np.asarray(spec.eval_beta(self.x, float(e_k)), dtype=float), self.x.shape)
-        self.jumps = destination_table(grid, self.x + self.beta, spec.growth)
-
-        # gamma(x, e_k) per pair and atom
-        self.gamma = np.empty((self.m1, self.m2, quad.n_atoms, n))
-        for i, j in self.pairs:
+        self.jumps = None
+        if quad.n_atoms:
+            beta = np.empty((quad.n_atoms, n))
             for a, e_k in enumerate(quad.marks):
-                self.gamma[i, j, a] = np.broadcast_to(
-                    np.asarray(spec.eval_gamma((i, j), self.x, float(e_k)), dtype=float), self.x.shape
-                )
+                beta[a] = np.broadcast_to(np.asarray(spec.eval_beta(self.x, float(e_k)), dtype=float), self.x.shape)
+            gamma = np.empty((self.m1, self.m2, quad.n_atoms, n))
+            for i, j in self.pairs:
+                for a, e_k in enumerate(quad.marks):
+                    gamma[i, j, a] = np.broadcast_to(
+                        np.asarray(spec.eval_gamma((i, j), self.x, float(e_k)), dtype=float), self.x.shape
+                    )
+            self.jumps = jump_operator(grid, quad, beta, gamma, spec.growth)
 
         # small-jump diffusion surrogate coefficient
         if quad.small_jump_second_moment > 0.0:
@@ -376,10 +376,13 @@ class _Workspace:
         grad = gradient_surface(values, self.grid)
         rhs = upwind_drift(values, self.grid, bp, bm)
         z = sig * grad
+        if self.jumps is None:
+            q = np.zeros_like(values)
+        else:
+            jump_gen, q = self.jumps.apply(values, grad)
+            rhs += jump_gen
         for i, j in self.pairs:
-            jump_gen, q = jump_terms(values[i, j], grad[i, j], self.jumps, self.quad.weights, self.beta, self.gamma[i, j])
-            rhs[i, j] += jump_gen
-            rhs[i, j] += spec.eval_driver((i, j), t_next, self.x, y_entries, z[i, j], q)
+            rhs[i, j] += spec.eval_driver((i, j), t_next, self.x, y_entries, z[i, j], q[i, j])
 
         if self.config.mode == "explicit":
             rhs += a_diff * second_derivative_surface(values, self.grid)

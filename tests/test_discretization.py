@@ -12,8 +12,7 @@ from switchvi.discretization import (
     destination_table,
     gradient_surface,
     interpolate,
-    jump_terms,
-    offgrid_eval,
+    jump_operator,
     second_derivative_surface,
     upwind_drift,
 )
@@ -30,12 +29,13 @@ def atom_table(coeff_of, x, quad):
 
 
 def jump_sums(surface, grid, quad, beta_of=beta_identity, gamma_of=None, grad=None, growth=None):
-    """Both jump sums of one surface, with tables built as the solver builds them."""
+    """Both jump sums of one surface, through the operator the solver assembles."""
     x = grid.axis()
     beta = atom_table(beta_of, x, quad)
     gamma = atom_table(gamma_of, x, quad) if gamma_of is not None else np.zeros_like(beta)
     grad = np.zeros_like(surface) if grad is None else grad
-    return jump_terms(surface, grad, destination_table(grid, x + beta, growth), quad.weights, beta, gamma)
+    gen, q = jump_operator(grid, quad, beta, gamma[None, None], growth).apply(surface[None, None], grad)
+    return gen[0, 0], q[0, 0]
 
 
 def interpolation_matrices(table, n):
@@ -147,14 +147,14 @@ class TestInterpolate:
         g = SpatialGrid.line(-2.0, 2.0, 41)
         surf = g.axis().copy()  # v(x) = x
         growth = GrowthBound(coeff=1.0, exponent=1.0)
-        out = offgrid_eval(surf, g, np.array([2.75, -3.5]), growth)
+        out = destination_table(g, np.array([2.75, -3.5]), growth).apply(surf)
         np.testing.assert_allclose(out, [2.75, -3.5], atol=1e-14)
 
     def test_growth_cap(self):
         g = SpatialGrid.line(-1.0, 1.0, 11)
         surf = np.full(11, 10.0)  # violates the claimed envelope on purpose
         growth = GrowthBound(coeff=1.0, exponent=1.0)
-        out = float(offgrid_eval(surf, g, np.array([3.0]), growth)[0])
+        out = float(destination_table(g, np.array([3.0]), growth).apply(surf)[0])
         assert out == pytest.approx(1.0 + 3.0)  # clipped to C (1 + |x|)
 
 
@@ -303,7 +303,7 @@ class TestNonlocalDriverTerm:
         ref_q = np.zeros_like(surf)
         for e_k, w_k in zip(quad.marks, quad.weights):
             disp = beta_of(x, e_k)
-            shift = offgrid_eval(surf, g, x + disp, growth) - surf
+            shift = destination_table(g, x + disp, growth).apply(surf) - surf
             ref_gen += w_k * (shift - grad * disp)
             ref_q += w_k * gamma_of(x, e_k) * shift
         np.testing.assert_allclose(gen, ref_gen, rtol=0.0, atol=1e-14)
@@ -336,6 +336,39 @@ class TestNonlocalDriverTerm:
             _, dv = jump_sums(v, g, quad, gamma_of=self.gamma_one)
             _, dw = jump_sums(w, g, quad, gamma_of=self.gamma_one)
             assert dv[node] <= dw[node] + 1e-12
+
+
+class TestJumpOperator:
+    """The assembled matrices, every entry checked."""
+
+    def operator(self, gamma_of):
+        g = SpatialGrid.line(-1.0, 1.0, 21)
+        x = g.axis()
+        quad = LevyQuadrature(marks=np.array([0.3, -0.45, 0.7]), weights=np.array([0.5, 0.9, 0.2]))
+        beta = atom_table(lambda xx, e: 0.8 * e * (1.0 + 0.5 * xx), x, quad)
+        dest = x + beta
+        assert np.any(dest < -1.0) and np.any(dest > 1.0)  # clamped rows at both ends
+        return jump_operator(g, quad, beta, atom_table(gamma_of, x, quad)[None, None]), quad
+
+    @staticmethod
+    def assert_generator_matrix(matrix, n_atoms):
+        # off-diagonal entries are sums of non-negative products; a row holds at
+        # most 2 entries per atom plus the diagonal, so it sums to zero up to
+        # that many roundings of its largest entry
+        off = matrix - np.diag(np.diag(matrix))
+        assert np.all(off >= 0.0)
+        atol = (2 * n_atoms + 1) * np.finfo(float).eps * 2.0 * np.max(np.abs(np.diag(matrix)))
+        np.testing.assert_allclose(np.sum(matrix, axis=1), 0.0, rtol=0.0, atol=atol)
+
+    def test_generator_is_a_rate_matrix(self):
+        op, quad = self.operator(lambda x, e: np.zeros_like(x))
+        self.assert_generator_matrix(op.generator, quad.n_atoms)
+        np.testing.assert_array_equal(np.diag(op.generator) <= 0.0, True)
+
+    def test_driver_matrix_with_nonnegative_gamma_is_a_rate_matrix(self):
+        op, quad = self.operator(lambda x, e: 0.5 + 0.25 * e * np.cos(x))
+        assert op.drivers.shape[0] == 1
+        self.assert_generator_matrix(op.drivers[0], quad.n_atoms)
 
 
 class TestDerivativeSurfaces:

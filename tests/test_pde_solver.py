@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+import switchvi
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, destination_table, gradient_surface
 from switchvi.model import ProblemSpec, eval_obstacles, neg_part, pos_part
 from switchvi.pde_solver import (
     AssumptionViolationError,
@@ -428,3 +433,68 @@ class TestObstaclesOncePerLevel:
         assert same_bits(report.obstacle_lower_violation, lower)
         assert same_bits(report.obstacle_upper_violation, upper)
         assert m1 == 1 or max(lower) > 0.0  # the penalized lower obstacle is active
+
+
+class TestJumpOperator:
+    """The workspace's assembled jump sums against a per-pair, per-atom loop."""
+
+    @pytest.mark.parametrize("growth", [{"C": 0.0, "gamma": 0.0}, {"C": 1.0, "gamma": 1.0}])
+    def test_pair_dependent_jump_weight_gets_its_own_driver_matrix(self, growth):
+        spec = make_spec(
+            modes={"m1": 3, "m2": 2},
+            jump_amplitude="0.8*e*(1 + 0.3*x)",
+            jump_weights={"default": "0.5*min(abs(e), 1)", "0,1": "0.2*abs(e)"},
+            levy={"atoms": [[0.5, 0.4], [-0.7, 0.3], [1.1, 0.2]]},
+            growth=growth,
+        )
+        quad = build_levy_quadrature(spec.levy)
+        ws = _Workspace(spec, GRID, TGRID, quad, SchemeConfig())
+        assert ws.jumps.drivers.shape[0] == 2
+        assert ws.jumps.driver_index.tolist() == [[0, 1], [0, 0], [0, 0]]
+        values = np.random.default_rng(11).normal(size=(3, 2, GRID.n_nodes))
+        grad = gradient_surface(values, GRID)
+        gen, q = ws.jumps.apply(values, grad)
+        x = GRID.axis()
+        for i, j in spec.modes.pairs():
+            ref_gen = np.zeros_like(x)
+            ref_q = np.zeros_like(x)
+            for e_k, w_k in zip(quad.marks, quad.weights):
+                beta = spec.eval_beta(x, float(e_k))
+                shift = destination_table(GRID, x + beta, spec.growth).apply(values[i, j]) - values[i, j]
+                ref_gen += w_k * (shift - grad[i, j] * beta)
+                ref_q += w_k * spec.eval_gamma((i, j), x, float(e_k)) * shift
+            np.testing.assert_allclose(gen[i, j], ref_gen, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(q[i, j], ref_q, rtol=0.0, atol=1e-13)
+
+    def test_no_atoms_builds_no_operator(self, spec_no_jump):
+        ws = _Workspace(spec_no_jump, GRID, TGRID, build_levy_quadrature(spec_no_jump.levy), SchemeConfig())
+        assert ws.jumps is None
+
+
+_DENSITY_SOLVE = """
+import hashlib, json
+from importlib.resources import files
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+from switchvi.model import load_problem
+from switchvi.pde_solver import solve_minmax
+raw = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
+raw.update(levy={"density": "0.4*exp(-abs(e))", "radius": 1.0, "cutoff": 0.05})
+spec = load_problem(raw)
+quad = build_levy_quadrature(spec.levy)
+assert quad.n_atoms == 64
+traj, _ = solve_minmax(spec, SpatialGrid.line(-2.0, 2.0, 101), TimeGrid(spec.horizon, 50), quad, mode="direct")
+print(hashlib.sha256(traj.values.tobytes()).hexdigest())
+"""
+
+
+def test_trajectory_bytes_do_not_depend_on_blas_threads():
+    """The step's matrix products give the same bytes on one and on two BLAS threads."""
+    src = str(Path(switchvi.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run([sys.executable, "-c", _DENSITY_SOLVE], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
