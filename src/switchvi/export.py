@@ -50,10 +50,8 @@ def value_field_csv(field: ValueField, grid: SpatialGrid) -> str:
     m1, m2 = field.values.shape[0], field.values.shape[1]
     x = grid.axis()
     header = ["x"] + [f"v_{i}_{j}" for i in range(m1) for j in range(m2)]
-    lines = [",".join(header)]
-    for p in range(len(x)):
-        row = [fmt_float(x[p])] + [fmt_float(field.values[i, j, p]) for i in range(m1) for j in range(m2)]
-        lines.append(",".join(row))
+    rows = np.concatenate([x[None], field.values.reshape(m1 * m2, -1)]).T.tolist()  # Python floats: repr is fmt_float
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

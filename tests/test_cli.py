@@ -7,7 +7,7 @@ import pytest
 
 from switchvi import export
 from switchvi.cli import DEFAULT_SEED, main
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+from switchvi.discretization import SpatialGrid, TimeGrid, ValueField, build_levy_quadrature
 from switchvi.model import load_builtin_problem
 from switchvi.pde_solver import solve_minmax
 
@@ -268,6 +268,16 @@ class TestExportRoundTrip:
         np.testing.assert_array_equal(back.values, traj.values)
         np.testing.assert_array_equal(back.times, traj.times)
         assert back.grid.x_min == traj.grid.x_min
+
+    def test_value_field_csv_matches_per_cell_reference(self):
+        grid = SpatialGrid.line(-1.0, 1.0, 5)
+        values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0], (2, 3, 5))
+        assert np.signbit(values[0, 0, 0]) and values[0, 0, 1] == 5e-324
+        x = grid.axis()
+        lines = ["x," + ",".join(f"v_{i}_{j}" for i in range(2) for j in range(3))]
+        for p in range(5):
+            lines.append(",".join([export.fmt_float(x[p])] + [export.fmt_float(values[i, j, p]) for i in range(2) for j in range(3)]))
+        assert export.value_field_csv(ValueField(values, 0.0), grid) == "\n".join(lines) + "\n"
 
     def test_value_field_csv_layout(self):
         spec = load_builtin_problem("no_jump")
