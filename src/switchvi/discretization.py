@@ -458,19 +458,15 @@ def jump_operator(
         np.add.at(mats[d].reshape(-1), flat, ent_w * g[ent_atom, ent_row])
         mats[d].reshape(-1)[:: n + 1] -= np.sum(w * g, axis=0)
 
-    compensator = np.sum(w * beta, axis=0)
-    if table.growth_inc is None:
-        return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2), compensator)
-    out_atom, out_row = np.nonzero(table.outside)
-    return JumpOperator(
-        mats[0],
-        mats[1:],
-        index.reshape(m1, m2),
-        compensator,
-        growth_row=out_row,
-        growth_node=table.boundary,
-        growth_inc=table.growth_inc,
-        growth_cap=table.growth_cap,
-        growth_weight=quad.weights[out_atom],
-        growth_driver_weight=quad.weights[out_atom] * tables[:, out_atom, out_row],
-    )
+    growth_data = {}
+    if table.growth_inc is not None:
+        out_atom, out_row = np.nonzero(table.outside)  # the order of table.boundary
+        growth_data = dict(
+            growth_row=out_row,
+            growth_node=table.boundary,
+            growth_inc=table.growth_inc,
+            growth_cap=table.growth_cap,
+            growth_weight=quad.weights[out_atom],
+            growth_driver_weight=quad.weights[out_atom] * tables[:, out_atom, out_row],
+        )
+    return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2), np.sum(w * beta, axis=0), **growth_data)
