@@ -441,13 +441,13 @@ def jump_operator(
     # interpolation weights of every destination: the two cell ends inside
     # the box, the boundary node (weight 1) outside it
     inside = ~table.outside
-    rows = np.broadcast_to(np.arange(n), beta.shape)
-    atom = np.broadcast_to(np.arange(quad.n_atoms)[:, None], beta.shape)
+    in_atom, in_row = np.nonzero(inside)
+    out_atom, out_row = np.nonzero(table.outside)  # the order of table.boundary
     theta = table.theta[inside]
-    ent_row = np.concatenate([rows[inside], rows[inside], rows[table.outside]])
+    ent_row = np.concatenate([in_row, in_row, out_row])
     ent_col = np.concatenate([table.lo[inside], table.lo[inside] + 1, table.boundary])
-    ent_atom = np.concatenate([atom[inside], atom[inside], atom[table.outside]])
-    ent_p = np.concatenate([1.0 - theta, theta, np.ones(table.boundary.size)])
+    ent_atom = np.concatenate([in_atom, in_atom, out_atom])
+    ent_p = np.concatenate([1.0 - theta, theta, np.ones(out_row.size)])
     flat = ent_row * n + ent_col
     ent_w = quad.weights[ent_atom] * ent_p
 
@@ -460,7 +460,6 @@ def jump_operator(
 
     growth_data = {}
     if table.growth_inc is not None:
-        out_atom, out_row = np.nonzero(table.outside)  # the order of table.boundary
         growth_data = dict(
             growth_row=out_row,
             growth_node=table.boundary,
