@@ -12,6 +12,7 @@ import pytest
 import switchvi
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, destination_table, gradient_surface
 from switchvi.model import ProblemSpec, eval_obstacles, neg_part, pos_part
+from switchvi.oracle import build_discrete_game
 from switchvi.pde_solver import (
     AssumptionViolationError,
     CflViolationError,
@@ -122,6 +123,64 @@ class TestStepAndCfl:
         e, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
         i, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0, SchemeConfig(mode="imex"))
         assert float(np.max(np.abs(e.values - i.values))) < 5e-3
+
+
+def worst_bump_response(ws: _Workspace, base: np.ndarray) -> float:
+    """Smallest change of one step over all +1 bumps of a single node of ``base``."""
+    before = ws.step(base, ws.tgrid.horizon, 0.0, 0.0)
+    worst = np.inf
+    for node in np.ndindex(base.shape):
+        bumped = base.copy()
+        bumped[node] += 1.0
+        worst = min(worst, float(np.min(ws.step(bumped, ws.tgrid.horizon, 0.0, 0.0) - before)))
+    return worst
+
+
+class TestMonotoneByConstruction:
+    """The jump compensator is upwinded with the drift: an accepted step is monotone,
+    and the oracle, which checks every transition weight, builds the same instance."""
+
+    TGRID = TimeGrid(horizon=0.5, n_steps=20)
+
+    def assert_accepted_step_is_monotone(self, spec, mode):
+        quad = build_levy_quadrature(spec.levy)
+        ws = _Workspace(spec, GRID, self.TGRID, quad, SchemeConfig(mode=mode))
+        try:
+            ws.check_cfl(0.0, 0.0)
+        except CflViolationError:
+            return
+        base = np.random.default_rng(3).normal(size=(1, 1, GRID.n_nodes))
+        assert worst_bump_response(ws, base) >= -1e-12
+        build_discrete_game(spec, GRID, self.TGRID, quad)
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    def test_one_sided_atom_step_is_monotone(self, mode):
+        # a central compensator lowered a neighbour by 0.0799 under an accepted stability number of 0.1
+        spec = make_spec(vol="0.01", drift="0", levy={"atoms": [[0.5, 0.8]]}, jump_weights={"default": "0"})
+        self.assert_accepted_step_is_monotone(spec, mode)
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize(
+        "atoms", [[[0.5, 0.8]], [[0.3, 1.0], [-0.1, 0.5]], [[1.0, 0.2], [0.5, 0.6], [-0.25, 0.9]], [[-1.5, 0.3], [0.2, 2.0]]]
+    )
+    def test_asymmetric_atoms(self, atoms, mode):
+        spec = make_spec(
+            vol="0.01",
+            drift="0.3*x",
+            jump_amplitude="0.8*e*(1 + 0.3*x)",
+            levy={"atoms": atoms},
+            jump_weights={"default": "0"},
+        )
+        self.assert_accepted_step_is_monotone(spec, mode)
+
+    def test_cfl_drift_term_is_the_folded_drift(self):
+        atoms = [[1.0, 0.2], [0.5, 0.6], [-0.25, 0.9]]
+        spec = make_spec(drift="0.3*x", jump_amplitude="0.8*e*(1 + 0.3*x)", levy={"atoms": atoms})
+        quad = build_levy_quadrature(spec.levy)
+        _, terms = compute_cfl_bound(spec, GRID, self.TGRID, quad, 0.0, 0.0)
+        x = GRID.axis()
+        folded = 0.3 * x - sum(w * 0.8 * e * (1.0 + 0.3 * x) for e, w in atoms)
+        assert terms["drift"] == pytest.approx(self.TGRID.dt * np.max(np.abs(folded)) / GRID.dx, rel=1e-12)
 
 
 class TestPenalized:
