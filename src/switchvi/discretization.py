@@ -31,23 +31,30 @@ of this lives in one place, the destination table: ``destination_table``
 snaps, locates and classifies a set of query points of any shape once, and
 ``DestinationTable.apply`` evaluates a surface there.
 
-The jump sums, the compensated generator part
-``sum_k w_k [v(x+beta_k) - v(x) - beta_k Dv(x)]`` and the driver's jump
-argument ``sum_k w_k gamma_k [v(x+beta_k) - v(x)]``, are linear in ``v`` and
-do not depend on ``t``, so ``jump_operator`` assembles them once per
-workspace as dense ``nodes x nodes`` matrices, with ``P_k`` the
-interpolation at ``x + beta(x, e_k)``: the generator ``sum_k w_k (P_k - I)``
-and one driver matrix ``sum_k w_k gamma_k (P_k - I)`` per distinct gamma
-table (pairs with bitwise-equal tables share one).  ``JumpOperator.apply``
-runs both on a whole ``(m1, m2, nodes)`` stack with one matrix product each
-and takes the compensator ``sum_k w_k beta_k`` times the gradient off the
-generator part.  The matrices hold the clamp in their outside rows; growth
-extrapolation is not linear, so with ``C > 0`` each step adds the
-difference between the growth-extrapolated and the clamped value at the
-outside destinations.  Dense storage costs ``(1 + distinct gamma tables) x
-nodes^2`` doubles.  The dynamic-programming cross-check re-implements the
-interpolation and the sums on purpose: it is the independent check, not a
-copy.
+The compensator convention.  The non-local term ``sum_k w_k [v(x+beta_k) -
+v(x) - beta_k Dv(x)]`` splits into the redistribution ``sum_k w_k
+[v(x+beta_k) - v(x)]`` and the first-order part ``-(sum_k w_k beta_k) Dv``.
+The first-order part is drift: the solver and the oracle subtract ``sum_k w_k
+beta_k`` from ``b`` before the upwind split, so it is upwinded with the drift
+and counted once in the stability bound (Cont & Voltchkova, SIAM J. Numer.
+Anal. 43(4), 2005; d'Halluin, Forsyth & Vetzal, IMA J. Numer. Anal. 25,
+2005).  With non-negative interpolation weights, every off-diagonal weight
+of the step's linear part is then non-negative by construction.
+
+The jump sums, the redistribution and the driver's jump argument
+``sum_k w_k gamma_k [v(x+beta_k) - v(x)]``, are linear in ``v`` and do not
+depend on ``t``, so ``jump_operator`` assembles them once per workspace as
+dense ``nodes x nodes`` matrices, with ``P_k`` the interpolation at ``x +
+beta(x, e_k)``: the generator ``sum_k w_k (P_k - I)`` and one driver matrix
+``sum_k w_k gamma_k (P_k - I)`` per distinct gamma table (pairs with
+bitwise-equal tables share one).  ``JumpOperator.apply`` runs both on a
+whole ``(m1, m2, nodes)`` stack with one matrix product each.  The matrices
+hold the clamp in their outside rows; growth extrapolation is not linear, so
+with ``C > 0`` each step adds the difference between the growth-extrapolated
+and the clamped value at the outside destinations.  Dense storage costs ``(1
++ distinct gamma tables) x nodes^2`` doubles.  The dynamic-programming
+cross-check re-implements the interpolation and the sums on purpose: it is
+the independent check, not a copy.
 
 Grids and quadratures are immutable; operator evaluations at distinct nodes
 are independent, and per-node sums run over atoms in fixed order, so results
@@ -372,8 +379,9 @@ class JumpOperator:
     ``generator`` is ``sum_k w_k (P_k - I)`` and ``drivers[d]`` is
     ``sum_k w_k gamma_k (P_k - I)`` for the ``d``-th distinct gamma table;
     ``driver_index[i, j]`` is the table of pair ``(i, j)``.  ``P_k``
-    interpolates at ``x + beta(x, e_k)`` and clamps outside the box.
-    ``compensator`` is ``sum_k w_k beta_k``.  The ``growth_*`` arrays are
+    interpolates at ``x + beta(x, e_k)`` and clamps outside the box.  The
+    compensator ``sum_k w_k beta_k`` is not here: it is upwinded with the
+    drift (see the module docstring).  The ``growth_*`` arrays are
     ``None`` under a plain clamp; with ``C > 0`` they hold one entry per
     outside destination: its row, its boundary node, the growth increment
     and cap, and its weight in the generator (``w_k``) and in each driver
@@ -383,7 +391,6 @@ class JumpOperator:
     generator: np.ndarray
     drivers: np.ndarray
     driver_index: np.ndarray
-    compensator: np.ndarray
     growth_row: np.ndarray | None = None
     growth_node: np.ndarray | None = None
     growth_inc: np.ndarray | None = None
@@ -391,12 +398,13 @@ class JumpOperator:
     growth_weight: np.ndarray | None = None
     growth_driver_weight: np.ndarray | None = None
 
-    def apply(self, values: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both jump sums of an ``(m1, m2, nodes)`` stack and its gradient.
+    def apply(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both jump sums of an ``(m1, m2, nodes)`` stack.
 
-        Returns the compensated generator part and the drivers' jump
-        argument, each of the stack's shape.  The small-jump surrogate is not
-        included: it enters as diffusion.
+        Returns the redistribution ``sum_k w_k [v(x+beta_k) - v]`` and the
+        drivers' jump argument, each of the stack's shape.  Neither the
+        compensator nor the small-jump surrogate is included: they enter as
+        drift and as diffusion.
         """
         flat = values.reshape(-1, values.shape[-1])
         gen = flat @ self.generator.T
@@ -410,9 +418,7 @@ class JumpOperator:
             corr = np.clip(vb + np.sign(vb) * self.growth_inc, -self.growth_cap, self.growth_cap) - vb
             np.add.at(gen, (slice(None), self.growth_row), corr * self.growth_weight)
             np.add.at(q, (slice(None), self.growth_row), corr * self.growth_driver_weight[index])
-        gen = gen.reshape(values.shape)
-        gen -= self.compensator * grad
-        return gen, q.reshape(values.shape)
+        return gen.reshape(values.shape), q.reshape(values.shape)
 
 
 def jump_operator(
@@ -468,4 +474,4 @@ def jump_operator(
             growth_weight=quad.weights[out_atom],
             growth_driver_weight=quad.weights[out_atom] * tables[:, out_atom, out_row],
         )
-    return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2), np.sum(w * beta, axis=0), **growth_data)
+    return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2), **growth_data)

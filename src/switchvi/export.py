@@ -45,14 +45,17 @@ def fmt_float(v: float) -> str:
     return repr(float(v))
 
 
+def _csv(header: list[str], columns: np.ndarray) -> str:
+    """A header line, then one line per node of a ``(columns, nodes)`` array."""
+    rows = columns.T.tolist()  # Python floats: repr is fmt_float
+    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
 def value_field_csv(field: ValueField, grid: SpatialGrid) -> str:
     """Columns: node coordinate, one value column per mode pair."""
     m1, m2 = field.values.shape[0], field.values.shape[1]
-    x = grid.axis()
     header = ["x"] + [f"v_{i}_{j}" for i in range(m1) for j in range(m2)]
-    rows = np.concatenate([x[None], field.values.reshape(m1 * m2, -1)]).T.tolist()  # Python floats: repr is fmt_float
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv(header, np.concatenate([grid.axis()[None], field.values.reshape(m1 * m2, -1)]))
 
 
 def trajectory_csv_files(trajectory: Trajectory, out_dir: Path, stem: str, levels: list[int] | None = None) -> list[Path]:
@@ -77,18 +80,9 @@ def plotdata_csv(trajectory: Trajectory, spec: ProblemSpec, level: int = 0) -> s
     uc = spec.upper_cost_table(t, x)
     L, U = eval_obstacles(field.values, lc, uc)
     m1, m2 = field.values.shape[0], field.values.shape[1]
-    header = ["x"]
-    for i in range(m1):
-        for j in range(m2):
-            header += [f"v_{i}_{j}", f"L_{i}_{j}", f"U_{i}_{j}"]
-    lines = [",".join(header)]
-    for p in range(len(x)):
-        row = [fmt_float(x[p])]
-        for i in range(m1):
-            for j in range(m2):
-                row += [fmt_float(field.values[i, j, p]), fmt_float(L[i, j, p]), fmt_float(U[i, j, p])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["x"] + [f"{c}_{i}_{j}" for i in range(m1) for j in range(m2) for c in "vLU"]
+    columns = np.stack([field.values, L, U], axis=2).reshape(3 * m1 * m2, -1)
+    return _csv(header, np.concatenate([x[None], columns]))
 
 
 def write_json(obj, path: Path) -> None:

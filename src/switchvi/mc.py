@@ -24,7 +24,7 @@ certified error bounds, and the report says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -297,7 +297,7 @@ class CheckReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "records": self.records, "notes": self.notes}
+        return asdict(self)
 
 
 def feynman_kac_check(

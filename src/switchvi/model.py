@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import exprdsl
-from .exprdsl import Expr, NumericDomainError, evaluate, parse
+from .exprdsl import Expr, evaluate, parse
 
 __all__ = [
     "ModeSet",
@@ -50,8 +50,6 @@ __all__ = [
     "validate_terminal_consistency",
     "validate_coefficient_bounds",
     "eval_obstacles",
-    "eval_penalized_driver",
-    "eval_f_ij",
     "neg_part",
     "pos_part",
     "driver_variable",
@@ -385,50 +383,6 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     return L, U
 
 
-# --- penalized driver and integral driver --------------------------------
-
-
-def eval_penalized_driver(
-    spec: ProblemSpec,
-    pair: tuple[int, int],
-    n: float,
-    m: float,
-    t: float,
-    x: float,
-    y: np.ndarray,
-    z: float,
-    q: float,
-) -> float:
-    """Driver of the doubly-penalized system at one point.
-
-    Returns ``g^{ij}(t,x,y,z,q) + n*(y_ij - L_ij)^- - m*(y_ij - U_ij)^+``.
-    Absent obstacles (single-mode players) contribute nothing.
-    """
-    if not (math.isfinite(n) and math.isfinite(m)) or n < 0 or m < 0:
-        raise NumericDomainError(f"penalty parameters must be finite and non-negative, got ({n}, {m})", "n, m")
-    for label, v in (("t", t), ("x", x), ("z", z), ("q", q)):
-        if not math.isfinite(v):
-            raise NumericDomainError(f"non-finite input {label}={v}", label)
-    if not np.all(np.isfinite(y)):
-        raise NumericDomainError("non-finite value matrix", "y")
-    lc = spec.lower_cost_table(t, np.asarray(x, dtype=float))
-    uc = spec.upper_cost_table(t, np.asarray(x, dtype=float))
-    L, U = eval_obstacles(np.asarray(y, dtype=float), lc, uc)
-    i, j = pair
-    entries = {driver_variable(p, l): float(y[p, l]) for p, l in spec.modes.pairs()}
-    g = float(spec.eval_driver(pair, t, np.asarray(x, dtype=float), entries, z, q))
-    return g + n * float(neg_part(y[i, j] - L[i, j])) - m * float(pos_part(y[i, j] - U[i, j]))
-
-
-def eval_f_ij(spec: ProblemSpec, pair: tuple[int, int], t: float, x: float, y: np.ndarray, z: float, u, quadrature) -> float:
-    """Driver with the jump argument integrated: ``g(t,x,y,z, sum_k u(e_k) gamma(x,e_k) w_k)``."""
-    q = 0.0
-    for e_k, w_k in zip(quadrature.marks, quadrature.weights):
-        q += float(u(e_k)) * float(spec.eval_gamma(pair, np.asarray(x, dtype=float), float(e_k))) * float(w_k)
-    entries = {driver_variable(p, l): float(y[p, l]) for p, l in spec.modes.pairs()}
-    return float(spec.eval_driver(pair, t, np.asarray(x, dtype=float), entries, z, q))
-
-
 # --- validation ----------------------------------------------------------
 
 
@@ -443,13 +397,7 @@ class ValidationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "violations": self.violations,
-            "warnings": self.warnings,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _simple_loops(m1: int, m2: int, moves: str = "both") -> list[list[tuple[int, int]]]:
@@ -511,10 +459,7 @@ def validate_non_free_loop(
     """
     if not sample_points:
         raise MalformedSpecError("sample_points must be non-empty")
-    try:
-        loops = _simple_loops(spec.modes.m1, spec.modes.m2, moves=moves)
-    except CapacityError:
-        raise
+    loops = _simple_loops(spec.modes.m1, spec.modes.m2, moves=moves)
     ts = np.array([p[0] for p in sample_points], dtype=float)
     xs = np.array([p[1] for p in sample_points], dtype=float)
 

@@ -3,11 +3,13 @@
 The explicit monotone step is, node by node, a convex combination of the
 previous level plus a running reward.  This module rebuilds that object
 literally: a dense per-step transition matrix over grid nodes (diffusion,
-upwind drift, jump redistribution, compensator and small-jump surrogate
-weights, all normalized by dt) and a plain dynamic-programming recursion
+upwind drift, jump redistribution and small-jump surrogate weights, all
+normalized by dt) and a plain dynamic-programming recursion
 with the bilateral projection applied at each level.  Transition rows must
 be probability vectors; a negative entry is exactly a CFL violation and
-aborts the build.
+aborts the build.  The jump compensator ``-sum_k w_k beta_k Dv`` is a
+first-order term, so it is in the drift, upwinded with it, not in the jump
+part of the kernel.
 
 Everything here is written independently of the finite-difference solver
 (explicit Python loops, no shared stepping code) so that agreement between
@@ -103,7 +105,8 @@ def build_discrete_game(
         for i in range(n):
             P[i, i] += 1.0
             xi = float(x[i])
-            b = float(spec.eval_drift(t, np.asarray(xi)))
+            betas = [float(spec.eval_beta(np.asarray(xi), float(e_k))) for e_k in quad.marks]
+            b = float(spec.eval_drift(t, np.asarray(xi))) - sum(float(w_k) * beta for w_k, beta in zip(quad.weights, betas))
             sig = float(spec.eval_vol(t, np.asarray(xi)))
             a = 0.5 * sig * sig
             if quad.small_jump_second_moment > 0.0:
@@ -117,7 +120,7 @@ def build_discrete_game(
                 w = dt * a / dx**2
                 P[i, i - 1] += w
                 P[i, i] -= w
-            # upwind drift; outward difference vanishes at the boundary
+            # upwind drift, compensator included; outward difference vanishes at the boundary
             if b > 0.0 and i + 1 < n:
                 w = dt * b / dx
                 P[i, i + 1] += w
@@ -126,23 +129,11 @@ def build_discrete_game(
                 w = dt * (-b) / dx
                 P[i, i - 1] += w
                 P[i, i] -= w
-            # jumps: redistribute to the destination, subtract the mass,
-            # and take out the compensator through the gradient stencil
-            for e_k, w_k in zip(quad.marks, quad.weights):
-                beta = float(spec.eval_beta(np.asarray(xi), float(e_k)))
+            # jumps: redistribute to the destination, subtract the mass
+            for beta, w_k in zip(betas, quad.weights):
                 for idx, wgt in _interp_weights(grid, xi + beta):
                     P[i, idx] += dt * w_k * wgt
                 P[i, i] -= dt * w_k
-                c = dt * w_k * beta
-                if 0 < i < n - 1:
-                    P[i, i + 1] -= c / (2.0 * dx)
-                    P[i, i - 1] += c / (2.0 * dx)
-                elif i == 0:
-                    P[i, 1] -= c / dx
-                    P[i, 0] += c / dx
-                else:
-                    P[i, n - 1] -= c / dx
-                    P[i, n - 2] += c / dx
 
     if stencil_perturbation is not None:
         k, r, cc, amount = stencil_perturbation

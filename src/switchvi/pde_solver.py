@@ -236,34 +236,34 @@ def compute_cfl_bound(
 ) -> tuple[float, dict]:
     """Stability number of the explicit step.
 
-    ``dt * (2 ||sigma sigma^T||/dx^2 + ||b||/dx + Lambda + n + m + Lip_g)``
-    with ``Lambda = sum_k w_k sup gamma + sum_k w_k``.  The diffusion norm
-    includes the small-jump surrogate and the drift norm the compensator
-    drift ``sum_k w_k sup|beta|``; both act on the grid exactly like the
-    coefficients they augment, so leaving them out would understate the
-    bound.
+    ``dt * (2 ||sigma sigma^T||/dx^2 + ||b - c||/dx + Lambda + n + m + Lip_g)``
+    with ``c = sum_k w_k beta(., e_k)`` and ``Lambda = sum_k w_k sup gamma +
+    sum_k w_k``.  The diffusion norm includes the small-jump surrogate.  The
+    drift norm is taken of the folded drift ``b - c``, because the step
+    upwinds the jump compensator together with the drift.  Coefficients are
+    sampled at ``t`` in ``{0, T/2, T}``.
     """
     x = grid.axis()
     dx = grid.dx
     dt = tgrid.dt
     ts = (0.0, 0.5 * tgrid.horizon, tgrid.horizon)
     sig2_max = max(float(np.max(spec.eval_vol(t, x) ** 2)) for t in ts)
-    b_max = max(float(np.max(np.abs(spec.eval_drift(t, x)))) for t in ts)
     if quad.small_jump_second_moment > 0.0:
         slope = beta_slope_at_zero(lambda xx, e: spec.eval_beta(xx, e), x)
         sig2_max += quad.small_jump_second_moment * float(np.max(slope**2))
-    beta_drift = 0.0
+    compensator = np.zeros_like(x)
     gamma_sup = 0.0
     for e_k, w_k in zip(quad.marks, quad.weights):
-        beta_drift += float(w_k) * float(np.max(np.abs(spec.eval_beta(x, float(e_k)))))
+        compensator += w_k * spec.eval_beta(x, float(e_k))
         for pair in spec.modes.pairs():
             gamma_sup = max(gamma_sup, float(np.max(spec.eval_gamma(pair, x, float(e_k)))))
+    b_max = max(float(np.max(np.abs(spec.eval_drift(t, x) - compensator))) for t in ts)
     total_w = quad.total_weight
     lam = total_w * gamma_sup + total_w
     lip = estimate_driver_lipschitz(spec, grid, tgrid) if lip_g is None else lip_g
     terms = {
         "diffusion": dt * 2.0 * sig2_max / dx**2,
-        "drift": dt * (b_max + beta_drift) / dx,
+        "drift": dt * b_max / dx,
         "jump_intensity": dt * lam,
         "penalties": dt * (n + m),
         "driver_lipschitz": dt * lip,
@@ -290,9 +290,11 @@ class _Workspace:
         self.m1, self.m2 = spec.modes.m1, spec.modes.m2
         self.pairs = list(spec.modes.pairs())
 
-        # the jump sums as matrices; the (atoms, nodes) coefficient tables are dropped after assembly
+        # the jump sums as matrices and the compensator sum_k w_k beta_k, which the
+        # step upwinds with the drift; the (atoms, nodes) coefficient tables are dropped after assembly
         n = self.n_nodes
         self.jumps = None
+        self.compensator = 0.0
         if quad.n_atoms:
             beta = np.empty((quad.n_atoms, n))
             for a, e_k in enumerate(quad.marks):
@@ -304,6 +306,7 @@ class _Workspace:
                         np.asarray(spec.eval_gamma((i, j), self.x, float(e_k)), dtype=float), self.x.shape
                     )
             self.jumps = jump_operator(grid, quad, beta, gamma, spec.growth)
+            self.compensator = np.sum(quad.weights[:, None] * beta, axis=0)
 
         # small-jump diffusion surrogate coefficient
         if quad.small_jump_second_moment > 0.0:
@@ -352,9 +355,10 @@ class _Workspace:
         return self._costs
 
     def local_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Upwind drift parts ``b^+``, ``b^-``, volatility and diffusion coefficient at t."""
+        """Upwind parts ``b^+``, ``b^-`` of the drift less the compensator, volatility and
+        diffusion coefficient at t."""
         if self._local is None or self._local_reads_t:
-            b = np.broadcast_to(np.asarray(self.spec.eval_drift(t, self.x), dtype=float), self.x.shape)
+            b = np.broadcast_to(np.asarray(self.spec.eval_drift(t, self.x), dtype=float) - self.compensator, self.x.shape)
             sig = np.broadcast_to(np.asarray(self.spec.eval_vol(t, self.x), dtype=float), self.x.shape)
             self._local = np.maximum(b, 0.0), np.minimum(b, 0.0), sig, 0.5 * sig**2 + self.corr_coeff
         return self._local
@@ -373,13 +377,12 @@ class _Workspace:
             obstacles = eval_obstacles(values, *self.cost_tables(t_next))
         y_entries = {driver_variable(i, j): values[i, j] for i, j in self.pairs}
 
-        grad = gradient_surface(values, self.grid)
         rhs = upwind_drift(values, self.grid, bp, bm)
-        z = sig * grad
+        z = sig * gradient_surface(values, self.grid)
         if self.jumps is None:
             q = np.zeros_like(values)
         else:
-            jump_gen, q = self.jumps.apply(values, grad)
+            jump_gen, q = self.jumps.apply(values)
             rhs += jump_gen
         for i, j in self.pairs:
             rhs[i, j] += spec.eval_driver((i, j), t_next, self.x, y_entries, z[i, j], q[i, j])
@@ -425,49 +428,29 @@ def _pair_order(pairs: list, sweep_index: int) -> list:
     return pairs if sweep_index % 2 == 0 else list(reversed(pairs))
 
 
-def _sweep_lower(values: np.ndarray, lc: np.ndarray, config: SchemeConfig, pairs: list) -> int:
-    """Gauss-Seidel projection onto the lower obstacle; returns changed-pass count."""
-    if values.shape[0] == 1:
-        return 0
-    changed_passes = 0
-    worst = np.inf
-    for sweep in range(config.max_sweeps):
-        worst = 0.0
-        for i, j in _pair_order(pairs, sweep):
-            new = np.maximum(values[i, j], obstacle_row(values[:, j], lc, i, np.subtract, np.maximum))
-            delta = float(np.max(np.abs(new - values[i, j])))
-            if delta > 0.0:
-                values[i, j] = new
-                worst = max(worst, delta)
-        if worst > config.sweep_tol:
-            changed_passes += 1
-        else:
-            return changed_passes
-    raise SweepNonConvergenceError(worst, config.max_sweeps)
+_PROJECTIONS = {
+    "lower": lambda pde, L, U: np.maximum(pde, L),
+    "minmax": lambda pde, L, U: np.maximum(L, np.minimum(U, pde)),
+    "maxmin": lambda pde, L, U: np.minimum(U, np.maximum(L, pde)),
+}
 
 
-def _sweep_bilateral(
-    values: np.ndarray,
-    pde_values: np.ndarray,
-    lc: np.ndarray,
-    uc: np.ndarray,
-    priority: str,
-    config: SchemeConfig,
-    pairs: list,
-) -> int:
-    """Fixed point of the bilateral projection; ``priority`` picks the order."""
+def _sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig, pairs: list) -> int:
+    """Gauss-Seidel sweeps of ``_PROJECTIONS[projection]`` to a fixed point, in
+    place; returns the changed-pass count.  The order of ``max`` and ``min``
+    is the obstacle priority; an absent obstacle is ``-inf`` or ``+inf``."""
+    project = _PROJECTIONS[projection]
+    reads_upper = projection != "lower"
+    pde_values = values.copy()
     m1, m2 = values.shape[0], values.shape[1]
     changed_passes = 0
     worst = np.inf
     for sweep in range(config.max_sweeps):
         worst = 0.0
         for i, j in _pair_order(pairs, sweep):
-            L = obstacle_row(values[:, j], lc, i, np.subtract, np.maximum) if m1 > 1 else np.full_like(values[i, j], -np.inf)
-            U = obstacle_row(values[i], uc, j, np.add, np.minimum) if m2 > 1 else np.full_like(values[i, j], np.inf)
-            if priority == "minmax":
-                new = np.maximum(L, np.minimum(U, pde_values[i, j]))
-            else:
-                new = np.minimum(U, np.maximum(L, pde_values[i, j]))
+            L = obstacle_row(values[:, j], lc, i, np.subtract, np.maximum) if m1 > 1 else -np.inf
+            U = obstacle_row(values[i], uc, j, np.add, np.minimum) if m2 > 1 and reads_upper else np.inf
+            new = project(pde_values[i, j], L, U)
             delta = float(np.max(np.abs(new - values[i, j])))
             if delta > 0.0:
                 values[i, j] = new
@@ -527,14 +510,7 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
         t_next = float(times[k + 1])
         t_here = float(times[k])
         new = ws.step(values[k + 1], t_next, n, m, obstacles)
-        sweeps = 0
-        if projection == "lower" and ws.m1 > 1:
-            lc, _ = ws.cost_tables(t_here)
-            sweeps = _sweep_lower(new, lc, ws.config, ws.pairs)
-        elif projection in ("minmax", "maxmin"):
-            lc, uc = ws.cost_tables(t_here)
-            pde = new.copy()
-            sweeps = _sweep_bilateral(new, pde, lc, uc, projection, ws.config, ws.pairs)
+        sweeps = 0 if projection is None else _sweep(new, *ws.cost_tables(t_here), projection, ws.config, ws.pairs)
         values[k] = new
         report.update_norms.append(float(np.max(np.abs(values[k] - values[k + 1]))))
         report.sweep_counts.append(sweeps)
@@ -771,6 +747,8 @@ def residual_report(
     * bilateral: ``v_k = max(L[v_k], min(U[v_k], step(v_{k+1})))`` (or the
       mirrored order)
     """
+    if system != "penalized" and system not in _PROJECTIONS:
+        raise ValueError(f"unknown system '{system}'")
     config = config or SchemeConfig()
     ws = _Workspace(spec, grid, tgrid, quad, config)
     report = SolverReport(system=f"residual({system})", dt=ws.dt, n_steps=tgrid.n_steps)
@@ -782,17 +760,7 @@ def residual_report(
             candidate = ws.step(trajectory.values[k + 1], t_next, n, m)
         else:
             pde = ws.step(trajectory.values[k + 1], t_next, 0.0, m if system == "lower" else 0.0)
-            vk = trajectory.values[k]
-            lc, uc = ws.cost_tables(t_here)
-            L, U = eval_obstacles(vk, lc, uc)
-            if system == "lower":
-                candidate = np.maximum(pde, L)
-            elif system == "minmax":
-                candidate = np.maximum(L, np.minimum(U, pde))
-            elif system == "maxmin":
-                candidate = np.minimum(U, np.maximum(L, pde))
-            else:
-                raise ValueError(f"unknown system '{system}'")
+            candidate = _PROJECTIONS[system](pde, *eval_obstacles(trajectory.values[k], *ws.cost_tables(t_here)))
         resid = np.abs(trajectory.values[k] - candidate)
         report.update_norms.append(float(np.max(resid)))
         for i, j in ws.pairs:

@@ -8,8 +8,8 @@ import pytest
 from switchvi import export
 from switchvi.cli import DEFAULT_SEED, main
 from switchvi.discretization import SpatialGrid, TimeGrid, ValueField, build_levy_quadrature
-from switchvi.model import load_builtin_problem
-from switchvi.pde_solver import solve_minmax
+from switchvi.model import eval_obstacles, load_builtin_problem
+from switchvi.pde_solver import Trajectory, solve_minmax
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -278,6 +278,20 @@ class TestExportRoundTrip:
         for p in range(5):
             lines.append(",".join([export.fmt_float(x[p])] + [export.fmt_float(values[i, j, p]) for i in range(2) for j in range(3)]))
         assert export.value_field_csv(ValueField(values, 0.0), grid) == "\n".join(lines) + "\n"
+
+    def test_plotdata_csv_matches_per_cell_reference(self):
+        spec = load_builtin_problem("two_atom_jump")  # 2x1 modes: every U column is +inf
+        grid = SpatialGrid.line(-1.0, 1.0, 4)
+        values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0], (2, 2, 1, 4))
+        traj = Trajectory(times=np.array([0.0, 0.5]), values=values, grid=grid, tgrid=TimeGrid(horizon=0.5, n_steps=1))
+        x = grid.axis()
+        L, U = eval_obstacles(values[1], spec.lower_cost_table(0.5, x), spec.upper_cost_table(0.5, x))
+        assert np.all(U == np.inf)
+        lines = ["x,v_0_0,L_0_0,U_0_0,v_1_0,L_1_0,U_1_0"]
+        for p in range(4):
+            cells = [x[p]] + [c for i in range(2) for c in (values[1, i, 0, p], L[i, 0, p], U[i, 0, p])]
+            lines.append(",".join(export.fmt_float(c) for c in cells))
+        assert export.plotdata_csv(traj, spec, level=1) == "\n".join(lines) + "\n"
 
     def test_value_field_csv_layout(self):
         spec = load_builtin_problem("no_jump")

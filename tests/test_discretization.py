@@ -17,6 +17,9 @@ from switchvi.discretization import (
     upwind_drift,
 )
 from switchvi.model import GrowthBound, LevyMeasureSpec, MalformedSpecError
+from switchvi.pde_solver import SchemeConfig, _Workspace
+
+from conftest import make_spec
 
 
 def beta_identity(x, e):
@@ -28,13 +31,12 @@ def atom_table(coeff_of, x, quad):
     return np.array([np.broadcast_to(coeff_of(x, float(e)), x.shape) for e in quad.marks]).reshape(quad.n_atoms, x.size)
 
 
-def jump_sums(surface, grid, quad, beta_of=beta_identity, gamma_of=None, grad=None, growth=None):
+def jump_sums(surface, grid, quad, beta_of=beta_identity, gamma_of=None, growth=None):
     """Both jump sums of one surface, through the operator the solver assembles."""
     x = grid.axis()
     beta = atom_table(beta_of, x, quad)
     gamma = atom_table(gamma_of, x, quad) if gamma_of is not None else np.zeros_like(beta)
-    grad = np.zeros_like(surface) if grad is None else grad
-    gen, q = jump_operator(grid, quad, beta, gamma[None, None], growth).apply(surface[None, None], grad)
+    gen, q = jump_operator(grid, quad, beta, gamma[None, None], growth).apply(surface[None, None])
     return gen[0, 0], q[0, 0]
 
 
@@ -198,37 +200,43 @@ class TestNonlocalGenerator:
         g = SpatialGrid.line(-3.0, 3.0, 25)  # dx = 0.25, +-1 lands on nodes
         x = g.axis()
         surf = x**2
-        grad = gradient_surface(surf, g)
         quad = LevyQuadrature(marks=np.array([1.0, -1.0]), weights=np.array([1.0, 1.0]))
-        out, _ = jump_sums(surf, g, quad, grad=grad)
+        out, _ = jump_sums(surf, g, quad)
         mid = 12  # x = 0
         assert out[mid] == pytest.approx(2.0, abs=1e-12)
 
     def test_affine_cancellation_inside(self):
+        # asymmetric atoms: inside the box the redistribution of an affine
+        # surface is slope * sum_k w_k beta_k, which the compensator, upwinded
+        # with the drift, cancels in the step
         g = SpatialGrid.line(-3.0, 3.0, 61)
         x = g.axis()
         surf = 0.7 - 1.3 * x
-        grad = gradient_surface(surf, g)
-        quad = LevyQuadrature(marks=np.array([0.5, -0.25, 0.1]), weights=np.array([0.3, 0.8, 2.0]))
-        out, _ = jump_sums(surf, g, quad, grad=grad)
+        atoms = [[0.5, 0.3], [-0.25, 0.8], [0.1, 2.0]]
+        quad = LevyQuadrature(marks=np.array([e for e, _ in atoms]), weights=np.array([w for _, w in atoms]))
+        out, _ = jump_sums(surf, g, quad)
         inside = (x + 0.5 <= 3.0) & (x - 0.25 >= -3.0)
-        inside[0] = inside[-1] = False  # boundary gradient is one-sided
-        np.testing.assert_allclose(out[inside], 0.0, atol=1e-12)
+        np.testing.assert_allclose(out[inside], -1.3 * np.sum(quad.weights * quad.marks), atol=1e-12)
+
+        spec = make_spec(drift="0", vol="0", jump_amplitude="e", jump_weights={"default": "0"}, levy={"atoms": atoms})
+        ws = _Workspace(spec, g, TimeGrid(0.5, 25), quad, SchemeConfig())
+        assert np.all(ws.compensator > 0.0)  # the folded drift is negative: the upwind neighbour is on the left
+        stepped = ws.step(surf[None, None], 0.5, 0.0, 0.0)[0, 0]
+        np.testing.assert_allclose(stepped[inside], surf[inside], atol=1e-12)
 
     def test_odd_affine_with_growth_cancels_everywhere(self):
         g = SpatialGrid.line(-2.0, 2.0, 41)
         x = g.axis()
         surf = x.copy()
-        grad = gradient_surface(surf, g)
         quad = LevyQuadrature(marks=np.array([1.0, -1.0]), weights=np.array([1.0, 1.0]))
-        out, _ = jump_sums(surf, g, quad, grad=grad, growth=GrowthBound(1.0, 1.0))
+        out, _ = jump_sums(surf, g, quad, growth=GrowthBound(1.0, 1.0))
         np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
     def test_empty_quadrature_zero(self):
         g = SpatialGrid.line(-1.0, 1.0, 11)
         surf = np.random.default_rng(0).normal(size=11)
         quad = LevyQuadrature(marks=np.array([]), weights=np.array([]))
-        gen, q = jump_sums(surf, g, quad, gamma_of=lambda x, e: np.ones_like(x), grad=gradient_surface(surf, g))
+        gen, q = jump_sums(surf, g, quad, gamma_of=lambda x, e: np.ones_like(x))
         np.testing.assert_array_equal(gen, 0.0)
         np.testing.assert_array_equal(q, 0.0)
 
@@ -253,7 +261,7 @@ class TestNonlocalGenerator:
             node = rng.integers(1, 20)
             w = v + bump
             w[node] = v[node]  # equality at the evaluation node
-            iv, _ = jump_sums(v, g, quad)  # shared zero gradient: isolates the field dependence
+            iv, _ = jump_sums(v, g, quad)
             iw, _ = jump_sums(w, g, quad)
             assert iv[node] <= iw[node] + 1e-12
 
@@ -297,14 +305,13 @@ class TestNonlocalDriverTerm:
         def gamma_of(xx, e):
             return 0.5 + 0.25 * e * np.cos(xx)
 
-        grad = gradient_surface(surf, g)
-        gen, q = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of, grad=grad, growth=growth)
+        gen, q = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of, growth=growth)
         ref_gen = np.zeros_like(surf)
         ref_q = np.zeros_like(surf)
         for e_k, w_k in zip(quad.marks, quad.weights):
             disp = beta_of(x, e_k)
             shift = destination_table(g, x + disp, growth).apply(surf) - surf
-            ref_gen += w_k * (shift - grad * disp)
+            ref_gen += w_k * shift
             ref_q += w_k * gamma_of(x, e_k) * shift
         np.testing.assert_allclose(gen, ref_gen, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(q, ref_q, rtol=0.0, atol=1e-14)
@@ -315,7 +322,7 @@ class TestNonlocalDriverTerm:
         extrapolated = surf[table.boundary] + np.sign(surf[table.boundary]) * table.growth_inc
         assert np.any(np.abs(extrapolated) > table.growth_cap)  # the cap binds
         assert np.any(np.abs(extrapolated) < table.growth_cap)  # and does not bind
-        _, q_clamped = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of, grad=grad)
+        _, q_clamped = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of)
         assert np.max(np.abs(q - q_clamped)) > 1e-3
 
     def test_monotone_in_field_with_nonneg_gamma(self):

@@ -4,17 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from switchvi.discretization import build_levy_quadrature
-from switchvi.exprdsl import NumericDomainError
 from switchvi.model import (
     CapacityError,
     MalformedSpecError,
     ModeSet,
     ProblemSpec,
     builtin_problem_names,
-    eval_f_ij,
     eval_obstacles,
-    eval_penalized_driver,
     load_builtin_problem,
     validate_coefficient_bounds,
     validate_non_free_loop,
@@ -188,127 +184,6 @@ def test_eval_obstacles_matches_per_pair_loop_bitwise(m1, m2, tail, costs_per_no
     L_ref, U_ref = reference_obstacles(y, lc, uc)
     assert L.shape == U.shape == y.shape
     assert L.tobytes() == L_ref.tobytes() and U.tobytes() == U_ref.tobytes()
-
-
-class TestPenalizedDriver:
-    def test_inactive_penalties_return_driver(self):
-        spec = make_spec(
-            modes={"m1": 2, "m2": 2},
-            drivers={"default": "x + q + z"},
-            lower_costs={"default": "1"},
-            upper_costs={"default": "1"},
-        )
-        y = np.zeros((2, 2))
-        out = eval_penalized_driver(spec, (0, 0), 7.0, 9.0, 0.1, 0.3, y, 0.0, 0.0)
-        assert out == pytest.approx(0.3)
-
-    def test_lower_penalty(self):
-        spec = make_spec(
-            modes={"m1": 2, "m2": 1},
-            drivers={"default": "0"},
-            lower_costs={"default": "0.5"},
-            upper_costs={},
-        )
-        y = np.array([[0.0], [1.0]])  # L_00 = 1 - 0.5 = 0.5
-        out = eval_penalized_driver(spec, (0, 0), 10.0, 0.0, 0.0, 0.0, y, 0.0, 0.0)
-        assert out == pytest.approx(5.0)
-
-    def test_upper_penalty(self):
-        spec = make_spec(
-            modes={"m1": 1, "m2": 2},
-            drivers={"default": "0"},
-            lower_costs={},
-            upper_costs={"default": "0.5"},
-        )
-        y = np.array([[2.0, 0.5]])  # U_00 = 0.5 + 0.5 = 1
-        out = eval_penalized_driver(spec, (0, 0), 0.0, 4.0, 0.0, 0.0, y, 0.0, 0.0)
-        assert out == pytest.approx(-4.0)
-
-    def test_monotone_in_penalties(self):
-        spec = make_spec(
-            modes={"m1": 2, "m2": 2},
-            drivers={"default": "0"},
-            lower_costs={"default": "0.2"},
-            upper_costs={"default": "0.2"},
-        )
-        y = np.array([[0.0, 0.0], [1.0, 0.0]])  # below L at (0,0)
-        vals = [eval_penalized_driver(spec, (0, 0), n, 0.0, 0.0, 0.0, y, 0.0, 0.0) for n in (0.0, 1.0, 2.0, 5.0)]
-        assert vals == sorted(vals)
-        y2 = np.array([[3.0, 0.0], [0.0, 0.0]])  # above U at (0,0)
-        vals2 = [eval_penalized_driver(spec, (0, 0), 0.0, m, 0.0, 0.0, y2, 0.0, 0.0) for m in (0.0, 1.0, 2.0)]
-        assert vals2 == sorted(vals2, reverse=True)
-
-    def test_between_obstacles_equals_driver(self):
-        spec = make_spec(
-            modes={"m1": 2, "m2": 2},
-            drivers={"default": "1 + x"},
-            lower_costs={"default": "5"},
-            upper_costs={"default": "5"},
-        )
-        y = np.zeros((2, 2))
-        with_pen = eval_penalized_driver(spec, (1, 1), 50.0, 50.0, 0.0, 0.5, y, 0.0, 0.0)
-        assert with_pen == pytest.approx(1.5)
-
-    def test_nonfinite_rejected(self):
-        spec = make_spec(modes={"m1": 1, "m2": 1}, drivers={"default": "0"}, lower_costs={}, upper_costs={})
-        with pytest.raises(NumericDomainError):
-            eval_penalized_driver(spec, (0, 0), 1.0, 1.0, 0.0, np.inf, np.zeros((1, 1)), 0.0, 0.0)
-        with pytest.raises(NumericDomainError):
-            eval_penalized_driver(spec, (0, 0), np.inf, 1.0, 0.0, 0.0, np.zeros((1, 1)), 0.0, 0.0)
-
-    def test_zero_penalties_match_f_ij(self):
-        spec = make_spec(
-            modes={"m1": 2, "m2": 2},
-            drivers={"default": "x + 2*q"},
-            lower_costs={"default": "1"},
-            upper_costs={"default": "1"},
-        )
-        quad = build_levy_quadrature(spec.levy)
-        y = np.full((2, 2), 0.3)
-        x, t = 0.4, 0.1
-        u = lambda e: 0.9 * e  # any mark function works here
-        q = sum(u(e) * float(spec.eval_gamma((0, 0), np.asarray(x), float(e))) * w for e, w in zip(quad.marks, quad.weights))
-        lhs = eval_penalized_driver(spec, (0, 0), 0.0, 0.0, t, x, y, 0.0, q)
-        rhs = eval_f_ij(spec, (0, 0), t, x, y, 0.0, u, quad)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
-
-
-class TestFij:
-    def _spec(self):
-        return make_spec(
-            modes={"m1": 1, "m2": 1},
-            drivers={"default": "10 + q"},
-            lower_costs={},
-            upper_costs={},
-            jump_weights={"default": "1"},
-            levy={"atoms": [[1.0, 1.0], [-1.0, 1.0]]},
-        )
-
-    def test_zero_mark_function(self):
-        spec = self._spec()
-        quad = build_levy_quadrature(spec.levy)
-        out = eval_f_ij(spec, (0, 0), 0.0, 0.0, np.zeros((1, 1)), 0.0, lambda e: 0.0, quad)
-        assert out == pytest.approx(10.0)
-
-    def test_zero_gamma(self):
-        spec = make_spec(
-            modes={"m1": 1, "m2": 1},
-            drivers={"default": "q"},
-            lower_costs={},
-            upper_costs={},
-            jump_weights={"default": "0"},
-            levy={"atoms": [[1.0, 1.0], [-1.0, 1.0]]},
-        )
-        quad = build_levy_quadrature(spec.levy)
-        out = eval_f_ij(spec, (0, 0), 0.0, 0.0, np.zeros((1, 1)), 0.0, lambda e: 1e6 * e, quad)
-        assert out == 0.0
-
-    def test_two_atom_cancellation(self):
-        spec = self._spec()
-        quad = build_levy_quadrature(spec.levy)
-        # u(e) = e with symmetric atoms: q = 1 - 1 = 0
-        out = eval_f_ij(spec, (0, 0), 0.0, 0.0, np.zeros((1, 1)), 0.0, lambda e: e, quad)
-        assert out == pytest.approx(10.0)
 
 
 class TestCoefficientBounds:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import switchvi
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, destination_table, gradient_surface
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, destination_table
 from switchvi.model import ProblemSpec, eval_obstacles, neg_part, pos_part
 from switchvi.oracle import build_discrete_game
 from switchvi.pde_solver import (
@@ -19,7 +19,7 @@ from switchvi.pde_solver import (
     SchemeConfig,
     SolverReport,
     SweepNonConvergenceError,
-    _sweep_bilateral,
+    _sweep,
     compute_cfl_bound,
     negated_transposed_spec,
     residual_report,
@@ -365,8 +365,8 @@ class TestBilateral:
             arr[:] = base[:, :, None]
         cfg = SchemeConfig(max_sweeps=200)
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        _sweep_bilateral(values_a, values_a.copy(), lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "minmax", cfg, pairs)
-        _sweep_bilateral(values_b, values_b.copy(), lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "maxmin", cfg, pairs)
+        _sweep(values_a, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "minmax", cfg, pairs)
+        _sweep(values_b, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "maxmin", cfg, pairs)
         assert float(np.min(values_a - values_b)) >= -1e-12
         assert float(np.max(values_a - values_b)) > 0.1
 
@@ -382,6 +382,11 @@ class TestResiduals:
         traj.values[TGRID.n_steps // 2, 0, 0, 20] += 1.0
         rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="minmax")
         assert rep.residual_norms["overall"] > 0.1
+
+    def test_unknown_system_rejected(self, spec_2x2, quad_2x2):
+        traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
+        with pytest.raises(ValueError, match="unknown system 'bilateral'"):
+            residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="bilateral")
 
     def test_lower_reflected_residual(self, spec_2x2, quad_2x2):
         traj, _ = solve_lower_reflected(spec_2x2, GRID, TGRID, quad_2x2, 4.0)
@@ -511,8 +516,7 @@ class TestJumpOperator:
         assert ws.jumps.drivers.shape[0] == 2
         assert ws.jumps.driver_index.tolist() == [[0, 1], [0, 0], [0, 0]]
         values = np.random.default_rng(11).normal(size=(3, 2, GRID.n_nodes))
-        grad = gradient_surface(values, GRID)
-        gen, q = ws.jumps.apply(values, grad)
+        gen, q = ws.jumps.apply(values)
         x = GRID.axis()
         for i, j in spec.modes.pairs():
             ref_gen = np.zeros_like(x)
@@ -520,7 +524,7 @@ class TestJumpOperator:
             for e_k, w_k in zip(quad.marks, quad.weights):
                 beta = spec.eval_beta(x, float(e_k))
                 shift = destination_table(GRID, x + beta, spec.growth).apply(values[i, j]) - values[i, j]
-                ref_gen += w_k * (shift - grad[i, j] * beta)
+                ref_gen += w_k * shift
                 ref_q += w_k * spec.eval_gamma((i, j), x, float(e_k)) * shift
             np.testing.assert_allclose(gen[i, j], ref_gen, rtol=0.0, atol=1e-13)
             np.testing.assert_allclose(q[i, j], ref_q, rtol=0.0, atol=1e-13)
