@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,8 @@ import pytest
 
 import switchvi
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, destination_table
-from switchvi.model import ProblemSpec, eval_obstacles, neg_part, pos_part
+from switchvi.exprdsl import NumericDomainError
+from switchvi.model import ProblemSpec, eval_obstacles, load_builtin_problem, neg_part, pos_part
 from switchvi.oracle import build_discrete_game
 from switchvi.pde_solver import (
     AssumptionViolationError,
@@ -259,6 +261,10 @@ class TestLowerReflected:
             solve_lower_reflected(spec_2x2, GRID, TGRID, quad_2x2, 1.0, cfg)
 
 
+def one_by_two(**overrides) -> ProblemSpec:
+    return make_spec(modes={"m1": 1, "m2": 2}, **overrides)
+
+
 class TestUpperReflected:
     def test_monotone_in_n_and_feasible(self, spec_2x2, quad_2x2):
         prev = None
@@ -275,6 +281,33 @@ class TestUpperReflected:
         low, _ = solve_lower_reflected(conj, GRID, TGRID, quad_2x2, 4.0)
         dual = -np.transpose(low.values, (0, 2, 1, 3))
         assert float(np.max(np.abs(up.values - dual))) <= 1e-12
+
+    @pytest.mark.parametrize("solver", [solve_lower_reflected, solve_upper_reflected])
+    def test_domain_error_names_the_written_driver(self, solver):
+        spec = one_by_two(drivers={"0,0": "0", "0,1": "exp(1000*y_0_1 + 800)"})
+        with pytest.raises(NumericDomainError, match=re.escape("'exp(1000.0*y_0_1 + 800.0)'")):
+            solver(spec, GRID, TGRID, build_levy_quadrature(spec.levy), 1.0)
+
+    @pytest.mark.parametrize("solver", [solve_lower_reflected, solve_upper_reflected])
+    def test_terminal_violation_names_the_pair_and_side(self, solver):
+        spec = one_by_two(terminal={"0,0": "0", "0,1": "1"}, upper_costs={"default": "0.1"})
+        with pytest.raises(AssumptionViolationError) as err:
+            solver(spec, GRID, TGRID, build_levy_quadrature(spec.levy), 1.0)
+        violation = err.value.report.violations[0]
+        assert (violation["pair"], violation["side"]) == ([0, 1], "upper")
+
+    @pytest.mark.parametrize("solver", [solve_lower_reflected, solve_upper_reflected])
+    def test_non_finite_update_names_the_pair(self, solver):
+        spec = one_by_two(drivers={"0,0": "0", "0,1": "1.7e308"}, terminal={"0,0": "0", "0,1": "1e308"})
+        config = SchemeConfig(allow_terminal_inconsistency=True)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=re.escape("mode pair (0, 1)")):
+            solver(spec, GRID, TGRID, build_levy_quadrature(spec.levy), 1.0, config)
+
+    def test_stability_terms_equal_the_lower_reflected_ones(self, spec_2x2, quad_2x2):
+        _, up = solve_upper_reflected(spec_2x2, GRID, TGRID, quad_2x2, 2.0)
+        _, low = solve_lower_reflected(spec_2x2, GRID, TGRID, quad_2x2, 2.0)
+        assert up.cfl_terms == low.cfl_terms
+        assert up.cfl_bound == low.cfl_bound
 
     def test_conjugate_spec_round_trip(self, spec_2x2):
         back = negated_transposed_spec(negated_transposed_spec(spec_2x2))
@@ -387,6 +420,22 @@ class TestResiduals:
         traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
         with pytest.raises(ValueError, match="unknown system 'bilateral'"):
             residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="bilateral")
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("problem", ["no_jump", "switch_2x2_jump", "two_atom_jump"])
+    def test_fresh_upper_reflected_residual_zero(self, problem, mode):
+        spec = load_builtin_problem(problem)
+        quad = build_levy_quadrature(spec.levy)
+        config = SchemeConfig(mode=mode)
+        traj, _ = solve_upper_reflected(spec, GRID, TGRID, quad, 2.0, config)
+        rep = residual_report(traj, spec, GRID, TGRID, quad, system="upper", n=2.0, config=config)
+        assert rep.residual_norms["overall"] == 0.0
+
+    def test_upper_reflected_perturbation_detected(self, spec_2x2, quad_2x2):
+        traj, _ = solve_upper_reflected(spec_2x2, GRID, TGRID, quad_2x2, 2.0)
+        traj.values[TGRID.n_steps // 2, 0, 0, 20] += 1e-3
+        rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="upper", n=2.0)
+        assert rep.residual_norms["overall"] >= 0.9e-3
 
     def test_lower_reflected_residual(self, spec_2x2, quad_2x2):
         traj, _ = solve_lower_reflected(spec_2x2, GRID, TGRID, quad_2x2, 4.0)
