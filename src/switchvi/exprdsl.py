@@ -319,7 +319,7 @@ def free_variables(expr: Expr) -> frozenset[str]:
 
 
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace variables by subtrees (used e.g. by the sign-flip reduction)."""
+    """Replace variables by subtrees (used by the sign-flip conjugate ``negated_transposed_spec``)."""
     if isinstance(expr, Num):
         return expr
     if isinstance(expr, Var):

@@ -136,11 +136,11 @@ def simulate_paths(
     for k in range(n_steps):
         t = float(times[k])
         xk = states[:, k]
-        b = np.broadcast_to(np.asarray(spec.eval_drift(t, xk), dtype=float), xk.shape)
-        sig = np.broadcast_to(np.asarray(spec.eval_vol(t, xk), dtype=float), xk.shape)
+        b = spec.eval_drift(t, xk)
+        sig = spec.eval_vol(t, xk)
         incr = xk + b * dt + sig * dB[:, k]
         for a in range(n_atoms):
-            beta = np.broadcast_to(np.asarray(spec.eval_beta(xk, float(quad.marks[a])), dtype=float), xk.shape)
+            beta = spec.eval_beta(xk, float(quad.marks[a]))
             incr = incr + counts[:, k, a] * beta - dt * float(quad.weights[a]) * beta
         states[:, k + 1] = incr
     if not np.all(np.isfinite(states)):
@@ -194,15 +194,13 @@ def solve_bsde_regression(
     XT = batch.states[:, -1]
     Y = np.empty((m1, m2, P))
     for i, j in pairs:
-        Y[i, j] = np.broadcast_to(np.asarray(spec.eval_terminal((i, j), XT), dtype=float), XT.shape)
+        Y[i, j] = spec.eval_terminal((i, j), XT)
 
     def gamma_tab(xk: np.ndarray) -> np.ndarray:
         out = np.empty((m1, m2, quad.n_atoms) + xk.shape)
         for i, j in pairs:
             for a in range(quad.n_atoms):
-                out[i, j, a] = np.broadcast_to(
-                    np.asarray(spec.eval_gamma((i, j), xk, float(quad.marks[a])), dtype=float), xk.shape
-                )
+                out[i, j, a] = spec.eval_gamma((i, j), xk, float(quad.marks[a]))
         return out
 
     def picard(c_values: np.ndarray, q_hat: np.ndarray, t: float, xk: np.ndarray) -> np.ndarray:
@@ -233,7 +231,7 @@ def solve_bsde_regression(
             coeffs = _fit(design, Y[i, j], k)
             cont[i, j] = design @ coeffs
             for a in range(quad.n_atoms):
-                beta = np.broadcast_to(np.asarray(spec.eval_beta(xk, float(quad.marks[a])), dtype=float), xk.shape)
+                beta = spec.eval_beta(xk, float(quad.marks[a]))
                 shifted = basis.design(xk + beta) @ coeffs
                 q_hat[i, j] += float(quad.weights[a]) * gtab[i, j, a] * (shifted - cont[i, j])
         Y = picard(cont, q_hat, t, xk)
@@ -258,7 +256,7 @@ def solve_bsde_regression(
         coeffs = _fit(design1, level_one[i, j], 0)
         base_val = float((basis.design(np.full(1, x0)) @ coeffs)[0])
         for a in range(quad.n_atoms):
-            beta = float(np.broadcast_to(np.asarray(spec.eval_beta(x0_arr, float(quad.marks[a])), dtype=float), (1,))[0])
+            beta = float(spec.eval_beta(x0_arr, float(quad.marks[a]))[0])
             shifted = float((basis.design(np.full(1, x0 + beta)) @ coeffs)[0])
             q0[i, j] += float(quad.weights[a]) * gtab0[i, j, a] * (shifted - base_val)
     y0_mat = picard(cont0, q0, t0, x0_arr)

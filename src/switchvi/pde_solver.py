@@ -9,10 +9,9 @@ explicit monotone step (optionally with implicit diffusion):
 * the lower-reflected system: upper obstacle penalized with strength ``m``,
   lower obstacle enforced exactly by Gauss-Seidel projection sweeps
   ``v_ij <- max(v_ij, max_{k != i} (v_kj - lower_ik))`` after each step;
-* the upper-reflected system: mirror image, implemented by a sign-flip
-  reduction: transpose the mode matrix, swap the cost families, negate
-  terminal data and conjugate the drivers, solve the lower-reflected system,
-  and negate back;
+* the upper-reflected system: the mirror image, lower obstacle penalized
+  with strength ``n`` and upper obstacle enforced by the sweeps
+  ``v_ij <- min(v_ij, min_{l != j} (v_il + upper_jl))``;
 * the bilateral systems: backward induction with the bilateral projection
   swept to a fixed point each step.  The projection order encodes obstacle
   priority: ``max(L, min(U, .))`` gives the min-max system (lower obstacle
@@ -226,49 +225,10 @@ def estimate_driver_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeG
 
 
 def compute_cfl_bound(
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    quad: LevyQuadrature,
-    n: float,
-    m: float,
-    lip_g: float | None = None,
+    spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, quad: LevyQuadrature, n: float, m: float
 ) -> tuple[float, dict]:
-    """Stability number of the explicit step.
-
-    ``dt * (2 ||sigma sigma^T||/dx^2 + ||b - c||/dx + Lambda + n + m + Lip_g)``
-    with ``c = sum_k w_k beta(., e_k)`` and ``Lambda = sum_k w_k sup gamma +
-    sum_k w_k``.  The diffusion norm includes the small-jump surrogate.  The
-    drift norm is taken of the folded drift ``b - c``, because the step
-    upwinds the jump compensator together with the drift.  Coefficients are
-    sampled at ``t`` in ``{0, T/2, T}``.
-    """
-    x = grid.axis()
-    dx = grid.dx
-    dt = tgrid.dt
-    ts = (0.0, 0.5 * tgrid.horizon, tgrid.horizon)
-    sig2_max = max(float(np.max(spec.eval_vol(t, x) ** 2)) for t in ts)
-    if quad.small_jump_second_moment > 0.0:
-        slope = beta_slope_at_zero(lambda xx, e: spec.eval_beta(xx, e), x)
-        sig2_max += quad.small_jump_second_moment * float(np.max(slope**2))
-    compensator = np.zeros_like(x)
-    gamma_sup = 0.0
-    for e_k, w_k in zip(quad.marks, quad.weights):
-        compensator += w_k * spec.eval_beta(x, float(e_k))
-        for pair in spec.modes.pairs():
-            gamma_sup = max(gamma_sup, float(np.max(spec.eval_gamma(pair, x, float(e_k)))))
-    b_max = max(float(np.max(np.abs(spec.eval_drift(t, x) - compensator))) for t in ts)
-    total_w = quad.total_weight
-    lam = total_w * gamma_sup + total_w
-    lip = estimate_driver_lipschitz(spec, grid, tgrid) if lip_g is None else lip_g
-    terms = {
-        "diffusion": dt * 2.0 * sig2_max / dx**2,
-        "drift": dt * b_max / dx,
-        "jump_intensity": dt * lam,
-        "penalties": dt * (n + m),
-        "driver_lipschitz": dt * lip,
-    }
-    return float(sum(terms.values())), terms
+    """Stability number of the explicit step and its terms (see ``_Workspace.cfl``)."""
+    return _Workspace(spec, grid, tgrid, quad, SchemeConfig()).cfl(n, m)
 
 
 # --- precomputed stepping workspace -----------------------------------------
@@ -291,22 +251,23 @@ class _Workspace:
         self.pairs = list(spec.modes.pairs())
 
         # the jump sums as matrices and the compensator sum_k w_k beta_k, which the
-        # step upwinds with the drift; the (atoms, nodes) coefficient tables are dropped after assembly
+        # step upwinds with the drift; of the (atoms, nodes) coefficient tables
+        # only sup gamma outlives the assembly
         n = self.n_nodes
         self.jumps = None
         self.compensator = 0.0
+        self.gamma_sup = 0.0
         if quad.n_atoms:
             beta = np.empty((quad.n_atoms, n))
             for a, e_k in enumerate(quad.marks):
-                beta[a] = np.broadcast_to(np.asarray(spec.eval_beta(self.x, float(e_k)), dtype=float), self.x.shape)
+                beta[a] = spec.eval_beta(self.x, float(e_k))
             gamma = np.empty((self.m1, self.m2, quad.n_atoms, n))
             for i, j in self.pairs:
                 for a, e_k in enumerate(quad.marks):
-                    gamma[i, j, a] = np.broadcast_to(
-                        np.asarray(spec.eval_gamma((i, j), self.x, float(e_k)), dtype=float), self.x.shape
-                    )
+                    gamma[i, j, a] = spec.eval_gamma((i, j), self.x, float(e_k))
             self.jumps = jump_operator(grid, quad, beta, gamma, spec.growth)
             self.compensator = np.sum(quad.weights[:, None] * beta, axis=0)
+            self.gamma_sup = max(0.0, float(np.max(gamma)))
 
         # small-jump diffusion surrogate coefficient
         if quad.small_jump_second_moment > 0.0:
@@ -326,7 +287,28 @@ class _Workspace:
     # -- pieces ------------------------------------------------------------
 
     def cfl(self, n: float, m: float) -> tuple[float, dict]:
-        value, terms = compute_cfl_bound(self.spec, self.grid, self.tgrid, self.quad, n, m, lip_g=self.lip_g)
+        """Stability number of the step and its terms.
+
+        ``dt * (2 ||sigma sigma^T||/dx^2 + ||b - c||/dx + Lambda + n + m + Lip_g)``
+        with ``c = sum_k w_k beta(., e_k)`` and ``Lambda = sum_k w_k sup gamma +
+        sum_k w_k``.  The diffusion norm includes the small-jump surrogate; in
+        IMEX mode the diffusion term is dropped.  The drift norm is taken of the
+        folded drift ``b - c = b^+ + b^-``, because the step upwinds the jump
+        compensator together with the drift.  Coefficients are sampled at
+        ``t`` in ``{0, T/2, T}``.
+        """
+        local = [self.local_coefficients(t) for t in (0.0, 0.5 * self.tgrid.horizon, self.tgrid.horizon)]
+        sig2_max = max(float(np.max(sig**2)) for _, _, sig, _ in local) + 2.0 * float(np.max(self.corr_coeff))
+        b_max = max(float(np.max(np.abs(bp + bm))) for bp, bm, _, _ in local)
+        total_w = self.quad.total_weight
+        terms = {
+            "diffusion": self.dt * 2.0 * sig2_max / self.dx**2,
+            "drift": self.dt * b_max / self.dx,
+            "jump_intensity": self.dt * (total_w * self.gamma_sup + total_w),
+            "penalties": self.dt * (n + m),
+            "driver_lipschitz": self.dt * self.lip_g,
+        }
+        value = float(sum(terms.values()))
         if self.config.mode == "imex":
             value = value - terms["diffusion"]
             terms = dict(terms, diffusion=0.0)
@@ -345,7 +327,7 @@ class _Workspace:
     def terminal_values(self) -> np.ndarray:
         out = np.empty((self.m1, self.m2, self.n_nodes))
         for i, j in self.pairs:
-            out[i, j] = np.broadcast_to(np.asarray(self.spec.eval_terminal((i, j), self.x), dtype=float), self.x.shape)
+            out[i, j] = self.spec.eval_terminal((i, j), self.x)
         return out
 
     def cost_tables(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -358,8 +340,8 @@ class _Workspace:
         """Upwind parts ``b^+``, ``b^-`` of the drift less the compensator, volatility and
         diffusion coefficient at t."""
         if self._local is None or self._local_reads_t:
-            b = np.broadcast_to(np.asarray(self.spec.eval_drift(t, self.x), dtype=float) - self.compensator, self.x.shape)
-            sig = np.broadcast_to(np.asarray(self.spec.eval_vol(t, self.x), dtype=float), self.x.shape)
+            b = self.spec.eval_drift(t, self.x) - self.compensator
+            sig = self.spec.eval_vol(t, self.x)
             self._local = np.maximum(b, 0.0), np.minimum(b, 0.0), sig, 0.5 * sig**2 + self.corr_coeff
         return self._local
 
@@ -430,6 +412,7 @@ def _pair_order(pairs: list, sweep_index: int) -> list:
 
 _PROJECTIONS = {
     "lower": lambda pde, L, U: np.maximum(pde, L),
+    "upper": lambda pde, L, U: np.minimum(pde, U),
     "minmax": lambda pde, L, U: np.maximum(L, np.minimum(U, pde)),
     "maxmin": lambda pde, L, U: np.minimum(U, np.maximum(L, pde)),
 }
@@ -438,8 +421,10 @@ _PROJECTIONS = {
 def _sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig, pairs: list) -> int:
     """Gauss-Seidel sweeps of ``_PROJECTIONS[projection]`` to a fixed point, in
     place; returns the changed-pass count.  The order of ``max`` and ``min``
-    is the obstacle priority; an absent obstacle is ``-inf`` or ``+inf``."""
+    is the obstacle priority; an absent obstacle is ``-inf`` or ``+inf``, and a
+    one-sided projection does not build the other side's obstacle."""
     project = _PROJECTIONS[projection]
+    reads_lower = projection != "upper"
     reads_upper = projection != "lower"
     pde_values = values.copy()
     m1, m2 = values.shape[0], values.shape[1]
@@ -448,7 +433,7 @@ def _sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, 
     for sweep in range(config.max_sweeps):
         worst = 0.0
         for i, j in _pair_order(pairs, sweep):
-            L = obstacle_row(values[:, j], lc, i, np.subtract, np.maximum) if m1 > 1 else -np.inf
+            L = obstacle_row(values[:, j], lc, i, np.subtract, np.maximum) if m1 > 1 and reads_lower else -np.inf
             U = obstacle_row(values[i], uc, j, np.add, np.minimum) if m2 > 1 and reads_upper else np.inf
             new = project(pde_values[i, j], L, U)
             delta = float(np.max(np.abs(new - values[i, j])))
@@ -542,6 +527,20 @@ def solve_penalized(
     return traj, report
 
 
+def _solve_reflected(
+    side: str, penalty: float, spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, quad: LevyQuadrature, config
+) -> tuple[Trajectory, SolverReport]:
+    """The ``side`` obstacle by projection sweeps, the other one penalized with ``penalty``."""
+    config = config or SchemeConfig()
+    if (spec.modes.m1 if side == "lower" else spec.modes.m2) > 1:
+        _gate_loops(spec, grid, tgrid, moves=side)
+    ws = _Workspace(spec, grid, tgrid, quad, config)
+    name, n, m = ("m", 0.0, penalty) if side == "lower" else ("n", penalty, 0.0)
+    traj, report = _solve_backward(ws, n, m, side, system=f"{side}_reflected({name}={penalty})")
+    report.extra["penalties"] = {name: penalty}
+    return traj, report
+
+
 def solve_lower_reflected(
     spec: ProblemSpec,
     grid: SpatialGrid,
@@ -551,13 +550,19 @@ def solve_lower_reflected(
     config: SchemeConfig | None = None,
 ) -> tuple[Trajectory, SolverReport]:
     """Lower obstacle by projection sweeps, upper obstacle penalized with ``m``."""
-    config = config or SchemeConfig()
-    if spec.modes.m1 > 1:
-        _gate_loops(spec, grid, tgrid, moves="lower")
-    ws = _Workspace(spec, grid, tgrid, quad, config)
-    traj, report = _solve_backward(ws, 0.0, m, "lower", system=f"lower_reflected(m={m})")
-    report.extra["penalties"] = {"m": m}
-    return traj, report
+    return _solve_reflected("lower", m, spec, grid, tgrid, quad, config)
+
+
+def solve_upper_reflected(
+    spec: ProblemSpec,
+    grid: SpatialGrid,
+    tgrid: TimeGrid,
+    quad: LevyQuadrature,
+    n: float,
+    config: SchemeConfig | None = None,
+) -> tuple[Trajectory, SolverReport]:
+    """Upper obstacle by projection sweeps, lower obstacle penalized with ``n``."""
+    return _solve_reflected("upper", n, spec, grid, tgrid, quad, config)
 
 
 def negated_transposed_spec(spec: ProblemSpec) -> ProblemSpec:
@@ -565,7 +570,9 @@ def negated_transposed_spec(spec: ProblemSpec) -> ProblemSpec:
 
     The upper-reflected system for ``spec`` equals the negative transpose of
     the lower-reflected system for the returned spec (the upper projection
-    turns into a lower one and the lower penalty into an upper one).
+    turns into a lower one and the lower penalty into an upper one).  No
+    solver uses it: it is an independent reference for the duality between
+    the two reflected systems.
     """
     m1, m2 = spec.modes.m1, spec.modes.m2
     mapping = {"z": exprdsl.Neg(exprdsl.Var("z")), "q": exprdsl.Neg(exprdsl.Var("q"))}
@@ -595,37 +602,6 @@ def negated_transposed_spec(spec: ProblemSpec) -> ProblemSpec:
         growth=spec.growth,
         name=f"{spec.name}:conjugate" if spec.name else "conjugate",
     )
-
-
-def solve_upper_reflected(
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    quad: LevyQuadrature,
-    n: float,
-    config: SchemeConfig | None = None,
-) -> tuple[Trajectory, SolverReport]:
-    """Upper obstacle by projection, lower obstacle penalized with ``n``.
-
-    Solved through the sign-flip reduction; the returned surfaces and report
-    are expressed in the original problem's orientation.
-    """
-    config = config or SchemeConfig()
-    if spec.modes.m2 > 1:
-        _gate_loops(spec, grid, tgrid, moves="upper")
-    ws = _Workspace(negated_transposed_spec(spec), grid, tgrid, quad, config)
-    traj_c, report = _solve_backward(ws, 0.0, n, "lower", system=f"upper_reflected(n={n})")
-    values = -np.transpose(traj_c.values, (0, 2, 1, 3))
-    traj = Trajectory(times=traj_c.times, values=values, grid=grid, tgrid=tgrid)
-    # The original's lower obstacle is minus the transposed conjugate's upper
-    # one (and vice versa), and negation is exact, so each original violation
-    # list is the conjugate's other list.
-    report.obstacle_lower_violation, report.obstacle_upper_violation = (
-        report.obstacle_upper_violation,
-        report.obstacle_lower_violation,
-    )
-    report.extra["penalties"] = {"n": n}
-    return traj, report
 
 
 def _solve_bilateral(
@@ -738,12 +714,15 @@ def residual_report(
 ) -> SolverReport:
     """Recompute the discrete equation residual at every interior level.
 
-    ``system`` is ``"penalized"``, ``"lower"``, ``"minmax"`` or ``"maxmin"``.
+    ``system`` is ``"penalized"``, ``"lower"``, ``"upper"``, ``"minmax"`` or
+    ``"maxmin"``; the reflected systems penalize the other obstacle with ``m``
+    or ``n``.
     At a converged solution every fixed-point identity below holds exactly,
     so residuals of a fresh trajectory sit at rounding level:
 
     * penalized: ``v_k = step(v_{k+1})``
     * lower-reflected: ``v_k = max(step(v_{k+1}), L[v_k])``
+    * upper-reflected: ``v_k = min(step(v_{k+1}), U[v_k])``
     * bilateral: ``v_k = max(L[v_k], min(U[v_k], step(v_{k+1})))`` (or the
       mirrored order)
     """
@@ -759,7 +738,7 @@ def residual_report(
         if system == "penalized":
             candidate = ws.step(trajectory.values[k + 1], t_next, n, m)
         else:
-            pde = ws.step(trajectory.values[k + 1], t_next, 0.0, m if system == "lower" else 0.0)
+            pde = ws.step(trajectory.values[k + 1], t_next, n if system == "upper" else 0.0, m if system == "lower" else 0.0)
             candidate = _PROJECTIONS[system](pde, *eval_obstacles(trajectory.values[k], *ws.cost_tables(t_here)))
         resid = np.abs(trajectory.values[k] - candidate)
         report.update_norms.append(float(np.max(resid)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import switchvi
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, destination_table
+from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature, destination_table
 from switchvi.exprdsl import NumericDomainError
 from switchvi.model import ProblemSpec, eval_obstacles, load_builtin_problem, neg_part, pos_part
 from switchvi.oracle import build_discrete_game
@@ -23,6 +23,7 @@ from switchvi.pde_solver import (
     SweepNonConvergenceError,
     _sweep,
     compute_cfl_bound,
+    estimate_driver_lipschitz,
     negated_transposed_spec,
     residual_report,
     solve_lower_reflected,
@@ -125,6 +126,86 @@ class TestStepAndCfl:
         e, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
         i, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0, SchemeConfig(mode="imex"))
         assert float(np.max(np.abs(e.values - i.values))) < 5e-3
+
+
+def reference_cfl_bound(spec, grid, tgrid, quad, n, m, mode):
+    """The stability number written straight from ``spec.eval_*``, independently of the workspace."""
+    x = grid.axis()
+    dx = grid.dx
+    dt = tgrid.dt
+    ts = (0.0, 0.5 * tgrid.horizon, tgrid.horizon)
+    sig2_max = max(float(np.max(spec.eval_vol(t, x) ** 2)) for t in ts)
+    if quad.small_jump_second_moment > 0.0:
+        slope = beta_slope_at_zero(lambda xx, e: spec.eval_beta(xx, e), x)
+        sig2_max += quad.small_jump_second_moment * float(np.max(slope**2))
+    compensator = np.zeros_like(x)
+    gamma_sup = 0.0
+    for e_k, w_k in zip(quad.marks, quad.weights):
+        compensator += w_k * spec.eval_beta(x, float(e_k))
+        for pair in spec.modes.pairs():
+            gamma_sup = max(gamma_sup, float(np.max(spec.eval_gamma(pair, x, float(e_k)))))
+    b_max = max(float(np.max(np.abs(spec.eval_drift(t, x) - compensator))) for t in ts)
+    total_w = quad.total_weight
+    terms = {
+        "diffusion": dt * 2.0 * sig2_max / dx**2,
+        "drift": dt * b_max / dx,
+        "jump_intensity": dt * (total_w * gamma_sup + total_w),
+        "penalties": dt * (n + m),
+        "driver_lipschitz": dt * estimate_driver_lipschitz(spec, grid, tgrid),
+    }
+    value = float(sum(terms.values()))
+    if mode == "imex":
+        value = value - terms["diffusion"]
+        terms = dict(terms, diffusion=0.0)
+    return value, terms
+
+
+def density_jump_spec() -> ProblemSpec:
+    """``switch_2x2_jump`` with 64 density atoms and a small-jump surrogate."""
+    raw = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
+    raw.update(levy={"density": "0.4*exp(-abs(e))", "radius": 1.0, "cutoff": 0.05})
+    return ProblemSpec.from_dict(raw)
+
+
+class TestStabilityBoundReadsTheWorkspace:
+    """``_Workspace.cfl`` reads the step's own tables and equals the formula written from the spec, bit for bit."""
+
+    SPECS = {
+        "no_jump": lambda: load_builtin_problem("no_jump"),
+        "switch_2x2_jump": lambda: load_builtin_problem("switch_2x2_jump"),
+        "two_atom_jump": lambda: load_builtin_problem("two_atom_jump"),
+        "density": density_jump_spec,
+        "2x2 in t and x": lambda: make_spec(
+            modes={"m1": 2, "m2": 2},
+            drift="0.1*x - 0.3*t*x + 0.05",
+            vol="0.2 + 0.1*t*abs(x)",
+            jump_amplitude="0.8*e*(1 + 0.3*x)",
+            jump_weights={"default": "-0.5*min(abs(e), 1)", "1,0": "0.2*abs(e) - 0.3"},  # sup gamma < 0
+            levy={"atoms": [[0.5, 0.4], [-0.7, 0.3], [1.1, 0.2]]},
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("problem", list(SPECS))
+    def test_equals_the_formula_bitwise(self, problem, mode):
+        spec = self.SPECS[problem]()
+        quad = build_levy_quadrature(spec.levy)
+        assert problem != "density" or quad.small_jump_second_moment > 0.0
+        ws = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode=mode))
+        for n, m in ((0.0, 0.0), (2.0, 3.0)):
+            value, terms = ws.cfl(n, m)
+            ref_value, ref_terms = reference_cfl_bound(spec, GRID, TGRID, quad, n, m, mode)
+            assert list(terms) == list(ref_terms)
+            assert same_bits(list(terms.values()), list(ref_terms.values()))
+            assert same_bits(value, ref_value)
+
+    def test_reads_no_coefficient_after_the_workspace_is_built(self, monkeypatch):
+        spec = self.SPECS["2x2 in t and x"]()
+        ws = _Workspace(spec, GRID, TGRID, build_levy_quadrature(spec.levy), SchemeConfig())
+        for name in ("eval_beta", "eval_gamma"):
+            monkeypatch.setattr(ProblemSpec, name, lambda *args: pytest.fail("the stability bound re-evaluated the jumps"))
+        monkeypatch.setattr(switchvi.pde_solver, "estimate_driver_lipschitz", lambda *args: pytest.fail("probed again"))
+        ws.cfl(1.0, 1.0)
 
 
 def worst_bump_response(ws: _Workspace, base: np.ndarray) -> float:
@@ -275,12 +356,25 @@ class TestUpperReflected:
                 assert_all_le(prev, traj.values, 1e-10, "ubar increasing in n")
             prev = traj.values
 
-    def test_negation_duality(self, spec_2x2, quad_2x2):
-        up, _ = solve_upper_reflected(spec_2x2, GRID, TGRID, quad_2x2, 4.0)
-        conj = negated_transposed_spec(spec_2x2)
-        low, _ = solve_lower_reflected(conj, GRID, TGRID, quad_2x2, 4.0)
-        dual = -np.transpose(low.values, (0, 2, 1, 3))
-        assert float(np.max(np.abs(up.values - dual))) <= 1e-12
+    @staticmethod
+    def assert_dual(spec, config):
+        """The direct upper-reflected solve is the negative transpose of the
+        lower-reflected solve of the sign-flip conjugate."""
+        quad = build_levy_quadrature(spec.levy)
+        up, up_report = solve_upper_reflected(spec, GRID, TGRID, quad, 4.0, config)
+        low, low_report = solve_lower_reflected(negated_transposed_spec(spec), GRID, TGRID, quad, 4.0, config)
+        assert np.array_equal(up.values, -np.transpose(low.values, (0, 2, 1, 3)))
+        assert same_bits(up_report.obstacle_lower_violation, low_report.obstacle_upper_violation)
+        assert same_bits(up_report.obstacle_upper_violation, low_report.obstacle_lower_violation)
+        assert up_report.sweep_counts == low_report.sweep_counts
+
+    def test_negation_duality(self, spec_2x2):
+        self.assert_dual(spec_2x2, SchemeConfig())
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("modes", [(2, 2), (1, 3), (3, 2)])
+    def test_negation_duality_with_time_dependent_data(self, modes, mode):
+        self.assert_dual(switching_in_time(*modes), SchemeConfig(mode=mode))
 
     @pytest.mark.parametrize("solver", [solve_lower_reflected, solve_upper_reflected])
     def test_domain_error_names_the_written_driver(self, solver):
