@@ -338,7 +338,7 @@ class _Workspace:
 
     def local_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Upwind parts ``b^+``, ``b^-`` of the drift less the compensator, volatility and
-        diffusion coefficient at t."""
+        diffusion coefficient at t; callers must not write to them."""
         if self._local is None or self._local_reads_t:
             b = self.spec.eval_drift(t, self.x) - self.compensator
             sig = self.spec.eval_vol(t, self.x)
@@ -528,7 +528,13 @@ def solve_penalized(
 
 
 def _solve_reflected(
-    side: str, penalty: float, spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, quad: LevyQuadrature, config
+    side: str,
+    penalty: float,
+    spec: ProblemSpec,
+    grid: SpatialGrid,
+    tgrid: TimeGrid,
+    quad: LevyQuadrature,
+    config: SchemeConfig | None,
 ) -> tuple[Trajectory, SolverReport]:
     """The ``side`` obstacle by projection sweeps, the other one penalized with ``penalty``."""
     config = config or SchemeConfig()
@@ -714,9 +720,8 @@ def residual_report(
 ) -> SolverReport:
     """Recompute the discrete equation residual at every interior level.
 
-    ``system`` is ``"penalized"``, ``"lower"``, ``"upper"``, ``"minmax"`` or
-    ``"maxmin"``; the reflected systems penalize the other obstacle with ``m``
-    or ``n``.
+    ``system`` is ``"penalized"`` (penalties ``n`` and ``m``), ``"lower"``
+    (penalty ``m``), ``"upper"`` (penalty ``n``), ``"minmax"`` or ``"maxmin"``.
     At a converged solution every fixed-point identity below holds exactly,
     so residuals of a fresh trajectory sit at rounding level:
 
@@ -732,14 +737,14 @@ def residual_report(
     ws = _Workspace(spec, grid, tgrid, quad, config)
     report = SolverReport(system=f"residual({system})", dt=ws.dt, n_steps=tgrid.n_steps)
     per_pair = {f"{i},{j}": 0.0 for i, j in ws.pairs}
+    n = n if system in ("penalized", "upper") else 0.0
+    m = m if system in ("penalized", "lower") else 0.0
     for k in range(tgrid.n_steps - 1, -1, -1):
         t_next = float(trajectory.times[k + 1])
         t_here = float(trajectory.times[k])
-        if system == "penalized":
-            candidate = ws.step(trajectory.values[k + 1], t_next, n, m)
-        else:
-            pde = ws.step(trajectory.values[k + 1], t_next, n if system == "upper" else 0.0, m if system == "lower" else 0.0)
-            candidate = _PROJECTIONS[system](pde, *eval_obstacles(trajectory.values[k], *ws.cost_tables(t_here)))
+        candidate = ws.step(trajectory.values[k + 1], t_next, n, m)
+        if system != "penalized":
+            candidate = _PROJECTIONS[system](candidate, *eval_obstacles(trajectory.values[k], *ws.cost_tables(t_here)))
         resid = np.abs(trajectory.values[k] - candidate)
         report.update_norms.append(float(np.max(resid)))
         for i, j in ws.pairs:
