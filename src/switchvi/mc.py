@@ -3,7 +3,9 @@
 Simulates the jump-diffusion with compensated per-atom Poisson jumps
 (Euler-Maruyama) and estimates the doubly penalized backward system by
 least-squares regression on polynomial bases, then compares the time-zero
-estimate against the deterministic surface at the starting point.
+estimate against the deterministic surface at the starting point.  Jumps
+below the quadrature cutoff enter the paths as the grid solver's small-jump
+diffusion ``0.5 s (d beta/de)(x, 0)^2 v''`` (see :func:`simulate_paths`).
 
 Supported problem class for the Monte-Carlo side: drivers that do not
 depend on the gradient argument ``z`` (it is passed as zero).  Estimating
@@ -28,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .discretization import LevyQuadrature, TimeGrid
+from .discretization import LevyQuadrature, TimeGrid, beta_slope_at_zero
 from .model import GrowthBound, ProblemSpec, driver_variable, eval_obstacles, neg_part, pos_part
 from .pde_solver import Trajectory
 
@@ -109,7 +111,10 @@ def simulate_paths(
     ``X_{k+1} = X_k + b dt + sigma dB + sum_jumps beta(X_k, e)
     - dt * sum_a w_a beta(X_k, e_a)``; jump counts are per-atom Poisson with
     intensity ``w_a dt`` (thinning keeps the mark law exactly the
-    quadrature).  Deterministic given the seed.
+    quadrature).  Jumps below the cutoff enter as the grid solver's
+    small-jump diffusion: with ``s = quad.small_jump_second_moment > 0`` the
+    Brownian coefficient is ``sqrt(sigma^2 + s (d beta/de)(X_k, 0)^2)``.
+    Deterministic given the seed.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -119,6 +124,7 @@ def simulate_paths(
     n_steps = tgrid.n_steps
     dt = tgrid.dt
     n_atoms = quad.n_atoms
+    s_delta = quad.small_jump_second_moment
 
     dB = np.empty((n_paths, n_steps))
     counts = np.zeros((n_paths, n_steps, max(n_atoms, 1)), dtype=np.int64)
@@ -138,10 +144,12 @@ def simulate_paths(
         xk = states[:, k]
         b = spec.eval_drift(t, xk)
         sig = spec.eval_vol(t, xk)
+        if s_delta > 0.0:
+            sig = np.sqrt(sig**2 + s_delta * beta_slope_at_zero(spec.eval_beta, xk) ** 2)
         incr = xk + b * dt + sig * dB[:, k]
+        beta = spec.beta_table(xk, quad.marks)
         for a in range(n_atoms):
-            beta = spec.eval_beta(xk, float(quad.marks[a]))
-            incr = incr + counts[:, k, a] * beta - dt * float(quad.weights[a]) * beta
+            incr = incr + counts[:, k, a] * beta[a] - dt * float(quad.weights[a]) * beta[a]
         states[:, k + 1] = incr
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("path simulation produced non-finite states")
@@ -191,17 +199,18 @@ def solve_bsde_regression(
     P = batch.n_paths
     dt = float(batch.times[1] - batch.times[0])
 
-    XT = batch.states[:, -1]
-    Y = np.empty((m1, m2, P))
-    for i, j in pairs:
-        Y[i, j] = spec.eval_terminal((i, j), XT)
+    Y = spec.terminal_table(batch.states[:, -1])
 
-    def gamma_tab(xk: np.ndarray) -> np.ndarray:
-        out = np.empty((m1, m2, quad.n_atoms) + xk.shape)
-        for i, j in pairs:
-            for a in range(quad.n_atoms):
-                out[i, j, a] = spec.eval_gamma((i, j), xk, float(quad.marks[a]))
-        return out
+    def jump_argument(coeffs: dict, x: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+        """``sum_a w_a gamma_a (fit(x + beta_a) - fitted)`` per pair; one shifted design at a time."""
+        beta, gamma = spec.jump_tables(x, quad.marks)
+        q = np.zeros((m1, m2) + x.shape)
+        for a in range(quad.n_atoms):
+            shifted = basis.design(x + beta[a])
+            for i, j in pairs:
+                q[i, j] += float(quad.weights[a]) * gamma[i, j, a] * (shifted @ coeffs[i, j] - fitted[i, j])
+            del shifted
+        return q
 
     def picard(c_values: np.ndarray, q_hat: np.ndarray, t: float, xk: np.ndarray) -> np.ndarray:
         """c_values, q_hat: (m1, m2, P) continuation and jump-argument tables."""
@@ -221,20 +230,13 @@ def solve_bsde_regression(
 
     level_one: np.ndarray | None = None
     for k in range(batch.n_steps - 1, 0, -1):
-        t = float(batch.times[k])
         xk = batch.states[:, k]
         design = basis.design(xk)
+        coeffs = {pair: _fit(design, Y[pair], k) for pair in pairs}
         cont = np.empty((m1, m2, P))
-        q_hat = np.zeros((m1, m2, P))
-        gtab = gamma_tab(xk)
-        for i, j in pairs:
-            coeffs = _fit(design, Y[i, j], k)
-            cont[i, j] = design @ coeffs
-            for a in range(quad.n_atoms):
-                beta = spec.eval_beta(xk, float(quad.marks[a]))
-                shifted = basis.design(xk + beta) @ coeffs
-                q_hat[i, j] += float(quad.weights[a]) * gtab[i, j, a] * (shifted - cont[i, j])
-        Y = picard(cont, q_hat, t, xk)
+        for pair in pairs:
+            cont[pair] = design @ coeffs[pair]
+        Y = picard(cont, jump_argument(coeffs, xk, cont), float(batch.times[k]), xk)
         if k == 1:
             level_one = Y.copy()
 
@@ -243,23 +245,16 @@ def solve_bsde_regression(
 
     # time zero: all paths share x0, so condition by averaging; the jump
     # argument reuses a smoothing fit of level-one values on level-one states
-    x0 = batch.x0
-    x0_arr = np.full(1, x0)
-    t0 = float(batch.times[0])
+    x0_arr = np.full(1, batch.x0)
+    design1 = basis.design(batch.states[:, 1])
+    coeffs = {pair: _fit(design1, level_one[pair], 0) for pair in pairs}
+    design0 = basis.design(x0_arr)
     cont0 = np.empty((m1, m2, 1))
-    q0 = np.zeros((m1, m2, 1))
-    x1 = batch.states[:, 1]
-    design1 = basis.design(x1)
-    gtab0 = gamma_tab(x0_arr)
-    for i, j in pairs:
-        cont0[i, j] = float(np.mean(level_one[i, j]))
-        coeffs = _fit(design1, level_one[i, j], 0)
-        base_val = float((basis.design(np.full(1, x0)) @ coeffs)[0])
-        for a in range(quad.n_atoms):
-            beta = float(spec.eval_beta(x0_arr, float(quad.marks[a]))[0])
-            shifted = float((basis.design(np.full(1, x0 + beta)) @ coeffs)[0])
-            q0[i, j] += float(quad.weights[a]) * gtab0[i, j, a] * (shifted - base_val)
-    y0_mat = picard(cont0, q0, t0, x0_arr)
+    base = np.empty((m1, m2, 1))
+    for pair in pairs:
+        cont0[pair] = float(np.mean(level_one[pair]))
+        base[pair] = design0 @ coeffs[pair]
+    y0_mat = picard(cont0, jump_argument(coeffs, x0_arr, base), float(batch.times[0]), x0_arr)
 
     y0 = np.empty((m1, m2))
     stderr = np.empty((m1, m2))

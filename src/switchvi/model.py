@@ -279,6 +279,8 @@ class ProblemSpec:
         x = np.asarray(x, dtype=float)
         if arr.shape != x.shape:
             arr = np.broadcast_to(arr, x.shape).copy()
+        elif isinstance(expr, exprdsl.Var):
+            arr = arr.copy()  # the one result that can share memory with a caller's array
         return arr
 
     def eval_drift(self, t: float, x) -> np.ndarray:
@@ -307,26 +309,47 @@ class ProblemSpec:
         ctx.update(y_entries)
         return self._field(self.drivers[pair], ctx, x)
 
-    def lower_cost_table(self, t: float, x) -> np.ndarray:
-        """(m1, m1, ...) array of lower switching costs at (t, x); diagonal 0."""
+    def _cost_table(self, m: int, eval_cost, t: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        m1 = self.modes.m1
-        out = np.zeros((m1, m1) + x.shape)
-        for i in range(m1):
-            for k in range(m1):
+        out = np.zeros((m, m) + x.shape)
+        for i in range(m):
+            for k in range(m):
                 if i != k:
-                    out[i, k] = self.eval_lower_cost(i, k, t, x)
+                    out[i, k] = eval_cost(i, k, t, x)
         return out
 
+    def lower_cost_table(self, t: float, x) -> np.ndarray:
+        """(m1, m1) + x.shape array of lower switching costs at (t, x); diagonal 0."""
+        return self._cost_table(self.modes.m1, self.eval_lower_cost, t, x)
+
     def upper_cost_table(self, t: float, x) -> np.ndarray:
+        """(m2, m2) + x.shape array of upper switching costs at (t, x); diagonal 0."""
+        return self._cost_table(self.modes.m2, self.eval_upper_cost, t, x)
+
+    def terminal_table(self, x) -> np.ndarray:
+        """(m1, m2) + x.shape array of the terminal data ``h^{ij}(x)``."""
         x = np.asarray(x, dtype=float)
-        m2 = self.modes.m2
-        out = np.zeros((m2, m2) + x.shape)
-        for j in range(m2):
-            for l in range(m2):
-                if j != l:
-                    out[j, l] = self.eval_upper_cost(j, l, t, x)
+        out = np.empty((self.modes.m1, self.modes.m2) + x.shape)
+        for pair in self.modes.pairs():
+            out[pair] = self.eval_terminal(pair, x)
         return out
+
+    def beta_table(self, x, marks: Sequence[float]) -> np.ndarray:
+        """``(atoms,) + x.shape`` array of ``beta(x, e_a)``, one atom per entry of ``marks``."""
+        x = np.asarray(x, dtype=float)
+        beta = np.empty((len(marks),) + x.shape)
+        for a, e in enumerate(marks):
+            beta[a] = self.eval_beta(x, float(e))
+        return beta
+
+    def jump_tables(self, x, marks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``beta_table(x, marks)`` and the ``(m1, m2, atoms) + x.shape`` array of ``gamma^{ij}(x, e_a)``."""
+        x = np.asarray(x, dtype=float)
+        gamma = np.empty((self.modes.m1, self.modes.m2, len(marks)) + x.shape)
+        for a, e in enumerate(marks):
+            for i, j in self.modes.pairs():
+                gamma[i, j, a] = self.eval_gamma((i, j), x, float(e))
+        return self.beta_table(x, marks), gamma
 
 
 # --- obstacles ---------------------------------------------------------
@@ -513,8 +536,7 @@ def validate_terminal_consistency(spec: ProblemSpec, sample_xs: Sequence[float],
     """Check the terminal sandwich against switching costs at expiry."""
     xs = np.asarray(list(sample_xs), dtype=float)
     T = spec.horizon
-    m1, m2 = spec.modes.m1, spec.modes.m2
-    h = np.stack([np.stack([spec.eval_terminal((i, j), xs) for j in range(m2)]) for i in range(m1)])
+    h = spec.terminal_table(xs)
     lc = spec.lower_cost_table(T, xs)
     uc = spec.upper_cost_table(T, xs)
     L, U = eval_obstacles(h, lc, uc)
@@ -575,12 +597,12 @@ def validate_coefficient_bounds(
 
     gamma_ratio = 0.0
     beta_ratio = 0.0
-    for e in sample_es:
+    beta, gamma = spec.jump_tables(xs, sample_es)
+    for a, e in enumerate(sample_es):
         cap = min(1.0, abs(float(e)))
-        beta_vals = spec.eval_beta(xs, float(e))
-        beta_ratio = max(beta_ratio, float(np.max(np.abs(beta_vals))) / cap)
+        beta_ratio = max(beta_ratio, float(np.max(np.abs(beta[a]))) / cap)
         for pair in spec.modes.pairs():
-            g_vals = spec.eval_gamma(pair, xs, float(e))
+            g_vals = gamma[pair][a]
             if np.min(g_vals) < -tol:
                 violations.append({"what": f"gamma[{pair}]", "e": float(e), "min": float(np.min(g_vals))})
             gamma_ratio = max(gamma_ratio, float(np.max(g_vals)) / cap)

@@ -11,10 +11,16 @@ aborts the build.  The jump compensator ``-sum_k w_k beta_k Dv`` is a
 first-order term, so it is in the drift, upwinded with it, not in the jump
 part of the kernel.
 
-Everything here is written independently of the finite-difference solver
-(explicit Python loops, no shared stepping code) so that agreement between
-the two is evidence, not tautology.  Deliberately naive and single-threaded;
-meant for small instances.
+What is shared with the finite-difference solver is only the coefficient
+values: the beta, gamma and terminal tables come from
+:meth:`ProblemSpec.jump_tables` and :meth:`ProblemSpec.terminal_table`,
+built once per game, and drift, volatility and the drivers are evaluated
+over the node vector.  Everything that turns them into a step is written
+independently (explicit Python loops, no shared stepping code): the kernel
+assembly, the compensator sum, the interpolation weights, the gradient and
+jump-sum loops and the projection sweeps.  So agreement between the two is
+evidence, not tautology.  Deliberately naive and single-threaded; meant for
+small instances.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import LevyQuadrature, SpatialGrid, TimeGrid
+from .discretization import LevyQuadrature, SpatialGrid, TimeGrid, beta_slope_at_zero
 from .model import CapacityError, ProblemSpec, driver_variable
 from .pde_solver import CflViolationError, SchemeConfig
 
@@ -42,6 +48,8 @@ class DiscreteGame:
     quad: LevyQuadrature
     kernels: np.ndarray  # (n_steps, N, N); kernels[k] maps level k+1 to level k
     terminal: np.ndarray  # (m1, m2, N)
+    beta: np.ndarray  # (atoms, N)
+    gamma: np.ndarray  # (m1, m2, atoms, N)
     config: SchemeConfig = field(default_factory=SchemeConfig)
 
 
@@ -61,11 +69,6 @@ def _interp_weights(grid: SpatialGrid, xq: float) -> list[tuple[int, float]]:
     lo = int(min(max(np.floor(pos), 0), n - 2))
     theta = pos - lo
     return [(lo, 1.0 - theta), (lo + 1, theta)]
-
-
-def _beta_slope0(spec: ProblemSpec, xi: float, h: float = 1e-6) -> float:
-    xa = np.asarray(xi, dtype=float)
-    return (float(spec.eval_beta(xa, h)) - float(spec.eval_beta(xa, -h))) / (2.0 * h)
 
 
 def build_discrete_game(
@@ -97,20 +100,25 @@ def build_discrete_game(
     dx = grid.dx
     dt = tgrid.dt
     times = tgrid.times()
+    beta, gamma = spec.jump_tables(x, quad.marks)
+    if quad.small_jump_second_moment > 0.0:
+        small = 0.5 * quad.small_jump_second_moment * beta_slope_at_zero(spec.eval_beta, x) ** 2
+    else:
+        small = np.zeros(n)
 
     kernels = np.zeros((tgrid.n_steps, n, n))
     for k in range(tgrid.n_steps):
         t = float(times[k + 1])
+        drift = spec.eval_drift(t, x)
+        vol = spec.eval_vol(t, x)
         P = kernels[k]
         for i in range(n):
             P[i, i] += 1.0
             xi = float(x[i])
-            betas = [float(spec.eval_beta(np.asarray(xi), float(e_k))) for e_k in quad.marks]
-            b = float(spec.eval_drift(t, np.asarray(xi))) - sum(float(w_k) * beta for w_k, beta in zip(quad.weights, betas))
-            sig = float(spec.eval_vol(t, np.asarray(xi)))
-            a = 0.5 * sig * sig
-            if quad.small_jump_second_moment > 0.0:
-                a += 0.5 * quad.small_jump_second_moment * _beta_slope0(spec, xi) ** 2
+            betas = beta[:, i].tolist()
+            b = float(drift[i]) - sum(float(w_k) * beta_k for w_k, beta_k in zip(quad.weights, betas))
+            sig = float(vol[i])
+            a = 0.5 * sig * sig + float(small[i])
             # diffusion, clamped ghost at the boundary
             if i + 1 < n:
                 w = dt * a / dx**2
@@ -130,8 +138,8 @@ def build_discrete_game(
                 P[i, i - 1] += w
                 P[i, i] -= w
             # jumps: redistribute to the destination, subtract the mass
-            for beta, w_k in zip(betas, quad.weights):
-                for idx, wgt in _interp_weights(grid, xi + beta):
+            for beta_k, w_k in zip(betas, quad.weights):
+                for idx, wgt in _interp_weights(grid, xi + beta_k):
                     P[i, idx] += dt * w_k * wgt
                 P[i, i] -= dt * w_k
 
@@ -147,20 +155,16 @@ def build_discrete_game(
             f"is negative; the explicit scheme is not monotone at this resolution"
         )
 
-    m1, m2 = spec.modes.m1, spec.modes.m2
-    terminal = np.empty((m1, m2, n))
-    for i in range(m1):
-        for j in range(m2):
-            for p in range(n):
-                terminal[i, j, p] = float(spec.eval_terminal((i, j), np.asarray(float(x[p]))))
-    return DiscreteGame(spec=spec, grid=grid, tgrid=tgrid, quad=quad, kernels=kernels, terminal=terminal, config=config or SchemeConfig())
+    return DiscreteGame(
+        spec=spec, grid=grid, tgrid=tgrid, quad=quad, kernels=kernels,
+        terminal=spec.terminal_table(x), beta=beta, gamma=gamma, config=config,
+    )
 
 
 @dataclass
 class InductionResult:
     times: np.ndarray
     values: np.ndarray  # (n_levels, m1, m2, N)
-    switch_decisions: list  # per level: dict pair -> target mode index arrays (inspection only)
     grid: SpatialGrid
     tgrid: TimeGrid
 
@@ -180,11 +184,17 @@ def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
     n = grid.n_nodes
     dx = grid.dx
     m1, m2 = spec.modes.m1, spec.modes.m2
+    vol = spec.eval_vol(t, x)
+    entries = {driver_variable(a, bb): values[a, bb] for a in range(m1) for bb in range(m2)}
+    weights = game.quad.weights.tolist()
+    beta_rows = game.beta.T.tolist()  # beta_rows[p][k] = beta(x_p, e_k)
     out = np.empty_like(values)
     for i in range(m1):
         for j in range(m2):
             s = values[i, j]
+            gamma_rows = game.gamma[i, j].T.tolist()
             grad = np.empty(n)
+            q = np.empty(n)
             for p in range(n):
                 if p == 0:
                     grad[p] = (s[1] - s[0]) / dx
@@ -194,17 +204,14 @@ def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
                     grad[p] = (s[p + 1] - s[p - 1]) / (2.0 * dx)
             for p in range(n):
                 xp = float(x[p])
-                q = 0.0
-                for e_k, w_k in zip(game.quad.marks, game.quad.weights):
-                    beta = float(spec.eval_beta(np.asarray(xp), float(e_k)))
+                q_p = 0.0
+                for w_k, beta_k, gamma_k in zip(weights, beta_rows[p], gamma_rows[p]):
                     dest_val = 0.0
-                    for idx, wgt in _interp_weights(grid, xp + beta):
+                    for idx, wgt in _interp_weights(grid, xp + beta_k):
                         dest_val += wgt * s[idx]
-                    gam = float(spec.eval_gamma((i, j), np.asarray(xp), float(e_k)))
-                    q += float(w_k) * gam * (dest_val - s[p])
-                z = float(spec.eval_vol(t, np.asarray(xp))) * grad[p]
-                entries = {driver_variable(a, bb): float(values[a, bb, p]) for a in range(m1) for bb in range(m2)}
-                out[i, j, p] = float(spec.eval_driver((i, j), t, np.asarray(xp), entries, z, q))
+                    q_p += w_k * gamma_k * (dest_val - s[p])
+                q[p] = q_p
+            out[i, j] = spec.eval_driver((i, j), t, x, entries, vol * grad, q)
     return out
 
 
@@ -227,7 +234,6 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> InductionRe
     dt = game.tgrid.dt
     values = np.empty((n_steps + 1, m1, m2, n))
     values[-1] = game.terminal.copy()
-    decisions: list = [None] * (n_steps + 1)
 
     pairs = [(i, j) for i in range(m1) for j in range(m2)]
     for k in range(n_steps - 1, -1, -1):
@@ -262,22 +268,4 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> InductionRe
                 break
         values[k] = cur
 
-        # argmax / argmin switching suggestions, inspection only
-        level_dec = {}
-        for i, j in pairs:
-            best_k = np.full(n, -1, dtype=int)
-            best_l = np.full(n, -1, dtype=int)
-            if m1 > 1:
-                stack = np.stack([cur[p, j] - lc[i, p] for p in range(m1) if p != i])
-                others = [p for p in range(m1) if p != i]
-                hit = np.isclose(cur[i, j], np.max(stack, axis=0), rtol=0.0, atol=1e-12)
-                best_k = np.where(hit, np.asarray(others)[np.argmax(stack, axis=0)], -1)
-            if m2 > 1:
-                stack = np.stack([cur[i, l] + uc[j, l] for l in range(m2) if l != j])
-                others = [l for l in range(m2) if l != j]
-                hit = np.isclose(cur[i, j], np.min(stack, axis=0), rtol=0.0, atol=1e-12)
-                best_l = np.where(hit, np.asarray(others)[np.argmin(stack, axis=0)], -1)
-            level_dec[(i, j)] = (best_k, best_l)
-        decisions[k] = level_dec
-
-    return InductionResult(times=times, values=values, switch_decisions=decisions, grid=grid, tgrid=game.tgrid)
+    return InductionResult(times=times, values=values, grid=grid, tgrid=game.tgrid)

@@ -203,9 +203,7 @@ def estimate_driver_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeG
     ts = (0.0, 0.5 * tgrid.horizon, tgrid.horizon)
     h = 1e-5
     pairs = list(spec.modes.pairs())
-    bases = [np.zeros((spec.modes.m1, spec.modes.m2))]
-    term = np.array([[float(np.mean(spec.eval_terminal((i, j), probe_x))) for j in range(spec.modes.m2)] for i in range(spec.modes.m1)])
-    bases.append(term)
+    bases = [np.zeros((spec.modes.m1, spec.modes.m2)), np.mean(spec.terminal_table(probe_x), axis=-1)]
     worst = 0.0
     for t in ts:
         for pair in pairs:
@@ -258,20 +256,14 @@ class _Workspace:
         self.compensator = 0.0
         self.gamma_sup = 0.0
         if quad.n_atoms:
-            beta = np.empty((quad.n_atoms, n))
-            for a, e_k in enumerate(quad.marks):
-                beta[a] = spec.eval_beta(self.x, float(e_k))
-            gamma = np.empty((self.m1, self.m2, quad.n_atoms, n))
-            for i, j in self.pairs:
-                for a, e_k in enumerate(quad.marks):
-                    gamma[i, j, a] = spec.eval_gamma((i, j), self.x, float(e_k))
+            beta, gamma = spec.jump_tables(self.x, quad.marks)
             self.jumps = jump_operator(grid, quad, beta, gamma, spec.growth)
             self.compensator = np.sum(quad.weights[:, None] * beta, axis=0)
             self.gamma_sup = max(0.0, float(np.max(gamma)))
 
         # small-jump diffusion surrogate coefficient
         if quad.small_jump_second_moment > 0.0:
-            slope = beta_slope_at_zero(lambda xx, e: spec.eval_beta(xx, e), self.x)
+            slope = beta_slope_at_zero(spec.eval_beta, self.x)
             self.corr_coeff = 0.5 * quad.small_jump_second_moment * slope**2
         else:
             self.corr_coeff = np.zeros(n)
@@ -323,12 +315,6 @@ class _Workspace:
                 f"reduce dt, coarsen penalties or switch to imex"
             )
         return value, terms
-
-    def terminal_values(self) -> np.ndarray:
-        out = np.empty((self.m1, self.m2, self.n_nodes))
-        for i, j in self.pairs:
-            out[i, j] = self.spec.eval_terminal((i, j), self.x)
-        return out
 
     def cost_tables(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper cost tables at t; callers must not write to them."""
@@ -488,7 +474,7 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
     times = ws.tgrid.times()
     n_levels = ws.tgrid.n_steps + 1
     values = np.empty((n_levels, ws.m1, ws.m2, ws.n_nodes))
-    values[-1] = ws.terminal_values()
+    values[-1] = ws.spec.terminal_table(ws.x)
     obstacles = _record_obstacles(report, ws, values[-1], float(times[-1]))
 
     for k in range(ws.tgrid.n_steps - 1, -1, -1):
@@ -750,6 +736,6 @@ def residual_report(
         for i, j in ws.pairs:
             per_pair[f"{i},{j}"] = max(per_pair[f"{i},{j}"], float(np.max(resid[i, j])))
     report.update_norms.reverse()
-    terminal_resid = float(np.max(np.abs(trajectory.values[-1] - ws.terminal_values())))
+    terminal_resid = float(np.max(np.abs(trajectory.values[-1] - spec.terminal_table(ws.x))))
     report.residual_norms = {"per_pair_max": per_pair, "terminal": terminal_resid, "overall": max(per_pair.values(), default=0.0)}
     return report

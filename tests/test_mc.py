@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, interpolate
+from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature, interpolate
 from switchvi.mc import (
     BsdeEstimate,
     RegressionBasis,
@@ -12,8 +12,8 @@ from switchvi.mc import (
     simulate_paths,
     solve_bsde_regression,
 )
-from switchvi.model import GrowthBound
-from switchvi.pde_solver import solve_penalized
+from switchvi.model import GrowthBound, load_problem
+from switchvi.pde_solver import SchemeConfig, solve_penalized
 
 from conftest import make_spec
 
@@ -223,3 +223,50 @@ class TestFeynmanKac:
         expected = interpolate(traj.level(0), (0, 0), x0, grid, spec.growth)
         assert expected != interpolate(traj.level(0), (0, 0), x0, grid, GrowthBound())
         assert report.records[0]["pde_value"] == expected
+
+
+# Two atoms below the cutoff: the quadrature keeps no atom and folds both into
+# the small-jump second moment s = 2 * 100 * 0.05^2 = 0.5.
+SMALL_JUMPS = {
+    "modes": {"m1": 1, "m2": 1},
+    "horizon": 0.5,
+    "drift": "0",
+    "vol": "0.2",
+    "jump_amplitude": "e",
+    "levy": {"atoms": [[0.05, 100.0], [-0.05, 100.0]], "cutoff": 0.1},
+    "drivers": {"0,0": "0"},
+    "terminal": {"0,0": "x*x"},
+}
+
+
+class TestSmallJumpDiffusion:
+    """Paths carry the small-jump diffusion ``0.5 s (d beta/de)(x, 0)^2 v''`` that the grid adds."""
+
+    def test_terminal_variance_includes_the_small_jumps(self):
+        spec = load_problem(SMALL_JUMPS)
+        quad = build_levy_quadrature(spec.levy)
+        assert quad.n_atoms == 0 and quad.small_jump_second_moment == pytest.approx(0.5)
+        batch = simulate_paths(spec, quad, 0.0, 4_000, TG, seed=3)
+        expected = (0.2**2 + 0.5) * TG.horizon  # 0.27
+        # the sample variance of 4,000 normals has relative standard error sqrt(2/3999) ~ 2.2 %
+        assert abs(float(np.var(batch.states[:, -1])) - expected) <= 5 * expected * math.sqrt(2 / 3999)
+
+    def test_brownian_coefficient_is_the_combined_volatility(self):
+        spec = make_spec(vol="0.2 + 0.1*x", jump_amplitude="e*(1 + 0.5*x)", levy={"atoms": [[0.05, 100.0]], "cutoff": 0.1})
+        quad = build_levy_quadrature(spec.levy)
+        batch = simulate_paths(spec, quad, 0.3, 50, TG, seed=9)
+        for k in (0, 17, 49):
+            xk = batch.states[:, k]
+            sig = np.sqrt(spec.eval_vol(0.0, xk) ** 2 + quad.small_jump_second_moment * beta_slope_at_zero(spec.eval_beta, xk) ** 2)
+            expected = xk + spec.eval_drift(0.0, xk) * TG.dt + sig * batch.brownian[:, k]
+            np.testing.assert_array_equal(batch.states[:, k + 1], expected)
+
+    def test_feynman_kac_check_passes(self):
+        spec = load_problem(SMALL_JUMPS)
+        quad = build_levy_quadrature(spec.levy)
+        grid = SpatialGrid.line(-3.0, 3.0, 121)
+        traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0, SchemeConfig(mode="imex"))
+        batch = simulate_paths(spec, quad, 0.0, 4_000, TG, seed=3)
+        report = feynman_kac_check(traj, solve_bsde_regression(batch, spec, 0.0, 0.0), 0.0, spec.growth)
+        assert report.records[0]["pde_value"] == pytest.approx(0.27, abs=5e-3)
+        assert report.passed

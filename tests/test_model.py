@@ -186,6 +186,79 @@ def test_eval_obstacles_matches_per_pair_loop_bitwise(m1, m2, tail, costs_per_no
     assert L.tobytes() == L_ref.tobytes() and U.tobytes() == U_ref.tobytes()
 
 
+def _table_spec():
+    """3x2 modes, x-dependent terminal data and a gamma that differs per pair."""
+    return make_spec(
+        modes={"m1": 3, "m2": 2},
+        jump_amplitude="0.8*e*(1 + 0.3*x)",
+        jump_weights={"default": "0.5*min(abs(e), 1)", "1,0": "0.2*abs(e) + 0.1*abs(x)", "2,1": "exp(-x*x)*e*e"},
+        terminal={"default": "0.8*exp(-x*x)", "0,1": "0.3*x", "2,0": "max(x, 0.1)"},
+        levy={"atoms": [[0.5, 0.4], [-0.7, 0.3], [1.1, 0.2]]},
+    )
+
+
+class TestCoefficientTables:
+    """``terminal_table`` and ``jump_tables`` hold the bytes of the per-pair, per-atom ``eval_*`` loops."""
+
+    XS = {"nodes": np.linspace(-2.0, 2.0, 41), "paths": np.random.default_rng(4).normal(0.1, 0.7, 1_000)}
+
+    @pytest.mark.parametrize("shape", list(XS))
+    def test_terminal_table(self, shape):
+        spec, x = _table_spec(), self.XS[shape]
+        table = spec.terminal_table(x)
+        assert table.shape == (3, 2) + x.shape
+        for pair in spec.modes.pairs():
+            assert table[pair].tobytes() == spec.eval_terminal(pair, x).tobytes()
+
+    @pytest.mark.parametrize("shape", list(XS))
+    @pytest.mark.parametrize("marks", [(0.5, -0.7, 1.1), ()], ids=["three atoms", "no atoms"])
+    def test_jump_tables(self, shape, marks):
+        spec, x = _table_spec(), self.XS[shape]
+        beta, gamma = spec.jump_tables(x, np.asarray(marks))
+        assert beta.shape == (len(marks),) + x.shape
+        assert gamma.shape == (3, 2, len(marks)) + x.shape
+        for a, e in enumerate(marks):
+            assert beta[a].tobytes() == spec.eval_beta(x, e).tobytes()
+            for pair in spec.modes.pairs():
+                assert gamma[pair][a].tobytes() == spec.eval_gamma(pair, x, e).tobytes()
+        if marks:
+            assert not np.array_equal(gamma[1, 0], gamma[0, 0])
+
+    def test_cost_tables(self):
+        spec = _cost_spec("0.3 + 0.1*x", "0.5 - t", m1=3, m2=2)
+        x = self.XS["nodes"]
+        for table, eval_cost in (
+            (spec.lower_cost_table(0.2, x), spec.eval_lower_cost),
+            (spec.upper_cost_table(0.2, x), spec.eval_upper_cost),
+        ):
+            m = table.shape[0]
+            assert table.shape == (m, m) + x.shape
+            for i in range(m):
+                for k in range(m):
+                    expected = np.zeros_like(x) if i == k else eval_cost(i, k, 0.2, x)
+                    assert table[i, k].tobytes() == expected.tobytes()
+
+
+class TestFieldOwnership:
+    """A coefficient that is a bare variable comes back as a copy, never as the caller's array."""
+
+    def test_bare_x_is_copied(self):
+        spec = make_spec(vol="x", terminal={"default": "x"})
+        x = np.linspace(-1.0, 1.0, 5)
+        before = x.copy()
+        for out in (spec.eval_vol(0.0, x), spec.eval_terminal((0, 0), x), spec.terminal_table(x)[0, 0]):
+            np.testing.assert_array_equal(out, before)
+            out *= 3.0
+            np.testing.assert_array_equal(x, before)
+
+    def test_bare_driver_entry_is_copied(self):
+        spec = make_spec(drivers={"default": "y_0_0"})
+        y = np.array([0.5, -0.25])
+        out = spec.eval_driver((0, 0), 0.0, np.zeros(2), {"y_0_0": y}, 0.0, 0.0)
+        out += 1.0
+        np.testing.assert_array_equal(y, [0.5, -0.25])
+
+
 class TestCoefficientBounds:
     def test_negative_cost_flagged(self):
         spec = _cost_spec("-1", "1")

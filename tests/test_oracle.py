@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
-from switchvi.model import CapacityError, validate_non_free_loop
+from switchvi.model import CapacityError, ProblemSpec, validate_non_free_loop
 from switchvi.oracle import backward_induction, build_discrete_game
 from switchvi.pde_solver import CflViolationError, solve_maxmin, solve_minmax
 
@@ -144,13 +146,23 @@ class TestInduction:
         res = backward_induction(game, order="minmax")
         assert float(np.max(np.abs(traj.values - res.values))) > 1e-7
 
-    def test_switch_decisions_exposed(self, spec_2x2, quad_2x2):
-        game = build_discrete_game(spec_2x2, GRID, TGRID, quad_2x2)
-        res = backward_induction(game, order="minmax")
-        level0 = res.switch_decisions[0]
-        assert set(level0) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        best_k, best_l = level0[(1, 0)]
-        assert best_k.shape == (41,) and best_l.shape == (41,)
+    def test_jump_coefficients_are_evaluated_independently_of_n_steps(self, spec_2x2, quad_2x2, monkeypatch):
+        """beta and gamma do not read t, so the game tabulates them once."""
+        counts = Counter()
+        for name in ("eval_beta", "eval_gamma"):
+
+            def counted(self, *args, _original=getattr(ProblemSpec, name), _name=name):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ProblemSpec, name, counted)
+        per_run = []
+        for n_steps in (5, 10):
+            counts.clear()
+            game = build_discrete_game(spec_2x2, GRID, TimeGrid(horizon=0.5, n_steps=n_steps), quad_2x2)
+            backward_induction(game, order="minmax")
+            per_run.append(dict(counts))
+        assert per_run[0] == per_run[1] == {"eval_beta": 2, "eval_gamma": 8}
 
     def test_values_export_in_trajectory_layout(self, spec_2x2, quad_2x2, tmp_path):
         from switchvi.export import trajectory_csv_files, value_field_csv

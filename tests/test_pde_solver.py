@@ -566,9 +566,17 @@ class TestTimeFreeCoefficients:
             assert same_bits(sig, spec.eval_vol(t, x))
             assert same_bits(a_diff, 0.5 * spec.eval_vol(t, x) ** 2 + ws.corr_coeff)
 
-        values = ws.terminal_values()
+        values = spec.terminal_table(ws.x)
         fresh = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode="imex"))
         assert same_bits(ws.step(values, 0.1, 2.0, 2.0), fresh.step(values, 0.1, 2.0, 2.0))
+
+    def test_local_coefficients_do_not_alias_the_axis(self):
+        spec = make_spec(vol="x")
+        ws = _Workspace(spec, GRID, TGRID, build_levy_quadrature(spec.levy), SchemeConfig())
+        axis = GRID.axis()
+        sig = ws.local_coefficients(0.0)[2]
+        sig *= 2.0
+        assert same_bits(ws.x, axis)
 
     def test_time_free_coefficients_are_evaluated_independently_of_n_steps(self, spec_no_jump, monkeypatch):
         counts = Counter()
