@@ -224,6 +224,39 @@ class TestCheck:
         assert len(err.strip().splitlines()) == 1
 
 
+def negative_density_problem():
+    prob = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
+    prob["levy"] = {"density": "abs(e) - 0.5", "radius": 1.0, "cutoff": 0.1}
+    return prob
+
+
+class TestBadConfigValues:
+    """A bad value in the config or the problem exits 2 with one line naming where it is."""
+
+    @pytest.mark.parametrize(
+        "command,overrides,prefix",
+        [
+            pytest.param("solve", {"scheme": {"mode": "implicit"}}, "error: config 'scheme': ", id="scheme-mode"),
+            pytest.param("solve", {"scheme": {"cfl_factor": 2.0}}, "error: config 'scheme': ", id="scheme-cfl"),
+            pytest.param("solve", {"solve": {"system": "minmax", "mode": "bogus"}}, "error: config 'solve': ", id="solve-mode"),
+            pytest.param("solve", {"output": {"levels": [999]}}, "error: config 'output': ", id="output-levels"),
+            pytest.param("solve", {"time": {"n_steps": 0}}, "error: config 'time': ", id="time-steps"),
+            pytest.param("check", {"check": {"paths": 0}}, "error: config 'check': ", id="check-paths-0"),
+            pytest.param("check", {"check": {"paths": 1}}, "error: config 'check': ", id="check-paths-1"),
+            pytest.param("check", {"check": {"n_steps": 0}}, "error: config 'check': ", id="check-steps"),
+            pytest.param("solve", {"problem": negative_density_problem()}, "problem definition error: ", id="negative-density"),
+        ],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, overrides, prefix):
+        base = {"grid": {"x_min": -2.0, "x_max": 2.0, "n_nodes": 21}, "time": {"n_steps": 10}}
+        cfg = write_config(tmp_path, **{**base, **overrides})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""
 
