@@ -32,12 +32,13 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import export, mc, oracle, pde_solver
-from .discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+from .discretization import NonIntegrableDensityError, SpatialGrid, TimeGrid, build_levy_quadrature
 from .exprdsl import ExprError
 from .model import (
     CapacityError,
@@ -75,6 +76,15 @@ class UsageError(Exception):
     pass
 
 
+@contextmanager
+def _config_section(name: str):
+    """Report a bad value read from config section ``name`` as a usage error."""
+    try:
+        yield
+    except (ValueError, IndexError) as exc:
+        raise UsageError(f"config '{name}': {exc}") from exc
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,12 +115,10 @@ def _load_spec(cfg: dict, config_dir: Path) -> ProblemSpec:
 
 def _grids(cfg: dict, spec: ProblemSpec) -> tuple[SpatialGrid, TimeGrid]:
     g = cfg.get("grid", {})
-    try:
+    with _config_section("grid"):
         grid = SpatialGrid.line(float(g.get("x_min", -2.0)), float(g.get("x_max", 2.0)), int(g.get("n_nodes", 101)))
-    except MalformedSpecError as exc:  # the config's grid, not the problem definition
-        raise UsageError(f"config 'grid': {exc}") from exc
-    t = cfg.get("time", {})
-    tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(t.get("n_steps", 50)))
+    with _config_section("time"):
+        tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(cfg.get("time", {}).get("n_steps", 50)))
     return grid, tgrid
 
 
@@ -121,13 +129,14 @@ def _quadrature(cfg: dict, spec: ProblemSpec):
 
 def _scheme(cfg: dict, override_a4: bool) -> SchemeConfig:
     s = cfg.get("scheme", {})
-    return SchemeConfig(
-        mode=s.get("mode", "explicit"),
-        cfl_factor=float(s.get("cfl_factor", 1.0)),
-        sweep_tol=float(s.get("sweep_tol", 0.0)),
-        max_sweeps=int(s.get("max_sweeps", 500)),
-        allow_terminal_inconsistency=override_a4,
-    )
+    with _config_section("scheme"):
+        return SchemeConfig(
+            mode=s.get("mode", "explicit"),
+            cfl_factor=float(s.get("cfl_factor", 1.0)),
+            sweep_tol=float(s.get("sweep_tol", 0.0)),
+            max_sweeps=int(s.get("max_sweeps", 500)),
+            allow_terminal_inconsistency=override_a4,
+        )
 
 
 def _out_dir(args) -> Path:
@@ -178,6 +187,13 @@ def cmd_solve(args) -> int:
     solve = cfg.get("solve", {})
     system = solve.get("system", "minmax")
     mode = solve.get("mode", "direct")
+    with _config_section("solve"):
+        if system != "penalized" and mode not in ("direct", "limit"):
+            raise ValueError(f"unknown mode '{mode}'")
+    levels = cfg.get("output", {}).get("levels")
+    with _config_section("output"):
+        if levels is not None and not all(0 <= int(k) <= tgrid.n_steps for k in levels):
+            raise ValueError(f"levels {levels} must lie in 0..{tgrid.n_steps}")
 
     t0 = time.perf_counter()
     if system == "penalized":
@@ -190,7 +206,6 @@ def cmd_solve(args) -> int:
         raise UsageError(f"unknown system '{system}'")
     elapsed = time.perf_counter() - t0
 
-    levels = cfg.get("output", {}).get("levels")
     files = export.trajectory_csv_files(traj, out, stem=f"{system}", levels=levels)
     (out / "plotdata.csv").write_text(export.plotdata_csv(traj, spec, level=0), encoding="utf-8")
     if args.format == "bin":
@@ -263,6 +278,15 @@ def cmd_check(args) -> int:
     if n_states > MAX_CHECK_STATES:
         raise UsageError(f"instance has {n_states} states; the cross-check caps at {MAX_CHECK_STATES}")
 
+    with _config_section("check"):
+        n_pen = float(ck.get("n", 4))
+        m_pen = float(ck.get("m", 4))
+        x0 = float(ck.get("x0", 0.0))
+        n_paths = int(ck.get("paths", 10_000))
+        if n_paths < 2:
+            raise ValueError(f"need at least two paths for a regression estimate, got {n_paths}")
+        mc_tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(ck.get("n_steps", tgrid.n_steps)))
+
     results: dict = {"seed": args.seed}
     ok = True
 
@@ -280,11 +304,6 @@ def cmd_check(args) -> int:
         results[f"oracle_{order}"] = {"max_abs_diff": diff, "passed": passed}
 
     # Feynman-Kac cross-check on the penalized system
-    n_pen = float(ck.get("n", 4))
-    m_pen = float(ck.get("m", 4))
-    x0 = float(ck.get("x0", 0.0))
-    n_paths = int(ck.get("paths", 10_000))
-    mc_tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(ck.get("n_steps", tgrid.n_steps)))
     traj, _ = solve_penalized(spec, grid, tgrid, quad, n_pen, m_pen, scheme)
     batch = mc.simulate_paths(spec, quad, x0, n_paths, mc_tgrid, args.seed)
     estimate = mc.solve_bsde_regression(batch, spec, n_pen, m_pen, mc.RegressionBasis(int(ck.get("basis_degree", 3))))
@@ -328,7 +347,7 @@ def main(argv=None) -> int:
     except (UsageError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ExprError, MalformedSpecError, json.JSONDecodeError) as exc:
+    except (ExprError, MalformedSpecError, NonIntegrableDensityError, json.JSONDecodeError) as exc:
         print(f"problem definition error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssumptionViolationError, CflViolationError, SweepNonConvergenceError, ScheduleNonConvergenceError) as exc:
