@@ -5,6 +5,7 @@ import pytest
 
 from switchvi.discretization import (
     LevyQuadrature,
+    NonIntegrableDensityError,
     SpatialGrid,
     TimeGrid,
     ValueField,
@@ -119,6 +120,17 @@ class TestQuadrature:
             LevyQuadrature(marks=np.array([0.01]), weights=np.array([1.0]), cutoff=0.1)
         with pytest.raises(MalformedSpecError):
             LevyQuadrature(marks=np.array([1.0]), weights=np.array([-1.0]))
+
+    def test_negative_second_moment_rejected(self):
+        with pytest.raises(MalformedSpecError):
+            LevyQuadrature(marks=[], weights=[], small_jump_second_moment=-1.0)
+
+    @pytest.mark.parametrize("density", ["abs(e) - 0.5", "abs(e) - 0.09"], ids=["above-cutoff", "below-cutoff"])
+    def test_negative_density_rejected(self, density):
+        # cutoff 0.1: the first density is negative on atom cells, the second only on small-jump cells
+        spec = LevyMeasureSpec.from_dict({"density": density, "radius": 1.0, "cutoff": 0.1})
+        with pytest.raises(NonIntegrableDensityError):
+            build_levy_quadrature(spec)
 
 
 class TestInterpolate:
