@@ -168,6 +168,8 @@ class LevyQuadrature:
         moment = float(np.sum(weights * np.minimum(1.0, marks**2))) if marks.size else 0.0
         if not math.isfinite(moment) or not math.isfinite(self.small_jump_second_moment):
             raise NonIntegrableDensityError("quadrature moment sum is not finite")
+        if self.small_jump_second_moment < 0:
+            raise MalformedSpecError("the small-jump second moment must be non-negative")
 
     @property
     def n_atoms(self) -> int:
@@ -188,7 +190,8 @@ def build_levy_quadrature(
     Atom lists pass through; atoms with ``|e| < cutoff`` are folded into the
     small-jump second moment.  A density is integrated by the midpoint rule
     on ``cutoff <= |e| <= radius`` (two-sided, ``n_atoms`` cells total) and
-    its small-jump part by a fixed fine midpoint rule on ``|e| < cutoff``.
+    its small-jump part by a fixed fine midpoint rule on ``|e| < cutoff``;
+    a density that is negative on any cell of either rule is rejected.
     Atoms with weight below 1e-14 are dropped.
     """
     delta = measure.cutoff
@@ -215,34 +218,28 @@ def build_levy_quadrature(
         raise MalformedSpecError("density quadrature requires radius > cutoff > 0")
     n_half = max(1, int(n_atoms) // 2)
 
-    def side(lo: float, hi: float):
-        edges = np.linspace(lo, hi, n_half + 1)
+    def midpoint(lo: float, hi: float, n_cells: int):
+        """Cell centers of ``[lo, hi]``, the density there and the cell width."""
+        edges = np.linspace(lo, hi, n_cells + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        de = edges[1] - edges[0]
         dens = np.asarray(evaluate(measure.density, {"e": centers}), dtype=float)
         dens = np.broadcast_to(dens, centers.shape)
         if np.any(dens < 0):
-            raise NonIntegrableDensityError("jump density is negative on the quadrature cells")
-        return centers, dens * de
+            raise NonIntegrableDensityError(f"jump density is negative on the quadrature cells of [{lo}, {hi}]")
+        return centers, dens, edges[1] - edges[0]
 
-    c_neg, w_neg = side(-R, -delta)
-    c_pos, w_pos = side(delta, R)
-    marks = np.concatenate([c_neg, c_pos])
-    weights = np.concatenate([w_neg, w_pos])
+    sides = [midpoint(lo, hi, n_half) for lo, hi in ((-R, -delta), (delta, R))]
+    marks = np.concatenate([c for c, _, _ in sides])
+    weights = np.concatenate([dens * de for _, dens, de in sides])
     keep = weights >= ATOM_WEIGHT_FLOOR
     marks, weights = marks[keep], weights[keep]
     if not np.all(np.isfinite(weights)) or not math.isfinite(float(np.sum(weights * np.minimum(1.0, marks**2)))):
         raise NonIntegrableDensityError("density quadrature diverges")
 
     # small-jump second moment on |e| < cutoff, midpoint with 512 cells per side
-    n_fine = 512
     s_small = 0.0
     for lo, hi in ((-delta, 0.0), (0.0, delta)):
-        edges = np.linspace(lo, hi, n_fine + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        de = edges[1] - edges[0]
-        dens = np.asarray(evaluate(measure.density, {"e": centers}), dtype=float)
-        dens = np.broadcast_to(dens, centers.shape)
+        centers, dens, de = midpoint(lo, hi, 512)
         s_small += float(np.sum(dens * centers**2 * de))
     if not math.isfinite(s_small):
         raise NonIntegrableDensityError("small-jump second moment diverges")
