@@ -15,7 +15,8 @@ What is shared with the finite-difference solver is only the coefficient
 values: the beta, gamma and terminal tables come from
 :meth:`ProblemSpec.jump_tables` and :meth:`ProblemSpec.terminal_table`,
 built once per game, and drift, volatility and the drivers are evaluated
-over the node vector.  Everything that turns them into a step is written
+over the node vector.  The induction returns the solver's
+:class:`~switchvi.pde_solver.Trajectory` container.  Everything that turns them into a step is written
 independently (explicit Python loops, no shared stepping code): the kernel
 assembly, the compensator sum, the interpolation weights, the gradient and
 jump-sum loops and the projection sweeps.  So agreement between the two is
@@ -31,9 +32,9 @@ import numpy as np
 
 from .discretization import LevyQuadrature, SpatialGrid, TimeGrid, beta_slope_at_zero
 from .model import CapacityError, ProblemSpec, driver_variable
-from .pde_solver import CflViolationError, SchemeConfig
+from .pde_solver import CflViolationError, SchemeConfig, Trajectory
 
-__all__ = ["DiscreteGame", "build_discrete_game", "backward_induction", "InductionResult"]
+__all__ = ["DiscreteGame", "build_discrete_game", "backward_induction"]
 
 MAX_ORACLE_STATES = 20_000
 
@@ -161,20 +162,6 @@ def build_discrete_game(
     )
 
 
-@dataclass
-class InductionResult:
-    times: np.ndarray
-    values: np.ndarray  # (n_levels, m1, m2, N)
-    grid: SpatialGrid
-    tgrid: TimeGrid
-
-    def as_trajectory(self):
-        """View as a solver trajectory, e.g. for the shared CSV exporters."""
-        from .pde_solver import Trajectory
-
-        return Trajectory(times=self.times, values=self.values, grid=self.grid, tgrid=self.tgrid)
-
-
 def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
     """Running reward from the lagged level: the driver with its own gradient
     and jump-sum loops (independent of the solver's vectorized versions)."""
@@ -215,7 +202,7 @@ def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def backward_induction(game: DiscreteGame, order: str = "minmax") -> InductionResult:
+def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
     """Exact dynamic programming over the discrete game.
 
     At each level: continuation = kernel @ next + dt * reward(next), then the
@@ -268,4 +255,4 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> InductionRe
                 break
         values[k] = cur
 
-    return InductionResult(times=times, values=values, grid=grid, tgrid=game.tgrid)
+    return Trajectory(times=times, values=values, grid=grid, tgrid=game.tgrid)

@@ -168,8 +168,7 @@ class TestInduction:
         from switchvi.export import trajectory_csv_files, value_field_csv
 
         game = build_discrete_game(spec_2x2, GRID, TGRID, quad_2x2)
-        res = backward_induction(game, order="minmax")
-        traj = res.as_trajectory()
+        traj = backward_induction(game, order="minmax")
         text = value_field_csv(traj.level(0), GRID)
         assert text.splitlines()[0] == "x,v_0_0,v_0_1,v_1_0,v_1_1"
         files = trajectory_csv_files(traj, tmp_path, stem="oracle", levels=[0])
