@@ -43,7 +43,6 @@ __all__ = [
     "simulate_paths",
     "solve_bsde_regression",
     "feynman_kac_check",
-    "paths_csv",
 ]
 
 
@@ -262,23 +261,6 @@ def solve_bsde_regression(
         y0[i, j] = float(y0_mat[i, j, 0])
         stderr[i, j] = float(np.std(level_one[i, j], ddof=1) / math.sqrt(P))
     return BsdeEstimate(y0=y0, stderr=stderr, n_paths=P, n=n, m=m)
-
-
-def paths_csv(batch: PathBatch, max_paths: int | None = None) -> str:
-    """Long-format path dump for debugging: one row per (path, time level)."""
-    n_show = batch.n_paths if max_paths is None else min(max_paths, batch.n_paths)
-    n_atoms = batch.jump_counts.shape[2]
-    header = ["path", "k", "t", "x"] + [f"jumps_atom{a}" for a in range(n_atoms)]
-    lines = [",".join(header)]
-    for p in range(n_show):
-        for k in range(batch.n_steps + 1):
-            row = [str(p), str(k), repr(float(batch.times[k])), repr(float(batch.states[p, k]))]
-            if k < batch.n_steps:
-                row += [str(int(batch.jump_counts[p, k, a])) for a in range(n_atoms)]
-            else:
-                row += ["0"] * n_atoms
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -267,9 +267,6 @@ class ProblemSpec:
         except (KeyError, TypeError) as exc:
             raise MalformedSpecError(f"problem definition is missing or mistypes a field: {exc}") from exc
 
-    def driver_schema(self) -> tuple[str, ...]:
-        return ("t", "x", "z", "q") + tuple(driver_variable(i, j) for i, j in self.modes.pairs())
-
     # --- coefficient evaluation ----------------------------------------
     # Every helper broadcasts a constant expression to the shape of x.
 

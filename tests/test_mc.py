@@ -98,15 +98,6 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_paths(spec_two_atom, quad_two_atom, 0.0, 0, TG, seed=1)
 
-    def test_paths_csv_dump(self, spec_two_atom, quad_two_atom):
-        from switchvi.mc import paths_csv
-
-        batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 5, TG, seed=2)
-        text = paths_csv(batch, max_paths=2)
-        lines = text.splitlines()
-        assert lines[0] == "path,k,t,x,jumps_atom0,jumps_atom1"
-        assert len(lines) == 1 + 2 * (TG.n_steps + 1)
-
 
 class TestBsdeRegression:
     def test_constant_driver_closed_form(self):
