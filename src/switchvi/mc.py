@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 
+N_PICARD = 2  # Picard passes over the value-matrix coupling per step
+
+
 class SingularRegressionError(RuntimeError):
     def __init__(self, cond: float, step: int):
         self.cond = cond
@@ -164,11 +167,17 @@ def simulate_paths(
 
 
 def _fit(design: np.ndarray, targets: np.ndarray, step: int) -> np.ndarray:
-    coeffs, _, rank, sv = np.linalg.lstsq(design, targets, rcond=None)
+    """One least-squares fit of every pair's ``targets`` ``(m1, m2, P)`` on ``design`` ``(P, basis)``.
+
+    Returns the ``(m1*m2, basis)`` coefficients.  The rank, and so the
+    singularity check, depends on the design alone.
+    """
+    rhs = targets.reshape(-1, targets.shape[-1]).T
+    coeffs, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < design.shape[1]:
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         raise SingularRegressionError(cond, step)
-    return coeffs
+    return coeffs.T
 
 
 def solve_bsde_regression(
@@ -177,17 +186,17 @@ def solve_bsde_regression(
     n: float,
     m: float,
     basis: RegressionBasis | None = None,
-    n_picard: int = 2,
 ) -> BsdeEstimate:
     """Backward least-squares sweep for the doubly penalized system.
 
-    Each step regresses next-level values on the basis at the current
-    states, evaluates the fitted continuation at the current and
-    jump-shifted states for the driver's jump argument, and iterates the
-    value-matrix coupling ``n_picard`` times.  Time zero is degenerate (all
-    paths share ``x0``), so the conditional expectation is the plain mean
-    and the continuation used for the jump argument is the smoothing fit of
-    the level-one values on the level-one states.
+    The values live in one ``(m1, m2, paths)`` stack.  Each step fits the
+    whole next level on the basis at the current states with one
+    least-squares solve, predicts the continuation at the current and
+    jump-shifted states for the driver's jump argument, and resolves the
+    value-matrix coupling with ``N_PICARD`` passes.  Time zero is degenerate
+    (all paths share ``x0``), so the conditional expectation is the plain
+    mean and the continuation used for the jump argument is the smoothing
+    fit of the level-one values on the level-one states.
     """
     if batch.n_paths < 2:
         raise ValueError("need at least two paths for a regression estimate")
@@ -198,69 +207,47 @@ def solve_bsde_regression(
     P = batch.n_paths
     dt = float(batch.times[1] - batch.times[0])
 
-    Y = spec.terminal_table(batch.states[:, -1])
+    def predict(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """The fitted ``(m1, m2) + x.shape`` stack at the states ``x``."""
+        return (coeffs @ basis.design(x).T).reshape((m1, m2) + x.shape)
 
-    def jump_argument(coeffs: dict, x: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-        """``sum_a w_a gamma_a (fit(x + beta_a) - fitted)`` per pair; one shifted design at a time."""
+    def jump_argument(coeffs: np.ndarray, x: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+        """``sum_a w_a gamma_a (fit(x + beta_a) - fitted)``; one shifted prediction at a time."""
         beta, gamma = spec.jump_tables(x, quad.marks)
         q = np.zeros((m1, m2) + x.shape)
         for a in range(quad.n_atoms):
-            shifted = basis.design(x + beta[a])
-            for i, j in pairs:
-                q[i, j] += float(quad.weights[a]) * gamma[i, j, a] * (shifted @ coeffs[i, j] - fitted[i, j])
-            del shifted
+            q += float(quad.weights[a]) * gamma[:, :, a] * (predict(x + beta[a], coeffs) - fitted)
         return q
 
-    def picard(c_values: np.ndarray, q_hat: np.ndarray, t: float, xk: np.ndarray) -> np.ndarray:
-        """c_values, q_hat: (m1, m2, P) continuation and jump-argument tables."""
+    def picard(cont: np.ndarray, q_hat: np.ndarray, t: float, xk: np.ndarray) -> np.ndarray:
+        """cont, q_hat: (m1, m2, P) continuation and jump-argument stacks."""
         lc = spec.lower_cost_table(t, xk)
         uc = spec.upper_cost_table(t, xk)
-        y_cur = c_values.copy()
-        for _ in range(n_picard):
-            L, U = eval_obstacles(y_cur, lc, uc)
-            y_new = np.empty_like(y_cur)
-            for i, j in pairs:
-                entries = {driver_variable(a, b): y_cur[a, b] for a, b in pairs}
-                g = spec.eval_driver((i, j), t, xk, entries, 0.0, q_hat[i, j])
-                f = g + n * neg_part(y_cur[i, j] - L[i, j]) - m * pos_part(y_cur[i, j] - U[i, j])
-                y_new[i, j] = c_values[i, j] + dt * f
-            y_cur = y_new
-        return y_cur
+        y = cont
+        for _ in range(N_PICARD):
+            L, U = eval_obstacles(y, lc, uc)
+            entries = {driver_variable(i, j): y[i, j] for i, j in pairs}
+            g = np.empty_like(y)
+            for pair in pairs:
+                g[pair] = spec.eval_driver(pair, t, xk, entries, 0.0, q_hat[pair])
+            y = cont + dt * (g + n * neg_part(y - L) - m * pos_part(y - U))
+        return y
 
-    level_one: np.ndarray | None = None
+    Y = spec.terminal_table(batch.states[:, -1])
     for k in range(batch.n_steps - 1, 0, -1):
         xk = batch.states[:, k]
-        design = basis.design(xk)
-        coeffs = {pair: _fit(design, Y[pair], k) for pair in pairs}
-        cont = np.empty((m1, m2, P))
-        for pair in pairs:
-            cont[pair] = design @ coeffs[pair]
+        coeffs = _fit(basis.design(xk), Y, k)
+        cont = predict(xk, coeffs)
         Y = picard(cont, jump_argument(coeffs, xk, cont), float(batch.times[k]), xk)
-        if k == 1:
-            level_one = Y.copy()
-
-    if batch.n_steps == 1:
-        level_one = Y.copy()
 
     # time zero: all paths share x0, so condition by averaging; the jump
     # argument reuses a smoothing fit of level-one values on level-one states
-    x0_arr = np.full(1, batch.x0)
-    design1 = basis.design(batch.states[:, 1])
-    coeffs = {pair: _fit(design1, level_one[pair], 0) for pair in pairs}
-    design0 = basis.design(x0_arr)
-    cont0 = np.empty((m1, m2, 1))
-    base = np.empty((m1, m2, 1))
-    for pair in pairs:
-        cont0[pair] = float(np.mean(level_one[pair]))
-        base[pair] = design0 @ coeffs[pair]
-    y0_mat = picard(cont0, jump_argument(coeffs, x0_arr, base), float(batch.times[0]), x0_arr)
-
-    y0 = np.empty((m1, m2))
-    stderr = np.empty((m1, m2))
-    for i, j in pairs:
-        y0[i, j] = float(y0_mat[i, j, 0])
-        stderr[i, j] = float(np.std(level_one[i, j], ddof=1) / math.sqrt(P))
-    return BsdeEstimate(y0=y0, stderr=stderr, n_paths=P, n=n, m=m)
+    x0 = np.full(1, batch.x0)
+    coeffs = _fit(basis.design(batch.states[:, 1]), Y, 0)
+    cont0 = Y.mean(axis=2, keepdims=True)
+    y0 = picard(cont0, jump_argument(coeffs, x0, predict(x0, coeffs)), float(batch.times[0]), x0)
+    stderr = Y.std(axis=2, ddof=1) / math.sqrt(P)
+    return BsdeEstimate(y0=y0[:, :, 0], stderr=stderr, n_paths=P, n=n, m=m)
 
 
 @dataclass

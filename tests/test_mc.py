@@ -12,7 +12,7 @@ from switchvi.mc import (
     simulate_paths,
     solve_bsde_regression,
 )
-from switchvi.model import GrowthBound, load_problem
+from switchvi.model import GrowthBound, driver_variable, eval_obstacles, load_builtin_problem, load_problem, neg_part, pos_part
 from switchvi.pde_solver import SchemeConfig, solve_penalized
 
 from conftest import make_spec
@@ -158,6 +158,110 @@ class TestBsdeRegression:
                 slack = 4.0 * float(np.max(est.stderr))
                 assert float(np.max(prev - est.y0)) <= slack
             prev = est.y0
+
+
+def per_pair_regression(batch, spec, n, m, basis=RegressionBasis(), n_picard=2):
+    """Reference estimate: the same sweep with one ``lstsq`` per mode pair and level."""
+    quad = batch.quadrature
+    pairs = list(spec.modes.pairs())
+    dt = float(batch.times[1] - batch.times[0])
+
+    def fit(design, target, step):
+        coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < design.shape[1]:
+            raise SingularRegressionError(math.inf, step)
+        return coeffs
+
+    def jump_argument(coeffs, x, fitted):
+        beta, gamma = spec.jump_tables(x, quad.marks)
+        q = np.zeros(fitted.shape)
+        for a in range(quad.n_atoms):
+            shifted = basis.design(x + beta[a])
+            for i, j in pairs:
+                q[i, j] += float(quad.weights[a]) * gamma[i, j, a] * (shifted @ coeffs[i, j] - fitted[i, j])
+        return q
+
+    def picard(cont, q_hat, t, x):
+        lc, uc = spec.lower_cost_table(t, x), spec.upper_cost_table(t, x)
+        y = cont.copy()
+        for _ in range(n_picard):
+            L, U = eval_obstacles(y, lc, uc)
+            entries = {driver_variable(a, b): y[a, b] for a, b in pairs}
+            y_new = np.empty_like(y)
+            for i, j in pairs:
+                g = spec.eval_driver((i, j), t, x, entries, 0.0, q_hat[i, j])
+                f = g + n * neg_part(y[i, j] - L[i, j]) - m * pos_part(y[i, j] - U[i, j])
+                y_new[i, j] = cont[i, j] + dt * f
+            y = y_new
+        return y
+
+    Y = spec.terminal_table(batch.states[:, -1])
+    for k in range(batch.n_steps - 1, 0, -1):
+        xk = batch.states[:, k]
+        design = basis.design(xk)
+        coeffs = {pair: fit(design, Y[pair], k) for pair in pairs}
+        cont = np.empty(Y.shape)
+        for pair in pairs:
+            cont[pair] = design @ coeffs[pair]
+        Y = picard(cont, jump_argument(coeffs, xk, cont), float(batch.times[k]), xk)
+    x0 = np.full(1, batch.x0)
+    design1 = basis.design(batch.states[:, 1])
+    coeffs = {pair: fit(design1, Y[pair], 0) for pair in pairs}
+    cont0 = np.empty(Y.shape[:2] + (1,))
+    base = np.empty(Y.shape[:2] + (1,))
+    for pair in pairs:
+        cont0[pair] = float(np.mean(Y[pair]))
+        base[pair] = basis.design(x0) @ coeffs[pair]
+    y0 = picard(cont0, jump_argument(coeffs, x0, base), float(batch.times[0]), x0)[:, :, 0]
+    stderr = np.array([[np.std(Y[i, j], ddof=1) for j in range(Y.shape[1])] for i in range(Y.shape[0])])
+    return y0, stderr / math.sqrt(batch.n_paths)
+
+
+class TestStackedRegression:
+    """All mode pairs share one design per level, so one least-squares fit serves them."""
+
+    @pytest.mark.parametrize("name", ["switch_2x2_jump", "two_atom_jump"])
+    def test_matches_the_per_pair_reference(self, name):
+        spec = load_builtin_problem(name)
+        quad = build_levy_quadrature(spec.levy)
+        assert quad.n_atoms > 0
+        batch = simulate_paths(spec, quad, 0.0, 2_000, TG, seed=21)
+        est = solve_bsde_regression(batch, spec, 4.0, 2.0)
+        y0, stderr = per_pair_regression(batch, spec, 4.0, 2.0)
+        np.testing.assert_allclose(est.y0, y0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(est.stderr, stderr, rtol=0.0, atol=1e-12)
+        # the penalties are active on this batch
+        assert np.max(np.abs(est.y0 - solve_bsde_regression(batch, spec, 0.0, 0.0).y0)) > 1e-3
+
+    @pytest.mark.parametrize("name", ["switch_2x2_jump", "two_atom_jump"])
+    def test_one_least_squares_fit_per_level(self, name, monkeypatch):
+        spec = load_builtin_problem(name)
+        quad = build_levy_quadrature(spec.levy)
+        batch = simulate_paths(spec, quad, 0.0, 500, TG, seed=21)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        solve_bsde_regression(batch, spec, 4.0, 4.0)
+        assert len(calls) == TG.n_steps
+
+    def test_singular_design_raises_at_the_reference_step(self):
+        # zero volatility until t = 0.25 and no jumps: every path shares its
+        # state through level 26, so the design turns singular mid-sweep
+        spec = make_spec(
+            modes={"m1": 2, "m2": 2}, drift="0", vol="max(t - 0.25, 0)", levy={"atoms": []}, terminal={"default": "x"}
+        )
+        quad = build_levy_quadrature(spec.levy)
+        batch = simulate_paths(spec, quad, 0.0, 200, TG, seed=4)
+        with pytest.raises(SingularRegressionError) as ref:
+            per_pair_regression(batch, spec, 4.0, 4.0)
+        with pytest.raises(SingularRegressionError) as got:
+            solve_bsde_regression(batch, spec, 4.0, 4.0)
+        assert 0 < got.value.step == ref.value.step < TG.n_steps - 1
 
 
 class TestFeynmanKac:
