@@ -3,16 +3,19 @@
 Simulates the jump-diffusion with compensated per-atom Poisson jumps
 (Euler-Maruyama) and estimates the doubly penalized backward system by
 least-squares regression on polynomial bases, then compares the time-zero
-estimate against the deterministic surface at the starting point.  Jumps
-below the quadrature cutoff enter the paths as the grid solver's small-jump
-diffusion ``0.5 s (d beta/de)(x, 0)^2 v''`` (see :func:`simulate_paths`).
+estimate against the deterministic surface at the starting point.  The
+estimate works on the ``(m1, m2, paths)`` stack of all mode pairs: the
+pairs share each level's design, so one least-squares solve fits them all,
+and the obstacles and penalties act on the whole stack.  Jumps below the
+quadrature cutoff enter the paths as the grid solver's small-jump diffusion
+``0.5 s (d beta/de)(x, 0)^2 v''`` (see :func:`simulate_paths`).
 
 Supported problem class for the Monte-Carlo side: drivers that do not
 depend on the gradient argument ``z`` (it is passed as zero).  Estimating
 ``z`` needs martingale-increment or Malliavin-weight regression and would
 not materially strengthen the representation check.  The jump argument is
 estimated from the fitted continuation function; the value-matrix coupling
-is resolved with a fixed number of Picard passes per step.
+is resolved with ``N_PICARD`` Picard passes per step.
 
 Each path draws from its own counter-based random stream keyed by
 ``(seed, path index)``, so the batch is reproducible and independent of any
