@@ -243,8 +243,9 @@ def solve_bsde_regression(
         cont = predict(xk, coeffs)
         Y = picard(cont, jump_argument(coeffs, xk, cont), float(batch.times[k]), xk)
 
-    # time zero: all paths share x0, so condition by averaging; the jump
-    # argument reuses a smoothing fit of level-one values on level-one states
+    # time zero: Y now holds level one.  All paths share x0, so condition by
+    # averaging; the jump argument reuses a smoothing fit of level-one values
+    # on level-one states
     x0 = np.full(1, batch.x0)
     coeffs = _fit(basis.design(batch.states[:, 1]), Y, 0)
     cont0 = Y.mean(axis=2, keepdims=True)
