@@ -187,13 +187,11 @@ def cmd_solve(args) -> int:
     solve = cfg.get("solve", {})
     system = solve.get("system", "minmax")
     mode = solve.get("mode", "direct")
-    with _config_section("solve"):
-        if system != "penalized" and mode not in ("direct", "limit"):
-            raise ValueError(f"unknown mode '{mode}'")
+    if system != "penalized" and mode not in ("direct", "limit"):
+        raise UsageError(f"config 'solve': unknown mode '{mode}'")
     levels = cfg.get("output", {}).get("levels")
-    with _config_section("output"):
-        if levels is not None and not all(0 <= int(k) <= tgrid.n_steps for k in levels):
-            raise ValueError(f"levels {levels} must lie in 0..{tgrid.n_steps}")
+    if levels is not None and not (isinstance(levels, list) and all(isinstance(k, int) and 0 <= k <= tgrid.n_steps for k in levels)):
+        raise UsageError(f"config 'output': levels must be a list of integers in 0..{tgrid.n_steps}, got {levels!r}")
 
     t0 = time.perf_counter()
     if system == "penalized":

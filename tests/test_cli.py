@@ -240,6 +240,7 @@ class TestBadConfigValues:
             pytest.param("solve", {"scheme": {"cfl_factor": 2.0}}, "error: config 'scheme': ", id="scheme-cfl"),
             pytest.param("solve", {"solve": {"system": "minmax", "mode": "bogus"}}, "error: config 'solve': ", id="solve-mode"),
             pytest.param("solve", {"output": {"levels": [999]}}, "error: config 'output': ", id="output-levels"),
+            pytest.param("solve", {"output": {"levels": [2.5]}}, "error: config 'output': ", id="output-levels-float"),
             pytest.param("solve", {"time": {"n_steps": 0}}, "error: config 'time': ", id="time-steps"),
             pytest.param("check", {"check": {"paths": 0}}, "error: config 'check': ", id="check-paths-0"),
             pytest.param("check", {"check": {"paths": 1}}, "error: config 'check': ", id="check-paths-1"),
