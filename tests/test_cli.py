@@ -238,6 +238,7 @@ class TestBadConfigValues:
         [
             pytest.param("solve", {"scheme": {"mode": "implicit"}}, "error: config 'scheme': ", id="scheme-mode"),
             pytest.param("solve", {"scheme": {"cfl_factor": 2.0}}, "error: config 'scheme': ", id="scheme-cfl"),
+            pytest.param("solve", {"scheme": {"max_sweeps": 0}}, "error: config 'scheme': ", id="scheme-sweeps"),
             pytest.param("solve", {"solve": {"system": "minmax", "mode": "bogus"}}, "error: config 'solve': ", id="solve-mode"),
             pytest.param("solve", {"output": {"levels": [999]}}, "error: config 'output': ", id="output-levels"),
             pytest.param("solve", {"output": {"levels": [2.5]}}, "error: config 'output': ", id="output-levels-float"),
@@ -245,6 +246,7 @@ class TestBadConfigValues:
             pytest.param("check", {"check": {"paths": 0}}, "error: config 'check': ", id="check-paths-0"),
             pytest.param("check", {"check": {"paths": 1}}, "error: config 'check': ", id="check-paths-1"),
             pytest.param("check", {"check": {"n_steps": 0}}, "error: config 'check': ", id="check-steps"),
+            pytest.param("check", {"check": {"basis_degree": -2}}, "error: config 'check': ", id="check-basis"),
             pytest.param("solve", {"problem": negative_density_problem()}, "problem definition error: ", id="negative-density"),
         ],
     )
