@@ -284,6 +284,7 @@ def cmd_check(args) -> int:
         if n_paths < 2:
             raise ValueError(f"need at least two paths for a regression estimate, got {n_paths}")
         mc_tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(ck.get("n_steps", tgrid.n_steps)))
+        basis = mc.RegressionBasis(int(ck.get("basis_degree", 3)))
 
     results: dict = {"seed": args.seed}
     ok = True
@@ -304,7 +305,7 @@ def cmd_check(args) -> int:
     # Feynman-Kac cross-check on the penalized system
     traj, _ = solve_penalized(spec, grid, tgrid, quad, n_pen, m_pen, scheme)
     batch = mc.simulate_paths(spec, quad, x0, n_paths, mc_tgrid, args.seed)
-    estimate = mc.solve_bsde_regression(batch, spec, n_pen, m_pen, mc.RegressionBasis(int(ck.get("basis_degree", 3))))
+    estimate = mc.solve_bsde_regression(batch, spec, n_pen, m_pen, basis)
     fk = mc.feynman_kac_check(traj, estimate, x0, spec.growth)
     ok = ok and fk.passed
     results["feynman_kac"] = fk.to_dict()

@@ -86,6 +86,10 @@ class RegressionBasis:
 
     degree: int = 3
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"basis degree must be non-negative, got {self.degree}")
+
     def design(self, x: np.ndarray) -> np.ndarray:
         return np.vander(np.asarray(x, dtype=float), N=self.degree + 1, increasing=True)
 

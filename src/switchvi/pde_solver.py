@@ -142,6 +142,8 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme mode '{self.mode}'")
         if not (0.0 < self.cfl_factor <= 1.0):
             raise ValueError("cfl_factor must lie in (0, 1]")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
 
 
 @dataclass
