@@ -12,16 +12,16 @@ first-order term, so it is in the drift, upwinded with it, not in the jump
 part of the kernel.
 
 What is shared with the finite-difference solver is only the coefficient
-values: the beta, gamma and terminal tables come from
-:meth:`ProblemSpec.jump_tables` and :meth:`ProblemSpec.terminal_table`,
-built once per game, and drift, volatility and the drivers are evaluated
-over the node vector.  The induction returns the solver's
-:class:`~switchvi.pde_solver.Trajectory` container.  Everything that turns them into a step is written
-independently (explicit Python loops, no shared stepping code): the kernel
-assembly, the compensator sum, the interpolation weights, the gradient and
-jump-sum loops and the projection sweeps.  So agreement between the two is
-evidence, not tautology.  Deliberately naive and single-threaded; meant for
-small instances.
+values and the result container: the beta, gamma and terminal tables come
+from :meth:`ProblemSpec.jump_tables` and :meth:`ProblemSpec.terminal_table`,
+built once per game, drift, volatility and the drivers are evaluated over
+the node vector, and the induction returns a
+:class:`~switchvi.pde_solver.Trajectory`.  Everything that turns the
+coefficients into a step is written independently (explicit Python loops,
+no shared stepping code): the kernel assembly, the compensator sum, the
+interpolation weights, the gradient and jump-sum loops and the projection
+sweeps.  So agreement between the two is evidence, not tautology.
+Deliberately naive and single-threaded; meant for small instances.
 """
 
 from __future__ import annotations
