@@ -103,9 +103,9 @@ def _load_spec(cfg: dict, config_dir: Path) -> ProblemSpec:
         return ProblemSpec.from_dict(prob)
     text = str(prob)
     candidate = (config_dir / text) if not Path(text).is_absolute() else Path(text)
-    if candidate.exists():
+    if candidate.is_file():
         return load_problem(str(candidate))
-    if Path(text).exists():
+    if Path(text).is_file():
         return load_problem(text)
     try:
         return load_builtin_problem(text)
@@ -124,7 +124,11 @@ def _grids(cfg: dict, spec: ProblemSpec) -> tuple[SpatialGrid, TimeGrid]:
 
 def _quadrature(cfg: dict, spec: ProblemSpec):
     q = cfg.get("quadrature", {})
-    return build_levy_quadrature(spec.levy, n_atoms=int(q.get("n_atoms", 64)), radius=q.get("radius"))
+    with _config_section("quadrature"):
+        n_atoms, radius = int(q.get("n_atoms", 64)), q.get("radius")
+        if radius is not None and spec.levy.density is not None and not float(radius) > spec.levy.cutoff:
+            raise ValueError(f"radius {radius} must exceed the density cutoff {spec.levy.cutoff}")
+    return build_levy_quadrature(spec.levy, n_atoms=n_atoms, radius=radius)
 
 
 def _scheme(cfg: dict, override_a4: bool) -> SchemeConfig:

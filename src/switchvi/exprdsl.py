@@ -35,6 +35,12 @@ floating-point error, missing binding or non-finite value, the call is
 re-run by the tree-walker, which checks every node and names the first bad
 subexpression, so errors and their messages are those of the walker, and
 every successful result is bitwise the walker's.
+
+:func:`evaluate_many` runs several trees that share most bindings (the
+drivers of all mode pairs, say) under one ``errstate``.  It checks each
+binding that any tree reads once, a row stack (one binding per tree) as a
+whole, and the stacked result once.  On any failure it re-runs the plain
+:func:`evaluate` loop, so its results and errors are exactly that loop's.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ __all__ = [
     "NumericDomainError",
     "parse",
     "evaluate",
+    "evaluate_many",
     "format_expr",
-    "substitute",
     "free_variables",
     "expr_depth",
 ]
@@ -318,21 +324,6 @@ def free_variables(expr: Expr) -> frozenset[str]:
     raise TypeError(f"not an Expr node: {expr!r}")
 
 
-def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace variables by subtrees (used by the sign-flip conjugate ``negated_transposed_spec``)."""
-    if isinstance(expr, Num):
-        return expr
-    if isinstance(expr, Var):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, Neg):
-        return Neg(substitute(expr.operand, mapping))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Call):
-        return Call(expr.fn, tuple(substitute(a, mapping) for a in expr.args))
-    raise TypeError(f"not an Expr node: {expr!r}")
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG_PREC = 3
 
@@ -475,3 +466,31 @@ def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
     except (KeyError, TypeError, FloatingPointError):  # TypeError: bindings math.isfinite cannot read
         pass
     return _eval(expr, ctx)
+
+
+def evaluate_many(exprs: Sequence[Expr], ctx: Mapping[str, Value], rows: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Stacked results of ``evaluate(exprs[k], ctx | {name: a[k] for name, a in rows.items()})``,
+    each broadcast to the common shape of all bindings (a row stack's rows count).
+
+    The bindings read and the result stack are each checked once (see the
+    module docstring); any failure re-runs the plain per-expression loop, so
+    results and errors are bitwise its own.
+    """
+    forms = [_compiled(e) for e in exprs]
+    read = frozenset().union(*(names for _, names in forms))
+    shape = np.broadcast_shapes(*{np.shape(v) for v in ctx.values()}, *{np.shape(a)[1:] for a in rows.values()})
+    out = np.empty((len(forms),) + shape)
+    local = dict(ctx)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if all(_finite(rows[name] if name in rows else ctx[name]) for name in read):
+                for k, (fn, _) in enumerate(forms):
+                    local.update((name, a[k]) for name, a in rows.items())
+                    out[k] = fn(local)
+                if _finite(out):
+                    return out
+    except (KeyError, TypeError, FloatingPointError):
+        pass
+    for k, e in enumerate(exprs):
+        out[k] = evaluate(e, {**ctx, **{name: a[k] for name, a in rows.items()}})
+    return out

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .discretization import LevyQuadrature, TimeGrid, beta_slope_at_zero
-from .model import GrowthBound, ProblemSpec, driver_variable, eval_obstacles, neg_part, pos_part
+from .model import GrowthBound, ProblemSpec, eval_obstacles, neg_part, pos_part
 from .pde_solver import Trajectory
 
 __all__ = [
@@ -210,7 +210,6 @@ def solve_bsde_regression(
     basis = basis or RegressionBasis()
     quad = batch.quadrature
     m1, m2 = spec.modes.m1, spec.modes.m2
-    pairs = list(spec.modes.pairs())
     P = batch.n_paths
     dt = float(batch.times[1] - batch.times[0])
 
@@ -233,10 +232,7 @@ def solve_bsde_regression(
         y = cont
         for _ in range(N_PICARD):
             L, U = eval_obstacles(y, lc, uc)
-            entries = {driver_variable(i, j): y[i, j] for i, j in pairs}
-            g = np.empty_like(y)
-            for pair in pairs:
-                g[pair] = spec.eval_driver(pair, t, xk, entries, 0.0, q_hat[pair])
+            g = spec.driver_table(t, xk, y, 0.0, q_hat)
             y = cont + dt * (g + n * neg_part(y - L) - m * pos_part(y - U))
         return y
 

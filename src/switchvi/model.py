@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import exprdsl
-from .exprdsl import Expr, evaluate, parse
+from .exprdsl import Expr, evaluate, evaluate_many, parse
 
 __all__ = [
     "ModeSet",
@@ -331,6 +331,21 @@ class ProblemSpec:
             out[pair] = self.eval_terminal(pair, x)
         return out
 
+    def driver_table(self, t: float, x, y: np.ndarray, z, q) -> np.ndarray:
+        """``(m1, m2) + x.shape`` array of the drivers ``g^{ij}(t, x, y, z^{ij}, q^{ij})``.
+
+        ``y`` is the ``(m1, m2) + x.shape`` value stack; ``z`` and ``q`` are
+        stacks of that shape or scalars.  Bitwise equal to one
+        :meth:`eval_driver` call per pair, with one finiteness check per binding.
+        """
+        x = np.asarray(x, dtype=float)
+        pairs = list(self.modes.pairs())
+        ctx = {"t": t, "x": x, **{driver_variable(i, j): y[i, j] for i, j in pairs}}
+        ctx.update((name, v) for name, v in (("z", z), ("q", q)) if not np.ndim(v))
+        rows = {name: v.reshape((len(pairs),) + x.shape) for name, v in (("z", z), ("q", q)) if np.ndim(v)}
+        table = evaluate_many([self.drivers[p] for p in pairs], ctx, rows)
+        return table.reshape((self.modes.m1, self.modes.m2) + x.shape)
+
     def beta_table(self, x, marks: Sequence[float]) -> np.ndarray:
         """``(atoms,) + x.shape`` array of ``beta(x, e_a)``, one atom per entry of ``marks``."""
         x = np.asarray(x, dtype=float)
@@ -353,27 +368,39 @@ class ProblemSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _other_modes(m: int) -> tuple[np.ndarray, ...]:
-    """``_other_modes(m)[i]`` indexes the modes ``k != i`` of a player with ``m`` modes."""
-    rows = tuple(np.delete(np.arange(m), i) for i in range(m))
-    for r in rows:
-        r.setflags(write=False)
-    return rows
+def _other_modes(m: int) -> np.ndarray:
+    """The read-only ``(m, m - 1)`` table whose row ``i`` lists the modes ``k != i`` in increasing order."""
+    table = np.array([np.delete(np.arange(m), i) for i in range(m)]).reshape(m, m - 1)
+    table.setflags(write=False)
+    return table
 
 
-def obstacle_row(y: np.ndarray, costs: np.ndarray, i: int, combine: np.ufunc, pick: np.ufunc, out=None) -> np.ndarray:
-    """``pick`` over ``k != i`` of ``combine(y[k], costs[i, k])``, along the leading axis of ``y``.
+def other_mode_costs(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ks, c)`` for a player's ``(m, m) + cost_tail`` cost table: ``ks[i]``
+    lists the modes ``k != i`` in increasing order and ``c[i] = costs[i, ks[i]]``."""
+    ks = _other_modes(costs.shape[0])
+    return ks, costs[np.arange(len(ks))[:, None], ks]
 
-    One player's obstacle for its mode ``i``: ``np.subtract`` with
-    ``np.maximum`` gives the lower obstacle, ``np.add`` with ``np.minimum`` the
-    upper one.  ``costs`` is ``(m, m) + cost_tail``; ``cost_tail`` broadcasts
-    against the trailing axes of ``y[k]``.  The candidates are reduced in
-    increasing ``k``, as a per-mode loop would, into ``out`` if given.
+
+def obstacle(y: np.ndarray, ks: np.ndarray, c: np.ndarray, axis: int, combine: np.ufunc, pick: np.ufunc) -> np.ndarray:
+    """``pick`` over the last axis of ``ks`` of ``combine(y.take(ks, axis), c)``.
+
+    ``(ks, c)`` is ``other_mode_costs`` of one player's costs, or one row
+    ``(ks[i], c[i])`` of it; ``axis`` is that player's mode axis in ``y``,
+    and ``c``'s cost tail broadcasts against the trailing axes of ``y``.
+    ``np.subtract`` with ``np.maximum`` gives the lower obstacle, ``np.add``
+    with ``np.minimum`` the upper one.  The candidates are gathered once,
+    combined in place and reduced in increasing ``k``, as a per-mode loop
+    would; with a single candidate the result is a view of the gather.
     """
-    ks = _other_modes(y.shape[0])[i]
-    c = costs[i].take(ks, axis=0).reshape(ks.shape + (1,) * (y.ndim - costs.ndim + 1) + costs.shape[2:])
-    cands = y[ks]
-    return pick.reduce(combine(cands, c, out=cands), axis=0, out=out)
+    axis %= y.ndim
+    cands = y.take(ks, axis=axis)
+    tail = c.shape[ks.ndim :]
+    combine(cands, c.reshape(ks.shape + (1,) * (y.ndim - 1 - axis - len(tail)) + tail), out=cands)
+    last = axis + ks.ndim - 1
+    if cands.shape[last] == 1:
+        return cands[(slice(None),) * last + (0,)]
+    return pick.reduce(cands, axis=last)
 
 
 def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,18 +415,12 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     nodes or paths.  ``lower_costs`` is ``(m1, m1) + cost_tail`` and
     ``upper_costs`` ``(m2, m2) + cost_tail``, where ``cost_tail`` broadcasts
     against ``tail`` (``()`` for constant costs, or ``tail`` itself); ``L``
-    and ``U`` have the shape of ``y``.  Work runs one row at a time (``i``
-    for ``L``, ``j`` for ``U``), so no temporary is larger than ``y``.
+    and ``U`` have the shape of ``y``.  Each side is one :func:`obstacle`
+    over all modes, whose candidate gather is ``m - 1`` times the size of
+    ``y``; with two modes that gather is the obstacle itself.
     """
-    L = np.full(y.shape, -np.inf)
-    U = np.full(y.shape, np.inf)
-    if y.shape[0] > 1:
-        for i in range(y.shape[0]):
-            obstacle_row(y, lower_costs, i, np.subtract, np.maximum, out=L[i])
-    if y.shape[1] > 1:
-        yt, Ut = y.swapaxes(0, 1), U.swapaxes(0, 1)
-        for j in range(y.shape[1]):
-            obstacle_row(yt, upper_costs, j, np.add, np.minimum, out=Ut[j])
+    L = obstacle(y, *other_mode_costs(lower_costs), 0, np.subtract, np.maximum) if y.shape[0] > 1 else np.full(y.shape, -np.inf)
+    U = obstacle(y, *other_mode_costs(upper_costs), 1, np.add, np.minimum) if y.shape[1] > 1 else np.full(y.shape, np.inf)
     return L, U
 
 

@@ -29,10 +29,12 @@ explicit treatment.
 Within one backward step node updates only read the previous level, so they
 are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
 at once, the jump sums included (one matrix product per assembled jump
-matrix), and only the driver runs pair by pair.  Obstacle
-sweeps run sequentially over mode pairs (lexicographic order, direction
-alternating each sweep) but are vectorized over nodes.  Identical inputs give
-bitwise-identical results.
+matrix), and the drivers of all pairs come as one table
+(``ProblemSpec.driver_table``); only the implicit diffusion solves pair by
+pair.  Obstacle sweeps are Gauss-Seidel over mode pairs (lexicographic order,
+direction alternating each sweep), vectorized over nodes; a one-sided sweep
+visits a whole row (lower) or column (upper) of pairs at once, which gives
+the pair loop's bits.  Identical inputs give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ from .discretization import (
     upwind_drift,
 )
 from .model import (
-    ModeSet,
     ProblemSpec,
     driver_variable,
     eval_obstacles,
     neg_part,
-    obstacle_row,
+    obstacle,
+    other_mode_costs,
     pos_part,
     validate_non_free_loop,
     validate_terminal_consistency,
@@ -84,7 +86,6 @@ __all__ = [
     "solve_minmax",
     "solve_maxmin",
     "residual_report",
-    "negated_transposed_spec",
     "DEFAULT_PENALTY_SCHEDULE",
 ]
 
@@ -202,25 +203,26 @@ def estimate_driver_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeG
     """
     x = grid.axis()
     probe_x = x[:: max(1, len(x) // 8)]
-    ts = (0.0, 0.5 * tgrid.horizon, tgrid.horizon)
     h = 1e-5
     pairs = list(spec.modes.pairs())
     bases = [np.zeros((spec.modes.m1, spec.modes.m2)), np.mean(spec.terminal_table(probe_x), axis=-1)]
+    # one row per (time, base): every pair's driver is probed with one call per bump
+    rows = [(t, y0) for t in (0.0, 0.5 * tgrid.horizon, tgrid.horizon) for y0 in bases]
+    times = np.array([[t] for t, _ in rows])
+    xs = np.tile(probe_x, (len(rows), 1))
+    entries = {driver_variable(p, l): np.array([[y0[p, l]] for _, y0 in rows]) for p, l in pairs}
     worst = 0.0
-    for t in ts:
-        for pair in pairs:
-            for y0 in bases:
-                entries = {driver_variable(p, l): float(y0[p, l]) for p, l in pairs}
-                base = spec.eval_driver(pair, float(t), probe_x, entries, 0.0, 0.0)
-                sq = np.zeros_like(probe_x)
-                for other in pairs:
-                    bumped = dict(entries)
-                    bumped[driver_variable(*other)] = float(y0[other]) + h
-                    dy = (spec.eval_driver(pair, float(t), probe_x, bumped, 0.0, 0.0) - base) / h
-                    sq = sq + dy**2
-                dz = (spec.eval_driver(pair, float(t), probe_x, entries, h, 0.0) - base) / h
-                dq = (spec.eval_driver(pair, float(t), probe_x, entries, 0.0, h) - base) / h
-                worst = max(worst, float(np.max(np.sqrt(sq + dz**2 + dq**2))))
+    for pair in pairs:
+        base = spec.eval_driver(pair, times, xs, entries, 0.0, 0.0)
+        sq = np.zeros_like(xs)
+        for other in pairs:
+            bumped = dict(entries)
+            bumped[driver_variable(*other)] = entries[driver_variable(*other)] + h
+            dy = (spec.eval_driver(pair, times, xs, bumped, 0.0, 0.0) - base) / h
+            sq = sq + dy**2
+        dz = (spec.eval_driver(pair, times, xs, entries, h, 0.0) - base) / h
+        dq = (spec.eval_driver(pair, times, xs, entries, 0.0, h) - base) / h
+        worst = max(worst, float(np.max(np.sqrt(sq + dz**2 + dq**2))))
     return worst
 
 
@@ -276,6 +278,8 @@ class _Workspace:
         self._local_reads_t = any("t" in exprdsl.free_variables(e) for e in (spec.drift, spec.vol))
         costs = (*spec.lower_costs.values(), *spec.upper_costs.values())
         self._costs_read_t = any("t" in exprdsl.free_variables(e) for e in costs)
+        # the step computes the gradient z = sigma Dv only for drivers that read it
+        self._drivers_read_z = any("z" in exprdsl.free_variables(e) for e in spec.drivers.values())
         self._local = self._costs = self._banded = None
 
     # -- pieces ------------------------------------------------------------
@@ -345,17 +349,14 @@ class _Workspace:
         bp, bm, sig, a_diff = self.local_coefficients(t_next)
         if (n > 0.0 or m > 0.0) and obstacles is None:
             obstacles = eval_obstacles(values, *self.cost_tables(t_next))
-        y_entries = {driver_variable(i, j): values[i, j] for i, j in self.pairs}
 
         rhs = upwind_drift(values, self.grid, bp, bm)
-        z = sig * gradient_surface(values, self.grid)
-        if self.jumps is None:
-            q = np.zeros_like(values)
-        else:
+        z = sig * gradient_surface(values, self.grid) if self._drivers_read_z else 0.0
+        q = 0.0
+        if self.jumps is not None:
             jump_gen, q = self.jumps.apply(values)
             rhs += jump_gen
-        for i, j in self.pairs:
-            rhs[i, j] += spec.eval_driver((i, j), t_next, self.x, y_entries, z[i, j], q[i, j])
+        rhs += spec.driver_table(t_next, self.x, values, z, q)
 
         if self.config.mode == "explicit":
             rhs += a_diff * second_derivative_surface(values, self.grid)
@@ -410,24 +411,34 @@ def _sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, 
     """Gauss-Seidel sweeps of ``_PROJECTIONS[projection]`` to a fixed point, in
     place; returns the changed-pass count.  The order of ``max`` and ``min``
     is the obstacle priority; an absent obstacle is ``-inf`` or ``+inf``, and a
-    one-sided projection does not build the other side's obstacle."""
+    one-sided projection does not build the other side's obstacle.
+
+    The lower obstacle of ``(i, j)`` reads only column ``j`` and the upper one
+    only row ``i``, so a lower sweep visits a whole row and an upper sweep a
+    whole column at a time, with the values and pass counts of the pair loop
+    that bilateral sweeps run."""
     project = _PROJECTIONS[projection]
-    reads_lower = projection != "upper"
-    reads_upper = projection != "lower"
-    pde_values = values.copy()
     m1, m2 = values.shape[0], values.shape[1]
+    # per mode i: the other modes and their costs, (ks[i], c[i]) of other_mode_costs
+    lower = list(zip(*other_mode_costs(lc))) if m1 > 1 and projection != "upper" else None
+    upper = list(zip(*other_mode_costs(uc))) if m2 > 1 and projection != "lower" else None
+    every = slice(None)
+    visits = {"lower": [(i, every) for i in range(m1)], "upper": [(every, j) for j in range(m2)]}.get(projection, pairs)
+    pde_values = values.copy()
     changed_passes = 0
     worst = np.inf
     for sweep in range(config.max_sweeps):
         worst = 0.0
-        for i, j in _pair_order(pairs, sweep):
-            L = obstacle_row(values[:, j], lc, i, np.subtract, np.maximum) if m1 > 1 and reads_lower else -np.inf
-            U = obstacle_row(values[i], uc, j, np.add, np.minimum) if m2 > 1 and reads_upper else np.inf
+        for i, j in _pair_order(visits, sweep):
+            L = obstacle(values[:, j], *lower[i], 0, np.subtract, np.maximum) if lower else -np.inf
+            U = obstacle(values[i], *upper[j], -2, np.add, np.minimum) if upper else np.inf
             new = project(pde_values[i, j], L, U)
-            delta = float(np.max(np.abs(new - values[i, j])))
-            if delta > 0.0:
-                values[i, j] = new
-                worst = max(worst, delta)
+            delta = np.abs(new - values[i, j]).max(axis=-1)  # per pair of the visit
+            top = float(delta.max())
+            if top > 0.0:
+                # a pair whose delta is 0 keeps its bytes, as in the pair loop
+                np.copyto(values[i, j], new, where=(delta > 0.0)[..., None])
+                worst = max(worst, top)
         if worst > config.sweep_tol:
             changed_passes += 1
         else:
@@ -557,45 +568,6 @@ def solve_upper_reflected(
 ) -> tuple[Trajectory, SolverReport]:
     """Upper obstacle by projection sweeps, lower obstacle penalized with ``n``."""
     return _solve_reflected("upper", n, spec, grid, tgrid, quad, config)
-
-
-def negated_transposed_spec(spec: ProblemSpec) -> ProblemSpec:
-    """Sign-flip conjugate: swap the players, negate data and drivers.
-
-    The upper-reflected system for ``spec`` equals the negative transpose of
-    the lower-reflected system for the returned spec (the upper projection
-    turns into a lower one and the lower penalty into an upper one).  No
-    solver uses it: it is an independent reference for the duality between
-    the two reflected systems.
-    """
-    m1, m2 = spec.modes.m1, spec.modes.m2
-    mapping = {"z": exprdsl.Neg(exprdsl.Var("z")), "q": exprdsl.Neg(exprdsl.Var("q"))}
-    for i in range(m1):
-        for j in range(m2):
-            mapping[driver_variable(i, j)] = exprdsl.Neg(exprdsl.Var(driver_variable(j, i)))
-    drivers = {}
-    terminal = {}
-    weights = {}
-    for i in range(m1):
-        for j in range(m2):
-            drivers[(j, i)] = exprdsl.Neg(exprdsl.substitute(spec.drivers[(i, j)], mapping))
-            terminal[(j, i)] = exprdsl.Neg(spec.terminal[(i, j)])
-            weights[(j, i)] = spec.jump_weights[(i, j)]
-    return ProblemSpec(
-        modes=ModeSet(m2, m1),
-        horizon=spec.horizon,
-        drift=spec.drift,
-        vol=spec.vol,
-        jump_amplitude=spec.jump_amplitude,
-        jump_weights=weights,
-        drivers=drivers,
-        lower_costs=dict(spec.upper_costs),
-        upper_costs=dict(spec.lower_costs),
-        terminal=terminal,
-        levy=spec.levy,
-        growth=spec.growth,
-        name=f"{spec.name}:conjugate" if spec.name else "conjugate",
-    )
 
 
 def _solve_bilateral(

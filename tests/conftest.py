@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
-from switchvi.model import ProblemSpec, load_builtin_problem
+from switchvi.exprdsl import BinOp, Call, Expr, Neg, Num, Var
+from switchvi.model import ModeSet, ProblemSpec, driver_variable, load_builtin_problem
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +70,57 @@ def spec_factory():
 def assert_all_le(a: np.ndarray, b: np.ndarray, tol: float, label: str = ""):
     worst = float(np.max(a - b))
     assert worst <= tol, f"{label}: worst violation {worst:.3e} > {tol:.1e}"
+
+
+def substitute(expr: Expr, mapping: dict) -> Expr:
+    """Replace variables by subtrees."""
+    if isinstance(expr, Num):
+        return expr
+    if isinstance(expr, Var):
+        return mapping.get(expr.name, expr)
+    if isinstance(expr, Neg):
+        return Neg(substitute(expr.operand, mapping))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, substitute(expr.left, mapping), substitute(expr.right, mapping))
+    if isinstance(expr, Call):
+        return Call(expr.fn, tuple(substitute(a, mapping) for a in expr.args))
+    raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def negated_transposed_spec(spec: ProblemSpec) -> ProblemSpec:
+    """Sign-flip conjugate: swap the players, negate data and drivers.
+
+    The upper-reflected system for ``spec`` equals the negative transpose of
+    the lower-reflected system for the returned spec (the upper projection
+    turns into a lower one and the lower penalty into an upper one).  It is
+    an independent reference for the duality between the two reflected
+    systems.
+    """
+    m1, m2 = spec.modes.m1, spec.modes.m2
+    mapping = {"z": Neg(Var("z")), "q": Neg(Var("q"))}
+    for i in range(m1):
+        for j in range(m2):
+            mapping[driver_variable(i, j)] = Neg(Var(driver_variable(j, i)))
+    drivers = {}
+    terminal = {}
+    weights = {}
+    for i in range(m1):
+        for j in range(m2):
+            drivers[(j, i)] = Neg(substitute(spec.drivers[(i, j)], mapping))
+            terminal[(j, i)] = Neg(spec.terminal[(i, j)])
+            weights[(j, i)] = spec.jump_weights[(i, j)]
+    return ProblemSpec(
+        modes=ModeSet(m2, m1),
+        horizon=spec.horizon,
+        drift=spec.drift,
+        vol=spec.vol,
+        jump_amplitude=spec.jump_amplitude,
+        jump_weights=weights,
+        drivers=drivers,
+        lower_costs=dict(spec.upper_costs),
+        upper_costs=dict(spec.lower_costs),
+        terminal=terminal,
+        levy=spec.levy,
+        growth=spec.growth,
+        name=f"{spec.name}:conjugate" if spec.name else "conjugate",
+    )

@@ -116,6 +116,18 @@ class TestSolve:
         for name in ("minmax_level0000.csv", "minmax_level0025.csv", "plotdata.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_rerun_into_a_directory_named_like_the_problem(self, tmp_path):
+        """A problem name resolves to the shipped instance even when the output
+        directory next to the config has that name."""
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        cfg = write_config(
+            runs, name="switch_2x2_jump.json", grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 21}, time={"n_steps": 10}, output={"levels": [0]}
+        )
+        out = runs / "switch_2x2_jump"
+        for _ in range(2):
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_non_finite_grid_bound_exit_2_naming_the_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid={"x_min": "-Infinity", "x_max": 2.0, "n_nodes": 11})
         capsys.readouterr()
@@ -224,10 +236,14 @@ class TestCheck:
         assert len(err.strip().splitlines()) == 1
 
 
-def negative_density_problem():
+def density_problem(density="abs(e) - 0.5", radius=1.0, cutoff=0.1):
     prob = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
-    prob["levy"] = {"density": "abs(e) - 0.5", "radius": 1.0, "cutoff": 0.1}
+    prob["levy"] = {"density": density, "radius": radius, "cutoff": cutoff}
     return prob
+
+
+def negative_density_problem():
+    return density_problem()
 
 
 class TestBadConfigValues:
@@ -248,6 +264,18 @@ class TestBadConfigValues:
             pytest.param("check", {"check": {"n_steps": 0}}, "error: config 'check': ", id="check-steps"),
             pytest.param("check", {"check": {"basis_degree": -2}}, "error: config 'check': ", id="check-basis"),
             pytest.param("solve", {"problem": negative_density_problem()}, "problem definition error: ", id="negative-density"),
+            pytest.param(
+                "solve", {"problem": density_problem("0.4*exp(-abs(e))", cutoff=0.05), "quadrature": {"radius": 0.01}},
+                "error: config 'quadrature': ", id="quadrature-radius-below-cutoff",
+            ),
+            pytest.param(
+                "solve", {"problem": density_problem("0.4*exp(-abs(e))", cutoff=0.05), "quadrature": {"radius": 0.05}},
+                "error: config 'quadrature': ", id="quadrature-radius-at-cutoff",
+            ),
+            pytest.param(
+                "solve", {"problem": density_problem("0.4*exp(-abs(e))", radius=0.05, cutoff=0.1)},
+                "problem definition error: ", id="problem-radius-below-cutoff",
+            ),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, overrides, prefix):

@@ -22,8 +22,9 @@ from switchvi.exprdsl import (
     format_expr,
     free_variables,
     parse,
-    substitute,
 )
+
+from conftest import substitute
 
 
 class TestParseEvaluate:
@@ -253,3 +254,76 @@ def test_evaluate_matches_walker_bitwise(expr, x, t, as_array):
     """The compiled form returns the walker's bytes, or raises the walker's error."""
     ctx = {"x": np.array([x, -x, 0.5 * x]) if as_array else x, "t": t}
     assert _outcome(evaluate, expr, ctx) == _outcome(exprdsl._eval, expr, ctx)
+
+
+def _loop_outcome(exprs, ctx, rows):
+    """The per-expression ``evaluate`` loop that ``evaluate_many`` stands for."""
+    try:
+        results = [evaluate(e, {**ctx, **{name: a[k] for name, a in rows.items()}}) for k, e in enumerate(exprs)]
+        shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()), *(np.shape(a)[1:] for a in rows.values()))
+        return "value", np.stack([np.broadcast_to(r, shape) for r in results]).astype(float).tobytes()
+    except NumericDomainError as exc:
+        return "error", type(exc), str(exc)
+
+
+def _many_outcome(exprs, ctx, rows):
+    try:
+        return "value", np.asarray(exprdsl.evaluate_many(exprs, ctx, rows), dtype=float).tobytes()
+    except NumericDomainError as exc:
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_exprs(2), min_size=1, max_size=4), _values, st.lists(_values, min_size=4, max_size=4), st.booleans())
+def test_evaluate_many_matches_the_loop_bitwise(exprs, x, ts, t_in_rows):
+    """Shared ``x`` and ``t`` given once or one ``t`` row per tree: the loop's
+    bytes, or the loop's first error with its type and message."""
+    ctx = {"x": np.array([x, -x, 0.5 * x])}
+    rows = {}
+    if t_in_rows:
+        rows["t"] = np.array(ts[: len(exprs)])[:, None] * np.ones(3)
+    else:
+        ctx["t"] = ts[0]
+    assert _many_outcome(exprs, ctx, rows) == _loop_outcome(exprs, ctx, rows)
+
+
+class TestEvaluateMany:
+    EXPRS = [parse(s, ("x", "t", "q")) for s in ("x + q", "2*t - q", "exp(x*t) + q")]
+
+    def ctx(self, **changes):
+        ctx = {"x": np.array([0.5, 1.0, 2.0]), "t": 0.25}
+        ctx.update(changes)
+        return ctx
+
+    def rows(self, q=None):
+        return {"q": np.arange(9.0).reshape(3, 3) if q is None else q}
+
+    def test_stacks_the_loop_results(self):
+        out = exprdsl.evaluate_many(self.EXPRS, self.ctx(), self.rows())
+        assert out.shape == (3, 3)
+        assert _many_outcome(self.EXPRS, self.ctx(), self.rows())[1] == out.tobytes()
+        assert _loop_outcome(self.EXPRS, self.ctx(), self.rows()) == ("value", out.tobytes())
+
+    def test_constant_trees_broadcast_to_the_bindings(self):
+        exprs = [parse("1", ("x",)), parse("x", ("x",))]
+        out = exprdsl.evaluate_many(exprs, {"x": np.array([3.0, 4.0])}, {})
+        assert out.tolist() == [[1.0, 1.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "ctx,rows",
+        [
+            pytest.param({"x": np.array([0.5, np.inf, 2.0])}, {}, id="shared-binding"),
+            pytest.param({}, {"q": np.array([[0.0] * 3, [0.0, np.nan, 0.0], [0.0] * 3])}, id="row-entry"),
+            pytest.param({"t": 400.0}, {}, id="result-overflow"),
+        ],
+    )
+    def test_errors_are_the_loop_errors(self, ctx, rows):
+        ctx, rows = self.ctx(**ctx), {**self.rows(), **rows}
+        outcome = _many_outcome(self.EXPRS, ctx, rows)
+        assert outcome[0] == "error"
+        assert outcome == _loop_outcome(self.EXPRS, ctx, rows)
+
+    def test_missing_binding_is_the_loop_error(self):
+        outcome = _many_outcome(self.EXPRS, {"x": 1.0}, self.rows())
+        assert outcome[0] == "error" and "unbound variable 't'" in outcome[2]
+        assert outcome == _loop_outcome(self.EXPRS, {"x": 1.0}, self.rows())

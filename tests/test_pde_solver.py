@@ -11,9 +11,19 @@ import numpy as np
 import pytest
 
 import switchvi
-from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature, destination_table
+from switchvi import pde_solver
+from switchvi.discretization import (
+    SpatialGrid,
+    TimeGrid,
+    beta_slope_at_zero,
+    build_levy_quadrature,
+    destination_table,
+    gradient_surface,
+    second_derivative_surface,
+    upwind_drift,
+)
 from switchvi.exprdsl import NumericDomainError
-from switchvi.model import ProblemSpec, eval_obstacles, load_builtin_problem, neg_part, pos_part
+from switchvi.model import ProblemSpec, driver_variable, eval_obstacles, load_builtin_problem, neg_part, pos_part
 from switchvi.oracle import build_discrete_game
 from switchvi.pde_solver import (
     AssumptionViolationError,
@@ -24,7 +34,6 @@ from switchvi.pde_solver import (
     _sweep,
     compute_cfl_bound,
     estimate_driver_lipschitz,
-    negated_transposed_spec,
     residual_report,
     solve_lower_reflected,
     solve_maxmin,
@@ -35,7 +44,7 @@ from switchvi.pde_solver import (
     _Workspace,
 )
 
-from conftest import assert_all_le, make_spec
+from conftest import assert_all_le, make_spec, negated_transposed_spec
 
 GRID = SpatialGrid.line(-2.0, 2.0, 41)
 TGRID = TimeGrid(horizon=0.5, n_steps=25)
@@ -712,3 +721,194 @@ def test_trajectory_bytes_do_not_depend_on_blas_threads():
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def pair_loop_sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig) -> int:
+    """Gauss-Seidel one mode pair at a time, each obstacle a loop over the other modes."""
+    m1, m2 = values.shape[:2]
+    pairs = [(i, j) for i in range(m1) for j in range(m2)]
+    pde = values.copy()
+    passes = 0
+    for sweep in range(config.max_sweeps):
+        worst = 0.0
+        for i, j in pairs if sweep % 2 == 0 else pairs[::-1]:
+            L, U = -np.inf, np.inf
+            for k in range(m1):
+                if k != i and projection != "upper":
+                    L = np.maximum(L, values[k, j] - lc[i, k])
+            for l in range(m2):
+                if l != j and projection != "lower":
+                    U = np.minimum(U, values[i, l] + uc[j, l])
+            new = {
+                "lower": lambda: np.maximum(pde[i, j], L),
+                "upper": lambda: np.minimum(pde[i, j], U),
+                "minmax": lambda: np.maximum(L, np.minimum(U, pde[i, j])),
+                "maxmin": lambda: np.minimum(U, np.maximum(L, pde[i, j])),
+            }[projection]()
+            delta = float(np.max(np.abs(new - values[i, j])))
+            if delta > 0.0:
+                values[i, j] = new
+                worst = max(worst, delta)
+        if worst > config.sweep_tol:
+            passes += 1
+        else:
+            return passes
+    raise SweepNonConvergenceError(worst, config.max_sweeps)
+
+
+class TestSweepsByRowAndColumn:
+    """One-sided sweeps visit a row or a column at a time, with the pair loop's bits."""
+
+    @pytest.mark.parametrize("sweep_tol", [0.0, 0.05])
+    @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
+    @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+    def test_equals_the_pair_loop(self, modes, projection, sweep_tol):
+        spec = switching_in_time(*modes)
+        x = GRID.axis()
+        # costs growing with the square of the mode distance break the triangle
+        # inequality, so a switch chains through the modes in between over several passes
+        lc, uc = spec.lower_cost_table(0.3, x), spec.upper_cost_table(0.3, x)
+        lc += 0.5 * np.subtract.outer(np.arange(modes[0]), np.arange(modes[0]))[..., None] ** 2
+        uc += 0.5 * np.subtract.outer(np.arange(modes[1]), np.arange(modes[1]))[..., None] ** 2
+        values = spec.terminal_table(x) + np.random.default_rng(5).normal(size=modes + x.shape)
+        config = SchemeConfig(sweep_tol=sweep_tol)
+        expected = values.copy()
+        passes = pair_loop_sweep(expected, lc, uc, projection, config)
+        assert _sweep(values, lc, uc, projection, config, list(spec.modes.pairs())) == passes
+        assert same_bits(values, expected)
+        swept_modes = {"lower": modes[0], "upper": modes[1]}.get(projection, max(modes))
+        assert passes >= (2 if swept_modes >= 3 else 1)
+
+    @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
+    def test_signed_zeros_and_zero_costs_keep_the_pair_loop_bits(self, projection):
+        """A pair whose change is 0 keeps its bytes, -0.0 or +0.0, while another pair of its row changes."""
+        rng = np.random.default_rng(1)
+        config = SchemeConfig(max_sweeps=50)
+        for modes in [(3, 2), (2, 3)] * 100:
+            values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5], size=modes + (2,))
+            lc = rng.choice([0.0, 0.5, 1.0], size=(modes[0], modes[0], 2)) * (1 - np.eye(modes[0]))[..., None]
+            uc = rng.choice([0.0, 0.5, 1.0], size=(modes[1], modes[1], 2)) * (1 - np.eye(modes[1]))[..., None]
+            expected = values.copy()
+            try:
+                passes = pair_loop_sweep(expected, lc, uc, projection, config)
+            except SweepNonConvergenceError:  # zero-cost loops need not settle
+                continue
+            pairs = [(i, j) for i in range(modes[0]) for j in range(modes[1])]
+            assert _sweep(values, lc, uc, projection, config, pairs) == passes
+            assert same_bits(values, expected)
+
+
+def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float) -> np.ndarray:
+    """The step with the gradient always computed and one ``eval_driver`` call per pair."""
+    bp, bm, sig, a_diff = ws.local_coefficients(t)
+    L, U = eval_obstacles(values, *ws.cost_tables(t))
+    entries = {driver_variable(i, j): values[i, j] for i, j in ws.pairs}
+    rhs = upwind_drift(values, ws.grid, bp, bm)
+    z = sig * gradient_surface(values, ws.grid)
+    q = np.zeros_like(values)
+    if ws.jumps is not None:
+        gen, q = ws.jumps.apply(values)
+        rhs += gen
+    for i, j in ws.pairs:
+        rhs[i, j] += ws.spec.eval_driver((i, j), t, ws.x, entries, z[i, j], q[i, j])
+    if ws.config.mode == "explicit":
+        rhs += a_diff * second_derivative_surface(values, ws.grid)
+    rhs += n * neg_part(values - L)
+    rhs -= m * pos_part(values - U)
+    out = values + ws.dt * rhs
+    return ws._implicit_diffusion(out, a_diff) if ws.config.mode == "imex" else out
+
+
+def switching_in_time_without_z(m1: int, m2: int) -> ProblemSpec:
+    spec = switching_in_time(m1, m2)
+    pairs = list(spec.modes.pairs())
+    drivers = {f"{i},{j}": f"{0.6 * (i - j)}*x + 0.3*t + 0.1*q - 0.1*y_{i}_{j}" for i, j in pairs}
+    return make_spec(
+        modes={"m1": m1, "m2": m2}, drift="0.1*x + 0.2*t", vol="0.3 + 0.1*t", drivers=drivers,
+        lower_costs={"default": "0.3 + t"}, upper_costs={"default": "0.2 + 0.5*t"},
+        terminal={f"{i},{j}": repr(0.1 * (i - j)) for i, j in pairs},
+    )
+
+
+class TestDriverTableStep:
+    """The step's one driver table against a per-pair ``eval_driver`` loop."""
+
+    SPECS = {
+        "no_jump": lambda: load_builtin_problem("no_jump"),
+        "two_atom_jump": lambda: load_builtin_problem("two_atom_jump"),
+        "switch_2x2_jump": lambda: load_builtin_problem("switch_2x2_jump"),
+        "3x2 in t without z": lambda: switching_in_time_without_z(3, 2),
+        "3x2 in t with z": lambda: switching_in_time(3, 2),
+    }
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_equals_the_per_pair_reference(self, name, mode, monkeypatch):
+        spec = self.SPECS[name]()
+        quad = build_levy_quadrature(spec.levy)
+        ws = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode=mode))
+        noise = np.random.default_rng(3).normal(scale=0.2, size=(spec.modes.m1, spec.modes.m2, GRID.n_nodes))
+        values = spec.terminal_table(GRID.axis()) + noise
+        expected = reference_step(ws, values, 0.3, 2.0, 3.0)
+        if not ws._drivers_read_z:
+            monkeypatch.setattr(pde_solver, "gradient_surface", None)  # a driver without z needs no gradient
+        assert same_bits(ws.step(values, 0.3, 2.0, 3.0), expected)
+
+    @pytest.mark.parametrize("name,reads_z", [("no_jump", False), ("two_atom_jump", False), ("switch_2x2_jump", True)])
+    def test_gradient_only_for_drivers_that_read_z(self, name, reads_z):
+        spec = load_builtin_problem(name)
+        assert _Workspace(spec, GRID, TGRID, build_levy_quadrature(spec.levy), SchemeConfig())._drivers_read_z == reads_z
+
+    def test_driver_table_accepts_scalar_and_stacked_arguments(self, spec_2x2):
+        x = GRID.axis()
+        y = spec_2x2.terminal_table(x)
+        q = np.random.default_rng(2).normal(size=y.shape)
+        entries = {driver_variable(i, j): y[i, j] for i, j in spec_2x2.modes.pairs()}
+        table = spec_2x2.driver_table(0.1, x, y, 0.5, q)
+        for pair in spec_2x2.modes.pairs():
+            assert same_bits(table[pair], spec_2x2.eval_driver(pair, 0.1, x, entries, 0.5, q[pair]))
+
+
+def reference_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid) -> float:
+    """The probe one time, pair and base at a time, with scalar bindings."""
+    x = grid.axis()
+    probe_x = x[:: max(1, len(x) // 8)]
+    h = 1e-5
+    pairs = list(spec.modes.pairs())
+    bases = [np.zeros((spec.modes.m1, spec.modes.m2)), np.mean(spec.terminal_table(probe_x), axis=-1)]
+    worst = 0.0
+    for t in (0.0, 0.5 * tgrid.horizon, tgrid.horizon):
+        for pair in pairs:
+            for y0 in bases:
+                entries = {driver_variable(p, l): float(y0[p, l]) for p, l in pairs}
+                base = spec.eval_driver(pair, float(t), probe_x, entries, 0.0, 0.0)
+                sq = np.zeros_like(probe_x)
+                for other in pairs:
+                    bumped = dict(entries)
+                    bumped[driver_variable(*other)] = float(y0[other]) + h
+                    dy = (spec.eval_driver(pair, float(t), probe_x, bumped, 0.0, 0.0) - base) / h
+                    sq = sq + dy**2
+                dz = (spec.eval_driver(pair, float(t), probe_x, entries, h, 0.0) - base) / h
+                dq = (spec.eval_driver(pair, float(t), probe_x, entries, 0.0, h) - base) / h
+                worst = max(worst, float(np.max(np.sqrt(sq + dz**2 + dq**2))))
+    return worst
+
+
+class TestDriverProbe:
+    @pytest.mark.parametrize("name", ["no_jump", "two_atom_jump", "switch_2x2_jump", "drivers in t"])
+    def test_equals_the_loop_reference_bitwise(self, name, monkeypatch):
+        if name == "drivers in t":
+            spec = make_spec(
+                modes={"m1": 2, "m2": 2},
+                drivers={"default": "exp(0.5*t)*y_0_1 + sqrt(1 + t*x*x) + 0.2*t*q - 0.3*y_1_1 + 0.1*z*t"},
+                terminal={"0,0": "0.1*x", "default": "0.2*max(x, 0)"},
+            )
+        else:
+            spec = load_builtin_problem(name)
+        expected = reference_lipschitz(spec, GRID, TGRID)
+        calls = Counter()
+        original = ProblemSpec.eval_driver
+        monkeypatch.setattr(ProblemSpec, "eval_driver", lambda self, *a: calls.update([a[0]]) or original(self, *a))
+        assert estimate_driver_lipschitz(spec, GRID, TGRID) == expected
+        n_pairs = spec.modes.m1 * spec.modes.m2
+        assert dict(calls) == {pair: n_pairs + 3 for pair in spec.modes.pairs()}
