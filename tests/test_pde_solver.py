@@ -609,14 +609,15 @@ class TestTimeFreeCoefficients:
         assert per_n_steps[0] == per_n_steps[1]
 
 
-def switching_in_time(m1: int, m2: int) -> ProblemSpec:
-    """An ``m1 x m2`` game whose drift, volatility and switching costs read t."""
+def switching_in_time(m1: int, m2: int, term: str = "0.05*z") -> ProblemSpec:
+    """An ``m1 x m2`` game whose drift, volatility and switching costs read t;
+    each driver has ``term`` in it."""
     pairs = [(i, j) for i in range(m1) for j in range(m2)]
     return make_spec(
         modes={"m1": m1, "m2": m2},
         drift="0.1*x + 0.2*t",
         vol="0.3 + 0.1*t",
-        drivers={f"{i},{j}": f"{0.6 * (i - j)}*x + 0.05*z + 0.1*q - 0.1*y_{i}_{j}" for i, j in pairs},
+        drivers={f"{i},{j}": f"{0.6 * (i - j)}*x + {term} + 0.1*q - 0.1*y_{i}_{j}" for i, j in pairs},
         lower_costs={"default": "0.3 + t"},
         upper_costs={"default": "0.2 + 0.5*t"},
         terminal={f"{i},{j}": repr(0.1 * (i - j)) for i, j in pairs},
@@ -819,17 +820,6 @@ def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: fl
     return ws._implicit_diffusion(out, a_diff) if ws.config.mode == "imex" else out
 
 
-def switching_in_time_without_z(m1: int, m2: int) -> ProblemSpec:
-    spec = switching_in_time(m1, m2)
-    pairs = list(spec.modes.pairs())
-    drivers = {f"{i},{j}": f"{0.6 * (i - j)}*x + 0.3*t + 0.1*q - 0.1*y_{i}_{j}" for i, j in pairs}
-    return make_spec(
-        modes={"m1": m1, "m2": m2}, drift="0.1*x + 0.2*t", vol="0.3 + 0.1*t", drivers=drivers,
-        lower_costs={"default": "0.3 + t"}, upper_costs={"default": "0.2 + 0.5*t"},
-        terminal={f"{i},{j}": repr(0.1 * (i - j)) for i, j in pairs},
-    )
-
-
 class TestDriverTableStep:
     """The step's one driver table against a per-pair ``eval_driver`` loop."""
 
@@ -837,7 +827,7 @@ class TestDriverTableStep:
         "no_jump": lambda: load_builtin_problem("no_jump"),
         "two_atom_jump": lambda: load_builtin_problem("two_atom_jump"),
         "switch_2x2_jump": lambda: load_builtin_problem("switch_2x2_jump"),
-        "3x2 in t without z": lambda: switching_in_time_without_z(3, 2),
+        "3x2 in t without z": lambda: switching_in_time(3, 2, term="0.3*t"),
         "3x2 in t with z": lambda: switching_in_time(3, 2),
     }
 
