@@ -39,8 +39,10 @@ every successful result is bitwise the walker's.
 :func:`evaluate_many` runs several trees that share most bindings (the
 drivers of all mode pairs, say) under one ``errstate``.  It checks each
 binding that any tree reads once, a row stack (one binding per tree) as a
-whole, and the stacked result once.  On any failure it re-runs the plain
-:func:`evaluate` loop, so its results and errors are exactly that loop's.
+whole, bindings that are views of one stack (the value entries ``y_i_j``)
+through that stack, and the stacked result once.  On any failure it re-runs
+the plain :func:`evaluate` loop, so its results and errors are exactly that
+loop's.
 """
 
 from __future__ import annotations
@@ -468,22 +470,28 @@ def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
     return _eval(expr, ctx)
 
 
-def evaluate_many(exprs: Sequence[Expr], ctx: Mapping[str, Value], rows: Mapping[str, np.ndarray]) -> np.ndarray:
+def evaluate_many(
+    exprs: Sequence[Expr], ctx: Mapping[str, Value], rows: Mapping[str, np.ndarray], views: tuple | None = None
+) -> np.ndarray:
     """Stacked results of ``evaluate(exprs[k], ctx | {name: a[k] for name, a in rows.items()})``,
     each broadcast to the common shape of all bindings (a row stack's rows count).
 
     The bindings read and the result stack are each checked once (see the
-    module docstring); any failure re-runs the plain per-expression loop, so
-    results and errors are bitwise its own.
+    module docstring).  ``views = (stack, names)`` says that the bindings
+    ``names`` of ``ctx`` are views of the array ``stack``, which is then
+    checked once, as a whole, in their place.  Any failure re-runs the plain
+    per-expression loop, so results and errors are bitwise its own.
     """
     forms = [_compiled(e) for e in exprs]
     read = frozenset().union(*(names for _, names in forms))
-    shape = np.broadcast_shapes(*{np.shape(v) for v in ctx.values()}, *{np.shape(a)[1:] for a in rows.values()})
+    covered = views[1] if views is not None else ()
+    shape = np.broadcast(*ctx.values(), *(a[0] for a in rows.values())).shape
     out = np.empty((len(forms),) + shape)
     local = dict(ctx)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if all(_finite(rows[name] if name in rows else ctx[name]) for name in read):
+            checked = read.difference(covered)
+            if (views is None or _finite(views[0])) and all(_finite(rows[name] if name in rows else ctx[name]) for name in checked):
                 for k, (fn, _) in enumerate(forms):
                     local.update((name, a[k]) for name, a in rows.items())
                     out[k] = fn(local)

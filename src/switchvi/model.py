@@ -336,14 +336,16 @@ class ProblemSpec:
 
         ``y`` is the ``(m1, m2) + x.shape`` value stack; ``z`` and ``q`` are
         stacks of that shape or scalars.  Bitwise equal to one
-        :meth:`eval_driver` call per pair, with one finiteness check per binding.
+        :meth:`eval_driver` call per pair, with one finiteness check per
+        binding and one for the whole ``y`` stack.
         """
         x = np.asarray(x, dtype=float)
         pairs = list(self.modes.pairs())
-        ctx = {"t": t, "x": x, **{driver_variable(i, j): y[i, j] for i, j in pairs}}
+        entries = {driver_variable(i, j): y[i, j] for i, j in pairs}
+        ctx = {"t": t, "x": x, **entries}
         ctx.update((name, v) for name, v in (("z", z), ("q", q)) if not np.ndim(v))
         rows = {name: v.reshape((len(pairs),) + x.shape) for name, v in (("z", z), ("q", q)) if np.ndim(v)}
-        table = evaluate_many([self.drivers[p] for p in pairs], ctx, rows)
+        table = evaluate_many([self.drivers[p] for p in pairs], ctx, rows, views=(y, entries.keys()))
         return table.reshape((self.modes.m1, self.modes.m2) + x.shape)
 
     def beta_table(self, x, marks: Sequence[float]) -> np.ndarray:
@@ -375,9 +377,12 @@ def _other_modes(m: int) -> np.ndarray:
     return table
 
 
-def other_mode_costs(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def other_mode_costs(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """``(ks, c)`` for a player's ``(m, m) + cost_tail`` cost table: ``ks[i]``
-    lists the modes ``k != i`` in increasing order and ``c[i] = costs[i, ks[i]]``."""
+    lists the modes ``k != i`` in increasing order and ``c[i] = costs[i, ks[i]]``;
+    None for a player with a single mode."""
+    if costs.shape[0] < 2:
+        return None
     ks = _other_modes(costs.shape[0])
     return ks, costs[np.arange(len(ks))[:, None], ks]
 
@@ -403,6 +408,13 @@ def obstacle(y: np.ndarray, ks: np.ndarray, c: np.ndarray, axis: int, combine: n
     return pick.reduce(cands, axis=last)
 
 
+def gathered_obstacles(y: np.ndarray, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eval_obstacles` from each player's :func:`other_mode_costs` gather."""
+    L = obstacle(y, *lower, 0, np.subtract, np.maximum) if lower is not None else np.full(y.shape, -np.inf)
+    U = obstacle(y, *upper, 1, np.add, np.minimum) if upper is not None else np.full(y.shape, np.inf)
+    return L, U
+
+
 def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interconnected obstacles built from a value matrix.
 
@@ -419,9 +431,7 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     over all modes, whose candidate gather is ``m - 1`` times the size of
     ``y``; with two modes that gather is the obstacle itself.
     """
-    L = obstacle(y, *other_mode_costs(lower_costs), 0, np.subtract, np.maximum) if y.shape[0] > 1 else np.full(y.shape, -np.inf)
-    U = obstacle(y, *other_mode_costs(upper_costs), 1, np.add, np.minimum) if y.shape[1] > 1 else np.full(y.shape, np.inf)
-    return L, U
+    return gathered_obstacles(y, other_mode_costs(lower_costs), other_mode_costs(upper_costs))
 
 
 # --- validation ----------------------------------------------------------

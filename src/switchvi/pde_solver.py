@@ -34,7 +34,11 @@ matrix), and the drivers of all pairs come as one table
 pair.  Obstacle sweeps are Gauss-Seidel over mode pairs (lexicographic order,
 direction alternating each sweep), vectorized over nodes; a one-sided sweep
 visits a whole row (lower) or column (upper) of pairs at once, which gives
-the pair loop's bits.  Identical inputs give bitwise-identical results.
+the pair loop's bits.  Each pass starts with the whole stack's obstacles; a
+sweep whose projection onto them changes nothing is at the fixed point and
+stops, and the report and the next step's penalties reuse those obstacles,
+so a level evaluates them once, from the workspace's cached cost gathers.
+Identical inputs give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .model import (
     ProblemSpec,
     driver_variable,
     eval_obstacles,
+    gathered_obstacles,
     neg_part,
     obstacle,
     other_mode_costs,
@@ -280,7 +285,7 @@ class _Workspace:
         self._costs_read_t = any("t" in exprdsl.free_variables(e) for e in costs)
         # the step computes the gradient z = sigma Dv only for drivers that read it
         self._drivers_read_z = any("z" in exprdsl.free_variables(e) for e in spec.drivers.values())
-        self._local = self._costs = self._banded = None
+        self._local = self._costs = self._gathers = self._banded = None
 
     # -- pieces ------------------------------------------------------------
 
@@ -326,7 +331,17 @@ class _Workspace:
         """Lower and upper cost tables at t; callers must not write to them."""
         if self._costs is None or self._costs_read_t:
             self._costs = self.spec.lower_cost_table(t, self.x), self.spec.upper_cost_table(t, self.x)
+            self._gathers = None
         return self._costs
+
+    def obstacle_costs(self, t: float) -> tuple:
+        """``other_mode_costs`` of each of ``cost_tables(t)``, kept with the
+        tables, so gathered once when no cost reads t; callers must not write
+        to them."""
+        tables = self.cost_tables(t)
+        if self._gathers is None:
+            self._gathers = tuple(map(other_mode_costs, tables))
+        return self._gathers
 
     def local_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Upwind parts ``b^+``, ``b^-`` of the drift less the compensator, volatility and
@@ -376,7 +391,9 @@ class _Workspace:
         return out
 
     def _implicit_diffusion(self, values: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
-        """Solve (I - dt * a * D2) v = rhs per surface; clamped ghost rows."""
+        """Solve (I - dt * a * D2) v = rhs per surface, in place in ``values``,
+        which it returns; clamped ghost rows.  The solve skips scipy's
+        finiteness check: the step checks its result."""
         if self._banded is None or self._local_reads_t:
             r = self.dt * a_diff / self.dx**2
             ab = np.zeros((3, self.n_nodes))
@@ -386,10 +403,9 @@ class _Workspace:
             ab[1, 0] = 1.0 + r[0]
             ab[1, -1] = 1.0 + r[-1]
             self._banded = ab
-        out = np.empty_like(values)
         for i, j in self.pairs:
-            out[i, j] = scipy.linalg.solve_banded((1, 1), self._banded, values[i, j])
-        return out
+            values[i, j] = scipy.linalg.solve_banded((1, 1), self._banded, values[i, j], overwrite_b=True, check_finite=False)
+        return values
 
 
 # --- obstacle sweeps --------------------------------------------------------
@@ -407,31 +423,37 @@ _PROJECTIONS = {
 }
 
 
-def _sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig, pairs: list) -> int:
+def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConfig, pairs: list) -> tuple[int, tuple | None]:
     """Gauss-Seidel sweeps of ``_PROJECTIONS[projection]`` to a fixed point, in
-    place; returns the changed-pass count.  The order of ``max`` and ``min``
-    is the obstacle priority; an absent obstacle is ``-inf`` or ``+inf``, and a
-    one-sided projection does not build the other side's obstacle.
+    place, on the players' cost gathers ``_Workspace.obstacle_costs``.  The
+    order of ``max`` and ``min`` is the obstacle priority; an absent obstacle
+    is ``-inf`` or ``+inf``.  Returns the changed-pass count and ``(L, U)``.
 
-    The lower obstacle of ``(i, j)`` reads only column ``j`` and the upper one
-    only row ``i``, so a lower sweep visits a whole row and an upper sweep a
-    whole column at a time, with the values and pass counts of the pair loop
-    that bilateral sweeps run."""
+    Each pass starts with the whole stack's obstacles ``(L, U)``: when the
+    projection onto them changes no entry, a Gauss-Seidel pass would change
+    none either, so the sweep returns them; they are ``eval_obstacles`` of the
+    swept values.  After a last pass that changed values by at most
+    ``sweep_tol > 0`` they are stale and None comes back instead.  The lower
+    obstacle of ``(i, j)`` reads only column ``j`` and the upper one only row
+    ``i``, so a lower pass visits a whole row and an upper pass a whole
+    column at a time, with the bits and pass counts of the pair loop."""
     project = _PROJECTIONS[projection]
     m1, m2 = values.shape[0], values.shape[1]
     # per mode i: the other modes and their costs, (ks[i], c[i]) of other_mode_costs
-    lower = list(zip(*other_mode_costs(lc))) if m1 > 1 and projection != "upper" else None
-    upper = list(zip(*other_mode_costs(uc))) if m2 > 1 and projection != "lower" else None
+    rows_l = list(zip(*lower)) if lower is not None and projection != "upper" else None
+    rows_u = list(zip(*upper)) if upper is not None and projection != "lower" else None
     every = slice(None)
     visits = {"lower": [(i, every) for i in range(m1)], "upper": [(every, j) for j in range(m2)]}.get(projection, pairs)
     pde_values = values.copy()
     changed_passes = 0
-    worst = np.inf
     for sweep in range(config.max_sweeps):
+        obstacles = gathered_obstacles(values, lower, upper)
+        if np.array_equal(project(pde_values, *obstacles), values):
+            return changed_passes, obstacles
         worst = 0.0
         for i, j in _pair_order(visits, sweep):
-            L = obstacle(values[:, j], *lower[i], 0, np.subtract, np.maximum) if lower else -np.inf
-            U = obstacle(values[i], *upper[j], -2, np.add, np.minimum) if upper else np.inf
+            L = obstacle(values[:, j], *rows_l[i], 0, np.subtract, np.maximum) if rows_l else -np.inf
+            U = obstacle(values[i], *rows_u[j], -2, np.add, np.minimum) if rows_u else np.inf
             new = project(pde_values[i, j], L, U)
             delta = np.abs(new - values[i, j]).max(axis=-1)  # per pair of the visit
             top = float(delta.max())
@@ -442,7 +464,7 @@ def _sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, 
         if worst > config.sweep_tol:
             changed_passes += 1
         else:
-            return changed_passes
+            return changed_passes, None
     raise SweepNonConvergenceError(worst, config.max_sweeps)
 
 
@@ -468,9 +490,10 @@ def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, moves: st
 # --- backward solves --------------------------------------------------------
 
 
-def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Append the level's obstacle violations; returns the obstacles ``(L, U)``."""
-    L, U = eval_obstacles(values, *ws.cost_tables(t))
+def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float, obstacles=None) -> tuple[np.ndarray, np.ndarray]:
+    """Append the level's obstacle violations; returns the obstacles ``(L, U)``,
+    the caller's ``obstacles`` of ``values`` when it holds them."""
+    L, U = obstacles if obstacles is not None else gathered_obstacles(values, *ws.obstacle_costs(t))
     low = float(np.max(neg_part(values - L))) if ws.m1 > 1 else 0.0
     up = float(np.max(pos_part(values - U))) if ws.m2 > 1 else 0.0
     report.obstacle_lower_violation.append(low)
@@ -494,11 +517,11 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
         t_next = float(times[k + 1])
         t_here = float(times[k])
         new = ws.step(values[k + 1], t_next, n, m, obstacles)
-        sweeps = 0 if projection is None else _sweep(new, *ws.cost_tables(t_here), projection, ws.config, ws.pairs)
+        sweeps, obstacles = (0, None) if projection is None else _sweep(new, *ws.obstacle_costs(t_here), projection, ws.config, ws.pairs)
         values[k] = new
         report.update_norms.append(float(np.max(np.abs(values[k] - values[k + 1]))))
         report.sweep_counts.append(sweeps)
-        obstacles = _record_obstacles(report, ws, values[k], t_here)
+        obstacles = _record_obstacles(report, ws, values[k], t_here, obstacles)
 
     report.update_norms.reverse()
     report.sweep_counts.reverse()

@@ -276,6 +276,13 @@ class TestBadConfigValues:
                 "solve", {"problem": density_problem("0.4*exp(-abs(e))", radius=0.05, cutoff=0.1)},
                 "problem definition error: ", id="problem-radius-below-cutoff",
             ),
+            *(
+                pytest.param(
+                    "solve", {"problem": density_problem("0.4*exp(-abs(e))", cutoff=0.05), "quadrature": {"n_atoms": n}},
+                    "error: config 'quadrature': ", id=f"quadrature-n-atoms-{n}",
+                )
+                for n in (0, -5, 1, 3, 2.5, "64")
+            ),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, overrides, prefix):

@@ -1,4 +1,5 @@
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -266,9 +267,9 @@ def _loop_outcome(exprs, ctx, rows):
         return "error", type(exc), str(exc)
 
 
-def _many_outcome(exprs, ctx, rows):
+def _many_outcome(exprs, ctx, rows, views=None):
     try:
-        return "value", np.asarray(exprdsl.evaluate_many(exprs, ctx, rows), dtype=float).tobytes()
+        return "value", np.asarray(exprdsl.evaluate_many(exprs, ctx, rows, views), dtype=float).tobytes()
     except NumericDomainError as exc:
         return "error", type(exc), str(exc)
 
@@ -285,6 +286,20 @@ def test_evaluate_many_matches_the_loop_bitwise(exprs, x, ts, t_in_rows):
     else:
         ctx["t"] = ts[0]
     assert _many_outcome(exprs, ctx, rows) == _loop_outcome(exprs, ctx, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_exprs(2), min_size=1, max_size=4), st.lists(_values, min_size=9, max_size=9), st.booleans())
+def test_evaluate_many_checks_a_view_stack_once(exprs, entries, t_in_stack):
+    """Bindings that are views of one stack are checked through the stack: the
+    loop's bytes, or the loop's first error, which names the binding.  A
+    non-finite entry in a view that no tree reads (``u``) raises nothing."""
+    stack = np.array(entries).reshape(3, 3)
+    names = ("x", "t", "u") if t_in_stack else ("x", "u")
+    ctx = {name: stack[k] for k, name in enumerate(names)}
+    if not t_in_stack:
+        ctx["t"] = entries[-1]
+    assert _many_outcome(exprs, ctx, {}, (stack, names)) == _loop_outcome(exprs, ctx, {})
 
 
 class TestEvaluateMany:
@@ -321,6 +336,15 @@ class TestEvaluateMany:
         outcome = _many_outcome(self.EXPRS, ctx, rows)
         assert outcome[0] == "error"
         assert outcome == _loop_outcome(self.EXPRS, ctx, rows)
+
+    def test_a_non_finite_view_raises_the_per_binding_error(self):
+        names = ("y_0_0", "y_0_1")
+        exprs = [parse(s, names) for s in ("y_0_0 + 1", "2*y_0_1", "y_0_0 - y_0_1")]
+        y = np.zeros((1, 2, 3))
+        y[0, 1, 1] = np.inf
+        ctx = {"y_0_0": y[0, 0], "y_0_1": y[0, 1]}
+        with pytest.raises(NumericDomainError, match=re.escape("non-finite binding for 'y_0_1'")):
+            exprdsl.evaluate_many(exprs, ctx, {}, (y, names))
 
     def test_missing_binding_is_the_loop_error(self):
         outcome = _many_outcome(self.EXPRS, {"x": 1.0}, self.rows())

@@ -23,7 +23,15 @@ from switchvi.discretization import (
     upwind_drift,
 )
 from switchvi.exprdsl import NumericDomainError
-from switchvi.model import ProblemSpec, driver_variable, eval_obstacles, load_builtin_problem, neg_part, pos_part
+from switchvi.model import (
+    ProblemSpec,
+    driver_variable,
+    eval_obstacles,
+    load_builtin_problem,
+    neg_part,
+    other_mode_costs,
+    pos_part,
+)
 from switchvi.oracle import build_discrete_game
 from switchvi.pde_solver import (
     AssumptionViolationError,
@@ -399,11 +407,20 @@ class TestUpperReflected:
         violation = err.value.report.violations[0]
         assert (violation["pair"], violation["side"]) == ([0, 1], "upper")
 
+    @pytest.mark.parametrize(
+        "mode,driver,terminal",
+        [
+            ("explicit", "1.7e308", "1e308"),
+            ("imex", "1e308", "1.7e308"),  # the implicit solve overflows
+            ("imex", "1e308", "1.79e308"),  # the explicit part overflows before the implicit solve
+        ],
+    )
     @pytest.mark.parametrize("solver", [solve_lower_reflected, solve_upper_reflected])
-    def test_non_finite_update_names_the_pair(self, solver):
-        spec = one_by_two(drivers={"0,0": "0", "0,1": "1.7e308"}, terminal={"0,0": "0", "0,1": "1e308"})
-        config = SchemeConfig(allow_terminal_inconsistency=True)
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=re.escape("mode pair (0, 1)")):
+    def test_non_finite_update_names_the_pair(self, solver, mode, driver, terminal):
+        """The step's own check names the pair, whether or not scipy checks the banded solve's input."""
+        spec = one_by_two(drivers={"0,0": "0", "0,1": driver}, terminal={"0,0": "0", "0,1": terminal})
+        config = SchemeConfig(mode=mode, allow_terminal_inconsistency=True)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match=re.escape("mode pair (0, 1)")):
             solver(spec, GRID, TGRID, build_levy_quadrature(spec.levy), 1.0, config)
 
     def test_stability_terms_equal_the_lower_reflected_ones(self, spec_2x2, quad_2x2):
@@ -500,9 +517,8 @@ class TestBilateral:
         for arr in (values_a, values_b):
             arr[:] = base[:, :, None]
         cfg = SchemeConfig(max_sweeps=200)
-        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        _sweep(values_a, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "minmax", cfg, pairs)
-        _sweep(values_b, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "maxmin", cfg, pairs)
+        sweep(values_a, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "minmax", cfg)
+        sweep(values_b, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "maxmin", cfg)
         assert float(np.min(values_a - values_b)) >= -1e-12
         assert float(np.max(values_a - values_b)) > 0.1
 
@@ -643,11 +659,13 @@ class TestObstaclesOncePerLevel:
         assert same_bits(stepped, fresh)
         assert same_bits(stepped, traj.values[k - 1])
 
+    @pytest.mark.parametrize("sweep_tol", [0.0, 0.05])
     @pytest.mark.parametrize("modes", [(3, 2), (1, 3), (3, 1)])
-    def test_upper_reflected_violations_match_recomputation(self, modes):
+    def test_upper_reflected_violations_match_recomputation(self, modes, sweep_tol):
+        """Also when a sweep ends with a pass below ``sweep_tol``, after its last whole-stack check."""
         spec = switching_in_time(*modes)
         quad = build_levy_quadrature(spec.levy)
-        traj, report = solve_upper_reflected(spec, GRID, TGRID, quad, 3.0)
+        traj, report = solve_upper_reflected(spec, GRID, TGRID, quad, 3.0, SchemeConfig(sweep_tol=sweep_tol))
         m1, m2 = modes
         x = GRID.axis()
         lower, upper = [], []
@@ -757,28 +775,87 @@ def pair_loop_sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projecti
     raise SweepNonConvergenceError(worst, config.max_sweeps)
 
 
+def sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig):
+    """``_sweep`` on cost tables, with the gathers that ``_Workspace.obstacle_costs`` keeps."""
+    pairs = [(i, j) for i in range(values.shape[0]) for j in range(values.shape[1])]
+    return _sweep(values, other_mode_costs(lc), other_mode_costs(uc), projection, config, pairs)
+
+
+def assert_swept_obstacles(obstacles, values, lc, uc, config):
+    """The sweep hands back ``eval_obstacles`` of the swept values, bit for bit;
+    only a last pass that changed values below ``sweep_tol`` hands back None."""
+    if obstacles is None:
+        assert config.sweep_tol > 0.0
+        return
+    for got, expected in zip(obstacles, eval_obstacles(values, lc, uc)):
+        assert same_bits(got, expected)
+
+
+def chained_costs(spec, modes, t=0.3):
+    """Cost tables growing with the square of the mode distance: off the triangle
+    inequality, so a switch chains through the modes in between over several passes."""
+    x = GRID.axis()
+    lc, uc = spec.lower_cost_table(t, x), spec.upper_cost_table(t, x)
+    lc += 0.5 * np.subtract.outer(np.arange(modes[0]), np.arange(modes[0]))[..., None] ** 2
+    uc += 0.5 * np.subtract.outer(np.arange(modes[1]), np.arange(modes[1]))[..., None] ** 2
+    return lc, uc
+
+
 class TestSweepsByRowAndColumn:
-    """One-sided sweeps visit a row or a column at a time, with the pair loop's bits."""
+    """One-sided sweeps visit a row or a column at a time, with the pair loop's bits;
+    each pass starts with a whole-stack check whose obstacles the sweep hands back."""
 
     @pytest.mark.parametrize("sweep_tol", [0.0, 0.05])
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
-    @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+    @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (1, 1), (1, 2), (2, 1)])
     def test_equals_the_pair_loop(self, modes, projection, sweep_tol):
+        """A player with one mode (the last three shapes) has the sentinel obstacle."""
         spec = switching_in_time(*modes)
-        x = GRID.axis()
-        # costs growing with the square of the mode distance break the triangle
-        # inequality, so a switch chains through the modes in between over several passes
-        lc, uc = spec.lower_cost_table(0.3, x), spec.upper_cost_table(0.3, x)
-        lc += 0.5 * np.subtract.outer(np.arange(modes[0]), np.arange(modes[0]))[..., None] ** 2
-        uc += 0.5 * np.subtract.outer(np.arange(modes[1]), np.arange(modes[1]))[..., None] ** 2
-        values = spec.terminal_table(x) + np.random.default_rng(5).normal(size=modes + x.shape)
+        lc, uc = chained_costs(spec, modes)
+        values = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
         config = SchemeConfig(sweep_tol=sweep_tol)
         expected = values.copy()
         passes = pair_loop_sweep(expected, lc, uc, projection, config)
-        assert _sweep(values, lc, uc, projection, config, list(spec.modes.pairs())) == passes
+        got, obstacles = sweep(values, lc, uc, projection, config)
+        assert got == passes
         assert same_bits(values, expected)
+        assert_swept_obstacles(obstacles, values, lc, uc, config)
         swept_modes = {"lower": modes[0], "upper": modes[1]}.get(projection, max(modes))
-        assert passes >= (2 if swept_modes >= 3 else 1)
+        assert passes >= min(swept_modes - 1, 2) and (swept_modes > 1 or passes == 0)
+
+    @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
+    def test_max_sweeps_boundary(self, projection):
+        """A level that needs k changed passes raises at ``max_sweeps = k`` with
+        the pair loop's worst residual, and returns k at ``max_sweeps = k + 1``."""
+        modes = (3, 3)
+        spec = switching_in_time(*modes)
+        lc, uc = chained_costs(spec, modes)
+        start = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
+        k = pair_loop_sweep(start.copy(), lc, uc, projection, SchemeConfig())
+        assert k >= 2
+        capped = SchemeConfig(max_sweeps=k)
+        with pytest.raises(SweepNonConvergenceError) as reference:
+            pair_loop_sweep(start.copy(), lc, uc, projection, capped)
+        with pytest.raises(SweepNonConvergenceError) as err:
+            sweep(start.copy(), lc, uc, projection, capped)
+        assert (err.value.worst_residual, err.value.sweeps) == (reference.value.worst_residual, k)
+        values = start.copy()
+        passes, obstacles = sweep(values, lc, uc, projection, SchemeConfig(max_sweeps=k + 1))
+        assert passes == k
+        assert_swept_obstacles(obstacles, values, lc, uc, SchemeConfig())
+
+    @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
+    def test_a_last_pass_below_sweep_tol_hands_back_no_obstacles(self, projection):
+        """The obstacles of the pass's own check are stale once the pass changed values."""
+        modes = (3, 3)
+        spec = switching_in_time(*modes)
+        lc, uc = chained_costs(spec, modes)
+        start = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
+        config = SchemeConfig(sweep_tol=1e6)
+        expected, values = start.copy(), start.copy()
+        assert pair_loop_sweep(expected, lc, uc, projection, config) == 0
+        assert sweep(values, lc, uc, projection, config) == (0, None)
+        assert same_bits(values, expected) and not same_bits(values, start)
 
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
     def test_signed_zeros_and_zero_costs_keep_the_pair_loop_bits(self, projection):
@@ -794,9 +871,10 @@ class TestSweepsByRowAndColumn:
                 passes = pair_loop_sweep(expected, lc, uc, projection, config)
             except SweepNonConvergenceError:  # zero-cost loops need not settle
                 continue
-            pairs = [(i, j) for i in range(modes[0]) for j in range(modes[1])]
-            assert _sweep(values, lc, uc, projection, config, pairs) == passes
+            got, obstacles = sweep(values, lc, uc, projection, config)
+            assert got == passes
             assert same_bits(values, expected)
+            assert_swept_obstacles(obstacles, values, lc, uc, config)
 
 
 def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float) -> np.ndarray:
