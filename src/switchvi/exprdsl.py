@@ -485,6 +485,7 @@ def evaluate_many(
     forms = [_compiled(e) for e in exprs]
     read = frozenset().union(*(names for _, names in forms))
     covered = views[1] if views is not None else ()
+    # np.broadcast takes at most 64 arguments; a driver table binds 4 + MAX_MODE_PAIRS (36)
     shape = np.broadcast(*ctx.values(), *(a[0] for a in rows.values())).shape
     out = np.empty((len(forms),) + shape)
     local = dict(ctx)
