@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import export, mc, oracle, pde_solver
-from .discretization import NonIntegrableDensityError, SpatialGrid, TimeGrid, build_levy_quadrature
+from .discretization import NonIntegrableDensityError, SpatialGrid, TimeGrid, build_levy_quadrature, check_atom_count
 from .exprdsl import ExprError
 from .model import (
     CapacityError,
@@ -125,9 +125,7 @@ def _grids(cfg: dict, spec: ProblemSpec) -> tuple[SpatialGrid, TimeGrid]:
 def _quadrature(cfg: dict, spec: ProblemSpec):
     q = cfg.get("quadrature", {})
     with _config_section("quadrature"):
-        n_atoms, radius = q.get("n_atoms", 64), q.get("radius")
-        if not (isinstance(n_atoms, int) and n_atoms >= 2 and n_atoms % 2 == 0):
-            raise ValueError(f"n_atoms must be an even integer >= 2, got {n_atoms!r}")
+        n_atoms, radius = check_atom_count(q.get("n_atoms", 64)), q.get("radius")
         if radius is not None and spec.levy.density is not None and not float(radius) > spec.levy.cutoff:
             raise ValueError(f"radius {radius} must exceed the density cutoff {spec.levy.cutoff}")
     return build_levy_quadrature(spec.levy, n_atoms=n_atoms, radius=radius)

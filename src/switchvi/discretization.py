@@ -78,6 +78,7 @@ __all__ = [
     "LevyQuadrature",
     "ValueField",
     "build_levy_quadrature",
+    "check_atom_count",
     "NonIntegrableDensityError",
     "interpolate",
     "DestinationTable",
@@ -180,6 +181,15 @@ class LevyQuadrature:
         return float(np.sum(self.weights))
 
 
+def check_atom_count(n_atoms) -> int:
+    """``n_atoms`` as an int if it is an even integer >= 2, the atom counts of
+    a density quadrature (half of its cells on each side of zero); ValueError
+    otherwise."""
+    if isinstance(n_atoms, (int, np.integer)) and n_atoms >= 2 and n_atoms % 2 == 0:
+        return int(n_atoms)
+    raise ValueError(f"n_atoms must be an even integer >= 2, got {n_atoms!r}")
+
+
 def build_levy_quadrature(
     measure: LevyMeasureSpec,
     n_atoms: int = 64,
@@ -190,7 +200,7 @@ def build_levy_quadrature(
     Atom lists pass through; atoms with ``|e| < cutoff`` are folded into the
     small-jump second moment.  A density is integrated by the midpoint rule
     on ``cutoff <= |e| <= radius`` (two-sided, ``n_atoms // 2`` cells per
-    side, so it needs ``n_atoms >= 2``) and its small-jump part by a fixed
+    side; see :func:`check_atom_count`) and its small-jump part by a fixed
     fine midpoint rule on ``|e| < cutoff``; a density that is negative on
     any cell of either rule is rejected.
     Atoms with weight below 1e-14 are dropped.
@@ -217,9 +227,7 @@ def build_levy_quadrature(
     R = float(radius if radius is not None else measure.radius)
     if not R > delta > 0.0:
         raise MalformedSpecError("density quadrature requires radius > cutoff > 0")
-    if n_atoms < 2:
-        raise ValueError(f"a density quadrature needs n_atoms >= 2, got {n_atoms}")
-    n_half = int(n_atoms) // 2
+    n_half = check_atom_count(n_atoms) // 2
 
     def midpoint(lo: float, hi: float, n_cells: int):
         """Cell centers of ``[lo, hi]``, the density there and the cell width."""
@@ -334,14 +342,8 @@ def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: 
 
 def gradient_surface(surface: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Central differences along the last (node) axis, one-sided first order
-    at the boundary: ``np.gradient(surface, grid.dx, axis=-1)``'s formulas,
-    bit for bit, written into one array."""
-    dx = grid.dx
-    out = np.empty_like(surface)
-    out[..., 1:-1] = (surface[..., 2:] - surface[..., :-2]) / (2.0 * dx)
-    out[..., 0] = (surface[..., 1] - surface[..., 0]) / dx
-    out[..., -1] = (surface[..., -1] - surface[..., -2]) / dx
-    return out
+    at the boundary."""
+    return np.gradient(surface, grid.dx, axis=-1)
 
 
 def upwind_drift(surface: np.ndarray, grid: SpatialGrid, b_plus: np.ndarray, b_minus: np.ndarray) -> np.ndarray:

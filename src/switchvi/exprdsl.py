@@ -38,11 +38,10 @@ every successful result is bitwise the walker's.
 
 :func:`evaluate_many` runs several trees that share most bindings (the
 drivers of all mode pairs, say) under one ``errstate``.  It checks each
-binding that any tree reads once, a row stack (one binding per tree) as a
-whole, bindings that are views of one stack (the value entries ``y_i_j``)
-through that stack, and the stacked result once.  On any failure it re-runs
-the plain :func:`evaluate` loop, so its results and errors are exactly that
-loop's.
+binding that any tree reads once, a stack of shared bindings (the value
+entries ``y_i_j``) and a row stack (one binding per tree) each as a whole,
+and the stacked result once.  On any failure it re-runs the plain
+:func:`evaluate` loop, so its results and errors are exactly that loop's.
 """
 
 from __future__ import annotations
@@ -471,28 +470,28 @@ def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
 
 
 def evaluate_many(
-    exprs: Sequence[Expr], ctx: Mapping[str, Value], rows: Mapping[str, np.ndarray], views: tuple | None = None
+    exprs: Sequence[Expr], ctx: Mapping[str, Value], stack: np.ndarray, names: Sequence[str], rows: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Stacked results of ``evaluate(exprs[k], ctx | {name: a[k] for name, a in rows.items()})``,
-    each broadcast to the common shape of all bindings (a row stack's rows count).
+    """Stacked results of ``evaluate(exprs[k], ctx | dict(zip(names, stack)) | {name: a[k] for name, a in rows.items()})``,
+    each broadcast to the common shape of all bindings.
 
-    The bindings read and the result stack are each checked once (see the
-    module docstring).  ``views = (stack, names)`` says that the bindings
-    ``names`` of ``ctx`` are views of the array ``stack``, which is then
-    checked once, as a whole, in their place.  Any failure re-runs the plain
-    per-expression loop, so results and errors are bitwise its own.
+    Every tree sees the bindings of ``ctx`` and one binding per entry of
+    ``names``, held along the leading axis of ``stack`` (the value entries
+    ``y_i_j`` of a driver table); each array of ``rows`` holds one binding
+    per tree along its leading axis.  The ``ctx`` bindings read, ``stack``,
+    each array of ``rows`` and the result stack are each checked once (see
+    the module docstring).  Any failure re-runs the plain per-expression
+    loop, so results and errors are bitwise its own.
     """
     forms = [_compiled(e) for e in exprs]
-    read = frozenset().union(*(names for _, names in forms))
-    covered = views[1] if views is not None else ()
-    # np.broadcast takes at most 64 arguments; a driver table binds 4 + MAX_MODE_PAIRS (36)
-    shape = np.broadcast(*ctx.values(), *(a[0] for a in rows.values())).shape
+    local = {**ctx, **dict(zip(names, stack))}
+    # one argument per ctx binding and array, not per stack entry: numpy 1.x's np.broadcast takes at most 32
+    shape = np.broadcast(*ctx.values(), *stack[:1], *(a[0] for a in rows.values())).shape
     out = np.empty((len(forms),) + shape)
-    local = dict(ctx)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            checked = read.difference(covered)
-            if (views is None or _finite(views[0])) and all(_finite(rows[name] if name in rows else ctx[name]) for name in checked):
+            read = frozenset().union(*(free for _, free in forms)).difference(names)
+            if _finite(stack) and all(_finite(rows[name] if name in rows else ctx[name]) for name in read):
                 for k, (fn, _) in enumerate(forms):
                     local.update((name, a[k]) for name, a in rows.items())
                     out[k] = fn(local)
@@ -501,5 +500,5 @@ def evaluate_many(
     except (KeyError, TypeError, FloatingPointError):
         pass
     for k, e in enumerate(exprs):
-        out[k] = evaluate(e, {**ctx, **{name: a[k] for name, a in rows.items()}})
+        out[k] = evaluate(e, {**local, **{name: a[k] for name, a in rows.items()}})
     return out

@@ -337,15 +337,15 @@ class ProblemSpec:
         ``y`` is the ``(m1, m2) + x.shape`` value stack; ``z`` and ``q`` are
         stacks of that shape or scalars.  Bitwise equal to one
         :meth:`eval_driver` call per pair, with one finiteness check per
-        binding and one for the whole ``y`` stack.
+        binding, the whole ``y`` stack being one.
         """
         x = np.asarray(x, dtype=float)
         pairs = list(self.modes.pairs())
-        entries = {driver_variable(i, j): y[i, j] for i, j in pairs}
-        ctx = {"t": t, "x": x, **entries}
+        stack = y.reshape((len(pairs),) + x.shape)
+        ctx = {"t": t, "x": x}
         ctx.update((name, v) for name, v in (("z", z), ("q", q)) if not np.ndim(v))
-        rows = {name: v.reshape((len(pairs),) + x.shape) for name, v in (("z", z), ("q", q)) if np.ndim(v)}
-        table = evaluate_many([self.drivers[p] for p in pairs], ctx, rows, views=(y, entries.keys()))
+        rows = {name: v.reshape(stack.shape) for name, v in (("z", z), ("q", q)) if np.ndim(v)}
+        table = evaluate_many([self.drivers[p] for p in pairs], ctx, stack, [driver_variable(i, j) for i, j in pairs], rows)
         return table.reshape((self.modes.m1, self.modes.m2) + x.shape)
 
     def beta_table(self, x, marks: Sequence[float]) -> np.ndarray:
@@ -387,17 +387,22 @@ def other_mode_costs(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return ks, costs[np.arange(len(ks))[:, None], ks]
 
 
-def obstacle(y: np.ndarray, ks: np.ndarray, c: np.ndarray, axis: int, combine: np.ufunc, pick: np.ufunc) -> np.ndarray:
+def obstacle(y: np.ndarray, gather, axis: int, combine: np.ufunc, pick: np.ufunc) -> np.ndarray:
     """``pick`` over the last axis of ``ks`` of ``combine(y.take(ks, axis), c)``.
 
-    ``(ks, c)`` is ``other_mode_costs`` of one player's costs, or one row
-    ``(ks[i], c[i])`` of it; ``axis`` is that player's mode axis in ``y``,
-    and ``c``'s cost tail broadcasts against the trailing axes of ``y``.
-    ``np.subtract`` with ``np.maximum`` gives the lower obstacle, ``np.add``
-    with ``np.minimum`` the upper one.  The candidates are gathered once,
-    combined in place and reduced in increasing ``k``, as a per-mode loop
-    would; with a single candidate the result is a view of the gather.
+    ``gather = (ks, c)`` is ``other_mode_costs`` of one player's costs, or
+    one row ``(ks[i], c[i])`` of it; ``axis`` is that player's mode axis in
+    ``y``, and ``c``'s cost tail broadcasts against the trailing axes of
+    ``y``.  ``np.subtract`` with ``np.maximum`` gives the lower obstacle,
+    ``np.add`` with ``np.minimum`` the upper one; a None ``gather`` (a
+    single mode) gives the sentinel ``-inf`` or ``+inf`` everywhere.  The
+    candidates are gathered once, combined in place and reduced in
+    increasing ``k``, as a per-mode loop would; with a single candidate the
+    result is a view of the gather.
     """
+    if gather is None:
+        return np.full(y.shape, -np.inf if pick is np.maximum else np.inf)
+    ks, c = gather
     axis %= y.ndim
     cands = y.take(ks, axis=axis)
     tail = c.shape[ks.ndim :]
@@ -410,9 +415,7 @@ def obstacle(y: np.ndarray, ks: np.ndarray, c: np.ndarray, axis: int, combine: n
 
 def gathered_obstacles(y: np.ndarray, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """:func:`eval_obstacles` from each player's :func:`other_mode_costs` gather."""
-    L = obstacle(y, *lower, 0, np.subtract, np.maximum) if lower is not None else np.full(y.shape, -np.inf)
-    U = obstacle(y, *upper, 1, np.add, np.minimum) if upper is not None else np.full(y.shape, np.inf)
-    return L, U
+    return obstacle(y, lower, 0, np.subtract, np.maximum), obstacle(y, upper, 1, np.add, np.minimum)
 
 
 def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,9 +432,12 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     against ``tail`` (``()`` for constant costs, or ``tail`` itself); ``L``
     and ``U`` have the shape of ``y``.  Each side is one :func:`obstacle`
     over all modes, whose candidate gather is ``m - 1`` times the size of
-    ``y``; with two modes that gather is the obstacle itself.
+    ``y``; with two modes that gather is the obstacle itself.  The upper
+    costs are gathered only once ``L`` is done, so the two players' gathers
+    are never held together (on path stacks that raised peak memory).
     """
-    return gathered_obstacles(y, other_mode_costs(lower_costs), other_mode_costs(upper_costs))
+    L = obstacle(y, other_mode_costs(lower_costs), 0, np.subtract, np.maximum)
+    return L, obstacle(y, other_mode_costs(upper_costs), 1, np.add, np.minimum)
 
 
 # --- validation ----------------------------------------------------------

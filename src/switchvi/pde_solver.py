@@ -452,8 +452,8 @@ def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConf
             return changed_passes, obstacles
         worst = 0.0
         for i, j in _pair_order(visits, sweep):
-            L = obstacle(values[:, j], *rows_l[i], 0, np.subtract, np.maximum) if rows_l else -np.inf
-            U = obstacle(values[i], *rows_u[j], -2, np.add, np.minimum) if rows_u else np.inf
+            L = obstacle(values[:, j], rows_l[i], 0, np.subtract, np.maximum) if rows_l else -np.inf
+            U = obstacle(values[i], rows_u[j], -2, np.add, np.minimum) if rows_u else np.inf
             new = project(pde_values[i, j], L, U)
             delta = np.abs(new - values[i, j]).max(axis=-1)  # per pair of the visit
             top = float(delta.max())

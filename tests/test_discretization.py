@@ -1,5 +1,4 @@
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,8 +105,8 @@ class TestQuadrature:
         assert np.all(np.abs(quad.marks) >= 0.2)
         assert quad.small_jump_second_moment == pytest.approx(2 * 0.2**3 / 3, rel=1e-4)
 
-    @pytest.mark.parametrize("n_atoms", [1, 0, -5])
-    def test_density_needs_two_atoms(self, n_atoms):
+    @pytest.mark.parametrize("n_atoms", [1, 0, -5, 3, 2.5, "64"])
+    def test_density_needs_an_even_atom_count(self, n_atoms):
         spec = LevyMeasureSpec.from_dict({"density": "1", "radius": 1.0, "cutoff": 0.2})
         with pytest.raises(ValueError, match="n_atoms"):
             build_levy_quadrature(spec, n_atoms=n_atoms)
@@ -404,15 +403,6 @@ class TestDerivativeSurfaces:
         assert grad[0] == pytest.approx((surf[1] - surf[0]) / 0.25)
         assert grad[-1] == pytest.approx((surf[-1] - surf[-2]) / 0.25)
         assert grad[2] == pytest.approx(1.0)  # 2x at x=0.5
-
-    @pytest.mark.parametrize("n_nodes", [2, 3, 41, 201])
-    @pytest.mark.parametrize("modes", [(1, 1), (2, 2), (3, 2)])
-    def test_gradient_is_numpys_bit_for_bit(self, modes, n_nodes):
-        rng = np.random.default_rng(n_nodes)
-        for dx in (0.02, 0.1, 1.0 / 3.0):
-            grid = SimpleNamespace(dx=dx)  # a 2-node stand-in: SpatialGrid needs 3 nodes
-            surf = rng.normal(scale=10.0, size=modes + (n_nodes,))
-            assert np.array_equal(gradient_surface(surf, grid), np.gradient(surf, dx, axis=-1))
 
     def test_second_derivative_clamped_ghost(self):
         g = SpatialGrid.line(0.0, 1.0, 5)

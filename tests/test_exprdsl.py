@@ -267,9 +267,9 @@ def _loop_outcome(exprs, ctx, rows):
         return "error", type(exc), str(exc)
 
 
-def _many_outcome(exprs, ctx, rows, views=None):
+def _many_outcome(exprs, ctx, rows, stack=np.empty(0), names=()):
     try:
-        return "value", np.asarray(exprdsl.evaluate_many(exprs, ctx, rows, views), dtype=float).tobytes()
+        return "value", np.asarray(exprdsl.evaluate_many(exprs, ctx, stack, names, rows), dtype=float).tobytes()
     except NumericDomainError as exc:
         return "error", type(exc), str(exc)
 
@@ -290,16 +290,15 @@ def test_evaluate_many_matches_the_loop_bitwise(exprs, x, ts, t_in_rows):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_any_exprs(2), min_size=1, max_size=4), st.lists(_values, min_size=9, max_size=9), st.booleans())
-def test_evaluate_many_checks_a_view_stack_once(exprs, entries, t_in_stack):
-    """Bindings that are views of one stack are checked through the stack: the
+def test_evaluate_many_checks_a_shared_stack_once(exprs, entries, t_in_stack):
+    """Shared bindings held in one stack are checked through the stack: the
     loop's bytes, or the loop's first error, which names the binding.  A
-    non-finite entry in a view that no tree reads (``u``) raises nothing."""
-    stack = np.array(entries).reshape(3, 3)
+    non-finite entry in a binding that no tree reads (``u``) raises nothing."""
     names = ("x", "t", "u") if t_in_stack else ("x", "u")
-    ctx = {name: stack[k] for k, name in enumerate(names)}
-    if not t_in_stack:
-        ctx["t"] = entries[-1]
-    assert _many_outcome(exprs, ctx, {}, (stack, names)) == _loop_outcome(exprs, ctx, {})
+    stack = np.array(entries).reshape(3, 3)[: len(names)]
+    ctx = {} if t_in_stack else {"t": entries[-1]}
+    expected = _loop_outcome(exprs, {**ctx, **dict(zip(names, stack))}, {})
+    assert _many_outcome(exprs, ctx, {}, stack, names) == expected
 
 
 class TestEvaluateMany:
@@ -314,13 +313,13 @@ class TestEvaluateMany:
         return {"q": np.arange(9.0).reshape(3, 3) if q is None else q}
 
     def test_stacks_the_loop_results(self):
-        out = exprdsl.evaluate_many(self.EXPRS, self.ctx(), self.rows())
+        out = exprdsl.evaluate_many(self.EXPRS, self.ctx(), np.empty(0), (), self.rows())
         assert out.shape == (3, 3)
         assert _loop_outcome(self.EXPRS, self.ctx(), self.rows()) == ("value", out.tobytes())
 
     def test_constant_trees_broadcast_to_the_bindings(self):
         exprs = [parse("1", ("x",)), parse("x", ("x",))]
-        out = exprdsl.evaluate_many(exprs, {"x": np.array([3.0, 4.0])}, {})
+        out = exprdsl.evaluate_many(exprs, {"x": np.array([3.0, 4.0])}, np.empty(0), (), {})
         assert out.tolist() == [[1.0, 1.0], [3.0, 4.0]]
 
     @pytest.mark.parametrize(
@@ -337,14 +336,13 @@ class TestEvaluateMany:
         assert outcome[0] == "error"
         assert outcome == _loop_outcome(self.EXPRS, ctx, rows)
 
-    def test_a_non_finite_view_raises_the_per_binding_error(self):
+    def test_a_non_finite_stack_entry_raises_the_per_binding_error(self):
         names = ("y_0_0", "y_0_1")
         exprs = [parse(s, names) for s in ("y_0_0 + 1", "2*y_0_1", "y_0_0 - y_0_1")]
-        y = np.zeros((1, 2, 3))
-        y[0, 1, 1] = np.inf
-        ctx = {"y_0_0": y[0, 0], "y_0_1": y[0, 1]}
+        y = np.zeros((2, 3))
+        y[1, 1] = np.inf
         with pytest.raises(NumericDomainError, match=re.escape("non-finite binding for 'y_0_1'")):
-            exprdsl.evaluate_many(exprs, ctx, {}, (y, names))
+            exprdsl.evaluate_many(exprs, {}, y, names, {})
 
     def test_missing_binding_is_the_loop_error(self):
         outcome = _many_outcome(self.EXPRS, {"x": 1.0}, self.rows())

@@ -936,6 +936,27 @@ class TestDriverTableStep:
         for pair in spec_2x2.modes.pairs():
             assert same_bits(table[pair], spec_2x2.eval_driver(pair, 0.1, x, entries, 0.5, q[pair]))
 
+    def test_driver_table_at_the_mode_pair_cap(self, monkeypatch):
+        """A 6x6 spec (36 pairs, the cap) matches eval_driver per pair, and
+        np.broadcast gets few enough arguments for numpy 1.x, which takes 32."""
+        pairs = [(i, j) for i in range(6) for j in range(6)]
+        drivers = {f"{i},{j}": f"0.1*z - 0.2*y_{i}_{j} + 0.01*y_{5 - i}_{j} + 0.02*q*y_{i}_{5 - j}" for i, j in pairs}
+        spec = make_spec(modes={"m1": 6, "m2": 6}, drivers=drivers)
+        x = GRID.axis()
+        rng = np.random.default_rng(3)
+        y, z = rng.normal(size=(2, 6, 6) + x.shape)
+        entries = {driver_variable(i, j): y[i, j] for i, j in pairs}
+        broadcast = np.broadcast
+
+        def capped(*args):
+            assert len(args) <= 32
+            return broadcast(*args)
+
+        monkeypatch.setattr(np, "broadcast", capped)
+        table = spec.driver_table(0.2, x, y, z, 0.5)
+        for pair in pairs:
+            assert same_bits(table[pair], spec.eval_driver(pair, 0.2, x, entries, z[pair], 0.5))
+
 
 def reference_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid) -> float:
     """The probe one time, pair and base at a time, with scalar bindings."""
