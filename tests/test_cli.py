@@ -259,6 +259,7 @@ class TestBadConfigValues:
             pytest.param("solve", {"output": {"levels": [999]}}, "error: config 'output': ", id="output-levels"),
             pytest.param("solve", {"output": {"levels": [2.5]}}, "error: config 'output': ", id="output-levels-float"),
             pytest.param("solve", {"time": {"n_steps": 0}}, "error: config 'time': ", id="time-steps"),
+            pytest.param("check", {"scheme": {"mode": "imex"}}, "error: config 'scheme': ", id="check-scheme-imex"),
             pytest.param("check", {"check": {"paths": 0}}, "error: config 'check': ", id="check-paths-0"),
             pytest.param("check", {"check": {"paths": 1}}, "error: config 'check': ", id="check-paths-1"),
             pytest.param("check", {"check": {"n_steps": 0}}, "error: config 'check': ", id="check-steps"),

@@ -184,6 +184,11 @@ def density_jump_spec() -> ProblemSpec:
     return ProblemSpec.from_dict(raw)
 
 
+def drift_spike_spec() -> ProblemSpec:
+    """A drift spike of height 8 around t = 0.125, zero at t in {0, T/2, T}."""
+    return make_spec(drift="400*max(0, 0.02 - abs(t - 0.125))", vol="0.05", levy={"atoms": []}, jump_weights={"default": "0"})
+
+
 class TestStabilityBoundReadsTheWorkspace:
     """``_Workspace.cfl`` reads the step's own tables and equals the formula written from the spec, bit for bit."""
 
@@ -272,6 +277,18 @@ class TestMonotoneByConstruction:
             jump_weights={"default": "0"},
         )
         self.assert_accepted_step_is_monotone(spec, mode)
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    def test_drift_spike_between_the_old_sample_times_is_rejected(self, mode):
+        """The drift peaks at 8 at t = 0.125, a time that step 4 reads and that
+        ``{0, T/2, T}`` misses; the oracle finds a negative transition weight there."""
+        grid = SpatialGrid.line(-1.0, 1.0, 41)
+        spec = drift_spike_spec()
+        quad = build_levy_quadrature(spec.levy)
+        with pytest.raises(CflViolationError, match="'drift': 4.0"):
+            solve_penalized(spec, grid, self.TGRID, quad, 0.0, 0.0, SchemeConfig(mode=mode))
+        with pytest.raises(CflViolationError, match="at step 4, node 0"):
+            build_discrete_game(spec, grid, self.TGRID, quad)
 
     def test_cfl_drift_term_is_the_folded_drift(self):
         atoms = [[1.0, 0.2], [0.5, 0.6], [-0.25, 0.9]]
@@ -504,6 +521,13 @@ class TestBilateral:
         a, _ = solve_minmax(spec_two_atom, GRID, TGRID, quad_two_atom, mode="direct")
         b, _ = solve_maxmin(spec_two_atom, GRID, TGRID, quad_two_atom, mode="direct")
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("solver", [solve_minmax, solve_maxmin])
+    def test_unknown_mode_is_named_before_the_loop_gate(self, solver):
+        """A zero-cost loop would fail the gate; the mode is checked first."""
+        free = make_spec(modes={"m1": 2, "m2": 1}, lower_costs={"default": "0"}, upper_costs={})
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            solver(free, GRID, TGRID, build_levy_quadrature(free.levy), mode="bogus")
 
     def test_priority_orders_differ_under_conflict(self):
         # raw sweep check: when L > U the min-max projection sides with L,
