@@ -15,7 +15,7 @@ Config file shape (see the shipped problems for coefficient syntax):
       "grid":   {"x_min": -2.0, "x_max": 2.0, "n_nodes": 101},
       "time":   {"n_steps": 50},
       "quadrature": {"n_atoms": 64, "radius": 1.0},
-      "scheme": {"mode": "explicit", "cfl_factor": 1.0, "max_sweeps": 500},
+      "scheme": {"mode": "explicit", "max_sweeps": 500},   # the only keys; check needs explicit
       "solve":  {"system": "minmax", "mode": "direct",
                  "n": 4, "m": 4,                  # penalized only
                  "schedule": [1, 2, 4, 8]},       # limit modes only
@@ -134,13 +134,10 @@ def _quadrature(cfg: dict, spec: ProblemSpec):
 def _scheme(cfg: dict, override_a4: bool) -> SchemeConfig:
     s = cfg.get("scheme", {})
     with _config_section("scheme"):
-        return SchemeConfig(
-            mode=s.get("mode", "explicit"),
-            cfl_factor=float(s.get("cfl_factor", 1.0)),
-            sweep_tol=float(s.get("sweep_tol", 0.0)),
-            max_sweeps=int(s.get("max_sweeps", 500)),
-            allow_terminal_inconsistency=override_a4,
-        )
+        unknown = sorted(set(s) - {"mode", "max_sweeps"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}; the keys are 'mode' and 'max_sweeps'")
+        return SchemeConfig(mode=s.get("mode", "explicit"), max_sweeps=int(s.get("max_sweeps", 500)), allow_terminal_inconsistency=override_a4)
 
 
 def _out_dir(args) -> Path:
@@ -274,6 +271,9 @@ def cmd_check(args) -> int:
     grid, tgrid = _grids(cfg, spec)
     quad = _quadrature(cfg, spec)
     scheme = _scheme(cfg, args.override_a4)
+    with _config_section("scheme"):
+        if scheme.mode != "explicit":
+            raise ValueError(f"check mirrors the explicit scheme only, got mode '{scheme.mode}'")
     out = _out_dir(args)
     ck = cfg.get("check", {})
     n_states = grid.n_nodes * spec.modes.m1 * spec.modes.m2

@@ -251,7 +251,7 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
                     new = np.minimum(U, np.maximum(L, cont[i, j]))
                 worst = max(worst, float(np.max(np.abs(new - cur[i, j]))))
                 cur[i, j] = new
-            if worst <= game.config.sweep_tol:
+            if worst == 0.0:
                 break
         values[k] = cur
 

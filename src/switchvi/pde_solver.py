@@ -98,7 +98,7 @@ DEFAULT_PENALTY_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class CflViolationError(ValueError):
-    """Explicit step rejected: the stability bound exceeds the safety factor."""
+    """Explicit step rejected: its stability number exceeds 1."""
 
 
 class SweepNonConvergenceError(RuntimeError):
@@ -108,7 +108,7 @@ class SweepNonConvergenceError(RuntimeError):
         super().__init__(
             f"obstacle sweeps did not stabilize within {sweeps} passes "
             f"(worst residual {worst_residual:.3e}); check the non-free-loop "
-            f"property or loosen the sweep tolerance"
+            f"property or raise max_sweeps"
         )
 
 
@@ -132,22 +132,18 @@ class SchemeConfig:
     """Stepping configuration shared by all solvers.
 
     ``mode`` is ``"explicit"`` or ``"imex"`` (diffusion implicit via a
-    tridiagonal solve, everything else explicit).  ``sweep_tol = 0`` runs
-    obstacle sweeps to bitwise stabilization, which finitely many passes
-    reach under the non-free-loop property.
+    tridiagonal solve, everything else explicit).  Obstacle sweeps run to
+    their exact fixed point, which the non-free-loop property lets finitely
+    many passes reach; ``max_sweeps`` caps the passes of one level.
     """
 
     mode: str = "explicit"
-    cfl_factor: float = 1.0
-    sweep_tol: float = 0.0
     max_sweeps: int = 500
     allow_terminal_inconsistency: bool = False
 
     def __post_init__(self):
         if self.mode not in ("explicit", "imex"):
             raise ValueError(f"unknown scheme mode '{self.mode}'")
-        if not (0.0 < self.cfl_factor <= 1.0):
-            raise ValueError("cfl_factor must lie in (0, 1]")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
 
@@ -203,8 +199,8 @@ class Trajectory:
 def estimate_driver_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid) -> float:
     """Probe the drivers' joint Lipschitz constant in (y, z, q) by finite differences.
 
-    Sampling cannot certify a bound; the estimate feeds the CFL guard, which
-    already carries a safety factor.
+    Sampling cannot certify a bound: the estimate feeds the CFL guard as it
+    is, with no margin for a larger slope between the samples.
     """
     x = grid.axis()
     probe_x = x[:: max(1, len(x) // 8)]
@@ -297,12 +293,15 @@ class _Workspace:
         sum_k w_k``.  The diffusion norm includes the small-jump surrogate; in
         IMEX mode the diffusion term is dropped.  The drift norm is taken of the
         folded drift ``b - c = b^+ + b^-``, because the step upwinds the jump
-        compensator together with the drift.  Coefficients are sampled at
-        ``t`` in ``{0, T/2, T}``.
+        compensator together with the drift.  Drift and volatility are read at
+        the steps' times ``tgrid.times()[1:]``, or once, at T, if neither reads t.
         """
-        local = [self.local_coefficients(t) for t in (0.0, 0.5 * self.tgrid.horizon, self.tgrid.horizon)]
-        sig2_max = max(float(np.max(sig**2)) for _, _, sig, _ in local) + 2.0 * float(np.max(self.corr_coeff))
-        b_max = max(float(np.max(np.abs(bp + bm))) for bp, bm, _, _ in local)
+        sig2_max = b_max = 0.0
+        for t in self.tgrid.times()[1:] if self._local_reads_t else (self.tgrid.horizon,):
+            bp, bm, sig, _ = self.local_coefficients(float(t))
+            sig2_max = max(sig2_max, float(np.max(sig**2)))
+            b_max = max(b_max, float(np.max(np.abs(bp + bm))))
+        sig2_max += 2.0 * float(np.max(self.corr_coeff))
         total_w = self.quad.total_weight
         terms = {
             "diffusion": self.dt * 2.0 * sig2_max / self.dx**2,
@@ -319,10 +318,10 @@ class _Workspace:
 
     def check_cfl(self, n: float, m: float) -> tuple[float, dict]:
         value, terms = self.cfl(n, m)
-        if value > self.config.cfl_factor + 1e-12:
+        if value > 1.0 + 1e-12:
             raise CflViolationError(
-                f"stability number {value:.4f} exceeds the safety factor "
-                f"{self.config.cfl_factor} (terms: { {k: round(v, 4) for k, v in terms.items()} }); "
+                f"stability number {value:.4f} exceeds 1 "
+                f"(terms: { {k: round(v, 4) for k, v in terms.items()} }); "
                 f"reduce dt, coarsen penalties or switch to imex"
             )
         return value, terms
@@ -423,17 +422,17 @@ _PROJECTIONS = {
 }
 
 
-def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConfig, pairs: list) -> tuple[int, tuple | None]:
-    """Gauss-Seidel sweeps of ``_PROJECTIONS[projection]`` to a fixed point, in
-    place, on the players' cost gathers ``_Workspace.obstacle_costs``.  The
-    order of ``max`` and ``min`` is the obstacle priority; an absent obstacle
-    is ``-inf`` or ``+inf``.  Returns the changed-pass count and ``(L, U)``.
+def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConfig, pairs: list) -> tuple[int, tuple]:
+    """Gauss-Seidel sweeps of ``_PROJECTIONS[projection]`` to their exact fixed
+    point, in place, on the players' cost gathers ``_Workspace.obstacle_costs``.
+    The order of ``max`` and ``min`` is the obstacle priority; an absent
+    obstacle is ``-inf`` or ``+inf``.  Returns the changed-pass count and
+    ``(L, U)``, ``eval_obstacles`` of the swept values.
 
-    Each pass starts with the whole stack's obstacles ``(L, U)``: when the
-    projection onto them changes no entry, a Gauss-Seidel pass would change
-    none either, so the sweep returns them; they are ``eval_obstacles`` of the
-    swept values.  After a last pass that changed values by at most
-    ``sweep_tol > 0`` they are stale and None comes back instead.  The lower
+    Each pass starts with the whole stack's obstacles: when the projection
+    onto them changes no entry, neither would a Gauss-Seidel pass, so the
+    sweep returns them.  Otherwise the pass changes the first flagged pair it
+    visits, as every visit before it sees the check's obstacles.  The lower
     obstacle of ``(i, j)`` reads only column ``j`` and the upper one only row
     ``i``, so a lower pass visits a whole row and an upper pass a whole
     column at a time, with the bits and pass counts of the pair loop."""
@@ -445,11 +444,10 @@ def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConf
     every = slice(None)
     visits = {"lower": [(i, every) for i in range(m1)], "upper": [(every, j) for j in range(m2)]}.get(projection, pairs)
     pde_values = values.copy()
-    changed_passes = 0
     for sweep in range(config.max_sweeps):
         obstacles = gathered_obstacles(values, lower, upper)
         if np.array_equal(project(pde_values, *obstacles), values):
-            return changed_passes, obstacles
+            return sweep, obstacles
         worst = 0.0
         for i, j in _pair_order(visits, sweep):
             L = obstacle(values[:, j], rows_l[i], 0, np.subtract, np.maximum) if rows_l else -np.inf
@@ -461,10 +459,6 @@ def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConf
                 # a pair whose delta is 0 keeps its bytes, as in the pair loop
                 np.copyto(values[i, j], new, where=(delta > 0.0)[..., None])
                 worst = max(worst, top)
-        if worst > config.sweep_tol:
-            changed_passes += 1
-        else:
-            return changed_passes, None
     raise SweepNonConvergenceError(worst, config.max_sweeps)
 
 
@@ -608,11 +602,11 @@ def _solve_bilateral(
 ) -> tuple[Trajectory, SolverReport]:
     """Bilateral system with ``priority`` ``"minmax"`` or ``"maxmin"``;
     limit mode runs the reflected solver ``one_sided`` along ``schedule``."""
+    if mode not in ("direct", "limit"):
+        raise ValueError(f"unknown mode '{mode}'")
     config = config or SchemeConfig()
     if spec.modes.m1 > 1 or spec.modes.m2 > 1:
         _gate_loops(spec, grid, tgrid, moves="both")
-    if mode not in ("direct", "limit"):
-        raise ValueError(f"unknown mode '{mode}'")
     ws = _Workspace(spec, grid, tgrid, quad, config)
     system = f"{priority}({mode})"
     if mode == "direct":

@@ -253,7 +253,9 @@ class TestBadConfigValues:
         "command,overrides,prefix",
         [
             pytest.param("solve", {"scheme": {"mode": "implicit"}}, "error: config 'scheme': ", id="scheme-mode"),
-            pytest.param("solve", {"scheme": {"cfl_factor": 2.0}}, "error: config 'scheme': ", id="scheme-cfl"),
+            # retired keys: sweeps always reach their fixed point, the stability number is judged against 1
+            pytest.param("solve", {"scheme": {"cfl_factor": 1.0}}, "error: config 'scheme': unknown keys ['cfl_factor']", id="scheme-cfl"),
+            pytest.param("solve", {"scheme": {"sweep_tol": 0.01}}, "error: config 'scheme': unknown keys ['sweep_tol']", id="scheme-sweep-tol"),
             pytest.param("solve", {"scheme": {"max_sweeps": 0}}, "error: config 'scheme': ", id="scheme-sweeps"),
             pytest.param("solve", {"solve": {"system": "minmax", "mode": "bogus"}}, "error: config 'solve': ", id="solve-mode"),
             pytest.param("solve", {"output": {"levels": [999]}}, "error: config 'output': ", id="output-levels"),
