@@ -432,10 +432,11 @@ def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConf
     Each pass starts with the whole stack's obstacles: when the projection
     onto them changes no entry, neither would a Gauss-Seidel pass, so the
     sweep returns them.  Otherwise the pass changes the first flagged pair it
-    visits, as every visit before it sees the check's obstacles.  The lower
-    obstacle of ``(i, j)`` reads only column ``j`` and the upper one only row
-    ``i``, so a lower pass visits a whole row and an upper pass a whole
-    column at a time, with the bits and pass counts of the pair loop."""
+    visits, as every visit before it sees the check's obstacles, so the index
+    of the last check counts the changed passes.  The lower obstacle of
+    ``(i, j)`` reads only column ``j`` and the upper one only row ``i``, so a
+    lower pass visits a whole row and an upper pass a whole column at a time,
+    with the bits and pass counts of the pair loop."""
     project = _PROJECTIONS[projection]
     m1, m2 = values.shape[0], values.shape[1]
     # per mode i: the other modes and their costs, (ks[i], c[i]) of other_mode_costs

@@ -112,6 +112,27 @@ class TestInduction:
             res = backward_induction(game, order=order)
             assert float(np.max(np.abs(traj.values - res.values))) <= 1e-10
 
+    def test_equivalence_when_a_level_needs_several_passes(self):
+        """Costs growing with the square of the mode distance chain a switch over
+        several Gauss-Seidel passes, so the induction must sweep past its first pass."""
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        spec = make_spec(
+            modes={"m1": 3, "m2": 3},
+            drift="0.1*x",
+            vol="0.3",
+            drivers={f"{i},{j}": f"{3.0 * (i - j)}*x - 0.1*y_{i}_{j}" for i, j in pairs},
+            lower_costs={f"{i},{k}": repr(0.3 + 0.05 * i + 0.013 * k + 0.5 * (i - k) ** 2) for i, k in pairs if i != k},
+            upper_costs={f"{j},{l}": repr(0.41 + 0.053 * j + 0.009 * l + 0.5 * (j - l) ** 2) for j, l in pairs if j != l},
+            terminal={"default": "0"},
+        )
+        quad = build_levy_quadrature(spec.levy)
+        game = build_discrete_game(spec, GRID, TGRID, quad)
+        for order, solver in (("minmax", solve_minmax), ("maxmin", solve_maxmin)):
+            traj, report = solver(spec, GRID, TGRID, quad, mode="direct")
+            assert max(report.sweep_counts) >= 2
+            res = backward_induction(game, order=order)
+            assert float(np.max(np.abs(traj.values - res.values))) <= 1e-10
+
     def test_plain_recursion_closed_form(self):
         spec = make_spec(
             modes={"m1": 1, "m2": 1},
