@@ -684,11 +684,12 @@ class TestObstaclesOncePerLevel:
         assert same_bits(stepped, fresh)
         assert same_bits(stepped, traj.values[k - 1])
 
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
     @pytest.mark.parametrize("modes", [(3, 2), (1, 3), (3, 1)])
-    def test_upper_reflected_violations_match_recomputation(self, modes):
+    def test_upper_reflected_violations_match_recomputation(self, modes, mode):
         spec = switching_in_time(*modes)
         quad = build_levy_quadrature(spec.levy)
-        traj, report = solve_upper_reflected(spec, GRID, TGRID, quad, 3.0)
+        traj, report = solve_upper_reflected(spec, GRID, TGRID, quad, 3.0, SchemeConfig(mode=mode))
         m1, m2 = modes
         x = GRID.axis()
         lower, upper = [], []
@@ -823,20 +824,29 @@ class TestSweepsByRowAndColumn:
     """One-sided sweeps visit a row or a column at a time, with the pair loop's bits;
     each pass starts with a whole-stack check whose obstacles the sweep hands back."""
 
+    @pytest.mark.parametrize("start", ["noisy", "swept"])
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
     @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (1, 1), (1, 2), (2, 1)])
-    def test_equals_the_pair_loop(self, modes, projection):
-        """A player with one mode (the last three shapes) has the sentinel obstacle."""
+    def test_equals_the_pair_loop(self, modes, projection, start):
+        """A player with one mode (the last three shapes) has the sentinel obstacle.
+        A swept start is a fixed point: no pass changes it, and the first check's
+        obstacles come back."""
         spec = switching_in_time(*modes)
         lc, uc = chained_costs(spec, modes)
         values = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
         config = SchemeConfig()
+        if start == "swept":
+            pair_loop_sweep(values, lc, uc, projection, config)
+        before = values.copy()
         expected = values.copy()
         passes = pair_loop_sweep(expected, lc, uc, projection, config)
         got, obstacles = sweep(values, lc, uc, projection, config)
         assert got == passes
         assert same_bits(values, expected)
         assert_swept_obstacles(obstacles, values, lc, uc)
+        if start == "swept":
+            assert passes == 0 and same_bits(values, before)
+            return
         swept_modes = {"lower": modes[0], "upper": modes[1]}.get(projection, max(modes))
         assert passes >= min(swept_modes - 1, 2) and (swept_modes > 1 or passes == 0)
 
