@@ -328,6 +328,23 @@ class TestFlags:
         assert main(["check", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
         assert json.loads((out / "check_report.json").read_text())["seed"] == 7
 
+    def test_a_negative_seed_has_its_own_stream(self, tmp_path):
+        """``--seed`` is taken mod 2**64: -1 is the top key, not an alias of 0."""
+        cfg = write_config(
+            tmp_path,
+            grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 21},
+            time={"n_steps": 10},
+            check={"paths": 200, "x0": 0.0, "n": 4, "m": 4, "n_steps": 10},
+        )
+        mc_values = {}
+        for seed in ("-1", "0", str(2**64 - 1)):
+            out = tmp_path / f"out{seed}"
+            assert main(["check", "--config", str(cfg), "--out", str(out), "--seed", seed]) in (0, 1)
+            records = json.loads((out / "check_report.json").read_text())["feynman_kac"]["records"]
+            mc_values[seed] = [r["mc_value"] for r in records]
+        assert mc_values["-1"] == mc_values[str(2**64 - 1)]
+        assert mc_values["-1"] != mc_values["0"]
+
 
 class TestExportRoundTrip:
     def test_binary_snapshot_round_trip(self, tmp_path):

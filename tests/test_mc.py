@@ -99,6 +99,24 @@ class TestSimulate:
             simulate_paths(spec_two_atom, quad_two_atom, 0.0, 0, TG, seed=1)
 
 
+class TestSeedKeys:
+    """Path ``p`` draws from Philox keyed by ``(seed mod 2**64, p)`` as uint64."""
+
+    def test_the_top_seed_has_its_own_stream(self, spec_2x2, quad_2x2):
+        top = simulate_paths(spec_2x2, quad_2x2, 0.0, 20, TG, seed=2**64 - 1)
+        zero = simulate_paths(spec_2x2, quad_2x2, 0.0, 20, TG, seed=0)
+        assert not np.array_equal(top.brownian, zero.brownian)
+        for p in range(20):
+            rng = np.random.Generator(np.random.Philox(key=np.array([2**64 - 1, p], dtype=np.uint64)))
+            np.testing.assert_array_equal(top.brownian[p], rng.standard_normal(TG.n_steps) * math.sqrt(TG.dt))
+
+    def test_a_negative_seed_is_taken_mod_2_64(self, spec_2x2, quad_2x2):
+        a = simulate_paths(spec_2x2, quad_2x2, 0.0, 20, TG, seed=-1)
+        b = simulate_paths(spec_2x2, quad_2x2, 0.0, 20, TG, seed=2**64 - 1)
+        assert a.seed == b.seed == 2**64 - 1
+        assert np.array_equal(a.states, b.states)
+
+
 class TestBsdeRegression:
     def test_constant_driver_closed_form(self):
         spec = make_spec(

@@ -6,7 +6,7 @@ import pytest
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi.model import CapacityError, ProblemSpec, validate_non_free_loop
 from switchvi.oracle import backward_induction, build_discrete_game
-from switchvi.pde_solver import CflViolationError, solve_maxmin, solve_minmax
+from switchvi.pde_solver import CflViolationError, SchemeConfig, SweepNonConvergenceError, solve_maxmin, solve_minmax
 
 from conftest import make_spec
 
@@ -30,6 +30,20 @@ def spec_3x3():
         lower_costs=lower,
         upper_costs=upper,
         terminal=terminal,
+    )
+
+
+def chained_spec_3x3():
+    """Costs growing with the square of the mode distance: a level needs two changed sweep passes."""
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    return make_spec(
+        modes={"m1": 3, "m2": 3},
+        drift="0.1*x",
+        vol="0.3",
+        drivers={f"{i},{j}": f"{3.0 * (i - j)}*x - 0.1*y_{i}_{j}" for i, j in pairs},
+        lower_costs={f"{i},{k}": repr(0.3 + 0.05 * i + 0.013 * k + 0.5 * (i - k) ** 2) for i, k in pairs if i != k},
+        upper_costs={f"{j},{l}": repr(0.41 + 0.053 * j + 0.009 * l + 0.5 * (j - l) ** 2) for j, l in pairs if j != l},
+        terminal={"default": "0"},
     )
 
 
@@ -115,16 +129,7 @@ class TestInduction:
     def test_equivalence_when_a_level_needs_several_passes(self):
         """Costs growing with the square of the mode distance chain a switch over
         several Gauss-Seidel passes, so the induction must sweep past its first pass."""
-        pairs = [(i, j) for i in range(3) for j in range(3)]
-        spec = make_spec(
-            modes={"m1": 3, "m2": 3},
-            drift="0.1*x",
-            vol="0.3",
-            drivers={f"{i},{j}": f"{3.0 * (i - j)}*x - 0.1*y_{i}_{j}" for i, j in pairs},
-            lower_costs={f"{i},{k}": repr(0.3 + 0.05 * i + 0.013 * k + 0.5 * (i - k) ** 2) for i, k in pairs if i != k},
-            upper_costs={f"{j},{l}": repr(0.41 + 0.053 * j + 0.009 * l + 0.5 * (j - l) ** 2) for j, l in pairs if j != l},
-            terminal={"default": "0"},
-        )
+        spec = chained_spec_3x3()
         quad = build_levy_quadrature(spec.levy)
         game = build_discrete_game(spec, GRID, TGRID, quad)
         for order, solver in (("minmax", solve_minmax), ("maxmin", solve_maxmin)):
@@ -132,6 +137,17 @@ class TestInduction:
             assert max(report.sweep_counts) >= 2
             res = backward_induction(game, order=order)
             assert float(np.max(np.abs(traj.values - res.values))) <= 1e-10
+
+    @pytest.mark.parametrize("order, solver", [("minmax", solve_minmax), ("maxmin", solve_maxmin)])
+    def test_sweep_cap_raises_in_the_solver_and_the_induction(self, order, solver):
+        """A level that needs two changed passes breaks ``max_sweeps=1`` on both sides."""
+        spec = chained_spec_3x3()
+        quad = build_levy_quadrature(spec.levy)
+        config = SchemeConfig(max_sweeps=1)
+        with pytest.raises(SweepNonConvergenceError):
+            solver(spec, GRID, TGRID, quad, mode="direct", config=config)
+        with pytest.raises(SweepNonConvergenceError):
+            backward_induction(build_discrete_game(spec, GRID, TGRID, quad, config), order=order)
 
     def test_plain_recursion_closed_form(self):
         spec = make_spec(

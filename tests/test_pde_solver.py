@@ -291,6 +291,17 @@ class TestMonotoneByConstruction:
         with pytest.raises(CflViolationError, match="at step 4, node 0"):
             build_discrete_game(spec, grid, self.TGRID, quad)
 
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("solver", [solve_minmax, solve_maxmin])
+    def test_limit_mode_names_the_first_penalty_stability_terms(self, solver, mode):
+        """When the schedule's first penalty already breaks the guard, no schedule ran:
+        the error is that penalty's stability violation, with its terms."""
+        grid = SpatialGrid.line(-1.0, 1.0, 41)
+        spec = drift_spike_spec()
+        quad = build_levy_quadrature(spec.levy)
+        with pytest.raises(CflViolationError, match=r"stability number \d+\.\d+ exceeds 1 .*'drift': 4.0"):
+            solver(spec, grid, self.TGRID, quad, mode="limit", config=SchemeConfig(mode=mode))
+
     def test_cfl_drift_term_is_the_folded_drift(self):
         atoms = [[1.0, 0.2], [0.5, 0.6], [-0.25, 0.9]]
         spec = make_spec(drift="0.3*x", jump_amplitude="0.8*e*(1 + 0.3*x)", levy={"atoms": atoms})
