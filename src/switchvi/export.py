@@ -45,28 +45,40 @@ def fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _csv(header: list[str], columns: np.ndarray) -> str:
-    """A header line, then one line per node of a ``(columns, nodes)`` array."""
-    rows = columns.T.tolist()  # Python floats: repr is fmt_float
-    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+def _node_column(grid: SpatialGrid) -> list[str]:
+    """The node coordinates, formatted."""
+    return list(map(repr, grid.axis().tolist()))  # Python floats: repr is fmt_float
+
+
+def _csv(header: list[str], nodes: list[str], columns: np.ndarray) -> str:
+    """A header line, then one line per node: its formatted coordinate and
+    its entries of a ``(columns, nodes)`` array."""
+    rows = columns.T.tolist()
+    return "\n".join([",".join(header)] + [x + "," + ",".join(map(repr, row)) for x, row in zip(nodes, rows)]) + "\n"
+
+
+def _values_csv(values: np.ndarray, nodes: list[str]) -> str:
+    """Columns: node coordinate, one value column per mode pair of ``(m1, m2, nodes)`` values."""
+    m1, m2 = values.shape[0], values.shape[1]
+    header = ["x"] + [f"v_{i}_{j}" for i in range(m1) for j in range(m2)]
+    return _csv(header, nodes, values.reshape(m1 * m2, -1))
 
 
 def value_field_csv(field: ValueField, grid: SpatialGrid) -> str:
     """Columns: node coordinate, one value column per mode pair."""
-    m1, m2 = field.values.shape[0], field.values.shape[1]
-    header = ["x"] + [f"v_{i}_{j}" for i in range(m1) for j in range(m2)]
-    return _csv(header, np.concatenate([grid.axis()[None], field.values.reshape(m1 * m2, -1)]))
+    return _values_csv(field.values, _node_column(grid))
 
 
 def trajectory_csv_files(trajectory: Trajectory, out_dir: Path, stem: str, levels: list[int] | None = None) -> list[Path]:
+    """One :func:`value_field_csv` file per level; the node column is formatted once."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    nodes = _node_column(trajectory.grid)
     written = []
     idxs = levels if levels is not None else list(range(trajectory.n_levels))
     for k in idxs:
-        field = trajectory.level(k)
         path = out_dir / f"{stem}_level{k:04d}.csv"
-        path.write_text(value_field_csv(field, trajectory.grid), encoding="utf-8")
+        path.write_text(_values_csv(trajectory.level(k).values, nodes), encoding="utf-8")
         written.append(path)
     return written
 
@@ -82,7 +94,7 @@ def plotdata_csv(trajectory: Trajectory, spec: ProblemSpec, level: int = 0) -> s
     m1, m2 = field.values.shape[0], field.values.shape[1]
     header = ["x"] + [f"{c}_{i}_{j}" for i in range(m1) for j in range(m2) for c in "vLU"]
     columns = np.stack([field.values, L, U], axis=2).reshape(3 * m1 * m2, -1)
-    return _csv(header, np.concatenate([x[None], columns]))
+    return _csv(header, _node_column(trajectory.grid), columns)
 
 
 def write_json(obj, path: Path) -> None:

@@ -17,9 +17,11 @@ not materially strengthen the representation check.  The jump argument is
 estimated from the fitted continuation function; the value-matrix coupling
 is resolved with ``N_PICARD`` Picard passes per step.
 
-Each path draws from its own counter-based random stream keyed by
-``(seed, path index)``, so the batch is reproducible and independent of any
-scheduling; regression assembly uses fixed-order reductions.
+Each path draws from its own counter-based Philox stream keyed by the
+uint64 pair ``(seed mod 2**64, path index)``, so the batch is reproducible
+and independent of any scheduling.  One generator serves a batch: before
+each path it is re-keyed to the state a fresh ``Philox(key=...)`` starts
+in.  Regression assembly uses fixed-order reductions.
 
 The pass thresholds reported by the check combine the Monte-Carlo standard
 error with a scheme-bias allowance; both are engineering defaults, not
@@ -91,7 +93,14 @@ class RegressionBasis:
             raise ValueError(f"basis degree must be non-negative, got {self.degree}")
 
     def design(self, x: np.ndarray) -> np.ndarray:
-        return np.vander(np.asarray(x, dtype=float), N=self.degree + 1, increasing=True)
+        """The ``x.shape + (degree + 1,)`` powers, each column the previous
+        one times ``x``: the products ``np.vander(x, increasing=True)`` accumulates."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape + (self.degree + 1,))
+        out[..., 0] = 1.0
+        for k in range(1, self.degree + 1):
+            np.multiply(out[..., k - 1], x, out=out[..., k])
+        return out
 
 
 @dataclass
@@ -123,13 +132,17 @@ def simulate_paths(
     quadrature).  Jumps below the cutoff enter as the grid solver's
     small-jump diffusion: with ``s = quad.small_jump_second_moment > 0`` the
     Brownian coefficient is ``sqrt(sigma^2 + s (d beta/de)(X_k, 0)^2)``.
-    Deterministic given the seed.
+
+    Path ``p`` draws its normals, then its jump counts, from Philox keyed by
+    ``np.array([seed mod 2**64, p], dtype=np.uint64)``: one generator,
+    re-keyed per path to counter 0 and an empty buffer, so any seed,
+    negative or at least 2**63 included, has its own stream.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     if not math.isfinite(quad.total_weight):
         raise ValueError("quadrature total weight must be finite")
-    seed = int(seed) % 2**64  # counter-based keys are uint64
+    seed = int(seed) % 2**64
     n_steps = tgrid.n_steps
     dt = tgrid.dt
     n_atoms = quad.n_atoms
@@ -137,13 +150,27 @@ def simulate_paths(
 
     dB = np.empty((n_paths, n_steps))
     counts = np.zeros((n_paths, n_steps, max(n_atoms, 1)), dtype=np.int64)
-    sqdt = math.sqrt(dt)
     lam = quad.weights * dt if n_atoms else np.zeros(0)
+    # one generator, re-keyed per path to the state of a fresh
+    # ``Philox(key=key)``: counter 0, empty buffer
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = np.array([seed, 0], dtype=np.uint64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for p in range(n_paths):
-        rng = np.random.Generator(np.random.Philox(key=[seed, p]))
-        dB[p] = rng.standard_normal(n_steps) * sqdt
+        key[1] = p
+        bitgen.state = fresh
+        rng.standard_normal(out=dB[p])
         if n_atoms:
             counts[p] = rng.poisson(lam, size=(n_steps, n_atoms))
+    dB *= math.sqrt(dt)
 
     times = tgrid.times()
     states = np.empty((n_paths, n_steps + 1))
@@ -239,8 +266,10 @@ def solve_bsde_regression(
     Y = spec.terminal_table(batch.states[:, -1])
     for k in range(batch.n_steps - 1, 0, -1):
         xk = batch.states[:, k]
-        coeffs = _fit(basis.design(xk), Y, k)
-        cont = predict(xk, coeffs)
+        design = basis.design(xk)
+        coeffs = _fit(design, Y, k)
+        cont = (coeffs @ design.T).reshape(m1, m2, P)
+        del design  # before jump_argument's shifted designs
         Y = picard(cont, jump_argument(coeffs, xk, cont), float(batch.times[k]), xk)
 
     # time zero: Y now holds level one.  All paths share x0, so condition by

@@ -32,7 +32,7 @@ import numpy as np
 
 from .discretization import LevyQuadrature, SpatialGrid, TimeGrid, beta_slope_at_zero
 from .model import CapacityError, ProblemSpec, driver_variable
-from .pde_solver import CflViolationError, SchemeConfig, Trajectory
+from .pde_solver import CflViolationError, SchemeConfig, SweepNonConvergenceError, Trajectory
 
 __all__ = ["DiscreteGame", "build_discrete_game", "backward_induction"]
 
@@ -207,7 +207,9 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
 
     At each level: continuation = kernel @ next + dt * reward(next), then the
     bilateral projection (priority given by ``order``) iterated to its fixed
-    point with the same pair ordering the solver uses.
+    point with the same pair ordering the solver uses.  A level whose
+    ``max_sweeps`` passes all change an entry raises
+    :class:`~switchvi.pde_solver.SweepNonConvergenceError`, as the solver does.
     """
     if order not in ("minmax", "maxmin"):
         raise ValueError(f"unknown order '{order}'")
@@ -253,6 +255,8 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
                 cur[i, j] = new
             if worst == 0.0:
                 break
+        else:
+            raise SweepNonConvergenceError(worst, game.config.max_sweeps)
         values[k] = cur
 
     return Trajectory(times=times, values=values, grid=grid, tgrid=game.tgrid)

@@ -620,6 +620,8 @@ def _solve_bilateral(
         try:
             ws.check_cfl(0.0, p)
         except CflViolationError:
+            if prev is None:
+                raise  # no schedule ran: the first penalty's violation is the error
             break
         traj, report = one_sided(spec, grid, tgrid, quad, p, config)
         used.append(p)
@@ -658,7 +660,8 @@ def solve_minmax(
     ``v <- max(L[v], min(U[v], v_pde))`` swept to a fixed point each step;
     ``limit`` runs the lower-reflected solver along an increasing upper
     penalty schedule until successive solutions agree (the schedule stops
-    early if the next penalty would break the CFL guard).
+    early if the next penalty would break the CFL guard; when the first one
+    does, its ``CflViolationError`` is raised).
     """
     return _solve_bilateral(
         "minmax", solve_lower_reflected, spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence

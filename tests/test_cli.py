@@ -370,6 +370,22 @@ class TestExportRoundTrip:
             lines.append(",".join([export.fmt_float(x[p])] + [export.fmt_float(values[i, j, p]) for i in range(2) for j in range(3)]))
         assert export.value_field_csv(ValueField(values, 0.0), grid) == "\n".join(lines) + "\n"
 
+    def test_trajectory_csv_files_match_per_cell_reference(self, tmp_path):
+        """The node column is formatted once per call; every level's file is still the per-cell text."""
+        grid = SpatialGrid.line(-1.0, 1.0, 5)
+        values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0, -7.25], (3, 2, 2, 5))
+        traj = Trajectory(times=np.array([0.0, 0.25, 0.5]), values=values, grid=grid, tgrid=TimeGrid(horizon=0.5, n_steps=2))
+        x = grid.axis()
+        paths = export.trajectory_csv_files(traj, tmp_path, "v")
+        assert [p.name for p in paths] == ["v_level0000.csv", "v_level0001.csv", "v_level0002.csv"]
+        for k, path in enumerate(paths):
+            lines = ["x,v_0_0,v_0_1,v_1_0,v_1_1"]
+            for p in range(5):
+                cells = [x[p]] + [values[k, i, j, p] for i in range(2) for j in range(2)]
+                lines.append(",".join(export.fmt_float(c) for c in cells))
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert export.trajectory_csv_files(traj, tmp_path / "one", "v", levels=[2])[0].read_bytes() == paths[2].read_bytes()
+
     def test_plotdata_csv_matches_per_cell_reference(self):
         spec = load_builtin_problem("two_atom_jump")  # 2x1 modes: every U column is +inf
         grid = SpatialGrid.line(-1.0, 1.0, 4)

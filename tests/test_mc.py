@@ -117,6 +117,56 @@ class TestSeedKeys:
         assert np.array_equal(a.states, b.states)
 
 
+def reference_paths(spec, quad, x0, n_paths, tgrid, seed):
+    """The per-path loop with a fresh ``Generator(Philox(key=uint64 [seed, p]))`` per path."""
+    dt = tgrid.dt
+    brownian = np.empty((n_paths, tgrid.n_steps))
+    counts = np.zeros((n_paths, tgrid.n_steps, quad.n_atoms), dtype=np.int64)
+    for p in range(n_paths):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, p], dtype=np.uint64)))
+        brownian[p] = rng.standard_normal(tgrid.n_steps) * math.sqrt(dt)
+        if quad.n_atoms:
+            counts[p] = rng.poisson(quad.weights * dt, size=(tgrid.n_steps, quad.n_atoms))
+    states = np.empty((n_paths, tgrid.n_steps + 1))
+    states[:, 0] = x0
+    for k, t in enumerate(tgrid.times()[:-1].tolist()):
+        xk = states[:, k]
+        incr = xk + spec.eval_drift(t, xk) * dt + spec.eval_vol(t, xk) * brownian[:, k]
+        beta = spec.beta_table(xk, quad.marks)
+        for a in range(quad.n_atoms):
+            incr = incr + counts[:, k, a] * beta[a] - dt * float(quad.weights[a]) * beta[a]
+        states[:, k + 1] = incr
+    return states, brownian, counts
+
+
+class TestOneGeneratorPerCall:
+    """Re-keying one generator per path draws the bits of a fresh generator per path."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("name", ["no_jump", "switch_2x2_jump"])
+    def test_equals_the_per_path_reference(self, name, seed):
+        spec = load_builtin_problem(name)
+        quad = build_levy_quadrature(spec.levy)
+        assert quad.small_jump_second_moment == 0.0 and (quad.n_atoms > 0) == (name != "no_jump")
+        batch = simulate_paths(spec, quad, 0.1, 300, TG, seed=seed)
+        states, brownian, counts = reference_paths(spec, quad, 0.1, 300, TG, seed)
+        assert np.array_equal(batch.states, states)
+        assert np.array_equal(batch.brownian, brownian)
+        assert batch.jump_counts.shape == counts.shape and np.array_equal(batch.jump_counts, counts)
+
+
+class TestRegressionBasis:
+    X = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 1e-3, 3.0e5, -7.5e15, 1e60, -3e-61, -1e-200, 5e-324, 1.0 / 3.0])
+
+    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("x", [X, np.array([0.3]), np.array([-0.0])], ids=["mixed", "start", "signed-zero"])
+    def test_design_equals_vander_bitwise(self, x, degree):
+        got = RegressionBasis(degree).design(x)
+        want = np.vander(x, degree + 1, increasing=True)
+        assert got.shape == want.shape == (x.size, degree + 1)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBsdeRegression:
     def test_constant_driver_closed_form(self):
         spec = make_spec(
