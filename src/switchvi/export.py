@@ -46,14 +46,14 @@ def fmt_float(v: float) -> str:
 
 
 def _node_column(grid: SpatialGrid) -> list[str]:
-    """The node coordinates, formatted."""
-    return list(map(repr, grid.axis().tolist()))  # Python floats: repr is fmt_float
+    """The node coordinates as ``fmt_float`` strings."""
+    return list(map(repr, grid.axis().tolist()))
 
 
 def _csv(header: list[str], nodes: list[str], columns: np.ndarray) -> str:
     """A header line, then one line per node: its formatted coordinate and
     its entries of a ``(columns, nodes)`` array."""
-    rows = columns.T.tolist()
+    rows = columns.T.tolist()  # Python floats: repr is fmt_float
     return "\n".join([",".join(header)] + [x + "," + ",".join(map(repr, row)) for x, row in zip(nodes, rows)]) + "\n"
 
 
@@ -78,7 +78,7 @@ def trajectory_csv_files(trajectory: Trajectory, out_dir: Path, stem: str, level
     idxs = levels if levels is not None else list(range(trajectory.n_levels))
     for k in idxs:
         path = out_dir / f"{stem}_level{k:04d}.csv"
-        path.write_text(_values_csv(trajectory.level(k).values, nodes), encoding="utf-8")
+        path.write_text(_values_csv(trajectory.values[k], nodes), encoding="utf-8")
         written.append(path)
     return written
 

@@ -142,7 +142,7 @@ def simulate_paths(
         raise ValueError("need at least one path")
     if not math.isfinite(quad.total_weight):
         raise ValueError("quadrature total weight must be finite")
-    seed = int(seed) % 2**64
+    seed = int(seed) % 2**64  # counter-based keys are uint64
     n_steps = tgrid.n_steps
     dt = tgrid.dt
     n_atoms = quad.n_atoms
@@ -151,12 +151,10 @@ def simulate_paths(
     dB = np.empty((n_paths, n_steps))
     counts = np.zeros((n_paths, n_steps, max(n_atoms, 1)), dtype=np.int64)
     lam = quad.weights * dt if n_atoms else np.zeros(0)
-    # one generator, re-keyed per path to the state of a fresh
-    # ``Philox(key=key)``: counter 0, empty buffer
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     key = np.array([seed, 0], dtype=np.uint64)
-    fresh = {
+    fresh = {  # the state of a fresh ``Philox(key=key)``
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
         "buffer": np.zeros(4, dtype=np.uint64),
