@@ -286,6 +286,23 @@ class TestBadConfigValues:
                 )
                 for n in (0, -5, 1, 3, 2.5, "64")
             ),
+            # values read outside their section ended in a traceback, and an empty
+            # or non-increasing limit schedule exited 1 or 0
+            pytest.param("solve", {"solve": {"system": "penalized", "n": "abc"}}, "error: config 'solve': ", id="solve-n"),
+            pytest.param("solve", {"solve": {"system": "penalized", "m": [1]}}, "error: config 'solve': ", id="solve-m-list"),
+            *(
+                pytest.param(
+                    "solve", {"solve": {"system": system, "mode": "limit", "schedule": schedule}},
+                    "error: config 'solve': schedule ", id=f"solve-{system}-schedule-{label}",
+                )
+                for system in ("minmax", "maxmin")
+                for label, schedule in (("str", ["a"]), ("int", 4), ("empty", []), ("repeat", [4, 4]), ("negative", [0, -1]))
+            ),
+            pytest.param("sweep", {"sweep": {"n_schedule": ["abc"], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-str"),
+            pytest.param("sweep", {"sweep": {"n_schedule": 4, "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-int"),
+            pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": ["abc"]}}, "error: config 'sweep': ", id="sweep-m-str"),
+            pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": 4}}, "error: config 'sweep': ", id="sweep-m-int"),
+            pytest.param("sweep", {"sweep": {"n_schedule": [], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-empty"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, overrides, prefix):

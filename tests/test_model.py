@@ -8,6 +8,7 @@ from switchvi.model import (
     CapacityError,
     MalformedSpecError,
     ModeSet,
+    _simple_loops,
     ProblemSpec,
     builtin_problem_names,
     eval_obstacles,
@@ -69,6 +70,59 @@ class TestNonFreeLoop:
         spec = _cost_spec("1", "1")
         report = validate_non_free_loop(spec, POINTS, moves="lower")
         assert report.passed
+
+    @pytest.mark.parametrize("moves", ["both", "lower", "upper"])
+    @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (2, 2), (3, 1), (1, 3)])
+    def test_equals_the_per_point_reference(self, modes, moves):
+        """One evaluation per leg over all points gives the bits of one per point,
+        with costs that read t and x through exp, log and pow; the free loops
+        among them are found at the same points with the same sums."""
+        m1, m2 = modes
+        lower = {f"{i},{k}": f"0.5*exp(0.3*t - 0.1*x*{i}) + log(1 + x*x + {k})" for i in range(m1) for k in range(m1) if i != k}
+        upper = {f"{j},{l}": f"pow(1.5 + 0.2*(x*{l} + t), 1.3)" for j in range(m2) for l in range(m2) if j != l}
+        if m2 > 1:
+            # legs that cancel two lower switches (or each other): a free loop to find
+            upper["0,1"], upper["1,0"] = (lower["0,1"], lower["1,0"]) if m1 > 1 else ("0.5*x*x", "-0.5*x*x")
+        spec = make_spec(modes={"m1": m1, "m2": m2}, lower_costs=lower, upper_costs=upper)
+        points = [(t, x) for t in (0.0, 0.2, 0.5) for x in (-1.5, 0.0, 0.7, 2.0)]
+        expected = per_point_non_free_loop(spec, points, moves)
+        report = validate_non_free_loop(spec, points, moves=moves)
+        assert report.violations == expected
+        assert report.passed == (not expected)
+        assert report.details == {"loops_checked": report.details["loops_checked"], "points_checked": len(points), "moves": moves}
+        if moves == "both" and m1 > 1 and m2 > 1:
+            assert expected, "the cancelling legs make a free loop"
+
+    def test_a_lower_only_check_evaluates_no_upper_cost(self):
+        """An upper cost of log(x) fails at x <= 0: only a check that moves player 2 evaluates it."""
+        spec = make_spec(modes={"m1": 3, "m2": 2}, lower_costs={"default": "0.5 + t"}, upper_costs={"default": "log(x)"})
+        points = [(0.0, -1.0), (0.5, 0.0), (0.25, 1.0)]
+        assert validate_non_free_loop(spec, points, moves="lower").passed
+        for moves in ("both", "upper"):
+            with pytest.raises(MalformedSpecError, match="cost expression failed to evaluate"):
+                validate_non_free_loop(spec, points, moves=moves)
+
+
+def per_point_non_free_loop(spec, sample_points, moves):
+    """The loop check one sample point at a time: each leg cost is evaluated at
+    scalar ``(t, x)``, and a loop is free where its sum is within 1e-9 of its
+    largest leg (or of 1) of zero.  Returns the violations."""
+    m1, m2 = spec.modes.m1, spec.modes.m2
+    violations = []
+    for loop in _simple_loops(m1, m2, moves=moves):
+        for t, x in sample_points:
+            total, scale = 0.0, 1.0
+            for (i1, j1), (i2, j2) in zip(loop[:-1], loop[1:]):
+                if i1 != i2:
+                    leg = -float(spec.eval_lower_cost(i1, i2, float(t), np.asarray(x)))
+                else:
+                    leg = float(spec.eval_upper_cost(j1, j2, float(t), np.asarray(x)))
+                total += leg
+                scale = max(scale, abs(leg))
+            if abs(total) < 1e-9 * scale:
+                violations.append({"loop": [list(p) for p in loop], "point": [float(t), float(x)], "loop_sum": total})
+                break
+    return violations
 
 
 class TestTerminalConsistency:

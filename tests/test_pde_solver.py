@@ -31,6 +31,7 @@ from switchvi.model import (
     neg_part,
     other_mode_costs,
     pos_part,
+    validate_terminal_consistency,
 )
 from switchvi.oracle import build_discrete_game
 from switchvi.pde_solver import (
@@ -349,6 +350,59 @@ class TestPenalized:
         assert report.terminal_inconsistency == pytest.approx(4.0)
         assert traj.n_levels == TGRID.n_steps + 1
 
+    @pytest.mark.parametrize("modes,side", [((2, 2), "lower"), ((2, 2), "upper"), ((2, 2), "both"), ((2, 1), "lower"), ((1, 2), "upper")])
+    @pytest.mark.parametrize("solver", ["penalized", "minmax"])
+    def test_terminal_gate_reads_the_recorded_level(self, modes, side, solver):
+        """The gate's magnitude and its report are the validator's, bit for bit."""
+        spec = inconsistent_terminal_spec(*modes, side)
+        quad = build_levy_quadrature(spec.levy)
+        expected = validate_terminal_consistency(spec, GRID.axis())
+        assert not expected.passed and expected.violations[0]["side"] == ("upper" if side == "upper" else "lower")
+
+        def run(config):
+            if solver == "penalized":
+                return solve_penalized(spec, GRID, TGRID, quad, 1.0, 1.0, config)
+            return solve_minmax(spec, GRID, TGRID, quad, mode="direct", config=config)
+
+        _, report = run(SchemeConfig(allow_terminal_inconsistency=True))
+        assert same_bits(report.terminal_inconsistency, expected.details["worst_violation"])
+        with pytest.raises(AssumptionViolationError) as err:
+            run(SchemeConfig())
+        assert err.value.report.to_dict() == expected.to_dict()
+        assert str(err.value) == str(AssumptionViolationError(expected))
+
+    def test_a_consistent_solve_does_not_run_the_terminal_validator(self, spec_2x2, quad_2x2, monkeypatch):
+        """Consistent terminal data pass on the recorded terminal level alone."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate_terminal_consistency ran on consistent terminal data")
+
+        monkeypatch.setattr(pde_solver, "validate_terminal_consistency", refuse)
+        assert solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)[1].terminal_inconsistency == 0.0
+        solve_lower_reflected(spec_2x2, GRID, TGRID, quad_2x2, 2.0)
+        solve_upper_reflected(spec_2x2, GRID, TGRID, quad_2x2, 2.0)
+        solve_minmax(spec_2x2, GRID, TGRID, quad_2x2, mode="direct")
+        solve_maxmin(spec_2x2, GRID, TGRID, quad_2x2, mode="limit", schedule=(1, 2), raise_on_nonconvergence=False)
+
+
+def inconsistent_terminal_spec(m1: int, m2: int, side: str) -> ProblemSpec:
+    """An ``m1 x m2`` game whose terminal data break the ``side`` half of the
+    sandwich at expiry (``"both"``: each half somewhere), with costs that read
+    t and terminal data that read x."""
+    bump = "2.5*(1 + 0.5*x*x)"
+    terminal = {}
+    for i in range(m1):
+        for j in range(m2):
+            low = f"{i}*{bump}" if side in ("lower", "both") else "0"
+            up = f"{m2 - 1 - j}*{bump}*0.8" if side in ("upper", "both") else "0"
+            terminal[f"{i},{j}"] = f"{low} + {up}"
+    return make_spec(
+        modes={"m1": m1, "m2": m2},
+        lower_costs={"default": "0.3 + t"} if m1 > 1 else {},
+        upper_costs={"default": "0.2 + 0.5*t"} if m2 > 1 else {},
+        terminal=terminal,
+    )
+
 
 class TestLowerReflected:
     def test_monotone_in_m_and_feasible(self, spec_2x2, quad_2x2):
@@ -540,6 +594,33 @@ class TestBilateral:
         free = make_spec(modes={"m1": 2, "m2": 1}, lower_costs={"default": "0"}, upper_costs={})
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             solver(free, GRID, TGRID, build_levy_quadrature(free.levy), mode="bogus")
+
+    @pytest.mark.parametrize("schedule", [(), (4, 4), (0, -1), (2, 1), (1, float("inf")), (1, float("nan"))])
+    @pytest.mark.parametrize("solver", [solve_minmax, solve_maxmin])
+    def test_limit_schedule_must_be_positive_and_increasing(self, solver, schedule, spec_no_jump):
+        """An empty schedule raised a schedule error that named no gaps, and a
+        repeated or non-positive one returned converged after one run."""
+        grid, tgrid = SpatialGrid.line(-2.0, 2.0, 41), TimeGrid(horizon=0.5, n_steps=20)
+        with pytest.raises(ValueError, match="schedule") as err:
+            solver(spec_no_jump, grid, tgrid, build_levy_quadrature(spec_no_jump.levy), mode="limit", schedule=schedule)
+        assert type(err.value) is ValueError
+        assert repr(schedule) in str(err.value)
+
+    @pytest.mark.parametrize("solver", [solve_minmax, solve_maxmin])
+    def test_bad_schedule_is_named_before_the_loop_gate(self, solver):
+        free = make_spec(modes={"m1": 2, "m2": 1}, lower_costs={"default": "0"}, upper_costs={})
+        with pytest.raises(ValueError, match="schedule") as err:
+            solver(free, GRID, TGRID, build_levy_quadrature(free.levy), mode="limit", schedule=())
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("schedule", [[1, 2.5, 4], (np.int64(1), np.float64(3.0)), np.array([0.5, 8.0]), range(1, 4)])
+    def test_check_schedule_keeps_the_entries(self, schedule):
+        assert pde_solver.check_schedule(schedule) == tuple(schedule)
+
+    @pytest.mark.parametrize("schedule", [4, "12", [[1, 2]], [1, "2"], None, np.array([[1.0, 2.0]])])
+    def test_check_schedule_rejects_a_non_sequence(self, schedule):
+        with pytest.raises(ValueError, match="schedule"):
+            pde_solver.check_schedule(schedule)
 
     def test_priority_orders_differ_under_conflict(self):
         # raw sweep check: when L > U the min-max projection sides with L,
