@@ -81,7 +81,7 @@ def _config_section(name: str):
     """Report a bad value read from config section ``name`` as a usage error."""
     try:
         yield
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, TypeError) as exc:
         raise UsageError(f"config '{name}': {exc}") from exc
 
 
@@ -188,21 +188,26 @@ def cmd_solve(args) -> int:
     solve = cfg.get("solve", {})
     system = solve.get("system", "minmax")
     mode = solve.get("mode", "direct")
-    if system != "penalized" and mode not in ("direct", "limit"):
-        raise UsageError(f"config 'solve': unknown mode '{mode}'")
+    schedule = solve.get("schedule", pde_solver.DEFAULT_PENALTY_SCHEDULE)
+    with _config_section("solve"):
+        if system == "penalized":
+            n, m = float(solve.get("n", 1)), float(solve.get("m", 1))
+        elif system not in ("minmax", "maxmin"):
+            raise ValueError(f"unknown system '{system}'")
+        elif mode not in ("direct", "limit"):
+            raise ValueError(f"unknown mode '{mode}'")
+        elif mode == "limit":
+            schedule = pde_solver.check_schedule(schedule)
     levels = cfg.get("output", {}).get("levels")
     if levels is not None and not (isinstance(levels, list) and all(isinstance(k, int) and 0 <= k <= tgrid.n_steps for k in levels)):
         raise UsageError(f"config 'output': levels must be a list of integers in 0..{tgrid.n_steps}, got {levels!r}")
 
     t0 = time.perf_counter()
     if system == "penalized":
-        traj, report = solve_penalized(spec, grid, tgrid, quad, float(solve.get("n", 1)), float(solve.get("m", 1)), scheme)
-    elif system == "minmax":
-        traj, report = solve_minmax(spec, grid, tgrid, quad, mode=mode, config=scheme, schedule=solve.get("schedule", pde_solver.DEFAULT_PENALTY_SCHEDULE))
-    elif system == "maxmin":
-        traj, report = solve_maxmin(spec, grid, tgrid, quad, mode=mode, config=scheme, schedule=solve.get("schedule", pde_solver.DEFAULT_PENALTY_SCHEDULE))
+        traj, report = solve_penalized(spec, grid, tgrid, quad, n, m, scheme)
     else:
-        raise UsageError(f"unknown system '{system}'")
+        solver = solve_minmax if system == "minmax" else solve_maxmin
+        traj, report = solver(spec, grid, tgrid, quad, mode=mode, config=scheme, schedule=schedule)
     elapsed = time.perf_counter() - t0
 
     files = export.trajectory_csv_files(traj, out, stem=f"{system}", levels=levels)
@@ -227,10 +232,11 @@ def cmd_sweep(args) -> int:
     scheme = _scheme(cfg, args.override_a4)
     out = _out_dir(args)
     sw = cfg.get("sweep", {})
-    n_sched = [float(v) for v in sw.get("n_schedule", [])]
-    m_sched = [float(v) for v in sw.get("m_schedule", [])]
-    if not n_sched or not m_sched:
-        raise UsageError("sweep requires non-empty n_schedule and m_schedule")
+    with _config_section("sweep"):
+        n_sched = [float(v) for v in sw.get("n_schedule", [])]
+        m_sched = [float(v) for v in sw.get("m_schedule", [])]
+        if not n_sched or not m_sched:
+            raise ValueError("sweep requires non-empty n_schedule and m_schedule")
 
     solves: dict[tuple[float, float], np.ndarray] = {}
     for n in n_sched:

@@ -60,6 +60,8 @@ __all__ = [
 
 MAX_MODE_PAIRS = 36
 MAX_ENUMERATED_LOOPS = 200_000
+NON_FREE_LOOP_TOL = 1e-9  # a loop sum this close to 0, relative to its legs and 1, is free
+TERMINAL_CONSISTENCY_TOL = 1e-12  # how far terminal data may break the sandwich at expiry
 
 DRIFT_SCHEMA = ("t", "x")
 COST_SCHEMA = ("t", "x")
@@ -504,59 +506,45 @@ def _simple_loops(m1: int, m2: int, moves: str = "both") -> list[list[tuple[int,
 def validate_non_free_loop(
     spec: ProblemSpec,
     sample_points: Sequence[tuple[float, float]],
-    tol: float = 1e-9,
     moves: str = "both",
 ) -> ValidationReport:
     """Check that every simple switching loop has a nonvanishing cost sum.
 
     Each loop leg contributes ``-lower_cost`` when player 1 switches and
     ``+upper_cost`` when player 2 switches.  A loop whose sum is within
-    ``tol`` (relative to the leg magnitudes) of zero at any sample point is
-    reported as a violation.
+    ``NON_FREE_LOOP_TOL`` (relative to the leg magnitudes) of zero at any
+    sample point is reported as a violation.  Each leg cost of the players
+    whose moves are checked is evaluated once, over all sample points.
     """
     if not sample_points:
         raise MalformedSpecError("sample_points must be non-empty")
     loops = _simple_loops(spec.modes.m1, spec.modes.m2, moves=moves)
     ts = np.array([p[0] for p in sample_points], dtype=float)
     xs = np.array([p[1] for p in sample_points], dtype=float)
-
-    cost_cache: dict[tuple[str, int, int], np.ndarray] = {}
-
-    def leg_cost(p, q_):
-        (i1, j1), (i2, j2) = p, q_
-        if i1 != i2:
-            key = ("low", i1, i2)
-            if key not in cost_cache:
-                vals = np.array([float(spec.eval_lower_cost(i1, i2, float(t), np.asarray(x))) for t, x in zip(ts, xs)])
-                cost_cache[key] = vals
-            return -cost_cache[key]
-        key = ("up", j1, j2)
-        if key not in cost_cache:
-            vals = np.array([float(spec.eval_upper_cost(j1, j2, float(t), np.asarray(x))) for t, x in zip(ts, xs)])
-            cost_cache[key] = vals
-        return cost_cache[key]
-
-    violations = []
     try:
-        for loop in loops:
-            total = np.zeros(len(sample_points))
-            scale = np.ones(len(sample_points))
-            for a, b in zip(loop[:-1], loop[1:]):
-                leg = leg_cost(a, b)
-                total = total + leg
-                scale = np.maximum(scale, np.abs(leg))
-            bad = np.abs(total) < tol * scale
-            if np.any(bad):
-                w = int(np.argmax(bad))
-                violations.append(
-                    {
-                        "loop": [list(p) for p in loop],
-                        "point": [float(ts[w]), float(xs[w])],
-                        "loop_sum": float(total[w]),
-                    }
-                )
+        legs = {("low", i, k): -spec.eval_lower_cost(i, k, ts, xs) for i, k in spec.lower_costs if moves != "upper"}
+        legs.update({("up", j, l): spec.eval_upper_cost(j, l, ts, xs) for j, l in spec.upper_costs if moves != "lower"})
     except exprdsl.ExprError as exc:
         raise MalformedSpecError(f"cost expression failed to evaluate: {exc}") from exc
+
+    violations = []
+    for loop in loops:
+        total = np.zeros(len(sample_points))
+        scale = np.ones(len(sample_points))
+        for (i1, j1), (i2, j2) in zip(loop[:-1], loop[1:]):
+            leg = legs[("low", i1, i2)] if i1 != i2 else legs[("up", j1, j2)]
+            total = total + leg
+            scale = np.maximum(scale, np.abs(leg))
+        bad = np.abs(total) < NON_FREE_LOOP_TOL * scale
+        if np.any(bad):
+            w = int(np.argmax(bad))
+            violations.append(
+                {
+                    "loop": [list(p) for p in loop],
+                    "point": [float(ts[w]), float(xs[w])],
+                    "loop_sum": float(total[w]),
+                }
+            )
 
     return ValidationReport(
         name="non_free_loop",
@@ -566,8 +554,9 @@ def validate_non_free_loop(
     )
 
 
-def validate_terminal_consistency(spec: ProblemSpec, sample_xs: Sequence[float], tol: float = 1e-12) -> ValidationReport:
-    """Check the terminal sandwich against switching costs at expiry."""
+def validate_terminal_consistency(spec: ProblemSpec, sample_xs: Sequence[float]) -> ValidationReport:
+    """Check the terminal sandwich against switching costs at expiry; a
+    violation above ``TERMINAL_CONSISTENCY_TOL`` fails it."""
     xs = np.asarray(list(sample_xs), dtype=float)
     T = spec.horizon
     h = spec.terminal_table(xs)
@@ -578,7 +567,7 @@ def validate_terminal_consistency(spec: ProblemSpec, sample_xs: Sequence[float],
     up_viol = pos_part(h - U)  # h > U
     worst = max(float(np.max(low_viol)), float(np.max(up_viol)))
     violations = []
-    if worst > tol:
+    if worst > TERMINAL_CONSISTENCY_TOL:
         side = "lower" if np.max(low_viol) >= np.max(up_viol) else "upper"
         viol = low_viol if side == "lower" else up_viol
         flat = int(np.argmax(viol))

@@ -37,7 +37,8 @@ visits a whole row (lower) or column (upper) of pairs at once, which gives
 the pair loop's bits.  Each pass starts with the whole stack's obstacles; a
 sweep whose projection onto them changes nothing is at the fixed point and
 stops, and the report and the next step's penalties reuse those obstacles,
-so a level evaluates them once, from the workspace's cached cost gathers.
+so a level evaluates them once, from the workspace's one cost format, its
+cached cost gathers; the terminal gate reads the terminal level's record.
 Identical inputs give bitwise-identical results.
 """
 
@@ -63,6 +64,7 @@ from .discretization import (
     upwind_drift,
 )
 from .model import (
+    TERMINAL_CONSISTENCY_TOL,
     ProblemSpec,
     driver_variable,
     eval_obstacles,
@@ -91,10 +93,22 @@ __all__ = [
     "solve_minmax",
     "solve_maxmin",
     "residual_report",
+    "check_schedule",
     "DEFAULT_PENALTY_SCHEDULE",
 ]
 
 DEFAULT_PENALTY_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
+def check_schedule(schedule) -> tuple:
+    """``schedule`` as a tuple of its entries if it is a non-empty sequence of
+    finite, positive, strictly increasing numbers, the penalties of a limit
+    solve; ValueError otherwise."""
+    entries = tuple(schedule) if isinstance(schedule, (Sequence, np.ndarray)) and not isinstance(schedule, str) else ()
+    positive = all(isinstance(p, (int, float, np.integer, np.floating)) and 0 < p < np.inf for p in entries)
+    if entries and positive and all(a < b for a, b in zip(entries, entries[1:])):
+        return entries
+    raise ValueError(f"schedule must be a non-empty, strictly increasing sequence of finite positive penalties, got {schedule!r}")
 
 
 class CflViolationError(ValueError):
@@ -117,8 +131,7 @@ class ScheduleNonConvergenceError(RuntimeError):
         self.gaps = gaps
         self.trajectory = trajectory
         self.report = report
-        tail = gaps[-2:] if len(gaps) >= 2 else gaps
-        super().__init__(f"penalty schedule did not converge; last gaps: {tail}")
+        super().__init__(f"penalty schedule did not converge; last gaps: {gaps[-2:]}")
 
 
 class AssumptionViolationError(ValueError):
@@ -281,7 +294,7 @@ class _Workspace:
         self._costs_read_t = any("t" in exprdsl.free_variables(e) for e in costs)
         # the step computes the gradient z = sigma Dv only for drivers that read it
         self._drivers_read_z = any("z" in exprdsl.free_variables(e) for e in spec.drivers.values())
-        self._local = self._costs = self._gathers = self._banded = None
+        self._local = self._gathers = self._banded = None
 
     # -- pieces ------------------------------------------------------------
 
@@ -326,19 +339,13 @@ class _Workspace:
             )
         return value, terms
 
-    def cost_tables(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper cost tables at t; callers must not write to them."""
-        if self._costs is None or self._costs_read_t:
-            self._costs = self.spec.lower_cost_table(t, self.x), self.spec.upper_cost_table(t, self.x)
-            self._gathers = None
-        return self._costs
-
     def obstacle_costs(self, t: float) -> tuple:
-        """``other_mode_costs`` of each of ``cost_tables(t)``, kept with the
-        tables, so gathered once when no cost reads t; callers must not write
-        to them."""
-        tables = self.cost_tables(t)
-        if self._gathers is None:
+        """The players' ``other_mode_costs`` gathers of the lower and upper
+        cost tables at t, the one format in which the workspace keeps the
+        switching costs; evaluated once when no cost reads t.  Callers must
+        not write to them."""
+        if self._gathers is None or self._costs_read_t:
+            tables = self.spec.lower_cost_table(t, self.x), self.spec.upper_cost_table(t, self.x)
             self._gathers = tuple(map(other_mode_costs, tables))
         return self._gathers
 
@@ -362,7 +369,7 @@ class _Workspace:
         spec = self.spec
         bp, bm, sig, a_diff = self.local_coefficients(t_next)
         if (n > 0.0 or m > 0.0) and obstacles is None:
-            obstacles = eval_obstacles(values, *self.cost_tables(t_next))
+            obstacles = gathered_obstacles(values, *self.obstacle_costs(t_next))
 
         rhs = upwind_drift(values, self.grid, bp, bm)
         z = sig * gradient_surface(values, self.grid) if self._drivers_read_z else 0.0
@@ -466,13 +473,6 @@ def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConf
 # --- assumption gates -------------------------------------------------------
 
 
-def _gate_terminal(spec: ProblemSpec, grid: SpatialGrid, config: SchemeConfig, report: SolverReport) -> None:
-    check = validate_terminal_consistency(spec, grid.axis())
-    report.terminal_inconsistency = float(check.details["worst_violation"])
-    if not check.passed and not config.allow_terminal_inconsistency:
-        raise AssumptionViolationError(check)
-
-
 def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, moves: str) -> None:
     x = grid.axis()
     xs = [float(x[0]), float(x[len(x) // 2]), float(x[-1])]
@@ -497,16 +497,22 @@ def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, 
 
 
 def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, system: str) -> tuple[Trajectory, SolverReport]:
+    """Step from the terminal level to time 0, recording each level's obstacle
+    violations.  The terminal level's two recorded violations are its
+    ``terminal_inconsistency``, the terminal-consistency check; only when it
+    fails does ``validate_terminal_consistency`` run, to report the failure."""
     t_start = time.perf_counter()
     report = SolverReport(system=system, dt=ws.dt, n_steps=ws.tgrid.n_steps)
     report.cfl_bound, report.cfl_terms = ws.check_cfl(n, m)
-    _gate_terminal(ws.spec, ws.grid, ws.config, report)
 
     times = ws.tgrid.times()
     n_levels = ws.tgrid.n_steps + 1
     values = np.empty((n_levels, ws.m1, ws.m2, ws.n_nodes))
     values[-1] = ws.spec.terminal_table(ws.x)
     obstacles = _record_obstacles(report, ws, values[-1], float(times[-1]))
+    report.terminal_inconsistency = max(report.obstacle_lower_violation[-1], report.obstacle_upper_violation[-1])
+    if report.terminal_inconsistency > TERMINAL_CONSISTENCY_TOL and not ws.config.allow_terminal_inconsistency:
+        raise AssumptionViolationError(validate_terminal_consistency(ws.spec, ws.x))
 
     for k in range(ws.tgrid.n_steps - 1, -1, -1):
         t_next = float(times[k + 1])
@@ -555,8 +561,7 @@ def _solve_reflected(
 ) -> tuple[Trajectory, SolverReport]:
     """The ``side`` obstacle by projection sweeps, the other one penalized with ``penalty``."""
     config = config or SchemeConfig()
-    if (spec.modes.m1 if side == "lower" else spec.modes.m2) > 1:
-        _gate_loops(spec, grid, tgrid, moves=side)
+    _gate_loops(spec, grid, tgrid, moves=side)
     ws = _Workspace(spec, grid, tgrid, quad, config)
     name, n, m = ("m", 0.0, penalty) if side == "lower" else ("n", penalty, 0.0)
     traj, report = _solve_backward(ws, n, m, side, system=f"{side}_reflected({name}={penalty})")
@@ -605,9 +610,10 @@ def _solve_bilateral(
     limit mode runs the reflected solver ``one_sided`` along ``schedule``."""
     if mode not in ("direct", "limit"):
         raise ValueError(f"unknown mode '{mode}'")
+    if mode == "limit":
+        schedule = check_schedule(schedule)
     config = config or SchemeConfig()
-    if spec.modes.m1 > 1 or spec.modes.m2 > 1:
-        _gate_loops(spec, grid, tgrid, moves="both")
+    _gate_loops(spec, grid, tgrid, moves="both")
     ws = _Workspace(spec, grid, tgrid, quad, config)
     system = f"{priority}({mode})"
     if mode == "direct":
@@ -632,8 +638,6 @@ def _solve_bilateral(
         prev = traj
         if converged:
             break
-    if prev is None:
-        raise ScheduleNonConvergenceError(gaps)
     report.system = system
     report.schedule = used
     report.schedule_gaps = gaps
@@ -659,9 +663,9 @@ def solve_minmax(
     ``direct`` does backward induction with the projection
     ``v <- max(L[v], min(U[v], v_pde))`` swept to a fixed point each step;
     ``limit`` runs the lower-reflected solver along an increasing upper
-    penalty schedule until successive solutions agree (the schedule stops
-    early if the next penalty would break the CFL guard; when the first one
-    does, its ``CflViolationError`` is raised).
+    penalty schedule (see :func:`check_schedule`) until successive solutions
+    agree (the schedule stops early if the next penalty would break the CFL
+    guard; when the first one does, its ``CflViolationError`` is raised).
     """
     return _solve_bilateral(
         "minmax", solve_lower_reflected, spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence
@@ -725,7 +729,8 @@ def residual_report(
         t_here = float(trajectory.times[k])
         candidate = ws.step(trajectory.values[k + 1], t_next, n, m)
         if system != "penalized":
-            candidate = _PROJECTIONS[system](candidate, *eval_obstacles(trajectory.values[k], *ws.cost_tables(t_here)))
+            costs = spec.lower_cost_table(t_here, ws.x), spec.upper_cost_table(t_here, ws.x)
+            candidate = _PROJECTIONS[system](candidate, *eval_obstacles(trajectory.values[k], *costs))
         resid = np.abs(trajectory.values[k] - candidate)
         report.update_norms.append(float(np.max(resid)))
         for i, j in ws.pairs:

@@ -700,8 +700,10 @@ class TestTimeFreeCoefficients:
         ws = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode="imex"))
         x = GRID.axis()
         for t in (0.5, 0.1, 0.5, 0.3, 0.0):
-            lc, uc = ws.cost_tables(t)
-            assert same_bits(lc, spec.lower_cost_table(t, x)) and same_bits(uc, spec.upper_cost_table(t, x))
+            tables = spec.lower_cost_table(t, x), spec.upper_cost_table(t, x)
+            for got, expected in zip(ws.obstacle_costs(t), map(other_mode_costs, tables)):
+                assert (got is None) == (expected is None)
+                assert expected is None or all(same_bits(a, b) for a, b in zip(got, expected))
             bp, bm, sig, a_diff = ws.local_coefficients(t)
             b = spec.eval_drift(t, x)
             assert same_bits(bp, np.maximum(b, 0.0)) and same_bits(bm, np.minimum(b, 0.0))
@@ -986,7 +988,7 @@ class TestSweepsByRowAndColumn:
 def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float) -> np.ndarray:
     """The step with the gradient always computed and one ``eval_driver`` call per pair."""
     bp, bm, sig, a_diff = ws.local_coefficients(t)
-    L, U = eval_obstacles(values, *ws.cost_tables(t))
+    L, U = eval_obstacles(values, ws.spec.lower_cost_table(t, ws.x), ws.spec.upper_cost_table(t, ws.x))
     entries = {driver_variable(i, j): values[i, j] for i, j in ws.pairs}
     rhs = upwind_drift(values, ws.grid, bp, bm)
     z = sig * gradient_surface(values, ws.grid)
