@@ -618,7 +618,7 @@ class TestBilateral:
         assert pde_solver.check_schedule(schedule) == tuple(schedule)
 
     @pytest.mark.parametrize("schedule", [4, "12", [[1, 2]], [1, "2"], None, np.array([[1.0, 2.0]])])
-    def test_check_schedule_rejects_a_non_sequence(self, schedule):
+    def test_check_schedule_rejects_anything_but_a_sequence_of_numbers(self, schedule):
         with pytest.raises(ValueError, match="schedule"):
             pde_solver.check_schedule(schedule)
 
