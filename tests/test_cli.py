@@ -303,6 +303,11 @@ class TestBadConfigValues:
             pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": ["abc"]}}, "error: config 'sweep': ", id="sweep-m-str"),
             pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": 4}}, "error: config 'sweep': ", id="sweep-m-int"),
             pytest.param("sweep", {"sweep": {"n_schedule": [], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-empty"),
+            # a decreasing schedule exited 1 as a monotonicity failure, and a string ran as its digits
+            pytest.param("sweep", {"sweep": {"n_schedule": [4, 2], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-decreasing"),
+            pytest.param("sweep", {"sweep": {"n_schedule": "12", "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-string"),
+            pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": [4, 2]}}, "error: config 'sweep': ", id="sweep-m-decreasing"),
+            pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": "12"}}, "error: config 'sweep': ", id="sweep-m-string"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, overrides, prefix):

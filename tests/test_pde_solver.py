@@ -679,6 +679,44 @@ class TestResiduals:
         assert rep.residual_norms["overall"] <= 1e-12
 
 
+class TestTimeGridHorizon:
+    """A time grid whose horizon is not the problem's is rejected, naming both
+    horizons.  With costs that read t, the terminal gate read the obstacles at
+    the grid's expiry while the validator read them at the problem's, and the
+    solve failed with a report that named no violation."""
+
+    ENTRIES = {
+        "penalized": lambda spec, tgrid, quad: solve_penalized(spec, GRID, tgrid, quad, 1.0, 1.0),
+        "lower": lambda spec, tgrid, quad: solve_lower_reflected(spec, GRID, tgrid, quad, 1.0),
+        "upper": lambda spec, tgrid, quad: solve_upper_reflected(spec, GRID, tgrid, quad, 1.0),
+        "minmax": lambda spec, tgrid, quad: solve_minmax(spec, GRID, tgrid, quad),
+        "maxmin-limit": lambda spec, tgrid, quad: solve_maxmin(spec, GRID, tgrid, quad, mode="limit", schedule=(1, 2), raise_on_nonconvergence=False),
+        "cfl": lambda spec, tgrid, quad: compute_cfl_bound(spec, GRID, tgrid, quad, 0.0, 0.0),
+    }
+
+    @staticmethod
+    def spec():
+        return make_spec(modes={"m1": 2, "m2": 1}, lower_costs={"default": "0.3 + 4*t"}, terminal={"0,0": "0", "1,0": "1"})
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_every_entry_rejects_another_horizon(self, entry):
+        spec = self.spec()
+        quad = build_levy_quadrature(spec.levy)
+        self.ENTRIES[entry](spec, TimeGrid(0.5, 10), quad)
+        with pytest.raises(ValueError, match="horizon") as err:
+            self.ENTRIES[entry](spec, TimeGrid(0.1, 10), quad)
+        assert "0.1" in str(err.value) and "0.5" in str(err.value)
+        assert not isinstance(err.value, AssumptionViolationError)
+
+    def test_residual_report_rejects_another_horizon(self):
+        spec = self.spec()
+        quad = build_levy_quadrature(spec.levy)
+        traj, _ = solve_minmax(spec, GRID, TimeGrid(0.5, 10), quad)
+        with pytest.raises(ValueError, match="horizon") as err:
+            residual_report(traj, spec, GRID, TimeGrid(0.1, 10), quad, system="minmax")
+        assert "0.1" in str(err.value) and "0.5" in str(err.value)
+
+
 def no_jump_in_time():
     """``no_jump`` with drift, volatility and lower costs that read t."""
     raw = json.loads((files("switchvi.problems") / "no_jump.json").read_text(encoding="utf-8"))
