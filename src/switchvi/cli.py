@@ -233,10 +233,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     sw = cfg.get("sweep", {})
     with _config_section("sweep"):
-        n_sched = [float(v) for v in sw.get("n_schedule", [])]
-        m_sched = [float(v) for v in sw.get("m_schedule", [])]
-        if not n_sched or not m_sched:
-            raise ValueError("sweep requires non-empty n_schedule and m_schedule")
+        n_sched, m_sched = ([float(v) for v in pde_solver.check_schedule(sw.get(key, []))] for key in ("n_schedule", "m_schedule"))
 
     solves: dict[tuple[float, float], np.ndarray] = {}
     for n in n_sched:

@@ -254,6 +254,8 @@ class _Workspace:
     """Per-(spec, grids, quadrature) tables shared by all backward steps."""
 
     def __init__(self, spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, quad: LevyQuadrature, config: SchemeConfig):
+        if tgrid.horizon != spec.horizon:
+            raise ValueError(f"time grid horizon {tgrid.horizon} is not the problem's horizon {spec.horizon}")
         self.spec = spec
         self.grid = grid
         self.tgrid = tgrid
@@ -561,8 +563,8 @@ def _solve_reflected(
 ) -> tuple[Trajectory, SolverReport]:
     """The ``side`` obstacle by projection sweeps, the other one penalized with ``penalty``."""
     config = config or SchemeConfig()
-    _gate_loops(spec, grid, tgrid, moves=side)
     ws = _Workspace(spec, grid, tgrid, quad, config)
+    _gate_loops(spec, grid, tgrid, moves=side)
     name, n, m = ("m", 0.0, penalty) if side == "lower" else ("n", penalty, 0.0)
     traj, report = _solve_backward(ws, n, m, side, system=f"{side}_reflected({name}={penalty})")
     report.extra["penalties"] = {name: penalty}
@@ -613,8 +615,8 @@ def _solve_bilateral(
     if mode == "limit":
         schedule = check_schedule(schedule)
     config = config or SchemeConfig()
-    _gate_loops(spec, grid, tgrid, moves="both")
     ws = _Workspace(spec, grid, tgrid, quad, config)
+    _gate_loops(spec, grid, tgrid, moves="both")
     system = f"{priority}({mode})"
     if mode == "direct":
         return _solve_backward(ws, 0.0, 0.0, priority, system=system)
