@@ -36,11 +36,16 @@ re-run by the tree-walker, which checks every node and names the first bad
 subexpression, so errors and their messages are those of the walker, and
 every successful result is bitwise the walker's.
 
-:func:`evaluate_many` runs several trees that share most bindings (the
-drivers of all mode pairs, say) under one ``errstate``.  It checks each
-binding that any tree reads once, a stack of shared bindings (the value
-entries ``y_i_j``) and a row stack (one binding per tree) each as a whole,
-and the stacked result once.  On any failure it re-runs the plain
+:class:`Evaluator` runs several trees that share most bindings (the
+drivers of all mode pairs, say) at one fixed ``x``, as every level of the
+backward step does.  Each tree is split once, and the split kept on its root
+beside the compiled form: every maximal subtree that reads only ``t`` and
+``x`` (``0.6 + 0.2*max(x, 0)``, a bare ``x``; not a literal) is hoisted, and
+read by the residual closures under its source text.  The hoisted values
+and the bindings they read are computed and checked once, under the same
+``errstate``: again only when ``t`` changes, and never when none reads
+``t``.  A call checks the stack of shared bindings (the ``y_i_j``), each
+per-tree row read and the result once.  On any failure it re-runs the plain
 :func:`evaluate` loop, so its results and errors are exactly that loop's.
 """
 
@@ -67,7 +72,7 @@ __all__ = [
     "NumericDomainError",
     "parse",
     "evaluate",
-    "evaluate_many",
+    "Evaluator",
     "format_expr",
     "free_variables",
     "expr_depth",
@@ -114,13 +119,15 @@ class NumericDomainError(ExprError):
 class _Node:
     """Base of the AST nodes.
 
-    :func:`evaluate` stores a tree's compiled form on its root node, so the
-    form lives exactly as long as the tree; pickles leave it out.
+    :func:`evaluate` stores a tree's compiled form on its root node, and
+    :class:`Evaluator` its split form, so each lives exactly as long as the
+    tree; pickles leave them out.
     """
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_compiled", None)
+        state.pop("_split", None)
         return state
 
 
@@ -405,8 +412,14 @@ def _eval(expr: Expr, ctx: Mapping[str, Value]) -> Value:
     raise TypeError(f"not an Expr node: {expr!r}")
 
 
-def _closure(expr: Expr):
-    """The tree as nested closures calling numpy ufuncs, without checks."""
+def _closure(expr: Expr, hoisted: dict | None = None):
+    """The tree as nested closures calling numpy ufuncs, without checks; with
+    a dict ``hoisted``, its hoisted subtrees are put there and read from the
+    context, each under its source text (see the module docstring)."""
+    if hoisted is not None and not isinstance(expr, Num) and free_variables(expr) <= {"t", "x"}:
+        key = format_expr(expr)
+        hoisted[key] = expr
+        return lambda ctx: ctx[key]
     if isinstance(expr, Num):
         value = expr.value
         if not math.isfinite(value):
@@ -421,17 +434,17 @@ def _closure(expr: Expr):
         name = expr.name
         return lambda ctx: ctx[name]
     if isinstance(expr, Neg):
-        f = _closure(expr.operand)
+        f = _closure(expr.operand, hoisted)
         return lambda ctx: np.negative(f(ctx))
     if isinstance(expr, BinOp):
-        op, f, g = _BINARY[expr.op], _closure(expr.left), _closure(expr.right)
+        op, f, g = _BINARY[expr.op], _closure(expr.left, hoisted), _closure(expr.right, hoisted)
         return lambda ctx: op(f(ctx), g(ctx))
     if isinstance(expr, Call):
         fn = _CALLS[expr.fn]
         if len(expr.args) == 1:
-            f = _closure(expr.args[0])
+            f = _closure(expr.args[0], hoisted)
             return lambda ctx: fn(f(ctx))
-        f, g = (_closure(a) for a in expr.args)
+        f, g = (_closure(a, hoisted) for a in expr.args)
         return lambda ctx: fn(f(ctx), g(ctx))
     raise TypeError(f"not an Expr node: {expr!r}")
 
@@ -444,6 +457,19 @@ def _compiled(expr: Expr):
         pass
     form = (_closure(expr), tuple(sorted(free_variables(expr))))
     object.__setattr__(expr, "_compiled", form)
+    return form
+
+
+def _split(expr: Expr):
+    """``(closure, hoisted)``: ``_closure(expr, hoisted)`` and its hoisted
+    subtrees by source text, built on first use and kept on the root node."""
+    try:
+        return expr._split
+    except AttributeError:
+        pass
+    hoisted: dict = {}
+    form = (_closure(expr, hoisted), hoisted)
+    object.__setattr__(expr, "_split", form)
     return form
 
 
@@ -469,36 +495,55 @@ def evaluate(expr: Expr, ctx: Mapping[str, Value]) -> Value:
     return _eval(expr, ctx)
 
 
-def evaluate_many(
-    exprs: Sequence[Expr], ctx: Mapping[str, Value], stack: np.ndarray, names: Sequence[str], rows: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    """Stacked results of ``evaluate(exprs[k], ctx | dict(zip(names, stack)) | {name: a[k] for name, a in rows.items()})``,
-    each broadcast to the common shape of all bindings.
+class Evaluator:
+    """The trees ``exprs`` bound to one ``x``, evaluated together at each call
+    (see the module docstring for what a call hoists and checks).
 
-    Every tree sees the bindings of ``ctx`` and one binding per entry of
-    ``names``, held along the leading axis of ``stack`` (the value entries
-    ``y_i_j`` of a driver table); each array of ``rows`` holds one binding
-    per tree along its leading axis.  The ``ctx`` bindings read, ``stack``,
-    each array of ``rows`` and the result stack are each checked once (see
-    the module docstring).  Any failure re-runs the plain per-expression
-    loop, so results and errors are bitwise its own.
+    ``evaluator(t, stack, **rows)`` is the ``(len(exprs),) + x.shape`` stack
+    whose entry ``k`` is ``evaluate(exprs[k], ctx)`` broadcast to ``x.shape``,
+    where ``ctx`` binds ``t``, ``x``, one entry of ``names`` per entry of
+    ``stack`` along its leading axes, and each of ``rows``: a scalar, shared
+    by every tree, or an array holding one binding per tree along its
+    leading axes.
     """
-    forms = [_compiled(e) for e in exprs]
-    local = {**ctx, **dict(zip(names, stack))}
-    # one argument per ctx binding and array, not per stack entry: numpy 1.x's np.broadcast takes at most 32
-    shape = np.broadcast(*ctx.values(), *stack[:1], *(a[0] for a in rows.values())).shape
-    out = np.empty((len(forms),) + shape)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            read = frozenset().union(*(free for _, free in forms)).difference(names)
-            if _finite(stack) and all(_finite(rows[name] if name in rows else ctx[name]) for name in read):
-                for k, (fn, _) in enumerate(forms):
-                    local.update((name, a[k]) for name, a in rows.items())
-                    out[k] = fn(local)
-                if _finite(out):
-                    return out
-    except (KeyError, TypeError, FloatingPointError):
-        pass
-    for k, e in enumerate(exprs):
-        out[k] = evaluate(e, {**local, **{name: a[k] for name, a in rows.items()}})
-    return out
+
+    def __init__(self, exprs: Sequence[Expr], x: Value, names: Sequence[str]):
+        self.exprs, self.x, self.names = tuple(exprs), x, tuple(names)
+        self._splits = [_split(e) for e in self.exprs]
+        hoisted = {key: node for _, subtrees in self._splits for key, node in subtrees.items()}
+        grid = frozenset().union(*map(free_variables, hoisted.values()))
+        hoisted.update((name, Var(name)) for name in grid)  # so the one check covers the bindings too
+        self._hoisted = [(key, _compiled(node)[0]) for key, node in hoisted.items()]
+        self._reads_t = "t" in grid
+        self._reads = frozenset().union(*map(free_variables, self.exprs)).difference(("t", "x"), self.names)
+        self._t = self._ctx = None  # the t, with its sign, of the hoisted values in _ctx
+
+    def __call__(self, t: float, stack: np.ndarray, **rows) -> np.ndarray:
+        shape = np.shape(self.x)
+        stack = stack.reshape((len(self.names),) + shape)
+        per_tree = {name: v.reshape((len(self.exprs),) + shape) for name, v in rows.items() if np.ndim(v)}
+        out = np.empty((len(self.exprs),) + shape)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                key = (t, math.copysign(1.0, t))  # 0.0 and -0.0 can give different bits
+                if self._t is None or (self._reads_t and key != self._t):
+                    grid = {"t": t, "x": self.x}
+                    hoisted = {name: fn(grid) for name, fn in self._hoisted}
+                    if not all(map(_finite, hoisted.values())):
+                        raise FloatingPointError
+                    self._ctx, self._t = hoisted, key
+                ctx = self._ctx
+                if _finite(stack) and all(_finite(per_tree[name] if name in per_tree else rows[name]) for name in self._reads):
+                    ctx.update(zip(self.names, stack))
+                    ctx.update(rows)
+                    for k, (fn, _) in enumerate(self._splits):
+                        ctx.update((name, a[k]) for name, a in per_tree.items())
+                        out[k] = fn(ctx)
+                    if _finite(out):
+                        return out
+        except (KeyError, TypeError, FloatingPointError):
+            pass
+        shared = {"t": t, "x": self.x, **dict(zip(self.names, stack)), **rows}
+        for k, e in enumerate(self.exprs):
+            out[k] = evaluate(e, {**shared, **{name: a[k] for name, a in per_tree.items()}})
+        return out

@@ -254,10 +254,11 @@ def solve_bsde_regression(
         """cont, q_hat: (m1, m2, P) continuation and jump-argument stacks."""
         lc = spec.lower_cost_table(t, xk)
         uc = spec.upper_cost_table(t, xk)
+        drivers = spec.driver_evaluator(xk)
         y = cont
         for _ in range(N_PICARD):
             L, U = eval_obstacles(y, lc, uc)
-            g = spec.driver_table(t, xk, y, 0.0, q_hat)
+            g = drivers(t, y, 0.0, q_hat)
             y = cont + dt * (g + n * neg_part(y - L) - m * pos_part(y - U))
         return y
 

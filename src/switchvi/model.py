@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import exprdsl
-from .exprdsl import Expr, evaluate, evaluate_many, parse
+from .exprdsl import Evaluator, Expr, evaluate, parse
 
 __all__ = [
     "ModeSet",
@@ -241,6 +241,10 @@ class ProblemSpec:
         for name in ("jump_weights", "drivers", "lower_costs", "upper_costs", "terminal"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild from plain dicts, through the checks above
+        return ProblemSpec, tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in (getattr(self, f.name) for f in fields(self)))
+
     # --- construction -------------------------------------------------
 
     @staticmethod
@@ -338,17 +342,20 @@ class ProblemSpec:
 
         ``y`` is the ``(m1, m2) + x.shape`` value stack; ``z`` and ``q`` are
         stacks of that shape or scalars.  Bitwise equal to one
-        :meth:`eval_driver` call per pair, with one finiteness check per
-        binding, the whole ``y`` stack being one.
+        :meth:`eval_driver` call per pair; one call of
+        ``driver_evaluator(x)``.
         """
+        return self.driver_evaluator(x)(t, y, z, q)
+
+    def driver_evaluator(self, x):
+        """``drivers(t, y, z, q)``, :meth:`driver_table` at this ``x``, by one
+        :class:`~switchvi.exprdsl.Evaluator`, which computes the drivers'
+        subtrees over ``t`` and ``x`` alone once per distinct ``t``."""
         x = np.asarray(x, dtype=float)
         pairs = list(self.modes.pairs())
-        stack = y.reshape((len(pairs),) + x.shape)
-        ctx = {"t": t, "x": x}
-        ctx.update((name, v) for name, v in (("z", z), ("q", q)) if not np.ndim(v))
-        rows = {name: v.reshape(stack.shape) for name, v in (("z", z), ("q", q)) if np.ndim(v)}
-        table = evaluate_many([self.drivers[p] for p in pairs], ctx, stack, [driver_variable(i, j) for i, j in pairs], rows)
-        return table.reshape((self.modes.m1, self.modes.m2) + x.shape)
+        table = Evaluator([self.drivers[p] for p in pairs], x, [driver_variable(i, j) for i, j in pairs])
+        shape = (self.modes.m1, self.modes.m2) + x.shape
+        return lambda t, y, z, q: table(t, y, z=z, q=q).reshape(shape)
 
     def beta_table(self, x, marks: Sequence[float]) -> np.ndarray:
         """``(atoms,) + x.shape`` array of ``beta(x, e_a)``, one atom per entry of ``marks``."""

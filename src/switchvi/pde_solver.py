@@ -29,9 +29,10 @@ explicit treatment.
 Within one backward step node updates only read the previous level, so they
 are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
 at once, the jump sums included (one matrix product per assembled jump
-matrix), and the drivers of all pairs come as one table
-(``ProblemSpec.driver_table``); only the implicit diffusion solves pair by
-pair.  Obstacle sweeps are Gauss-Seidel over mode pairs (lexicographic order,
+matrix), and the drivers of all pairs as one table from the workspace's one
+driver evaluator (``ProblemSpec.driver_evaluator``), which computes their
+subtrees over t and x alone once, or once per step when they read t; only
+the implicit diffusion solves pair by pair.  Obstacle sweeps are Gauss-Seidel over mode pairs (lexicographic order,
 direction alternating each sweep), vectorized over nodes; a one-sided sweep
 visits a whole row (lower) or column (upper) of pairs at once, which gives
 the pair loop's bits.  Each pass starts with the whole stack's obstacles; a
@@ -296,6 +297,7 @@ class _Workspace:
         self._costs_read_t = any("t" in exprdsl.free_variables(e) for e in costs)
         # the step computes the gradient z = sigma Dv only for drivers that read it
         self._drivers_read_z = any("z" in exprdsl.free_variables(e) for e in spec.drivers.values())
+        self.drivers = spec.driver_evaluator(self.x)
         self._local = self._gathers = self._banded = None
 
     # -- pieces ------------------------------------------------------------
@@ -379,7 +381,7 @@ class _Workspace:
         if self.jumps is not None:
             jump_gen, q = self.jumps.apply(values)
             rhs += jump_gen
-        rhs += spec.driver_table(t_next, self.x, values, z, q)
+        rhs += self.drivers(t_next, values, z, q)
 
         if self.config.mode == "explicit":
             rhs += a_diff * second_derivative_surface(values, self.grid)

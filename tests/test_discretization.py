@@ -404,6 +404,13 @@ class TestDerivativeSurfaces:
         assert grad[-1] == pytest.approx((surf[-1] - surf[-2]) / 0.25)
         assert grad[2] == pytest.approx(1.0)  # 2x at x=0.5
 
+    @pytest.mark.parametrize("n_nodes", [3, 4, 201])
+    @pytest.mark.parametrize("lead", [(), (3, 2)], ids=["line", "stack"])
+    def test_gradient_is_np_gradient_bitwise(self, n_nodes, lead):
+        g = SpatialGrid.line(-2.0, 2.0, n_nodes)
+        surf = np.random.default_rng(n_nodes).normal(size=lead + (n_nodes,)) * np.exp(g.axis())
+        assert gradient_surface(surf, g).tobytes() == np.gradient(surf, g.dx, axis=-1).tobytes()
+
     def test_second_derivative_clamped_ghost(self):
         g = SpatialGrid.line(0.0, 1.0, 5)
         surf = np.array([1.0, 2.0, 4.0, 7.0, 11.0])

@@ -258,7 +258,8 @@ def test_evaluate_matches_walker_bitwise(expr, x, t, as_array):
 
 
 def _loop_outcome(exprs, ctx, rows):
-    """The per-expression ``evaluate`` loop that ``evaluate_many`` stands for."""
+    """The per-expression ``evaluate`` loop that an ``Evaluator`` call stands
+    for; ``rows`` hold one binding per tree along their leading axis."""
     try:
         results = [evaluate(e, {**ctx, **{name: a[k] for name, a in rows.items()}}) for k, e in enumerate(exprs)]
         shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()), *(np.shape(a)[1:] for a in rows.values()))
@@ -267,74 +268,93 @@ def _loop_outcome(exprs, ctx, rows):
         return "error", type(exc), str(exc)
 
 
-def _many_outcome(exprs, ctx, rows, stack=np.empty(0), names=()):
+def _evaluator_outcome(evaluator, t, stack=np.empty(0), **rows):
     try:
-        return "value", np.asarray(exprdsl.evaluate_many(exprs, ctx, stack, names, rows), dtype=float).tobytes()
+        return "value", np.asarray(evaluator(t, stack, **rows), dtype=float).tobytes()
     except NumericDomainError as exc:
         return "error", type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_any_exprs(2), min_size=1, max_size=4), _values, st.lists(_values, min_size=4, max_size=4), st.booleans())
-def test_evaluate_many_matches_the_loop_bitwise(exprs, x, ts, t_in_rows):
-    """Shared ``x`` and ``t`` given once or one ``t`` row per tree: the loop's
-    bytes, or the loop's first error with its type and message."""
-    ctx = {"x": np.array([x, -x, 0.5 * x])}
-    rows = {}
-    if t_in_rows:
-        rows["t"] = np.array(ts[: len(exprs)])[:, None] * np.ones(3)
-    else:
-        ctx["t"] = ts[0]
-    assert _many_outcome(exprs, ctx, rows) == _loop_outcome(exprs, ctx, rows)
+_qvars = st.sampled_from(["x", "t", "q"])
+
+
+def _any_exprs_with_q(depth: int):
+    """``_any_exprs`` over x, t and a per-call binding q."""
+    if depth == 0:
+        return st.one_of(st.sampled_from([0.0, 0.5, 2.0, 700.0, 1e200]).map(Num), _qvars.map(Var))
+    sub = _any_exprs_with_q(depth - 1)
+    return st.one_of(
+        sub,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(t[0], t[1], t[2])),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["min", "max", "pow"]), sub, sub).map(lambda t: Call(t[0], (t[1], t[2]))),
+        st.tuples(st.sampled_from(["abs", "exp", "log", "sqrt"]), sub).map(lambda t: Call(t[0], (t[1],))),
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_any_exprs(2), min_size=1, max_size=4), st.lists(_values, min_size=9, max_size=9), st.booleans())
-def test_evaluate_many_checks_a_shared_stack_once(exprs, entries, t_in_stack):
+@given(
+    st.lists(_any_exprs_with_q(2), min_size=1, max_size=4),
+    _values,
+    st.lists(_values, min_size=2, max_size=2),
+    st.lists(_values, min_size=12, max_size=12),
+    st.booleans(),
+)
+def test_evaluator_matches_the_loop_bitwise(exprs, x, ts, qs, q_in_rows):
+    """At two values of t and then the first again, with q shared by every
+    tree or one q row per tree: the loop's bytes, or the loop's first error
+    with its type and message."""
+    x = np.array([x, -x, 0.5 * x])
+    evaluator = exprdsl.Evaluator(exprs, x, ())
+    for call, t in enumerate((ts[0], ts[1], ts[0])):
+        q = np.array(qs[4 * call : 4 * call + len(exprs)])[:, None] * np.ones(3) if q_in_rows else qs[4 * call]
+        expected = _loop_outcome(exprs, {"x": x, "t": t}, {"q": q}) if q_in_rows else _loop_outcome(exprs, {"x": x, "t": t, "q": q}, {})
+        assert _evaluator_outcome(evaluator, t, q=q) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_exprs(2), min_size=1, max_size=4), st.lists(_values, min_size=7, max_size=7), st.booleans())
+def test_evaluator_checks_a_shared_stack_once(exprs, entries, t_in_stack):
     """Shared bindings held in one stack are checked through the stack: the
     loop's bytes, or the loop's first error, which names the binding.  A
     non-finite entry in a binding that no tree reads (``u``) raises nothing."""
-    names = ("x", "t", "u") if t_in_stack else ("x", "u")
-    stack = np.array(entries).reshape(3, 3)[: len(names)]
-    ctx = {} if t_in_stack else {"t": entries[-1]}
-    expected = _loop_outcome(exprs, {**ctx, **dict(zip(names, stack))}, {})
-    assert _many_outcome(exprs, ctx, {}, stack, names) == expected
+    exprs = [substitute(e, {"t": Var("s")}) for e in exprs] if t_in_stack else exprs
+    x = np.array(entries[:2])
+    stack = np.array(entries[2:6]).reshape(2, 2)
+    expected = _loop_outcome(exprs, {"x": x, "t": entries[6], "s": stack[0], "u": stack[1]}, {})
+    assert _evaluator_outcome(exprdsl.Evaluator(exprs, x, ("s", "u")), entries[6], stack) == expected
 
 
-class TestEvaluateMany:
+class TestEvaluator:
     EXPRS = [parse(s, ("x", "t", "q")) for s in ("x + q", "2*t - q", "exp(x*t) + q")]
-
-    def ctx(self, **changes):
-        ctx = {"x": np.array([0.5, 1.0, 2.0]), "t": 0.25}
-        ctx.update(changes)
-        return ctx
+    X = np.array([0.5, 1.0, 2.0])
 
     def rows(self, q=None):
         return {"q": np.arange(9.0).reshape(3, 3) if q is None else q}
 
     def test_stacks_the_loop_results(self):
-        out = exprdsl.evaluate_many(self.EXPRS, self.ctx(), np.empty(0), (), self.rows())
+        out = exprdsl.Evaluator(self.EXPRS, self.X, ())(0.25, np.empty(0), **self.rows())
         assert out.shape == (3, 3)
-        assert _loop_outcome(self.EXPRS, self.ctx(), self.rows()) == ("value", out.tobytes())
+        assert _loop_outcome(self.EXPRS, {"x": self.X, "t": 0.25}, self.rows()) == ("value", out.tobytes())
 
     def test_constant_trees_broadcast_to_the_bindings(self):
         exprs = [parse("1", ("x",)), parse("x", ("x",))]
-        out = exprdsl.evaluate_many(exprs, {"x": np.array([3.0, 4.0])}, np.empty(0), (), {})
+        out = exprdsl.Evaluator(exprs, np.array([3.0, 4.0]), ())(0.0, np.empty(0))
         assert out.tolist() == [[1.0, 1.0], [3.0, 4.0]]
 
     @pytest.mark.parametrize(
-        "ctx,rows",
+        "x,t,rows",
         [
-            pytest.param({"x": np.array([0.5, np.inf, 2.0])}, {}, id="shared-binding"),
-            pytest.param({}, {"q": np.array([[0.0] * 3, [0.0, np.nan, 0.0], [0.0] * 3])}, id="row-entry"),
-            pytest.param({"t": 400.0}, {}, id="result-overflow"),
+            pytest.param(np.array([0.5, np.inf, 2.0]), 0.25, {}, id="shared-binding"),
+            pytest.param(X, 0.25, {"q": np.array([[0.0] * 3, [0.0, np.nan, 0.0], [0.0] * 3])}, id="row-entry"),
+            pytest.param(X, 400.0, {}, id="result-overflow"),
         ],
     )
-    def test_errors_are_the_loop_errors(self, ctx, rows):
-        ctx, rows = self.ctx(**ctx), {**self.rows(), **rows}
-        outcome = _many_outcome(self.EXPRS, ctx, rows)
+    def test_errors_are_the_loop_errors(self, x, t, rows):
+        rows = {**self.rows(), **rows}
+        outcome = _evaluator_outcome(exprdsl.Evaluator(self.EXPRS, x, ()), t, **rows)
         assert outcome[0] == "error"
-        assert outcome == _loop_outcome(self.EXPRS, ctx, rows)
+        assert outcome == _loop_outcome(self.EXPRS, {"x": x, "t": t}, rows)
 
     def test_a_non_finite_stack_entry_raises_the_per_binding_error(self):
         names = ("y_0_0", "y_0_1")
@@ -342,9 +362,51 @@ class TestEvaluateMany:
         y = np.zeros((2, 3))
         y[1, 1] = np.inf
         with pytest.raises(NumericDomainError, match=re.escape("non-finite binding for 'y_0_1'")):
-            exprdsl.evaluate_many(exprs, {}, y, names, {})
+            exprdsl.Evaluator(exprs, self.X, names)(0.0, y)
 
     def test_missing_binding_is_the_loop_error(self):
-        outcome = _many_outcome(self.EXPRS, {"x": 1.0}, self.rows())
-        assert outcome[0] == "error" and "unbound variable 't'" in outcome[2]
-        assert outcome == _loop_outcome(self.EXPRS, {"x": 1.0}, self.rows())
+        outcome = _evaluator_outcome(exprdsl.Evaluator(self.EXPRS, self.X, ()), 0.25)
+        assert outcome[0] == "error" and "unbound variable 'q'" in outcome[2]
+        assert outcome == _loop_outcome(self.EXPRS, {"x": self.X, "t": 0.25}, {})
+
+    @pytest.mark.parametrize("text", ["min(x + 1, y)", "pow(x, 0) + y"])
+    def test_a_non_finite_hoisted_value_is_the_loop_error(self, text):
+        """``x + 1`` and ``pow(x, 0)`` at ``x = inf`` raise no floating-point
+        flag, and ``min`` hides the first: only the check of the hoisted
+        values and the bindings they read catches them."""
+        exprs = [parse(text, ("x", "y"))]
+        x, y = np.array([0.0, np.inf]), np.zeros((1, 2))
+        with pytest.raises(NumericDomainError, match=re.escape("non-finite binding for 'x'")):
+            exprdsl.Evaluator(exprs, x, ("y",))(0.0, y)
+
+    def test_finite_bindings_never_take_the_loop(self, monkeypatch):
+        """Only the subtrees over t and x are hoisted, so every call with
+        finite bindings and results stays on the closures."""
+        names = ("y", "z")
+        exprs = [parse(s, ("x", "t") + names) for s in ("0.6 + 0.2*max(x, 0) - 0.2*y", "t*x + exp(-y*y) + z", "x - 0.5*min(y, t)")]
+        expected = [_loop_outcome(exprs, {"x": self.X, "t": t, "y": y, "z": 0.5}, {}) for t, y in ((0.1, self.X), (0.2, -self.X))]
+
+        def refuse(*args):
+            raise AssertionError("the plain evaluate loop ran")
+
+        monkeypatch.setattr(exprdsl, "evaluate", refuse)
+        evaluator = exprdsl.Evaluator(exprs, self.X, names[:1])
+        assert [_evaluator_outcome(evaluator, t, y[None], z=0.5) for t, y in ((0.1, self.X), (0.2, -self.X))] == expected
+
+    def test_signed_zero_t_is_a_new_t(self):
+        """``y + t*x`` at ``y = -0.0`` is -0.0 at ``t = -0.0`` and 0.0 at ``t = 0.0``."""
+        exprs = [parse("y + t*x", ("x", "t", "y"))]
+        evaluator = exprdsl.Evaluator(exprs, np.array([1.0]), ("y",))
+        for t in (0.0, -0.0, 0.0):
+            expected = _loop_outcome(exprs, {"x": np.array([1.0]), "t": t, "y": np.array([-0.0])}, {})
+            assert _evaluator_outcome(evaluator, t, np.array([[-0.0]])) == expected
+
+    def test_split_form_is_freed_with_the_tree_and_not_pickled(self):
+        tree = parse("0.6 + 0.2*max(x, 0) - y*exp(-x*x)", ("x", "y"))
+        exprdsl.Evaluator([tree], np.linspace(-1.0, 1.0, 5), ("y",))(0.0, np.ones((1, 5)))
+        assert list(tree._split[1]) == ["0.6 + 0.2*max(x, 0.0)", "exp(-x*x)"]
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == tree and not hasattr(copy, "_split")
+        tree_ref, form_ref = weakref.ref(tree), weakref.ref(tree._split[0])
+        del tree
+        assert tree_ref() is None and form_ref() is None

@@ -1,9 +1,14 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+from switchvi.exprdsl import BinOp, Call, Neg, Num, NumericDomainError, Var, format_expr
 from switchvi.model import (
     CapacityError,
     MalformedSpecError,
@@ -11,12 +16,15 @@ from switchvi.model import (
     _simple_loops,
     ProblemSpec,
     builtin_problem_names,
+    driver_variable,
     eval_obstacles,
     load_builtin_problem,
     validate_coefficient_bounds,
     validate_non_free_loop,
     validate_terminal_consistency,
 )
+
+from switchvi.pde_solver import solve_minmax
 
 from conftest import make_spec
 
@@ -291,6 +299,73 @@ class TestCoefficientTables:
                 for k in range(m):
                     expected = np.zeros_like(x) if i == k else eval_cost(i, k, 0.2, x)
                     assert table[i, k].tobytes() == expected.tobytes()
+
+
+PAIRS_2X2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _trees(leaves, max_leaves):
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from("+-*"), sub, sub).map(lambda a: BinOp(*a)),
+            st.tuples(st.sampled_from(["min", "max"]), sub, sub).map(lambda a: Call(a[0], a[1:])),
+            sub.map(Neg),
+            sub.map(lambda a: Call("abs", (a,))),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@st.composite
+def _driver_tables(draw):
+    """Four drivers whose subtrees over the grid read t, x, both or neither."""
+    grid_names = draw(st.sampled_from([(), ("t",), ("x",), ("t", "x")]))
+    literals = st.sampled_from([0.5, 1.0, 2.0]).map(Num)
+    grid = _trees(st.one_of(literals, st.sampled_from(grid_names).map(Var)) if grid_names else literals, 3)
+    grid = grid.map(lambda e: BinOp("*", Num(0.5), e))  # never a bare literal, so always hoisted
+    values = st.sampled_from(["z", "q", *(driver_variable(i, j) for i, j in PAIRS_2X2)]).map(Var)
+    return [draw(_trees(st.one_of(grid, values, literals), 6)) for _ in PAIRS_2X2]
+
+
+class TestDriverEvaluator:
+    """``driver_evaluator`` and ``driver_table`` against one ``eval_driver`` call per pair."""
+
+    X = np.linspace(-1.5, 1.5, 7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_driver_tables(), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2, unique=True), st.booleans(), st.integers(0, 2**16))
+    def test_equals_eval_driver_per_pair(self, drivers, ts, z_shared, seed):
+        """At two distinct times and then the first again, with new values each call."""
+        spec = make_spec(modes={"m1": 2, "m2": 2}, drivers={f"{i},{j}": format_expr(e) for (i, j), e in zip(PAIRS_2X2, drivers)})
+        evaluator = spec.driver_evaluator(self.X)
+        rng = np.random.default_rng(seed)
+        for t in (ts[0], ts[1], ts[0]):
+            y, z, q = rng.normal(size=(3, 2, 2) + self.X.shape)
+            z = float(z[0, 0, 0]) if z_shared else z
+            entries = {driver_variable(i, j): y[i, j] for i, j in PAIRS_2X2}
+            table = evaluator(t, y, z, q)
+            for pair in PAIRS_2X2:
+                expected = spec.eval_driver(pair, t, self.X, entries, z if z_shared else z[pair], q[pair])
+                assert table[pair].tobytes() == expected.tobytes()
+
+    def test_a_failing_hoisted_subtree_raises_the_per_pair_error(self):
+        spec = make_spec(modes={"m1": 2, "m2": 2}, drivers={"default": "0.1*y_0_0 + log(x - 3)"})
+        y = np.zeros((2, 2) + self.X.shape)
+        with pytest.raises(NumericDomainError) as expected:
+            spec.eval_driver((0, 0), 0.0, self.X, {driver_variable(i, j): y[i, j] for i, j in PAIRS_2X2}, 0.0, 0.0)
+        assert expected.value.subexpr == "log(x - 3.0)"
+        with pytest.raises(NumericDomainError, match=re.escape(str(expected.value))):
+            spec.driver_table(0.0, self.X, y, 0.0, 0.0)
+
+    def test_spec_pickles_after_a_solve(self):
+        spec = load_builtin_problem("switch_2x2_jump")
+        grid, tgrid, quad = SpatialGrid.line(-2.0, 2.0, 21), TimeGrid(spec.horizon, 10), build_levy_quadrature(spec.levy)
+        traj, _ = solve_minmax(spec, grid, tgrid, quad)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert not any(hasattr(e, "_split") or hasattr(e, "_compiled") for e in copy.drivers.values())
+        assert solve_minmax(copy, grid, tgrid, quad)[0].values.tobytes() == traj.values.tobytes()
 
 
 class TestFieldOwnership:
