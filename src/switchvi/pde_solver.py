@@ -29,18 +29,17 @@ explicit treatment.
 Within one backward step node updates only read the previous level, so they
 are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
 at once, the jump sums included (one matrix product per assembled jump
-matrix), and the drivers of all pairs as one table from the workspace's one
-driver evaluator (``ProblemSpec.driver_evaluator``), which computes their
-subtrees over t and x alone once, or once per step when they read t; only
-the implicit diffusion solves pair by pair.  Obstacle sweeps are Gauss-Seidel over mode pairs (lexicographic order,
-direction alternating each sweep), vectorized over nodes; a one-sided sweep
-visits a whole row (lower) or column (upper) of pairs at once, which gives
-the pair loop's bits.  Each pass starts with the whole stack's obstacles; a
-sweep whose projection onto them changes nothing is at the fixed point and
-stops, and the report and the next step's penalties reuse those obstacles,
-so a level evaluates them once, from the workspace's one cost format, its
-cached cost gathers; the terminal gate reads the terminal level's record.
-Identical inputs give bitwise-identical results.
+matrix), and the drivers of all pairs come as one table from the workspace's
+one driver evaluator (``ProblemSpec.driver_evaluator``); only the implicit
+diffusion solves pair by pair.  Obstacle sweeps are Gauss-Seidel over mode
+pairs (lexicographic order, direction alternating each sweep), vectorized over
+nodes; a one-sided sweep visits a whole row (lower) or column (upper) of pairs
+at once, which gives the pair loop's bits.  Each pass starts with the whole
+stack's obstacles; a sweep whose projection onto them changes nothing is at
+the fixed point and stops, and the report and the next step's penalties reuse
+those obstacles, so a level evaluates them once, from the workspace's one cost
+format, its cached cost gathers; the terminal gate reads the terminal level's
+record.  Identical inputs give bitwise-identical results.
 """
 
 from __future__ import annotations

@@ -382,9 +382,9 @@ class TestEvaluator:
     def test_finite_bindings_never_take_the_loop(self, monkeypatch):
         """Only the subtrees over t and x are hoisted, so every call with
         finite bindings and results stays on the closures."""
-        names = ("y", "z")
-        exprs = [parse(s, ("x", "t") + names) for s in ("0.6 + 0.2*max(x, 0) - 0.2*y", "t*x + exp(-y*y) + z", "x - 0.5*min(y, t)")]
-        expected = [_loop_outcome(exprs, {"x": self.X, "t": t, "y": y, "z": 0.5}, {}) for t, y in ((0.1, self.X), (0.2, -self.X))]
+        names = ("y_0_0", "z")
+        exprs = [parse(s, ("x", "t") + names) for s in ("0.6 + 0.2*max(x, 0) - 0.2*y_0_0", "t*x + exp(-y_0_0*y_0_0) + z", "x - 0.5*min(y_0_0, t)")]
+        expected = [_loop_outcome(exprs, {"x": self.X, "t": t, "y_0_0": y, "z": 0.5}, {}) for t, y in ((0.1, self.X), (0.2, -self.X))]
 
         def refuse(*args):
             raise AssertionError("the plain evaluate loop ran")

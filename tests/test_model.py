@@ -1,5 +1,6 @@
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from switchvi import exprdsl
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi.exprdsl import BinOp, Call, Neg, Num, NumericDomainError, Var, format_expr
 from switchvi.model import (
@@ -344,7 +346,8 @@ class TestDriverEvaluator:
             y, z, q = rng.normal(size=(3, 2, 2) + self.X.shape)
             z = float(z[0, 0, 0]) if z_shared else z
             entries = {driver_variable(i, j): y[i, j] for i, j in PAIRS_2X2}
-            table = evaluator(t, y, z, q)
+            with mock.patch.object(exprdsl, "evaluate", side_effect=AssertionError("the plain evaluate loop ran")):
+                table = evaluator(t, y, z, q)  # finite bindings and results stay on the closures
             for pair in PAIRS_2X2:
                 expected = spec.eval_driver(pair, t, self.X, entries, z if z_shared else z[pair], q[pair])
                 assert table[pair].tobytes() == expected.tobytes()
