@@ -222,14 +222,14 @@ def test_eval_matches_reparse(expr, x, t):
     assert a == b
 
 
-def _any_exprs(depth: int):
+def _any_exprs(depth: int, variables=_vars):
     """Trees over every operator and function, so results can overflow or leave a domain."""
     if depth == 0:
         return st.one_of(
             st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 700.0, 1e200]).map(Num),
-            _vars.map(Var),
+            variables.map(Var),
         )
-    sub = _any_exprs(depth - 1)
+    sub = _any_exprs(depth - 1, variables)
     return st.one_of(
         sub,
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(t[0], t[1], t[2])),
@@ -275,26 +275,9 @@ def _evaluator_outcome(evaluator, t, stack=np.empty(0), **rows):
         return "error", type(exc), str(exc)
 
 
-_qvars = st.sampled_from(["x", "t", "q"])
-
-
-def _any_exprs_with_q(depth: int):
-    """``_any_exprs`` over x, t and a per-call binding q."""
-    if depth == 0:
-        return st.one_of(st.sampled_from([0.0, 0.5, 2.0, 700.0, 1e200]).map(Num), _qvars.map(Var))
-    sub = _any_exprs_with_q(depth - 1)
-    return st.one_of(
-        sub,
-        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(t[0], t[1], t[2])),
-        sub.map(Neg),
-        st.tuples(st.sampled_from(["min", "max", "pow"]), sub, sub).map(lambda t: Call(t[0], (t[1], t[2]))),
-        st.tuples(st.sampled_from(["abs", "exp", "log", "sqrt"]), sub).map(lambda t: Call(t[0], (t[1],))),
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(_any_exprs_with_q(2), min_size=1, max_size=4),
+    st.lists(_any_exprs(2, st.sampled_from(["x", "t", "q"])), min_size=1, max_size=4),
     _values,
     st.lists(_values, min_size=2, max_size=2),
     st.lists(_values, min_size=12, max_size=12),
