@@ -257,6 +257,11 @@ class TestBadConfigValues:
             pytest.param("solve", {"scheme": {"cfl_factor": 1.0}}, "error: config 'scheme': unknown keys ['cfl_factor']", id="scheme-cfl"),
             pytest.param("solve", {"scheme": {"sweep_tol": 0.01}}, "error: config 'scheme': unknown keys ['sweep_tol']", id="scheme-sweep-tol"),
             pytest.param("solve", {"scheme": {"max_sweeps": 0}}, "error: config 'scheme': ", id="scheme-sweeps"),
+            # a cap that is not an integer ran as int() of it, or failed after a full step
+            *(
+                pytest.param("solve", {"scheme": {"max_sweeps": cap}}, "error: config 'scheme': ", id=f"scheme-sweeps-{label}")
+                for label, cap in (("bool", True), ("float", 2.5), ("str", "500"))
+            ),
             pytest.param("solve", {"solve": {"system": "minmax", "mode": "bogus"}}, "error: config 'solve': ", id="solve-mode"),
             pytest.param("solve", {"output": {"levels": [999]}}, "error: config 'output': ", id="output-levels"),
             pytest.param("solve", {"output": {"levels": [2.5]}}, "error: config 'output': ", id="output-levels-float"),
@@ -296,7 +301,7 @@ class TestBadConfigValues:
                     "error: config 'solve': schedule ", id=f"solve-{system}-schedule-{label}",
                 )
                 for system in ("minmax", "maxmin")
-                for label, schedule in (("str", ["a"]), ("int", 4), ("empty", []), ("repeat", [4, 4]), ("negative", [0, -1]))
+                for label, schedule in (("str", ["a"]), ("int", 4), ("empty", []), ("repeat", [4, 4]), ("negative", [0, -1]), ("bool", [True, 2]))
             ),
             pytest.param("sweep", {"sweep": {"n_schedule": ["abc"], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-str"),
             pytest.param("sweep", {"sweep": {"n_schedule": 4, "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-int"),
@@ -308,6 +313,8 @@ class TestBadConfigValues:
             pytest.param("sweep", {"sweep": {"n_schedule": "12", "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-string"),
             pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": [4, 2]}}, "error: config 'sweep': ", id="sweep-m-decreasing"),
             pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": "12"}}, "error: config 'sweep': ", id="sweep-m-string"),
+            # a boolean entry ran as the penalty 1
+            pytest.param("sweep", {"sweep": {"n_schedule": [True, 2], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-bool"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, overrides, prefix):

@@ -85,6 +85,18 @@ def affine_spec():
     )
 
 
+class TestSchemeConfig:
+    @pytest.mark.parametrize("max_sweeps", [1, 500, np.int64(3)])
+    def test_max_sweeps_accepts_a_positive_integer(self, max_sweeps):
+        assert SchemeConfig(max_sweeps=max_sweeps).max_sweeps == max_sweeps
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1, 2.5, 3.0, True, False, "500", None])
+    def test_max_sweeps_rejects_anything_but_a_positive_integer(self, max_sweeps):
+        """A float cap failed in ``range`` after a full step, and ``True`` ran as a cap of 1."""
+        with pytest.raises(ValueError, match="max_sweeps"):
+            SchemeConfig(max_sweeps=max_sweeps)
+
+
 class TestStepAndCfl:
     def test_closed_form_constant_driver(self):
         c = 0.7
@@ -595,11 +607,12 @@ class TestBilateral:
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             solver(free, GRID, TGRID, build_levy_quadrature(free.levy), mode="bogus")
 
-    @pytest.mark.parametrize("schedule", [(), (4, 4), (0, -1), (2, 1), (1, float("inf")), (1, float("nan"))])
+    @pytest.mark.parametrize("schedule", [(), (4, 4), (0, -1), (2, 1), (1, float("inf")), (1, float("nan")), (True, 2)])
     @pytest.mark.parametrize("solver", [solve_minmax, solve_maxmin])
     def test_limit_schedule_must_be_positive_and_increasing(self, solver, schedule, spec_no_jump):
-        """An empty schedule raised a schedule error that named no gaps, and a
-        repeated or non-positive one returned converged after one run."""
+        """An empty schedule raised a schedule error that named no gaps, a
+        repeated or non-positive one returned converged after one run, and a
+        boolean entry ran as the penalty 1."""
         grid, tgrid = SpatialGrid.line(-2.0, 2.0, 41), TimeGrid(horizon=0.5, n_steps=20)
         with pytest.raises(ValueError, match="schedule") as err:
             solver(spec_no_jump, grid, tgrid, build_levy_quadrature(spec_no_jump.levy), mode="limit", schedule=schedule)
@@ -617,7 +630,7 @@ class TestBilateral:
     def test_check_schedule_keeps_the_entries(self, schedule):
         assert pde_solver.check_schedule(schedule) == tuple(schedule)
 
-    @pytest.mark.parametrize("schedule", [4, "12", [[1, 2]], [1, "2"], None, np.array([[1.0, 2.0]])])
+    @pytest.mark.parametrize("schedule", [4, "12", [[1, 2]], [1, "2"], None, np.array([[1.0, 2.0]]), [True, 2], [np.True_, 2]])
     def test_check_schedule_rejects_anything_but_a_sequence_of_numbers(self, schedule):
         with pytest.raises(ValueError, match="schedule"):
             pde_solver.check_schedule(schedule)
