@@ -137,7 +137,7 @@ def _scheme(cfg: dict, override_a4: bool) -> SchemeConfig:
         unknown = sorted(set(s) - {"mode", "max_sweeps"})
         if unknown:
             raise ValueError(f"unknown keys {unknown}; the keys are 'mode' and 'max_sweeps'")
-        return SchemeConfig(mode=s.get("mode", "explicit"), max_sweeps=int(s.get("max_sweeps", 500)), allow_terminal_inconsistency=override_a4)
+        return SchemeConfig(mode=s.get("mode", "explicit"), max_sweeps=s.get("max_sweeps", 500), allow_terminal_inconsistency=override_a4)
 
 
 def _out_dir(args) -> Path:

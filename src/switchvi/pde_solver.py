@@ -102,10 +102,10 @@ DEFAULT_PENALTY_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 def check_schedule(schedule) -> tuple:
     """``schedule`` as a tuple of its entries if it is a non-empty sequence of
-    finite, positive, strictly increasing numbers, the penalties of a limit
-    solve; ValueError otherwise."""
+    finite, positive, strictly increasing numbers (not booleans), the penalties
+    of a limit solve; ValueError otherwise."""
     entries = tuple(schedule) if isinstance(schedule, (Sequence, np.ndarray)) and not isinstance(schedule, str) else ()
-    positive = all(isinstance(p, (int, float, np.integer, np.floating)) and 0 < p < np.inf for p in entries)
+    positive = all(isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool) and 0 < p < np.inf for p in entries)
     if entries and positive and all(a < b for a, b in zip(entries, entries[1:])):
         return entries
     raise ValueError(f"schedule must be a non-empty, strictly increasing sequence of finite positive penalties, got {schedule!r}")
@@ -157,8 +157,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.mode not in ("explicit", "imex"):
             raise ValueError(f"unknown scheme mode '{self.mode}'")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
+        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be an integer of at least 1, got {self.max_sweeps!r}")
 
 
 @dataclass
