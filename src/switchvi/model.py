@@ -397,14 +397,14 @@ def other_mode_costs(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def obstacle(y: np.ndarray, gather, axis: int, combine: np.ufunc, pick: np.ufunc) -> np.ndarray:
-    """``pick`` over the last axis of ``ks`` of ``combine(y.take(ks, axis), c)``.
+    """``pick`` over the other modes of ``combine(y.take(ks, axis), c)``.
 
-    ``gather = (ks, c)`` is ``other_mode_costs`` of one player's costs, or
-    one row ``(ks[i], c[i])`` of it; ``axis`` is that player's mode axis in
-    ``y``, and ``c``'s cost tail broadcasts against the trailing axes of
-    ``y``.  ``np.subtract`` with ``np.maximum`` gives the lower obstacle,
-    ``np.add`` with ``np.minimum`` the upper one; a None ``gather`` (a
-    single mode) gives the sentinel ``-inf`` or ``+inf`` everywhere.  The
+    ``gather = (ks, c)`` is ``other_mode_costs`` of one player's costs;
+    ``axis`` is that player's mode axis in ``y``, 0 or 1, and ``c``'s cost
+    tail broadcasts against the trailing axes of ``y``.  ``np.subtract``
+    with ``np.maximum`` gives the lower obstacle, ``np.add`` with
+    ``np.minimum`` the upper one; a None ``gather`` (a single mode) gives
+    the sentinel ``-inf`` or ``+inf`` everywhere.  The
     candidates are gathered once, combined in place and reduced in
     increasing ``k``, as a per-mode loop would; with a single candidate the
     result is a view of the gather.
@@ -412,14 +412,12 @@ def obstacle(y: np.ndarray, gather, axis: int, combine: np.ufunc, pick: np.ufunc
     if gather is None:
         return np.full(y.shape, -np.inf if pick is np.maximum else np.inf)
     ks, c = gather
-    axis %= y.ndim
     cands = y.take(ks, axis=axis)
-    tail = c.shape[ks.ndim :]
+    tail = c.shape[2:]
     combine(cands, c.reshape(ks.shape + (1,) * (y.ndim - 1 - axis - len(tail)) + tail), out=cands)
-    last = axis + ks.ndim - 1
-    if cands.shape[last] == 1:
-        return cands[(slice(None),) * last + (0,)]
-    return pick.reduce(cands, axis=last)
+    if cands.shape[axis + 1] == 1:
+        return cands[(slice(None),) * (axis + 1) + (0,)]
+    return pick.reduce(cands, axis=axis + 1)
 
 
 def gathered_obstacles(y: np.ndarray, lower, upper) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,8 @@ the node vector, and the induction returns a
 coefficients into a step is written independently (explicit Python loops,
 no shared stepping code): the kernel assembly, the compensator sum, the
 interpolation weights, the gradient and jump-sum loops and the projection
-sweeps.  So agreement between the two is evidence, not tautology.
+sweeps, the package's only pair-ordered ones (the solver projects the whole
+stack per pass).  So agreement between the two is evidence, not tautology.
 Deliberately naive and single-threaded; meant for small instances.
 """
 
@@ -207,8 +208,9 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
 
     At each level: continuation = kernel @ next + dt * reward(next), then the
     bilateral projection (priority given by ``order``) iterated to its fixed
-    point with the same pair ordering the solver uses.  A level whose
-    ``max_sweeps`` passes all change an entry raises
+    point by Gauss-Seidel pair visits, the only pair-ordered sweep in the
+    package; the solver reaches that fixed point by whole-stack passes.  A
+    level whose ``max_sweeps`` passes all change an entry raises
     :class:`~switchvi.pde_solver.SweepNonConvergenceError`, as the solver does.
     """
     if order not in ("minmax", "maxmin"):

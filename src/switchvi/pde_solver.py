@@ -7,11 +7,11 @@ explicit monotone step (optionally with implicit diffusion):
   ``+ n (v - L[v])^-`` and ``- m (v - U[v])^+`` with all terms lagged to the
   previous time level;
 * the lower-reflected system: upper obstacle penalized with strength ``m``,
-  lower obstacle enforced exactly by Gauss-Seidel projection sweeps
-  ``v_ij <- max(v_ij, max_{k != i} (v_kj - lower_ik))`` after each step;
+  lower obstacle enforced exactly by projection sweeps ``v <- max(pde, L[v])``,
+  ``L[v]_ij = max_{k != i} (v_kj - lower_ik)``, after each step;
 * the upper-reflected system: the mirror image, lower obstacle penalized
   with strength ``n`` and upper obstacle enforced by the sweeps
-  ``v_ij <- min(v_ij, min_{l != j} (v_il + upper_jl))``;
+  ``v <- min(pde, U[v])``, ``U[v]_ij = min_{l != j} (v_il + upper_jl)``;
 * the bilateral systems: backward induction with the bilateral projection
   swept to a fixed point each step.  The projection order encodes obstacle
   priority: ``max(L, min(U, .))`` gives the min-max system (lower obstacle
@@ -31,15 +31,14 @@ are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
 at once, the jump sums included (one matrix product per assembled jump
 matrix), and the drivers of all pairs come as one table from the workspace's
 one driver evaluator (``ProblemSpec.driver_evaluator``); only the implicit
-diffusion solves pair by pair.  Obstacle sweeps are Gauss-Seidel over mode
-pairs (lexicographic order, direction alternating each sweep), vectorized over
-nodes; a one-sided sweep visits a whole row (lower) or column (upper) of pairs
-at once, which gives the pair loop's bits.  Each pass starts with the whole
-stack's obstacles; a sweep whose projection onto them changes nothing is at
-the fixed point and stops, and the report and the next step's penalties reuse
-those obstacles, so a level evaluates them once, from the workspace's one cost
-format, its cached cost gathers; the terminal gate reads the terminal level's
-record.  Identical inputs give bitwise-identical results.
+diffusion solves pair by pair.  An obstacle sweep is a run of whole-stack
+passes: each projects every pair at once onto the obstacles of the previous
+pass's values, which under the non-free-loop property reaches the unique fixed
+point a pair-by-pair sweep reaches.  A pass whose projection changes nothing
+is at the fixed point and stops, and the report and the next step's penalties
+reuse its obstacles, so a level evaluates them once, from the workspace's one
+cost format, its cached cost gathers; the terminal gate reads the terminal
+level's record.  Identical inputs give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .model import (
     eval_obstacles,
     gathered_obstacles,
     neg_part,
-    obstacle,
     other_mode_costs,
     pos_part,
     validate_non_free_loop,
@@ -147,7 +145,8 @@ class SchemeConfig:
     ``mode`` is ``"explicit"`` or ``"imex"`` (diffusion implicit via a
     tridiagonal solve, everything else explicit).  Obstacle sweeps run to
     their exact fixed point, which the non-free-loop property lets finitely
-    many passes reach; ``max_sweeps`` caps the passes of one level.
+    many whole-stack passes reach; ``max_sweeps``, an integer of at least 1,
+    caps the passes of one level (a zero-sum loop can keep them cycling).
     """
 
     mode: str = "explicit"
@@ -420,10 +419,6 @@ class _Workspace:
 # --- obstacle sweeps --------------------------------------------------------
 
 
-def _pair_order(pairs: list, sweep_index: int) -> list:
-    return pairs if sweep_index % 2 == 0 else list(reversed(pairs))
-
-
 _PROJECTIONS = {
     "lower": lambda pde, L, U: np.maximum(pde, L),
     "upper": lambda pde, L, U: np.minimum(pde, U),
@@ -432,45 +427,28 @@ _PROJECTIONS = {
 }
 
 
-def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConfig, pairs: list) -> tuple[int, tuple]:
-    """Gauss-Seidel sweeps of ``_PROJECTIONS[projection]`` to their exact fixed
+def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConfig) -> tuple[int, tuple]:
+    """Whole-stack passes of ``_PROJECTIONS[projection]`` to their exact fixed
     point, in place, on the players' cost gathers ``_Workspace.obstacle_costs``.
     The order of ``max`` and ``min`` is the obstacle priority; an absent
     obstacle is ``-inf`` or ``+inf``.  Returns the changed-pass count and
     ``(L, U)``, ``eval_obstacles`` of the swept values.
 
-    Each pass starts with the whole stack's obstacles: when the projection
-    onto them changes no entry, neither would a Gauss-Seidel pass, so the
-    sweep returns them.  Otherwise the pass changes the first flagged pair it
-    visits, as every visit before it sees the check's obstacles, so the index
-    of the last check counts the changed passes.  The lower obstacle of
-    ``(i, j)`` reads only column ``j`` and the upper one only row ``i``, so a
-    lower pass visits a whole row and an upper pass a whole column at a time,
-    with the bits and pass counts of the pair loop."""
+    Each pass projects every pair at once onto the obstacles of the previous
+    pass's values.  The projection is monotone, so under the non-free-loop
+    property these passes reach the unique fixed point that a pair-by-pair
+    sweep reaches; a zero-cost loop can keep them cycling until the cap.  An
+    entry the pass does not change keeps its bytes, a -0.0 included."""
     project = _PROJECTIONS[projection]
-    m1, m2 = values.shape[0], values.shape[1]
-    # per mode i: the other modes and their costs, (ks[i], c[i]) of other_mode_costs
-    rows_l = list(zip(*lower)) if lower is not None and projection != "upper" else None
-    rows_u = list(zip(*upper)) if upper is not None and projection != "lower" else None
-    every = slice(None)
-    visits = {"lower": [(i, every) for i in range(m1)], "upper": [(every, j) for j in range(m2)]}.get(projection, pairs)
     pde_values = values.copy()
-    for sweep in range(config.max_sweeps):
+    for passes in range(config.max_sweeps):
         obstacles = gathered_obstacles(values, lower, upper)
-        if np.array_equal(project(pde_values, *obstacles), values):
-            return sweep, obstacles
-        worst = 0.0
-        for i, j in _pair_order(visits, sweep):
-            L = obstacle(values[:, j], rows_l[i], 0, np.subtract, np.maximum) if rows_l else -np.inf
-            U = obstacle(values[i], rows_u[j], -2, np.add, np.minimum) if rows_u else np.inf
-            new = project(pde_values[i, j], L, U)
-            delta = np.abs(new - values[i, j]).max(axis=-1)  # per pair of the visit
-            top = float(delta.max())
-            if top > 0.0:
-                # a pair whose delta is 0 keeps its bytes, as in the pair loop
-                np.copyto(values[i, j], new, where=(delta > 0.0)[..., None])
-                worst = max(worst, top)
-    raise SweepNonConvergenceError(worst, config.max_sweeps)
+        new = project(pde_values, *obstacles)
+        delta = np.abs(new - values)
+        if not delta.any():
+            return passes, obstacles
+        np.copyto(values, new, where=delta > 0.0)
+    raise SweepNonConvergenceError(float(delta.max()), config.max_sweeps)
 
 
 # --- assumption gates -------------------------------------------------------
@@ -521,7 +499,7 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
         t_next = float(times[k + 1])
         t_here = float(times[k])
         new = ws.step(values[k + 1], t_next, n, m, obstacles)
-        sweeps, obstacles = (0, None) if projection is None else _sweep(new, *ws.obstacle_costs(t_here), projection, ws.config, ws.pairs)
+        sweeps, obstacles = (0, None) if projection is None else _sweep(new, *ws.obstacle_costs(t_here), projection, ws.config)
         values[k] = new
         report.update_norms.append(float(np.max(np.abs(values[k] - values[k + 1]))))
         report.sweep_counts.append(sweeps)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import switchvi
 from switchvi import pde_solver
@@ -25,6 +28,7 @@ from switchvi.discretization import (
 from switchvi.exprdsl import NumericDomainError
 from switchvi.model import (
     ProblemSpec,
+    _simple_loops,
     driver_variable,
     eval_obstacles,
     load_builtin_problem,
@@ -635,22 +639,22 @@ class TestBilateral:
         with pytest.raises(ValueError, match="schedule"):
             pde_solver.check_schedule(schedule)
 
-    def test_priority_orders_differ_under_conflict(self):
-        # raw sweep check: when L > U the min-max projection sides with L,
-        # the max-min projection with U
-        pde = np.zeros((2, 2, 3))
-        values_a = pde.copy()
-        values_b = pde.copy()
-        lc = np.full((2, 2), 0.1)
-        uc = np.full((2, 2), 0.1)
-        base = np.array([[0.0, 2.0], [3.0, 0.0]])  # strong spreads force L > U at (0,0)
-        for arr in (values_a, values_b):
-            arr[:] = base[:, :, None]
-        cfg = SchemeConfig(max_sweeps=200)
-        sweep(values_a, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "minmax", cfg)
-        sweep(values_b, lc[:, :, None] * np.ones(3), uc[:, :, None] * np.ones(3), "maxmin", cfg)
-        assert float(np.min(values_a - values_b)) >= -1e-12
-        assert float(np.max(values_a - values_b)) > 0.1
+    def test_priority_decides_where_the_obstacles_conflict(self):
+        """Where ``L > U``, the min-max projection gives L and the max-min one U."""
+        pde = np.array([-1.0, 0.5, 3.0])
+        L, U = np.full(3, 1.0), np.full(3, 0.25)
+        assert np.array_equal(pde_solver._PROJECTIONS["minmax"](pde, L, U), L)
+        assert np.array_equal(pde_solver._PROJECTIONS["maxmin"](pde, L, U), U)
+
+    @pytest.mark.parametrize("projection", ["minmax", "maxmin"])
+    def test_conflicting_free_loop_raises(self, projection):
+        """Equal costs 0.1 make the loop (0,0) -> (1,0) -> (1,1) -> (0,1) -> (0,0) sum
+        to 0; from spreads that force ``L > U`` at (0,0) the passes never settle."""
+        values = np.broadcast_to(np.array([[0.0, 2.0], [3.0, 0.0]])[:, :, None], (2, 2, 3)).copy()
+        costs = np.full((2, 2, 3), 0.1)
+        assert not non_free(costs, costs)
+        with pytest.raises(SweepNonConvergenceError):
+            sweep(values, costs, costs, projection, SchemeConfig(max_sweeps=200))
 
 
 class TestResiduals:
@@ -945,8 +949,7 @@ def pair_loop_sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projecti
 
 def sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig):
     """``_sweep`` on cost tables, with the gathers that ``_Workspace.obstacle_costs`` keeps."""
-    pairs = [(i, j) for i in range(values.shape[0]) for j in range(values.shape[1])]
-    return _sweep(values, other_mode_costs(lc), other_mode_costs(uc), projection, config, pairs)
+    return _sweep(values, other_mode_costs(lc), other_mode_costs(uc), projection, config)
 
 
 def assert_swept_obstacles(obstacles, values, lc, uc):
@@ -965,14 +968,66 @@ def chained_costs(spec, modes, t=0.3):
     return lc, uc
 
 
-class TestSweepsByRowAndColumn:
-    """One-sided sweeps visit a row or a column at a time, with the pair loop's bits;
-    each pass starts with a whole-stack check whose obstacles the sweep hands back."""
+@functools.lru_cache(maxsize=None)
+def loop_legs(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
+    """How often each simple loop of ``_simple_loops`` uses each lower and each
+    upper leg, as ``(loops, m1 * m1)`` and ``(loops, m2 * m2)`` counts."""
+    loops = _simple_loops(m1, m2)
+    low, up = np.zeros((len(loops), m1, m1)), np.zeros((len(loops), m2, m2))
+    for n, loop in enumerate(loops):
+        for (i1, j1), (i2, j2) in zip(loop, loop[1:]):
+            if i1 != i2:
+                low[n, i1, i2] += 1
+            else:
+                up[n, j1, j2] += 1
+    return low.reshape(len(loops), m1 * m1), up.reshape(len(loops), m2 * m2)
+
+
+def non_free(lc: np.ndarray, uc: np.ndarray) -> bool:
+    """Every simple loop's cost sum, ``-lower + upper`` legs as ``validate_non_free_loop``
+    adds them, is non-zero at every node of the cost tail."""
+    low, up = loop_legs(lc.shape[0], uc.shape[0])
+    sums = up @ uc.reshape(up.shape[1], -1) - low @ lc.reshape(low.shape[1], -1)
+    return bool(np.all(sums != 0.0))
+
+
+@st.composite
+def non_free_sweeps(draw):
+    """Dyadic costs, so loop sums are exact, on up to 4 modes a player (not 4x4:
+    its loops pass the enumeration cap); the cheaper player's costs are divided
+    by 1, 4 or 64, and at 64 no loop that both players switch in can sum to 0."""
+    m1, m2 = draw(st.sampled_from([(a, b) for a in range(1, 5) for b in range(1, 5) if a * b < 16]))
+    scale, cheap = draw(st.sampled_from([1, 4, 64])), draw(st.sampled_from(["lower", "upper"]))
+
+    def costs(m, side):
+        numerators = draw(st.lists(st.integers(8, 16), min_size=m * m, max_size=m * m))
+        return np.reshape(numerators, (m, m)) / (8.0 * (scale if side == cheap else 1)) * (1 - np.eye(m))
+
+    lc, uc = costs(m1, "lower"), costs(m2, "upper")
+    assume(non_free(lc, uc))
+    start = np.reshape(draw(st.lists(st.integers(-16, 16), min_size=m1 * m2 * 3, max_size=m1 * m2 * 3)), (m1, m2, 3)) / 8.0
+    return start, lc, uc, draw(st.sampled_from(["lower", "upper", "minmax", "maxmin"]))
+
+
+def signed_zero_starts(lower_costs: tuple, upper_costs: tuple):
+    """Starts of -1 to 0.5 with both zeros on 3x2 and 2x3 games, with per-node
+    cost tables drawn from ``lower_costs`` and ``upper_costs``."""
+    rng = np.random.default_rng(1)
+    for modes in [(3, 2), (2, 3)] * 100:
+        values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5], size=modes + (2,))
+        lc = rng.choice(lower_costs, size=(modes[0], modes[0], 2)) * (1 - np.eye(modes[0]))[..., None]
+        uc = rng.choice(upper_costs, size=(modes[1], modes[1], 2)) * (1 - np.eye(modes[1]))[..., None]
+        yield values, lc, uc
+
+
+class TestSweepFixedPoint:
+    """Whole-stack passes reach the pair loop's fixed point on non-free costs,
+    and hand back the obstacles of the swept values."""
 
     @pytest.mark.parametrize("start", ["noisy", "swept"])
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
     @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (1, 1), (1, 2), (2, 1)])
-    def test_equals_the_pair_loop(self, modes, projection, start):
+    def test_reaches_the_pair_loop_fixed_point(self, modes, projection, start):
         """A player with one mode (the last three shapes) has the sentinel obstacle.
         A swept start is a fixed point: no pass changes it, and the first check's
         obstacles come back."""
@@ -986,54 +1041,96 @@ class TestSweepsByRowAndColumn:
         expected = values.copy()
         passes = pair_loop_sweep(expected, lc, uc, projection, config)
         got, obstacles = sweep(values, lc, uc, projection, config)
-        assert got == passes
-        assert same_bits(values, expected)
+        assert np.array_equal(values, expected)
+        assert (got >= 1) == (passes >= 1)
         assert_swept_obstacles(obstacles, values, lc, uc)
         if start == "swept":
-            assert passes == 0 and same_bits(values, before)
+            assert got == 0 and same_bits(values, before)
             return
         swept_modes = {"lower": modes[0], "upper": modes[1]}.get(projection, max(modes))
         assert passes >= min(swept_modes - 1, 2) and (swept_modes > 1 or passes == 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(non_free_sweeps())
+    def test_random_non_free_costs_reach_the_pair_loop_fixed_point(self, case):
+        start, lc, uc, projection = case
+        expected, values = start.copy(), start.copy()
+        passes = pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
+        got, obstacles = sweep(values, lc, uc, projection, SchemeConfig())
+        assert np.array_equal(values, expected)
+        assert (got >= 1) == (passes >= 1)
+        assert_swept_obstacles(obstacles, values, lc, uc)
+
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
     def test_max_sweeps_boundary(self, projection):
-        """A level that needs k changed passes raises at ``max_sweeps = k`` with
-        the pair loop's worst residual, and returns k at ``max_sweeps = k + 1``."""
+        """A level that the sweep settles in k changed passes raises at
+        ``max_sweeps = k``, naming the last pass's largest change, and returns k
+        at ``max_sweeps = k + 1``."""
         modes = (3, 3)
         spec = switching_in_time(*modes)
         lc, uc = chained_costs(spec, modes)
         start = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
-        k = pair_loop_sweep(start.copy(), lc, uc, projection, SchemeConfig())
+        k, _ = sweep(start.copy(), lc, uc, projection, SchemeConfig())
         assert k >= 2
-        capped = SchemeConfig(max_sweeps=k)
-        with pytest.raises(SweepNonConvergenceError) as reference:
-            pair_loop_sweep(start.copy(), lc, uc, projection, capped)
+        before, after = start.copy(), start.copy()
+        with pytest.raises(SweepNonConvergenceError):
+            sweep(before, lc, uc, projection, SchemeConfig(max_sweeps=k - 1))
         with pytest.raises(SweepNonConvergenceError) as err:
-            sweep(start.copy(), lc, uc, projection, capped)
-        assert (err.value.worst_residual, err.value.sweeps) == (reference.value.worst_residual, k)
-        values = start.copy()
+            sweep(after, lc, uc, projection, SchemeConfig(max_sweeps=k))
+        assert (err.value.worst_residual, err.value.sweeps) == (float(np.max(np.abs(after - before))), k)
+        values, expected = start.copy(), start.copy()
         passes, obstacles = sweep(values, lc, uc, projection, SchemeConfig(max_sweeps=k + 1))
         assert passes == k
+        pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
+        assert np.array_equal(values, expected)
         assert_swept_obstacles(obstacles, values, lc, uc)
 
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
-    def test_signed_zeros_and_zero_costs_keep_the_pair_loop_bits(self, projection):
-        """A pair whose change is 0 keeps its bytes, -0.0 or +0.0, while another pair of its row changes."""
-        rng = np.random.default_rng(1)
-        config = SchemeConfig(max_sweeps=50)
-        for modes in [(3, 2), (2, 3)] * 100:
-            values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5], size=modes + (2,))
-            lc = rng.choice([0.0, 0.5, 1.0], size=(modes[0], modes[0], 2)) * (1 - np.eye(modes[0]))[..., None]
-            uc = rng.choice([0.0, 0.5, 1.0], size=(modes[1], modes[1], 2)) * (1 - np.eye(modes[1]))[..., None]
-            expected = values.copy()
-            try:
-                passes = pair_loop_sweep(expected, lc, uc, projection, config)
-            except SweepNonConvergenceError:  # zero-cost loops need not settle
+    def test_signed_zeros_keep_their_bytes(self, projection):
+        """On non-free costs (one player's dear, the other's cheap): an entry a pass
+        leaves unchanged keeps its bytes, -0.0 or +0.0, while other entries change;
+        the sweep ends at the pair loop's values."""
+        project = pde_solver._PROJECTIONS[projection]
+        checked = 0
+        dear, cheap = (0.5, 1.0), (0.125, 0.25)
+        for start, lc, uc in (*signed_zero_starts(dear, cheap), *signed_zero_starts(cheap, dear)):
+            if not non_free(lc, uc):
                 continue
-            got, obstacles = sweep(values, lc, uc, projection, config)
-            assert got == passes
-            assert same_bits(values, expected)
+            checked += 1
+            expected, values, one = start.copy(), start.copy(), start.copy()
+            passes = pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
+            got, obstacles = sweep(values, lc, uc, projection, SchemeConfig())
+            assert np.array_equal(values, expected)
+            assert (got >= 1) == (passes >= 1)
             assert_swept_obstacles(obstacles, values, lc, uc)
+            new = project(start, *eval_obstacles(start, lc, uc))
+            try:
+                sweep(one, lc, uc, projection, SchemeConfig(max_sweeps=1))
+            except SweepNonConvergenceError:
+                pass
+            assert same_bits(one, np.where(new != start, new, start))
+        assert checked >= 300
+
+    @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
+    def test_free_loops_settle_or_raise(self, projection):
+        """With a zero-sum loop the fixed point need not be unique and the passes
+        may cycle: the sweep returns a fixed point or raises the typed error."""
+        config = SchemeConfig(max_sweeps=50)
+        project = pde_solver._PROJECTIONS[projection]
+        checked = 0
+        for start, lc, uc in signed_zero_starts((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)):
+            if non_free(lc, uc):
+                continue
+            checked += 1
+            values = start.copy()
+            try:
+                _, obstacles = sweep(values, lc, uc, projection, config)
+            except SweepNonConvergenceError as err:
+                assert err.sweeps == config.max_sweeps
+                continue
+            assert np.array_equal(project(start, *obstacles), values)
+            assert_swept_obstacles(obstacles, values, lc, uc)
+        assert checked >= 50
 
 
 def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float) -> np.ndarray:
