@@ -958,6 +958,19 @@ def assert_swept_obstacles(obstacles, values, lc, uc):
         assert same_bits(got, expected)
 
 
+def assert_reaches_the_pair_loop(values, lc, uc, projection) -> tuple[int, int]:
+    """``_sweep`` ends, in place, at the pair loop's values (``==``), makes a pass
+    exactly when the pair loop makes one, and hands back the swept values'
+    obstacles; returns its pass count and the pair loop's."""
+    expected = values.copy()
+    passes = pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
+    got, obstacles = sweep(values, lc, uc, projection, SchemeConfig())
+    assert np.array_equal(values, expected)
+    assert (got >= 1) == (passes >= 1)
+    assert_swept_obstacles(obstacles, values, lc, uc)
+    return got, passes
+
+
 def chained_costs(spec, modes, t=0.3):
     """Cost tables growing with the square of the mode distance: off the triangle
     inequality, so a switch chains through the modes in between over several passes."""
@@ -1034,16 +1047,10 @@ class TestSweepFixedPoint:
         spec = switching_in_time(*modes)
         lc, uc = chained_costs(spec, modes)
         values = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
-        config = SchemeConfig()
         if start == "swept":
-            pair_loop_sweep(values, lc, uc, projection, config)
+            pair_loop_sweep(values, lc, uc, projection, SchemeConfig())
         before = values.copy()
-        expected = values.copy()
-        passes = pair_loop_sweep(expected, lc, uc, projection, config)
-        got, obstacles = sweep(values, lc, uc, projection, config)
-        assert np.array_equal(values, expected)
-        assert (got >= 1) == (passes >= 1)
-        assert_swept_obstacles(obstacles, values, lc, uc)
+        got, passes = assert_reaches_the_pair_loop(values, lc, uc, projection)
         if start == "swept":
             assert got == 0 and same_bits(values, before)
             return
@@ -1054,12 +1061,7 @@ class TestSweepFixedPoint:
     @given(non_free_sweeps())
     def test_random_non_free_costs_reach_the_pair_loop_fixed_point(self, case):
         start, lc, uc, projection = case
-        expected, values = start.copy(), start.copy()
-        passes = pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
-        got, obstacles = sweep(values, lc, uc, projection, SchemeConfig())
-        assert np.array_equal(values, expected)
-        assert (got >= 1) == (passes >= 1)
-        assert_swept_obstacles(obstacles, values, lc, uc)
+        assert_reaches_the_pair_loop(start, lc, uc, projection)
 
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
     def test_max_sweeps_boundary(self, projection):
@@ -1078,11 +1080,9 @@ class TestSweepFixedPoint:
         with pytest.raises(SweepNonConvergenceError) as err:
             sweep(after, lc, uc, projection, SchemeConfig(max_sweeps=k))
         assert (err.value.worst_residual, err.value.sweeps) == (float(np.max(np.abs(after - before))), k)
-        values, expected = start.copy(), start.copy()
+        values = start.copy()
         passes, obstacles = sweep(values, lc, uc, projection, SchemeConfig(max_sweeps=k + 1))
         assert passes == k
-        pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
-        assert np.array_equal(values, expected)
         assert_swept_obstacles(obstacles, values, lc, uc)
 
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
@@ -1097,12 +1097,8 @@ class TestSweepFixedPoint:
             if not non_free(lc, uc):
                 continue
             checked += 1
-            expected, values, one = start.copy(), start.copy(), start.copy()
-            passes = pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
-            got, obstacles = sweep(values, lc, uc, projection, SchemeConfig())
-            assert np.array_equal(values, expected)
-            assert (got >= 1) == (passes >= 1)
-            assert_swept_obstacles(obstacles, values, lc, uc)
+            one = start.copy()
+            assert_reaches_the_pair_loop(start.copy(), lc, uc, projection)
             new = project(start, *eval_obstacles(start, lc, uc))
             try:
                 sweep(one, lc, uc, projection, SchemeConfig(max_sweeps=1))
