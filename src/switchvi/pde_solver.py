@@ -437,7 +437,7 @@ def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConf
     Each pass projects every pair at once onto the obstacles of the previous
     pass's values.  The projection is monotone, so under the non-free-loop
     property these passes reach the unique fixed point that a pair-by-pair
-    sweep reaches; a zero-cost loop can keep them cycling until the cap.  An
+    sweep reaches; a zero-sum loop can keep them cycling until the cap.  An
     entry the pass does not change keeps its bytes, a -0.0 included."""
     project = _PROJECTIONS[projection]
     pde_values = values.copy()
