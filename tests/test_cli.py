@@ -303,6 +303,25 @@ class TestBadConfigValues:
                 for system in ("minmax", "maxmin")
                 for label, schedule in (("str", ["a"]), ("int", 4), ("empty", []), ("repeat", [4, 4]), ("negative", [0, -1]), ("bool", [True, 2]))
             ),
+            # a negative or NaN penalty ran as 0, a boolean one as 1, and an infinite one exited 1 on the CFL guard
+            *(
+                pytest.param(command, {command: {**extra, key: value}}, f"error: config '{command}': penalty {key} ", id=f"{command}-{key}-{label}")
+                for command, extra in (("solve", {"system": "penalized"}), ("check", {}))
+                for key in ("n", "m")
+                for label, value in (("negative", -1), ("nan", "nan"), ("bool", True), ("inf", "Infinity"), ("nan-literal", float("nan")))
+            ),
+            # a count that is not an integer ran as int() of it
+            *(
+                pytest.param(command, {section: {key: value}}, f"error: config '{section}': ", id=f"{section}-{key}-{label}")
+                for command, section, key, good in (
+                    ("solve", "grid", "n_nodes", 21),
+                    ("solve", "time", "n_steps", 10),
+                    ("check", "check", "paths", 100),
+                    ("check", "check", "n_steps", 10),
+                    ("check", "check", "basis_degree", 3),
+                )
+                for label, value in (("float", good + 0.7), ("whole-float", float(good)), ("bool", True), ("str", str(good)))
+            ),
             pytest.param("sweep", {"sweep": {"n_schedule": ["abc"], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-str"),
             pytest.param("sweep", {"sweep": {"n_schedule": 4, "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-int"),
             pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_schedule": ["abc"]}}, "error: config 'sweep': ", id="sweep-m-str"),

@@ -61,6 +61,29 @@ class TestGrids:
         with pytest.raises(MalformedSpecError, match=re.escape(f"grid bounds [{x_min!r}, {x_max!r}]")):
             SpatialGrid.line(x_min, x_max, 11)
 
+    @pytest.mark.parametrize("n_nodes", [11, np.int64(11)], ids=repr)
+    def test_node_count_is_an_int(self, n_nodes):
+        g = SpatialGrid.line(-1.0, 1.0, n_nodes)
+        assert g.n_nodes == 11 and type(g.n_nodes) is int
+
+    @pytest.mark.parametrize("n_nodes", [50.5, 50.0, "60", True, np.True_, None], ids=repr)
+    def test_node_count_must_be_an_integer(self, n_nodes):
+        """``line`` truncated 50.5 to 50 nodes and read "60" as 60."""
+        with pytest.raises(MalformedSpecError, match="nodes"):
+            SpatialGrid.line(-2.0, 2.0, n_nodes)
+        with pytest.raises(MalformedSpecError, match="nodes"):
+            SpatialGrid(-2.0, 2.0, n_nodes)
+
+    @pytest.mark.parametrize("n_steps", [20.5, 20.0, "20", True, np.True_, None], ids=repr)
+    def test_step_count_must_be_an_integer(self, n_steps):
+        """20.5 steps failed in ``times()``, and ``True`` ran one step."""
+        with pytest.raises(MalformedSpecError, match="step"):
+            TimeGrid(0.5, n_steps)
+
+    def test_step_count_is_an_int(self):
+        tg = TimeGrid(0.5, np.int64(20))
+        assert tg.n_steps == 20 and type(tg.n_steps) is int
+
     def test_time_grid_hits_horizon_exactly(self):
         tg = TimeGrid(horizon=0.7, n_steps=7)
         assert tg.times()[-1] == 0.7

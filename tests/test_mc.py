@@ -98,6 +98,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_paths(spec_two_atom, quad_two_atom, 0.0, 0, TG, seed=1)
 
+    @pytest.mark.parametrize("n_paths", [50.5, 50.0, "50", True, np.True_], ids=repr)
+    def test_path_count_must_be_an_integer(self, spec_two_atom, quad_two_atom, n_paths):
+        """``True`` ran one path, and a float failed in ``np.empty`` or ran."""
+        with pytest.raises(ValueError, match="path"):
+            simulate_paths(spec_two_atom, quad_two_atom, 0.0, n_paths, TG, seed=1)
+
 
 class TestSeedKeys:
     """Path ``p`` draws from Philox keyed by ``(seed mod 2**64, p)`` as uint64."""
@@ -162,6 +168,13 @@ class TestRegressionBasis:
         assert got.tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("degree", [2.5, 3.0, "3", True, np.True_, -1], ids=repr)
+    def test_degree_must_be_a_non_negative_integer(self, degree):
+        """``True`` ran as degree 1, and a string failed with a TypeError."""
+        with pytest.raises(ValueError, match="degree"):
+            RegressionBasis(degree)
+
+
 class TestBsdeRegression:
     def test_constant_driver_closed_form(self):
         spec = make_spec(
@@ -211,6 +224,13 @@ class TestBsdeRegression:
         a = solve_bsde_regression(batch, spec_two_atom, 2.0, 0.0)
         b = solve_bsde_regression(batch, spec_two_atom, 2.0, 0.0)
         assert np.array_equal(a.y0, b.y0) and np.array_equal(a.stderr, b.stderr)
+
+    @pytest.mark.parametrize("n, m", [(-1.0, 0.0), (0.0, -1.0), (float("nan"), 0.0), (0.0, float("inf")), (True, 0.0), (0.0, "4")])
+    def test_penalties_must_be_finite_and_non_negative(self, spec_two_atom, quad_two_atom, n, m):
+        batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 20, TG, seed=1)
+        with pytest.raises(ValueError, match="penalty") as err:
+            solve_bsde_regression(batch, spec_two_atom, n, m)
+        assert type(err.value) is ValueError
 
     def test_monotonicity_transfer_in_n(self, spec_two_atom, quad_two_atom):
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 4_000, TG, seed=13)

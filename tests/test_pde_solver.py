@@ -101,6 +101,57 @@ class TestSchemeConfig:
             SchemeConfig(max_sweeps=max_sweeps)
 
 
+BAD_PENALTIES = [-5.0, -1, float("nan"), float("inf"), True, np.True_, "4", None]
+
+
+class TestPenalties:
+    """A penalty is a finite number >= 0: a negative or NaN one ran as 0, and an infinite one failed the CFL guard."""
+
+    @pytest.mark.parametrize("penalty", [0, 4, 2.5, np.int64(3), np.float64(1.5)], ids=repr)
+    def test_check_penalty_keeps_the_value(self, penalty):
+        assert pde_solver.check_penalty(penalty) == float(penalty)
+        assert type(pde_solver.check_penalty(penalty)) is float
+
+    @pytest.mark.parametrize("penalty", BAD_PENALTIES, ids=repr)
+    def test_check_penalty_rejects_anything_but_a_finite_number_of_at_least_0(self, penalty):
+        with pytest.raises(ValueError, match="penalty m must be") as err:
+            pde_solver.check_penalty(penalty, "m")
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("penalty", BAD_PENALTIES, ids=repr)
+    @pytest.mark.parametrize("side", ["n", "m"])
+    def test_solve_penalized_rejects_a_bad_penalty(self, spec_no_jump, side, penalty):
+        """``n=-5`` returned the ``n=0`` trajectory under the name ``penalized(n=-5.0, ...)``."""
+        tgrid = TimeGrid(horizon=spec_no_jump.horizon, n_steps=20)
+        penalties = {"n": 4.0, "m": 4.0, side: penalty}
+        with pytest.raises(ValueError, match=f"penalty {side} must be") as err:
+            solve_penalized(spec_no_jump, GRID, tgrid, build_levy_quadrature(spec_no_jump.levy), penalties["n"], penalties["m"])
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("penalty", [-3.0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("solver, side", [(solve_lower_reflected, "m"), (solve_upper_reflected, "n")])
+    def test_reflected_solves_reject_a_bad_penalty(self, spec_no_jump, solver, side, penalty):
+        tgrid = TimeGrid(horizon=spec_no_jump.horizon, n_steps=20)
+        with pytest.raises(ValueError, match=f"penalty {side} must be") as err:
+            solver(spec_no_jump, GRID, tgrid, build_levy_quadrature(spec_no_jump.levy), penalty)
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("n, m", [(-1.0, 0.0), (0.0, float("nan")), (True, 0.0)])
+    def test_residual_report_rejects_a_bad_penalty(self, spec_no_jump, n, m):
+        tgrid = TimeGrid(horizon=spec_no_jump.horizon, n_steps=20)
+        quad = build_levy_quadrature(spec_no_jump.levy)
+        traj, _ = solve_penalized(spec_no_jump, GRID, tgrid, quad, 1.0, 1.0)
+        with pytest.raises(ValueError, match="penalty"):
+            residual_report(traj, spec_no_jump, GRID, tgrid, quad, "penalized", n, m)
+
+    def test_stability_guard_rejects_a_nan_stability_number(self, spec_no_jump):
+        """``NaN > 1 + 1e-12`` is false, so the guard let a NaN stability number through."""
+        tgrid = TimeGrid(horizon=spec_no_jump.horizon, n_steps=20)
+        ws = _Workspace(spec_no_jump, GRID, tgrid, build_levy_quadrature(spec_no_jump.levy), SchemeConfig())
+        with pytest.raises(CflViolationError, match="nan"):
+            ws.check_cfl(float("nan"), 0.0)
+
+
 class TestStepAndCfl:
     def test_closed_form_constant_driver(self):
         c = 0.7
