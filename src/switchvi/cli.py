@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import export, mc, oracle, pde_solver
-from .discretization import NonIntegrableDensityError, SpatialGrid, TimeGrid, build_levy_quadrature, check_atom_count
+from .discretization import NonIntegrableDensityError, SpatialGrid, TimeGrid, build_levy_quadrature, check_atom_count, is_integer
 from .exprdsl import ExprError
 from .model import (
     CapacityError,
@@ -116,9 +116,9 @@ def _load_spec(cfg: dict, config_dir: Path) -> ProblemSpec:
 def _grids(cfg: dict, spec: ProblemSpec) -> tuple[SpatialGrid, TimeGrid]:
     g = cfg.get("grid", {})
     with _config_section("grid"):
-        grid = SpatialGrid.line(float(g.get("x_min", -2.0)), float(g.get("x_max", 2.0)), int(g.get("n_nodes", 101)))
+        grid = SpatialGrid.line(float(g.get("x_min", -2.0)), float(g.get("x_max", 2.0)), g.get("n_nodes", 101))
     with _config_section("time"):
-        tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(cfg.get("time", {}).get("n_steps", 50)))
+        tgrid = TimeGrid(horizon=spec.horizon, n_steps=cfg.get("time", {}).get("n_steps", 50))
     return grid, tgrid
 
 
@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
     schedule = solve.get("schedule", pde_solver.DEFAULT_PENALTY_SCHEDULE)
     with _config_section("solve"):
         if system == "penalized":
-            n, m = float(solve.get("n", 1)), float(solve.get("m", 1))
+            n, m = (pde_solver.check_penalty(solve.get(key, 1), key) for key in ("n", "m"))
         elif system not in ("minmax", "maxmin"):
             raise ValueError(f"unknown system '{system}'")
         elif mode not in ("direct", "limit"):
@@ -284,14 +284,13 @@ def cmd_check(args) -> int:
         raise UsageError(f"instance has {n_states} states; the cross-check caps at {MAX_CHECK_STATES}")
 
     with _config_section("check"):
-        n_pen = float(ck.get("n", 4))
-        m_pen = float(ck.get("m", 4))
+        n_pen, m_pen = (pde_solver.check_penalty(ck.get(key, 4), key) for key in ("n", "m"))
         x0 = float(ck.get("x0", 0.0))
-        n_paths = int(ck.get("paths", 10_000))
-        if n_paths < 2:
-            raise ValueError(f"need at least two paths for a regression estimate, got {n_paths}")
-        mc_tgrid = TimeGrid(horizon=spec.horizon, n_steps=int(ck.get("n_steps", tgrid.n_steps)))
-        basis = mc.RegressionBasis(int(ck.get("basis_degree", 3)))
+        n_paths = ck.get("paths", 10_000)
+        if not is_integer(n_paths) or n_paths < 2:
+            raise ValueError(f"need an integer of at least two paths for a regression estimate, got {n_paths!r}")
+        mc_tgrid = TimeGrid(horizon=spec.horizon, n_steps=ck.get("n_steps", tgrid.n_steps))
+        basis = mc.RegressionBasis(ck.get("basis_degree", 3))
 
     results: dict = {"seed": args.seed}
     ok = True

@@ -79,6 +79,7 @@ __all__ = [
     "ValueField",
     "build_levy_quadrature",
     "check_atom_count",
+    "is_integer",
     "NonIntegrableDensityError",
     "interpolate",
     "DestinationTable",
@@ -99,6 +100,12 @@ class NonIntegrableDensityError(ValueError):
     """The quadrature of a jump density produced a divergent moment sum."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a boolean: the
+    type every count (nodes, steps, atoms, paths, sweeps, degree) must have."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform grid of ``n_nodes`` nodes on the interval ``[x_min, x_max]``."""
@@ -108,8 +115,9 @@ class SpatialGrid:
     n_nodes: int
 
     def __post_init__(self):
-        if self.n_nodes < 3:
-            raise MalformedSpecError(f"need at least 3 nodes, got {self.n_nodes}")
+        if not is_integer(self.n_nodes) or self.n_nodes < 3:
+            raise MalformedSpecError(f"need an integer of at least 3 nodes, got {self.n_nodes!r}")
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))
         if not math.isfinite(self.x_max - self.x_min):
             raise MalformedSpecError(f"spatial grid bounds [{self.x_min!r}, {self.x_max!r}] must be finite, with a finite width")
         if not self.x_max > self.x_min:
@@ -117,7 +125,7 @@ class SpatialGrid:
 
     @staticmethod
     def line(x_min: float, x_max: float, n_nodes: int) -> "SpatialGrid":
-        return SpatialGrid(float(x_min), float(x_max), int(n_nodes))
+        return SpatialGrid(float(x_min), float(x_max), n_nodes)
 
     @property
     def dx(self) -> float:
@@ -133,8 +141,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise MalformedSpecError("need at least one time step")
+        if not is_integer(self.n_steps) or self.n_steps < 1:
+            raise MalformedSpecError(f"need an integer of at least 1 time step, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
         if self.horizon <= 0:
             raise MalformedSpecError("time horizon must be positive")
 
@@ -185,7 +194,7 @@ def check_atom_count(n_atoms) -> int:
     """``n_atoms`` as an int if it is an even integer >= 2, the atom counts of
     a density quadrature (half of its cells on each side of zero); ValueError
     otherwise."""
-    if isinstance(n_atoms, (int, np.integer)) and n_atoms >= 2 and n_atoms % 2 == 0:
+    if is_integer(n_atoms) and n_atoms >= 2 and n_atoms % 2 == 0:
         return int(n_atoms)
     raise ValueError(f"n_atoms must be an even integer >= 2, got {n_atoms!r}")
 

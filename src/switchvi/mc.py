@@ -35,9 +35,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .discretization import LevyQuadrature, TimeGrid, beta_slope_at_zero
+from .discretization import LevyQuadrature, TimeGrid, beta_slope_at_zero, is_integer
 from .model import GrowthBound, ProblemSpec, eval_obstacles, neg_part, pos_part
-from .pde_solver import Trajectory
+from .pde_solver import Trajectory, check_penalty
 
 __all__ = [
     "PathBatch",
@@ -89,8 +89,8 @@ class RegressionBasis:
     degree: int = 3
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"basis degree must be non-negative, got {self.degree}")
+        if not is_integer(self.degree) or self.degree < 0:
+            raise ValueError(f"basis degree must be a non-negative integer, got {self.degree!r}")
 
     def design(self, x: np.ndarray) -> np.ndarray:
         """The ``x.shape + (degree + 1,)`` powers, each column the previous
@@ -138,8 +138,8 @@ def simulate_paths(
     re-keyed per path to counter 0 and an empty buffer, so any seed,
     negative or at least 2**63 included, has its own stream.
     """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    if not is_integer(n_paths) or n_paths < 1:
+        raise ValueError(f"need an integer of at least one path, got {n_paths!r}")
     if not math.isfinite(quad.total_weight):
         raise ValueError("quadrature total weight must be finite")
     seed = int(seed) % 2**64  # counter-based keys are uint64
@@ -230,6 +230,7 @@ def solve_bsde_regression(
     mean and the continuation used for the jump argument is the smoothing
     fit of the level-one values on the level-one states.
     """
+    n, m = check_penalty(n, "n"), check_penalty(m, "m")
     if batch.n_paths < 2:
         raise ValueError("need at least two paths for a regression estimate")
     basis = basis or RegressionBasis()

@@ -48,7 +48,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import exprdsl
 from .discretization import (
@@ -58,6 +57,7 @@ from .discretization import (
     ValueField,
     beta_slope_at_zero,
     gradient_surface,
+    is_integer,
     jump_operator,
     second_derivative_surface,
     upwind_drift,
@@ -92,6 +92,7 @@ __all__ = [
     "solve_maxmin",
     "residual_report",
     "check_schedule",
+    "check_penalty",
     "DEFAULT_PENALTY_SCHEDULE",
 ]
 
@@ -107,6 +108,15 @@ def check_schedule(schedule) -> tuple:
     if entries and positive and all(a < b for a, b in zip(entries, entries[1:])):
         return entries
     raise ValueError(f"schedule must be a non-empty, strictly increasing sequence of finite positive penalties, got {schedule!r}")
+
+
+def check_penalty(penalty, name: str) -> float:
+    """``penalty`` as a float if it is a finite number >= 0 (not a boolean),
+    the penalty ``name`` (``n`` on the lower obstacle, ``m`` on the upper one);
+    ValueError otherwise, never the stability guard's CflViolationError."""
+    if isinstance(penalty, (int, float, np.integer, np.floating)) and not isinstance(penalty, bool) and 0 <= penalty < np.inf:
+        return float(penalty)
+    raise ValueError(f"penalty {name} must be a finite number >= 0, got {penalty!r}")
 
 
 class CflViolationError(ValueError):
@@ -156,7 +166,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.mode not in ("explicit", "imex"):
             raise ValueError(f"unknown scheme mode '{self.mode}'")
-        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+        if not is_integer(self.max_sweeps) or self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be an integer of at least 1, got {self.max_sweeps!r}")
 
 
@@ -333,7 +343,7 @@ class _Workspace:
 
     def check_cfl(self, n: float, m: float) -> tuple[float, dict]:
         value, terms = self.cfl(n, m)
-        if value > 1.0 + 1e-12:
+        if not value <= 1.0 + 1e-12:  # a NaN stability number fails too
             raise CflViolationError(
                 f"stability number {value:.4f} exceeds 1 "
                 f"(terms: { {k: round(v, 4) for k, v in terms.items()} }); "
@@ -401,7 +411,13 @@ class _Workspace:
     def _implicit_diffusion(self, values: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
         """Solve (I - dt * a * D2) v = rhs per surface, in place in ``values``,
         which it returns; clamped ghost rows.  The solve skips scipy's
-        finiteness check: the step checks its result."""
+        finiteness check: the step checks its result.
+
+        This is the package's one use of scipy, so it is imported here, at
+        the first implicit step, and explicit runs never load it; the solver
+        is looked up on ``scipy.linalg`` at every call."""
+        import scipy.linalg
+
         if self._banded is None or self._local_reads_t:
             r = self.dt * a_diff / self.dx**2
             ab = np.zeros((3, self.n_nodes))
@@ -524,6 +540,7 @@ def solve_penalized(
     config: SchemeConfig | None = None,
 ) -> tuple[Trajectory, SolverReport]:
     """Backward solve of the doubly penalized system from expiry to time 0."""
+    n, m = check_penalty(n, "n"), check_penalty(m, "m")
     config = config or SchemeConfig()
     ws = _Workspace(spec, grid, tgrid, quad, config)
     traj, report = _solve_backward(ws, n, m, None, system=f"penalized(n={n}, m={m})")
@@ -541,10 +558,12 @@ def _solve_reflected(
     config: SchemeConfig | None,
 ) -> tuple[Trajectory, SolverReport]:
     """The ``side`` obstacle by projection sweeps, the other one penalized with ``penalty``."""
+    name = "m" if side == "lower" else "n"
+    penalty = check_penalty(penalty, name)
     config = config or SchemeConfig()
     ws = _Workspace(spec, grid, tgrid, quad, config)
     _gate_loops(spec, grid, tgrid, moves=side)
-    name, n, m = ("m", 0.0, penalty) if side == "lower" else ("n", penalty, 0.0)
+    n, m = (0.0, penalty) if side == "lower" else (penalty, 0.0)
     traj, report = _solve_backward(ws, n, m, side, system=f"{side}_reflected({name}={penalty})")
     report.extra["penalties"] = {name: penalty}
     return traj, report
@@ -699,6 +718,7 @@ def residual_report(
     """
     if system != "penalized" and system not in _PROJECTIONS:
         raise ValueError(f"unknown system '{system}'")
+    n, m = check_penalty(n, "n"), check_penalty(m, "m")
     config = config or SchemeConfig()
     ws = _Workspace(spec, grid, tgrid, quad, config)
     report = SolverReport(system=f"residual({system})", dt=ws.dt, n_steps=tgrid.n_steps)

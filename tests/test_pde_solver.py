@@ -109,8 +109,8 @@ class TestPenalties:
 
     @pytest.mark.parametrize("penalty", [0, 4, 2.5, np.int64(3), np.float64(1.5)], ids=repr)
     def test_check_penalty_keeps_the_value(self, penalty):
-        assert pde_solver.check_penalty(penalty) == float(penalty)
-        assert type(pde_solver.check_penalty(penalty)) is float
+        assert pde_solver.check_penalty(penalty, "n") == float(penalty)
+        assert type(pde_solver.check_penalty(penalty, "n")) is float
 
     @pytest.mark.parametrize("penalty", BAD_PENALTIES, ids=repr)
     def test_check_penalty_rejects_anything_but_a_finite_number_of_at_least_0(self, penalty):
