@@ -31,14 +31,16 @@ are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
 at once, the jump sums included (one matrix product per assembled jump
 matrix), and the drivers of all pairs come as one table from the workspace's
 one driver evaluator (``ProblemSpec.driver_evaluator``); only the implicit
-diffusion solves pair by pair.  An obstacle sweep is a run of whole-stack
-passes: each projects every pair at once onto the obstacles of the previous
-pass's values, which under the non-free-loop property reaches the unique fixed
-point a pair-by-pair sweep reaches.  A pass whose projection changes nothing
-is at the fixed point and stops, and the report and the next step's penalties
-reuse its obstacles, so a level evaluates them once, from the workspace's one
-cost format, its cached cost gathers; the terminal gate reads the terminal
-level's record.  Identical inputs give bitwise-identical results.
+diffusion solves pair by pair.  That banded solve is the package's one use of
+scipy, imported at the first implicit step, so the package imports and
+explicit solves run without loading scipy.  An obstacle sweep is a run of
+whole-stack passes: each projects every pair at once onto the obstacles of the
+previous pass's values, which under the non-free-loop property reaches the
+unique fixed point a pair-by-pair sweep reaches.  A pass whose projection
+changes nothing is at the fixed point and stops, and the report and the next
+step's penalties reuse its obstacles, so a level evaluates them once, from the
+workspace's one cost format, its cached cost gathers; the terminal gate reads
+the terminal level's record.  Identical inputs give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -99,12 +101,16 @@ __all__ = [
 DEFAULT_PENALTY_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_schedule(schedule) -> tuple:
     """``schedule`` as a tuple of its entries if it is a non-empty sequence of
     finite, positive, strictly increasing numbers (not booleans), the penalties
     of a limit solve; ValueError otherwise."""
     entries = tuple(schedule) if isinstance(schedule, (Sequence, np.ndarray)) and not isinstance(schedule, str) else ()
-    positive = all(isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool) and 0 < p < np.inf for p in entries)
+    positive = all(_is_number(p) and 0 < p < np.inf for p in entries)
     if entries and positive and all(a < b for a, b in zip(entries, entries[1:])):
         return entries
     raise ValueError(f"schedule must be a non-empty, strictly increasing sequence of finite positive penalties, got {schedule!r}")
@@ -112,9 +118,9 @@ def check_schedule(schedule) -> tuple:
 
 def check_penalty(penalty, name: str) -> float:
     """``penalty`` as a float if it is a finite number >= 0 (not a boolean),
-    the penalty ``name`` (``n`` on the lower obstacle, ``m`` on the upper one);
-    ValueError otherwise, never the stability guard's CflViolationError."""
-    if isinstance(penalty, (int, float, np.integer, np.floating)) and not isinstance(penalty, bool) and 0 <= penalty < np.inf:
+    the penalty ``name`` (``n`` on the lower obstacle, ``m`` on the upper
+    one) of a single solve; ValueError otherwise."""
+    if _is_number(penalty) and 0 <= penalty < np.inf:
         return float(penalty)
     raise ValueError(f"penalty {name} must be a finite number >= 0, got {penalty!r}")
 
@@ -411,11 +417,9 @@ class _Workspace:
     def _implicit_diffusion(self, values: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
         """Solve (I - dt * a * D2) v = rhs per surface, in place in ``values``,
         which it returns; clamped ghost rows.  The solve skips scipy's
-        finiteness check: the step checks its result.
-
-        This is the package's one use of scipy, so it is imported here, at
-        the first implicit step, and explicit runs never load it; the solver
-        is looked up on ``scipy.linalg`` at every call."""
+        finiteness check: the step checks its result.  scipy is imported here,
+        at the first implicit step, and ``solve_banded`` looked up on
+        ``scipy.linalg`` at every call, so explicit runs never load scipy."""
         import scipy.linalg
 
         if self._banded is None or self._local_reads_t:

@@ -95,14 +95,11 @@ class TestSimulate:
         assert abs(float(xt.mean()) - 0.3) <= 4 * se
 
     def test_path_count_guard(self, spec_two_atom, quad_two_atom):
-        with pytest.raises(ValueError):
-            simulate_paths(spec_two_atom, quad_two_atom, 0.0, 0, TG, seed=1)
-
-    @pytest.mark.parametrize("n_paths", [50.5, 50.0, "50", True, np.True_], ids=repr)
-    def test_path_count_must_be_an_integer(self, spec_two_atom, quad_two_atom, n_paths):
-        """``True`` ran one path, and a float failed in ``np.empty`` or ran."""
-        with pytest.raises(ValueError, match="path"):
-            simulate_paths(spec_two_atom, quad_two_atom, 0.0, n_paths, TG, seed=1)
+        """A path count is an integer of at least 1: ``True`` ran one path, and a
+        float failed in ``np.empty`` or ran."""
+        for n_paths in (0, 50.5, 50.0, "50", True, np.True_):
+            with pytest.raises(ValueError, match="path"):
+                simulate_paths(spec_two_atom, quad_two_atom, 0.0, n_paths, TG, seed=1)
 
 
 class TestSeedKeys:
