@@ -199,7 +199,7 @@ def cmd_solve(args) -> int:
         elif mode == "limit":
             schedule = pde_solver.check_schedule(schedule)
     levels = cfg.get("output", {}).get("levels")
-    if levels is not None and not (isinstance(levels, list) and all(isinstance(k, int) and 0 <= k <= tgrid.n_steps for k in levels)):
+    if levels is not None and not (isinstance(levels, list) and all(is_integer(k) and 0 <= k <= tgrid.n_steps for k in levels)):
         raise UsageError(f"config 'output': levels must be a list of integers in 0..{tgrid.n_steps}, got {levels!r}")
 
     t0 = time.perf_counter()
@@ -285,7 +285,9 @@ def cmd_check(args) -> int:
 
     with _config_section("check"):
         n_pen, m_pen = (pde_solver.check_penalty(ck.get(key, 4), key) for key in ("n", "m"))
-        x0 = float(ck.get("x0", 0.0))
+        x0 = ck.get("x0", 0.0)
+        if not (pde_solver.is_number(x0) and abs(x0) < np.inf):
+            raise ValueError(f"x0 must be a finite number, got {x0!r}")
         n_paths = ck.get("paths", 10_000)
         if not is_integer(n_paths) or n_paths < 2:
             raise ValueError(f"need an integer of at least two paths for a regression estimate, got {n_paths!r}")

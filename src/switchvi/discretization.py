@@ -94,6 +94,7 @@ __all__ = [
 
 ATOM_WEIGHT_FLOOR = 1e-14
 _NODE_SNAP = 1e-9  # relative tolerance for snapping a query onto a grid node
+BETA_SLOPE_STEP = 1e-6  # mark step of beta_slope_at_zero's central difference
 
 
 class NonIntegrableDensityError(ValueError):
@@ -389,8 +390,10 @@ def second_derivative_surface(surface: np.ndarray, grid: SpatialGrid) -> np.ndar
 # --- non-local operators ----------------------------------------------------
 
 
-def beta_slope_at_zero(beta_of: Callable[[np.ndarray, float], np.ndarray], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """d beta / d e at e = 0 by a central difference (drives the small-jump surrogate)."""
+def beta_slope_at_zero(beta_of: Callable[[np.ndarray, float], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """d beta / d e at e = 0 by a central difference of step ``BETA_SLOPE_STEP``
+    (drives the small-jump surrogate)."""
+    h = BETA_SLOPE_STEP
     return (np.asarray(beta_of(x, h)) - np.asarray(beta_of(x, -h))) / (2.0 * h)
 
 

@@ -88,9 +88,7 @@ def plotdata_csv(trajectory: Trajectory, spec: ProblemSpec, level: int = 0) -> s
     field = trajectory.level(level)
     x = trajectory.grid.axis()
     t = float(trajectory.times[level])
-    lc = spec.lower_cost_table(t, x)
-    uc = spec.upper_cost_table(t, x)
-    L, U = eval_obstacles(field.values, lc, uc)
+    L, U = eval_obstacles(field.values, spec.obstacle_costs(t, x))
     m1, m2 = field.values.shape[0], field.values.shape[1]
     header = ["x"] + [f"{c}_{i}_{j}" for i in range(m1) for j in range(m2) for c in "vLU"]
     columns = np.stack([field.values, L, U], axis=2).reshape(3 * m1 * m2, -1)

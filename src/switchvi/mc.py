@@ -52,6 +52,7 @@ __all__ = [
 
 
 N_PICARD = 2  # Picard passes over the value-matrix coupling per step
+BIAS_ALLOWANCE = 0.05  # the Feynman-Kac check's relative scheme-bias allowance
 
 
 class SingularRegressionError(RuntimeError):
@@ -253,12 +254,11 @@ def solve_bsde_regression(
 
     def picard(cont: np.ndarray, q_hat: np.ndarray, t: float, xk: np.ndarray) -> np.ndarray:
         """cont, q_hat: (m1, m2, P) continuation and jump-argument stacks."""
-        lc = spec.lower_cost_table(t, xk)
-        uc = spec.upper_cost_table(t, xk)
+        costs = spec.obstacle_costs(t, xk)
         drivers = spec.driver_evaluator(xk)
         y = cont
         for _ in range(N_PICARD):
-            L, U = eval_obstacles(y, lc, uc)
+            L, U = eval_obstacles(y, costs)
             g = drivers(t, y, 0.0, q_hat)
             y = cont + dt * (g + n * neg_part(y - L) - m * pos_part(y - U))
         return y
@@ -300,13 +300,12 @@ def feynman_kac_check(
     estimate: BsdeEstimate,
     x0: float,
     growth: GrowthBound,
-    bias_allowance: float = 0.05,
 ) -> CheckReport:
     """Compare ``v(0, x0)`` per mode pair against the regression estimate.
 
     ``v(0, x0)`` is read off the grid with the problem's growth bound, so a
     start point outside the box is extrapolated as the solver would.
-    Pass threshold per pair: ``4 * stderr + bias_allowance * (1 + |v|)``.
+    Pass threshold per pair: ``4 * stderr + BIAS_ALLOWANCE * (1 + |v|)``.
     """
     from .discretization import interpolate
 
@@ -321,7 +320,7 @@ def feynman_kac_check(
         for j in range(m2):
             v = interpolate(level0, (i, j), x0, trajectory.grid, growth)
             diff = abs(v - float(estimate.y0[i, j]))
-            thr = 4.0 * float(estimate.stderr[i, j]) + bias_allowance * (1.0 + abs(v))
+            thr = 4.0 * float(estimate.stderr[i, j]) + BIAS_ALLOWANCE * (1.0 + abs(v))
             ok = diff <= thr
             report.passed = report.passed and ok
             report.records.append(

@@ -62,6 +62,8 @@ MAX_MODE_PAIRS = 36
 MAX_ENUMERATED_LOOPS = 200_000
 NON_FREE_LOOP_TOL = 1e-9  # a loop sum this close to 0, relative to its legs and 1, is free
 TERMINAL_CONSISTENCY_TOL = 1e-12  # how far terminal data may break the sandwich at expiry
+BOUND_SAMPLE_MARKS = (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0)  # the marks e at which the coefficient bounds are probed
+BOUND_TOL = 1e-12  # how far below 0 a probed cost, gamma or driver increment may fall
 
 DRIFT_SCHEMA = ("t", "x")
 COST_SCHEMA = ("t", "x")
@@ -329,6 +331,11 @@ class ProblemSpec:
         """(m2, m2) + x.shape array of upper switching costs at (t, x); diagonal 0."""
         return self._cost_table(self.modes.m2, self.eval_upper_cost, t, x)
 
+    def obstacle_costs(self, t: float, x) -> tuple:
+        """The players' :func:`other_mode_costs` gathers of the lower and upper
+        cost tables at (t, x): the cost format :func:`eval_obstacles` reads."""
+        return other_mode_costs(self.lower_cost_table(t, x)), other_mode_costs(self.upper_cost_table(t, x))
+
     def terminal_table(self, x) -> np.ndarray:
         """(m1, m2) + x.shape array of the terminal data ``h^{ij}(x)``."""
         x = np.asarray(x, dtype=float)
@@ -337,20 +344,14 @@ class ProblemSpec:
             out[pair] = self.eval_terminal(pair, x)
         return out
 
-    def driver_table(self, t: float, x, y: np.ndarray, z, q) -> np.ndarray:
-        """``(m1, m2) + x.shape`` array of the drivers ``g^{ij}(t, x, y, z^{ij}, q^{ij})``.
-
-        ``y`` is the ``(m1, m2) + x.shape`` value stack; ``z`` and ``q`` are
-        stacks of that shape or scalars.  Bitwise equal to one
-        :meth:`eval_driver` call per pair; one call of
-        ``driver_evaluator(x)``.
-        """
-        return self.driver_evaluator(x)(t, y, z, q)
-
     def driver_evaluator(self, x):
-        """``drivers(t, y, z, q)``, :meth:`driver_table` at this ``x``, by one
-        :class:`~switchvi.exprdsl.Evaluator`, which computes the drivers'
-        subtrees over ``t`` and ``x`` alone once per distinct ``t``."""
+        """``drivers(t, y, z, q)``: the ``(m1, m2) + x.shape`` array of the
+        drivers ``g^{ij}(t, x, y, z^{ij}, q^{ij})`` at this ``x``, for a
+        ``(m1, m2) + x.shape`` value stack ``y`` and ``z``, ``q`` stacks of
+        that shape or scalars.  Bitwise equal to one :meth:`eval_driver` call
+        per pair, by one :class:`~switchvi.exprdsl.Evaluator`, which computes
+        the drivers' subtrees over ``t`` and ``x`` alone once per distinct
+        ``t``."""
         x = np.asarray(x, dtype=float)
         pairs = list(self.modes.pairs())
         table = Evaluator([self.drivers[p] for p in pairs], x, [driver_variable(i, j) for i, j in pairs])
@@ -420,12 +421,7 @@ def obstacle(y: np.ndarray, gather, axis: int, combine: np.ufunc, pick: np.ufunc
     return pick.reduce(cands, axis=axis + 1)
 
 
-def gathered_obstacles(y: np.ndarray, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eval_obstacles` from each player's :func:`other_mode_costs` gather."""
-    return obstacle(y, lower, 0, np.subtract, np.maximum), obstacle(y, upper, 1, np.add, np.minimum)
-
-
-def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eval_obstacles(y: np.ndarray, costs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Interconnected obstacles built from a value matrix.
 
     ``L[i,j] = max_{k != i} (y[k,j] - lower_costs[i,k])`` and
@@ -434,17 +430,13 @@ def eval_obstacles(y: np.ndarray, lower_costs: np.ndarray, upper_costs: np.ndarr
     which makes downstream penalties and projections vanish.
 
     ``y`` is ``(m1, m2) + tail`` and may carry trailing axes such as grid
-    nodes or paths.  ``lower_costs`` is ``(m1, m1) + cost_tail`` and
-    ``upper_costs`` ``(m2, m2) + cost_tail``, where ``cost_tail`` broadcasts
-    against ``tail`` (``()`` for constant costs, or ``tail`` itself); ``L``
-    and ``U`` have the shape of ``y``.  Each side is one :func:`obstacle`
-    over all modes, whose candidate gather is ``m - 1`` times the size of
-    ``y``; with two modes that gather is the obstacle itself.  The upper
-    costs are gathered only once ``L`` is done, so the two players' gathers
-    are never held together (on path stacks that raised peak memory).
+    nodes or paths.  ``costs`` is :meth:`ProblemSpec.obstacle_costs`, the
+    players' cost gathers, whose cost tail broadcasts against ``tail``
+    (``()`` for constant costs, or ``tail`` itself); ``L`` and ``U`` have
+    the shape of ``y``.  Each side is one :func:`obstacle` over all modes.
     """
-    L = obstacle(y, other_mode_costs(lower_costs), 0, np.subtract, np.maximum)
-    return L, obstacle(y, other_mode_costs(upper_costs), 1, np.add, np.minimum)
+    lower, upper = costs
+    return obstacle(y, lower, 0, np.subtract, np.maximum), obstacle(y, upper, 1, np.add, np.minimum)
 
 
 # --- validation ----------------------------------------------------------
@@ -565,9 +557,7 @@ def validate_terminal_consistency(spec: ProblemSpec, sample_xs: Sequence[float])
     xs = np.asarray(list(sample_xs), dtype=float)
     T = spec.horizon
     h = spec.terminal_table(xs)
-    lc = spec.lower_cost_table(T, xs)
-    uc = spec.upper_cost_table(T, xs)
-    L, U = eval_obstacles(h, lc, uc)
+    L, U = eval_obstacles(h, spec.obstacle_costs(T, xs))
     low_viol = neg_part(h - L)  # L > h
     up_viol = pos_part(h - U)  # h > U
     worst = max(float(np.max(low_viol)), float(np.max(up_viol)))
@@ -597,8 +587,6 @@ def validate_coefficient_bounds(
     spec: ProblemSpec,
     sample_ts: Sequence[float],
     sample_xs: Sequence[float],
-    sample_es: Sequence[float] = (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0),
-    tol: float = 1e-12,
 ) -> ValidationReport:
     """Probe cost non-negativity, gamma/beta envelopes and driver monotonicity.
 
@@ -616,22 +604,22 @@ def validate_coefficient_bounds(
     for t in sample_ts:
         for (i, k), _ in spec.lower_costs.items():
             vals = spec.eval_lower_cost(i, k, float(t), xs)
-            if np.min(vals) < -tol:
+            if np.min(vals) < -BOUND_TOL:
                 violations.append({"what": f"lower_cost[{i},{k}]", "t": float(t), "min": float(np.min(vals))})
         for (j, l), _ in spec.upper_costs.items():
             vals = spec.eval_upper_cost(j, l, float(t), xs)
-            if np.min(vals) < -tol:
+            if np.min(vals) < -BOUND_TOL:
                 violations.append({"what": f"upper_cost[{j},{l}]", "t": float(t), "min": float(np.min(vals))})
 
     gamma_ratio = 0.0
     beta_ratio = 0.0
-    beta, gamma = spec.jump_tables(xs, sample_es)
-    for a, e in enumerate(sample_es):
+    beta, gamma = spec.jump_tables(xs, BOUND_SAMPLE_MARKS)
+    for a, e in enumerate(BOUND_SAMPLE_MARKS):
         cap = min(1.0, abs(float(e)))
         beta_ratio = max(beta_ratio, float(np.max(np.abs(beta[a]))) / cap)
         for pair in spec.modes.pairs():
             g_vals = gamma[pair][a]
-            if np.min(g_vals) < -tol:
+            if np.min(g_vals) < -BOUND_TOL:
                 violations.append({"what": f"gamma[{pair}]", "e": float(e), "min": float(np.min(g_vals))})
             gamma_ratio = max(gamma_ratio, float(np.max(g_vals)) / cap)
     details["gamma_envelope_constant"] = gamma_ratio
@@ -646,7 +634,7 @@ def validate_coefficient_bounds(
             entries = {driver_variable(p, l): float(y0[p, l]) for p, l in spec.modes.pairs()}
             base = spec.eval_driver(pair, float(t), probe_x, entries, 0.0, 0.0)
             bumped = spec.eval_driver(pair, float(t), probe_x, entries, 0.0, h_probe)
-            if np.min(bumped - base) < -tol:
+            if np.min(bumped - base) < -BOUND_TOL:
                 warnings.append({"what": f"driver[{pair}] decreasing in q", "t": float(t)})
             for other in spec.modes.pairs():
                 if other == pair:
@@ -654,7 +642,7 @@ def validate_coefficient_bounds(
                 entries2 = dict(entries)
                 entries2[driver_variable(*other)] = h_probe
                 bumped_y = spec.eval_driver(pair, float(t), probe_x, entries2, 0.0, 0.0)
-                if np.min(bumped_y - base) < -tol:
+                if np.min(bumped_y - base) < -BOUND_TOL:
                     warnings.append({"what": f"driver[{pair}] decreasing in y[{other}]", "t": float(t)})
 
     return ValidationReport(

@@ -38,9 +38,10 @@ whole-stack passes: each projects every pair at once onto the obstacles of the
 previous pass's values, which under the non-free-loop property reaches the
 unique fixed point a pair-by-pair sweep reaches.  A pass whose projection
 changes nothing is at the fixed point and stops, and the report and the next
-step's penalties reuse its obstacles, so a level evaluates them once, from the
-workspace's one cost format, its cached cost gathers; the terminal gate reads
-the terminal level's record.  Identical inputs give bitwise-identical results.
+step's penalties reuse its obstacles, so a level evaluates them once, with
+``eval_obstacles`` on the workspace's cached ``ProblemSpec.obstacle_costs``;
+the terminal gate reads the terminal level's record.  Identical inputs give
+bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -69,9 +70,7 @@ from .model import (
     ProblemSpec,
     driver_variable,
     eval_obstacles,
-    gathered_obstacles,
     neg_part,
-    other_mode_costs,
     pos_part,
     validate_non_free_loop,
     validate_terminal_consistency,
@@ -101,7 +100,8 @@ __all__ = [
 DEFAULT_PENALTY_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number of a Python or numpy type, and not a boolean."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
@@ -110,7 +110,7 @@ def check_schedule(schedule) -> tuple:
     finite, positive, strictly increasing numbers (not booleans), the penalties
     of a limit solve; ValueError otherwise."""
     entries = tuple(schedule) if isinstance(schedule, (Sequence, np.ndarray)) and not isinstance(schedule, str) else ()
-    positive = all(_is_number(p) and 0 < p < np.inf for p in entries)
+    positive = all(is_number(p) and 0 < p < np.inf for p in entries)
     if entries and positive and all(a < b for a, b in zip(entries, entries[1:])):
         return entries
     raise ValueError(f"schedule must be a non-empty, strictly increasing sequence of finite positive penalties, got {schedule!r}")
@@ -120,7 +120,7 @@ def check_penalty(penalty, name: str) -> float:
     """``penalty`` as a float if it is a finite number >= 0 (not a boolean),
     the penalty ``name`` (``n`` on the lower obstacle, ``m`` on the upper
     one) of a single solve; ValueError otherwise."""
-    if _is_number(penalty) and 0 <= penalty < np.inf:
+    if is_number(penalty) and 0 <= penalty < np.inf:
         return float(penalty)
     raise ValueError(f"penalty {name} must be a finite number >= 0, got {penalty!r}")
 
@@ -312,7 +312,7 @@ class _Workspace:
         # the step computes the gradient z = sigma Dv only for drivers that read it
         self._drivers_read_z = any("z" in exprdsl.free_variables(e) for e in spec.drivers.values())
         self.drivers = spec.driver_evaluator(self.x)
-        self._local = self._gathers = self._banded = None
+        self._local = self._costs = self._banded = None
 
     # -- pieces ------------------------------------------------------------
 
@@ -358,14 +358,11 @@ class _Workspace:
         return value, terms
 
     def obstacle_costs(self, t: float) -> tuple:
-        """The players' ``other_mode_costs`` gathers of the lower and upper
-        cost tables at t, the one format in which the workspace keeps the
-        switching costs; evaluated once when no cost reads t.  Callers must
-        not write to them."""
-        if self._gathers is None or self._costs_read_t:
-            tables = self.spec.lower_cost_table(t, self.x), self.spec.upper_cost_table(t, self.x)
-            self._gathers = tuple(map(other_mode_costs, tables))
-        return self._gathers
+        """``ProblemSpec.obstacle_costs`` at t on the grid; evaluated once when
+        no cost reads t.  Callers must not write to them."""
+        if self._costs is None or self._costs_read_t:
+            self._costs = self.spec.obstacle_costs(t, self.x)
+        return self._costs
 
     def local_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Upwind parts ``b^+``, ``b^-`` of the drift less the compensator, volatility and
@@ -378,16 +375,13 @@ class _Workspace:
 
     # -- the explicit / imex step ------------------------------------------
 
-    def step(self, values: np.ndarray, t_next: float, n: float, m: float, obstacles=None) -> np.ndarray:
+    def step(self, values: np.ndarray, t_next: float, n: float, m: float, obstacles: tuple) -> np.ndarray:
         """One backward step; all coupling terms read the previous level.
 
-        ``obstacles`` is ``eval_obstacles`` of ``values`` at ``t_next`` when
-        the caller already holds it; otherwise the step computes it.
+        ``obstacles`` is ``eval_obstacles`` of ``values`` at ``t_next``; the
+        penalties read it.
         """
-        spec = self.spec
         bp, bm, sig, a_diff = self.local_coefficients(t_next)
-        if (n > 0.0 or m > 0.0) and obstacles is None:
-            obstacles = gathered_obstacles(values, *self.obstacle_costs(t_next))
 
         rhs = upwind_drift(values, self.grid, bp, bm)
         z = sig * gradient_surface(values, self.grid) if self._drivers_read_z else 0.0
@@ -447,9 +441,9 @@ _PROJECTIONS = {
 }
 
 
-def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConfig) -> tuple[int, tuple]:
+def _sweep(values: np.ndarray, costs: tuple, projection: str, config: SchemeConfig) -> tuple[int, tuple]:
     """Whole-stack passes of ``_PROJECTIONS[projection]`` to their exact fixed
-    point, in place, on the players' cost gathers ``_Workspace.obstacle_costs``.
+    point, in place, on the obstacle costs ``_Workspace.obstacle_costs``.
     The order of ``max`` and ``min`` is the obstacle priority; an absent
     obstacle is ``-inf`` or ``+inf``.  Returns the changed-pass count and
     ``(L, U)``, ``eval_obstacles`` of the swept values.
@@ -462,7 +456,7 @@ def _sweep(values: np.ndarray, lower, upper, projection: str, config: SchemeConf
     project = _PROJECTIONS[projection]
     pde_values = values.copy()
     for passes in range(config.max_sweeps):
-        obstacles = gathered_obstacles(values, lower, upper)
+        obstacles = eval_obstacles(values, costs)
         new = project(pde_values, *obstacles)
         delta = np.abs(new - values)
         if not delta.any():
@@ -489,7 +483,7 @@ def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, moves: st
 def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float, obstacles=None) -> tuple[np.ndarray, np.ndarray]:
     """Append the level's obstacle violations; returns the obstacles ``(L, U)``,
     the caller's ``obstacles`` of ``values`` when it holds them."""
-    L, U = obstacles if obstacles is not None else gathered_obstacles(values, *ws.obstacle_costs(t))
+    L, U = obstacles if obstacles is not None else eval_obstacles(values, ws.obstacle_costs(t))
     low = float(np.max(neg_part(values - L))) if ws.m1 > 1 else 0.0
     up = float(np.max(pos_part(values - U))) if ws.m2 > 1 else 0.0
     report.obstacle_lower_violation.append(low)
@@ -519,7 +513,7 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
         t_next = float(times[k + 1])
         t_here = float(times[k])
         new = ws.step(values[k + 1], t_next, n, m, obstacles)
-        sweeps, obstacles = (0, None) if projection is None else _sweep(new, *ws.obstacle_costs(t_here), projection, ws.config)
+        sweeps, obstacles = (0, None) if projection is None else _sweep(new, ws.obstacle_costs(t_here), projection, ws.config)
         values[k] = new
         report.update_norms.append(float(np.max(np.abs(values[k] - values[k + 1]))))
         report.sweep_counts.append(sweeps)
@@ -729,13 +723,14 @@ def residual_report(
     per_pair = {f"{i},{j}": 0.0 for i, j in ws.pairs}
     n = n if system in ("penalized", "upper") else 0.0
     m = m if system in ("penalized", "lower") else 0.0
+    obstacles = eval_obstacles(trajectory.values[-1], ws.obstacle_costs(float(trajectory.times[-1])))
     for k in range(tgrid.n_steps - 1, -1, -1):
         t_next = float(trajectory.times[k + 1])
         t_here = float(trajectory.times[k])
-        candidate = ws.step(trajectory.values[k + 1], t_next, n, m)
+        candidate = ws.step(trajectory.values[k + 1], t_next, n, m, obstacles)
+        obstacles = eval_obstacles(trajectory.values[k], ws.obstacle_costs(t_here))
         if system != "penalized":
-            costs = spec.lower_cost_table(t_here, ws.x), spec.upper_cost_table(t_here, ws.x)
-            candidate = _PROJECTIONS[system](candidate, *eval_obstacles(trajectory.values[k], *costs))
+            candidate = _PROJECTIONS[system](candidate, *obstacles)
         resid = np.abs(trajectory.values[k] - candidate)
         report.update_norms.append(float(np.max(resid)))
         for i, j in ws.pairs:

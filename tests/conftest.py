@@ -3,7 +3,7 @@ import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi.exprdsl import BinOp, Call, Expr, Neg, Num, Var
-from switchvi.model import ModeSet, ProblemSpec, driver_variable, load_builtin_problem
+from switchvi.model import ModeSet, ProblemSpec, driver_variable, eval_obstacles, load_builtin_problem, other_mode_costs
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +65,16 @@ def make_spec(**overrides) -> ProblemSpec:
 @pytest.fixture
 def spec_factory():
     return make_spec
+
+
+def gathered(lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple:
+    """Two cost tables in the format ``eval_obstacles`` reads, as ``ProblemSpec.obstacle_costs`` returns it."""
+    return other_mode_costs(lower_costs), other_mode_costs(upper_costs)
+
+
+def step(ws, values: np.ndarray, t: float, n: float, m: float) -> np.ndarray:
+    """``ws.step`` of ``values`` at ``t``, on their obstacles there from the workspace's costs."""
+    return ws.step(values, t, n, m, eval_obstacles(values, ws.obstacle_costs(t)))
 
 
 def assert_all_le(a: np.ndarray, b: np.ndarray, tol: float, label: str = ""):

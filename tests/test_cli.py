@@ -265,12 +265,19 @@ class TestBadConfigValues:
             pytest.param("solve", {"solve": {"system": "minmax", "mode": "bogus"}}, "error: config 'solve': ", id="solve-mode"),
             pytest.param("solve", {"output": {"levels": [999]}}, "error: config 'output': ", id="output-levels"),
             pytest.param("solve", {"output": {"levels": [2.5]}}, "error: config 'output': ", id="output-levels-float"),
+            # a boolean level ran as level 1, because a bool is an int
+            pytest.param("solve", {"output": {"levels": [True]}}, "error: config 'output': ", id="output-levels-bool"),
             pytest.param("solve", {"time": {"n_steps": 0}}, "error: config 'time': ", id="time-steps"),
             pytest.param("check", {"scheme": {"mode": "imex"}}, "error: config 'scheme': ", id="check-scheme-imex"),
             pytest.param("check", {"check": {"paths": 0}}, "error: config 'check': ", id="check-paths-0"),
             pytest.param("check", {"check": {"paths": 1}}, "error: config 'check': ", id="check-paths-1"),
             pytest.param("check", {"check": {"n_steps": 0}}, "error: config 'check': ", id="check-steps"),
             pytest.param("check", {"check": {"basis_degree": -2}}, "error: config 'check': ", id="check-basis"),
+            # x0 was read with float(): NaN failed only after the oracle build and both solves, a string ran as its number
+            *(
+                pytest.param("check", {"check": {"x0": value}}, "error: config 'check': x0 ", id=f"check-x0-{label}")
+                for label, value in (("nan", float("nan")), ("str", "0.5"), ("bool", True))
+            ),
             pytest.param("solve", {"problem": negative_density_problem()}, "problem definition error: ", id="negative-density"),
             pytest.param(
                 "solve", {"problem": density_problem("0.4*exp(-abs(e))", cutoff=0.05), "quadrature": {"radius": 0.01}},
@@ -440,7 +447,7 @@ class TestExportRoundTrip:
         values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0], (2, 2, 1, 4))
         traj = Trajectory(times=np.array([0.0, 0.5]), values=values, grid=grid, tgrid=TimeGrid(horizon=0.5, n_steps=1))
         x = grid.axis()
-        L, U = eval_obstacles(values[1], spec.lower_cost_table(0.5, x), spec.upper_cost_table(0.5, x))
+        L, U = eval_obstacles(values[1], spec.obstacle_costs(0.5, x))
         assert np.all(U == np.inf)
         lines = ["x,v_0_0,L_0_0,U_0_0,v_1_0,L_1_0,U_1_0"]
         for p in range(4):

@@ -20,6 +20,8 @@ import switchvi
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi.pde_solver import SchemeConfig, _Workspace, solve_minmax
 
+from conftest import step
+
 SRC = str(Path(switchvi.__file__).resolve().parents[1])
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
@@ -104,7 +106,7 @@ def test_one_banded_solve_per_mode_pair_per_imex_step(spec_2x2, quad_2x2, monkey
     values = spec_2x2.terminal_table(ws.x)
     times = tgrid.times()
     for k in (tgrid.n_steps - 1, tgrid.n_steps - 2):
-        values = ws.step(values, float(times[k + 1]), 0.0, 0.0)
+        values = step(ws, values, float(times[k + 1]), 0.0, 0.0)
         assert np.all(np.isfinite(values))
     assert len(ws.pairs) == 4
     assert calls == [(ws.n_nodes,)] * (2 * len(ws.pairs))

@@ -20,7 +20,7 @@ from switchvi.discretization import (
 from switchvi.model import GrowthBound, LevyMeasureSpec, MalformedSpecError
 from switchvi.pde_solver import SchemeConfig, _Workspace
 
-from conftest import make_spec
+from conftest import make_spec, step
 
 
 def beta_identity(x, e):
@@ -262,7 +262,7 @@ class TestNonlocalGenerator:
         spec = make_spec(drift="0", vol="0", jump_amplitude="e", jump_weights={"default": "0"}, levy={"atoms": atoms})
         ws = _Workspace(spec, g, TimeGrid(0.5, 25), quad, SchemeConfig())
         assert np.all(ws.compensator > 0.0)  # the folded drift is negative: the upwind neighbour is on the left
-        stepped = ws.step(surf[None, None], 0.5, 0.0, 0.0)[0, 0]
+        stepped = step(ws, surf[None, None], 0.5, 0.0, 0.0)[0, 0]
         np.testing.assert_allclose(stepped[inside], surf[inside], atol=1e-12)
 
     def test_odd_affine_with_growth_cancels_everywhere(self):

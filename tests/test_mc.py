@@ -262,10 +262,10 @@ def per_pair_regression(batch, spec, n, m, basis=RegressionBasis(), n_picard=2):
         return q
 
     def picard(cont, q_hat, t, x):
-        lc, uc = spec.lower_cost_table(t, x), spec.upper_cost_table(t, x)
+        costs = spec.obstacle_costs(t, x)
         y = cont.copy()
         for _ in range(n_picard):
-            L, U = eval_obstacles(y, lc, uc)
+            L, U = eval_obstacles(y, costs)
             entries = {driver_variable(a, b): y[a, b] for a, b in pairs}
             y_new = np.empty_like(y)
             for i, j in pairs:

@@ -28,7 +28,7 @@ from switchvi.model import (
 
 from switchvi.pde_solver import solve_minmax
 
-from conftest import make_spec
+from conftest import gathered, make_spec
 
 POINTS = [(0.0, 0.0), (0.25, 1.0), (0.5, -1.5)]
 
@@ -174,19 +174,24 @@ class TestObstacles:
         y = np.zeros((2, 2))
         lc = np.ones((2, 2))
         uc = np.ones((2, 2))
-        L, U = eval_obstacles(y, lc, uc)
+        L, U = eval_obstacles(y, gathered(lc, uc))
         assert L[0, 0] == -1.0 and U[0, 0] == 1.0
+
+    def test_cost_tables_in_place_of_the_costs_raise(self):
+        """The cost tables of the old three-argument form cannot pass as the players' gathers."""
+        with pytest.raises(TypeError):
+            eval_obstacles(np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
 
     def test_single_mode_sentinels(self):
         y = np.zeros((1, 3))
-        L, U = eval_obstacles(y, np.zeros((1, 1)), np.ones((3, 3)))
+        L, U = eval_obstacles(y, gathered(np.zeros((1, 1)), np.ones((3, 3))))
         assert np.all(L == -np.inf)
         assert np.all(np.isfinite(U))
 
     def test_direct_formula(self):
         y = np.array([[0.0, 0.0], [3.0, 0.0]])
         lc = np.full((2, 2), 0.5)
-        L, _ = eval_obstacles(y, lc, np.ones((2, 2)))
+        L, _ = eval_obstacles(y, gathered(lc, np.ones((2, 2))))
         assert L[0, 0] == pytest.approx(2.5)
 
     def test_monotone_in_field(self):
@@ -195,11 +200,11 @@ class TestObstacles:
             y = rng.normal(size=(3, 2))
             lc = rng.uniform(0.1, 1.0, size=(3, 3))
             uc = rng.uniform(0.1, 1.0, size=(2, 2))
-            L0, U0 = eval_obstacles(y, lc, uc)
+            L0, U0 = eval_obstacles(y, gathered(lc, uc))
             bump = y.copy()
             i, j = rng.integers(3), rng.integers(2)
             bump[i, j] += rng.uniform(0.0, 2.0)
-            L1, U1 = eval_obstacles(bump, lc, uc)
+            L1, U1 = eval_obstacles(bump, gathered(lc, uc))
             assert np.all(L1 >= L0 - 1e-14) and np.all(U1 >= U0 - 1e-14)
 
     def test_vectorized_matches_scalar(self):
@@ -207,9 +212,9 @@ class TestObstacles:
         y = rng.normal(size=(2, 2, 5))
         lc = np.broadcast_to(rng.uniform(0.1, 1, (2, 2, 1)), (2, 2, 5)).copy()
         uc = np.broadcast_to(rng.uniform(0.1, 1, (2, 2, 1)), (2, 2, 5)).copy()
-        L, U = eval_obstacles(y, lc, uc)
+        L, U = eval_obstacles(y, gathered(lc, uc))
         for p in range(5):
-            Lp, Up = eval_obstacles(y[:, :, p], lc[:, :, p], uc[:, :, p])
+            Lp, Up = eval_obstacles(y[:, :, p], gathered(lc[:, :, p], uc[:, :, p]))
             assert np.array_equal(L[:, :, p], Lp)
             assert np.array_equal(U[:, :, p], Up)
 
@@ -244,7 +249,7 @@ def test_eval_obstacles_matches_per_pair_loop_bitwise(m1, m2, tail, costs_per_no
     y = data.draw(hnp.arrays(float, (m1, m2) + tail, elements=values))
     lc = data.draw(hnp.arrays(float, (m1, m1) + cost_tail, elements=values))
     uc = data.draw(hnp.arrays(float, (m2, m2) + cost_tail, elements=values))
-    L, U = eval_obstacles(y, lc, uc)
+    L, U = eval_obstacles(y, gathered(lc, uc))
     L_ref, U_ref = reference_obstacles(y, lc, uc)
     assert L.shape == U.shape == y.shape
     assert L.tobytes() == L_ref.tobytes() and U.tobytes() == U_ref.tobytes()
@@ -331,7 +336,7 @@ def _driver_tables(draw):
 
 
 class TestDriverEvaluator:
-    """``driver_evaluator`` and ``driver_table`` against one ``eval_driver`` call per pair."""
+    """``driver_evaluator`` against one ``eval_driver`` call per pair."""
 
     X = np.linspace(-1.5, 1.5, 7)
 
@@ -359,7 +364,7 @@ class TestDriverEvaluator:
             spec.eval_driver((0, 0), 0.0, self.X, {driver_variable(i, j): y[i, j] for i, j in PAIRS_2X2}, 0.0, 0.0)
         assert expected.value.subexpr == "log(x - 3.0)"
         with pytest.raises(NumericDomainError, match=re.escape(str(expected.value))):
-            spec.driver_table(0.0, self.X, y, 0.0, 0.0)
+            spec.driver_evaluator(self.X)(0.0, y, 0.0, 0.0)
 
     def test_spec_pickles_after_a_solve(self):
         spec = load_builtin_problem("switch_2x2_jump")

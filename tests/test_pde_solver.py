@@ -57,7 +57,7 @@ from switchvi.pde_solver import (
     _Workspace,
 )
 
-from conftest import assert_all_le, make_spec, negated_transposed_spec
+from conftest import assert_all_le, gathered, make_spec, negated_transposed_spec, step
 
 GRID = SpatialGrid.line(-2.0, 2.0, 41)
 TGRID = TimeGrid(horizon=0.5, n_steps=25)
@@ -189,11 +189,11 @@ class TestStepAndCfl:
         ws.check_cfl(2.0, 2.0)
         rng = np.random.default_rng(2)
         base = rng.normal(scale=0.2, size=(2, 2, 9))
-        f0 = ws.step(base, 0.5, 2.0, 2.0)
+        f0 = step(ws, base, 0.5, 2.0, 2.0)
         for trial in range(12):
             bump = np.zeros_like(base)
             bump[rng.integers(2), rng.integers(2), rng.integers(9)] = rng.uniform(0.01, 0.5)
-            f1 = ws.step(base + bump, 0.5, 2.0, 2.0)
+            f1 = step(ws, base + bump, 0.5, 2.0, 2.0)
             assert_all_le(f0, f1, 1e-12, "monotone step")
 
     def test_imex_closed_form_and_looser_cfl(self):
@@ -301,12 +301,12 @@ class TestStabilityBoundReadsTheWorkspace:
 
 def worst_bump_response(ws: _Workspace, base: np.ndarray) -> float:
     """Smallest change of one step over all +1 bumps of a single node of ``base``."""
-    before = ws.step(base, ws.tgrid.horizon, 0.0, 0.0)
+    before = step(ws, base, ws.tgrid.horizon, 0.0, 0.0)
     worst = np.inf
     for node in np.ndindex(base.shape):
         bumped = base.copy()
         bumped[node] += 1.0
-        worst = min(worst, float(np.min(ws.step(bumped, ws.tgrid.horizon, 0.0, 0.0) - before)))
+        worst = min(worst, float(np.min(step(ws, bumped, ws.tgrid.horizon, 0.0, 0.0) - before)))
     return worst
 
 
@@ -746,6 +746,25 @@ class TestResiduals:
         rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="lower", m=4.0)
         assert rep.residual_norms["overall"] <= 1e-12
 
+    SOLVES = {
+        "penalized": lambda spec, quad, config: solve_penalized(spec, GRID, TGRID, quad, 2.0, 3.0, config),
+        "lower": lambda spec, quad, config: solve_lower_reflected(spec, GRID, TGRID, quad, 3.0, config),
+        "upper": lambda spec, quad, config: solve_upper_reflected(spec, GRID, TGRID, quad, 2.0, config),
+        "minmax": lambda spec, quad, config: solve_minmax(spec, GRID, TGRID, quad, config=config),
+        "maxmin": lambda spec, quad, config: solve_maxmin(spec, GRID, TGRID, quad, config=config),
+    }
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("system", list(SOLVES))
+    def test_fresh_residual_zero_with_costs_in_t(self, system, mode):
+        """Lower costs ``0.3 + t``: the residuals read each level's costs, not the first level's."""
+        spec = no_jump_in_time()
+        quad = build_levy_quadrature(spec.levy)
+        config = SchemeConfig(mode=mode)
+        traj, _ = self.SOLVES[system](spec, quad, config)
+        rep = residual_report(traj, spec, GRID, TGRID, quad, system, n=2.0, m=3.0, config=config)
+        assert rep.residual_norms["overall"] == 0.0
+
 
 class TestTimeGridHorizon:
     """A time grid whose horizon is not the problem's is rejected, naming both
@@ -818,7 +837,7 @@ class TestTimeFreeCoefficients:
 
         values = spec.terminal_table(ws.x)
         fresh = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode="imex"))
-        assert same_bits(ws.step(values, 0.1, 2.0, 2.0), fresh.step(values, 0.1, 2.0, 2.0))
+        assert same_bits(step(ws, values, 0.1, 2.0, 2.0), step(fresh, values, 0.1, 2.0, 2.0))
 
     def test_local_coefficients_do_not_alias_the_axis(self):
         spec = make_spec(vol="x")
@@ -880,7 +899,7 @@ class TestObstaclesOncePerLevel:
         report = SolverReport(system="probe", dt=TGRID.dt, n_steps=TGRID.n_steps)
         obstacles = _record_obstacles(report, ws, values, t)
         stepped = ws.step(values, t, 2.0, 2.0, obstacles)
-        fresh = _Workspace(spec, GRID, TGRID, quad, config).step(values, t, 2.0, 2.0)
+        fresh = step(_Workspace(spec, GRID, TGRID, quad, config), values, t, 2.0, 2.0)
         assert same_bits(stepped, fresh)
         assert same_bits(stepped, traj.values[k - 1])
 
@@ -894,7 +913,7 @@ class TestObstaclesOncePerLevel:
         x = GRID.axis()
         lower, upper = [], []
         for values, t in zip(traj.values, traj.times):
-            L, U = eval_obstacles(values, spec.lower_cost_table(float(t), x), spec.upper_cost_table(float(t), x))
+            L, U = eval_obstacles(values, spec.obstacle_costs(float(t), x))
             lower.append(float(np.max(neg_part(values - L))) if m1 > 1 else 0.0)
             upper.append(float(np.max(pos_part(values - U))) if m2 > 1 else 0.0)
         assert same_bits(report.obstacle_lower_violation, lower)
@@ -999,13 +1018,13 @@ def pair_loop_sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projecti
 
 
 def sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig):
-    """``_sweep`` on cost tables, with the gathers that ``_Workspace.obstacle_costs`` keeps."""
-    return _sweep(values, other_mode_costs(lc), other_mode_costs(uc), projection, config)
+    """``_sweep`` on cost tables, in the format that ``_Workspace.obstacle_costs`` keeps."""
+    return _sweep(values, gathered(lc, uc), projection, config)
 
 
 def assert_swept_obstacles(obstacles, values, lc, uc):
     """The sweep hands back ``eval_obstacles`` of the swept values, bit for bit."""
-    for got, expected in zip(obstacles, eval_obstacles(values, lc, uc)):
+    for got, expected in zip(obstacles, eval_obstacles(values, gathered(lc, uc))):
         assert same_bits(got, expected)
 
 
@@ -1150,7 +1169,7 @@ class TestSweepFixedPoint:
             checked += 1
             one = start.copy()
             assert_reaches_the_pair_loop(start.copy(), lc, uc, projection)
-            new = project(start, *eval_obstacles(start, lc, uc))
+            new = project(start, *eval_obstacles(start, gathered(lc, uc)))
             try:
                 sweep(one, lc, uc, projection, SchemeConfig(max_sweeps=1))
             except SweepNonConvergenceError:
@@ -1183,7 +1202,7 @@ class TestSweepFixedPoint:
 def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float) -> np.ndarray:
     """The step with the gradient always computed and one ``eval_driver`` call per pair."""
     bp, bm, sig, a_diff = ws.local_coefficients(t)
-    L, U = eval_obstacles(values, ws.spec.lower_cost_table(t, ws.x), ws.spec.upper_cost_table(t, ws.x))
+    L, U = eval_obstacles(values, ws.spec.obstacle_costs(t, ws.x))
     entries = {driver_variable(i, j): values[i, j] for i, j in ws.pairs}
     rhs = upwind_drift(values, ws.grid, bp, bm)
     z = sig * gradient_surface(values, ws.grid)
@@ -1223,7 +1242,7 @@ class TestDriverTableStep:
         expected = reference_step(ws, values, 0.3, 2.0, 3.0)
         if not ws._drivers_read_z:
             monkeypatch.setattr(pde_solver, "gradient_surface", None)  # a driver without z needs no gradient
-        assert same_bits(ws.step(values, 0.3, 2.0, 3.0), expected)
+        assert same_bits(step(ws, values, 0.3, 2.0, 3.0), expected)
 
     @pytest.mark.parametrize("name,reads_z", [("no_jump", False), ("two_atom_jump", False), ("switch_2x2_jump", True)])
     def test_gradient_only_for_drivers_that_read_z(self, name, reads_z):
@@ -1235,7 +1254,7 @@ class TestDriverTableStep:
         y = spec_2x2.terminal_table(x)
         q = np.random.default_rng(2).normal(size=y.shape)
         entries = {driver_variable(i, j): y[i, j] for i, j in spec_2x2.modes.pairs()}
-        table = spec_2x2.driver_table(0.1, x, y, 0.5, q)
+        table = spec_2x2.driver_evaluator(x)(0.1, y, 0.5, q)
         for pair in spec_2x2.modes.pairs():
             assert same_bits(table[pair], spec_2x2.eval_driver(pair, 0.1, x, entries, 0.5, q[pair]))
 
@@ -1256,7 +1275,7 @@ class TestDriverTableStep:
             return broadcast(*args)
 
         monkeypatch.setattr(np, "broadcast", capped)
-        table = spec.driver_table(0.2, x, y, z, 0.5)
+        table = spec.driver_evaluator(x)(0.2, y, z, 0.5)
         for pair in pairs:
             assert same_bits(table[pair], spec.eval_driver(pair, 0.2, x, entries, z[pair], 0.5))
 
