@@ -236,6 +236,12 @@ class TestCheck:
         assert len(err.strip().splitlines()) == 1
 
 
+def shipped_problem(**overrides) -> dict:
+    prob = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
+    prob.update(overrides)
+    return prob
+
+
 def density_problem(density="abs(e) - 0.5", radius=1.0, cutoff=0.1):
     prob = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
     prob["levy"] = {"density": density, "radius": radius, "cutoff": cutoff}
@@ -328,6 +334,32 @@ class TestBadConfigValues:
                     ("check", "check", "basis_degree", 3),
                 )
                 for label, value in (("float", good + 0.7), ("whole-float", float(good)), ("bool", True), ("str", str(good)))
+            ),
+            # an integer too large for a float passed the number rule and ended in an OverflowError traceback
+            pytest.param("solve", {"solve": {"system": "penalized", "n": 10**400}}, "error: config 'solve': penalty n ", id="solve-n-huge"),
+            pytest.param("check", {"check": {"m": 10**400}}, "error: config 'check': penalty m ", id="check-m-huge"),
+            pytest.param("check", {"check": {"x0": -(10**400)}}, "error: config 'check': x0 ", id="check-x0-huge"),
+            pytest.param(
+                "solve", {"solve": {"system": "minmax", "mode": "limit", "schedule": [1, 10**400]}},
+                "error: config 'solve': schedule ", id="solve-schedule-huge",
+            ),
+            pytest.param("sweep", {"sweep": {"n_schedule": [1, 10**400], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-huge"),
+            pytest.param("solve", {"grid": {"x_min": -(10**400), "x_max": 2.0, "n_nodes": 21}}, "error: config 'grid': ", id="grid-x-min-huge"),
+            # problem-file entries: a string ended in a ValueError traceback, a NaN or infinite
+            # horizon loaded, a boolean horizon ran as 1 and a fractional mode count as its integer part
+            *(
+                pytest.param(command, {"problem": shipped_problem(**entry)}, "problem definition error: ", id=f"{command}-problem-{label}")
+                for command in ("validate", "solve")
+                for label, entry in (
+                    ("horizon-str", {"horizon": "abc"}),
+                    ("horizon-nan", {"horizon": float("nan")}),
+                    ("horizon-inf", {"horizon": float("inf")}),
+                    ("horizon-bool", {"horizon": True}),
+                    ("horizon-huge", {"horizon": 10**400}),
+                    ("m1-str", {"modes": {"m1": "x", "m2": 2}}),
+                    ("m1-float", {"modes": {"m1": 2.5, "m2": 2}}),
+                    ("atom-str", {"levy": {"atoms": [["a", 1]]}}),
+                )
             ),
             pytest.param("sweep", {"sweep": {"n_schedule": ["abc"], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-str"),
             pytest.param("sweep", {"sweep": {"n_schedule": 4, "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-int"),

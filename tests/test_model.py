@@ -1,5 +1,7 @@
+import json
 import pickle
 import re
+from importlib.resources import files
 from unittest import mock
 
 import numpy as np
@@ -458,3 +460,80 @@ class TestShippedProblems:
                     "lower_costs": {"default": "1"},
                 }
             )
+
+
+HUGE = 10**400  # an integer too large for a float
+
+
+def short_id(value) -> str:
+    return repr(value).replace(repr(HUGE), "10**400")
+
+
+def shipped_problem(**overrides) -> dict:
+    """The ``switch_2x2_jump`` problem file as a dict, with some entries replaced."""
+    raw = json.loads(files("switchvi.problems").joinpath("switch_2x2_jump.json").read_text(encoding="utf-8"))
+    raw.update(overrides)
+    return raw
+
+
+class TestProblemFile:
+    """A problem file's entries are checked as it loads: a bad one raises
+    ``MalformedSpecError``, never a bare ``ValueError`` or ``OverflowError``."""
+
+    @pytest.mark.parametrize(
+        "growth",
+        [{"C": 0.5, "gamma": 1.0}, {"C": 1e-300}, {"C": -1.0}, {"C": float("nan")}, {"C": "0"}, {"C": False}, {"C": HUGE}, [0]],
+        ids=short_id,
+    )
+    def test_growth_extrapolation_is_rejected(self, growth):
+        """Growth extrapolation beyond the box broke the step's contraction: a
+        2e-12 change of terminal data moved a solution by 6.6e-2."""
+        with pytest.raises(MalformedSpecError, match="growth") as err:
+            ProblemSpec.from_dict(shipped_problem(growth=growth))
+        assert type(err.value) is MalformedSpecError
+
+    @pytest.mark.parametrize("growth", [{"C": 0, "gamma": 0}, {"C": 0.0, "gamma": 2.0}, {"C": -0.0}, {"gamma": 1.0}, {}], ids=repr)
+    def test_a_zero_growth_entry_still_loads(self, growth):
+        assert ProblemSpec.from_dict(shipped_problem(growth=growth)) == load_builtin_problem("switch_2x2_jump")
+
+    @pytest.mark.parametrize("horizon", ["abc", "0.5", float("nan"), float("inf"), -float("inf"), True, 0, -0.5, HUGE, None], ids=short_id)
+    def test_horizon_must_be_a_finite_positive_number(self, horizon):
+        """A NaN or infinite horizon loaded and failed only in a solve, and ``true`` ran as 1."""
+        with pytest.raises(MalformedSpecError, match="horizon") as err:
+            ProblemSpec.from_dict(shipped_problem(horizon=horizon))
+        assert type(err.value) is MalformedSpecError
+
+    @pytest.mark.parametrize("horizon", [1, np.int64(2), np.float64(0.25)], ids=repr)
+    def test_horizon_is_kept_as_a_float(self, horizon):
+        spec = ProblemSpec.from_dict(shipped_problem(horizon=horizon))
+        assert spec.horizon == horizon and type(spec.horizon) is float
+
+    @pytest.mark.parametrize(
+        "modes",
+        [{"m1": "x", "m2": 2}, {"m1": 1.7, "m2": 2}, {"m1": 2.5, "m2": 2}, {"m1": 2.0, "m2": 2}, {"m1": True, "m2": 2}, {"m1": 2, "m2": "2"}, {"m1": 2, "m2": 0}],
+        ids=repr,
+    )
+    def test_mode_counts_must_be_integers(self, modes):
+        """``1.7`` ran as 1 mode, and ``"x"`` ended in a ValueError."""
+        with pytest.raises(MalformedSpecError, match="mode counts") as err:
+            ProblemSpec.from_dict(shipped_problem(modes=modes))
+        assert type(err.value) is MalformedSpecError
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"levy": {"atoms": [["a", 1]]}},
+            {"levy": {"atoms": [[0.5, "w"]]}},
+            {"levy": {"atoms": [[0.5]]}},
+            {"levy": {"atoms": [[HUGE, 1]]}},
+            {"levy": {"density": "exp(-abs(e))", "radius": "r", "cutoff": 0.1}},
+            {"drivers": {"0,x": "0", "default": "0"}},
+            {"drivers": {"0": "0", "default": "0"}},
+            {"drivers": ["0"]},
+        ],
+        ids=short_id,
+    )
+    def test_an_entry_that_does_not_convert_is_malformed(self, entry):
+        with pytest.raises(MalformedSpecError) as err:
+            ProblemSpec.from_dict(shipped_problem(**entry))
+        assert type(err.value) is MalformedSpecError
