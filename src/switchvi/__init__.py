@@ -22,7 +22,6 @@ from .discretization import (
     interpolate,
 )
 from .model import (
-    GrowthBound,
     LevyMeasureSpec,
     ModeSet,
     ProblemSpec,
@@ -48,7 +47,6 @@ from .pde_solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GrowthBound",
     "LevyMeasureSpec",
     "LevyQuadrature",
     "ModeSet",

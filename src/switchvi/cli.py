@@ -38,12 +38,14 @@ from pathlib import Path
 import numpy as np
 
 from . import export, mc, oracle, pde_solver
-from .discretization import NonIntegrableDensityError, SpatialGrid, TimeGrid, build_levy_quadrature, check_atom_count, is_integer
+from .discretization import NonIntegrableDensityError, SpatialGrid, TimeGrid, build_levy_quadrature, check_atom_count
 from .exprdsl import ExprError
 from .model import (
     CapacityError,
     MalformedSpecError,
     ProblemSpec,
+    is_finite_number,
+    is_integer,
     load_builtin_problem,
     load_problem,
     validate_coefficient_bounds,
@@ -81,7 +83,7 @@ def _config_section(name: str):
     """Report a bad value read from config section ``name`` as a usage error."""
     try:
         yield
-    except (ValueError, IndexError, TypeError) as exc:
+    except (ValueError, IndexError, TypeError, OverflowError) as exc:
         raise UsageError(f"config '{name}': {exc}") from exc
 
 
@@ -286,7 +288,7 @@ def cmd_check(args) -> int:
     with _config_section("check"):
         n_pen, m_pen = (pde_solver.check_penalty(ck.get(key, 4), key) for key in ("n", "m"))
         x0 = ck.get("x0", 0.0)
-        if not (pde_solver.is_number(x0) and abs(x0) < np.inf):
+        if not is_finite_number(x0):
             raise ValueError(f"x0 must be a finite number, got {x0!r}")
         n_paths = ck.get("paths", 10_000)
         if not is_integer(n_paths) or n_paths < 2:
@@ -314,7 +316,7 @@ def cmd_check(args) -> int:
     traj, _ = solve_penalized(spec, grid, tgrid, quad, n_pen, m_pen, scheme)
     batch = mc.simulate_paths(spec, quad, x0, n_paths, mc_tgrid, args.seed)
     estimate = mc.solve_bsde_regression(batch, spec, n_pen, m_pen, basis)
-    fk = mc.feynman_kac_check(traj, estimate, x0, spec.growth)
+    fk = mc.feynman_kac_check(traj, estimate, x0)
     ok = ok and fk.passed
     results["feynman_kac"] = fk.to_dict()
 

@@ -23,11 +23,10 @@ own independent copy.
   ghost at the boundary (so the boundary row reduces to a one-sided single
   difference).
 
-Off-grid evaluation is linear inside the box.  Beyond it the value is the
-boundary value plus, when the growth bound has a positive coefficient, a
-growth increment ``sign(v_b) * C * (|x|^gamma - |x_b|^gamma)`` clipped to the
-envelope ``C * (1 + |x|^gamma)``; with ``C = 0`` it is a plain clamp.  All
-of this lives in one place, the destination table: ``destination_table``
+Off-grid evaluation is linear inside the box and clamps to the boundary
+value beyond it, so every off-grid value is a convex combination of node
+values and the step stays monotone and commutes with constants.  All of
+this lives in one place, the destination table: ``destination_table``
 snaps, locates and classifies a set of query points of any shape once, and
 ``DestinationTable.apply`` evaluates a surface there.
 
@@ -49,10 +48,8 @@ beta(x, e_k)``: the generator ``sum_k w_k (P_k - I)`` and one driver matrix
 ``sum_k w_k gamma_k (P_k - I)`` per distinct gamma table (pairs with
 bitwise-equal tables share one).  ``JumpOperator.apply`` runs both on a
 whole ``(m1, m2, nodes)`` stack with one matrix product each.  The matrices
-hold the clamp in their outside rows; growth extrapolation is not linear, so
-with ``C > 0`` each step adds the difference between the growth-extrapolated
-and the clamped value at the outside destinations.  Dense storage costs ``(1
-+ distinct gamma tables) x nodes^2`` doubles.  The dynamic-programming
+hold the clamp in their outside rows.  Dense storage costs ``(1 + distinct
+gamma tables) x nodes^2`` doubles.  The dynamic-programming
 cross-check re-implements the interpolation and the sums on purpose: it is
 the independent check, not a copy.
 
@@ -70,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .exprdsl import evaluate
-from .model import GrowthBound, LevyMeasureSpec, MalformedSpecError
+from .model import LevyMeasureSpec, MalformedSpecError, is_integer
 
 __all__ = [
     "SpatialGrid",
@@ -79,7 +76,6 @@ __all__ = [
     "ValueField",
     "build_levy_quadrature",
     "check_atom_count",
-    "is_integer",
     "NonIntegrableDensityError",
     "interpolate",
     "DestinationTable",
@@ -99,12 +95,6 @@ BETA_SLOPE_STEP = 1e-6  # mark step of beta_slope_at_zero's central difference
 
 class NonIntegrableDensityError(ValueError):
     """The quadrature of a jump density produced a divergent moment sum."""
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a boolean: the
-    type every count (nodes, steps, atoms, paths, sweeps, degree) must have."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -290,30 +280,23 @@ class DestinationTable:
     """Off-grid evaluation at fixed query points, built once by :func:`destination_table`.
 
     Arrays ``lo``, ``theta`` and ``outside`` have the shape of the queries.
-    ``boundary`` and the growth data hold one entry per outside query, in
-    the order of ``outside``; the growth data are ``None`` under a plain
-    clamp.
+    ``boundary`` holds the boundary node of each outside query, in the order
+    of ``outside``.
     """
 
     lo: np.ndarray
     theta: np.ndarray
     outside: np.ndarray
     boundary: np.ndarray
-    growth_inc: np.ndarray | None
-    growth_cap: np.ndarray | None
 
     def apply(self, surface: np.ndarray) -> np.ndarray:
         """Values of a node-value surface at the query points."""
         vals = (1.0 - self.theta) * surface[self.lo] + self.theta * surface[self.lo + 1]
-        if self.boundary.size:
-            vb = surface[self.boundary]
-            if self.growth_inc is not None:
-                vb = np.clip(vb + np.sign(vb) * self.growth_inc, -self.growth_cap, self.growth_cap)
-            vals[self.outside] = vb
+        vals[self.outside] = surface[self.boundary]
         return vals
 
 
-def destination_table(grid: SpatialGrid, xq: np.ndarray, growth: GrowthBound | None = None) -> DestinationTable:
+def destination_table(grid: SpatialGrid, xq: np.ndarray) -> DestinationTable:
     """Interpolation data for query points of any shape, e.g. ``(atoms, nodes)``.
 
     Queries snap onto a node within a 1e-9 relative tolerance; ``lo`` is the
@@ -328,23 +311,17 @@ def destination_table(grid: SpatialGrid, xq: np.ndarray, growth: GrowthBound | N
     lo = np.clip(np.floor(pos), 0, n - 2).astype(int)
     below = xq < x0
     outside = below | (xq > x1)
-    inc = cap = None
-    if growth is not None and growth.coeff > 0.0:
-        xq_g = np.abs(xq[outside]) ** growth.exponent
-        xb_g = np.abs(np.where(below, x0, x1)[outside]) ** growth.exponent
-        inc = growth.coeff * (xq_g - xb_g)
-        cap = growth.coeff * (1.0 + xq_g)
-    return DestinationTable(lo, pos - lo, outside, np.where(below, 0, n - 1)[outside], inc, cap)
+    return DestinationTable(lo, pos - lo, outside, np.where(below, 0, n - 1)[outside])
 
 
-def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: SpatialGrid, growth: GrowthBound | None = None) -> float:
+def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: SpatialGrid) -> float:
     """Value of surface (i, j) at an arbitrary point.
 
     Linear between nodes (exact on nodes, queries snap onto nodes within a
-    1e-9 relative tolerance), clamp or growth-bounded extrapolation outside.
+    1e-9 relative tolerance), the boundary node's value outside.
     """
     xq = np.atleast_1d(np.asarray(x_query, dtype=float))
-    return float(destination_table(grid, xq, growth).apply(field.values[pair])[0])
+    return float(destination_table(grid, xq).apply(field.values[pair])[0])
 
 
 # --- derivative surfaces ---------------------------------------------------
@@ -406,22 +383,12 @@ class JumpOperator:
     ``driver_index[i, j]`` is the table of pair ``(i, j)``.  ``P_k``
     interpolates at ``x + beta(x, e_k)`` and clamps outside the box.  The
     compensator ``sum_k w_k beta_k`` is not here: it is upwinded with the
-    drift (see the module docstring).  The ``growth_*`` arrays are
-    ``None`` under a plain clamp; with ``C > 0`` they hold one entry per
-    outside destination: its row, its boundary node, the growth increment
-    and cap, and its weight in the generator (``w_k``) and in each driver
-    matrix (``w_k gamma_k``).
+    drift (see the module docstring).
     """
 
     generator: np.ndarray
     drivers: np.ndarray
     driver_index: np.ndarray
-    growth_row: np.ndarray | None = None
-    growth_node: np.ndarray | None = None
-    growth_inc: np.ndarray | None = None
-    growth_cap: np.ndarray | None = None
-    growth_weight: np.ndarray | None = None
-    growth_driver_weight: np.ndarray | None = None
 
     def apply(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both jump sums of an ``(m1, m2, nodes)`` stack.
@@ -438,11 +405,6 @@ class JumpOperator:
         for d, matrix in enumerate(self.drivers):
             sel = index == d
             q[sel] = flat[sel] @ matrix.T
-        if self.growth_inc is not None:
-            vb = flat[:, self.growth_node]
-            corr = np.clip(vb + np.sign(vb) * self.growth_inc, -self.growth_cap, self.growth_cap) - vb
-            np.add.at(gen, (slice(None), self.growth_row), corr * self.growth_weight)
-            np.add.at(q, (slice(None), self.growth_row), corr * self.growth_driver_weight[index])
         return gen.reshape(values.shape), q.reshape(values.shape)
 
 
@@ -451,7 +413,6 @@ def jump_operator(
     quad: LevyQuadrature,
     beta: np.ndarray,
     gamma: np.ndarray,
-    growth: GrowthBound | None = None,
 ) -> JumpOperator:
     """Assemble the jump sums over ``quad``'s atoms as ``nodes x nodes`` matrices.
 
@@ -461,7 +422,7 @@ def jump_operator(
     """
     n = grid.n_nodes
     w = quad.weights[:, None]
-    table = destination_table(grid, grid.axis() + beta, growth)
+    table = destination_table(grid, grid.axis() + beta)
 
     m1, m2 = gamma.shape[:2]
     pair_tables = gamma.reshape(m1 * m2, *beta.shape)
@@ -488,15 +449,4 @@ def jump_operator(
     for d, g in enumerate(tables, start=1):
         np.add.at(mats[d].reshape(-1), flat, ent_w * g[ent_atom, ent_row])
         mats[d].reshape(-1)[:: n + 1] -= np.sum(w * g, axis=0)
-
-    growth_data = {}
-    if table.growth_inc is not None:
-        growth_data = dict(
-            growth_row=out_row,
-            growth_node=table.boundary,
-            growth_inc=table.growth_inc,
-            growth_cap=table.growth_cap,
-            growth_weight=quad.weights[out_atom],
-            growth_driver_weight=quad.weights[out_atom] * tables[:, out_atom, out_row],
-        )
-    return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2), **growth_data)
+    return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2))

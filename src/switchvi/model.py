@@ -4,9 +4,8 @@ A :class:`ProblemSpec` bundles everything that defines one switching-game
 instance on ``[0, T] x R^k``: mode sets for the two players, diffusion
 coefficients ``b`` and ``sigma``, jump amplitude ``beta`` and per-mode jump
 weights ``gamma``, drivers ``g^{ij}``, switching costs (lower costs for the
-maximizer, upper costs for the minimizer), terminal data ``h^{ij}``, the
-jump measure, and a polynomial growth bound used for extrapolation beyond a
-truncated domain.
+maximizer, upper costs for the minimizer), terminal data ``h^{ij}`` and the
+jump measure.
 
 Validators check the standing assumptions by finite sampling (the
 coefficient expressions are opaque, so nothing is proved symbolically):
@@ -40,7 +39,6 @@ from .exprdsl import Evaluator, Expr, evaluate, parse
 
 __all__ = [
     "ModeSet",
-    "GrowthBound",
     "LevyMeasureSpec",
     "ProblemSpec",
     "ValidationReport",
@@ -56,6 +54,8 @@ __all__ = [
     "load_problem",
     "load_builtin_problem",
     "builtin_problem_names",
+    "is_finite_number",
+    "is_integer",
 ]
 
 MAX_MODE_PAIRS = 36
@@ -78,6 +78,23 @@ class CapacityError(ValueError):
 
 class MalformedSpecError(ValueError):
     """A problem definition is structurally broken or fails to evaluate."""
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number of a Python or numpy type, not a
+    boolean, and finite as a float: an int too large for a float is not."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a boolean: the
+    type every count (modes, nodes, steps, atoms, paths, sweeps, degree) must have."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def driver_variable(i: int, j: int) -> str:
@@ -103,8 +120,10 @@ class ModeSet:
     m2: int
 
     def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1:
-            raise MalformedSpecError(f"mode counts must be >= 1, got ({self.m1}, {self.m2})")
+        if not (is_integer(self.m1) and is_integer(self.m2) and self.m1 >= 1 and self.m2 >= 1):
+            raise MalformedSpecError(f"mode counts must be integers >= 1, got ({self.m1!r}, {self.m2!r})")
+        object.__setattr__(self, "m1", int(self.m1))
+        object.__setattr__(self, "m2", int(self.m2))
         if self.m1 * self.m2 > MAX_MODE_PAIRS:
             raise CapacityError(
                 f"m1*m2 = {self.m1 * self.m2} exceeds the supported cap of {MAX_MODE_PAIRS} mode pairs"
@@ -114,22 +133,6 @@ class ModeSet:
         for i in range(self.m1):
             for j in range(self.m2):
                 yield (i, j)
-
-
-@dataclass(frozen=True)
-class GrowthBound:
-    """Polynomial growth envelope ``|v| <= coeff * (1 + |x|^exponent)``.
-
-    Drives off-grid extrapolation of value surfaces.  ``coeff = 0`` selects a
-    plain clamp to the boundary value.
-    """
-
-    coeff: float = 0.0
-    exponent: float = 0.0
-
-    def __post_init__(self):
-        if self.coeff < 0 or self.exponent < 0:
-            raise MalformedSpecError("growth bound requires coeff >= 0 and exponent >= 0")
 
 
 @dataclass(frozen=True)
@@ -222,12 +225,12 @@ class ProblemSpec:
     upper_costs: Mapping[tuple[int, int], Expr]
     terminal: Mapping[tuple[int, int], Expr]
     levy: LevyMeasureSpec
-    growth: GrowthBound = GrowthBound()
     name: str = ""
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise MalformedSpecError(f"horizon must be positive, got {self.horizon}")
+        if not (is_finite_number(self.horizon) and self.horizon > 0):
+            raise MalformedSpecError(f"horizon must be a finite number > 0, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", float(self.horizon))
         m1, m2 = self.modes.m1, self.modes.m2
         pairs = set(self.modes.pairs())
         for label, mapping, keys in (
@@ -252,14 +255,17 @@ class ProblemSpec:
     @staticmethod
     def from_dict(d: Mapping) -> "ProblemSpec":
         try:
-            modes = ModeSet(int(d["modes"]["m1"]), int(d["modes"]["m2"]))
+            growth = d.get("growth", {})  # C = 0 asks for the clamp, so files that carry it still load
+            if not (isinstance(growth, Mapping) and is_finite_number(growth.get("C", 0)) and growth.get("C", 0) == 0):
+                raise MalformedSpecError(f"growth extrapolation is retired: values beyond the grid box are clamped, got growth {growth!r}")
+            modes = ModeSet(d["modes"]["m1"], d["modes"]["m2"])
             pairs = list(modes.pairs())
             driver_schema = ("t", "x", "z", "q") + tuple(driver_variable(i, j) for i, j in pairs)
             lower_keys = [(i, k) for i in range(modes.m1) for k in range(modes.m1) if i != k]
             upper_keys = [(j, l) for j in range(modes.m2) for l in range(modes.m2) if j != l]
             return ProblemSpec(
                 modes=modes,
-                horizon=float(d["horizon"]),
+                horizon=d["horizon"],
                 drift=_as_expr(d.get("drift", "0"), DRIFT_SCHEMA),
                 vol=_as_expr(d.get("vol", "0"), DRIFT_SCHEMA),
                 jump_amplitude=_as_expr(d.get("jump_amplitude", "0"), JUMP_SCHEMA),
@@ -269,10 +275,11 @@ class ProblemSpec:
                 upper_costs=_pair_map(d.get("upper_costs", {}), upper_keys, COST_SCHEMA, "upper cost"),
                 terminal=_pair_map(d["terminal"], pairs, TERMINAL_SCHEMA, "terminal"),
                 levy=LevyMeasureSpec.from_dict(d.get("levy", {})),
-                growth=GrowthBound(float(d.get("growth", {}).get("C", 0.0)), float(d.get("growth", {}).get("gamma", 0.0))),
                 name=str(d.get("name", "")),
             )
-        except (KeyError, TypeError) as exc:
+        except (MalformedSpecError, CapacityError, exprdsl.ExprError):
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise MalformedSpecError(f"problem definition is missing or mistypes a field: {exc}") from exc
 
     # --- coefficient evaluation ----------------------------------------

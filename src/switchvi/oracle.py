@@ -90,11 +90,6 @@ def build_discrete_game(
     config = config or SchemeConfig()
     if config.mode != "explicit":
         raise ValueError("the discrete game mirrors the explicit scheme only")
-    if spec.growth.coeff != 0.0:
-        raise CapacityError(
-            "the discrete game needs clamp extrapolation (growth coefficient 0); "
-            "growth extrapolation is not a linear map of node values"
-        )
     n = grid.n_nodes
     if n * spec.modes.m1 * spec.modes.m2 > MAX_ORACLE_STATES:
         raise CapacityError(f"instance exceeds the oracle cap of {MAX_ORACLE_STATES} states")

@@ -60,7 +60,6 @@ from .discretization import (
     ValueField,
     beta_slope_at_zero,
     gradient_surface,
-    is_integer,
     jump_operator,
     second_derivative_surface,
     upwind_drift,
@@ -70,6 +69,8 @@ from .model import (
     ProblemSpec,
     driver_variable,
     eval_obstacles,
+    is_finite_number,
+    is_integer,
     neg_part,
     pos_part,
     validate_non_free_loop,
@@ -100,17 +101,12 @@ __all__ = [
 DEFAULT_PENALTY_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def is_number(value) -> bool:
-    """Whether ``value`` is a real number of a Python or numpy type, and not a boolean."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def check_schedule(schedule) -> tuple:
     """``schedule`` as a tuple of its entries if it is a non-empty sequence of
     finite, positive, strictly increasing numbers (not booleans), the penalties
     of a limit solve; ValueError otherwise."""
     entries = tuple(schedule) if isinstance(schedule, (Sequence, np.ndarray)) and not isinstance(schedule, str) else ()
-    positive = all(is_number(p) and 0 < p < np.inf for p in entries)
+    positive = all(is_finite_number(p) and p > 0 for p in entries)
     if entries and positive and all(a < b for a, b in zip(entries, entries[1:])):
         return entries
     raise ValueError(f"schedule must be a non-empty, strictly increasing sequence of finite positive penalties, got {schedule!r}")
@@ -120,7 +116,7 @@ def check_penalty(penalty, name: str) -> float:
     """``penalty`` as a float if it is a finite number >= 0 (not a boolean),
     the penalty ``name`` (``n`` on the lower obstacle, ``m`` on the upper
     one) of a single solve; ValueError otherwise."""
-    if is_number(penalty) and 0 <= penalty < np.inf:
+    if is_finite_number(penalty) and penalty >= 0:
         return float(penalty)
     raise ValueError(f"penalty {name} must be a finite number >= 0, got {penalty!r}")
 
@@ -292,7 +288,7 @@ class _Workspace:
         self.gamma_sup = 0.0
         if quad.n_atoms:
             beta, gamma = spec.jump_tables(self.x, quad.marks)
-            self.jumps = jump_operator(grid, quad, beta, gamma, spec.growth)
+            self.jumps = jump_operator(grid, quad, beta, gamma)
             self.compensator = np.sum(quad.weights[:, None] * beta, axis=0)
             self.gamma_sup = max(0.0, float(np.max(gamma)))
 

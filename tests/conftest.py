@@ -56,7 +56,6 @@ def make_spec(**overrides) -> ProblemSpec:
         "lower_costs": {"default": "0.4"},
         "upper_costs": {"default": "0.4"},
         "terminal": {"default": "0"},
-        "growth": {"C": 0.0, "gamma": 0.0},
     }
     base.update(overrides)
     return ProblemSpec.from_dict(base)
@@ -131,6 +130,5 @@ def negated_transposed_spec(spec: ProblemSpec) -> ProblemSpec:
         upper_costs=dict(spec.lower_costs),
         terminal=terminal,
         levy=spec.levy,
-        growth=spec.growth,
         name=f"{spec.name}:conjugate" if spec.name else "conjugate",
     )

@@ -133,7 +133,7 @@ def test_criterion_5_feynman_kac():
     traj, _ = solve_penalized(spec, GRID, TGRID, quad, 4.0, 4.0)
     batch = simulate_paths(spec, quad, 0.0, 10_000, TGRID, seed=20240901)
     est = solve_bsde_regression(batch, spec, 4.0, 4.0)
-    report = feynman_kac_check(traj, est, 0.0, spec.growth)
+    report = feynman_kac_check(traj, est, 0.0)
 
     # closed-form control: constant driver, zero terminal
     const = make_spec(
@@ -181,7 +181,6 @@ def test_criterion_6_comparison_surrogate():
             "1,0": "0.9*exp(-x*x)",
             "1,1": "0.85*exp(-x*x)",
         },
-        "growth": {"C": 0.0, "gamma": 0.0},
     }
     spec_h = ProblemSpec.from_dict(base)
     shifted = dict(base)
@@ -214,18 +213,18 @@ def test_criterion_7_degenerate_reductions():
     expected = c * (TGRID.horizon - traj.times)[:, None, None, None]
     ode_err = float(np.max(np.abs(traj.values - expected)))
 
+    # jumps of (2 - |x|)/2 never leave the box [-2, 2], so v = x is exact under the clamp
     affine = make_spec(
         modes={"m1": 1, "m2": 1},
         drift="0",
         vol="0",
-        jump_amplitude="e",
+        jump_amplitude="e*(2 - abs(x))/2",
         jump_weights={"default": "0"},
         levy={"atoms": [[1.0, 1.0], [-1.0, 1.0]]},
         drivers={"default": "0"},
         lower_costs={},
         upper_costs={},
         terminal={"default": "x"},
-        growth={"C": 1.0, "gamma": 1.0},
     )
     aquad = build_levy_quadrature(affine.levy)
     atraj, _ = solve_penalized(affine, GRID, TGRID, aquad, 0.0, 0.0)

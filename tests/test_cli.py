@@ -219,7 +219,7 @@ class TestCheck:
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
     def test_growth_extrapolation_exit_2_with_one_line_error(self, tmp_path, capsys):
-        """The oracle only mirrors clamp extrapolation; a growth bound C > 0 is a usage error."""
+        """Values beyond the box are clamped; a problem file asking for growth extrapolation (C > 0) is malformed."""
         prob = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
         prob["growth"] = {"C": 1.0, "gamma": 1.0}
         cfg = write_config(
@@ -232,7 +232,7 @@ class TestCheck:
         capsys.readouterr()
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "growth" in err
+        assert err.startswith("problem definition error: ") and "growth" in err
         assert len(err.strip().splitlines()) == 1
 
 

@@ -17,7 +17,7 @@ from switchvi.discretization import (
     second_derivative_surface,
     upwind_drift,
 )
-from switchvi.model import GrowthBound, LevyMeasureSpec, MalformedSpecError
+from switchvi.model import LevyMeasureSpec, MalformedSpecError
 from switchvi.pde_solver import SchemeConfig, _Workspace
 
 from conftest import make_spec, step
@@ -32,12 +32,12 @@ def atom_table(coeff_of, x, quad):
     return np.array([np.broadcast_to(coeff_of(x, float(e)), x.shape) for e in quad.marks]).reshape(quad.n_atoms, x.size)
 
 
-def jump_sums(surface, grid, quad, beta_of=beta_identity, gamma_of=None, growth=None):
+def jump_sums(surface, grid, quad, beta_of=beta_identity, gamma_of=None):
     """Both jump sums of one surface, through the operator the solver assembles."""
     x = grid.axis()
     beta = atom_table(beta_of, x, quad)
     gamma = atom_table(gamma_of, x, quad) if gamma_of is not None else np.zeros_like(beta)
-    gen, q = jump_operator(grid, quad, beta, gamma[None, None], growth).apply(surface[None, None])
+    gen, q = jump_operator(grid, quad, beta, gamma[None, None]).apply(surface[None, None])
     return gen[0, 0], q[0, 0]
 
 
@@ -186,19 +186,6 @@ class TestInterpolate:
         assert interpolate(self.field(), (0, 0), 7.0, self.grid()) == 2.0
         assert interpolate(self.field(), (0, 0), -3.0, self.grid()) == 0.0
 
-    def test_growth_extrapolation_linear_exact(self):
-        g = SpatialGrid.line(-2.0, 2.0, 41)
-        surf = g.axis().copy()  # v(x) = x
-        growth = GrowthBound(coeff=1.0, exponent=1.0)
-        out = destination_table(g, np.array([2.75, -3.5]), growth).apply(surf)
-        np.testing.assert_allclose(out, [2.75, -3.5], atol=1e-14)
-
-    def test_growth_cap(self):
-        g = SpatialGrid.line(-1.0, 1.0, 11)
-        surf = np.full(11, 10.0)  # violates the claimed envelope on purpose
-        growth = GrowthBound(coeff=1.0, exponent=1.0)
-        out = float(destination_table(g, np.array([3.0]), growth).apply(surf)[0])
-        assert out == pytest.approx(1.0 + 3.0)  # clipped to C (1 + |x|)
 
 
 def drift_parts(b):
@@ -265,14 +252,6 @@ class TestNonlocalGenerator:
         stepped = step(ws, surf[None, None], 0.5, 0.0, 0.0)[0, 0]
         np.testing.assert_allclose(stepped[inside], surf[inside], atol=1e-12)
 
-    def test_odd_affine_with_growth_cancels_everywhere(self):
-        g = SpatialGrid.line(-2.0, 2.0, 41)
-        x = g.axis()
-        surf = x.copy()
-        quad = LevyQuadrature(marks=np.array([1.0, -1.0]), weights=np.array([1.0, 1.0]))
-        out, _ = jump_sums(surf, g, quad, growth=GrowthBound(1.0, 1.0))
-        np.testing.assert_allclose(out, 0.0, atol=1e-13)
-
     def test_empty_quadrature_zero(self):
         g = SpatialGrid.line(-1.0, 1.0, 11)
         surf = np.random.default_rng(0).normal(size=11)
@@ -332,13 +311,12 @@ class TestNonlocalDriverTerm:
         _, out = jump_sums(np.random.default_rng(1).normal(size=11), g, quad, gamma_of=lambda x, e: np.zeros_like(x))
         np.testing.assert_array_equal(out, 0.0)
 
-    def test_growth_branch_matches_per_atom_reference(self):
-        # gamma != 0, destinations beyond both ends of the box, C > 0, cap binding somewhere
+    def test_matches_per_atom_reference_beyond_both_ends(self):
+        # gamma != 0, destinations beyond both ends of the box, clamped there
         g = SpatialGrid.line(-1.0, 1.0, 21)
         x = g.axis()
         quad = LevyQuadrature(marks=np.array([0.7, -0.45, 1.3]), weights=np.array([0.4, 0.9, 0.2]))
-        growth = GrowthBound(coeff=1.0, exponent=1.5)
-        surf = 0.5 * np.sin(3.0 * x) + 3.0 * (x > 0.8)  # right end above the envelope
+        surf = 0.5 * np.sin(3.0 * x) + 3.0 * (x > 0.8)
 
         def beta_of(xx, e):
             return 0.8 * e * (1.0 + 0.5 * xx)
@@ -346,25 +324,19 @@ class TestNonlocalDriverTerm:
         def gamma_of(xx, e):
             return 0.5 + 0.25 * e * np.cos(xx)
 
-        gen, q = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of, growth=growth)
+        gen, q = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of)
         ref_gen = np.zeros_like(surf)
         ref_q = np.zeros_like(surf)
         for e_k, w_k in zip(quad.marks, quad.weights):
-            disp = beta_of(x, e_k)
-            shift = destination_table(g, x + disp, growth).apply(surf) - surf
+            dest = x + beta_of(x, e_k)
+            shift = np.interp(dest, x, surf) - surf  # np.interp clamps to the end values
             ref_gen += w_k * shift
             ref_q += w_k * gamma_of(x, e_k) * shift
         np.testing.assert_allclose(gen, ref_gen, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(q, ref_q, rtol=0.0, atol=1e-14)
 
-        table = destination_table(g, x + atom_table(beta_of, x, quad), growth)
-        dest = (x + atom_table(beta_of, x, quad))[table.outside]
+        dest = x + atom_table(beta_of, x, quad)
         assert np.any(dest < -1.0) and np.any(dest > 1.0)
-        extrapolated = surf[table.boundary] + np.sign(surf[table.boundary]) * table.growth_inc
-        assert np.any(np.abs(extrapolated) > table.growth_cap)  # the cap binds
-        assert np.any(np.abs(extrapolated) < table.growth_cap)  # and does not bind
-        _, q_clamped = jump_sums(surf, g, quad, beta_of=beta_of, gamma_of=gamma_of)
-        assert np.max(np.abs(q - q_clamped)) > 1e-3
 
     def test_monotone_in_field_with_nonneg_gamma(self):
         g = SpatialGrid.line(-1.0, 1.0, 21)

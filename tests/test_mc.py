@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature, interpolate
+from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature
 from switchvi.mc import (
     BsdeEstimate,
     RegressionBasis,
@@ -12,7 +12,7 @@ from switchvi.mc import (
     simulate_paths,
     solve_bsde_regression,
 )
-from switchvi.model import GrowthBound, driver_variable, eval_obstacles, load_builtin_problem, load_problem, neg_part, pos_part
+from switchvi.model import driver_variable, eval_obstacles, load_builtin_problem, load_problem, neg_part, pos_part
 from switchvi.pde_solver import SchemeConfig, solve_penalized
 
 from conftest import make_spec
@@ -358,7 +358,7 @@ class TestFeynmanKac:
         traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0)
         batch = simulate_paths(spec, quad, 0.0, 2_000, TG, seed=3)
         est = solve_bsde_regression(batch, spec, 0.0, 0.0)
-        report = feynman_kac_check(traj, est, 0.0, spec.growth)
+        report = feynman_kac_check(traj, est, 0.0)
         assert report.passed
         assert report.records[0]["difference"] <= 1e-8
 
@@ -367,7 +367,7 @@ class TestFeynmanKac:
         traj, _ = solve_penalized(spec_two_atom, grid, TG, quad_two_atom, 4.0, 4.0)
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 10_000, TG, seed=42)
         est = solve_bsde_regression(batch, spec_two_atom, 4.0, 4.0)
-        report = feynman_kac_check(traj, est, 0.0, spec_two_atom.growth)
+        report = feynman_kac_check(traj, est, 0.0)
         assert report.passed
         assert any("engineering" in note for note in report.notes)
 
@@ -376,28 +376,25 @@ class TestFeynmanKac:
         traj, _ = solve_penalized(spec_two_atom, grid, TG, quad_two_atom, 16.0, 0.0)
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 10_000, TG, seed=42)
         est = solve_bsde_regression(batch, spec_two_atom, 0.0, 0.0)
-        report = feynman_kac_check(traj, est, 0.0, spec_two_atom.growth)
+        report = feynman_kac_check(traj, est, 0.0)
         assert not report.passed
 
-    def test_pde_value_beyond_the_box_uses_the_spec_growth_bound(self):
-        # v(0, x0) at x0 > x_max must be growth-extrapolated, not clamped
+    def test_pde_value_beyond_the_box_is_the_boundary_value(self):
+        # v(0, x0) at x0 > x_max is clamped, as the solver reads values beyond the box
         spec = make_spec(
             modes={"m1": 1, "m2": 1},
             drivers={"default": "0.7"},
             lower_costs={},
             upper_costs={},
-            terminal={"default": "0.5"},
-            growth={"C": 1.0, "gamma": 1.0},
+            terminal={"default": "0.5*x"},
         )
         quad = build_levy_quadrature(spec.levy)
         grid = SpatialGrid.line(-2.0, 2.0, 41)
         traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0)
         est = BsdeEstimate(y0=np.zeros((1, 1)), stderr=np.zeros((1, 1)), n_paths=1, n=0.0, m=0.0)
         x0 = 2.5
-        report = feynman_kac_check(traj, est, x0, spec.growth)
-        expected = interpolate(traj.level(0), (0, 0), x0, grid, spec.growth)
-        assert expected != interpolate(traj.level(0), (0, 0), x0, grid, GrowthBound())
-        assert report.records[0]["pde_value"] == expected
+        report = feynman_kac_check(traj, est, x0)
+        assert report.records[0]["pde_value"] == traj.values[0, 0, 0, -1]
 
 
 # Two atoms below the cutoff: the quadrature keeps no atom and folds both into
@@ -442,6 +439,6 @@ class TestSmallJumpDiffusion:
         grid = SpatialGrid.line(-3.0, 3.0, 121)
         traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0, SchemeConfig(mode="imex"))
         batch = simulate_paths(spec, quad, 0.0, 4_000, TG, seed=3)
-        report = feynman_kac_check(traj, solve_bsde_regression(batch, spec, 0.0, 0.0), 0.0, spec.growth)
+        report = feynman_kac_check(traj, solve_bsde_regression(batch, spec, 0.0, 0.0), 0.0)
         assert report.records[0]["pde_value"] == pytest.approx(0.27, abs=5e-3)
         assert report.passed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
-from switchvi.model import CapacityError, ProblemSpec, validate_non_free_loop
+from switchvi.model import ProblemSpec, validate_non_free_loop
 from switchvi.oracle import backward_induction, build_discrete_game
 from switchvi.pde_solver import CflViolationError, SchemeConfig, SweepNonConvergenceError, solve_maxmin, solve_minmax
 
@@ -92,12 +92,6 @@ class TestGameBuild:
     def test_cfl_violation_reported(self, spec_2x2, quad_2x2):
         with pytest.raises(CflViolationError):
             build_discrete_game(spec_2x2, SpatialGrid.line(-2, 2, 401), TGRID, quad_2x2)
-
-    def test_growth_extrapolation_rejected(self):
-        spec = make_spec(growth={"C": 1.0, "gamma": 1.0})
-        quad = build_levy_quadrature(spec.levy)
-        with pytest.raises(CapacityError):
-            build_discrete_game(spec, GRID, TGRID, quad)
 
 
 class TestInduction:

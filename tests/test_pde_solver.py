@@ -75,18 +75,18 @@ def const_driver_spec(c=0.7):
 
 
 def affine_spec():
+    """``v = x`` solves it exactly: jumps of ``(2 - |x|)/2`` never leave [-2, 2], so the clamp never acts."""
     return make_spec(
         modes={"m1": 1, "m2": 1},
         drift="0",
         vol="0",
-        jump_amplitude="e",
+        jump_amplitude="e*(2 - abs(x))/2",
         jump_weights={"default": "0"},
         levy={"atoms": [[1.0, 1.0], [-1.0, 1.0]]},
         drivers={"default": "0"},
         lower_costs={},
         upper_costs={},
         terminal={"default": "x"},
-        growth={"C": 1.0, "gamma": 1.0},
     )
 
 
@@ -931,14 +931,12 @@ class TestObstaclesOncePerLevel:
 class TestJumpOperator:
     """The workspace's assembled jump sums against a per-pair, per-atom loop."""
 
-    @pytest.mark.parametrize("growth", [{"C": 0.0, "gamma": 0.0}, {"C": 1.0, "gamma": 1.0}])
-    def test_pair_dependent_jump_weight_gets_its_own_driver_matrix(self, growth):
+    def test_pair_dependent_jump_weight_gets_its_own_driver_matrix(self):
         spec = make_spec(
             modes={"m1": 3, "m2": 2},
             jump_amplitude="0.8*e*(1 + 0.3*x)",
             jump_weights={"default": "0.5*min(abs(e), 1)", "0,1": "0.2*abs(e)"},
             levy={"atoms": [[0.5, 0.4], [-0.7, 0.3], [1.1, 0.2]]},
-            growth=growth,
         )
         quad = build_levy_quadrature(spec.levy)
         ws = _Workspace(spec, GRID, TGRID, quad, SchemeConfig())
@@ -952,7 +950,7 @@ class TestJumpOperator:
             ref_q = np.zeros_like(x)
             for e_k, w_k in zip(quad.marks, quad.weights):
                 beta = spec.eval_beta(x, float(e_k))
-                shift = destination_table(GRID, x + beta, spec.growth).apply(values[i, j]) - values[i, j]
+                shift = destination_table(GRID, x + beta).apply(values[i, j]) - values[i, j]
                 ref_gen += w_k * shift
                 ref_q += w_k * spec.eval_gamma((i, j), x, float(e_k)) * shift
             np.testing.assert_allclose(gen[i, j], ref_gen, rtol=0.0, atol=1e-13)
