@@ -118,7 +118,7 @@ def _load_spec(cfg: dict, config_dir: Path) -> ProblemSpec:
 def _grids(cfg: dict, spec: ProblemSpec) -> tuple[SpatialGrid, TimeGrid]:
     g = cfg.get("grid", {})
     with _config_section("grid"):
-        grid = SpatialGrid.line(float(g.get("x_min", -2.0)), float(g.get("x_max", 2.0)), g.get("n_nodes", 101))
+        grid = SpatialGrid.line(g.get("x_min", -2.0), g.get("x_max", 2.0), g.get("n_nodes", 101))
     with _config_section("time"):
         tgrid = TimeGrid(horizon=spec.horizon, n_steps=cfg.get("time", {}).get("n_steps", 50))
     return grid, tgrid
@@ -128,7 +128,9 @@ def _quadrature(cfg: dict, spec: ProblemSpec):
     q = cfg.get("quadrature", {})
     with _config_section("quadrature"):
         n_atoms, radius = check_atom_count(q.get("n_atoms", 64)), q.get("radius")
-        if radius is not None and spec.levy.density is not None and not float(radius) > spec.levy.cutoff:
+        if radius is not None and not is_finite_number(radius):
+            raise ValueError(f"radius must be a finite number, got {radius!r}")
+        if radius is not None and spec.levy.density is not None and not radius > spec.levy.cutoff:
             raise ValueError(f"radius {radius} must exceed the density cutoff {spec.levy.cutoff}")
     return build_levy_quadrature(spec.levy, n_atoms=n_atoms, radius=radius)
 
@@ -159,12 +161,10 @@ def cmd_validate(args) -> int:
     spec = _load_spec(cfg, Path(args.config).resolve().parent)
     grid, tgrid = _grids(cfg, spec)
     x = grid.axis()
-    xs = [float(v) for v in x[:: max(1, len(x) // 16)]]
     ts = [0.0, 0.5 * spec.horizon, spec.horizon]
-    points = [(t, xx) for t in ts for xx in xs]
 
     reports = [
-        validate_non_free_loop(spec, points),
+        validate_non_free_loop(spec, spec.loop_check_points(x, tgrid.times())),
         validate_terminal_consistency(spec, x),
         validate_coefficient_bounds(spec, ts, x),
     ]
@@ -295,12 +295,19 @@ def cmd_check(args) -> int:
             raise ValueError(f"need an integer of at least two paths for a regression estimate, got {n_paths!r}")
         mc_tgrid = TimeGrid(horizon=spec.horizon, n_steps=ck.get("n_steps", tgrid.n_steps))
         basis = mc.RegressionBasis(ck.get("basis_degree", 3))
+        perturb = ck.get("stencil_perturbation")  # test hook: [step, row, col, amount]
+        if perturb is not None and not (
+            isinstance(perturb, list)
+            and len(perturb) == 4
+            and all(is_integer(k) and 0 <= k < top for k, top in zip(perturb, (tgrid.n_steps, grid.n_nodes, grid.n_nodes)))
+            and is_finite_number(perturb[3])
+        ):
+            raise ValueError(f"stencil_perturbation must be [step, row, col, amount] with a step and nodes on the grid and a finite amount, got {perturb!r}")
 
     results: dict = {"seed": args.seed}
     ok = True
 
     # dynamic-programming equivalence on both bilateral systems
-    perturb = ck.get("stencil_perturbation")  # test hook: [step, row, col, amount]
     game = oracle.build_discrete_game(
         spec, grid, tgrid, quad, scheme, stencil_perturbation=tuple(perturb) if perturb else None
     )

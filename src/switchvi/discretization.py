@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .exprdsl import evaluate
-from .model import LevyMeasureSpec, MalformedSpecError, is_integer
+from .model import LevyMeasureSpec, MalformedSpecError, is_finite_number, is_integer
 
 __all__ = [
     "SpatialGrid",
@@ -109,14 +109,16 @@ class SpatialGrid:
         if not is_integer(self.n_nodes) or self.n_nodes < 3:
             raise MalformedSpecError(f"need an integer of at least 3 nodes, got {self.n_nodes!r}")
         object.__setattr__(self, "n_nodes", int(self.n_nodes))
-        if not math.isfinite(self.x_max - self.x_min):
-            raise MalformedSpecError(f"spatial grid bounds [{self.x_min!r}, {self.x_max!r}] must be finite, with a finite width")
+        if not (is_finite_number(self.x_min) and is_finite_number(self.x_max) and math.isfinite(self.x_max - self.x_min)):
+            raise MalformedSpecError(f"spatial grid bounds [{self.x_min!r}, {self.x_max!r}] must be finite numbers, with a finite width")
+        object.__setattr__(self, "x_min", float(self.x_min))
+        object.__setattr__(self, "x_max", float(self.x_max))
         if not self.x_max > self.x_min:
             raise MalformedSpecError(f"empty spatial box [{self.x_min}, {self.x_max}]")
 
     @staticmethod
     def line(x_min: float, x_max: float, n_nodes: int) -> "SpatialGrid":
-        return SpatialGrid(float(x_min), float(x_max), n_nodes)
+        return SpatialGrid(x_min, x_max, n_nodes)
 
     @property
     def dx(self) -> float:
@@ -135,8 +137,9 @@ class TimeGrid:
         if not is_integer(self.n_steps) or self.n_steps < 1:
             raise MalformedSpecError(f"need an integer of at least 1 time step, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
-        if self.horizon <= 0:
-            raise MalformedSpecError("time horizon must be positive")
+        if not (is_finite_number(self.horizon) and self.horizon > 0):
+            raise MalformedSpecError(f"time horizon must be a finite number > 0, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", float(self.horizon))
 
     @property
     def dt(self) -> float:

@@ -253,6 +253,8 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, val, off = self.advance()
         if kind == "num":
+            if not math.isfinite(float(val)):
+                raise ExprSyntaxError(f"number '{val}' is not finite as a float", off)
             return Num(float(val))
         if kind == "name":
             nkind, nval, _ = self.peek()
@@ -288,8 +290,9 @@ class _Parser:
         return Call(fn, tuple(args))
 
 
-def parse(text: str, schema: Sequence[str], max_depth: int = MAX_DEPTH) -> Expr:
-    """Parse ``text`` into an AST; every variable must appear in ``schema``."""
+def parse(text: str, schema: Sequence[str]) -> Expr:
+    """Parse ``text`` into an AST of depth at most ``MAX_DEPTH``; every
+    variable must appear in ``schema`` and every number be finite as a float."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text, tuple(schema))
@@ -298,8 +301,8 @@ def parse(text: str, schema: Sequence[str], max_depth: int = MAX_DEPTH) -> Expr:
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing token '{val}'", off)
     d = expr_depth(node)
-    if d > max_depth:
-        raise ExprSyntaxError(f"expression tree depth {d} exceeds limit {max_depth}", 0)
+    if d > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression tree depth {d} exceeds limit {MAX_DEPTH}", 0)
     return node
 
 
@@ -389,7 +392,7 @@ _CALLS = {
 def _eval(expr: Expr, ctx: Mapping[str, Value]) -> Value:
     """Reference tree-walker: checks every node and names the first non-finite one."""
     if isinstance(expr, Num):
-        return expr.value
+        return _check_finite(expr.value, expr, "non-finite literal")
     if isinstance(expr, Var):
         try:
             v = ctx[expr.name]
@@ -423,8 +426,8 @@ def _closure(expr: Expr, hoisted: dict | None = None):
     if isinstance(expr, Num):
         value = expr.value
         if not math.isfinite(value):
-            # such a literal can turn into a finite result without raising a
-            # floating-point flag (min(1e999*2, 1)), so the walker decides
+            # only a tree built directly holds one (parse rejects it); it can
+            # give a finite result (min(inf, 1)), so the walker raises instead
             def walker_decides(ctx):
                 raise FloatingPointError
 

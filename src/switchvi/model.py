@@ -10,7 +10,8 @@ jump measure.
 Validators check the standing assumptions by finite sampling (the
 coefficient expressions are opaque, so nothing is proved symbolically):
 
-* non-free-loop property: no cycle of switches has zero net cost,
+* non-free-loop property: no cycle of switches has zero net cost, at the
+  points of :meth:`ProblemSpec.loop_check_points` (solver gate and CLI alike),
 * terminal consistency: ``max_k (h^{kj} - lower_ik(T)) <= h^{ij}
   <= min_l (h^{il} + upper_jl(T))``,
 * coefficient bounds: non-negative costs, ``0 <= gamma <= C (1 ^ |e|)``,
@@ -61,6 +62,7 @@ __all__ = [
 MAX_MODE_PAIRS = 36
 MAX_ENUMERATED_LOOPS = 200_000
 NON_FREE_LOOP_TOL = 1e-9  # a loop sum this close to 0, relative to its legs and 1, is free
+LOOP_SUM_BLOCK = 256  # sample points per loop-sum product, which bounds its (points, rows) array
 TERMINAL_CONSISTENCY_TOL = 1e-12  # how far terminal data may break the sandwich at expiry
 BOUND_SAMPLE_MARKS = (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0)  # the marks e at which the coefficient bounds are probed
 BOUND_TOL = 1e-12  # how far below 0 a probed cost, gamma or driver increment may fall
@@ -149,39 +151,39 @@ class LevyMeasureSpec:
     cutoff: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.cutoff < 1.0):
-            raise MalformedSpecError(f"cutoff must lie in [0, 1), got {self.cutoff}")
+        if not (is_finite_number(self.cutoff) and 0.0 <= self.cutoff < 1.0):
+            raise MalformedSpecError(f"cutoff must be a number in [0, 1), got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", float(self.cutoff))
         if self.atoms is None and self.density is None:
             object.__setattr__(self, "atoms", ())
         if self.atoms is not None and self.density is not None:
             raise MalformedSpecError("give either atoms or a density, not both")
         if self.atoms is not None:
             for e, w in self.atoms:
-                if not (math.isfinite(e) and math.isfinite(w)) or w <= 0:
-                    raise MalformedSpecError(f"atom ({e}, {w}) must have finite mark and weight > 0")
+                if not (is_finite_number(e) and is_finite_number(w) and w > 0):
+                    raise MalformedSpecError(f"atom ({e!r}, {w!r}) must have a finite number as mark and one > 0 as weight")
+            object.__setattr__(self, "atoms", tuple((float(e), float(w)) for e, w in self.atoms))
         if self.density is not None:
-            if self.radius is None or not (self.radius > self.cutoff > 0.0):
-                raise MalformedSpecError("a density descriptor requires radius > cutoff > 0")
+            if not (is_finite_number(self.radius) and self.radius > self.cutoff > 0.0):
+                raise MalformedSpecError(f"a density descriptor requires finite numbers radius > cutoff > 0, got radius {self.radius!r}")
+            object.__setattr__(self, "radius", float(self.radius))
 
     @staticmethod
     def from_dict(d: Mapping) -> "LevyMeasureSpec":
         if "density" in d:
             dens = d["density"]
             expr = parse(dens, DENSITY_SCHEMA) if isinstance(dens, str) else dens
-            return LevyMeasureSpec(
-                atoms=None,
-                density=expr,
-                radius=float(d["radius"]),
-                cutoff=float(d.get("cutoff", 0.0)),
-            )
-        atoms = tuple((float(e), float(w)) for e, w in d.get("atoms", []))
-        return LevyMeasureSpec(atoms=atoms, cutoff=float(d.get("cutoff", 0.0)))
+            return LevyMeasureSpec(atoms=None, density=expr, radius=d["radius"], cutoff=d.get("cutoff", 0.0))
+        atoms = tuple((e, w) for e, w in d.get("atoms", []))
+        return LevyMeasureSpec(atoms=atoms, cutoff=d.get("cutoff", 0.0))
 
 
 def _as_expr(value, schema: Sequence[str]) -> Expr:
     if isinstance(value, str):
         return parse(value, schema)
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        if not is_finite_number(value):
+            raise MalformedSpecError(f"a coefficient must be an expression or a finite number, got {value!r}")
         return exprdsl.Num(float(value))
     return value  # already an Expr
 
@@ -343,6 +345,18 @@ class ProblemSpec:
         cost tables at (t, x): the cost format :func:`eval_obstacles` reads."""
         return other_mode_costs(self.lower_cost_table(t, x)), other_mode_costs(self.upper_cost_table(t, x))
 
+    @functools.cached_property
+    def costs_read_t(self) -> bool:
+        """Whether any switching cost reads t."""
+        return any("t" in exprdsl.free_variables(e) for e in (*self.lower_costs.values(), *self.upper_costs.values()))
+
+    def loop_check_points(self, x, times) -> np.ndarray:
+        """The ``(points, 2)`` array of ``(t, x)`` at which the non-free-loop
+        property is checked on a grid: every node of ``x`` at every time of
+        ``times`` when a switching cost reads t, at the last time otherwise."""
+        ts = np.asarray(times, dtype=float)[slice(None) if self.costs_read_t else slice(-1, None)]
+        return np.column_stack([np.repeat(ts, np.size(x)), np.tile(np.asarray(x, dtype=float), len(ts))])
+
     def terminal_table(self, x) -> np.ndarray:
         """(m1, m2) + x.shape array of the terminal data ``h^{ij}(x)``."""
         x = np.asarray(x, dtype=float)
@@ -463,48 +477,43 @@ class ValidationReport:
         return asdict(self)
 
 
-def _simple_loops(m1: int, m2: int, moves: str = "both") -> list[list[tuple[int, int]]]:
-    """All directed simple loops in the mode-pair graph.
-
-    A loop is a pair sequence returning to its start, visiting distinct pairs
-    in between, each step changing exactly one coordinate.  ``moves``
-    restricts steps to player 1 ('lower'), player 2 ('upper') or both.
-    Canonical form: the loop starts at its smallest pair, so rotations are
-    not re-enumerated (both traversal directions are kept, their cost sums
-    differ).
-    """
-    if m1 * m2 > MAX_MODE_PAIRS:
-        raise CapacityError(f"loop enumeration supports at most {MAX_MODE_PAIRS} mode pairs")
-    nodes = [(i, j) for i in range(m1) for j in range(m2)]
-    index = {p: n for n, p in enumerate(nodes)}
-
-    def neighbors(p):
-        i, j = p
-        if moves in ("both", "lower"):
-            for k in range(m1):
-                if k != i:
-                    yield (k, j)
-        if moves in ("both", "upper"):
-            for l in range(m2):
-                if l != j:
-                    yield (i, l)
-
-    loops: list[list[tuple[int, int]]] = []
+@functools.lru_cache(maxsize=None)
+def _loop_legs(m1: int, m2: int, moves: str = "both") -> tuple:
+    """``(loops, rows, row_of)``: the directed simple loops of the mode-pair
+    graph, each a pair sequence back to its start through distinct pairs with
+    one coordinate changing per step, player 1's (``moves`` 'lower'), player
+    2's ('upper') or either's ('both').  A loop starts at its smallest pair,
+    so no rotation repeats; both directions are kept.  The read-only ``rows``
+    are the distinct leg counts: minus how often a loop takes lower leg
+    ``(i, k)``, at column ``i*m1 + k``, then plus how often it takes each
+    upper leg ``(j, l)``, so a row times the stacked cost tables is a loop's
+    sum; ``row_of[n]`` is loop ``n``'s row."""
+    loops: list[tuple[tuple[int, int], ...]] = []
 
     def extend(start, path, visited):
         if len(loops) > MAX_ENUMERATED_LOOPS:
             raise CapacityError(f"loop enumeration exceeded {MAX_ENUMERATED_LOOPS} loops; reduce the mode sets")
-        for nxt in neighbors(path[-1]):
+        i, j = path[-1]
+        lower = [(k, j) for k in range(m1) if k != i and moves != "upper"]
+        for nxt in lower + [(i, l) for l in range(m2) if l != j and moves != "lower"]:
             if nxt == start and len(path) >= 2:
-                loops.append(path + [start])
-            elif nxt not in visited and index[nxt] > index[start]:
+                loops.append(tuple(path) + (start,))
+            elif nxt not in visited and nxt > start:
                 visited.add(nxt)
                 extend(start, path + [nxt], visited)
                 visited.discard(nxt)
 
-    for start in nodes:
+    for start in np.ndindex(m1, m2):
         extend(start, [start], {start})
-    return loops
+    counts = np.zeros((len(loops), m1 * m1 + m2 * m2))
+    for n, loop in enumerate(loops):
+        for (i1, j1), (i2, j2) in zip(loop, loop[1:]):
+            column, sign = (i1 * m1 + i2, -1) if i1 != i2 else (m1 * m1 + j1 * m2 + j2, 1)
+            counts[n, column] += sign
+    rows, row_of = np.unique(counts, axis=0, return_inverse=True)
+    for table in (rows, row_of):
+        table.setflags(write=False)
+    return tuple(loops), rows, row_of
 
 
 def validate_non_free_loop(
@@ -516,45 +525,48 @@ def validate_non_free_loop(
 
     Each loop leg contributes ``-lower_cost`` when player 1 switches and
     ``+upper_cost`` when player 2 switches.  A loop whose sum is within
-    ``NON_FREE_LOOP_TOL`` (relative to the leg magnitudes) of zero at any
-    sample point is reported as a violation.  Each leg cost of the players
-    whose moves are checked is evaluated once, over all sample points.
+    ``NON_FREE_LOOP_TOL`` (relative to the leg magnitudes and 1) of zero at
+    any ``(t, x)`` sample point is reported once, at its first such point.
+    The checked players' cost tables are evaluated once over all points, the
+    :func:`_loop_legs` rows summed per block by one matrix product; a sum within
+    twice the tolerance (past rounding) is re-added leg by leg, which decides.
     """
-    if not sample_points:
+    points = np.asarray(sample_points, dtype=float).reshape(-1, 2)
+    if not len(points):
         raise MalformedSpecError("sample_points must be non-empty")
-    loops = _simple_loops(spec.modes.m1, spec.modes.m2, moves=moves)
-    ts = np.array([p[0] for p in sample_points], dtype=float)
-    xs = np.array([p[1] for p in sample_points], dtype=float)
+    m1, m2 = spec.modes.m1, spec.modes.m2
+    loops, rows, row_of = _loop_legs(m1, m2, moves)
+    ts, xs = points.T.copy()
     try:
-        legs = {("low", i, k): -spec.eval_lower_cost(i, k, ts, xs) for i, k in spec.lower_costs if moves != "upper"}
-        legs.update({("up", j, l): spec.eval_upper_cost(j, l, ts, xs) for j, l in spec.upper_costs if moves != "lower"})
+        lower = spec.lower_cost_table(ts, xs) if moves != "upper" else np.zeros((m1, m1, len(xs)))
+        upper = spec.upper_cost_table(ts, xs) if moves != "lower" else np.zeros((m2, m2, len(xs)))
     except exprdsl.ExprError as exc:
         raise MalformedSpecError(f"cost expression failed to evaluate: {exc}") from exc
-
-    violations = []
-    for loop in loops:
-        total = np.zeros(len(sample_points))
-        scale = np.ones(len(sample_points))
-        for (i1, j1), (i2, j2) in zip(loop[:-1], loop[1:]):
-            leg = legs[("low", i1, i2)] if i1 != i2 else legs[("up", j1, j2)]
-            total = total + leg
-            scale = np.maximum(scale, np.abs(leg))
-        bad = np.abs(total) < NON_FREE_LOOP_TOL * scale
-        if np.any(bad):
-            w = int(np.argmax(bad))
-            violations.append(
-                {
-                    "loop": [list(p) for p in loop],
-                    "point": [float(ts[w]), float(xs[w])],
-                    "loop_sum": float(total[w]),
-                }
-            )
-
+    legs = np.concatenate([lower.reshape(m1 * m1, -1).T, upper.reshape(m2 * m2, -1).T], axis=1)
+    found: dict = {}
+    open_rows = np.ones(len(rows), dtype=bool)  # rows with a loop not yet found free
+    for start in range(0, len(xs), LOOP_SUM_BLOCK):
+        block = legs[start : start + LOOP_SUM_BLOCK]
+        sums = block @ rows.T
+        near = np.abs(sums, out=sums) < 2.0 * NON_FREE_LOOP_TOL * np.maximum(1.0, np.max(np.abs(block), axis=1, keepdims=True))
+        for r in np.flatnonzero(near.any(axis=0) & open_rows):
+            members = [n for n in np.flatnonzero(row_of == r) if n not in found]
+            for n in members:
+                for w in start + np.flatnonzero(near[:, r]):
+                    total, scale = 0.0, 1.0
+                    for (i1, j1), (i2, j2) in zip(loops[n], loops[n][1:]):
+                        leg = -lower[i1, i2, w] if i1 != i2 else upper[j1, j2, w]
+                        total, scale = total + leg, max(scale, abs(leg))
+                    if abs(total) < NON_FREE_LOOP_TOL * scale:
+                        found[n] = {"loop": [list(p) for p in loops[n]], "point": [float(ts[w]), float(xs[w])], "loop_sum": float(total)}
+                        break
+            open_rows[r] = any(n not in found for n in members)
+    violations = [found[n] for n in sorted(found)]
     return ValidationReport(
         name="non_free_loop",
         passed=not violations,
         violations=violations,
-        details={"loops_checked": len(loops), "points_checked": len(sample_points), "moves": moves},
+        details={"loops_checked": len(loops), "points_checked": len(xs), "moves": moves},
     )
 
 
@@ -609,14 +621,9 @@ def validate_coefficient_bounds(
     details: dict = {}
 
     for t in sample_ts:
-        for (i, k), _ in spec.lower_costs.items():
-            vals = spec.eval_lower_cost(i, k, float(t), xs)
-            if np.min(vals) < -BOUND_TOL:
-                violations.append({"what": f"lower_cost[{i},{k}]", "t": float(t), "min": float(np.min(vals))})
-        for (j, l), _ in spec.upper_costs.items():
-            vals = spec.eval_upper_cost(j, l, float(t), xs)
-            if np.min(vals) < -BOUND_TOL:
-                violations.append({"what": f"upper_cost[{j},{l}]", "t": float(t), "min": float(np.min(vals))})
+        for side, costs in (("lower", spec.lower_cost_table(float(t), xs)), ("upper", spec.upper_cost_table(float(t), xs))):
+            for a, b in zip(*np.nonzero(np.min(costs, axis=-1) < -BOUND_TOL)):
+                violations.append({"what": f"{side}_cost[{a},{b}]", "t": float(t), "min": float(np.min(costs[a, b]))})
 
     gamma_ratio = 0.0
     beta_ratio = 0.0

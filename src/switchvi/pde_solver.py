@@ -303,8 +303,6 @@ class _Workspace:
 
         # coefficients whose expressions never read t are evaluated once, on first use
         self._local_reads_t = any("t" in exprdsl.free_variables(e) for e in (spec.drift, spec.vol))
-        costs = (*spec.lower_costs.values(), *spec.upper_costs.values())
-        self._costs_read_t = any("t" in exprdsl.free_variables(e) for e in costs)
         # the step computes the gradient z = sigma Dv only for drivers that read it
         self._drivers_read_z = any("z" in exprdsl.free_variables(e) for e in spec.drivers.values())
         self.drivers = spec.driver_evaluator(self.x)
@@ -356,7 +354,7 @@ class _Workspace:
     def obstacle_costs(self, t: float) -> tuple:
         """``ProblemSpec.obstacle_costs`` at t on the grid; evaluated once when
         no cost reads t.  Callers must not write to them."""
-        if self._costs is None or self._costs_read_t:
+        if self._costs is None or self.spec.costs_read_t:
             self._costs = self.spec.obstacle_costs(t, self.x)
         return self._costs
 
@@ -465,10 +463,7 @@ def _sweep(values: np.ndarray, costs: tuple, projection: str, config: SchemeConf
 
 
 def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, moves: str) -> None:
-    x = grid.axis()
-    xs = [float(x[0]), float(x[len(x) // 2]), float(x[-1])]
-    pts = [(t, xx) for t in (0.0, 0.5 * tgrid.horizon, tgrid.horizon) for xx in xs]
-    check = validate_non_free_loop(spec, pts, moves=moves)
+    check = validate_non_free_loop(spec, spec.loop_check_points(grid.axis(), tgrid.times()), moves=moves)
     if not check.passed:
         raise AssumptionViolationError(check)
 

@@ -54,6 +54,18 @@ class TestValidate:
         witness = loop_report["violations"][0]
         assert witness["loop"][0] == witness["loop"][-1]
 
+    def test_a_loop_free_at_one_node_exits_1(self, tmp_path):
+        """Upper costs ``0.4 + 0.5*abs(x - 0.5)`` against lower costs 0.4: the
+        mixed loop is free at x = 0.5 only, node 125 of 201, which a check at
+        every 12th node skipped."""
+        prob = shipped_problem(lower_costs={"default": "0.4"}, upper_costs={"default": "0.4 + 0.5*abs(x - 0.5)"})
+        cfg = write_config(tmp_path, problem=prob, grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 201})
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads((tmp_path / "out" / "validation.json").read_text())
+        loop_report = next(r for r in payload["reports"] if r["name"] == "non_free_loop")
+        assert loop_report["details"]["points_checked"] == 201
+        assert [v["point"][1] for v in loop_report["violations"]] == [pytest.approx(0.5)] * 2
+
     def test_terminal_violation_rejected_with_magnitude(self, tmp_path):
         prob = {
             "name": "badterminal",
@@ -128,12 +140,14 @@ class TestSolve:
         for _ in range(2):
             assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
 
-    def test_non_finite_grid_bound_exit_2_naming_the_grid(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, grid={"x_min": "-Infinity", "x_max": 2.0, "n_nodes": 11})
+    @pytest.mark.parametrize("x_min, shown", [(float("-inf"), "-inf"), ("-Infinity", "'-Infinity'")])
+    def test_non_finite_grid_bound_exit_2_naming_the_grid(self, tmp_path, capsys, x_min, shown):
+        """The JSON number -Infinity is not finite; the string "-Infinity" is not a number."""
+        cfg = write_config(tmp_path, grid={"x_min": x_min, "x_max": 2.0, "n_nodes": 11})
         capsys.readouterr()
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "grid" in err and "-inf" in err
+        assert err.startswith("error: ") and "grid" in err and shown in err
         assert len(err.strip().splitlines()) == 1
 
     def test_unwritable_out_exit_2(self, tmp_path):
@@ -359,6 +373,36 @@ class TestBadConfigValues:
                     ("m1-str", {"modes": {"m1": "x", "m2": 2}}),
                     ("m1-float", {"modes": {"m1": 2.5, "m2": 2}}),
                     ("atom-str", {"levy": {"atoms": [["a", 1]]}}),
+                    # a boolean coefficient loaded as 1.0, a NaN one evaluated to NaN, a string atom entry ran as its number
+                    ("vol-bool", {"vol": True}),
+                    ("vol-nan", {"vol": float("nan")}),
+                    ("atom-bool-str", {"levy": {"atoms": [[True, "0.4"]]}}),
+                    ("cutoff-str", {"levy": {"atoms": [[0.5, 0.4]], "cutoff": "0.1"}}),
+                )
+            ),
+            # a boolean or string grid bound ran as its number, a boolean radius as 1,
+            # and a stencil perturbation off the grid ended in an IndexError traceback
+            pytest.param("solve", {"grid": {"x_min": True, "x_max": "2", "n_nodes": 21}}, "error: config 'grid': ", id="grid-bounds-bool-str"),
+            pytest.param("validate", {"grid": {"x_min": -2.0, "x_max": "2", "n_nodes": 21}}, "error: config 'grid': ", id="grid-x-max-str"),
+            *(
+                pytest.param(
+                    "solve", {"problem": density_problem("0.4*exp(-abs(e))", cutoff=0.05), "quadrature": {"radius": radius}},
+                    "error: config 'quadrature': radius ", id=f"quadrature-radius-{label}",
+                )
+                for label, radius in (("bool", True), ("str", "1.0"), ("nan", float("nan")))
+            ),
+            *(
+                pytest.param(
+                    "check", {"check": {"paths": 200, "stencil_perturbation": perturbation}},
+                    "error: config 'check': stencil_perturbation ", id=f"check-stencil-perturbation-{label}",
+                )
+                for label, perturbation in (
+                    ("step", [999, 0, 0, 1.0]),
+                    ("row", [0, 21, 0, 1.0]),
+                    ("negative-col", [0, 0, -1, 1.0]),
+                    ("amount-nan", [0, 0, 0, float("nan")]),
+                    ("bool-step", [True, 0, 0, 1.0]),
+                    ("short", [0, 0, 0]),
                 )
             ),
             pytest.param("sweep", {"sweep": {"n_schedule": ["abc"], "m_schedule": [1]}}, "error: config 'sweep': ", id="sweep-n-str"),

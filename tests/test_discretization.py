@@ -46,6 +46,11 @@ def interpolation_matrices(table, n):
     return np.stack([table.apply(e) for e in np.eye(n)], axis=-1)
 
 
+def huge_id(value) -> str:
+    """``repr``, with an integer too large for a float shown by its size."""
+    return f"int with {len(str(abs(value)))} digits" if type(value) is int and abs(value) > 2**1024 else repr(value)
+
+
 class TestGrids:
     def test_spacing_and_axis(self):
         g = SpatialGrid.line(-2.0, 2.0, 101)
@@ -60,6 +65,17 @@ class TestGrids:
     def test_non_finite_bounds_or_width_rejected(self, x_min, x_max):
         with pytest.raises(MalformedSpecError, match=re.escape(f"grid bounds [{x_min!r}, {x_max!r}]")):
             SpatialGrid.line(x_min, x_max, 11)
+
+    @pytest.mark.parametrize("x_min, x_max", [(True, 2.0), (-2.0, "2"), (None, 2.0), (np.False_, 1.0), (-(10**400), 2.0)], ids=huge_id)
+    def test_bounds_must_be_finite_numbers(self, x_min, x_max):
+        """``line`` read ``true`` as 1 and ``"2"`` as 2: the box was [1, 2]."""
+        with pytest.raises(MalformedSpecError, match="grid bounds"):
+            SpatialGrid.line(x_min, x_max, 11)
+
+    @pytest.mark.parametrize("x_min, x_max", [(-1, 1), (np.float32(-1.0), np.int64(1))], ids=repr)
+    def test_bounds_are_kept_as_floats(self, x_min, x_max):
+        g = SpatialGrid.line(x_min, x_max, 11)
+        assert (g.x_min, g.x_max) == (-1.0, 1.0) and type(g.x_min) is float and type(g.x_max) is float
 
     @pytest.mark.parametrize("n_nodes", [11, np.int64(11)], ids=repr)
     def test_node_count_is_an_int(self, n_nodes):
@@ -79,6 +95,16 @@ class TestGrids:
         """20.5 steps failed in ``times()``, and ``True`` ran one step."""
         with pytest.raises(MalformedSpecError, match="step"):
             TimeGrid(0.5, n_steps)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), True, "0.5", None, 0.0, -0.5, 10**400], ids=huge_id)
+    def test_horizon_must_be_a_finite_positive_number(self, horizon):
+        """A NaN, infinite or boolean horizon constructed a grid."""
+        with pytest.raises(MalformedSpecError, match="horizon"):
+            TimeGrid(horizon, 10)
+
+    def test_horizon_is_a_float(self):
+        tg = TimeGrid(np.int64(2), 10)
+        assert tg.horizon == 2.0 and type(tg.horizon) is float
 
     def test_step_count_is_an_int(self):
         tg = TimeGrid(0.5, np.int64(20))

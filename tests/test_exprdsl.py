@@ -115,7 +115,23 @@ class TestParseEvaluate:
     def test_depth_guard(self):
         deep = "x" + " + x" * 100
         with pytest.raises(ExprSyntaxError):
-            parse(deep, ("x",), max_depth=64)
+            parse(deep, ("x",))
+        assert expr_depth(parse("x" + " + x" * (exprdsl.MAX_DEPTH - 1), ("x",))) == exprdsl.MAX_DEPTH
+
+    @pytest.mark.parametrize("text, offset", [("1e999", 0), ("min(1e999, 1)", 4), ("x + 2e308*x", 4)])
+    def test_a_literal_not_finite_as_a_float_is_a_syntax_error(self, text, offset):
+        """``1e999`` evaluated to inf, and ``min(1e999, 1)`` to 1."""
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, ("x",))
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("literal", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_literal_built_directly_raises(self, literal):
+        for tree in (Num(literal), Call("min", (Num(literal), Num(1.0))), BinOp("+", Var("x"), Num(literal))):
+            with pytest.raises(NumericDomainError, match="non-finite literal"):
+                evaluate(tree, {"x": np.zeros(3)})
+            with pytest.raises(NumericDomainError, match="non-finite literal"):
+                exprdsl._eval(tree, {"x": 1.0})
 
     def test_purity_bitwise(self):
         e = parse("exp(x) * 0.3 - sqrt(abs(x))", ("x",))
@@ -150,8 +166,8 @@ class TestCompiledEvaluation:
     def test_non_finite_literal_takes_the_walker(self):
         """inf*2 raises no floating-point flag, and min() would hide it."""
         with pytest.raises(NumericDomainError) as err:
-            evaluate(parse("min(1e999*2, x)", ("x",)), {"x": 1.0})
-        assert err.value.subexpr == "inf*2.0"
+            evaluate(Call("min", (BinOp("*", Num(np.inf), Num(2.0)), Var("x"))), {"x": 1.0})
+        assert err.value.subexpr == "inf"
 
     def test_tree_and_compiled_form_are_freed_with_the_tree(self):
         tree = parse("0.6 + 0.2*max(x, 0) - exp(-x*x)", ("x",))

@@ -17,8 +17,8 @@ from switchvi.model import (
     CapacityError,
     MalformedSpecError,
     ModeSet,
-    _simple_loops,
     ProblemSpec,
+    _loop_legs,
     builtin_problem_names,
     driver_variable,
     eval_obstacles,
@@ -84,7 +84,7 @@ class TestNonFreeLoop:
         assert report.passed
 
     @pytest.mark.parametrize("moves", ["both", "lower", "upper"])
-    @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (2, 2), (3, 1), (1, 3)])
+    @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (2, 2), (3, 1), (1, 3), (3, 3), (4, 2)])
     def test_equals_the_per_point_reference(self, modes, moves):
         """One evaluation per leg over all points gives the bits of one per point,
         with costs that read t and x through exp, log and pow; the free loops
@@ -105,6 +105,22 @@ class TestNonFreeLoop:
         if moves == "both" and m1 > 1 and m2 > 1:
             assert expected, "the cancelling legs make a free loop"
 
+    def test_decides_at_the_tolerance_as_the_per_point_reference(self):
+        """The mixed loops sum to ``4e-9 x`` against a largest leg of about 1:
+        free for |x| < 0.25, where the leg-by-leg sum, not the product, decides."""
+        spec = _cost_spec("1", "1 + 2e-9*x")
+        points = [(0.0, x) for x in np.linspace(-1.0, 1.0, 1201)]
+        expected = per_point_non_free_loop(spec, points, "both")
+        assert [v["loop"] for v in expected] == [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], [[0, 0], [0, 1], [1, 1], [1, 0], [0, 0]]]
+        assert -0.25 < expected[0]["point"][1] < -0.24
+        assert validate_non_free_loop(spec, points).violations == expected
+
+    def test_the_leg_table_is_built_once_per_shape(self):
+        loops, rows, row_of = _loop_legs(4, 3, "both")
+        assert (len(loops), len(rows)) == (27920, 4275) and row_of.shape == (27920,)
+        assert _loop_legs(4, 3, "both")[1] is rows and not rows.flags.writeable
+        assert [len(_loop_legs(m1, m2)[1]) for m1, m2 in ((2, 2), (3, 3))] == [3, 142]
+
     def test_a_lower_only_check_evaluates_no_upper_cost(self):
         """An upper cost of log(x) fails at x <= 0: only a check that moves player 2 evaluates it."""
         spec = make_spec(modes={"m1": 3, "m2": 2}, lower_costs={"default": "0.5 + t"}, upper_costs={"default": "log(x)"})
@@ -115,13 +131,32 @@ class TestNonFreeLoop:
                 validate_non_free_loop(spec, points, moves=moves)
 
 
+class TestLoopCheckPoints:
+    """The one point rule of the solver gate and ``switchvi validate``."""
+
+    X, TIMES = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 0.5, 4)
+
+    @pytest.mark.parametrize("lower, upper", [("1", "2 + x"), ("1", "2")])
+    def test_every_node_once_when_no_cost_reads_t(self, lower, upper):
+        spec = _cost_spec(lower, upper)
+        assert not spec.costs_read_t
+        assert np.array_equal(spec.loop_check_points(self.X, self.TIMES), np.column_stack([np.full(5, 0.5), self.X]))
+
+    @pytest.mark.parametrize("lower, upper", [("1 + t", "2"), ("1", "2 + t*x")])
+    def test_every_node_at_every_time_when_a_cost_reads_t(self, lower, upper):
+        spec = _cost_spec(lower, upper)
+        assert spec.costs_read_t
+        points = spec.loop_check_points(self.X, self.TIMES)
+        assert [tuple(p) for p in points] == [(t, x) for t in self.TIMES for x in self.X]
+
+
 def per_point_non_free_loop(spec, sample_points, moves):
     """The loop check one sample point at a time: each leg cost is evaluated at
     scalar ``(t, x)``, and a loop is free where its sum is within 1e-9 of its
     largest leg (or of 1) of zero.  Returns the violations."""
     m1, m2 = spec.modes.m1, spec.modes.m2
     violations = []
-    for loop in _simple_loops(m1, m2, moves=moves):
+    for loop in _loop_legs(m1, m2, moves)[0]:
         for t, x in sample_points:
             total, scale = 0.0, 1.0
             for (i1, j1), (i2, j2) in zip(loop[:-1], loop[1:]):
@@ -534,6 +569,33 @@ class TestProblemFile:
         ids=short_id,
     )
     def test_an_entry_that_does_not_convert_is_malformed(self, entry):
+        with pytest.raises(MalformedSpecError) as err:
+            ProblemSpec.from_dict(shipped_problem(**entry))
+        assert type(err.value) is MalformedSpecError
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"vol": True},
+            {"vol": float("nan")},
+            {"drift": float("inf")},
+            {"vol": HUGE},
+            {"lower_costs": {"default": False}},
+            {"terminal": {"default": float("-inf")}},
+            {"levy": {"atoms": [[True, "0.4"]]}},
+            {"levy": {"atoms": [[0.5, "0.4"]]}},
+            {"levy": {"atoms": [[0.5, np.nan]]}},
+            {"levy": {"atoms": [[0.5, 0.4]], "cutoff": True}},
+            {"levy": {"atoms": [[0.5, 0.4]], "cutoff": "0.1"}},
+            {"levy": {"density": "exp(-abs(e))", "radius": True, "cutoff": 0.1}},
+            {"levy": {"density": "exp(-abs(e))", "radius": "1.0", "cutoff": 0.1}},
+            {"levy": {"density": "exp(-abs(e))", "radius": 1.0, "cutoff": "0.1"}},
+        ],
+        ids=short_id,
+    )
+    def test_a_number_entry_must_be_a_finite_number(self, entry):
+        """``"vol": true`` loaded as 1.0 and ``NaN`` as a literal that evaluated to NaN;
+        the atom ``[true, "0.4"]`` loaded as (1.0, 0.4)."""
         with pytest.raises(MalformedSpecError) as err:
             ProblemSpec.from_dict(shipped_problem(**entry))
         assert type(err.value) is MalformedSpecError

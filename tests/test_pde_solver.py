@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import os
 import re
@@ -29,13 +28,14 @@ from switchvi.discretization import (
 from switchvi.exprdsl import BinOp, Num, NumericDomainError
 from switchvi.model import (
     ProblemSpec,
-    _simple_loops,
+    _loop_legs,
     driver_variable,
     eval_obstacles,
     load_builtin_problem,
     neg_part,
     other_mode_costs,
     pos_part,
+    validate_non_free_loop,
     validate_terminal_consistency,
 )
 from switchvi.oracle import build_discrete_game
@@ -764,7 +764,7 @@ class TestResiduals:
     @pytest.mark.parametrize("mode", ["explicit", "imex"])
     @pytest.mark.parametrize("system", list(SOLVES))
     def test_fresh_residual_zero_with_costs_in_t(self, system, mode):
-        """Lower costs ``0.3 + t``: the residuals read each level's costs, not the first level's."""
+        """Lower costs ``0.3 + 0.1*t``: the residuals read each level's costs, not the first level's."""
         spec = no_jump_in_time()
         quad = build_levy_quadrature(spec.levy)
         config = SchemeConfig(mode=mode)
@@ -811,11 +811,55 @@ class TestTimeGridHorizon:
         assert "0.1" in str(err.value) and "0.5" in str(err.value)
 
 
-def no_jump_in_time():
+def no_jump_in_time(lower: str = "0.3 + 0.1*t"):
     """``no_jump`` with drift, volatility and lower costs that read t."""
     raw = json.loads((files("switchvi.problems") / "no_jump.json").read_text(encoding="utf-8"))
-    raw.update(drift="0.1*x + 0.2*t", vol="0.25 + 0.1*t", lower_costs={"default": "0.3 + t"})
+    raw.update(drift="0.1*x + 0.2*t", vol="0.25 + 0.1*t", lower_costs={"default": lower})
     return ProblemSpec.from_dict(raw)
+
+
+def free_at_half() -> ProblemSpec:
+    """2x2 costs whose mixed loops (0,0) -> (1,0) -> (1,1) -> (0,1) -> (0,0),
+    both ways round, sum to 0 at x = 0.5 and nowhere else."""
+    return make_spec(modes={"m1": 2, "m2": 2}, lower_costs={"default": "0.4"}, upper_costs={"default": "0.4 + 0.5*abs(x - 0.5)"})
+
+
+class TestNonFreeLoopGate:
+    """A bilateral solve checks the non-free-loop property at every node, and at
+    every time of the time grid when a cost reads t; it used to check 3 x 3 points."""
+
+    @pytest.mark.parametrize("mode", ["direct", "limit"])
+    @pytest.mark.parametrize("solve", [solve_minmax, solve_maxmin])
+    def test_a_loop_free_at_one_node_is_rejected(self, solve, mode):
+        spec = free_at_half()
+        with pytest.raises(AssumptionViolationError) as err:
+            solve(spec, SpatialGrid.line(-1.0, 1.0, 41), TimeGrid(0.5, 20), build_levy_quadrature(spec.levy), mode=mode)
+        witness = err.value.report.violations[0]
+        assert witness["loop"] == [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        assert witness["point"] == [0.5, pytest.approx(0.5)]
+        assert "'loop': [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]" in str(err.value)
+        assert err.value.report.details["points_checked"] == 41
+
+    def test_costs_free_between_the_old_sample_times_are_rejected(self):
+        """Lower costs ``0.3 + t`` against upper costs 0.4: the mixed loops sum to
+        ``0.2 - 2t``, zero at t = 0.1, a step time but none of 0, 0.25 and 0.5."""
+        spec = no_jump_in_time("0.3 + t")
+        with pytest.raises(AssumptionViolationError) as err:
+            solve_minmax(spec, GRID, TGRID, build_levy_quadrature(spec.levy))
+        witness = err.value.report.violations[0]
+        assert witness["loop"] == [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        assert witness["point"] == [pytest.approx(0.1), GRID.x_min]
+        assert err.value.report.details["points_checked"] == (TGRID.n_steps + 1) * GRID.n_nodes
+
+    def test_a_valid_4x3_spec_with_costs_in_t_passes(self):
+        """No loop of at most 12 legs has lower and upper leg counts in the ratio of
+        the costs, which stays within [3.27, 3.4] on [0, 0.5]."""
+        spec = make_spec(modes={"m1": 4, "m2": 3}, lower_costs={"default": "0.5 + 0.1*t"}, upper_costs={"default": "1.7 + 0.2*t"})
+        grid, tgrid = SpatialGrid.line(-1.0, 1.0, 11), TimeGrid(0.5, 5)
+        report = validate_non_free_loop(spec, spec.loop_check_points(grid.axis(), tgrid.times()))
+        assert report.passed and report.details == {"loops_checked": 27920, "points_checked": 66, "moves": "both"}
+        traj, _ = solve_minmax(spec, grid, tgrid, build_levy_quadrature(spec.levy))
+        assert traj.values.shape == (6, 4, 3, 11)
 
 
 def same_bits(a, b) -> bool:
@@ -1056,26 +1100,11 @@ def chained_costs(spec, modes, t=0.3):
     return lc, uc
 
 
-@functools.lru_cache(maxsize=None)
-def loop_legs(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
-    """How often each simple loop of ``_simple_loops`` uses each lower and each
-    upper leg, as ``(loops, m1 * m1)`` and ``(loops, m2 * m2)`` counts."""
-    loops = _simple_loops(m1, m2)
-    low, up = np.zeros((len(loops), m1, m1)), np.zeros((len(loops), m2, m2))
-    for n, loop in enumerate(loops):
-        for (i1, j1), (i2, j2) in zip(loop, loop[1:]):
-            if i1 != i2:
-                low[n, i1, i2] += 1
-            else:
-                up[n, j1, j2] += 1
-    return low.reshape(len(loops), m1 * m1), up.reshape(len(loops), m2 * m2)
-
-
 def non_free(lc: np.ndarray, uc: np.ndarray) -> bool:
     """Every simple loop's cost sum, ``-lower + upper`` legs as ``validate_non_free_loop``
     adds them, is non-zero at every node of the cost tail."""
-    low, up = loop_legs(lc.shape[0], uc.shape[0])
-    sums = up @ uc.reshape(up.shape[1], -1) - low @ lc.reshape(low.shape[1], -1)
+    _, rows, _ = _loop_legs(lc.shape[0], uc.shape[0])
+    sums = rows @ np.concatenate([lc.reshape(lc.shape[0] ** 2, -1), uc.reshape(uc.shape[0] ** 2, -1)])
     return bool(np.all(sums != 0.0))
 
 
