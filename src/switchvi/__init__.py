@@ -17,7 +17,6 @@ from .discretization import (
     LevyQuadrature,
     SpatialGrid,
     TimeGrid,
-    ValueField,
     build_levy_quadrature,
     interpolate,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "ValidationReport",
-    "ValueField",
     "build_levy_quadrature",
     "eval_obstacles",
     "interpolate",

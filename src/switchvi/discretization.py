@@ -27,8 +27,11 @@ Off-grid evaluation is linear inside the box and clamps to the boundary
 value beyond it, so every off-grid value is a convex combination of node
 values and the step stays monotone and commutes with constants.  All of
 this lives in one place, the destination table: ``destination_table``
-snaps, locates and classifies a set of query points of any shape once, and
-``DestinationTable.apply`` evaluates a surface there.
+clips a set of query points of any shape to the box, snaps them and
+locates each in a cell once, as a left node ``lo`` and a weight ``theta``
+of its right node; ``DestinationTable.apply`` evaluates a surface there as
+``(1 - theta) v[lo] + theta v[lo + 1]``.  A clipped query sits on a cell end
+with weight 1, so the clamp needs no branch of its own.
 
 The compensator convention.  The non-local term ``sum_k w_k [v(x+beta_k) -
 v(x) - beta_k Dv(x)]`` splits into the redistribution ``sum_k w_k
@@ -47,8 +50,10 @@ dense ``nodes x nodes`` matrices, with ``P_k`` the interpolation at ``x +
 beta(x, e_k)``: the generator ``sum_k w_k (P_k - I)`` and one driver matrix
 ``sum_k w_k gamma_k (P_k - I)`` per distinct gamma table (pairs with
 bitwise-equal tables share one).  ``JumpOperator.apply`` runs both on a
-whole ``(m1, m2, nodes)`` stack with one matrix product each.  The matrices
-hold the clamp in their outside rows.  Dense storage costs ``(1 + distinct
+whole ``(m1, m2, nodes)`` stack with one matrix product each.  Each
+destination adds its two cell ends ``(lo, 1 - theta)`` and ``(lo + 1,
+theta)`` of the destination table to its row, the clamped ones included.
+Dense storage costs ``(1 + distinct
 gamma tables) x nodes^2`` doubles.  The dynamic-programming
 cross-check re-implements the interpolation and the sums on purpose: it is
 the independent check, not a copy.
@@ -73,7 +78,6 @@ __all__ = [
     "SpatialGrid",
     "TimeGrid",
     "LevyQuadrature",
-    "ValueField",
     "build_levy_quadrature",
     "check_atom_count",
     "NonIntegrableDensityError",
@@ -260,21 +264,6 @@ def build_levy_quadrature(
     return LevyQuadrature(marks=marks, weights=weights, cutoff=delta, small_jump_second_moment=s_small)
 
 
-@dataclass
-class ValueField:
-    """Value surfaces for every mode pair at one time level."""
-
-    values: np.ndarray  # (m1, m2, n_nodes)
-    t: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 3:
-            raise MalformedSpecError("value field must have shape (m1, m2, nodes)")
-        if not np.all(np.isfinite(self.values)):
-            raise MalformedSpecError("value field contains non-finite entries")
-
-
 # --- off-grid evaluation ---------------------------------------------------
 
 
@@ -282,49 +271,43 @@ class ValueField:
 class DestinationTable:
     """Off-grid evaluation at fixed query points, built once by :func:`destination_table`.
 
-    Arrays ``lo``, ``theta`` and ``outside`` have the shape of the queries.
-    ``boundary`` holds the boundary node of each outside query, in the order
-    of ``outside``.
+    ``lo`` (the left node of each query's cell) and ``theta`` (the weight of
+    its right node) have the shape of the queries.
     """
 
     lo: np.ndarray
     theta: np.ndarray
-    outside: np.ndarray
-    boundary: np.ndarray
 
     def apply(self, surface: np.ndarray) -> np.ndarray:
         """Values of a node-value surface at the query points."""
-        vals = (1.0 - self.theta) * surface[self.lo] + self.theta * surface[self.lo + 1]
-        vals[self.outside] = surface[self.boundary]
-        return vals
+        return (1.0 - self.theta) * surface[self.lo] + self.theta * surface[self.lo + 1]
 
 
 def destination_table(grid: SpatialGrid, xq: np.ndarray) -> DestinationTable:
     """Interpolation data for query points of any shape, e.g. ``(atoms, nodes)``.
 
-    Queries snap onto a node within a 1e-9 relative tolerance; ``lo`` is the
-    left node of the cell and ``theta`` the weight of its right node.
+    Queries clip to the box and snap onto a node within a 1e-9 relative
+    tolerance, so a query beyond the box (``±inf`` included) lands on ``theta
+    = 0`` at node 0 or on ``theta = 1`` at node ``n - 2``: the boundary
+    node's value, with no separate branch. 
     """
-    x0, x1 = grid.x_min, grid.x_max
     n = grid.n_nodes
     xq = np.asarray(xq, dtype=float)
-    pos = (xq - x0) / grid.dx
+    pos = (np.clip(xq, grid.x_min, grid.x_max) - grid.x_min) / grid.dx
     snapped = np.rint(pos)
     pos = np.where(np.abs(pos - snapped) < _NODE_SNAP, snapped, pos)
-    lo = np.clip(np.floor(pos), 0, n - 2).astype(int)
-    below = xq < x0
-    outside = below | (xq > x1)
-    return DestinationTable(lo, pos - lo, outside, np.where(below, 0, n - 1)[outside])
+    lo = np.minimum(np.floor(pos), n - 2).astype(int)
+    return DestinationTable(lo, pos - lo)
 
 
-def interpolate(field: ValueField, pair: tuple[int, int], x_query: float, grid: SpatialGrid) -> float:
-    """Value of surface (i, j) at an arbitrary point.
+def interpolate(surface: np.ndarray, x_query: float, grid: SpatialGrid) -> float:
+    """Value of a node-value surface at an arbitrary point.
 
     Linear between nodes (exact on nodes, queries snap onto nodes within a
     1e-9 relative tolerance), the boundary node's value outside.
     """
     xq = np.atleast_1d(np.asarray(x_query, dtype=float))
-    return float(destination_table(grid, xq).apply(field.values[pair])[0])
+    return float(destination_table(grid, xq).apply(np.asarray(surface, dtype=float))[0])
 
 
 # --- derivative surfaces ---------------------------------------------------
@@ -433,23 +416,15 @@ def jump_operator(
     index = np.array([ids.setdefault(g.tobytes(), len(ids)) for g in pair_tables])
     tables = pair_tables[np.unique(index, return_index=True)[1]]
 
-    # interpolation weights of every destination: the two cell ends inside
-    # the box, the boundary node (weight 1) outside it
-    inside = ~table.outside
-    in_atom, in_row = np.nonzero(inside)
-    out_atom, out_row = np.nonzero(table.outside)  # the order of table.boundary
-    theta = table.theta[inside]
-    ent_row = np.concatenate([in_row, in_row, out_row])
-    ent_col = np.concatenate([table.lo[inside], table.lo[inside] + 1, table.boundary])
-    ent_atom = np.concatenate([in_atom, in_atom, out_atom])
-    ent_p = np.concatenate([1.0 - theta, theta, np.ones(out_row.size)])
-    flat = ent_row * n + ent_col
-    ent_w = quad.weights[ent_atom] * ent_p
+    # the two cell ends of every (atom, row) destination, stacked on a leading axis
+    row = np.arange(n)
+    flat = np.stack([row * n + table.lo, row * n + table.lo + 1]).ravel()
+    ent_w = w * np.stack([1.0 - table.theta, table.theta])
 
     mats = np.zeros((1 + len(tables), n, n))
-    np.add.at(mats[0].reshape(-1), flat, ent_w)
+    np.add.at(mats[0].reshape(-1), flat, ent_w.ravel())
     mats[0].reshape(-1)[:: n + 1] -= np.sum(quad.weights)
     for d, g in enumerate(tables, start=1):
-        np.add.at(mats[d].reshape(-1), flat, ent_w * g[ent_atom, ent_row])
+        np.add.at(mats[d].reshape(-1), flat, (ent_w * g).ravel())
         mats[d].reshape(-1)[:: n + 1] -= np.sum(w * g, axis=0)
     return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2))

@@ -24,13 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretization import SpatialGrid, TimeGrid, ValueField
+from .discretization import SpatialGrid
 from .model import ProblemSpec, eval_obstacles
 from .pde_solver import Trajectory
 
 __all__ = [
     "fmt_float",
-    "value_field_csv",
     "trajectory_csv_files",
     "plotdata_csv",
     "write_json",
@@ -39,6 +38,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SVITRAJ1"
+_HEADER = struct.Struct("<8sIIIddI")  # magic, m1, m2, n_nodes, x_min, x_max, n_levels
 
 
 def fmt_float(v: float) -> str:
@@ -64,13 +64,9 @@ def _values_csv(values: np.ndarray, nodes: list[str]) -> str:
     return _csv(header, nodes, values.reshape(m1 * m2, -1))
 
 
-def value_field_csv(field: ValueField, grid: SpatialGrid) -> str:
-    """Columns: node coordinate, one value column per mode pair."""
-    return _values_csv(field.values, _node_column(grid))
-
-
 def trajectory_csv_files(trajectory: Trajectory, out_dir: Path, stem: str, levels: list[int] | None = None) -> list[Path]:
-    """One :func:`value_field_csv` file per level; the node column is formatted once."""
+    """One values CSV file per level (columns: node coordinate, one value
+    column per mode pair); the node column is formatted once."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     nodes = _node_column(trajectory.grid)
@@ -85,13 +81,11 @@ def trajectory_csv_files(trajectory: Trajectory, out_dir: Path, stem: str, level
 
 def plotdata_csv(trajectory: Trajectory, spec: ProblemSpec, level: int = 0) -> str:
     """Level slice with obstacle columns: x, v_ij, L_ij, U_ij per pair."""
-    field = trajectory.level(level)
-    x = trajectory.grid.axis()
-    t = float(trajectory.times[level])
-    L, U = eval_obstacles(field.values, spec.obstacle_costs(t, x))
-    m1, m2 = field.values.shape[0], field.values.shape[1]
+    values = trajectory.values[level]
+    L, U = eval_obstacles(values, spec.obstacle_costs(float(trajectory.times[level]), trajectory.grid.axis()))
+    m1, m2 = values.shape[0], values.shape[1]
     header = ["x"] + [f"{c}_{i}_{j}" for i in range(m1) for j in range(m2) for c in "vLU"]
-    columns = np.stack([field.values, L, U], axis=2).reshape(3 * m1 * m2, -1)
+    columns = np.stack([values, L, U], axis=2).reshape(3 * m1 * m2, -1)
     return _csv(header, _node_column(trajectory.grid), columns)
 
 
@@ -101,11 +95,9 @@ def write_json(obj, path: Path) -> None:
 
 def write_binary_snapshot(trajectory: Trajectory, path: Path) -> None:
     m1, m2, n = trajectory.values.shape[1:]
+    grid = trajectory.grid
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", m1, m2, n))
-        fh.write(struct.pack("<dd", trajectory.grid.x_min, trajectory.grid.x_max))
-        fh.write(struct.pack("<I", trajectory.n_levels))
+        fh.write(_HEADER.pack(_MAGIC, m1, m2, n, grid.x_min, grid.x_max, trajectory.n_levels))
         fh.write(np.ascontiguousarray(trajectory.times, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(trajectory.values, dtype="<f8").tobytes())
 
@@ -114,17 +106,7 @@ def read_binary_snapshot(path: Path) -> Trajectory:
     raw = Path(path).read_bytes()
     if raw[:8] != _MAGIC:
         raise ValueError("not a trajectory snapshot")
-    off = 8
-    m1, m2, n = struct.unpack_from("<III", raw, off)
-    off += 12
-    x_min, x_max = struct.unpack_from("<dd", raw, off)
-    off += 16
-    (n_levels,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    times = np.frombuffer(raw, dtype="<f8", count=n_levels, offset=off).copy()
-    off += 8 * n_levels
-    values = np.frombuffer(raw, dtype="<f8", count=n_levels * m1 * m2 * n, offset=off).copy()
-    values = values.reshape(n_levels, m1, m2, n)
-    grid = SpatialGrid.line(x_min, x_max, n)
-    tgrid = TimeGrid(horizon=float(times[-1]) if times[-1] > 0 else 1.0, n_steps=max(1, n_levels - 1))
-    return Trajectory(times=times, values=values, grid=grid, tgrid=tgrid)
+    _, m1, m2, n, x_min, x_max, n_levels = _HEADER.unpack_from(raw)
+    data = np.frombuffer(raw, dtype="<f8", count=n_levels * (1 + m1 * m2 * n), offset=_HEADER.size).copy()
+    values = data[n_levels:].reshape(n_levels, m1, m2, n)
+    return Trajectory(times=data[:n_levels], values=values, grid=SpatialGrid.line(x_min, x_max, n))

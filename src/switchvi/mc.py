@@ -313,11 +313,10 @@ def feynman_kac_check(
         "threshold = 4*stderr + bias*(1+|v|); the bias allowance covers scheme and "
         "regression discretization error and is an engineering default, not a bound"
     )
-    level0 = trajectory.level(0)
     m1, m2 = estimate.y0.shape
     for i in range(m1):
         for j in range(m2):
-            v = interpolate(level0, (i, j), x0, trajectory.grid)
+            v = interpolate(trajectory.values[0, i, j], x0, trajectory.grid)
             diff = abs(v - float(estimate.y0[i, j]))
             thr = 4.0 * float(estimate.stderr[i, j]) + BIAS_ALLOWANCE * (1.0 + abs(v))
             ok = diff <= thr

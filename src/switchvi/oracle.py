@@ -256,4 +256,4 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
             raise SweepNonConvergenceError(worst, game.config.max_sweeps)
         values[k] = cur
 
-    return Trajectory(times=times, values=values, grid=grid, tgrid=game.tgrid)
+    return Trajectory(times=times, values=values, grid=grid)

@@ -57,7 +57,6 @@ from .discretization import (
     LevyQuadrature,
     SpatialGrid,
     TimeGrid,
-    ValueField,
     beta_slope_at_zero,
     gradient_surface,
     jump_operator,
@@ -204,10 +203,6 @@ class Trajectory:
     times: np.ndarray  # (n_levels,)
     values: np.ndarray  # (n_levels, m1, m2, n_nodes)
     grid: SpatialGrid
-    tgrid: TimeGrid
-
-    def level(self, k: int) -> ValueField:
-        return ValueField(self.values[k], float(self.times[k]))
 
     @property
     def n_levels(self) -> int:
@@ -515,7 +510,7 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
     report.obstacle_lower_violation.reverse()
     report.obstacle_upper_violation.reverse()
     report.wall_clock_s = time.perf_counter() - t_start
-    traj = Trajectory(times=times, values=values, grid=ws.grid, tgrid=ws.tgrid)
+    traj = Trajectory(times=times, values=values, grid=ws.grid)
     return traj, report
 
 

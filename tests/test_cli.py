@@ -7,7 +7,7 @@ import pytest
 
 from switchvi import export
 from switchvi.cli import DEFAULT_SEED, main
-from switchvi.discretization import SpatialGrid, TimeGrid, ValueField, build_levy_quadrature
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi.model import eval_obstacles, load_builtin_problem
 from switchvi.pde_solver import Trajectory, solve_minmax
 
@@ -491,21 +491,24 @@ class TestExportRoundTrip:
         np.testing.assert_array_equal(back.times, traj.times)
         assert back.grid.x_min == traj.grid.x_min
 
-    def test_value_field_csv_matches_per_cell_reference(self):
+    def test_level_csv_matches_per_cell_reference(self, tmp_path):
+        """A level file of a 2 x 3 trajectory holds the per-cell text, signed zero and subnormals included."""
         grid = SpatialGrid.line(-1.0, 1.0, 5)
-        values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0], (2, 3, 5))
-        assert np.signbit(values[0, 0, 0]) and values[0, 0, 1] == 5e-324
+        values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0], (1, 2, 3, 5))
+        assert np.signbit(values[0, 0, 0, 0]) and values[0, 0, 0, 1] == 5e-324
+        traj = Trajectory(times=np.array([0.0]), values=values, grid=grid)
         x = grid.axis()
         lines = ["x," + ",".join(f"v_{i}_{j}" for i in range(2) for j in range(3))]
         for p in range(5):
-            lines.append(",".join([export.fmt_float(x[p])] + [export.fmt_float(values[i, j, p]) for i in range(2) for j in range(3)]))
-        assert export.value_field_csv(ValueField(values, 0.0), grid) == "\n".join(lines) + "\n"
+            lines.append(",".join([export.fmt_float(x[p])] + [export.fmt_float(values[0, i, j, p]) for i in range(2) for j in range(3)]))
+        (path,) = export.trajectory_csv_files(traj, tmp_path, "v")
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
     def test_trajectory_csv_files_match_per_cell_reference(self, tmp_path):
         """The node column is formatted once per call; every level's file is still the per-cell text."""
         grid = SpatialGrid.line(-1.0, 1.0, 5)
         values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0, -7.25], (3, 2, 2, 5))
-        traj = Trajectory(times=np.array([0.0, 0.25, 0.5]), values=values, grid=grid, tgrid=TimeGrid(horizon=0.5, n_steps=2))
+        traj = Trajectory(times=np.array([0.0, 0.25, 0.5]), values=values, grid=grid)
         x = grid.axis()
         paths = export.trajectory_csv_files(traj, tmp_path, "v")
         assert [p.name for p in paths] == ["v_level0000.csv", "v_level0001.csv", "v_level0002.csv"]
@@ -521,7 +524,7 @@ class TestExportRoundTrip:
         spec = load_builtin_problem("two_atom_jump")  # 2x1 modes: every U column is +inf
         grid = SpatialGrid.line(-1.0, 1.0, 4)
         values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0], (2, 2, 1, 4))
-        traj = Trajectory(times=np.array([0.0, 0.5]), values=values, grid=grid, tgrid=TimeGrid(horizon=0.5, n_steps=1))
+        traj = Trajectory(times=np.array([0.0, 0.5]), values=values, grid=grid)
         x = grid.axis()
         L, U = eval_obstacles(values[1], spec.obstacle_costs(0.5, x))
         assert np.all(U == np.inf)
@@ -531,13 +534,13 @@ class TestExportRoundTrip:
             lines.append(",".join(export.fmt_float(c) for c in cells))
         assert export.plotdata_csv(traj, spec, level=1) == "\n".join(lines) + "\n"
 
-    def test_value_field_csv_layout(self):
+    def test_level_csv_layout(self, tmp_path):
         spec = load_builtin_problem("no_jump")
         grid = SpatialGrid.line(-1.0, 1.0, 5)
         tgrid = TimeGrid(horizon=0.5, n_steps=3)
         quad = build_levy_quadrature(spec.levy)
         traj, _ = solve_minmax(spec, grid, tgrid, quad, mode="direct")
-        text = export.value_field_csv(traj.level(0), grid)
-        lines = text.splitlines()
+        (path,) = export.trajectory_csv_files(traj, tmp_path, "v", levels=[0])
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,v_0_0,v_0_1,v_1_0,v_1_1"
         assert len(lines) == 6

@@ -8,7 +8,6 @@ from switchvi.discretization import (
     NonIntegrableDensityError,
     SpatialGrid,
     TimeGrid,
-    ValueField,
     build_levy_quadrature,
     destination_table,
     gradient_surface,
@@ -115,15 +114,6 @@ class TestGrids:
         assert tg.times()[-1] == 0.7
         assert tg.dt == pytest.approx(0.1)
 
-    def test_value_field_rejects_nan(self):
-        with pytest.raises(MalformedSpecError):
-            ValueField(np.full((1, 1, 4), np.nan), 0.0)
-
-    @pytest.mark.parametrize("shape", [(1, 3), (1, 1, 3, 3)])
-    def test_value_field_needs_one_node_axis(self, shape):
-        with pytest.raises(MalformedSpecError):
-            ValueField(np.zeros(shape), 0.0)
-
 
 class TestQuadrature:
     def test_atom_passthrough(self):
@@ -192,25 +182,24 @@ class TestInterpolate:
     def grid(self):
         return SpatialGrid.line(0.0, 1.0, 3)
 
-    def field(self):
-        return ValueField(np.array([0.0, 1.0, 2.0]).reshape(1, 1, 3), 0.0)
+    def surface(self):
+        return np.array([0.0, 1.0, 2.0])
 
     def test_node_identity_exact(self):
         g = SpatialGrid.line(-2.0, 2.0, 101)
         vals = np.sin(np.linspace(0, 5, 101)) if False else np.exp(-np.linspace(-2, 2, 101) ** 2)
-        f = ValueField(vals.reshape(1, 1, -1), 0.0)
         x = g.axis()
         for p in (0, 17, 50, 100):
-            assert interpolate(f, (0, 0), float(x[p]), g) == vals[p]
+            assert interpolate(vals, float(x[p]), g) == vals[p]
 
     def test_linear_midpoint(self):
         # values 0 -> 2 linearly over [0, 1]; query at 0.5 gives 1.0
-        assert interpolate(self.field(), (0, 0), 0.5, self.grid()) == pytest.approx(1.0)
-        assert interpolate(self.field(), (0, 0), 0.25, self.grid()) == pytest.approx(0.5)
+        assert interpolate(self.surface(), 0.5, self.grid()) == pytest.approx(1.0)
+        assert interpolate(self.surface(), 0.25, self.grid()) == pytest.approx(0.5)
 
     def test_clamp_beyond_box(self):
-        assert interpolate(self.field(), (0, 0), 7.0, self.grid()) == 2.0
-        assert interpolate(self.field(), (0, 0), -3.0, self.grid()) == 0.0
+        assert interpolate(self.surface(), 7.0, self.grid()) == 2.0
+        assert interpolate(self.surface(), -3.0, self.grid()) == 0.0
 
 
 
@@ -291,10 +280,16 @@ class TestNonlocalGenerator:
         x = g.axis()
         quad = LevyQuadrature(marks=np.array([0.3, -0.4]), weights=np.array([0.5, 0.5]))
         # exact: every destination is a convex combination of node values
-        table = destination_table(g, x + atom_table(beta_identity, x, quad))
-        assert table.outside.any()
-        inside = ~table.outside
-        assert np.all(table.theta[inside] >= 0.0) and np.all(1.0 - table.theta[inside] >= 0.0)
+        dest = x + atom_table(beta_identity, x, quad)
+        table = destination_table(g, dest)
+        beyond = (dest < -1.0) | (dest > 1.0)
+        assert beyond.any()
+        assert np.all(table.theta >= 0.0) and np.all(1.0 - table.theta >= 0.0)
+        # a clamped destination sits on a cell end: theta 0 at node 0 or theta 1 at node n - 2
+        np.testing.assert_array_equal(table.lo[dest < -1.0], 0)
+        np.testing.assert_array_equal(table.theta[dest < -1.0], 0.0)
+        np.testing.assert_array_equal(table.lo[dest > 1.0], 19)
+        np.testing.assert_array_equal(table.theta[dest > 1.0], 1.0)
         weights = interpolation_matrices(table, 21)
         assert np.all(weights >= 0.0)
         np.testing.assert_array_equal(np.sum(weights, axis=-1), 1.0)
@@ -369,9 +364,9 @@ class TestNonlocalDriverTerm:
         x = g.axis()
         quad = LevyQuadrature(marks=np.array([0.3, -0.2]), weights=np.array([1.0, 0.5]))
         # exact: non-negative interpolation weights, gamma and atom weights
-        table = destination_table(g, x + atom_table(beta_identity, x, quad))
-        assert table.outside.any()
-        assert np.all(interpolation_matrices(table, 21) >= 0.0)
+        dest = x + atom_table(beta_identity, x, quad)
+        assert np.any((dest < -1.0) | (dest > 1.0))
+        assert np.all(interpolation_matrices(destination_table(g, dest), 21) >= 0.0)
         assert np.all(atom_table(self.gamma_one, x, quad) >= 0.0) and np.all(quad.weights > 0.0)
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -196,11 +196,11 @@ class TestInduction:
         assert per_run[0] == per_run[1] == {"eval_beta": 2, "eval_gamma": 8}
 
     def test_values_export_in_trajectory_layout(self, spec_2x2, quad_2x2, tmp_path):
-        from switchvi.export import trajectory_csv_files, value_field_csv
+        from switchvi.export import trajectory_csv_files
 
         game = build_discrete_game(spec_2x2, GRID, TGRID, quad_2x2)
         traj = backward_induction(game, order="minmax")
-        text = value_field_csv(traj.level(0), GRID)
-        assert text.splitlines()[0] == "x,v_0_0,v_0_1,v_1_0,v_1_1"
         files = trajectory_csv_files(traj, tmp_path, stem="oracle", levels=[0])
-        assert files[0].exists()
+        lines = files[0].read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "x,v_0_0,v_0_1,v_1_0,v_1_1"
+        assert len(lines) == GRID.n_nodes + 1
