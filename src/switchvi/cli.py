@@ -24,6 +24,9 @@ Config file shape (see the shipped problems for coefficient syntax):
                  "basis_degree": 3, "n_steps": 50},
       "output": {"levels": [0]}
     }
+
+The config and each of its sections must be a JSON object with only the
+keys shown; anything else exits 2 naming the section and the key.
 """
 
 from __future__ import annotations
@@ -73,6 +76,18 @@ EXIT_USAGE = 2
 
 MAX_CHECK_STATES = 10_000
 
+# the keys of each config section
+_SECTIONS = {
+    "grid": ("x_min", "x_max", "n_nodes"),
+    "time": ("n_steps",),
+    "quadrature": ("n_atoms", "radius"),
+    "scheme": ("mode", "max_sweeps"),
+    "solve": ("system", "mode", "n", "m", "schedule"),
+    "sweep": ("n_schedule", "m_schedule"),
+    "check": ("paths", "x0", "n", "m", "basis_degree", "n_steps", "stencil_perturbation"),
+    "output": ("levels",),
+}
+
 
 class UsageError(Exception):
     pass
@@ -87,14 +102,29 @@ def _config_section(name: str):
         raise UsageError(f"config '{name}': {exc}") from exc
 
 
+def _check_object(value, where: str, keys) -> None:
+    """UsageError unless ``value`` is a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise UsageError(f"{where}: must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise UsageError(f"{where}: unknown keys {unknown}; the keys are {', '.join(map(repr, keys))}")
+
+
 def _load_config(path: str) -> dict:
+    """The config as a dict whose sections are objects with known keys only."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
+    _check_object(cfg, "config", ("problem", *_SECTIONS))
+    for name, keys in _SECTIONS.items():
+        if name in cfg:
+            _check_object(cfg[name], f"config '{name}'", keys)
+    return cfg
 
 
 def _load_spec(cfg: dict, config_dir: Path) -> ProblemSpec:
@@ -138,9 +168,6 @@ def _quadrature(cfg: dict, spec: ProblemSpec):
 def _scheme(cfg: dict, override_a4: bool) -> SchemeConfig:
     s = cfg.get("scheme", {})
     with _config_section("scheme"):
-        unknown = sorted(set(s) - {"mode", "max_sweeps"})
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}; the keys are 'mode' and 'max_sweeps'")
         return SchemeConfig(mode=s.get("mode", "explicit"), max_sweeps=s.get("max_sweeps", 500), allow_terminal_inconsistency=override_a4)
 
 

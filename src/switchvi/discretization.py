@@ -289,10 +289,12 @@ def destination_table(grid: SpatialGrid, xq: np.ndarray) -> DestinationTable:
     Queries clip to the box and snap onto a node within a 1e-9 relative
     tolerance, so a query beyond the box (``±inf`` included) lands on ``theta
     = 0`` at node 0 or on ``theta = 1`` at node ``n - 2``: the boundary
-    node's value, with no separate branch. 
+    node's value, with no separate branch.  A NaN query raises ValueError.
     """
     n = grid.n_nodes
     xq = np.asarray(xq, dtype=float)
+    if np.isnan(xq).any():
+        raise ValueError("off-grid query points must not be NaN")
     pos = (np.clip(xq, grid.x_min, grid.x_max) - grid.x_min) / grid.dx
     snapped = np.rint(pos)
     pos = np.where(np.abs(pos - snapped) < _NODE_SNAP, snapped, pos)

@@ -103,10 +103,19 @@ def write_binary_snapshot(trajectory: Trajectory, path: Path) -> None:
 
 
 def read_binary_snapshot(path: Path) -> Trajectory:
+    """The trajectory in a snapshot file; ValueError unless the file is
+    exactly one header and the finite times and values it announces."""
     raw = Path(path).read_bytes()
     if raw[:8] != _MAGIC:
         raise ValueError("not a trajectory snapshot")
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"snapshot header needs {_HEADER.size} bytes, the file has {len(raw)}")
     _, m1, m2, n, x_min, x_max, n_levels = _HEADER.unpack_from(raw)
-    data = np.frombuffer(raw, dtype="<f8", count=n_levels * (1 + m1 * m2 * n), offset=_HEADER.size).copy()
+    expected = _HEADER.size + 8 * n_levels * (1 + m1 * m2 * n)
+    if len(raw) != expected:
+        raise ValueError(f"snapshot of {n_levels} levels of {m1} x {m2} x {n} values needs {expected} bytes, the file has {len(raw)}")
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).copy()
+    if not np.isfinite(data).all():
+        raise ValueError("snapshot holds non-finite times or values")
     values = data[n_levels:].reshape(n_levels, m1, m2, n)
     return Trajectory(times=data[:n_levels], values=values, grid=SpatialGrid.line(x_min, x_max, n))

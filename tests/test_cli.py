@@ -429,6 +429,79 @@ class TestBadConfigValues:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestConfigShape:
+    """The config and every section are JSON objects with known keys only.
+
+    A misspelled key used to be ignored (the run took the default and exited
+    0), and a section that is not an object ended in an AttributeError
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "command,overrides,where,key",
+        [
+            pytest.param("solve", {"grid": {"nodes": 41}}, "config 'grid'", "nodes", id="grid-nodes"),
+            pytest.param("solve", {"time": {"steps": 10}}, "config 'time'", "steps", id="time-steps"),
+            pytest.param("solve", {"solve": {"shedule": [1, 2]}}, "config 'solve'", "shedule", id="solve-shedule"),
+            pytest.param("solve", {"output": {"level": [0]}}, "config 'output'", "level", id="output-level"),
+            pytest.param("solve", {"quadrature": {"atoms": 8}}, "config 'quadrature'", "atoms", id="quadrature-atoms"),
+            pytest.param("check", {"check": {"path": 200}}, "config 'check'", "path", id="check-path"),
+            pytest.param("sweep", {"sweep": {"n_schedule": [1], "m_shedule": [1]}}, "config 'sweep'", "m_shedule", id="sweep-m-shedule"),
+            # a section the command does not read is checked too
+            pytest.param("validate", {"check": {"seed": 3}}, "config 'check'", "seed", id="validate-check-seed"),
+            pytest.param("solve", {"gird": {"n_nodes": 41}}, "config", "gird", id="top-level-gird"),
+        ],
+    )
+    def test_unknown_key_exit_2_naming_section_and_key(self, tmp_path, capsys, command, overrides, where, key):
+        base = {"grid": {"x_min": -2.0, "x_max": 2.0, "n_nodes": 21}, "time": {"n_steps": 10}}
+        cfg = write_config(tmp_path, **{**base, **overrides})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: unknown keys ['{key}']")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,value",
+        [("grid", 5), ("solve", [1]), ("time", None), ("scheme", "explicit"), ("output", [0]), ("check", 1.5)],
+        ids=["grid-int", "solve-list", "time-null", "scheme-str", "output-list", "check-float"],
+    )
+    def test_section_not_an_object_exit_2(self, tmp_path, capsys, section, value):
+        command = "check" if section == "check" else "solve"
+        cfg = write_config(tmp_path, **{section: value})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config '{section}': must be a JSON object, got ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("top", [[1, 2], "switch_2x2_jump", None, 3], ids=["list", "str", "null", "int"])
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, command, top):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(top), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: must be a JSON object, got ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_every_documented_key_is_accepted(self, tmp_path):
+        """The module docstring's example config, every key of every section, loads."""
+        cfg = write_config(
+            tmp_path,
+            grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 21},
+            time={"n_steps": 10},
+            quadrature={"n_atoms": 64, "radius": 1.0},
+            scheme={"mode": "explicit", "max_sweeps": 500},
+            solve={"system": "minmax", "mode": "direct", "n": 4, "m": 4, "schedule": [1, 2, 4, 8]},
+            sweep={"n_schedule": [1, 2], "m_schedule": [1, 2]},
+            check={"paths": 200, "x0": 0.0, "n": 4, "m": 4, "basis_degree": 3, "n_steps": 10, "stencil_perturbation": None},
+            output={"levels": [0]},
+        )
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""
 
@@ -490,6 +563,60 @@ class TestExportRoundTrip:
         np.testing.assert_array_equal(back.values, traj.values)
         np.testing.assert_array_equal(back.times, traj.times)
         assert back.grid.x_min == traj.grid.x_min
+
+    def snapshot(self, tmp_path):
+        """A written 2-level 2 x 1 x 4 snapshot: its path, its bytes and its trajectory."""
+        values = np.arange(16, dtype=float).reshape(2, 2, 1, 4) / 7.0
+        traj = Trajectory(times=np.array([0.0, 0.5]), values=values, grid=SpatialGrid.line(-1.0, 1.0, 4))
+        path = tmp_path / "t.bin"
+        export.write_binary_snapshot(traj, path)
+        return path, path.read_bytes(), traj
+
+    @pytest.mark.parametrize("cut", [1, 8, 100], ids=["one-byte", "one-float", "most-of-the-body"])
+    def test_short_snapshot_names_both_lengths(self, tmp_path, cut):
+        """A short body raised numpy's "buffer is smaller" message."""
+        path, raw, _ = self.snapshot(tmp_path)
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match=f"needs {len(raw)} bytes, the file has {len(raw) - cut}"):
+            export.read_binary_snapshot(path)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 8, b"SVITRAJ1"], ids=["one-byte", "one-float", "magic"])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        """Trailing bytes were ignored."""
+        path, raw, _ = self.snapshot(tmp_path)
+        path.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match=f"needs {len(raw)} bytes, the file has {len(raw) + len(extra)}"):
+            export.read_binary_snapshot(path)
+
+    @pytest.mark.parametrize("size", [8, 20, 39])
+    def test_short_header_is_a_value_error(self, tmp_path, size):
+        """A short header raised struct.error."""
+        path, raw, _ = self.snapshot(tmp_path)
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match=f"header needs 40 bytes, the file has {size}"):
+            export.read_binary_snapshot(path)
+
+    @pytest.mark.parametrize("where", ["time", "value"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_snapshot_rejected(self, tmp_path, where, bad):
+        """Non-finite times or values loaded; the value type that checked surfaces read from files is gone."""
+        path, _, traj = self.snapshot(tmp_path)
+        if where == "time":
+            traj.times[1] = bad
+        else:
+            traj.values[1, 0, 0, 2] = bad
+        export.write_binary_snapshot(traj, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            export.read_binary_snapshot(path)
+
+    def test_snapshot_bytes_follow_the_documented_layout(self, tmp_path):
+        path, raw, traj = self.snapshot(tmp_path)
+        header = b"SVITRAJ1" + np.array([2, 1, 4], "<u4").tobytes() + np.array([-1.0, 1.0], "<f8").tobytes() + np.array([2], "<u4").tobytes()
+        assert raw == header + traj.times.astype("<f8").tobytes() + traj.values.astype("<f8").tobytes()
+        back = export.read_binary_snapshot(path)
+        np.testing.assert_array_equal(back.values, traj.values)
+        np.testing.assert_array_equal(back.times, traj.times)
+        assert (back.grid.x_min, back.grid.x_max, back.grid.n_nodes) == (-1.0, 1.0, 4)
 
     def test_level_csv_matches_per_cell_reference(self, tmp_path):
         """A level file of a 2 x 3 trajectory holds the per-cell text, signed zero and subnormals included."""

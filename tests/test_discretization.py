@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,24 @@ class TestInterpolate:
     def test_clamp_beyond_box(self):
         assert interpolate(self.surface(), 7.0, self.grid()) == 2.0
         assert interpolate(self.surface(), -3.0, self.grid()) == 0.0
+
+    def test_infinite_query_reads_the_boundary_value_without_a_warning(self):
+        """A query at +-inf returned the boundary value with "invalid value" RuntimeWarnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert interpolate(self.surface(), np.inf, self.grid()) == 2.0
+            assert interpolate(self.surface(), -np.inf, self.grid()) == 0.0
+            table = destination_table(self.grid(), np.array([[-np.inf, 0.25], [np.inf, 1e308]]))
+        np.testing.assert_array_equal(table.lo, [[0, 0], [1, 1]])
+        np.testing.assert_array_equal(table.theta, [[0.0, 0.5], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("query", [np.nan, [0.5, np.nan]], ids=["scalar", "in-array"])
+    def test_nan_query_is_a_value_error(self, query):
+        """A NaN query raised IndexError: index -9223372036854775808."""
+        with pytest.raises(ValueError, match="NaN"):
+            destination_table(self.grid(), np.asarray(query))
+        with pytest.raises(ValueError, match="NaN"):
+            interpolate(self.surface(), np.nan, self.grid())
 
 
 
