@@ -41,7 +41,10 @@ changes nothing is at the fixed point and stops, and the report and the next
 step's penalties reuse its obstacles, so a level evaluates them once, with
 ``eval_obstacles`` on the workspace's cached ``ProblemSpec.obstacle_costs``;
 the terminal gate reads the terminal level's record.  Identical inputs give
-bitwise-identical results.
+bitwise-identical results at a fixed BLAS thread count; the dense jump
+product's sums can split by thread, so from about 401 nodes one and two
+threads differ in the last bits (1.1e-16 on ``switch_2x2_jump``, IMEX, 401 x
+200).
 """
 
 from __future__ import annotations

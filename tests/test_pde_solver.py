@@ -1022,7 +1022,7 @@ print(hashlib.sha256(traj.values.tobytes()).hexdigest())
 
 
 def test_trajectory_bytes_do_not_depend_on_blas_threads():
-    """The step's matrix products give the same bytes on one and on two BLAS threads."""
+    """At 101 nodes the step's matrix products give the same bytes on one and on two BLAS threads."""
     src = str(Path(switchvi.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -1032,6 +1032,36 @@ def test_trajectory_bytes_do_not_depend_on_blas_threads():
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+_IMEX_SOLVE_401 = """
+import sys
+import numpy as np
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+from switchvi.model import load_builtin_problem
+from switchvi.pde_solver import SchemeConfig, solve_minmax
+spec = load_builtin_problem("switch_2x2_jump")
+grid, tgrid = SpatialGrid.line(-2.0, 2.0, 401), TimeGrid(spec.horizon, 200)
+traj, _ = solve_minmax(spec, grid, tgrid, build_levy_quadrature(spec.levy), mode="direct", config=SchemeConfig(mode="imex"))
+np.save(sys.argv[1], traj.values)
+"""
+
+
+def test_trajectory_on_two_blas_threads_stays_within_rounding_at_401_nodes(tmp_path):
+    """From about 401 nodes the dense jump product splits its sums by BLAS
+    thread, so the bytes depend on the thread count (1.1e-16 apart here on
+    switch_2x2_jump, IMEX, 401 x 200); the values stay within rounding."""
+    src = str(Path(switchvi.__file__).resolve().parents[1])
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = tmp_path / f"threads{threads}.npy"
+        run = subprocess.run([sys.executable, "-c", _IMEX_SOLVE_401, str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        values.append(np.load(out))
+    assert values[0].shape == (201, 2, 2, 401)
+    assert float(np.max(np.abs(values[0] - values[1]))) <= 1e-14
 
 
 def pair_loop_sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig) -> int:
