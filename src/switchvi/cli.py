@@ -26,7 +26,8 @@ Config file shape (see the shipped problems for coefficient syntax):
     }
 
 The config and each of its sections must be a JSON object with only the
-keys shown; anything else exits 2 naming the section and the key.
+keys shown (and ``check.stencil_perturbation``, a test hook); anything else
+exits 2 naming the section and the key.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ EXIT_USAGE = 2
 
 MAX_CHECK_STATES = 10_000
 
-# the keys of each config section
-_SECTIONS = {
+_SECTIONS = {  # the keys of each config section
     "grid": ("x_min", "x_max", "n_nodes"),
     "time": ("n_steps",),
     "quadrature": ("n_atoms", "radius"),

@@ -53,10 +53,9 @@ bitwise-equal tables share one).  ``JumpOperator.apply`` runs both on a
 whole ``(m1, m2, nodes)`` stack with one matrix product each.  Each
 destination adds its two cell ends ``(lo, 1 - theta)`` and ``(lo + 1,
 theta)`` of the destination table to its row, the clamped ones included.
-Dense storage costs ``(1 + distinct
-gamma tables) x nodes^2`` doubles.  The dynamic-programming
-cross-check re-implements the interpolation and the sums on purpose: it is
-the independent check, not a copy.
+Dense storage costs ``(1 + distinct gamma tables) x nodes^2`` doubles.  The
+dynamic-programming cross-check re-implements the interpolation and the
+sums on purpose: it is the independent check, not a copy.
 
 Grids and quadratures are immutable; operator evaluations at distinct nodes
 are independent, and per-node sums run over atoms in fixed order, so results
@@ -279,8 +278,9 @@ class DestinationTable:
     theta: np.ndarray
 
     def apply(self, surface: np.ndarray) -> np.ndarray:
-        """Values of a node-value surface at the query points."""
-        return (1.0 - self.theta) * surface[self.lo] + self.theta * surface[self.lo + 1]
+        """Values of a node-value surface at the query points; a stack of
+        surfaces along the last axis gives the stack's leading axes first."""
+        return (1.0 - self.theta) * surface[..., self.lo] + self.theta * surface[..., self.lo + 1]
 
 
 def destination_table(grid: SpatialGrid, xq: np.ndarray) -> DestinationTable:

@@ -212,6 +212,17 @@ class TestInterpolate:
         np.testing.assert_array_equal(table.lo, [[0, 0], [1, 1]])
         np.testing.assert_array_equal(table.theta, [[0.0, 0.5], [1.0, 1.0]])
 
+    def test_apply_on_a_stack_reads_each_surface(self):
+        g = SpatialGrid.line(-1.0, 1.0, 11)
+        stack = np.random.default_rng(3).normal(size=(2, 3, 11))
+        table = destination_table(g, np.array([[-2.0, -0.37, 0.0], [0.41, 0.9, 5.0]]))
+        out = table.apply(stack)
+        assert out.shape == (2, 3, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(out[i, j], table.apply(stack[i, j]))
+                assert out[i, j, 0, 0] == stack[i, j, 0] and out[i, j, 1, 2] == stack[i, j, -1]
+
     @pytest.mark.parametrize("query", [np.nan, [0.5, np.nan]], ids=["scalar", "in-array"])
     def test_nan_query_is_a_value_error(self, query):
         """A NaN query raised IndexError: index -9223372036854775808."""
