@@ -37,7 +37,7 @@ from .pde_solver import CflViolationError, SchemeConfig, SweepNonConvergenceErro
 
 __all__ = ["DiscreteGame", "build_discrete_game", "backward_induction"]
 
-MAX_ORACLE_STATES = 20_000
+MAX_KERNEL_BYTES = 2**28  # the dense per-step transition kernels, 8 * n_steps * nodes**2 bytes
 
 
 @dataclass
@@ -85,14 +85,17 @@ def build_discrete_game(
 
     ``stencil_perturbation = (step, row, col, amount)`` is a test hook that
     deliberately corrupts one kernel weight; cross-checks against the solver
-    must then fail (negative control).
+    must then fail (negative control).  Kernels that would take more than
+    ``MAX_KERNEL_BYTES`` raise :class:`~switchvi.model.CapacityError` before
+    anything is allocated.
     """
     config = config or SchemeConfig()
     if config.mode != "explicit":
         raise ValueError("the discrete game mirrors the explicit scheme only")
     n = grid.n_nodes
-    if n * spec.modes.m1 * spec.modes.m2 > MAX_ORACLE_STATES:
-        raise CapacityError(f"instance exceeds the oracle cap of {MAX_ORACLE_STATES} states")
+    kernel_bytes = 8 * tgrid.n_steps * n * n
+    if kernel_bytes > MAX_KERNEL_BYTES:
+        raise CapacityError(f"the oracle's transition kernels would take {kernel_bytes} bytes, over its cap of {MAX_KERNEL_BYTES}")
     x = grid.axis()
     dx = grid.dx
     dt = tgrid.dt

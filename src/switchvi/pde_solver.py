@@ -1,22 +1,29 @@
 """Backward-in-time monotone finite-difference solvers.
 
-Four related systems are solved on the same grid, all driven by the same
-explicit monotone step (optionally with implicit diffusion):
+Five systems share one explicit monotone step (optionally with implicit
+diffusion), and ``_PROJECTED`` describes each once by the obstacles
+``L[v]_ij = max_{k != i} (v_kj - lower_ik)`` and
+``U[v]_ij = min_{l != j} (v_il + upper_jl)`` it projects: after each step
+the clip ``max(L, min(U, .))``, less an obstacle it does not project, is
+swept to its fixed point; the step penalizes the other obstacles,
+``+ n (v - L[v])^-`` and ``- m (v - U[v])^+``, lagged to the previous level;
+and the loop gate checks the projecting players' loops.  The penalized
+system projects neither obstacle, the lower- (upper-) reflected one L (U),
+min-max and max-min both; their limit modes run the lower- (upper-)
+reflected solves as ``m`` (``n``) grows.
 
-* the doubly penalized system: both obstacles replaced by penalty terms
-  ``+ n (v - L[v])^-`` and ``- m (v - U[v])^+`` with all terms lagged to the
-  previous time level;
-* the lower-reflected system: upper obstacle penalized with strength ``m``,
-  lower obstacle enforced exactly by projection sweeps ``v <- max(pde, L[v])``,
-  ``L[v]_ij = max_{k != i} (v_kj - lower_ik)``, after each step;
-* the upper-reflected system: the mirror image, lower obstacle penalized
-  with strength ``n`` and upper obstacle enforced by the sweeps
-  ``v <- min(pde, U[v])``, ``U[v]_ij = min_{l != j} (v_il + upper_jl)``;
-* the bilateral systems: backward induction with the bilateral projection
-  swept to a fixed point each step.  The projection order encodes obstacle
-  priority: ``max(L, min(U, .))`` gives the min-max system (lower obstacle
-  wins), ``min(U, max(L, .))`` the max-min system.  Both can also be reached
-  as limits of the one-sided solvers along a penalty schedule.
+Min-max and max-min share the clip: on a grid that passes the loop gate
+their fixed points coincide.  At a min-max fixed point
+``v = max(L, min(U, p))``, ``v >= L``, and ``v <= U`` where ``v > L``.
+Where ``v_ij = L_ij = v_kj - c_ik``, the chain of lower-active pairs in
+column j cannot close (it would be a lower loop of cost sum 0), so it ends
+at a pair with ``v <= U``, and walking back
+``v_il + d_jl >= v_kl - c_ik + d_jl >= v_kj - c_ik = v_ij`` gives ``v <= U``
+at each pair.  So v is a fixed point of ``clip(p, L, U)``; max-min is the
+mirror image.  That fixed point is unique: where two differ most, the pairs
+at the largest gap form a loop, one switching leg at a time, of cost sum 0,
+which the gate rejects.  So a gated fixed point has ``L > U`` nowhere except
+by rounding.
 
 Monotonicity is the load-bearing property: with the CFL guard satisfied,
 each step output is non-decreasing in every input node value, which
@@ -425,31 +432,42 @@ class _Workspace:
 # --- obstacle sweeps --------------------------------------------------------
 
 
-_PROJECTIONS = {
-    "lower": lambda pde, L, U: np.maximum(pde, L),
-    "upper": lambda pde, L, U: np.minimum(pde, U),
-    "minmax": lambda pde, L, U: np.maximum(L, np.minimum(U, pde)),
-    "maxmin": lambda pde, L, U: np.minimum(U, np.maximum(L, pde)),
+# Each system by the obstacles (L, U) it projects.  It penalizes exactly the
+# others, and its loop gate checks exactly the projecting players' loops.
+_PROJECTED = {
+    "penalized": (False, False),
+    "lower": (True, False),
+    "upper": (False, True),
+    "minmax": (True, True),
+    "maxmin": (True, True),
 }
 
 
-def _sweep(values: np.ndarray, costs: tuple, projection: str, config: SchemeConfig) -> tuple[int, tuple]:
-    """Whole-stack passes of ``_PROJECTIONS[projection]`` to their exact fixed
-    point, in place, on the obstacle costs ``_Workspace.obstacle_costs``.
-    The order of ``max`` and ``min`` is the obstacle priority; an absent
-    obstacle is ``-inf`` or ``+inf``.  Returns the changed-pass count and
-    ``(L, U)``, ``eval_obstacles`` of the swept values.
+def _project(pde: np.ndarray, L: np.ndarray, U: np.ndarray, sides: tuple) -> np.ndarray:
+    """``max(L, min(U, pde))`` with each obstacle that ``sides`` does not
+    project dropped, not clipped against an infinity."""
+    lower, upper = sides
+    if upper:
+        pde = np.minimum(U, pde)
+    return np.maximum(L, pde) if lower else pde
 
-    Each pass projects every pair at once onto the obstacles of the previous
-    pass's values.  The projection is monotone, so under the non-free-loop
-    property these passes reach the unique fixed point that a pair-by-pair
-    sweep reaches; a zero-sum loop can keep them cycling until the cap.  An
-    entry the pass does not change keeps its bytes, a -0.0 included."""
-    project = _PROJECTIONS[projection]
+
+def _penalties(sides: tuple, n: float, m: float) -> tuple[float, float]:
+    """The penalties ``n`` on L and ``m`` on U, 0 on an obstacle ``sides`` projects."""
+    return (0.0 if sides[0] else n), (0.0 if sides[1] else m)
+
+
+def _sweep(values: np.ndarray, costs: tuple, sides: tuple, config: SchemeConfig) -> tuple[int, tuple]:
+    """Whole-stack passes of ``_project`` onto the obstacles ``sides`` to their
+    exact fixed point (module docstring), in place, on the obstacle costs
+    ``_Workspace.obstacle_costs``; a zero-sum loop can keep them cycling until
+    the cap.  An entry a pass does not change keeps its bytes, a -0.0 included.
+    Returns the changed-pass count and ``(L, U)``, ``eval_obstacles`` of the
+    swept values."""
     pde_values = values.copy()
     for passes in range(config.max_sweeps):
         obstacles = eval_obstacles(values, costs)
-        new = project(pde_values, *obstacles)
+        new = _project(pde_values, *obstacles, sides)
         delta = np.abs(new - values)
         if not delta.any():
             return passes, obstacles
@@ -460,7 +478,11 @@ def _sweep(values: np.ndarray, costs: tuple, projection: str, config: SchemeConf
 # --- assumption gates -------------------------------------------------------
 
 
-def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, moves: str) -> None:
+def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, sides: tuple) -> None:
+    """Reject a zero-sum loop of the players whose obstacles ``sides`` projects."""
+    if not any(sides):
+        return
+    moves = "both" if all(sides) else "lower" if sides[0] else "upper"
     check = validate_non_free_loop(spec, spec.loop_check_points(grid.axis(), tgrid.times()), moves=moves)
     if not check.passed:
         raise AssumptionViolationError(check)
@@ -480,12 +502,14 @@ def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, 
     return L, U
 
 
-def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, system: str) -> tuple[Trajectory, SolverReport]:
-    """Step from the terminal level to time 0, recording each level's obstacle
+def _solve_backward(ws: _Workspace, n: float, m: float, sides: tuple, system: str) -> tuple[Trajectory, SolverReport]:
+    """Step from the terminal level to time 0, projecting onto the obstacles
+    ``sides`` and penalizing the others, recording each level's obstacle
     violations.  The terminal level's two recorded violations are its
     ``terminal_inconsistency``, the terminal-consistency check; only when it
     fails does ``validate_terminal_consistency`` run, to report the failure."""
     t_start = time.perf_counter()
+    n, m = _penalties(sides, n, m)
     report = SolverReport(system=system, dt=ws.dt, n_steps=ws.tgrid.n_steps)
     report.cfl_bound, report.cfl_terms = ws.check_cfl(n, m)
 
@@ -502,7 +526,7 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
         t_next = float(times[k + 1])
         t_here = float(times[k])
         new = ws.step(values[k + 1], t_next, n, m, obstacles)
-        sweeps, obstacles = (0, None) if projection is None else _sweep(new, ws.obstacle_costs(t_here), projection, ws.config)
+        sweeps, obstacles = _sweep(new, ws.obstacle_costs(t_here), sides, ws.config) if any(sides) else (0, None)
         values[k] = new
         report.update_norms.append(float(np.max(np.abs(values[k] - values[k + 1]))))
         report.sweep_counts.append(sweeps)
@@ -517,6 +541,18 @@ def _solve_backward(ws: _Workspace, n: float, m: float, projection: str | None, 
     return traj, report
 
 
+def _solve(system: str, label: str, penalties: dict, spec, grid, tgrid, quad, config) -> tuple[Trajectory, SolverReport]:
+    """``system`` solved on its own workspace behind its loop gate, with the checked
+    ``penalties`` ``n`` and ``m`` (0 if absent) recorded in its report, labelled ``label``."""
+    sides = _PROJECTED[system]
+    ws = _Workspace(spec, grid, tgrid, quad, config or SchemeConfig())
+    _gate_loops(spec, grid, tgrid, sides)
+    traj, report = _solve_backward(ws, penalties.get("n", 0.0), penalties.get("m", 0.0), sides, label)
+    if penalties:
+        report.extra["penalties"] = penalties
+    return traj, report
+
+
 def solve_penalized(
     spec: ProblemSpec,
     grid: SpatialGrid,
@@ -528,32 +564,7 @@ def solve_penalized(
 ) -> tuple[Trajectory, SolverReport]:
     """Backward solve of the doubly penalized system from expiry to time 0."""
     n, m = check_penalty(n, "n"), check_penalty(m, "m")
-    config = config or SchemeConfig()
-    ws = _Workspace(spec, grid, tgrid, quad, config)
-    traj, report = _solve_backward(ws, n, m, None, system=f"penalized(n={n}, m={m})")
-    report.extra["penalties"] = {"n": n, "m": m}
-    return traj, report
-
-
-def _solve_reflected(
-    side: str,
-    penalty: float,
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    quad: LevyQuadrature,
-    config: SchemeConfig | None,
-) -> tuple[Trajectory, SolverReport]:
-    """The ``side`` obstacle by projection sweeps, the other one penalized with ``penalty``."""
-    name = "m" if side == "lower" else "n"
-    penalty = check_penalty(penalty, name)
-    config = config or SchemeConfig()
-    ws = _Workspace(spec, grid, tgrid, quad, config)
-    _gate_loops(spec, grid, tgrid, moves=side)
-    n, m = (0.0, penalty) if side == "lower" else (penalty, 0.0)
-    traj, report = _solve_backward(ws, n, m, side, system=f"{side}_reflected({name}={penalty})")
-    report.extra["penalties"] = {name: penalty}
-    return traj, report
+    return _solve("penalized", f"penalized(n={n}, m={m})", {"n": n, "m": m}, spec, grid, tgrid, quad, config)
 
 
 def solve_lower_reflected(
@@ -565,7 +576,8 @@ def solve_lower_reflected(
     config: SchemeConfig | None = None,
 ) -> tuple[Trajectory, SolverReport]:
     """Lower obstacle by projection sweeps, upper obstacle penalized with ``m``."""
-    return _solve_reflected("lower", m, spec, grid, tgrid, quad, config)
+    m = check_penalty(m, "m")
+    return _solve("lower", f"lower_reflected(m={m})", {"m": m}, spec, grid, tgrid, quad, config)
 
 
 def solve_upper_reflected(
@@ -577,38 +589,27 @@ def solve_upper_reflected(
     config: SchemeConfig | None = None,
 ) -> tuple[Trajectory, SolverReport]:
     """Upper obstacle by projection sweeps, lower obstacle penalized with ``n``."""
-    return _solve_reflected("upper", n, spec, grid, tgrid, quad, config)
+    n = check_penalty(n, "n")
+    return _solve("upper", f"upper_reflected(n={n})", {"n": n}, spec, grid, tgrid, quad, config)
 
 
-def _solve_bilateral(
-    priority: str,
-    one_sided,
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    quad: LevyQuadrature,
-    mode: str,
-    config: SchemeConfig | None,
-    schedule: Sequence[float],
-    gap_tol: float | None,
-    raise_on_nonconvergence: bool,
-) -> tuple[Trajectory, SolverReport]:
-    """Bilateral system with ``priority`` ``"minmax"`` or ``"maxmin"``;
-    limit mode runs the reflected solver ``one_sided`` along ``schedule``."""
+def _solve_bilateral(system: str, spec, grid, tgrid, quad, mode: str, config, schedule, gap_tol, raise_on_nonconvergence: bool):
+    """Bilateral system ``"minmax"`` or ``"maxmin"``: direct mode projects both
+    obstacles; limit mode runs the lower-reflected (min-max) or upper-reflected
+    (max-min) solver along ``schedule``."""
     if mode not in ("direct", "limit"):
         raise ValueError(f"unknown mode '{mode}'")
-    if mode == "limit":
-        schedule = check_schedule(schedule)
-    config = config or SchemeConfig()
-    ws = _Workspace(spec, grid, tgrid, quad, config)
-    _gate_loops(spec, grid, tgrid, moves="both")
-    system = f"{priority}({mode})"
+    label = f"{system}({mode})"
     if mode == "direct":
-        return _solve_backward(ws, 0.0, 0.0, priority, system=system)
+        return _solve(system, label, {}, spec, grid, tgrid, quad, config)
+    schedule = check_schedule(schedule)
+    ws = _Workspace(spec, grid, tgrid, quad, config or SchemeConfig())
+    _gate_loops(spec, grid, tgrid, _PROJECTED[system])
     gaps: list[float] = []
     used: list[float] = []
     prev: Trajectory | None = None
     converged = False
+    reflected = solve_lower_reflected if system == "minmax" else solve_upper_reflected
     for p in schedule:
         try:
             ws.check_cfl(0.0, p)
@@ -616,7 +617,7 @@ def _solve_bilateral(
             if prev is None:
                 raise  # no schedule ran: the first penalty's violation is the error
             break
-        traj, report = one_sided(spec, grid, tgrid, quad, p, config)
+        traj, report = reflected(spec, grid, tgrid, quad, p, config)
         used.append(p)
         if prev is not None:
             gaps.append(traj.sup_distance(prev))
@@ -625,7 +626,7 @@ def _solve_bilateral(
         prev = traj
         if converged:
             break
-    report.system = system
+    report.system = label
     report.schedule = used
     report.schedule_gaps = gaps
     report.converged = converged
@@ -654,9 +655,7 @@ def solve_minmax(
     agree (the schedule stops early if the next penalty would break the CFL
     guard; when the first one does, its ``CflViolationError`` is raised).
     """
-    return _solve_bilateral(
-        "minmax", solve_lower_reflected, spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence
-    )
+    return _solve_bilateral("minmax", spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence)
 
 
 def solve_maxmin(
@@ -670,10 +669,10 @@ def solve_maxmin(
     gap_tol: float | None = None,
     raise_on_nonconvergence: bool = True,
 ) -> tuple[Trajectory, SolverReport]:
-    """Bilateral system with upper-obstacle priority (mirror of solve_minmax)."""
-    return _solve_bilateral(
-        "maxmin", solve_upper_reflected, spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence
-    )
+    """Bilateral system with upper-obstacle priority.  ``direct`` equals
+    :func:`solve_minmax`'s bitwise: behind the loop gate both have one fixed
+    point (module docstring); ``limit`` runs the upper-reflected solver."""
+    return _solve_bilateral("maxmin", spec, grid, tgrid, quad, mode, config, schedule, gap_tol, raise_on_nonconvergence)
 
 
 # --- residuals ---------------------------------------------------------------
@@ -693,34 +692,30 @@ def residual_report(
     """Recompute the discrete equation residual at every interior level.
 
     ``system`` is ``"penalized"`` (penalties ``n`` and ``m``), ``"lower"``
-    (penalty ``m``), ``"upper"`` (penalty ``n``), ``"minmax"`` or ``"maxmin"``.
-    At a converged solution every fixed-point identity below holds exactly,
-    so residuals of a fresh trajectory sit at rounding level:
+    (penalty ``m``), ``"upper"`` (penalty ``n``), ``"minmax"`` or ``"maxmin"``;
+    the step penalizes the obstacles the system does not project.  At a
+    converged solution every fixed-point identity below holds exactly, so
+    residuals of a fresh trajectory sit at rounding level:
 
     * penalized: ``v_k = step(v_{k+1})``
-    * lower-reflected: ``v_k = max(step(v_{k+1}), L[v_k])``
-    * upper-reflected: ``v_k = min(step(v_{k+1}), U[v_k])``
-    * bilateral: ``v_k = max(L[v_k], min(U[v_k], step(v_{k+1})))`` (or the
-      mirrored order)
+    * lower-reflected: ``v_k = max(L[v_k], step(v_{k+1}))``
+    * upper-reflected: ``v_k = min(U[v_k], step(v_{k+1}))``
+    * bilateral: ``v_k = max(L[v_k], min(U[v_k], step(v_{k+1})))``
     """
-    if system != "penalized" and system not in _PROJECTIONS:
+    if system not in _PROJECTED:
         raise ValueError(f"unknown system '{system}'")
-    n, m = check_penalty(n, "n"), check_penalty(m, "m")
-    config = config or SchemeConfig()
-    ws = _Workspace(spec, grid, tgrid, quad, config)
+    sides = _PROJECTED[system]
+    n, m = _penalties(sides, check_penalty(n, "n"), check_penalty(m, "m"))
+    ws = _Workspace(spec, grid, tgrid, quad, config or SchemeConfig())
     report = SolverReport(system=f"residual({system})", dt=ws.dt, n_steps=tgrid.n_steps)
     per_pair = {f"{i},{j}": 0.0 for i, j in ws.pairs}
-    n = n if system in ("penalized", "upper") else 0.0
-    m = m if system in ("penalized", "lower") else 0.0
     obstacles = eval_obstacles(trajectory.values[-1], ws.obstacle_costs(float(trajectory.times[-1])))
     for k in range(tgrid.n_steps - 1, -1, -1):
         t_next = float(trajectory.times[k + 1])
         t_here = float(trajectory.times[k])
         candidate = ws.step(trajectory.values[k + 1], t_next, n, m, obstacles)
         obstacles = eval_obstacles(trajectory.values[k], ws.obstacle_costs(t_here))
-        if system != "penalized":
-            candidate = _PROJECTIONS[system](candidate, *obstacles)
-        resid = np.abs(trajectory.values[k] - candidate)
+        resid = np.abs(trajectory.values[k] - _project(candidate, *obstacles, sides))
         report.update_norms.append(float(np.max(resid)))
         for i, j in ws.pairs:
             per_pair[f"{i},{j}"] = max(per_pair[f"{i},{j}"], float(np.max(resid[i, j])))

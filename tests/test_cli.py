@@ -5,7 +5,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from switchvi import export
+from switchvi import export, oracle
 from switchvi.cli import DEFAULT_SEED, main
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi.model import eval_obstacles, load_builtin_problem
@@ -232,6 +232,32 @@ class TestCheck:
         cfg = write_config(tmp_path, grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 5001})
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    def test_oracle_kernel_cap_exit_2_naming_the_bytes(self, tmp_path, capsys, monkeypatch):
+        """The one cap bounds the oracle's kernel bytes: 8 x 10 steps x 21² nodes
+        here, one byte over a cap set just below them."""
+        monkeypatch.setattr(oracle, "MAX_KERNEL_BYTES", 8 * 10 * 21 * 21 - 1)
+        cfg = write_config(tmp_path, grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 21}, time={"n_steps": 10})
+        capsys.readouterr()
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{8 * 10 * 21 * 21} bytes" in err
+
+    def test_far_off_x0_exit_2_naming_check_x0_and_the_subexpression(self, tmp_path, capsys):
+        """Paths from x0 = 1e300 overflow the terminal data's ``-x*x``: the
+        problem evaluates on the grid, so the error is the check's x0, not the
+        problem file's."""
+        cfg = write_config(
+            tmp_path,
+            grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 21},
+            time={"n_steps": 10},
+            check={"paths": 100, "x0": 1e300, "n": 4, "m": 4, "n_steps": 10},
+        )
+        capsys.readouterr()
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config 'check': ") and "x0 1e+300" in err and "'-x*x'" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_growth_extrapolation_exit_2_with_one_line_error(self, tmp_path, capsys):
         """Values beyond the box are clamped; a problem file asking for growth extrapolation (C > 0) is malformed."""
         prob = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text(encoding="utf-8"))
@@ -287,6 +313,8 @@ class TestBadConfigValues:
             pytest.param("solve", {"output": {"levels": [2.5]}}, "error: config 'output': ", id="output-levels-float"),
             # a boolean level ran as level 1, because a bool is an int
             pytest.param("solve", {"output": {"levels": [True]}}, "error: config 'output': ", id="output-levels-bool"),
+            # a repeated level was written, counted and listed once per repeat
+            pytest.param("solve", {"output": {"levels": [0, 0, 0]}}, "error: config 'output': ", id="output-levels-repeated"),
             pytest.param("solve", {"time": {"n_steps": 0}}, "error: config 'time': ", id="time-steps"),
             pytest.param("check", {"scheme": {"mode": "imex"}}, "error: config 'scheme': ", id="check-scheme-imex"),
             pytest.param("check", {"check": {"paths": 0}}, "error: config 'check': ", id="check-paths-0"),

@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from switchvi import oracle
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
-from switchvi.model import ProblemSpec, validate_non_free_loop
+from switchvi.model import CapacityError, ProblemSpec, validate_non_free_loop
 from switchvi.oracle import backward_induction, build_discrete_game
 from switchvi.pde_solver import CflViolationError, SchemeConfig, SweepNonConvergenceError, solve_maxmin, solve_minmax
 
@@ -88,6 +89,17 @@ class TestGameBuild:
         P = game.kernels[0]
         for i in range(1, 40):
             assert P[i, i + 1] == pytest.approx(P[i, i - 1])
+
+    def test_kernel_bytes_cap(self, spec_2x2, quad_2x2, monkeypatch):
+        """The cap bounds the kernels' bytes, 8 x steps x nodes², and is checked
+        before any coefficient is read or any kernel allocated."""
+        kernel_bytes = 8 * TGRID.n_steps * GRID.n_nodes**2
+        monkeypatch.setattr(oracle, "MAX_KERNEL_BYTES", kernel_bytes)
+        assert build_discrete_game(spec_2x2, GRID, TGRID, quad_2x2).kernels.nbytes == kernel_bytes
+        monkeypatch.setattr(oracle, "MAX_KERNEL_BYTES", kernel_bytes - 1)
+        monkeypatch.setattr(ProblemSpec, "jump_tables", lambda *args: pytest.fail("read a coefficient over the cap"))
+        with pytest.raises(CapacityError, match=f"{kernel_bytes} bytes"):
+            build_discrete_game(spec_2x2, GRID, TGRID, quad_2x2)
 
     def test_cfl_violation_reported(self, spec_2x2, quad_2x2):
         with pytest.raises(CflViolationError):

@@ -38,7 +38,7 @@ from switchvi.model import (
     validate_non_free_loop,
     validate_terminal_consistency,
 )
-from switchvi.oracle import build_discrete_game
+from switchvi.oracle import backward_induction, build_discrete_game
 from switchvi.pde_solver import (
     AssumptionViolationError,
     CflViolationError,
@@ -640,6 +640,21 @@ class TestBilateral:
         rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="maxmin")
         assert rep.residual_norms["overall"] <= 1e-12
 
+    def test_limit_families_bracket_the_direct_solve(self, spec_2x2, quad_2x2):
+        """Min-max's limit runs lower-reflected solves (upper penalty ``m``), which
+        lie above the direct solve; max-min's runs upper-reflected solves (lower
+        penalty ``n``), which lie below it."""
+        direct, _ = solve_minmax(spec_2x2, GRID, TGRID, quad_2x2, mode="direct")
+        limits = [
+            solver(spec_2x2, GRID, TGRID, quad_2x2, mode="limit", schedule=(1, 2), gap_tol=0.0, raise_on_nonconvergence=False)
+            for solver in (solve_minmax, solve_maxmin)
+        ]
+        (above, above_report), (below, below_report) = limits
+        assert (above_report.extra["penalties"], below_report.extra["penalties"]) == ({"m": 2.0}, {"n": 2.0})
+        assert_all_le(direct.values, above.values, 1e-12, "min-max limit above the direct solve")
+        assert_all_le(below.values, direct.values, 1e-12, "max-min limit below the direct solve")
+        assert min(above.sup_distance(direct), below.sup_distance(direct)) > 1e-6
+
     def test_limit_mode_schedule_respects_cfl(self, spec_2x2, quad_2x2):
         # huge penalties are skipped instead of blowing up the explicit step
         _, rep = solve_minmax(
@@ -697,12 +712,13 @@ class TestBilateral:
         with pytest.raises(ValueError, match="schedule"):
             pde_solver.check_schedule(schedule)
 
-    def test_priority_decides_where_the_obstacles_conflict(self):
-        """Where ``L > U``, the min-max projection gives L and the max-min one U."""
+    def test_the_clip_gives_L_where_the_obstacles_conflict(self):
+        """Both bilateral systems run ``max(L, min(U, .))``: where ``L > U``,
+        which a gated fixed point only reaches by rounding, it gives L."""
         pde = np.array([-1.0, 0.5, 3.0])
         L, U = np.full(3, 1.0), np.full(3, 0.25)
-        assert np.array_equal(pde_solver._PROJECTIONS["minmax"](pde, L, U), L)
-        assert np.array_equal(pde_solver._PROJECTIONS["maxmin"](pde, L, U), U)
+        for system in ("minmax", "maxmin"):
+            assert np.array_equal(pde_solver._project(pde, L, U, pde_solver._PROJECTED[system]), L)
 
     @pytest.mark.parametrize("projection", ["minmax", "maxmin"])
     def test_conflicting_free_loop_raises(self, projection):
@@ -726,6 +742,16 @@ class TestResiduals:
         traj.values[TGRID.n_steps // 2, 0, 0, 20] += 1.0
         rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="minmax")
         assert rep.residual_norms["overall"] > 0.1
+
+    @pytest.mark.parametrize("system,n,m", [("lower", 0.0, 100.0), ("upper", 100.0, 0.0), ("minmax", 0.0, 0.0), ("maxmin", 0.0, 0.0)])
+    def test_a_projected_obstacle_takes_no_penalty(self, system, n, m, spec_2x2, quad_2x2):
+        """On a trajectory that violates both obstacles, the residual of a system
+        ignores the penalty given for an obstacle it projects (``n`` for L, ``m``
+        for U), even one so large that the projection would not mask it."""
+        traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
+        given = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system=system, n=100.0, m=100.0)
+        kept = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system=system, n=n, m=m)
+        assert (given.update_norms, given.residual_norms) == (kept.update_norms, kept.residual_norms)
 
     def test_unknown_system_rejected(self, spec_2x2, quad_2x2):
         traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
@@ -1098,7 +1124,7 @@ def pair_loop_sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projecti
 
 def sweep(values: np.ndarray, lc: np.ndarray, uc: np.ndarray, projection: str, config: SchemeConfig):
     """``_sweep`` on cost tables, in the format that ``_Workspace.obstacle_costs`` keeps."""
-    return _sweep(values, gathered(lc, uc), projection, config)
+    return _sweep(values, gathered(lc, uc), pde_solver._PROJECTED[projection], config)
 
 
 def assert_swept_obstacles(obstacles, values, lc, uc):
@@ -1107,17 +1133,23 @@ def assert_swept_obstacles(obstacles, values, lc, uc):
         assert same_bits(got, expected)
 
 
-def assert_reaches_the_pair_loop(values, lc, uc, projection) -> tuple[int, int]:
-    """``_sweep`` ends, in place, at the pair loop's values (``==``), makes a pass
-    exactly when the pair loop makes one, and hands back the swept values'
-    obstacles; returns its pass count and the pair loop's."""
+def assert_reaches_the_pair_loop(values, lc, uc, projection, order=None) -> tuple[int, int]:
+    """``_sweep`` ends, in place, at the values of the pair loop in ``order``
+    (default ``projection``) (``==``), makes a pass exactly when the pair loop
+    makes one, and hands back the swept values' obstacles; returns its pass
+    count and the pair loop's."""
     expected = values.copy()
-    passes = pair_loop_sweep(expected, lc, uc, projection, SchemeConfig())
+    passes = pair_loop_sweep(expected, lc, uc, order or projection, SchemeConfig())
     got, obstacles = sweep(values, lc, uc, projection, SchemeConfig())
     assert np.array_equal(values, expected)
     assert (got >= 1) == (passes >= 1)
     assert_swept_obstacles(obstacles, values, lc, uc)
     return got, passes
+
+
+def noisy_start(spec, modes) -> np.ndarray:
+    """The terminal data plus standard normal noise, the same draw every call."""
+    return spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
 
 
 def chained_costs(spec, modes, t=0.3):
@@ -1177,14 +1209,17 @@ class TestSweepFixedPoint:
     def test_reaches_the_pair_loop_fixed_point(self, modes, projection, start):
         """A player with one mode (the last three shapes) has the sentinel obstacle.
         A swept start is a fixed point: no pass changes it, and the first check's
-        obstacles come back."""
+        obstacles come back.  Max-min runs the min-max clip, so its pair loop
+        runs in min-max order; ``test_maxmin_order_differs_only_by_rounding``
+        compares the max-min order."""
         spec = switching_in_time(*modes)
         lc, uc = chained_costs(spec, modes)
-        values = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
+        values = noisy_start(spec, modes)
+        order = "minmax" if projection == "maxmin" else projection
         if start == "swept":
-            pair_loop_sweep(values, lc, uc, projection, SchemeConfig())
+            pair_loop_sweep(values, lc, uc, order, SchemeConfig())
         before = values.copy()
-        got, passes = assert_reaches_the_pair_loop(values, lc, uc, projection)
+        got, passes = assert_reaches_the_pair_loop(values, lc, uc, projection, order)
         if start == "swept":
             assert got == 0 and same_bits(values, before)
             return
@@ -1194,8 +1229,24 @@ class TestSweepFixedPoint:
     @settings(max_examples=200, deadline=None)
     @given(non_free_sweeps())
     def test_random_non_free_costs_reach_the_pair_loop_fixed_point(self, case):
+        """Dyadic costs sum exactly, so the max-min-order pair loop reaches the
+        clip's fixed point bitwise too."""
         start, lc, uc, projection = case
         assert_reaches_the_pair_loop(start, lc, uc, projection)
+
+    @pytest.mark.parametrize("modes", [(3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+    def test_maxmin_order_differs_only_by_rounding(self, modes):
+        """On the noisy chained-cost starts, whose loop sums round, the max-min-order
+        pair loop leaves the clip's fixed point only where rounding leaves
+        ``L > U``, and by a few ulp of the values."""
+        spec = switching_in_time(*modes)
+        lc, uc = chained_costs(spec, modes)
+        clipped, maxmin = noisy_start(spec, modes), noisy_start(spec, modes)
+        _, (L, U) = sweep(clipped, lc, uc, "maxmin", SchemeConfig())
+        pair_loop_sweep(maxmin, lc, uc, "maxmin", SchemeConfig())
+        differ = maxmin != clipped
+        assert np.all(L[differ] > U[differ])
+        assert np.all(np.abs(maxmin - clipped) <= 4 * np.spacing(np.max(np.abs(clipped))))
 
     @pytest.mark.parametrize("projection", ["lower", "upper", "minmax", "maxmin"])
     def test_max_sweeps_boundary(self, projection):
@@ -1205,7 +1256,7 @@ class TestSweepFixedPoint:
         modes = (3, 3)
         spec = switching_in_time(*modes)
         lc, uc = chained_costs(spec, modes)
-        start = spec.terminal_table(GRID.axis()) + np.random.default_rng(5).normal(size=modes + (GRID.n_nodes,))
+        start = noisy_start(spec, modes)
         k, _ = sweep(start.copy(), lc, uc, projection, SchemeConfig())
         assert k >= 2
         before, after = start.copy(), start.copy()
@@ -1224,7 +1275,7 @@ class TestSweepFixedPoint:
         """On non-free costs (one player's dear, the other's cheap): an entry a pass
         leaves unchanged keeps its bytes, -0.0 or +0.0, while other entries change;
         the sweep ends at the pair loop's values."""
-        project = pde_solver._PROJECTIONS[projection]
+        sides = pde_solver._PROJECTED[projection]
         checked = 0
         dear, cheap = (0.5, 1.0), (0.125, 0.25)
         for start, lc, uc in (*signed_zero_starts(dear, cheap), *signed_zero_starts(cheap, dear)):
@@ -1233,7 +1284,7 @@ class TestSweepFixedPoint:
             checked += 1
             one = start.copy()
             assert_reaches_the_pair_loop(start.copy(), lc, uc, projection)
-            new = project(start, *eval_obstacles(start, gathered(lc, uc)))
+            new = pde_solver._project(start, *eval_obstacles(start, gathered(lc, uc)), sides)
             try:
                 sweep(one, lc, uc, projection, SchemeConfig(max_sweeps=1))
             except SweepNonConvergenceError:
@@ -1246,7 +1297,7 @@ class TestSweepFixedPoint:
         """With a zero-sum loop the fixed point need not be unique and the passes
         may cycle: the sweep returns a fixed point or raises the typed error."""
         config = SchemeConfig(max_sweeps=50)
-        project = pde_solver._PROJECTIONS[projection]
+        sides = pde_solver._PROJECTED[projection]
         checked = 0
         for start, lc, uc in signed_zero_starts((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)):
             if non_free(lc, uc):
@@ -1258,7 +1309,7 @@ class TestSweepFixedPoint:
             except SweepNonConvergenceError as err:
                 assert err.sweeps == config.max_sweeps
                 continue
-            assert np.array_equal(project(start, *obstacles), values)
+            assert np.array_equal(pde_solver._project(start, *obstacles, sides), values)
             assert_swept_obstacles(obstacles, values, lc, uc)
         assert checked >= 50
 
@@ -1455,13 +1506,14 @@ def valid_bilateral_specs(draw):
     )
 
 
-MINMAX_MAXMIN_TOL = 1e-12  # rounding only; the largest gap on 300 such specs was 5.6e-17
+ORACLE_TOL = 1e-10  # the solver against the oracle's pair-ordered induction
 
 
 class TestMinmaxEqualsMaxmin:
-    """On a valid spec every level's obstacles satisfy ``L <= U``, so both
-    priority projections are ``clip(pde, L, U)`` and the two bilateral solves
-    agree up to rounding."""
+    """On a gated grid min-max and max-min have one fixed point (the module
+    docstring's argument), so both run the clip ``max(L, min(U, .))``: direct
+    ``solve_maxmin`` equals ``solve_minmax`` bitwise, and both lie within
+    rounding of the oracle's own induction in either order."""
 
     @settings(max_examples=40, deadline=None)
     @given(valid_bilateral_specs())
@@ -1469,4 +1521,21 @@ class TestMinmaxEqualsMaxmin:
         quad = build_levy_quadrature(spec.levy)
         up, _ = solve_minmax(spec, GRID, TGRID, quad, mode="direct")
         lo, _ = solve_maxmin(spec, GRID, TGRID, quad, mode="direct")
-        assert up.sup_distance(lo) <= MINMAX_MAXMIN_TOL
+        assert same_bits(up.values, lo.values)
+        game = build_discrete_game(spec, GRID, TGRID, quad)
+        for order in ("minmax", "maxmin"):
+            assert up.sup_distance(backward_induction(game, order=order)) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("problem", ["switch_2x2_jump", "two_atom_jump", "no_jump"])
+    def test_no_level_has_conflicting_obstacles(self, problem, mode):
+        """No level of either direct solve of a shipped problem has ``L > U``
+        at any node, so the two orders of the clip coincide there."""
+        spec = load_builtin_problem(problem)
+        grid, tgrid = SpatialGrid.line(-2.0, 2.0, 101), TimeGrid(horizon=spec.horizon, n_steps=50)
+        quad, config = build_levy_quadrature(spec.levy), SchemeConfig(mode=mode)
+        for solver in (solve_minmax, solve_maxmin):
+            traj, _ = solver(spec, grid, tgrid, quad, mode="direct", config=config)
+            for t, values in zip(traj.times, traj.values):
+                L, U = eval_obstacles(values, spec.obstacle_costs(float(t), grid.axis()))
+                assert np.count_nonzero(L > U) == 0
