@@ -311,8 +311,8 @@ def cmd_check(args) -> int:
     with _config_section("check"):
         n_pen, m_pen = (pde_solver.check_penalty(ck.get(key, 4), key) for key in ("n", "m"))
         x0 = ck.get("x0", 0.0)
-        if not is_finite_number(x0):
-            raise ValueError(f"x0 must be a finite number, got {x0!r}")
+        if not (is_finite_number(x0) and grid.x_min <= x0 <= grid.x_max):
+            raise ValueError(f"x0 must be a number in the grid box [{grid.x_min}, {grid.x_max}], got {x0!r}")
         n_paths = ck.get("paths", 10_000)
         if not is_integer(n_paths) or n_paths < 2:
             raise ValueError(f"need an integer of at least two paths for a regression estimate, got {n_paths!r}")
@@ -347,10 +347,12 @@ def cmd_check(args) -> int:
     traj, _ = solve_penalized(spec, grid, tgrid, quad, n_pen, m_pen, scheme)
     try:
         batch = mc.simulate_paths(spec, quad, x0, n_paths, mc_tgrid, args.seed)
-        estimate = mc.solve_bsde_regression(batch, spec, n_pen, m_pen, basis)
+        estimate = mc.solve_bsde_regression(batch, n_pen, m_pen, basis)
     except ExprError as exc:  # the grid solves read the problem without failure
         raise UsageError(f"config 'check': the paths from x0 {x0!r} reach states where the problem does not evaluate: {exc}") from exc
-    fk = mc.feynman_kac_check(traj, estimate, x0)
+    except mc.SingularRegressionError as exc:
+        raise UsageError(f"config 'check': {n_paths} paths do not fit a degree {basis.degree} regression: {exc}") from exc
+    fk = mc.feynman_kac_check(traj, estimate)
     ok = ok and fk.passed
     results["feynman_kac"] = fk.to_dict()
 

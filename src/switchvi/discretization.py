@@ -151,6 +151,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
+    def check_horizon(self, horizon: float) -> None:
+        """ValueError unless the grid ends at ``horizon``, its problem's horizon."""
+        if self.horizon != horizon:
+            raise ValueError(f"time grid horizon {self.horizon} is not the problem's horizon {horizon}")
+
 
 @dataclass(frozen=True)
 class LevyQuadrature:

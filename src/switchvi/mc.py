@@ -64,8 +64,9 @@ class SingularRegressionError(RuntimeError):
 
 @dataclass
 class PathBatch:
-    """Simulated trajectories with their noise and jump bookkeeping."""
+    """Simulated trajectories of ``spec`` from ``x0``, with their noise and jump bookkeeping."""
 
+    spec: ProblemSpec
     states: np.ndarray  # (P, n_steps+1)
     brownian: np.ndarray  # (P, n_steps)
     jump_counts: np.ndarray  # (P, n_steps, n_atoms)
@@ -111,6 +112,7 @@ class BsdeEstimate:
     n_paths: int
     n: float
     m: float
+    x0: float  # the paths' start point
 
     def __post_init__(self):
         if np.any(self.stderr < 0):
@@ -141,6 +143,7 @@ def simulate_paths(
     """
     if not is_integer(n_paths) or n_paths < 1:
         raise ValueError(f"need an integer of at least one path, got {n_paths!r}")
+    tgrid.check_horizon(spec.horizon)
     if not math.isfinite(quad.total_weight):
         raise ValueError("quadrature total weight must be finite")
     seed = int(seed) % 2**64  # counter-based keys are uint64
@@ -189,6 +192,7 @@ def simulate_paths(
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("path simulation produced non-finite states")
     return PathBatch(
+        spec=spec,
         states=states,
         brownian=dB,
         jump_counts=counts[:, :, :n_atoms],
@@ -215,12 +219,11 @@ def _fit(design: np.ndarray, targets: np.ndarray, step: int) -> np.ndarray:
 
 def solve_bsde_regression(
     batch: PathBatch,
-    spec: ProblemSpec,
     n: float,
     m: float,
     basis: RegressionBasis | None = None,
 ) -> BsdeEstimate:
-    """Backward least-squares sweep for the doubly penalized system.
+    """Backward least-squares sweep for the doubly penalized system of ``batch.spec``.
 
     The values live in one ``(m1, m2, paths)`` stack.  Each step fits the
     whole next level on the basis at the current states with one
@@ -235,6 +238,7 @@ def solve_bsde_regression(
     if batch.n_paths < 2:
         raise ValueError("need at least two paths for a regression estimate")
     basis = basis or RegressionBasis()
+    spec = batch.spec
     quad = batch.quadrature
     m1, m2 = spec.modes.m1, spec.modes.m2
     P = batch.n_paths
@@ -280,7 +284,7 @@ def solve_bsde_regression(
     cont0 = Y.mean(axis=2, keepdims=True)
     y0 = picard(cont0, jump_argument(coeffs, x0, predict(x0, coeffs)), float(batch.times[0]), x0)
     stderr = Y.std(axis=2, ddof=1) / math.sqrt(P)
-    return BsdeEstimate(y0=y0[:, :, 0], stderr=stderr, n_paths=P, n=n, m=m)
+    return BsdeEstimate(y0=y0[:, :, 0], stderr=stderr, n_paths=P, n=n, m=m, x0=batch.x0)
 
 
 @dataclass
@@ -295,12 +299,8 @@ class CheckReport:
         return asdict(self)
 
 
-def feynman_kac_check(
-    trajectory: Trajectory,
-    estimate: BsdeEstimate,
-    x0: float,
-) -> CheckReport:
-    """Compare ``v(0, x0)`` per mode pair against the regression estimate.
+def feynman_kac_check(trajectory: Trajectory, estimate: BsdeEstimate) -> CheckReport:
+    """Compare ``v(0, x0)`` per mode pair against the regression estimate at its ``x0``.
 
     ``v(0, x0)`` is read off the grid as the solver reads off-grid values,
     so a start point outside the box takes the boundary node's value.
@@ -316,7 +316,7 @@ def feynman_kac_check(
     m1, m2 = estimate.y0.shape
     for i in range(m1):
         for j in range(m2):
-            v = interpolate(trajectory.values[0, i, j], x0, trajectory.grid)
+            v = interpolate(trajectory.values[0, i, j], estimate.x0, trajectory.grid)
             diff = abs(v - float(estimate.y0[i, j]))
             thr = 4.0 * float(estimate.stderr[i, j]) + BIAS_ALLOWANCE * (1.0 + abs(v))
             ok = diff <= thr

@@ -52,6 +52,8 @@ __all__ = [
     "neg_part",
     "pos_part",
     "driver_variable",
+    "driver_increments",
+    "probe_points",
     "load_problem",
     "load_builtin_problem",
     "builtin_problem_names",
@@ -72,6 +74,7 @@ COST_SCHEMA = ("t", "x")
 TERMINAL_SCHEMA = ("x",)
 JUMP_SCHEMA = ("x", "e")
 DENSITY_SCHEMA = ("e",)
+PROBLEM_KEYS = ("name", "modes", "horizon", "drift", "vol", "jump_amplitude", "jump_weights", "levy", "drivers", "lower_costs", "upper_costs", "terminal", "growth")
 
 
 class CapacityError(ValueError):
@@ -170,6 +173,7 @@ class LevyMeasureSpec:
 
     @staticmethod
     def from_dict(d: Mapping) -> "LevyMeasureSpec":
+        _check_keys(d, ("atoms", "density", "radius", "cutoff"), "levy")
         if "density" in d:
             dens = d["density"]
             expr = parse(dens, DENSITY_SCHEMA) if isinstance(dens, str) else dens
@@ -188,8 +192,15 @@ def _as_expr(value, schema: Sequence[str]) -> Expr:
     return value  # already an Expr
 
 
-def _pair_map(raw: Mapping, pairs: Iterable[tuple[int, int]], schema: Sequence[str], what: str) -> dict:
-    """Normalize {"i,j": expr} / {(i,j): expr} maps; 'default' fills gaps."""
+def _check_keys(raw, keys: Sequence[str], where: str) -> None:
+    """MalformedSpecError naming a key of the mapping ``raw`` outside ``keys``."""
+    unknown = sorted(map(str, set(raw) - set(keys))) if isinstance(raw, Mapping) else []
+    if unknown:
+        raise MalformedSpecError(f"{where}: unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
+
+
+def _pair_map(raw: Mapping, pairs: Sequence[tuple[int, int]], schema: Sequence[str], what: str) -> dict:
+    """Normalize {"i,j": expr} / {(i,j): expr} maps of ``pairs``; 'default' fills gaps."""
     parsed: dict[tuple[int, int], Expr] = {}
     default = raw.get("default") if isinstance(raw, Mapping) else None
     for key, value in raw.items():
@@ -200,6 +211,8 @@ def _pair_map(raw: Mapping, pairs: Iterable[tuple[int, int]], schema: Sequence[s
             pair = (int(a), int(b))
         else:
             pair = (int(key[0]), int(key[1]))
+        if pair not in pairs:
+            raise MalformedSpecError(f"unknown {what} key {key!r}; the keys are 'default' and {', '.join(f'{a},{b}' for a, b in pairs)}")
         parsed[pair] = _as_expr(value, schema)
     out = {}
     for pair in pairs:
@@ -257,9 +270,11 @@ class ProblemSpec:
     @staticmethod
     def from_dict(d: Mapping) -> "ProblemSpec":
         try:
+            _check_keys(d, PROBLEM_KEYS, "problem")
             growth = d.get("growth", {})  # C = 0 asks for the clamp, so files that carry it still load
             if not (isinstance(growth, Mapping) and is_finite_number(growth.get("C", 0)) and growth.get("C", 0) == 0):
                 raise MalformedSpecError(f"growth extrapolation is retired: values beyond the grid box are clamped, got growth {growth!r}")
+            _check_keys(d["modes"], ("m1", "m2"), "modes")
             modes = ModeSet(d["modes"]["m1"], d["modes"]["m2"])
             pairs = list(modes.pairs())
             driver_schema = ("t", "x", "z", "q") + tuple(driver_variable(i, j) for i, j in pairs)
@@ -602,6 +617,30 @@ def validate_terminal_consistency(spec: ProblemSpec, sample_xs: Sequence[float])
     )
 
 
+def probe_points(xs) -> np.ndarray:
+    """Every eighth point of ``xs``, where the driver probes sample."""
+    return np.asarray(xs, dtype=float)[:: max(1, len(xs) // 8)]
+
+
+def driver_increments(spec: ProblemSpec, times, xs, y_rows, h: float) -> np.ndarray:
+    """The ``(pairs, pairs + 2, rows, probes)`` increments of each pair's driver
+    at the :func:`probe_points` of ``xs`` when each value entry in pair order,
+    then z, then q is raised by ``h``, from ``t = times[r]``, ``y = y_rows[r]``
+    and ``z = q = 0`` in row r, ``y_rows`` an ``(rows, m1, m2)`` array: the
+    probe behind the stability bound's Lipschitz term and the monotonicity warnings."""
+    t = np.asarray(times, dtype=float)[:, None]
+    x = np.tile(probe_points(xs), (len(t), 1))
+    pairs = list(spec.modes.pairs())
+    entries = {driver_variable(i, j): y_rows[:, i, j, None] for i, j in pairs}
+    bumps = [(dict(entries, **{driver_variable(i, j): entries[driver_variable(i, j)] + h}), 0.0, 0.0) for i, j in pairs]
+    bumps += [(entries, h, 0.0), (entries, 0.0, h)]
+    out = []
+    for pair in pairs:
+        base = spec.eval_driver(pair, t, x, entries, 0.0, 0.0)
+        out.append([spec.eval_driver(pair, t, x, bumped, z, q) - base for bumped, z, q in bumps])
+    return np.array(out)
+
+
 def validate_coefficient_bounds(
     spec: ProblemSpec,
     sample_ts: Sequence[float],
@@ -640,23 +679,13 @@ def validate_coefficient_bounds(
     details["beta_envelope_constant"] = beta_ratio
 
     # driver monotonicity probes: q and off-diagonal y entries
-    h_probe = 1e-4
-    y0 = np.zeros((spec.modes.m1, spec.modes.m2))
-    probe_x = xs[:: max(1, len(xs) // 8)]
-    for t in sample_ts:
-        for pair in spec.modes.pairs():
-            entries = {driver_variable(p, l): float(y0[p, l]) for p, l in spec.modes.pairs()}
-            base = spec.eval_driver(pair, float(t), probe_x, entries, 0.0, 0.0)
-            bumped = spec.eval_driver(pair, float(t), probe_x, entries, 0.0, h_probe)
-            if np.min(bumped - base) < -BOUND_TOL:
+    increments = driver_increments(spec, sample_ts, xs, np.zeros((len(sample_ts), spec.modes.m1, spec.modes.m2)), 1e-4)
+    for r, t in enumerate(sample_ts):
+        for a, pair in enumerate(spec.modes.pairs()):
+            if np.min(increments[a, -1, r]) < -BOUND_TOL:
                 warnings.append({"what": f"driver[{pair}] decreasing in q", "t": float(t)})
-            for other in spec.modes.pairs():
-                if other == pair:
-                    continue
-                entries2 = dict(entries)
-                entries2[driver_variable(*other)] = h_probe
-                bumped_y = spec.eval_driver(pair, float(t), probe_x, entries2, 0.0, 0.0)
-                if np.min(bumped_y - base) < -BOUND_TOL:
+            for b, other in enumerate(spec.modes.pairs()):
+                if other != pair and np.min(increments[a, b, r]) < -BOUND_TOL:
                     warnings.append({"what": f"driver[{pair}] decreasing in y[{other}]", "t": float(t)})
 
     return ValidationReport(

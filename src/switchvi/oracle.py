@@ -92,6 +92,7 @@ def build_discrete_game(
     config = config or SchemeConfig()
     if config.mode != "explicit":
         raise ValueError("the discrete game mirrors the explicit scheme only")
+    tgrid.check_horizon(spec.horizon)
     n = grid.n_nodes
     kernel_bytes = 8 * tgrid.n_steps * n * n
     if kernel_bytes > MAX_KERNEL_BYTES:

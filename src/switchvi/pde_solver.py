@@ -76,12 +76,13 @@ from .discretization import (
 from .model import (
     TERMINAL_CONSISTENCY_TOL,
     ProblemSpec,
-    driver_variable,
+    driver_increments,
     eval_obstacles,
     is_finite_number,
     is_integer,
     neg_part,
     pos_part,
+    probe_points,
     validate_non_free_loop,
     validate_terminal_consistency,
 )
@@ -232,28 +233,12 @@ def estimate_driver_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeG
     is, with no margin for a larger slope between the samples.
     """
     x = grid.axis()
-    probe_x = x[:: max(1, len(x) // 8)]
     h = 1e-5
-    pairs = list(spec.modes.pairs())
-    bases = [np.zeros((spec.modes.m1, spec.modes.m2)), np.mean(spec.terminal_table(probe_x), axis=-1)]
-    # one row per (time, base): every pair's driver is probed with one call per bump
+    bases = [np.zeros((spec.modes.m1, spec.modes.m2)), np.mean(spec.terminal_table(probe_points(x)), axis=-1)]
     rows = [(t, y0) for t in (0.0, 0.5 * tgrid.horizon, tgrid.horizon) for y0 in bases]
-    times = np.array([[t] for t, _ in rows])
-    xs = np.tile(probe_x, (len(rows), 1))
-    entries = {driver_variable(p, l): np.array([[y0[p, l]] for _, y0 in rows]) for p, l in pairs}
-    worst = 0.0
-    for pair in pairs:
-        base = spec.eval_driver(pair, times, xs, entries, 0.0, 0.0)
-        sq = np.zeros_like(xs)
-        for other in pairs:
-            bumped = dict(entries)
-            bumped[driver_variable(*other)] = entries[driver_variable(*other)] + h
-            dy = (spec.eval_driver(pair, times, xs, bumped, 0.0, 0.0) - base) / h
-            sq = sq + dy**2
-        dz = (spec.eval_driver(pair, times, xs, entries, h, 0.0) - base) / h
-        dq = (spec.eval_driver(pair, times, xs, entries, 0.0, h) - base) / h
-        worst = max(worst, float(np.max(np.sqrt(sq + dz**2 + dq**2))))
-    return worst
+    slopes = driver_increments(spec, [t for t, _ in rows], x, np.array([y0 for _, y0 in rows]), h) / h
+    # a sequential sum in pair order, then z, then q: the estimate's bits depend on that order
+    return float(np.max(np.sqrt(sum(slopes[:, b] ** 2 for b in range(slopes.shape[1])))))
 
 
 def compute_cfl_bound(
@@ -270,8 +255,7 @@ class _Workspace:
     """Per-(spec, grids, quadrature) tables shared by all backward steps."""
 
     def __init__(self, spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, quad: LevyQuadrature, config: SchemeConfig):
-        if tgrid.horizon != spec.horizon:
-            raise ValueError(f"time grid horizon {tgrid.horizon} is not the problem's horizon {spec.horizon}")
+        tgrid.check_horizon(spec.horizon)
         self.spec = spec
         self.grid = grid
         self.tgrid = tgrid
@@ -681,15 +665,13 @@ def solve_maxmin(
 def residual_report(
     trajectory: Trajectory,
     spec: ProblemSpec,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
     quad: LevyQuadrature,
     system: str,
     n: float = 0.0,
     m: float = 0.0,
     config: SchemeConfig | None = None,
 ) -> SolverReport:
-    """Recompute the discrete equation residual at every interior level.
+    """Recompute the discrete equation residual at every interior level, on the trajectory's grids.
 
     ``system`` is ``"penalized"`` (penalties ``n`` and ``m``), ``"lower"``
     (penalty ``m``), ``"upper"`` (penalty ``n``), ``"minmax"`` or ``"maxmin"``;
@@ -706,7 +688,8 @@ def residual_report(
         raise ValueError(f"unknown system '{system}'")
     sides = _PROJECTED[system]
     n, m = _penalties(sides, check_penalty(n, "n"), check_penalty(m, "m"))
-    ws = _Workspace(spec, grid, tgrid, quad, config or SchemeConfig())
+    tgrid = TimeGrid(float(trajectory.times[-1]), trajectory.n_levels - 1)
+    ws = _Workspace(spec, trajectory.grid, tgrid, quad, config or SchemeConfig())
     report = SolverReport(system=f"residual({system})", dt=ws.dt, n_steps=tgrid.n_steps)
     per_pair = {f"{i},{j}": 0.0 for i, j in ws.pairs}
     obstacles = eval_obstacles(trajectory.values[-1], ws.obstacle_costs(float(trajectory.times[-1])))

@@ -132,8 +132,8 @@ def test_criterion_5_feynman_kac():
     quad = build_levy_quadrature(spec.levy)
     traj, _ = solve_penalized(spec, GRID, TGRID, quad, 4.0, 4.0)
     batch = simulate_paths(spec, quad, 0.0, 10_000, TGRID, seed=20240901)
-    est = solve_bsde_regression(batch, spec, 4.0, 4.0)
-    report = feynman_kac_check(traj, est, 0.0)
+    est = solve_bsde_regression(batch, 4.0, 4.0)
+    report = feynman_kac_check(traj, est)
 
     # closed-form control: constant driver, zero terminal
     const = make_spec(
@@ -146,7 +146,7 @@ def test_criterion_5_feynman_kac():
     cquad = build_levy_quadrature(const.levy)
     ctraj, _ = solve_penalized(const, GRID, TGRID, cquad, 0.0, 0.0)
     cbatch = simulate_paths(const, cquad, 0.0, 10_000, TGRID, seed=20240901)
-    cest = solve_bsde_regression(cbatch, const, 0.0, 0.0)
+    cest = solve_bsde_regression(cbatch, 0.0, 0.0)
     closed_diff = abs(float(cest.y0[0, 0]) - float(ctraj.values[0, 0, 0, 50]))
     elapsed = time.perf_counter() - t0
     detail = "; ".join(f"pair {r['pair']}: diff {r['difference']:.4f} thr {r['threshold']:.4f}" for r in report.records)

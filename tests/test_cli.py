@@ -242,20 +242,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{8 * 10 * 21 * 21} bytes" in err
 
-    def test_far_off_x0_exit_2_naming_check_x0_and_the_subexpression(self, tmp_path, capsys):
-        """Paths from x0 = 1e300 overflow the terminal data's ``-x*x``: the
-        problem evaluates on the grid, so the error is the check's x0, not the
-        problem file's."""
+    def test_paths_that_leave_the_box_exit_2_naming_check_x0_and_the_subexpression(self, tmp_path, capsys):
+        """Jumps of 1e200 carry paths from x0 = 0 to where the terminal data's
+        ``-x*x`` overflows: the problem evaluates on the grid, whose solves
+        clamp the jumps' destinations, so the error is the check's x0, not
+        the problem file's."""
         cfg = write_config(
             tmp_path,
+            problem=shipped_problem(jump_amplitude="1e200*e"),
             grid={"x_min": -2.0, "x_max": 2.0, "n_nodes": 21},
             time={"n_steps": 10},
-            check={"paths": 100, "x0": 1e300, "n": 4, "m": 4, "n_steps": 10},
+            check={"paths": 100, "x0": 0.0, "n": 4, "m": 4, "n_steps": 10},
         )
         capsys.readouterr()
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config 'check': ") and "x0 1e+300" in err and "'-x*x'" in err
+        assert err.startswith("error: config 'check': ") and "x0 0.0" in err and "'-x*x'" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_growth_extrapolation_exit_2_with_one_line_error(self, tmp_path, capsys):
@@ -381,6 +383,15 @@ class TestBadConfigValues:
             pytest.param("solve", {"solve": {"system": "penalized", "n": 10**400}}, "error: config 'solve': penalty n ", id="solve-n-huge"),
             pytest.param("check", {"check": {"m": 10**400}}, "error: config 'check': penalty m ", id="check-m-huge"),
             pytest.param("check", {"check": {"x0": -(10**400)}}, "error: config 'check': x0 ", id="check-x0-huge"),
+            # v(0, x0) is read at the boundary node outside the box, so 50 failed the
+            # Feynman-Kac check with exit 1 and 1e5 ended in a singular-regression traceback
+            *(
+                pytest.param("check", {"check": {"paths": 100, "x0": x0}}, "error: config 'check': x0 ", id=f"check-x0-outside-{x0}")
+                for x0 in (50, 1e5, 1e300, -2.5, 2.0 + 1e-12)
+            ),
+            # too few paths for the basis ended in a singular-regression traceback
+            pytest.param("check", {"check": {"paths": 2}}, "error: config 'check': 2 paths ", id="check-paths-2-singular"),
+            pytest.param("check", {"check": {"paths": 3, "basis_degree": 3}}, "error: config 'check': 3 paths ", id="check-paths-3-singular"),
             pytest.param(
                 "solve", {"solve": {"system": "minmax", "mode": "limit", "schedule": [1, 10**400]}},
                 "error: config 'solve': schedule ", id="solve-schedule-huge",
@@ -406,6 +417,10 @@ class TestBadConfigValues:
                     ("vol-nan", {"vol": float("nan")}),
                     ("atom-bool-str", {"levy": {"atoms": [[True, "0.4"]]}}),
                     ("cutoff-str", {"levy": {"atoms": [[0.5, 0.4]], "cutoff": "0.1"}}),
+                    # an unknown key loaded as if absent: "drfit" as drift 0, a levy "atom" as no jumps
+                    ("drfit", {"drfit": "0.1*x"}),
+                    ("levy-atom", {"levy": {"atom": [[0.5, 0.4]]}}),
+                    ("driver-5-5", {"drivers": {"default": "0", "5,5": "1"}}),
                 )
             ),
             # a boolean or string grid bound ran as its number, a boolean radius as 1,

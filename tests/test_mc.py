@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature
+from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature, interpolate
 from switchvi.mc import (
     BsdeEstimate,
     RegressionBasis,
@@ -183,7 +183,7 @@ class TestBsdeRegression:
         )
         quad = build_levy_quadrature(spec.levy)
         batch = simulate_paths(spec, quad, 0.0, 2_000, TG, seed=3)
-        est = solve_bsde_regression(batch, spec, 0.0, 0.0)
+        est = solve_bsde_regression(batch, 0.0, 0.0)
         assert est.y0[0, 0] == pytest.approx(0.35, abs=1e-8)
 
     def test_martingale_terminal_identity(self):
@@ -201,39 +201,39 @@ class TestBsdeRegression:
         )
         quad = build_levy_quadrature(spec.levy)
         batch = simulate_paths(spec, quad, 0.3, 10_000, TG, seed=11)
-        est = solve_bsde_regression(batch, spec, 0.0, 0.0)
+        est = solve_bsde_regression(batch, 0.0, 0.0)
         assert abs(est.y0[0, 0] - 0.3) <= 4 * est.stderr[0, 0]
 
     def test_too_few_paths_guard(self, spec_two_atom, quad_two_atom):
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 1, TG, seed=1)
         with pytest.raises(ValueError):
-            solve_bsde_regression(batch, spec_two_atom, 0.0, 0.0)
+            solve_bsde_regression(batch, 0.0, 0.0)
 
     def test_singular_design_reported(self):
         spec = frozen_spec()  # all paths identical: rank-1 design at interior steps
         quad = build_levy_quadrature(spec.levy)
         batch = simulate_paths(spec, quad, 0.0, 100, TG, seed=1)
         with pytest.raises(SingularRegressionError):
-            solve_bsde_regression(batch, spec, 0.0, 0.0)
+            solve_bsde_regression(batch, 0.0, 0.0)
 
     def test_determinism_bitwise(self, spec_two_atom, quad_two_atom):
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 2_000, TG, seed=9)
-        a = solve_bsde_regression(batch, spec_two_atom, 2.0, 0.0)
-        b = solve_bsde_regression(batch, spec_two_atom, 2.0, 0.0)
+        a = solve_bsde_regression(batch, 2.0, 0.0)
+        b = solve_bsde_regression(batch, 2.0, 0.0)
         assert np.array_equal(a.y0, b.y0) and np.array_equal(a.stderr, b.stderr)
 
     @pytest.mark.parametrize("n, m", [(-1.0, 0.0), (0.0, -1.0), (float("nan"), 0.0), (0.0, float("inf")), (True, 0.0), (0.0, "4")])
     def test_penalties_must_be_finite_and_non_negative(self, spec_two_atom, quad_two_atom, n, m):
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 20, TG, seed=1)
         with pytest.raises(ValueError, match="penalty") as err:
-            solve_bsde_regression(batch, spec_two_atom, n, m)
+            solve_bsde_regression(batch, n, m)
         assert type(err.value) is ValueError
 
     def test_monotonicity_transfer_in_n(self, spec_two_atom, quad_two_atom):
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 4_000, TG, seed=13)
         prev = None
         for n in (0.0, 2.0, 8.0):
-            est = solve_bsde_regression(batch, spec_two_atom, n, 0.0)
+            est = solve_bsde_regression(batch, n, 0.0)
             if prev is not None:
                 slack = 4.0 * float(np.max(est.stderr))
                 assert float(np.max(prev - est.y0)) <= slack
@@ -306,12 +306,12 @@ class TestStackedRegression:
         quad = build_levy_quadrature(spec.levy)
         assert quad.n_atoms > 0
         batch = simulate_paths(spec, quad, 0.0, 2_000, TG, seed=21)
-        est = solve_bsde_regression(batch, spec, 4.0, 2.0)
+        est = solve_bsde_regression(batch, 4.0, 2.0)
         y0, stderr = per_pair_regression(batch, spec, 4.0, 2.0)
         np.testing.assert_allclose(est.y0, y0, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(est.stderr, stderr, rtol=0.0, atol=1e-12)
         # the penalties are active on this batch
-        assert np.max(np.abs(est.y0 - solve_bsde_regression(batch, spec, 0.0, 0.0).y0)) > 1e-3
+        assert np.max(np.abs(est.y0 - solve_bsde_regression(batch, 0.0, 0.0).y0)) > 1e-3
 
     @pytest.mark.parametrize("name", ["switch_2x2_jump", "two_atom_jump"])
     def test_one_least_squares_fit_per_level(self, name, monkeypatch):
@@ -326,7 +326,7 @@ class TestStackedRegression:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
-        solve_bsde_regression(batch, spec, 4.0, 4.0)
+        solve_bsde_regression(batch, 4.0, 4.0)
         assert len(calls) == TG.n_steps
 
     def test_singular_design_raises_at_the_reference_step(self):
@@ -340,7 +340,7 @@ class TestStackedRegression:
         with pytest.raises(SingularRegressionError) as ref:
             per_pair_regression(batch, spec, 4.0, 4.0)
         with pytest.raises(SingularRegressionError) as got:
-            solve_bsde_regression(batch, spec, 4.0, 4.0)
+            solve_bsde_regression(batch, 4.0, 4.0)
         assert 0 < got.value.step == ref.value.step < TG.n_steps - 1
 
 
@@ -357,8 +357,8 @@ class TestFeynmanKac:
         grid = SpatialGrid.line(-2.0, 2.0, 101)
         traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0)
         batch = simulate_paths(spec, quad, 0.0, 2_000, TG, seed=3)
-        est = solve_bsde_regression(batch, spec, 0.0, 0.0)
-        report = feynman_kac_check(traj, est, 0.0)
+        est = solve_bsde_regression(batch, 0.0, 0.0)
+        report = feynman_kac_check(traj, est)
         assert report.passed
         assert report.records[0]["difference"] <= 1e-8
 
@@ -366,8 +366,8 @@ class TestFeynmanKac:
         grid = SpatialGrid.line(-2.0, 2.0, 101)
         traj, _ = solve_penalized(spec_two_atom, grid, TG, quad_two_atom, 4.0, 4.0)
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 10_000, TG, seed=42)
-        est = solve_bsde_regression(batch, spec_two_atom, 4.0, 4.0)
-        report = feynman_kac_check(traj, est, 0.0)
+        est = solve_bsde_regression(batch, 4.0, 4.0)
+        report = feynman_kac_check(traj, est)
         assert report.passed
         assert any("engineering" in note for note in report.notes)
 
@@ -375,9 +375,19 @@ class TestFeynmanKac:
         grid = SpatialGrid.line(-2.0, 2.0, 101)
         traj, _ = solve_penalized(spec_two_atom, grid, TG, quad_two_atom, 16.0, 0.0)
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 10_000, TG, seed=42)
-        est = solve_bsde_regression(batch, spec_two_atom, 0.0, 0.0)
-        report = feynman_kac_check(traj, est, 0.0)
+        est = solve_bsde_regression(batch, 0.0, 0.0)
+        report = feynman_kac_check(traj, est)
         assert not report.passed
+
+    def test_reads_the_grid_at_the_paths_start_point(self, spec_two_atom, quad_two_atom):
+        """The start point was given again beside the estimate: another x0 compared another point."""
+        grid = SpatialGrid.line(-2.0, 2.0, 41)
+        traj, _ = solve_penalized(spec_two_atom, grid, TG, quad_two_atom, 4.0, 4.0)
+        batch = simulate_paths(spec_two_atom, quad_two_atom, 0.3, 500, TG, seed=7)
+        est = solve_bsde_regression(batch, 4.0, 4.0)
+        assert batch.spec is spec_two_atom and est.x0 == 0.3
+        report = feynman_kac_check(traj, est)
+        assert [r["pde_value"] for r in report.records] == [interpolate(traj.values[0, i, 0], 0.3, grid) for i in range(2)]
 
     def test_pde_value_beyond_the_box_is_the_boundary_value(self):
         # v(0, x0) at x0 > x_max is clamped, as the solver reads values beyond the box
@@ -391,9 +401,8 @@ class TestFeynmanKac:
         quad = build_levy_quadrature(spec.levy)
         grid = SpatialGrid.line(-2.0, 2.0, 41)
         traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0)
-        est = BsdeEstimate(y0=np.zeros((1, 1)), stderr=np.zeros((1, 1)), n_paths=1, n=0.0, m=0.0)
-        x0 = 2.5
-        report = feynman_kac_check(traj, est, x0)
+        est = BsdeEstimate(y0=np.zeros((1, 1)), stderr=np.zeros((1, 1)), n_paths=1, n=0.0, m=0.0, x0=2.5)
+        report = feynman_kac_check(traj, est)
         assert report.records[0]["pde_value"] == traj.values[0, 0, 0, -1]
 
 
@@ -439,6 +448,6 @@ class TestSmallJumpDiffusion:
         grid = SpatialGrid.line(-3.0, 3.0, 121)
         traj, _ = solve_penalized(spec, grid, TG, quad, 0.0, 0.0, SchemeConfig(mode="imex"))
         batch = simulate_paths(spec, quad, 0.0, 4_000, TG, seed=3)
-        report = feynman_kac_check(traj, solve_bsde_regression(batch, spec, 0.0, 0.0), 0.0)
+        report = feynman_kac_check(traj, solve_bsde_regression(batch, 0.0, 0.0))
         assert report.records[0]["pde_value"] == pytest.approx(0.27, abs=5e-3)
         assert report.passed

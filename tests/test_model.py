@@ -461,11 +461,45 @@ class TestCoefficientBounds:
         report = validate_coefficient_bounds(spec, [0.0], np.linspace(-1, 1, 5))
         assert any("decreasing in y" in w["what"] for w in report.warnings)
 
+    @pytest.mark.parametrize("name", ["no_jump", "switch_2x2_jump", "decreasing"])
+    def test_warnings_equal_the_loop_reference(self, name):
+        """The shared driver probe gives the warnings, in the order, of a
+        probe one time and pair at a time with scalar bindings."""
+        if name == "decreasing":
+            spec = make_spec(
+                modes={"m1": 2, "m2": 2},
+                drivers={"default": "-0.3*q - 0.2*y_0_1 + 0.1*y_1_0 - 0.4*y_1_1*t + (x - 0.5)*y_0_0 - 0.1*exp(x)*q"},
+            )
+        else:
+            spec = load_builtin_problem(name)
+        ts, xs = [0.0, 0.25, 0.5], np.linspace(-2, 2, 101)
+        warnings = validate_coefficient_bounds(spec, ts, xs).warnings
+        assert warnings == reference_monotonicity_warnings(spec, ts, xs)
+        assert (len(warnings) > 0) == (name == "decreasing")
+
     def test_envelope_constants_reported(self, spec_2x2):
         report = validate_coefficient_bounds(spec_2x2, [0.0, 0.5], np.linspace(-2, 2, 9))
         assert report.passed
         assert report.details["beta_envelope_constant"] == pytest.approx(0.8, rel=1e-9)
         assert report.details["gamma_envelope_constant"] == pytest.approx(0.5, rel=1e-9)
+
+
+def reference_monotonicity_warnings(spec: ProblemSpec, ts, xs) -> list:
+    """The validator's driver warnings, one time and pair at a time with scalar bindings."""
+    probe_x = xs[:: max(1, len(xs) // 8)]
+    pairs = list(spec.modes.pairs())
+    entries = {driver_variable(p, l): 0.0 for p, l in pairs}
+    warnings = []
+    for t in ts:
+        for pair in pairs:
+            base = spec.eval_driver(pair, t, probe_x, entries, 0.0, 0.0)
+            if np.min(spec.eval_driver(pair, t, probe_x, entries, 0.0, 1e-4) - base) < -1e-12:
+                warnings.append({"what": f"driver[{pair}] decreasing in q", "t": t})
+            for other in pairs:
+                bumped = dict(entries, **{driver_variable(*other): 1e-4})
+                if other != pair and np.min(spec.eval_driver(pair, t, probe_x, bumped, 0.0, 0.0) - base) < -1e-12:
+                    warnings.append({"what": f"driver[{pair}] decreasing in y[{other}]", "t": t})
+    return warnings
 
 
 class TestShippedProblems:
@@ -570,6 +604,30 @@ class TestProblemFile:
     )
     def test_an_entry_that_does_not_convert_is_malformed(self, entry):
         with pytest.raises(MalformedSpecError) as err:
+            ProblemSpec.from_dict(shipped_problem(**entry))
+        assert type(err.value) is MalformedSpecError
+
+    @pytest.mark.parametrize(
+        "entry,key",
+        [
+            ({"drfit": "0.1*x"}, "drfit"),
+            ({"modes": {"m1": 2, "m2": 2, "m3": 2}}, "m3"),
+            ({"levy": {"atom": [[0.5, 0.4]]}}, "atom"),
+            ({"levy": {"atoms": [[0.5, 0.4]], "cutof": 0.1}}, "cutof"),
+            ({"levy": {"density": "exp(-abs(e))", "radius": 1.0, "cutof": 0.1}}, "cutof"),
+            ({"drivers": {"default": "0", "5,5": "1"}}, "5,5"),
+            ({"jump_weights": {"default": "0", (0, 2): "1"}}, (0, 2)),
+            ({"terminal": {"default": "0", "2,0": "1"}}, "2,0"),
+            ({"lower_costs": {"default": "0.3", "0,0": "0.1"}}, "0,0"),
+            ({"upper_costs": {"default": "0.4", "1,1": "0.1"}}, "1,1"),
+        ],
+        ids=lambda v: str(v) if not isinstance(v, dict) else None,
+    )
+    def test_an_unknown_key_is_rejected_by_name(self, entry, key):
+        """An unknown key loaded as if it were absent: ``"drfit"`` as drift 0, a
+        levy ``"atom"`` as no jumps and ``"cutof"`` as cutoff 0, and a pair key
+        outside the mode sets, a diagonal cost included, was dropped."""
+        with pytest.raises(MalformedSpecError, match=re.escape(repr(key))) as err:
             ProblemSpec.from_dict(shipped_problem(**entry))
         assert type(err.value) is MalformedSpecError
 

@@ -26,6 +26,7 @@ from switchvi.discretization import (
     upwind_drift,
 )
 from switchvi.exprdsl import BinOp, Num, NumericDomainError
+from switchvi.mc import simulate_paths
 from switchvi.model import (
     ProblemSpec,
     _loop_legs,
@@ -147,7 +148,7 @@ class TestPenalties:
         quad = build_levy_quadrature(spec_no_jump.levy)
         traj, _ = solve_penalized(spec_no_jump, GRID, tgrid, quad, 1.0, 1.0)
         with pytest.raises(ValueError, match="penalty"):
-            residual_report(traj, spec_no_jump, GRID, tgrid, quad, "penalized", n, m)
+            residual_report(traj, spec_no_jump, quad, "penalized", n, m)
 
     def test_stability_guard_rejects_a_nan_stability_number(self, spec_no_jump):
         """``NaN > 1 + 1e-12`` is false, so the guard let a NaN stability number through."""
@@ -611,7 +612,7 @@ class TestBilateral:
     def test_minmax_residual_structure(self, spec_2x2, quad_2x2):
         traj, report = solve_minmax(spec_2x2, GRID, TGRID, quad_2x2, mode="direct")
         assert max(report.obstacle_lower_violation) <= 1e-10
-        res = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="minmax")
+        res = residual_report(traj, spec_2x2, quad_2x2, system="minmax")
         assert res.residual_norms["overall"] <= 1e-8
         assert res.residual_norms["terminal"] == 0.0
 
@@ -637,7 +638,7 @@ class TestBilateral:
 
     def test_maxmin_residual(self, spec_2x2, quad_2x2):
         traj, _ = solve_maxmin(spec_2x2, GRID, TGRID, quad_2x2, mode="direct")
-        rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="maxmin")
+        rep = residual_report(traj, spec_2x2, quad_2x2, system="maxmin")
         assert rep.residual_norms["overall"] <= 1e-12
 
     def test_limit_families_bracket_the_direct_solve(self, spec_2x2, quad_2x2):
@@ -734,13 +735,13 @@ class TestBilateral:
 class TestResiduals:
     def test_fresh_penalized_residual_zero(self, spec_2x2, quad_2x2):
         traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
-        rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="penalized", n=2.0, m=2.0)
+        rep = residual_report(traj, spec_2x2, quad_2x2, system="penalized", n=2.0, m=2.0)
         assert rep.residual_norms["overall"] <= 1e-13
 
     def test_perturbation_detected(self, spec_2x2, quad_2x2):
         traj, _ = solve_minmax(spec_2x2, GRID, TGRID, quad_2x2, mode="direct")
         traj.values[TGRID.n_steps // 2, 0, 0, 20] += 1.0
-        rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="minmax")
+        rep = residual_report(traj, spec_2x2, quad_2x2, system="minmax")
         assert rep.residual_norms["overall"] > 0.1
 
     @pytest.mark.parametrize("system,n,m", [("lower", 0.0, 100.0), ("upper", 100.0, 0.0), ("minmax", 0.0, 0.0), ("maxmin", 0.0, 0.0)])
@@ -749,14 +750,26 @@ class TestResiduals:
         ignores the penalty given for an obstacle it projects (``n`` for L, ``m``
         for U), even one so large that the projection would not mask it."""
         traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
-        given = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system=system, n=100.0, m=100.0)
-        kept = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system=system, n=n, m=m)
+        given = residual_report(traj, spec_2x2, quad_2x2, system=system, n=100.0, m=100.0)
+        kept = residual_report(traj, spec_2x2, quad_2x2, system=system, n=n, m=m)
         assert (given.update_norms, given.residual_norms) == (kept.update_norms, kept.residual_norms)
+
+    @pytest.mark.parametrize(
+        "grid,tgrid", [(SpatialGrid.line(-3.0, 3.0, 41), TimeGrid(0.5, 20)), (GRID, TimeGrid(0.5, 40))], ids=["box-3", "40-steps"]
+    )
+    def test_reads_the_trajectorys_own_grids(self, grid, tgrid, spec_2x2, quad_2x2):
+        """Grids given beside the trajectory were trusted to be its own: on a 41
+        x 20 solve, a 41-node grid on [-3, 3] gave 3.0e-3, a 10-step time grid
+        checked 10 levels at the wrong times and a 40-step one raised IndexError."""
+        traj, _ = solve_minmax(spec_2x2, grid, tgrid, quad_2x2)
+        rep = residual_report(traj, spec_2x2, quad_2x2, system="minmax")
+        assert (rep.dt, rep.n_steps, len(rep.update_norms)) == (tgrid.dt, tgrid.n_steps, tgrid.n_steps)
+        assert rep.residual_norms["overall"] == 0.0
 
     def test_unknown_system_rejected(self, spec_2x2, quad_2x2):
         traj, _ = solve_penalized(spec_2x2, GRID, TGRID, quad_2x2, 2.0, 2.0)
         with pytest.raises(ValueError, match="unknown system 'bilateral'"):
-            residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="bilateral")
+            residual_report(traj, spec_2x2, quad_2x2, system="bilateral")
 
     @pytest.mark.parametrize("mode", ["explicit", "imex"])
     @pytest.mark.parametrize("problem", ["no_jump", "switch_2x2_jump", "two_atom_jump"])
@@ -765,18 +778,18 @@ class TestResiduals:
         quad = build_levy_quadrature(spec.levy)
         config = SchemeConfig(mode=mode)
         traj, _ = solve_upper_reflected(spec, GRID, TGRID, quad, 2.0, config)
-        rep = residual_report(traj, spec, GRID, TGRID, quad, system="upper", n=2.0, config=config)
+        rep = residual_report(traj, spec, quad, system="upper", n=2.0, config=config)
         assert rep.residual_norms["overall"] == 0.0
 
     def test_upper_reflected_perturbation_detected(self, spec_2x2, quad_2x2):
         traj, _ = solve_upper_reflected(spec_2x2, GRID, TGRID, quad_2x2, 2.0)
         traj.values[TGRID.n_steps // 2, 0, 0, 20] += 1e-3
-        rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="upper", n=2.0)
+        rep = residual_report(traj, spec_2x2, quad_2x2, system="upper", n=2.0)
         assert rep.residual_norms["overall"] >= 0.9e-3
 
     def test_lower_reflected_residual(self, spec_2x2, quad_2x2):
         traj, _ = solve_lower_reflected(spec_2x2, GRID, TGRID, quad_2x2, 4.0)
-        rep = residual_report(traj, spec_2x2, GRID, TGRID, quad_2x2, system="lower", m=4.0)
+        rep = residual_report(traj, spec_2x2, quad_2x2, system="lower", m=4.0)
         assert rep.residual_norms["overall"] <= 1e-12
 
     SOLVES = {
@@ -795,7 +808,7 @@ class TestResiduals:
         quad = build_levy_quadrature(spec.levy)
         config = SchemeConfig(mode=mode)
         traj, _ = self.SOLVES[system](spec, quad, config)
-        rep = residual_report(traj, spec, GRID, TGRID, quad, system, n=2.0, m=3.0, config=config)
+        rep = residual_report(traj, spec, quad, system, n=2.0, m=3.0, config=config)
         assert rep.residual_norms["overall"] == 0.0
 
 
@@ -812,6 +825,9 @@ class TestTimeGridHorizon:
         "minmax": lambda spec, tgrid, quad: solve_minmax(spec, GRID, tgrid, quad),
         "maxmin-limit": lambda spec, tgrid, quad: solve_maxmin(spec, GRID, tgrid, quad, mode="limit", schedule=(1, 2), raise_on_nonconvergence=False),
         "cfl": lambda spec, tgrid, quad: compute_cfl_bound(spec, GRID, tgrid, quad, 0.0, 0.0),
+        # the oracle and the paths ran the other problem without a word
+        "oracle": lambda spec, tgrid, quad: build_discrete_game(spec, GRID, tgrid, quad),
+        "paths": lambda spec, tgrid, quad: simulate_paths(spec, quad, 0.0, 10, tgrid, seed=1),
     }
 
     @staticmethod
@@ -833,7 +849,7 @@ class TestTimeGridHorizon:
         quad = build_levy_quadrature(spec.levy)
         traj, _ = solve_minmax(spec, GRID, TimeGrid(0.5, 10), quad)
         with pytest.raises(ValueError, match="horizon") as err:
-            residual_report(traj, spec, GRID, TimeGrid(0.1, 10), quad, system="minmax")
+            residual_report(traj, dataclasses.replace(spec, horizon=0.1), quad, system="minmax")
         assert "0.1" in str(err.value) and "0.5" in str(err.value)
 
 
