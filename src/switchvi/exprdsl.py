@@ -38,23 +38,39 @@ every successful result is bitwise the walker's.
 
 :class:`Evaluator` runs several trees that share most bindings (the
 drivers of all mode pairs, say) at one fixed ``x``, as every level of the
-backward step does.  Each tree is split once, and the split kept on its root
-beside the compiled form: every maximal subtree that reads only ``t`` and
-``x`` (``0.6 + 0.2*max(x, 0)``, a bare ``x``; not a literal) is hoisted, and
-read by the residual closures under its source text.  The hoisted values
-and the bindings they read are computed and checked once, under the same
-``errstate``: again only when ``t`` changes, and never when none reads
-``t``.  A call checks the stack of shared bindings (the ``y_i_j``), each
-per-tree row read and the result once.  On any failure it re-runs the plain
-:func:`evaluate` loop, so its results and errors are exactly that loop's.
+backward step does.  A tree that is affine in its variables other than ``t``
+and ``x`` is compiled once, on the first Evaluator that runs it, into a
+linear form kept on its root: a constant tree ``c0`` plus one coefficient
+tree ``c_v`` per variable, each reading only ``t`` and ``x``, literals
+folded.  A subtree over ``t`` and ``x`` is a constant, a variable has
+coefficient 1, ``+``, ``-`` and unary ``-`` combine forms, and ``*`` and
+``/`` are affine only when one side (for ``/`` the divisor) reads just
+``t`` and ``x``; anything else makes the tree non-affine.  Every other tree
+is split once: every maximal subtree that reads only ``t`` and ``x``
+(``0.6 + 0.2*max(x, 0)``, a bare ``x``; not a literal) is hoisted, and read
+by the residual closures under its source text.  The hoisted subtrees and
+coefficient trees, and the bindings they read, are computed and checked
+once, under the same ``errstate``: again only when ``t`` changes, and never
+when none reads ``t``.  A call computes the affine trees' entries as
+``c0 + sum_v c_v v``, summed in the order the variables first appear in the
+tree and with no BLAS call, after one multiply of each binding that bounds
+it, so that no node of an affine tree can overflow where the walker's would
+not.  It checks the bindings the residual closures read, and the whole table
+once.  On any failure it re-runs the plain :func:`evaluate` loop.  So
+entries of non-affine trees are bitwise that loop's, entries of affine trees
+lie within rounding of it (the bound ``tests/conftest.py::affine_error_bound``
+states), and errors are exactly the loop's, type and message.  Past
+``_LINEAR_MAX_POINTS`` points, where the linear forms no longer pay, every
+tree runs its closures.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -120,14 +136,14 @@ class _Node:
     """Base of the AST nodes.
 
     :func:`evaluate` stores a tree's compiled form on its root node, and
-    :class:`Evaluator` its split form, so each lives exactly as long as the
-    tree; pickles leave them out.
+    :class:`Evaluator` its split and linear forms, so each lives exactly as
+    long as the tree; pickles leave them out.
     """
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        state.pop("_split", None)
+        for form in ("_compiled", "_split", "_affine"):
+            state.pop(form, None)
         return state
 
 
@@ -476,6 +492,131 @@ def _split(expr: Expr):
     return form
 
 
+_GRID = frozenset(("t", "x"))
+_ONE = Num(1.0)
+# an affine row is computed only when no node of its tree can reach this
+# magnitude (see Evaluator); rounding cannot carry a node from below it to
+# the largest float
+_AFFINE_RANGE = 2.0**1000
+# the most points an Evaluator sums linear forms at.  The forms save ufunc
+# calls, not passes over memory: on a 2-vCPU host the shipped 2x2 drivers
+# took 21 against 50 us per call at 201 points, 46 against 57 at 1,000, 85
+# against 84 at 2,000 and 417 against 195 at 10,000 (one BLAS thread)
+_LINEAR_MAX_POINTS = 1024
+
+
+class _NotAffine(Exception):
+    pass
+
+
+class _Linear(NamedTuple):
+    """An affine tree as ``const + sum(coefs[v] * v)``: ``const`` and each
+    coefficient are a float, or the source text of a tree in ``trees`` that
+    reads only t and x.  ``bound`` plus the largest absolute value of each
+    tree named in ``bounds`` is at least, at every (t, x), the sum over the
+    nodes that read a variable of their constants' and coefficients'
+    absolute values: at least the largest such sum of one node."""
+
+    const: Union[float, str]
+    coefs: dict
+    bound: float
+    bounds: tuple
+    trees: dict
+
+
+def _folded(tree: Expr) -> Expr:
+    """``tree``, or its value as a literal if it reads no variable; raises
+    _NotAffine if that value is not finite."""
+    if free_variables(tree):
+        return tree
+    try:
+        return Num(float(_eval(tree, {})))
+    except NumericDomainError:
+        raise _NotAffine from None
+
+
+def _combine(op: str, a, b):
+    """``a op b`` of two coefficient trees, None standing for a missing term."""
+    if b is None:
+        return a
+    if a is None:
+        return b if op == "+" else _folded(Neg(b))
+    return _folded(BinOp(op, a, b))
+
+
+def _scaled(form: tuple, op: str, factor: Expr, right: bool) -> tuple:
+    """The form of ``node op factor`` (of ``factor op node`` unless ``right``)
+    for a node of form ``form`` and a tree ``factor`` over t and x."""
+
+    def scale(c):
+        if c is None:
+            return None
+        if op == "*" and c == _ONE:
+            return factor
+        return _folded(BinOp(op, c, factor) if right else BinOp(op, factor, c))
+
+    const, coefs = form
+    return scale(const), {v: scale(c) for v, c in coefs.items()}
+
+
+def _linear(expr: Expr, bounds: list):
+    """``(const, coefs)`` of an affine tree: a tree over t and x or None, and a
+    coefficient tree over t and x per variable.  Each node that reads a
+    variable appends its constant and coefficients to ``bounds``.  Raises
+    _NotAffine if ``expr`` is not affine."""
+    if free_variables(expr) <= _GRID:
+        return _folded(expr), {}
+    if isinstance(expr, Var):
+        return None, {expr.name: _ONE}
+    if isinstance(expr, Neg):
+        const, coefs = _linear(expr.operand, bounds)
+        form = _combine("-", None, const), {v: _combine("-", None, c) for v, c in coefs.items()}
+    elif isinstance(expr, BinOp) and expr.op in "+-":
+        (a0, a), (b0, b) = _linear(expr.left, bounds), _linear(expr.right, bounds)
+        form = _combine(expr.op, a0, b0), {v: _combine(expr.op, a.get(v), b.get(v)) for v in {**a, **b}}
+    elif isinstance(expr, BinOp) and expr.op in "*/" and free_variables(expr.right) <= _GRID:
+        form = _scaled(_linear(expr.left, bounds), expr.op, _folded(expr.right), right=True)
+    elif isinstance(expr, BinOp) and expr.op == "*" and free_variables(expr.left) <= _GRID:
+        form = _scaled(_linear(expr.right, bounds), "*", _folded(expr.left), right=False)
+    else:
+        raise _NotAffine
+    bounds.extend(c for c in (form[0], *form[1].values()) if c is not None)
+    return form
+
+
+def _affine(expr: Expr):
+    """The tree's :class:`_Linear` form, or None if it is not affine in its
+    variables other than t and x; built on first use and kept on the root node."""
+    try:
+        return expr._affine
+    except AttributeError:
+        pass
+    bounds: list = []
+    try:
+        const, coefs = _linear(expr, bounds)
+    except _NotAffine:
+        form = None
+    else:
+        trees: dict = {}
+
+        def entry(tree):
+            if isinstance(tree, Num):
+                return tree.value
+            key = format_expr(tree)
+            trees[key] = tree
+            return key
+
+        form = _Linear(
+            0.0 if const is None else entry(const),
+            {v: entry(c) for v, c in coefs.items()},
+            sum(abs(b.value) for b in bounds if isinstance(b, Num)),
+            tuple(entry(b) for b in bounds if not isinstance(b, Num)),
+            trees,
+        )
+    object.__setattr__(expr, "_affine", form)
+    return form
+
+
 def _finite(value: Value) -> bool:
     return bool(np.isfinite(value).all()) if isinstance(value, np.ndarray) else math.isfinite(value)
 
@@ -507,19 +648,108 @@ class Evaluator:
     where ``ctx`` binds ``t``, ``x``, one entry of ``names`` per entry of
     ``stack`` along its leading axes, and each of ``rows``: a scalar, shared
     by every tree, or an array holding one binding per tree along its
-    leading axes.
+    leading axes.  The entry of a tree that is not affine in its variables
+    other than t and x is bitwise that of ``evaluate``; the entry of an
+    affine one is its linear form, within rounding of it, and an error is
+    always the one ``evaluate`` raises.
     """
 
     def __init__(self, exprs: Sequence[Expr], x: Value, names: Sequence[str]):
         self.exprs, self.x, self.names = tuple(exprs), x, tuple(names)
-        self._splits = [_split(e) for e in self.exprs]
-        hoisted = {key: node for _, subtrees in self._splits for key, node in subtrees.items()}
+        forms = [_affine(e) if np.size(x) <= _LINEAR_MAX_POINTS else None for e in self.exprs]
+        self._rows = [k for k, form in enumerate(forms) if form is not None]
+        self._forms = [forms[k] for k in self._rows]
+        residual = [(k, e) for k, e in enumerate(self.exprs) if forms[k] is None]
+        self._splits = [(k, _split(e)[0]) for k, e in residual]
+        hoisted = {key: node for _, e in residual for key, node in _split(e)[1].items()}
+        for form in self._forms:
+            hoisted.update(form.trees)
         grid = frozenset().union(*map(free_variables, hoisted.values()))
         hoisted.update((name, Var(name)) for name in grid)  # so the one check covers the bindings too
         self._hoisted = [(key, _compiled(node)[0]) for key, node in hoisted.items()]
         self._reads_t = "t" in grid
-        self._reads = frozenset().union(*map(free_variables, self.exprs)).difference(("t", "x"), self.names)
-        self._t = self._ctx = None  # the t, with its sign, of the hoisted values in _ctx
+        reads = frozenset().union(*(free_variables(e) for _, e in residual)).difference(_GRID)
+        self._reads, self._reads_stack = reads.difference(self.names), not reads.isdisjoint(self.names)
+        # each call gathers the affine rows' bindings into one source: the
+        # stack, then each other variable's binding (by name) once per tree,
+        # then a row of -0.0, which pads a tree's terms (x + -0.0 is x bitwise)
+        self._others = sorted({v for form in self._forms for v in form.coefs}.difference(self.names))
+        n, m = len(self.names), len(self.exprs)
+
+        def place(v, k):
+            return self.names.index(v) if v in self.names else n + self._others.index(v) * m + k
+
+        self._width = max((len(form.coefs) for form in self._forms), default=0)
+        pad = n + len(self._others) * m
+        # gather[j, r]: the source row of the j-th term of affine row r, in the
+        # order its variable first appears in the tree
+        self._gather = np.array(
+            [[place(v, k) for v in form.coefs] + [pad] * (self._width - len(form.coefs)) for k, form in zip(self._rows, self._forms)],
+            dtype=np.intp,
+        ).reshape(len(self._forms), self._width).T
+        shape = np.shape(x)
+        self._terms = np.empty((1 + self._width, len(self._forms)) + shape)  # the constants, then the terms
+        self._source = np.empty((pad + 1,) + shape)
+        self._source[-1] = -0.0
+        self._t = None  # the t, with its sign, of the values _refresh computed
+
+    def _refresh(self, t: float) -> None:
+        """The hoisted values at t, checked, and from them the affine rows'
+        constants and coefficients and the scale that bounds their bindings
+        (see ``_affine_rows``)."""
+        hoisted = {name: fn({"t": t, "x": self.x}) for name, fn in self._hoisted}
+        if not all(map(_finite, hoisted.values())):
+            raise FloatingPointError
+        self._ctx = hoisted
+        if not self._forms:
+            return
+        shape = np.shape(self.x)
+        lead = (len(self._forms),)
+
+        def column(entries):
+            values = [hoisted[e] if isinstance(e, str) else e for e in entries]
+            if not any(map(np.ndim, values)):
+                return np.array(values, dtype=float).reshape(lead + (1,) * len(shape))
+            out = np.empty(lead + shape)
+            for r, value in enumerate(values):
+                out[r] = value
+            return out
+
+        coefs = [list(form.coefs.values()) + [1.0] * (self._width - len(form.coefs)) for form in self._forms]
+        self._coefs = np.stack(np.broadcast_arrays(*(column(entries) for entries in zip(*coefs)))) if self._width else None
+        self._terms[0] = column([form.const for form in self._forms])
+        bound = max(form.bound + sum(np.max(np.abs(hoisted[key])) for key in form.bounds) for form in self._forms)
+        if not bound < _AFFINE_RANGE:
+            raise FloatingPointError
+        self._scale = max(bound, 1.0) * (sys.float_info.max / _AFFINE_RANGE)
+
+    def _affine_rows(self, out: np.ndarray, stack: np.ndarray, rows: dict, per_tree: dict) -> None:
+        """Write each affine row: its constant plus one term ``coef * binding``
+        per variable, in the order the variables first appear in its tree,
+        summed in that order by one ``np.add.reduce`` from -0.0.  The sum does
+        not depend on the order of the stack, nor, with no BLAS call, on the
+        thread count.
+
+        First every binding is multiplied by ``_scale``, under
+        ``errstate(over="raise")``: that overflows unless every entry is at
+        most ``_AFFINE_RANGE / max(1, bound)``, so no node of an affine tree
+        reaches ``_AFFINE_RANGE``, and where ``evaluate`` would overflow at a
+        node the call falls back to it.  A non-finite binding passes the scale
+        but gives a non-finite row, which the caller's check of the table
+        catches."""
+        source, n, m = self._source, len(self.names), len(self.exprs)
+        source[:n] = stack
+        for j, v in enumerate(self._others):
+            source[n + j * m : n + (j + 1) * m] = per_tree[v] if v in per_tree else rows[v]
+        np.multiply(source, self._scale)
+        terms = self._terms
+        if self._width:
+            np.take(source, self._gather, axis=0, out=terms[1:], mode="clip")
+            np.multiply(terms[1:], self._coefs, out=terms[1:])
+        if len(self._rows) == m:
+            np.add.reduce(terms, axis=0, out=out, initial=-0.0)
+        else:
+            out[self._rows] = np.add.reduce(terms, axis=0, initial=-0.0)
 
     def __call__(self, t: float, stack: np.ndarray, **rows) -> np.ndarray:
         shape = np.shape(self.x)
@@ -530,20 +760,24 @@ class Evaluator:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 key = (t, math.copysign(1.0, t))  # 0.0 and -0.0 can give different bits
                 if self._t is None or (self._reads_t and key != self._t):
-                    grid = {"t": t, "x": self.x}
-                    hoisted = {name: fn(grid) for name, fn in self._hoisted}
-                    if not all(map(_finite, hoisted.values())):
+                    self._t = None
+                    self._refresh(t)
+                    self._t = key
+                if self._forms:
+                    self._affine_rows(out, stack, rows, per_tree)
+                if self._splits:
+                    if self._reads_stack and not _finite(stack):
                         raise FloatingPointError
-                    self._ctx, self._t = hoisted, key
-                ctx = self._ctx
-                if _finite(stack) and all(_finite(per_tree[name] if name in per_tree else rows[name]) for name in self._reads):
+                    if not all(_finite(per_tree[name] if name in per_tree else rows[name]) for name in self._reads):
+                        raise FloatingPointError
+                    ctx = self._ctx
                     ctx.update(zip(self.names, stack))
                     ctx.update(rows)
-                    for k, (fn, _) in enumerate(self._splits):
+                    for k, fn in self._splits:
                         ctx.update((name, a[k]) for name, a in per_tree.items())
                         out[k] = fn(ctx)
-                    if _finite(out):
-                        return out
+                if _finite(out):
+                    return out
         except (KeyError, TypeError, FloatingPointError):
             pass
         shared = {"t": t, "x": self.x, **dict(zip(self.names, stack)), **rows}

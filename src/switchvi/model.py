@@ -174,6 +174,10 @@ class LevyMeasureSpec:
     @staticmethod
     def from_dict(d: Mapping) -> "LevyMeasureSpec":
         _check_keys(d, ("atoms", "density", "radius", "cutoff"), "levy")
+        if "density" in d and "atoms" in d:
+            raise MalformedSpecError("levy: give either 'atoms' or a 'density', not both")
+        if "radius" in d and "density" not in d:
+            raise MalformedSpecError("levy: 'radius' goes with a 'density', not with 'atoms'")
         if "density" in d:
             dens = d["density"]
             expr = parse(dens, DENSITY_SCHEMA) if isinstance(dens, str) else dens
@@ -272,6 +276,7 @@ class ProblemSpec:
         try:
             _check_keys(d, PROBLEM_KEYS, "problem")
             growth = d.get("growth", {})  # C = 0 asks for the clamp, so files that carry it still load
+            _check_keys(growth, ("C", "gamma"), "growth")
             if not (isinstance(growth, Mapping) and is_finite_number(growth.get("C", 0)) and growth.get("C", 0) == 0):
                 raise MalformedSpecError(f"growth extrapolation is retired: values beyond the grid box are clamped, got growth {growth!r}")
             _check_keys(d["modes"], ("m1", "m2"), "modes")
@@ -384,10 +389,13 @@ class ProblemSpec:
         """``drivers(t, y, z, q)``: the ``(m1, m2) + x.shape`` array of the
         drivers ``g^{ij}(t, x, y, z^{ij}, q^{ij})`` at this ``x``, for a
         ``(m1, m2) + x.shape`` value stack ``y`` and ``z``, ``q`` stacks of
-        that shape or scalars.  Bitwise equal to one :meth:`eval_driver` call
-        per pair, by one :class:`~switchvi.exprdsl.Evaluator`, which computes
-        the drivers' subtrees over ``t`` and ``x`` alone once per distinct
-        ``t``."""
+        that shape or scalars, by one :class:`~switchvi.exprdsl.Evaluator`.
+        It computes an affine driver (every shipped one) as
+        ``g0(t, x) + A·y + B z + C q``, within rounding of one
+        :meth:`eval_driver` call per pair, and any other driver bitwise equal
+        to that call; errors are that call's.  The coefficients and the
+        drivers' subtrees over ``t`` and ``x`` alone are computed once per
+        distinct ``t``, or once if none reads ``t``."""
         x = np.asarray(x, dtype=float)
         pairs = list(self.modes.pairs())
         table = Evaluator([self.drivers[p] for p in pairs], x, [driver_variable(i, j) for i, j in pairs])

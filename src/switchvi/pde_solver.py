@@ -37,13 +37,16 @@ Within one backward step node updates only read the previous level, so they
 are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
 at once, the jump sums included (one matrix product per assembled jump
 matrix), and the drivers of all pairs come as one table from the workspace's
-one driver evaluator (``ProblemSpec.driver_evaluator``); only the implicit
-diffusion solves pair by pair.  That banded solve is the package's one use of
-scipy, imported at the first implicit step, so the package imports and
-explicit solves run without loading scipy.  An obstacle sweep is a run of
-whole-stack passes: each projects every pair at once onto the obstacles of the
-previous pass's values, which under the non-free-loop property reaches the
-unique fixed point a pair-by-pair sweep reaches.  A pass whose projection
+one driver evaluator (``ProblemSpec.driver_evaluator``), which sums an
+affine driver's linear form ``g0 + A·y + B z + C q`` in a fixed order,
+within rounding of the driver's own tree, and gives any other driver
+bitwise; only the implicit diffusion solves pair by pair.  That banded
+solve is the package's one use of scipy, imported at the first implicit
+step, so the package imports and explicit solves run without loading scipy.
+An obstacle sweep is a run of whole-stack passes: each projects every pair
+at once onto the obstacles of the previous pass's values, which under the
+non-free-loop property reaches the unique fixed point a pair-by-pair sweep
+reaches.  A pass whose projection
 changes nothing is at the fixed point and stops, and the report and the next
 step's penalties reuse its obstacles, so a level evaluates them once, with
 ``eval_obstacles`` on the workspace's cached ``ProblemSpec.obstacle_costs``;

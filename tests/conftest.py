@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
-from switchvi.exprdsl import BinOp, Call, Expr, Neg, Num, Var
+from switchvi import exprdsl
+from switchvi.exprdsl import BinOp, Call, Expr, Neg, Num, Var, evaluate, free_variables
 from switchvi.model import ModeSet, ProblemSpec, driver_variable, eval_obstacles, load_builtin_problem, other_mode_costs
 
 
@@ -132,3 +133,73 @@ def negated_transposed_spec(spec: ProblemSpec) -> ProblemSpec:
         levy=spec.levy,
         name=f"{spec.name}:conjugate" if spec.name else "conjugate",
     )
+
+
+UNIT_ROUNDOFF = 2.0**-53
+UNDERFLOW_ERROR = 2.0**-1075  # the largest error of one rounding into the subnormal range
+
+
+def operation_count(expr: Expr) -> int:
+    """The operators of a tree: its BinOp, Neg and Call nodes."""
+    if isinstance(expr, (Num, Var)):
+        return 0
+    children = (expr.operand,) if isinstance(expr, Neg) else (expr.left, expr.right) if isinstance(expr, BinOp) else expr.args
+    return 1 + sum(map(operation_count, children))
+
+
+def _magnitudes(expr: Expr, ctx: dict):
+    """``(E, P)`` of an affine tree at ``ctx`` (see ``affine_error_bound``)."""
+    if isinstance(expr, Var) or free_variables(expr) <= {"t", "x"}:
+        value = np.abs(np.asarray(evaluate(expr, ctx), dtype=float))
+        return value, np.maximum(value, 1.0)
+    if isinstance(expr, Neg):
+        return _magnitudes(expr.operand, ctx)
+    (a, pa), (b, pb) = _magnitudes(expr.left, ctx), _magnitudes(expr.right, ctx)
+    if expr.op in "+-":
+        return a + b, np.maximum(pa, pb)
+    if expr.op == "*":
+        return a * b, pa * pb
+    return a / b, pa * np.maximum(1.0, 1.0 / b)  # "/": the divisor reads only t and x
+
+
+def affine_error_bound(expr: Expr, ctx: dict) -> np.ndarray:
+    """How far an ``exprdsl.Evaluator`` entry of the affine tree ``expr`` may
+    lie from ``evaluate(expr, ctx)``, elementwise.
+
+    Both sum the same monomials: products of literals, subtrees over t and x
+    (which both compute alike) and at most one other variable.  Along a
+    monomial the walker rounds once per operator on its path, at most
+    ``ops = operation_count(expr)`` times.  The evaluator rounds once per
+    operator folded into a coefficient, once for the product with the
+    binding and once per term of its sum: at most ``ops + vars + 1`` times,
+    ``vars`` the variables other than t and x that ``expr`` reads.  With
+    ``n = ops + vars + 2``, unit roundoff ``u = 2**-53`` and
+    ``gamma_n = n u / (1 - n u)``, each lies within ``gamma_n * E`` of the
+    exact value, ``E`` the sum of the monomials' absolute values, except for
+    roundings into the subnormal range: each errs by at most
+    ``eta = 2**-1075``, which the later factors of a monomial scale by at
+    most ``P``, the largest product of ``max(1, |factor|)`` (of
+    ``max(1, 1/|divisor|)`` for a divisor) over the monomials.  Both make at
+    most ``N = (ops + 2) * (vars + 2)`` roundings in all, so the bound is
+    ``2 * gamma_n * E + 2 * N * eta * P``.
+    """
+    ops, n_vars = operation_count(expr), len(free_variables(expr) - {"t", "x"})
+    n = ops + n_vars + 2
+    gamma = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+    with np.errstate(all="ignore"):
+        magnitude, amplification = _magnitudes(expr, ctx)
+        return 2.0 * gamma * magnitude + 2.0 * (ops + 2) * (n_vars + 2) * UNDERFLOW_ERROR * amplification
+
+
+def assert_matches_walker(expr: Expr, got, expected, ctx: dict, label: str = "") -> None:
+    """``got``, an Evaluator entry of ``expr`` at ``ctx``, against the walker's
+    ``expected``: bitwise for a tree that is not affine, within
+    ``affine_error_bound`` for an affine one."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape, label
+    if exprdsl._affine(expr) is None:
+        assert got.tobytes() == expected.tobytes(), f"{label}: not bitwise the walker's"
+        return
+    bound = np.broadcast_to(affine_error_bound(expr, ctx), expected.shape)
+    worst = np.max(np.abs(got - expected) - bound, initial=-np.inf)
+    assert worst <= 0.0, f"{label}: {worst:.3e} beyond the bound of {exprdsl.format_expr(expr)}"

@@ -421,6 +421,11 @@ class TestBadConfigValues:
                     ("drfit", {"drfit": "0.1*x"}),
                     ("levy-atom", {"levy": {"atom": [[0.5, 0.4]]}}),
                     ("driver-5-5", {"drivers": {"default": "0", "5,5": "1"}}),
+                    # a key the entry's kind does not read was dropped: a density's atoms,
+                    # atoms' radius, and a growth "c" (for "C") loaded as C = 0
+                    ("levy-density-and-atoms", {"levy": {"density": "0.4*exp(-abs(e))", "radius": 1.0, "cutoff": 0.05, "atoms": [[0.5, 0.4]]}}),
+                    ("levy-radius-with-atoms", {"levy": {"atoms": [[0.5, 0.4]], "radius": 1.0}}),
+                    ("growth-c", {"growth": {"c": 0.5}}),
                 )
             ),
             # a boolean or string grid bound ran as its number, a boolean radius as 1,

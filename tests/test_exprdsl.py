@@ -25,7 +25,7 @@ from switchvi.exprdsl import (
     parse,
 )
 
-from conftest import substitute
+from conftest import affine_error_bound, assert_matches_walker, operation_count, substitute
 
 
 class TestParseEvaluate:
@@ -273,15 +273,21 @@ def test_evaluate_matches_walker_bitwise(expr, x, t, as_array):
     assert _outcome(evaluate, expr, ctx) == _outcome(exprdsl._eval, expr, ctx)
 
 
-def _loop_outcome(exprs, ctx, rows):
+def _loop_values(exprs, ctx, rows):
     """The per-expression ``evaluate`` loop that an ``Evaluator`` call stands
-    for; ``rows`` hold one binding per tree along their leading axis."""
+    for, stacked, or its first error; ``rows`` hold one binding per tree
+    along their leading axis."""
     try:
         results = [evaluate(e, {**ctx, **{name: a[k] for name, a in rows.items()}}) for k, e in enumerate(exprs)]
         shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()), *(np.shape(a)[1:] for a in rows.values()))
-        return "value", np.stack([np.broadcast_to(r, shape) for r in results]).astype(float).tobytes()
+        return "value", np.stack([np.broadcast_to(r, shape) for r in results]).astype(float)
     except NumericDomainError as exc:
         return "error", type(exc), str(exc)
+
+
+def _loop_outcome(exprs, ctx, rows):
+    outcome = _loop_values(exprs, ctx, rows)
+    return ("value", outcome[1].tobytes()) if outcome[0] == "value" else outcome
 
 
 def _evaluator_outcome(evaluator, t, stack=np.empty(0), **rows):
@@ -289,6 +295,25 @@ def _evaluator_outcome(evaluator, t, stack=np.empty(0), **rows):
         return "value", np.asarray(evaluator(t, stack, **rows), dtype=float).tobytes()
     except NumericDomainError as exc:
         return "error", type(exc), str(exc)
+
+
+def _assert_matches_the_loop(evaluator, t, ctx, stack=np.empty(0), **rows):
+    """An Evaluator call against the loop at the shared bindings ``ctx`` and
+    the per-tree ``rows`` (a scalar row is shared too): the loop's error,
+    type and message alike, or per tree the loop's values, bitwise for a
+    tree that is not affine and within ``affine_error_bound`` for an affine
+    one."""
+    shared = {**ctx, **{name: v for name, v in rows.items() if not np.ndim(v)}}
+    per_tree = {name: v for name, v in rows.items() if np.ndim(v)}
+    expected = _loop_values(evaluator.exprs, shared, per_tree)
+    try:
+        got = np.asarray(evaluator(t, stack, **rows), dtype=float)
+    except NumericDomainError as exc:
+        assert ("error", type(exc), str(exc)) == expected
+        return
+    assert expected[0] == "value", f"the loop raised {expected[1:]}, the evaluator did not"
+    for k, e in enumerate(evaluator.exprs):
+        assert_matches_walker(e, got[k], expected[1][k], {**shared, **{name: a[k] for name, a in per_tree.items()}}, f"tree {k}")
 
 
 @settings(max_examples=300, deadline=None)
@@ -299,29 +324,30 @@ def _evaluator_outcome(evaluator, t, stack=np.empty(0), **rows):
     st.lists(_values, min_size=12, max_size=12),
     st.booleans(),
 )
-def test_evaluator_matches_the_loop_bitwise(exprs, x, ts, qs, q_in_rows):
+def test_evaluator_matches_the_loop(exprs, x, ts, qs, q_in_rows):
     """At two values of t and then the first again, with q shared by every
-    tree or one q row per tree: the loop's bytes, or the loop's first error
-    with its type and message."""
+    tree or one q row per tree: the loop's values (bitwise for a tree that
+    is not affine in q, within the forward-error bound for an affine one),
+    or the loop's first error with its type and message."""
     x = np.array([x, -x, 0.5 * x])
     evaluator = exprdsl.Evaluator(exprs, x, ())
     for call, t in enumerate((ts[0], ts[1], ts[0])):
         q = np.array(qs[4 * call : 4 * call + len(exprs)])[:, None] * np.ones(3) if q_in_rows else qs[4 * call]
-        expected = _loop_outcome(exprs, {"x": x, "t": t}, {"q": q}) if q_in_rows else _loop_outcome(exprs, {"x": x, "t": t, "q": q}, {})
-        assert _evaluator_outcome(evaluator, t, q=q) == expected
+        _assert_matches_the_loop(evaluator, t, {"x": x, "t": t}, q=q)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_any_exprs(2), min_size=1, max_size=4), st.lists(_values, min_size=7, max_size=7), st.booleans())
 def test_evaluator_checks_a_shared_stack_once(exprs, entries, t_in_stack):
     """Shared bindings held in one stack are checked through the stack: the
-    loop's bytes, or the loop's first error, which names the binding.  A
-    non-finite entry in a binding that no tree reads (``u``) raises nothing."""
+    loop's values (as above), or the loop's first error, which names the
+    binding.  A non-finite entry in a binding that no tree reads (``u``)
+    raises nothing."""
     exprs = [substitute(e, {"t": Var("s")}) for e in exprs] if t_in_stack else exprs
     x = np.array(entries[:2])
     stack = np.array(entries[2:6]).reshape(2, 2)
-    expected = _loop_outcome(exprs, {"x": x, "t": entries[6], "s": stack[0], "u": stack[1]}, {})
-    assert _evaluator_outcome(exprdsl.Evaluator(exprs, x, ("s", "u")), entries[6], stack) == expected
+    ctx = {"x": x, "t": entries[6], "s": stack[0], "u": stack[1]}
+    _assert_matches_the_loop(exprdsl.Evaluator(exprs, x, ("s", "u")), entries[6], ctx, stack)
 
 
 class TestEvaluator:
@@ -332,9 +358,9 @@ class TestEvaluator:
         return {"q": np.arange(9.0).reshape(3, 3) if q is None else q}
 
     def test_stacks_the_loop_results(self):
-        out = exprdsl.Evaluator(self.EXPRS, self.X, ())(0.25, np.empty(0), **self.rows())
-        assert out.shape == (3, 3)
-        assert _loop_outcome(self.EXPRS, {"x": self.X, "t": 0.25}, self.rows()) == ("value", out.tobytes())
+        evaluator = exprdsl.Evaluator(self.EXPRS, self.X, ())
+        assert evaluator(0.25, np.empty(0), **self.rows()).shape == (3, 3)
+        _assert_matches_the_loop(evaluator, 0.25, {"x": self.X, "t": 0.25}, **self.rows())
 
     def test_constant_trees_broadcast_to_the_bindings(self):
         exprs = [parse("1", ("x",)), parse("x", ("x",))]
@@ -401,7 +427,7 @@ class TestEvaluator:
             assert _evaluator_outcome(evaluator, t, np.array([[-0.0]])) == expected
 
     def test_split_form_is_freed_with_the_tree_and_not_pickled(self):
-        tree = parse("0.6 + 0.2*max(x, 0) - y*exp(-x*x)", ("x", "y"))
+        tree = parse("0.6 + 0.2*max(x, 0) - max(y, 0)*exp(-x*x)", ("x", "y"))
         exprdsl.Evaluator([tree], np.linspace(-1.0, 1.0, 5), ("y",))(0.0, np.ones((1, 5)))
         assert list(tree._split[1]) == ["0.6 + 0.2*max(x, 0.0)", "exp(-x*x)"]
         copy = pickle.loads(pickle.dumps(tree))
@@ -409,3 +435,147 @@ class TestEvaluator:
         tree_ref, form_ref = weakref.ref(tree), weakref.ref(tree._split[0])
         del tree
         assert tree_ref() is None and form_ref() is None
+
+    def test_linear_form_is_freed_with_the_tree_and_not_pickled(self):
+        tree = parse("0.6 + 0.2*max(x, 0) - y*exp(-x*x)", ("x", "y"))
+        exprdsl.Evaluator([tree], np.linspace(-1.0, 1.0, 5), ("y",))(0.0, np.ones((1, 5)))
+        assert tree._affine.const == "0.6 + 0.2*max(x, 0.0)" and tree._affine.coefs == {"y": "-exp(-x*x)"}
+        assert not hasattr(tree, "_split")
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == tree and not hasattr(copy, "_affine")
+        tree_ref, form_ref = weakref.ref(tree), weakref.ref(tree._affine.trees["-exp(-x*x)"])
+        del tree
+        assert tree_ref() is None and form_ref() is None
+
+
+SWITCH_DRIVERS = (  # the drivers of the shipped switch_2x2_jump problem
+    "0.9 + 0.3*q + 0.1*z + 0.1*max(x, 0) - 0.2*y_0_0 + 0.04*(y_0_1 + y_1_0 + y_1_1)",
+    "-0.1 + 0.3*q + 0.1*z - 0.2*y_0_1 + 0.04*(y_0_0 + y_1_0 + y_1_1)",
+    "-0.45 + 0.3*q + 0.1*z + 0.1*min(x, 0) - 0.2*y_1_0 + 0.04*(y_0_0 + y_0_1 + y_1_1)",
+    "0.35 + 0.3*q + 0.1*z - 0.2*y_1_1 + 0.04*(y_0_0 + y_0_1 + y_1_0)",
+)
+Y_NAMES = ("y_0_0", "y_0_1", "y_1_0", "y_1_1")
+DRIVER_SCHEMA = ("t", "x", "z", "q") + Y_NAMES
+
+
+class TestAffineForm:
+    """The linear form an Evaluator computes an affine tree by."""
+
+    @pytest.mark.parametrize("text", ["q*y_0_0", "max(y_0_0, 0)", "exp(z)", "x/y_0_1", "y_0_0^2", "abs(q) + 1", "pow(z, 1)"])
+    def test_not_affine(self, text):
+        assert exprdsl._affine(parse(text, DRIVER_SCHEMA)) is None
+
+    @pytest.mark.parametrize(
+        "text,const,coefs",
+        [
+            ("2*y_0_0 - (x + 1)*q/4 + t", "t", {"y_0_0": 2.0, "q": "-((x + 1.0)/4.0)"}),
+            ("-(3*z - y_0_0)*exp(-t)", 0.0, {"z": "-3.0*exp(-t)", "y_0_0": "exp(-t)"}),
+            ("0.5*x", "0.5*x", {}),
+            ("z - z", 0.0, {"z": 0.0}),
+        ],
+    )
+    def test_constant_and_coefficients(self, text, const, coefs):
+        form = exprdsl._affine(parse(text, DRIVER_SCHEMA))
+        assert (form.const, form.coefs) == (const, coefs)
+
+    def test_a_literal_coefficient_that_is_not_finite_is_not_affine(self):
+        assert exprdsl._affine(parse("1e200*(1e200*q)", DRIVER_SCHEMA)) is None
+        assert exprdsl._affine(BinOp("+", Num(np.inf), Var("q"))) is None
+
+    def test_shipped_literals(self):
+        """The switch_2x2_jump drivers: diagonal -0.2, off-diagonal 0.04, z 0.1, q 0.3."""
+        for k, text in enumerate(SWITCH_DRIVERS):
+            form = exprdsl._affine(parse(text, DRIVER_SCHEMA))
+            assert form.coefs == {"q": 0.3, "z": 0.1, **{y: -0.2 if i == k else 0.04 for i, y in enumerate(Y_NAMES)}}
+
+    def test_rows_are_the_terms_summed_in_order(self):
+        """The constant, then one term per variable in the order the variables
+        first appear in the tree, whatever the order of the stack."""
+        exprs = [parse(text, DRIVER_SCHEMA) for text in SWITCH_DRIVERS]
+        x = np.linspace(-2.0, 2.0, 11)
+        rng = np.random.default_rng(5)
+        y, z, q = rng.normal(size=(3, 4, 11))
+        out = exprdsl.Evaluator(exprs, x, Y_NAMES)(0.1, y, z=z, q=q)
+        shuffled = exprdsl.Evaluator(exprs, x, Y_NAMES[::-1])(0.1, y[::-1], z=z, q=q)
+        for k, e in enumerate(exprs):
+            form = exprdsl._affine(e)
+            assert list(form.coefs)[:3] == ["q", "z", Y_NAMES[k]]
+            bindings = {**dict(zip(Y_NAMES, y)), "q": q[k], "z": z[k]}
+            expected = evaluate(parse(form.const, ("x",)), {"x": x}) if isinstance(form.const, str) else form.const
+            for name, coef in form.coefs.items():
+                expected = expected + coef * bindings[name]
+            assert out[k].tobytes() == shuffled[k].tobytes() == expected.tobytes()
+
+    def test_closures_above_the_point_cap(self):
+        """Past ``_LINEAR_MAX_POINTS`` points an affine tree runs its closures,
+        bitwise the loop, and up to it its linear form, which here is not."""
+        rng = np.random.default_rng(7)
+        exprs = [parse(text, DRIVER_SCHEMA) for text in SWITCH_DRIVERS]
+        outcomes = []
+        for n in (exprdsl._LINEAR_MAX_POINTS, exprdsl._LINEAR_MAX_POINTS + 1):
+            x = np.linspace(-2.0, 2.0, n)
+            y, z, q = rng.normal(size=(3, 4, n))
+            expected = _loop_outcome(exprs, {"t": 0.1, "x": x, **dict(zip(Y_NAMES, y))}, {"z": z, "q": q})
+            outcomes.append(_evaluator_outcome(exprdsl.Evaluator(exprs, x, Y_NAMES), 0.1, y, z=z, q=q) == expected)
+        assert outcomes == [False, True]
+
+    def test_a_moved_coefficient_breaks_the_bound(self):
+        """Negative control: with one coefficient moved by 1e-12 relative, an
+        entry lies outside the bound that the true form meets."""
+        x = np.linspace(-2.0, 2.0, 201)
+        rng = np.random.default_rng(11)
+        y, z, q = rng.normal(size=(3, 4, 201))
+        ctx = {"t": 0.1, "x": x, "z": z[0], "q": q[0], **dict(zip(Y_NAMES, y))}
+        for moved in (False, True):
+            tree = parse(SWITCH_DRIVERS[0], DRIVER_SCHEMA)
+            if moved:
+                form = exprdsl._affine(tree)
+                object.__setattr__(tree, "_affine", form._replace(coefs={**form.coefs, "y_0_0": form.coefs["y_0_0"] * (1 + 1e-12)}))
+            got = exprdsl.Evaluator([tree], x, Y_NAMES)(0.1, y, z=z[:1], q=q[:1])[0]
+            expected = evaluate(tree, ctx)
+            inside = np.abs(got - expected) <= affine_error_bound(tree, ctx)
+            assert inside.all() != moved
+            assert operation_count(tree) == 13
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("q*1e200 - q*1e200", 1e300),  # coefficient 0, but q*1e200 overflows
+            ("0.04*(q + q + q)", 1e308),  # coefficient 0.12, but q + q overflows
+            ("(q + 1e308) - 1e308", 1e308),  # constant 0, but q + 1e308 overflows
+        ],
+    )
+    def test_an_overflowing_node_is_the_loop_error(self, text, value):
+        """A tree whose linear form is finite at a binding where a node of the
+        tree overflows raises what ``evaluate`` raises there."""
+        exprs = [parse(text, ("x", "q"))]
+        expected = _loop_outcome(exprs, {"x": self.X, "q": value}, {})
+        assert expected[0] == "error"
+        assert _evaluator_outcome(exprdsl.Evaluator(exprs, self.X, ()), 0.0, q=value) == expected
+        # one order of magnitude below, the same call is no error
+        _assert_matches_the_loop(exprdsl.Evaluator(exprs, self.X, ()), 0.0, {"x": self.X}, q=value / 10)
+
+    X = np.array([0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("reads_t", [False, True])
+    def test_coefficients_once_per_evaluator_or_per_t(self, reads_t, monkeypatch):
+        """The coefficient trees run once per Evaluator when none reads t,
+        once per distinct t when one does; never once per call."""
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return np.exp(a)
+
+        monkeypatch.setitem(exprdsl._CALLS, "exp", counted)
+        exprs = [parse(f"exp(-x{'*t' if reads_t else ''})*y_0_0 + 0.5*q", DRIVER_SCHEMA)]
+        evaluator = exprdsl.Evaluator(exprs, self.X, ("y_0_0",))
+        rng = np.random.default_rng(2)
+        times = (0.1, 0.1, 0.2, 0.2, 0.3)
+        evaluator(times[0], rng.normal(size=(1, 3)), q=float(rng.normal()))
+        per_pass = len(calls)  # the trees of the coefficient and of the bound that read exp
+        assert per_pass > 0
+        for t in times[1:]:
+            evaluator(t, rng.normal(size=(1, 3)), q=float(rng.normal()))
+        assert len(calls) == per_pass * (len(set(times)) if reads_t else 1)
+

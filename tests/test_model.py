@@ -20,6 +20,7 @@ from switchvi.model import (
     ProblemSpec,
     _loop_legs,
     builtin_problem_names,
+    driver_increments,
     driver_variable,
     eval_obstacles,
     load_builtin_problem,
@@ -30,7 +31,7 @@ from switchvi.model import (
 
 from switchvi.pde_solver import solve_minmax
 
-from conftest import gathered, make_spec
+from conftest import assert_matches_walker, gathered, make_spec
 
 POINTS = [(0.0, 0.0), (0.25, 1.0), (0.5, -1.5)]
 
@@ -380,7 +381,9 @@ class TestDriverEvaluator:
     @settings(max_examples=150, deadline=None)
     @given(_driver_tables(), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2, unique=True), st.booleans(), st.integers(0, 2**16))
     def test_equals_eval_driver_per_pair(self, drivers, ts, z_shared, seed):
-        """At two distinct times and then the first again, with new values each call."""
+        """At two distinct times and then the first again, with new values
+        each call: bitwise for a driver that is not affine, within the
+        forward-error bound for an affine one."""
         spec = make_spec(modes={"m1": 2, "m2": 2}, drivers={f"{i},{j}": format_expr(e) for (i, j), e in zip(PAIRS_2X2, drivers)})
         evaluator = spec.driver_evaluator(self.X)
         rng = np.random.default_rng(seed)
@@ -391,8 +394,10 @@ class TestDriverEvaluator:
             with mock.patch.object(exprdsl, "evaluate", side_effect=AssertionError("the plain evaluate loop ran")):
                 table = evaluator(t, y, z, q)  # finite bindings and results stay on the closures
             for pair in PAIRS_2X2:
-                expected = spec.eval_driver(pair, t, self.X, entries, z if z_shared else z[pair], q[pair])
-                assert table[pair].tobytes() == expected.tobytes()
+                z_pair = z if z_shared else z[pair]
+                expected = spec.eval_driver(pair, t, self.X, entries, z_pair, q[pair])
+                ctx = {"t": t, "x": self.X, "z": z_pair, "q": q[pair], **entries}
+                assert_matches_walker(spec.drivers[pair], table[pair], expected, ctx, f"pair {pair}")
 
     def test_a_failing_hoisted_subtree_raises_the_per_pair_error(self):
         spec = make_spec(modes={"m1": 2, "m2": 2}, drivers={"default": "0.1*y_0_0 + log(x - 3)"})
@@ -403,13 +408,40 @@ class TestDriverEvaluator:
         with pytest.raises(NumericDomainError, match=re.escape(str(expected.value))):
             spec.driver_evaluator(self.X)(0.0, y, 0.0, 0.0)
 
+    SHIPPED_COEFFICIENTS = {  # the drivers' literals in y, z and q, as the problem files write them
+        "switch_2x2_jump": {
+            pair: {"q": 0.3, "z": 0.1, **{driver_variable(*other): -0.2 if other == pair else 0.04 for other in PAIRS_2X2}} for pair in PAIRS_2X2
+        },
+        "no_jump": {pair: {driver_variable(*other): -0.2 if other == pair else 0.04 for other in PAIRS_2X2} for pair in PAIRS_2X2},
+        "two_atom_jump": {(0, 0): {"q": 0.3, "y_0_0": -0.25, "y_1_0": 0.1}, (1, 0): {"q": 0.3, "y_1_0": -0.25, "y_0_0": 0.1}},
+    }
+
+    @pytest.mark.parametrize("name", builtin_problem_names())
+    def test_shipped_drivers_are_affine_with_the_files_literals(self, name):
+        spec = load_builtin_problem(name)
+        assert {pair: exprdsl._affine(e).coefs for pair, e in spec.drivers.items()} == self.SHIPPED_COEFFICIENTS[name]
+
+    @pytest.mark.parametrize("name", builtin_problem_names())
+    def test_shipped_coefficients_are_the_probed_slopes(self, name):
+        """``driver_increments / h`` at h = 1e-4, in each value entry, z and q,
+        agrees with the linear form's coefficients to 1e-9."""
+        spec = load_builtin_problem(name)
+        pairs = list(spec.modes.pairs())
+        times, h = [0.0, 0.25, 0.5], 1e-4
+        rows = np.random.default_rng(4).normal(size=(len(times), spec.modes.m1, spec.modes.m2))
+        slopes = driver_increments(spec, times, np.linspace(-2.0, 2.0, 41), rows, h) / h
+        for a, pair in enumerate(pairs):
+            coefs = exprdsl._affine(spec.drivers[pair]).coefs
+            for b, name in enumerate([driver_variable(*p) for p in pairs] + ["z", "q"]):
+                assert np.max(np.abs(slopes[a, b] - coefs.get(name, 0.0))) <= 1e-9, (pair, name)
+
     def test_spec_pickles_after_a_solve(self):
         spec = load_builtin_problem("switch_2x2_jump")
         grid, tgrid, quad = SpatialGrid.line(-2.0, 2.0, 21), TimeGrid(spec.horizon, 10), build_levy_quadrature(spec.levy)
         traj, _ = solve_minmax(spec, grid, tgrid, quad)
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec
-        assert not any(hasattr(e, "_split") or hasattr(e, "_compiled") for e in copy.drivers.values())
+        assert not any(hasattr(e, form) for e in copy.drivers.values() for form in ("_split", "_compiled", "_affine"))
         assert solve_minmax(copy, grid, tgrid, quad)[0].values.tobytes() == traj.values.tobytes()
 
 
@@ -560,6 +592,29 @@ class TestProblemFile:
         with pytest.raises(MalformedSpecError, match="growth") as err:
             ProblemSpec.from_dict(shipped_problem(growth=growth))
         assert type(err.value) is MalformedSpecError
+
+    def test_an_unknown_growth_key_is_rejected_by_name(self):
+        """``{"c": 0.5}``, meant as extrapolation, loaded as if C were 0."""
+        with pytest.raises(MalformedSpecError, match=re.escape("growth: unknown key 'c'")) as err:
+            ProblemSpec.from_dict(shipped_problem(growth={"c": 0.5}))
+        assert type(err.value) is MalformedSpecError
+
+    @pytest.mark.parametrize(
+        "levy,names",
+        [
+            ({"density": "0.4*exp(-abs(e))", "radius": 1.0, "cutoff": 0.05, "atoms": [[0.5, 0.4]]}, ("'atoms'", "'density'")),
+            ({"density": "0.4*exp(-abs(e))", "radius": 1.0, "cutoff": 0.05, "atoms": []}, ("'atoms'", "'density'")),
+            ({"atoms": [[0.5, 0.4]], "radius": 1.0}, ("'atoms'", "'radius'")),
+            ({"radius": 1.0}, ("'radius'",)),
+        ],
+        ids=["density-and-atoms", "density-and-no-atoms", "radius-with-atoms", "radius-alone"],
+    )
+    def test_a_levy_key_its_kind_does_not_read_is_rejected(self, levy, names):
+        """A density silently dropped the atoms beside it, and atoms their radius."""
+        with pytest.raises(MalformedSpecError) as err:
+            ProblemSpec.from_dict(shipped_problem(levy=levy))
+        assert type(err.value) is MalformedSpecError
+        assert all(name in str(err.value) for name in names), str(err.value)
 
     @pytest.mark.parametrize("growth", [{"C": 0, "gamma": 0}, {"C": 0.0, "gamma": 2.0}, {"C": -0.0}, {"gamma": 1.0}, {}], ids=repr)
     def test_a_zero_growth_entry_still_loads(self, growth):

@@ -59,7 +59,7 @@ from switchvi.pde_solver import (
     _Workspace,
 )
 
-from conftest import assert_all_le, gathered, make_spec, negated_transposed_spec, step
+from conftest import assert_all_le, assert_matches_walker, gathered, make_spec, negated_transposed_spec, step
 
 GRID = SpatialGrid.line(-2.0, 2.0, 41)
 TGRID = TimeGrid(horizon=0.5, n_steps=25)
@@ -1330,19 +1330,25 @@ class TestSweepFixedPoint:
         assert checked >= 50
 
 
-def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float) -> np.ndarray:
-    """The step with the gradient always computed and one ``eval_driver`` call per pair."""
-    bp, bm, sig, a_diff = ws.local_coefficients(t)
+def driver_arguments(ws: _Workspace, values: np.ndarray, t: float) -> tuple:
+    """The gradient argument z, always computed, and the jump argument q of a step at ``values``."""
+    z = ws.local_coefficients(t)[2] * gradient_surface(values, ws.grid)
+    q = ws.jumps.apply(values)[1] if ws.jumps is not None else np.zeros_like(values)
+    return z, q
+
+
+def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float, drivers=None) -> np.ndarray:
+    """The step with the gradient always computed and, unless a driver table
+    ``drivers`` is given, one ``eval_driver`` call per pair."""
+    bp, bm, _, a_diff = ws.local_coefficients(t)
     L, U = eval_obstacles(values, ws.spec.obstacle_costs(t, ws.x))
     entries = {driver_variable(i, j): values[i, j] for i, j in ws.pairs}
     rhs = upwind_drift(values, ws.grid, bp, bm)
-    z = sig * gradient_surface(values, ws.grid)
-    q = np.zeros_like(values)
+    z, q = driver_arguments(ws, values, t)
     if ws.jumps is not None:
-        gen, q = ws.jumps.apply(values)
-        rhs += gen
+        rhs += ws.jumps.apply(values)[0]
     for i, j in ws.pairs:
-        rhs[i, j] += ws.spec.eval_driver((i, j), t, ws.x, entries, z[i, j], q[i, j])
+        rhs[i, j] += ws.spec.eval_driver((i, j), t, ws.x, entries, z[i, j], q[i, j]) if drivers is None else drivers[i, j]
     if ws.config.mode == "explicit":
         rhs += a_diff * second_derivative_surface(values, ws.grid)
     rhs += n * neg_part(values - L)
@@ -1365,12 +1371,23 @@ class TestDriverTableStep:
     @pytest.mark.parametrize("mode", ["explicit", "imex"])
     @pytest.mark.parametrize("name", list(SPECS))
     def test_equals_the_per_pair_reference(self, name, mode, monkeypatch):
+        """The workspace's driver table against one ``eval_driver`` call per
+        pair (bitwise for a driver that is not affine, within the
+        forward-error bound for an affine one), and the step bitwise against
+        the reference step that adds that table pair by pair."""
         spec = self.SPECS[name]()
         quad = build_levy_quadrature(spec.levy)
         ws = _Workspace(spec, GRID, TGRID, quad, SchemeConfig(mode=mode))
         noise = np.random.default_rng(3).normal(scale=0.2, size=(spec.modes.m1, spec.modes.m2, GRID.n_nodes))
         values = spec.terminal_table(GRID.axis()) + noise
-        expected = reference_step(ws, values, 0.3, 2.0, 3.0)
+        z, q = driver_arguments(ws, values, 0.3)
+        table = ws.drivers(0.3, values, z if ws._drivers_read_z else 0.0, q)
+        entries = {driver_variable(i, j): values[i, j] for i, j in ws.pairs}
+        for pair in ws.pairs:
+            expected = spec.eval_driver(pair, 0.3, ws.x, entries, z[pair], q[pair])
+            ctx = {"t": 0.3, "x": ws.x, "z": z[pair], "q": q[pair], **entries}
+            assert_matches_walker(spec.drivers[pair], table[pair], expected, ctx, f"pair {pair}")
+        expected = reference_step(ws, values, 0.3, 2.0, 3.0, table)
         if not ws._drivers_read_z:
             monkeypatch.setattr(pde_solver, "gradient_surface", None)  # a driver without z needs no gradient
         assert same_bits(step(ws, values, 0.3, 2.0, 3.0), expected)
@@ -1387,13 +1404,17 @@ class TestDriverTableStep:
         entries = {driver_variable(i, j): y[i, j] for i, j in spec_2x2.modes.pairs()}
         table = spec_2x2.driver_evaluator(x)(0.1, y, 0.5, q)
         for pair in spec_2x2.modes.pairs():
-            assert same_bits(table[pair], spec_2x2.eval_driver(pair, 0.1, x, entries, 0.5, q[pair]))
+            expected = spec_2x2.eval_driver(pair, 0.1, x, entries, 0.5, q[pair])
+            ctx = {"t": 0.1, "x": x, "z": 0.5, "q": q[pair], **entries}
+            assert_matches_walker(spec_2x2.drivers[pair], table[pair], expected, ctx, f"pair {pair}")
 
-    def test_driver_table_at_the_mode_pair_cap(self, monkeypatch):
-        """A 6x6 spec (36 pairs, the cap) matches eval_driver per pair, and
+    @pytest.mark.parametrize("q_term", ["0.02*q*y_{i}_{k}", "0.02*q + 0.03*y_{i}_{k}"], ids=["not-affine", "affine"])
+    def test_driver_table_at_the_mode_pair_cap(self, q_term, monkeypatch):
+        """A 6x6 spec (36 pairs, the cap) matches eval_driver per pair
+        (bitwise, or within the forward-error bound for affine drivers), and
         np.broadcast gets few enough arguments for numpy 1.x, which takes 32."""
         pairs = [(i, j) for i in range(6) for j in range(6)]
-        drivers = {f"{i},{j}": f"0.1*z - 0.2*y_{i}_{j} + 0.01*y_{5 - i}_{j} + 0.02*q*y_{i}_{5 - j}" for i, j in pairs}
+        drivers = {f"{i},{j}": f"0.1*z - 0.2*y_{i}_{j} + 0.01*y_{5 - i}_{j} + " + q_term.format(i=i, k=5 - j) for i, j in pairs}
         spec = make_spec(modes={"m1": 6, "m2": 6}, drivers=drivers)
         x = GRID.axis()
         rng = np.random.default_rng(3)
@@ -1408,7 +1429,9 @@ class TestDriverTableStep:
         monkeypatch.setattr(np, "broadcast", capped)
         table = spec.driver_evaluator(x)(0.2, y, z, 0.5)
         for pair in pairs:
-            assert same_bits(table[pair], spec.eval_driver(pair, 0.2, x, entries, z[pair], 0.5))
+            expected = spec.eval_driver(pair, 0.2, x, entries, z[pair], 0.5)
+            ctx = {"t": 0.2, "x": x, "z": z[pair], "q": 0.5, **entries}
+            assert_matches_walker(spec.drivers[pair], table[pair], expected, ctx, f"pair {pair}")
 
 
 def reference_lipschitz(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid) -> float:
