@@ -21,7 +21,11 @@ Each path draws from its own counter-based Philox stream keyed by the
 uint64 pair ``(seed mod 2**64, path index)``, so the batch is reproducible
 and independent of any scheduling.  One generator serves a batch: before
 each path it is re-keyed to the state a fresh ``Philox(key=...)`` starts
-in.  Regression assembly uses fixed-order reductions.
+in.  Each path draws its normals, then the uniforms its Poisson counts
+consume; below ``lam = 10`` the counts reproduce numpy's multiplication
+method from those uniforms, block by block of paths, and
+``tests/test_mc.py`` pins them against a fresh generator's ``rng.poisson``
+per path.  Regression assembly uses fixed-order reductions.
 
 The pass thresholds reported by the check combine the Monte-Carlo standard
 error with a scheme-bias allowance; both are engineering defaults, not
@@ -53,6 +57,7 @@ __all__ = [
 
 N_PICARD = 2  # Picard passes over the value-matrix coupling per step
 BIAS_ALLOWANCE = 0.05  # the Feynman-Kac check's relative scheme-bias allowance
+_UNIFORM_BLOCK_BYTES = 2**20  # cap on the block of uniforms a batch's Poisson counts are read from
 
 
 class SingularRegressionError(RuntimeError):
@@ -119,6 +124,70 @@ class BsdeEstimate:
             raise ValueError("standard errors must be non-negative")
 
 
+def _uniforms_per_path(lam: np.ndarray, n_steps: int) -> int:
+    """The uniforms a path's row holds for its counts, or 0 when they are not read from uniforms.
+
+    Numpy's multiplication method serves ``0 < lam < 10``.  A draw takes one
+    uniform more than its count, so a path takes one per draw plus its total
+    count, Poisson with mean ``n_steps * sum(lam)``; the row holds that mean
+    plus six standard deviations plus 8.
+    """
+    if not (lam.size and 0.0 < lam.min() and lam.max() < 10.0):
+        return 0
+    mean = n_steps * float(lam.sum())
+    return n_steps * lam.size + math.ceil(mean + 6.0 * math.sqrt(mean) + 8.0)
+
+
+def _multiplication_counts(uniforms: np.ndarray, enlam: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Poisson counts of numpy's multiplication method, read from each row's uniforms.
+
+    Row ``r`` of ``uniforms`` ``(B, K)`` holds the doubles a path's generator
+    yields after its normals; ``enlam`` holds ``exp(-lam)`` of each draw, in
+    draw order, and the first ``B`` rows of ``out`` are zeros that take the
+    counts.  As numpy's ``random_poisson_mult`` does, a draw takes uniforms
+    while their running product stays above ``exp(-lam)`` and counts all but
+    the last, so a draw whose first uniform is at most ``exp(-lam)`` takes
+    one and counts 0.  Each pass resolves, in every row still open, the first
+    draw whose first uniform exceeds ``exp(-lam)``, and shifts the row's
+    later draws by the uniforms it took.  Returns the rows that need more
+    than ``K`` uniforms; their counts are incomplete.
+    """
+    k = uniforms.shape[1]
+    last = enlam.size - 1
+    draws = np.arange(enlam.size)
+    shifted = np.lib.stride_tricks.sliding_window_view(uniforms, enlam.size, axis=1)  # [r, s]: row r's uniforms from s on
+    hit = shifted[:, 0] > enlam
+    rows = np.flatnonzero(hit.any(axis=1))
+    hit = hit[rows]
+    shift = np.zeros(rows.size, dtype=np.int64)  # uniforms taken beyond one per draw
+    short = [np.zeros(0, dtype=np.int64)]
+    while rows.size:
+        j = hit.argmax(axis=1)
+        e = enlam[j]
+        at = j + shift
+        prod = uniforms[rows, at]
+        n = np.zeros(rows.size, dtype=np.int64)
+        live = np.ones(rows.size, dtype=bool)
+        while live.any():
+            n += live
+            at += live
+            live &= at < k
+            prod = np.where(live, prod * uniforms[rows, np.minimum(at, k - 1)], prod)
+            live &= prod > e
+        shift += n
+        fits = at < k
+        out[rows[fits], j[fits]] = n[fits]
+        # a row with draws after j reads its last draw's first uniform at last + shift
+        fits &= j < last
+        short += [rows[at >= k], rows[fits & (last + shift >= k)]]
+        fits &= last + shift < k
+        rows, shift, j = rows[fits], shift[fits], j[fits]
+        hit = (shifted[rows, shift] > enlam) & (draws > j[:, None])
+        fits = hit.any(axis=1)
+        rows, shift, hit = rows[fits], shift[fits], hit[fits]
+    return np.concatenate(short)
+
+
 def simulate_paths(
     spec: ProblemSpec,
     quad: LevyQuadrature,
@@ -136,13 +205,25 @@ def simulate_paths(
     small-jump diffusion: with ``s = quad.small_jump_second_moment > 0`` the
     Brownian coefficient is ``sqrt(sigma^2 + s (d beta/de)(X_k, 0)^2)``.
 
-    Path ``p`` draws its normals, then its jump counts, from Philox keyed by
-    ``np.array([seed mod 2**64, p], dtype=np.uint64)``: one generator,
-    re-keyed per path to counter 0 and an empty buffer, so any seed,
-    negative or at least 2**63 included, has its own stream.
+    Path ``p`` draws its normals, then the uniforms its Poisson counts
+    consume, from Philox keyed by ``np.array([seed mod 2**64, p],
+    dtype=np.uint64)``: one generator, re-keyed per path to counter 0 and an
+    empty buffer, so any integer seed, negative or at least 2**63 included,
+    has its own stream.  The counts are those of ``rng.poisson(lam,
+    size=(n_steps, atoms))``: below ``lam = 10`` numpy's multiplication
+    method multiplies the doubles ``rng.random`` yields, so each path draws
+    a row of uniforms into a block of at most ``_UNIFORM_BLOCK_BYTES``, and
+    :func:`_multiplication_counts` turns a block into counts at once.  A
+    path whose counts need more uniforms than its row holds, and every path
+    when some ``lam`` is not in ``(0, 10)``, is drawn again and calls
+    ``rng.poisson`` itself.
     """
     if not is_integer(n_paths) or n_paths < 1:
         raise ValueError(f"need an integer of at least one path, got {n_paths!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
     tgrid.check_horizon(spec.horizon)
     if not math.isfinite(quad.total_weight):
         raise ValueError("quadrature total weight must be finite")
@@ -153,8 +234,8 @@ def simulate_paths(
     s_delta = quad.small_jump_second_moment
 
     dB = np.empty((n_paths, n_steps))
-    counts = np.zeros((n_paths, n_steps, max(n_atoms, 1)), dtype=np.int64)
-    lam = quad.weights * dt if n_atoms else np.zeros(0)
+    counts = np.zeros((n_paths, n_steps, n_atoms), dtype=np.int64)
+    lam = quad.weights * dt
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     key = np.array([seed, 0], dtype=np.uint64)
@@ -166,10 +247,30 @@ def simulate_paths(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for p in range(n_paths):
+
+    def draw_normals(p: int) -> None:
         key[1] = p
         bitgen.state = fresh
         rng.standard_normal(out=dB[p])
+
+    width = _uniforms_per_path(lam, n_steps)
+    redraw = range(n_paths)
+    if 0 < 8 * width <= _UNIFORM_BLOCK_BYTES:
+        # exp(-lam) by the libm exp numpy's C code calls, in draw order: step-major, atom-minor
+        enlam = np.tile([math.exp(-v) for v in lam.tolist()], n_steps)
+        flat = counts.reshape(n_paths, -1)
+        block = min(n_paths, _UNIFORM_BLOCK_BYTES // (8 * width))
+        uniforms = np.empty((block, width))
+        redraw = []
+        for lo in range(0, n_paths, block):
+            rows = uniforms[: min(block, n_paths - lo)]
+            for p, row in enumerate(rows, start=lo):
+                draw_normals(p)
+                rng.random(out=row)
+            redraw += (lo + _multiplication_counts(rows, enlam, flat[lo:])).tolist()
+        del uniforms
+    for p in redraw:
+        draw_normals(p)
         if n_atoms:
             counts[p] = rng.poisson(lam, size=(n_steps, n_atoms))
     dB *= math.sqrt(dt)
@@ -195,7 +296,7 @@ def simulate_paths(
         spec=spec,
         states=states,
         brownian=dB,
-        jump_counts=counts[:, :, :n_atoms],
+        jump_counts=counts,
         times=times,
         quadrature=quad,
         seed=seed,

@@ -50,8 +50,8 @@ class DiscreteGame:
     quad: LevyQuadrature
     kernels: np.ndarray  # (n_steps, N, N); kernels[k] maps level k+1 to level k
     terminal: np.ndarray  # (m1, m2, N)
-    beta: np.ndarray  # (atoms, N)
     gamma: np.ndarray  # (m1, m2, atoms, N)
+    destinations: list  # [node][atom]: _interp_weights of x_node + beta(x_node, e_atom)
     config: SchemeConfig = field(default_factory=SchemeConfig)
 
 
@@ -107,6 +107,10 @@ def build_discrete_game(
     else:
         small = np.zeros(n)
 
+    # the jump destinations x_i + beta(x_i, e_k) do not depend on t
+    destinations = [
+        [_interp_weights(grid, xi + beta_k) for beta_k in betas] for xi, betas in zip(x.tolist(), beta.T.tolist())
+    ]
     kernels = np.zeros((tgrid.n_steps, n, n))
     for k in range(tgrid.n_steps):
         t = float(times[k + 1])
@@ -115,7 +119,6 @@ def build_discrete_game(
         P = kernels[k]
         for i in range(n):
             P[i, i] += 1.0
-            xi = float(x[i])
             betas = beta[:, i].tolist()
             b = float(drift[i]) - sum(float(w_k) * beta_k for w_k, beta_k in zip(quad.weights, betas))
             sig = float(vol[i])
@@ -139,8 +142,8 @@ def build_discrete_game(
                 P[i, i - 1] += w
                 P[i, i] -= w
             # jumps: redistribute to the destination, subtract the mass
-            for beta_k, w_k in zip(betas, quad.weights):
-                for idx, wgt in _interp_weights(grid, xi + beta_k):
+            for dest, w_k in zip(destinations[i], quad.weights):
+                for idx, wgt in dest:
                     P[i, idx] += dt * w_k * wgt
                 P[i, i] -= dt * w_k
 
@@ -158,7 +161,7 @@ def build_discrete_game(
 
     return DiscreteGame(
         spec=spec, grid=grid, tgrid=tgrid, quad=quad, kernels=kernels,
-        terminal=spec.terminal_table(x), beta=beta, gamma=gamma, config=config,
+        terminal=spec.terminal_table(x), gamma=gamma, destinations=destinations, config=config,
     )
 
 
@@ -174,7 +177,6 @@ def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
     vol = spec.eval_vol(t, x)
     entries = {driver_variable(a, bb): values[a, bb] for a in range(m1) for bb in range(m2)}
     weights = game.quad.weights.tolist()
-    beta_rows = game.beta.T.tolist()  # beta_rows[p][k] = beta(x_p, e_k)
     out = np.empty_like(values)
     for i in range(m1):
         for j in range(m2):
@@ -190,11 +192,10 @@ def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
                 else:
                     grad[p] = (s[p + 1] - s[p - 1]) / (2.0 * dx)
             for p in range(n):
-                xp = float(x[p])
                 q_p = 0.0
-                for w_k, beta_k, gamma_k in zip(weights, beta_rows[p], gamma_rows[p]):
+                for w_k, dest, gamma_k in zip(weights, game.destinations[p], gamma_rows[p]):
                     dest_val = 0.0
-                    for idx, wgt in _interp_weights(grid, xp + beta_k):
+                    for idx, wgt in dest:
                         dest_val += wgt * s[idx]
                     q_p += w_k * gamma_k * (dest_val - s[p])
                 q[p] = q_p

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature, interpolate
+from switchvi import mc
 from switchvi.mc import (
     BsdeEstimate,
     RegressionBasis,
@@ -151,6 +152,103 @@ class TestOneGeneratorPerCall:
         assert np.array_equal(batch.states, states)
         assert np.array_equal(batch.brownian, brownian)
         assert batch.jump_counts.shape == counts.shape and np.array_equal(batch.jump_counts, counts)
+
+
+def lam_spec(*lams):
+    """Atoms whose counts have intensities ``lams`` per step of ``TG``."""
+    return make_spec(levy={"atoms": [[0.3 + 0.1 * a, lam / TG.dt] for a, lam in enumerate(lams)]}, jump_amplitude="0.01*e")
+
+
+def assert_equals_reference(spec, quad, n_paths, seed):
+    batch = simulate_paths(spec, quad, 0.1, n_paths, TG, seed=seed)
+    states, brownian, counts = reference_paths(spec, quad, 0.1, n_paths, TG, seed)
+    assert batch.states.tobytes() == states.tobytes()
+    assert batch.brownian.tobytes() == brownian.tobytes()
+    assert batch.jump_counts.dtype == counts.dtype and batch.jump_counts.shape == counts.shape
+    assert batch.jump_counts.tobytes() == counts.tobytes()
+    return counts
+
+
+@pytest.fixture
+def count_blocks(monkeypatch):
+    """Spy on the block pass: the bytes of the block buffer behind each call, and the rows it could not finish."""
+    seen = []
+    counts = mc._multiplication_counts
+
+    def spy(uniforms, enlam, out):
+        short = counts(uniforms, enlam, out)
+        seen.append((uniforms.base.nbytes, len(uniforms), short.tolist()))
+        return short
+
+    monkeypatch.setattr(mc, "_multiplication_counts", spy)
+    return seen
+
+
+class TestCountsFromUniforms:
+    """The counts read from each path's uniforms are bitwise those of ``rng.poisson``."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1, 2**63, 2**64 - 1, -1])
+    @pytest.mark.parametrize("lams", [(0.004,), (0.5,), (3.0,), (9.5,), (12.0,), (0.004, 3.0, 9.99)], ids=repr)
+    def test_equals_the_per_path_reference(self, lams, seed, count_blocks):
+        spec = lam_spec(*lams)
+        quad = build_levy_quadrature(spec.levy)
+        counts = assert_equals_reference(spec, quad, 120, seed)
+        assert counts.sum() > 0
+        # lam >= 10 is numpy's rejection sampler, drawn path by path; below it every path reads its block
+        assert count_blocks == ([] if max(lams) >= 10.0 else [(count_blocks[0][0], 120, [])])
+        assert all(nbytes <= mc._UNIFORM_BLOCK_BYTES for nbytes, _, _ in count_blocks)
+
+    def test_one_path_past_a_block_boundary(self, monkeypatch, count_blocks):
+        spec = lam_spec(0.5, 0.004)
+        quad = build_levy_quadrature(spec.levy)
+        width = mc._uniforms_per_path(quad.weights * TG.dt, TG.n_steps)
+        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 3 * 8 * width + 8)
+        assert_equals_reference(spec, quad, 10, seed=5)
+        assert [rows for _, rows, _ in count_blocks] == [3, 3, 3, 1]
+        assert all(nbytes == 3 * 8 * width for nbytes, _, _ in count_blocks)
+
+    def test_rows_too_short_take_the_per_path_draw(self, monkeypatch, count_blocks):
+        spec = lam_spec(0.04, 0.004)
+        quad = build_levy_quadrature(spec.levy)
+        # two spare uniforms per path, where a path counts 2.2 jumps on average
+        monkeypatch.setattr(mc, "_uniforms_per_path", lambda lam, n_steps: n_steps * lam.size + 2)
+        assert_equals_reference(spec, quad, 200, seed=3)
+        short = sorted(p for _, _, rows in count_blocks for p in rows)
+        assert 0 < len(short) < 200 and len(set(short)) == len(short)
+
+    def test_the_block_buffer_stays_under_its_cap(self, count_blocks):
+        spec = load_builtin_problem("switch_2x2_jump")
+        quad = build_levy_quadrature(spec.levy)
+        batch = simulate_paths(spec, quad, 0.0, 3_000, TG, seed=1)
+        assert len(count_blocks) > 1 and sum(rows for _, rows, _ in count_blocks) == batch.n_paths
+        assert all(nbytes <= mc._UNIFORM_BLOCK_BYTES for nbytes, _, _ in count_blocks)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "3", True, np.True_, None], ids=repr)
+    def test_seed_must_be_an_integer(self, spec_2x2, quad_2x2, seed):
+        """``1.5`` ran seed 1, and ``"3"`` and ``True`` ran too."""
+        with pytest.raises(ValueError, match="seed"):
+            simulate_paths(spec_2x2, quad_2x2, 0.0, 10, TG, seed=seed)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_fails_before_any_draw(self, spec_2x2, quad_2x2, x0, monkeypatch):
+        """The paths were all drawn, then the drift failed on the binding ``x``."""
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(ValueError, match="x0") as err:
+            simulate_paths(spec_2x2, quad_2x2, x0, 10, TG, seed=1)
+        assert type(err.value) is ValueError
+
+    def test_atomless_counts_hold_no_bytes(self, spec_no_jump):
+        """The counts of a batch without atoms were a view of a ``(P, n_steps, 1)`` int64 array."""
+        quad = build_levy_quadrature(spec_no_jump.levy)
+        batch = simulate_paths(spec_no_jump, quad, 0.0, 100, TG, seed=1)
+        assert batch.jump_counts.shape == (100, TG.n_steps, 0) and batch.jump_counts.dtype == np.int64
+        assert batch.jump_counts.base is None
 
 
 class TestRegressionBasis:
