@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -230,13 +229,11 @@ def cmd_solve(args) -> int:
     if levels is not None and not distinct:
         raise UsageError(f"config 'output': levels must be a list of distinct integers in 0..{tgrid.n_steps}, got {levels!r}")
 
-    t0 = time.perf_counter()
     if system == "penalized":
         traj, report = solve_penalized(spec, grid, tgrid, quad, n, m, scheme)
     else:
         solver = solve_minmax if system == "minmax" else solve_maxmin
         traj, report = solver(spec, grid, tgrid, quad, mode=mode, config=scheme, schedule=schedule)
-    elapsed = time.perf_counter() - t0
 
     files = export.trajectory_csv_files(traj, out, stem=f"{system}", levels=levels)
     (out / "plotdata.csv").write_text(export.plotdata_csv(traj, spec, level=0), encoding="utf-8")
@@ -247,8 +244,8 @@ def cmd_solve(args) -> int:
             {"times": [float(t) for t in traj.times], "values": traj.values.tolist()},
             out / f"{system}_trajectory.json",
         )
-    export.write_json({"report": report.to_dict(), "elapsed_s": elapsed, "files": [f.name for f in files]}, out / "solve_report.json")
-    print(f"solved {system} ({mode}) in {elapsed:.2f}s; wrote {len(files)} level files to {out}")
+    export.write_json({"report": report.to_dict(), "files": [f.name for f in files]}, out / "solve_report.json")
+    print(f"solved {system} ({mode}) in {report.wall_clock_s:.2f}s; wrote {len(files)} level files to {out}")
     return EXIT_OK
 
 

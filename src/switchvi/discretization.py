@@ -3,9 +3,9 @@
 The jump measure is approximated by finitely many atoms with mark ``|e| >=
 cutoff``; mass below the cutoff is replaced by its second moment ``s_delta``
 and re-enters the generator as a matched diffusion correction
-``0.5 * s_delta * (d beta/d e)(x,0)^2 * v''(x)``.  This keeps the small-jump
-part of the non-local integral bounded while preserving its infinitesimal
-variance.
+``0.5 * s_delta * (d beta/d e)(x,0)^2 * v''(x)`` (``small_jump_variance``),
+which keeps the small-jump part of the non-local integral bounded while
+preserving its infinitesimal variance.
 
 Stencil conventions.  Each has a single implementation here, and the solver
 step calls it: ``gradient_surface``, ``upwind_drift`` and
@@ -66,12 +66,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .exprdsl import evaluate
-from .model import LevyMeasureSpec, MalformedSpecError, is_finite_number, is_integer
+from .model import LevyMeasureSpec, MalformedSpecError, ProblemSpec, is_finite_number, is_integer
 
 __all__ = [
     "SpatialGrid",
@@ -88,12 +87,12 @@ __all__ = [
     "gradient_surface",
     "second_derivative_surface",
     "upwind_drift",
-    "beta_slope_at_zero",
+    "small_jump_variance",
 ]
 
 ATOM_WEIGHT_FLOOR = 1e-14
 _NODE_SNAP = 1e-9  # relative tolerance for snapping a query onto a grid node
-BETA_SLOPE_STEP = 1e-6  # mark step of beta_slope_at_zero's central difference
+BETA_SLOPE_STEP = 1e-6  # mark step of small_jump_variance's central difference
 
 
 class NonIntegrableDensityError(ValueError):
@@ -214,8 +213,11 @@ def build_levy_quadrature(
     side; see :func:`check_atom_count`) and its small-jump part by a fixed
     fine midpoint rule on ``|e| < cutoff``; a density that is negative on
     any cell of either rule is rejected.
-    Atoms with weight below 1e-14 are dropped.
+    Atoms with weight below 1e-14 are dropped; a ``radius`` that is not a
+    finite number (a boolean or a string either) raises ValueError.
     """
+    if radius is not None and not is_finite_number(radius):
+        raise ValueError(f"radius must be a finite number, got {radius!r}")
     delta = measure.cutoff
     if measure.atoms is not None:
         marks, weights = [], []
@@ -360,11 +362,15 @@ def second_derivative_surface(surface: np.ndarray, grid: SpatialGrid) -> np.ndar
 # --- non-local operators ----------------------------------------------------
 
 
-def beta_slope_at_zero(beta_of: Callable[[np.ndarray, float], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """d beta / d e at e = 0 by a central difference of step ``BETA_SLOPE_STEP``
-    (drives the small-jump surrogate)."""
+def small_jump_variance(spec: ProblemSpec, quad: LevyQuadrature, x: np.ndarray) -> np.ndarray:
+    """The small-jump diffusion's variance rate ``s (d beta/d e)(x, 0)^2``, ``s =
+    quad.small_jump_second_moment``, by a central difference of step ``BETA_SLOPE_STEP``
+    in one :meth:`ProblemSpec.beta_table`; zeros, with no evaluation, when ``s = 0``."""
+    if quad.small_jump_second_moment == 0.0:
+        return np.zeros(np.shape(x))
     h = BETA_SLOPE_STEP
-    return (np.asarray(beta_of(x, h)) - np.asarray(beta_of(x, -h))) / (2.0 * h)
+    beta = spec.beta_table(x, (h, -h))
+    return quad.small_jump_second_moment * ((beta[0] - beta[1]) / (2.0 * h)) ** 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,8 +39,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .discretization import LevyQuadrature, TimeGrid, beta_slope_at_zero
-from .model import ProblemSpec, eval_obstacles, is_integer, neg_part, pos_part
+from .discretization import LevyQuadrature, TimeGrid, small_jump_variance
+from .model import ProblemSpec, eval_obstacles, is_finite_number, is_integer, neg_part, pos_part
 from .pde_solver import Trajectory, check_penalty
 
 __all__ = [
@@ -203,7 +203,8 @@ def simulate_paths(
     intensity ``w_a dt`` (thinning keeps the mark law exactly the
     quadrature).  Jumps below the cutoff enter as the grid solver's
     small-jump diffusion: with ``s = quad.small_jump_second_moment > 0`` the
-    Brownian coefficient is ``sqrt(sigma^2 + s (d beta/de)(X_k, 0)^2)``.
+    Brownian coefficient is ``sqrt(sigma^2 + s (d beta/de)(X_k, 0)^2)``, the
+    variance from :func:`~switchvi.discretization.small_jump_variance`.
 
     Path ``p`` draws its normals, then the uniforms its Poisson counts
     consume, from Philox keyed by ``np.array([seed mod 2**64, p],
@@ -222,8 +223,8 @@ def simulate_paths(
         raise ValueError(f"need an integer of at least one path, got {n_paths!r}")
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+    if not is_finite_number(x0):
+        raise ValueError(f"x0 must be a finite number, got {x0!r}")
     tgrid.check_horizon(spec.horizon)
     if not math.isfinite(quad.total_weight):
         raise ValueError("quadrature total weight must be finite")
@@ -231,7 +232,6 @@ def simulate_paths(
     n_steps = tgrid.n_steps
     dt = tgrid.dt
     n_atoms = quad.n_atoms
-    s_delta = quad.small_jump_second_moment
 
     dB = np.empty((n_paths, n_steps))
     counts = np.zeros((n_paths, n_steps, n_atoms), dtype=np.int64)
@@ -283,8 +283,8 @@ def simulate_paths(
         xk = states[:, k]
         b = spec.eval_drift(t, xk)
         sig = spec.eval_vol(t, xk)
-        if s_delta > 0.0:
-            sig = np.sqrt(sig**2 + s_delta * beta_slope_at_zero(spec.eval_beta, xk) ** 2)
+        if quad.small_jump_second_moment > 0.0:
+            sig = np.sqrt(sig**2 + small_jump_variance(spec, quad, xk))
         incr = xk + b * dt + sig * dB[:, k]
         beta = spec.beta_table(xk, quad.marks)
         for a in range(n_atoms):

@@ -1,7 +1,7 @@
 """Problem definition and standing-assumption validators.
 
 A :class:`ProblemSpec` bundles everything that defines one switching-game
-instance on ``[0, T] x R^k``: mode sets for the two players, diffusion
+instance on ``[0, T] x R``: mode sets for the two players, diffusion
 coefficients ``b`` and ``sigma``, jump amplitude ``beta`` and per-mode jump
 weights ``gamma``, drivers ``g^{ij}``, switching costs (lower costs for the
 maximizer, upper costs for the minimizer), terminal data ``h^{ij}`` and the
@@ -305,43 +305,42 @@ class ProblemSpec:
             raise MalformedSpecError(f"problem definition is missing or mistypes a field: {exc}") from exc
 
     # --- coefficient evaluation ----------------------------------------
-    # Every helper broadcasts a constant expression to the shape of x.
+    # Every helper broadcasts its expression to the joint shape of all of its
+    # bindings, so one call covers a leading mark, time or bump axis; the distinct
+    # shapes are joined pair by pair, as numpy 1.x's np.broadcast takes 32 arguments.
 
-    def _field(self, expr: Expr, ctx: Mapping, x) -> np.ndarray:
-        val = evaluate(expr, ctx)
-        arr = np.asarray(val, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if arr.shape != x.shape:
-            arr = np.broadcast_to(arr, x.shape).copy()
+    def _field(self, expr: Expr, ctx: Mapping) -> np.ndarray:
+        shape = functools.reduce(np.broadcast_shapes, {np.shape(v) for v in ctx.values()}, ())
+        arr = np.asarray(evaluate(expr, ctx), dtype=float)
+        if arr.shape != shape:
+            arr = np.broadcast_to(arr, shape).copy()
         elif isinstance(expr, exprdsl.Var):
             arr = arr.copy()  # the one result that can share memory with a caller's array
         return arr
 
     def eval_drift(self, t: float, x) -> np.ndarray:
-        return self._field(self.drift, {"t": t, "x": np.asarray(x, dtype=float)}, x)
+        return self._field(self.drift, {"t": t, "x": np.asarray(x, dtype=float)})
 
     def eval_vol(self, t: float, x) -> np.ndarray:
-        return self._field(self.vol, {"t": t, "x": np.asarray(x, dtype=float)}, x)
+        return self._field(self.vol, {"t": t, "x": np.asarray(x, dtype=float)})
 
     def eval_beta(self, x, e: float) -> np.ndarray:
-        return self._field(self.jump_amplitude, {"x": np.asarray(x, dtype=float), "e": e}, x)
+        return self._field(self.jump_amplitude, {"x": np.asarray(x, dtype=float), "e": e})
 
     def eval_gamma(self, pair: tuple[int, int], x, e: float) -> np.ndarray:
-        return self._field(self.jump_weights[pair], {"x": np.asarray(x, dtype=float), "e": e}, x)
+        return self._field(self.jump_weights[pair], {"x": np.asarray(x, dtype=float), "e": e})
 
     def eval_lower_cost(self, i: int, k: int, t: float, x) -> np.ndarray:
-        return self._field(self.lower_costs[(i, k)], {"t": t, "x": np.asarray(x, dtype=float)}, x)
+        return self._field(self.lower_costs[(i, k)], {"t": t, "x": np.asarray(x, dtype=float)})
 
     def eval_upper_cost(self, j: int, l: int, t: float, x) -> np.ndarray:
-        return self._field(self.upper_costs[(j, l)], {"t": t, "x": np.asarray(x, dtype=float)}, x)
+        return self._field(self.upper_costs[(j, l)], {"t": t, "x": np.asarray(x, dtype=float)})
 
     def eval_terminal(self, pair: tuple[int, int], x) -> np.ndarray:
-        return self._field(self.terminal[pair], {"x": np.asarray(x, dtype=float)}, x)
+        return self._field(self.terminal[pair], {"x": np.asarray(x, dtype=float)})
 
     def eval_driver(self, pair: tuple[int, int], t: float, x, y_entries: Mapping[str, object], z, q) -> np.ndarray:
-        ctx = {"t": t, "x": np.asarray(x, dtype=float), "z": z, "q": q}
-        ctx.update(y_entries)
-        return self._field(self.drivers[pair], ctx, x)
+        return self._field(self.drivers[pair], {"t": t, "x": np.asarray(x, dtype=float), "z": z, "q": q, **y_entries})
 
     def _cost_table(self, m: int, eval_cost, t: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -405,19 +404,14 @@ class ProblemSpec:
     def beta_table(self, x, marks: Sequence[float]) -> np.ndarray:
         """``(atoms,) + x.shape`` array of ``beta(x, e_a)``, one atom per entry of ``marks``."""
         x = np.asarray(x, dtype=float)
-        beta = np.empty((len(marks),) + x.shape)
-        for a, e in enumerate(marks):
-            beta[a] = self.eval_beta(x, float(e))
-        return beta
+        return self.eval_beta(x, np.asarray(marks, dtype=float).reshape((-1,) + (1,) * x.ndim))
 
     def jump_tables(self, x, marks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """``beta_table(x, marks)`` and the ``(m1, m2, atoms) + x.shape`` array of ``gamma^{ij}(x, e_a)``."""
         x = np.asarray(x, dtype=float)
-        gamma = np.empty((self.modes.m1, self.modes.m2, len(marks)) + x.shape)
-        for a, e in enumerate(marks):
-            for i, j in self.modes.pairs():
-                gamma[i, j, a] = self.eval_gamma((i, j), x, float(e))
-        return self.beta_table(x, marks), gamma
+        e = np.asarray(marks, dtype=float).reshape((-1,) + (1,) * x.ndim)
+        gamma = [[self.eval_gamma((i, j), x, e) for j in range(self.modes.m2)] for i in range(self.modes.m1)]
+        return self.eval_beta(x, e), np.array(gamma)
 
 
 # --- obstacles ---------------------------------------------------------
@@ -635,18 +629,20 @@ def driver_increments(spec: ProblemSpec, times, xs, y_rows, h: float) -> np.ndar
     at the :func:`probe_points` of ``xs`` when each value entry in pair order,
     then z, then q is raised by ``h``, from ``t = times[r]``, ``y = y_rows[r]``
     and ``z = q = 0`` in row r, ``y_rows`` an ``(rows, m1, m2)`` array: the
-    probe behind the stability bound's Lipschitz term and the monotonicity warnings."""
+    probe behind the stability bound's Lipschitz term and the monotonicity warnings,
+    by one :meth:`ProblemSpec.eval_driver` call per pair over a leading bump axis."""
     t = np.asarray(times, dtype=float)[:, None]
     x = np.tile(probe_points(xs), (len(t), 1))
     pairs = list(spec.modes.pairs())
-    entries = {driver_variable(i, j): y_rows[:, i, j, None] for i, j in pairs}
-    bumps = [(dict(entries, **{driver_variable(i, j): entries[driver_variable(i, j)] + h}), 0.0, 0.0) for i, j in pairs]
-    bumps += [(entries, h, 0.0), (entries, 0.0, h)]
-    out = []
-    for pair in pairs:
-        base = spec.eval_driver(pair, t, x, entries, 0.0, 0.0)
-        out.append([spec.eval_driver(pair, t, x, bumped, z, q) - base for bumped, z, q in bumps])
-    return np.array(out)
+    # bump row 0 is the base point, row 1 + b raises value entry b, the last two z and q
+    y = np.repeat(np.asarray(y_rows, dtype=float)[None], len(pairs) + 3, axis=0)
+    z, q = np.zeros((2, len(pairs) + 3, 1, 1))
+    for b, (i, j) in enumerate(pairs, start=1):
+        y[b, :, i, j] += h
+    z[-2] = q[-1] = h
+    entries = {driver_variable(i, j): y[:, :, i, j, None] for i, j in pairs}
+    values = np.array([spec.eval_driver(pair, t, x, entries, z, q) for pair in pairs])
+    return values[:, 1:] - values[:, :1]
 
 
 def validate_coefficient_bounds(

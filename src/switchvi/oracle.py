@@ -12,16 +12,18 @@ first-order term, so it is in the drift, upwinded with it, not in the jump
 part of the kernel.
 
 What is shared with the finite-difference solver is only the coefficient
-values and the result container: the beta, gamma and terminal tables come
-from :meth:`ProblemSpec.jump_tables` and :meth:`ProblemSpec.terminal_table`,
-built once per game, drift, volatility and the drivers are evaluated over
-the node vector, and the induction returns a
-:class:`~switchvi.pde_solver.Trajectory`.  Everything that turns the
-coefficients into a step is written independently (explicit Python loops,
-no shared stepping code): the kernel assembly, the compensator sum, the
-interpolation weights, the gradient and jump-sum loops and the projection
-sweeps, the package's only pair-ordered ones (the solver projects the whole
-stack per pass).  So agreement between the two is evidence, not tautology.
+values and the result container: the beta, gamma and terminal tables and
+the small-jump variance come from :meth:`ProblemSpec.jump_tables`,
+:meth:`ProblemSpec.terminal_table` and
+:func:`~switchvi.discretization.small_jump_variance`, built once per game;
+drift, volatility and the drivers are evaluated over the node vector, and
+the induction returns a :class:`~switchvi.pde_solver.Trajectory`.
+Everything that turns the coefficients into a step is written independently
+(explicit Python loops, no shared stepping code): the kernel assembly, the
+compensator sum, the interpolation weights, the gradient and jump-sum loops
+and the projection sweeps, the package's only pair-ordered ones (the solver
+projects the whole stack per pass).  So agreement between the two is
+evidence, not tautology.
 Deliberately naive and single-threaded; meant for small instances.
 """
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import LevyQuadrature, SpatialGrid, TimeGrid, beta_slope_at_zero
+from .discretization import LevyQuadrature, SpatialGrid, TimeGrid, small_jump_variance
 from .model import CapacityError, ProblemSpec, driver_variable
 from .pde_solver import CflViolationError, SchemeConfig, SweepNonConvergenceError, Trajectory
 
@@ -102,10 +104,7 @@ def build_discrete_game(
     dt = tgrid.dt
     times = tgrid.times()
     beta, gamma = spec.jump_tables(x, quad.marks)
-    if quad.small_jump_second_moment > 0.0:
-        small = 0.5 * quad.small_jump_second_moment * beta_slope_at_zero(spec.eval_beta, x) ** 2
-    else:
-        small = np.zeros(n)
+    small = 0.5 * small_jump_variance(spec, quad, x)
 
     # the jump destinations x_i + beta(x_i, e_k) do not depend on t
     destinations = [

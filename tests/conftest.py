@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
+from switchvi.discretization import BETA_SLOPE_STEP, SpatialGrid, TimeGrid, build_levy_quadrature
 from switchvi import exprdsl
 from switchvi.exprdsl import BinOp, Call, Expr, Neg, Num, Var, evaluate, free_variables
 from switchvi.model import ModeSet, ProblemSpec, driver_variable, eval_obstacles, load_builtin_problem, other_mode_costs
@@ -65,6 +65,36 @@ def make_spec(**overrides) -> ProblemSpec:
 @pytest.fixture
 def spec_factory():
     return make_spec
+
+
+def beta_slope_at_zero(spec: ProblemSpec, x) -> np.ndarray:
+    """Reference ``(d beta/d e)(x, 0)``: the central difference of step
+    ``BETA_SLOPE_STEP``, one ``eval_beta`` call per mark."""
+    h = BETA_SLOPE_STEP
+    return (spec.eval_beta(x, h) - spec.eval_beta(x, -h)) / (2.0 * h)
+
+
+# the last term of each driver of mode_pair_cap_spec
+CAP_Q_TERMS = {"not-affine": "0.02*q*y_{i}_{k}", "affine": "0.02*q + 0.03*y_{i}_{k}"}
+
+
+def mode_pair_cap_spec(q_term: str) -> ProblemSpec:
+    """A 6x6 game (36 pairs, the cap), so a driver has 40 bindings: t, x, z, q
+    and 36 value entries; ``q_term`` is formatted with ``i`` and ``k = 5 - j``."""
+    pairs = [(i, j) for i in range(6) for j in range(6)]
+    drivers = {f"{i},{j}": f"0.1*z - 0.2*y_{i}_{j} + 0.01*y_{5 - i}_{j} + " + q_term.format(i=i, k=5 - j) for i, j in pairs}
+    return make_spec(modes={"m1": 6, "m2": 6}, drivers=drivers)
+
+
+def cap_broadcast_arguments(monkeypatch) -> None:
+    """Make np.broadcast fail on more than the 32 arguments numpy 1.x takes."""
+    broadcast = np.broadcast
+
+    def capped(*args):
+        assert len(args) <= 32
+        return broadcast(*args)
+
+    monkeypatch.setattr(np, "broadcast", capped)
 
 
 def gathered(lower_costs: np.ndarray, upper_costs: np.ndarray) -> tuple:

@@ -120,6 +120,17 @@ class TestSolve:
         header = (out / "plotdata.csv").read_text().splitlines()[0]
         assert "v_0_0" in header and "L_0_0" in header and "U_0_0" in header
 
+    @pytest.mark.parametrize("mode", ["limit", "direct"])
+    def test_prints_the_reports_one_time(self, tmp_path, capsys, mode):
+        """The command timed the solve itself and wrote that time as ``elapsed_s`` beside the report's own."""
+        small = {"grid": {"x_min": -2.0, "x_max": 2.0, "n_nodes": 21}, "time": {"n_steps": 10}, "output": {"levels": [0]}}
+        cfg = write_config(tmp_path, problem="two_atom_jump", solve={"system": "minmax", "mode": mode}, **small)
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        written = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+        assert set(written) == {"report", "files"}
+        assert f" in {written['report']['wall_clock_s']:.2f}s;" in capsys.readouterr().out
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

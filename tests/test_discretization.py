@@ -15,12 +15,13 @@ from switchvi.discretization import (
     interpolate,
     jump_operator,
     second_derivative_surface,
+    small_jump_variance,
     upwind_drift,
 )
-from switchvi.model import LevyMeasureSpec, MalformedSpecError
+from switchvi.model import LevyMeasureSpec, MalformedSpecError, ProblemSpec
 from switchvi.pde_solver import SchemeConfig, _Workspace
 
-from conftest import make_spec, step
+from conftest import beta_slope_at_zero, make_spec, step
 
 
 def beta_identity(x, e):
@@ -171,12 +172,47 @@ class TestQuadrature:
         with pytest.raises(MalformedSpecError):
             LevyQuadrature(marks=[], weights=[], small_jump_second_moment=-1.0)
 
+    @pytest.mark.parametrize("radius", ["2", True, 10**400, float("nan"), float("inf")], ids=["str", "bool", "int-over-float", "nan", "inf"])
+    def test_radius_must_be_a_finite_number(self, radius):
+        """``"2"`` built a radius-2 quadrature, ``True`` a radius-1 one, and ``10**400`` raised OverflowError."""
+        spec = LevyMeasureSpec.from_dict({"density": "1", "radius": 1.0, "cutoff": 0.2})
+        with pytest.raises(ValueError, match="radius") as err:
+            build_levy_quadrature(spec, radius=radius)
+        assert type(err.value) is ValueError
+
+    def test_a_numpy_radius_is_a_number(self):
+        spec = LevyMeasureSpec.from_dict({"density": "1", "radius": 1.0, "cutoff": 0.2})
+        np.testing.assert_array_equal(build_levy_quadrature(spec, radius=np.float64(2.0)).marks, build_levy_quadrature(spec, radius=2.0).marks)
+
     @pytest.mark.parametrize("density", ["abs(e) - 0.5", "abs(e) - 0.09"], ids=["above-cutoff", "below-cutoff"])
     def test_negative_density_rejected(self, density):
         # cutoff 0.1: the first density is negative on atom cells, the second only on small-jump cells
         spec = LevyMeasureSpec.from_dict({"density": density, "radius": 1.0, "cutoff": 0.1})
         with pytest.raises(NonIntegrableDensityError):
             build_levy_quadrature(spec)
+
+
+class TestSmallJumpVariance:
+    """``small_jump_variance`` reads one beta table at the marks ``+-BETA_SLOPE_STEP``."""
+
+    @pytest.mark.parametrize("amplitude", ["0.8*e", "e*(1 + 0.5*x)", "exp(-x*x)*e + 0.3*e*e*x", "0.4"])
+    @pytest.mark.parametrize("shape", [(41,), (5, 7)])
+    def test_equals_the_per_mark_reference_bitwise(self, amplitude, shape):
+        spec = make_spec(jump_amplitude=amplitude, levy={"atoms": [[0.05, 100.0], [0.5, 0.4]], "cutoff": 0.1})
+        quad = build_levy_quadrature(spec.levy)
+        x = np.random.default_rng(6).uniform(-2.0, 2.0, shape)
+        expected = quad.small_jump_second_moment * beta_slope_at_zero(spec, x) ** 2
+        got = small_jump_variance(spec, quad, x)
+        assert got.shape == shape and got.tobytes() == expected.tobytes()
+
+    def test_reads_no_amplitude_without_small_jumps(self, monkeypatch):
+        spec = make_spec(jump_amplitude="0.8*e*(1 + x)")
+        quad = build_levy_quadrature(spec.levy)
+        assert quad.small_jump_second_moment == 0.0
+        monkeypatch.setattr(ProblemSpec, "eval_beta", lambda *args: pytest.fail("evaluated beta"))
+        x = np.linspace(-1.0, 1.0, 9)
+        got = small_jump_variance(spec, quad, x)
+        assert got.shape == x.shape and not np.any(got)
 
 
 class TestInterpolate:

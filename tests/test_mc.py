@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, beta_slope_at_zero, build_levy_quadrature, interpolate
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, interpolate
 from switchvi import mc
 from switchvi.mc import (
     BsdeEstimate,
@@ -16,7 +16,7 @@ from switchvi.mc import (
 from switchvi.model import driver_variable, eval_obstacles, load_builtin_problem, load_problem, neg_part, pos_part
 from switchvi.pde_solver import SchemeConfig, solve_penalized
 
-from conftest import make_spec
+from conftest import beta_slope_at_zero, make_spec
 
 TG = TimeGrid(horizon=0.5, n_steps=50)
 
@@ -231,9 +231,14 @@ class TestArguments:
         with pytest.raises(ValueError, match="seed"):
             simulate_paths(spec_2x2, quad_2x2, 0.0, 10, TG, seed=seed)
 
-    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "x0",
+        [math.nan, math.inf, -math.inf, True, np.True_, 10**400, "0.5", None],
+        ids=["nan", "inf", "-inf", "True", "np.True_", "int-over-float", "str", "None"],
+    )
     def test_non_finite_start_fails_before_any_draw(self, spec_2x2, quad_2x2, x0, monkeypatch):
-        """The paths were all drawn, then the drift failed on the binding ``x``."""
+        """The paths were all drawn, then the drift failed on the binding ``x``;
+        ``True`` ran from 1.0, ``10**400`` raised OverflowError and ``"0.5"`` TypeError."""
 
         def no_draws(*args, **kwargs):
             raise AssertionError("drew paths")
@@ -536,7 +541,7 @@ class TestSmallJumpDiffusion:
         batch = simulate_paths(spec, quad, 0.3, 50, TG, seed=9)
         for k in (0, 17, 49):
             xk = batch.states[:, k]
-            sig = np.sqrt(spec.eval_vol(0.0, xk) ** 2 + quad.small_jump_second_moment * beta_slope_at_zero(spec.eval_beta, xk) ** 2)
+            sig = np.sqrt(spec.eval_vol(0.0, xk) ** 2 + quad.small_jump_second_moment * beta_slope_at_zero(spec, xk) ** 2)
             expected = xk + spec.eval_drift(0.0, xk) * TG.dt + sig * batch.brownian[:, k]
             np.testing.assert_array_equal(batch.states[:, k + 1], expected)
 

@@ -1,6 +1,7 @@
 import json
 import pickle
 import re
+from collections import Counter
 from importlib.resources import files
 from unittest import mock
 
@@ -24,6 +25,7 @@ from switchvi.model import (
     driver_variable,
     eval_obstacles,
     load_builtin_problem,
+    probe_points,
     validate_coefficient_bounds,
     validate_non_free_loop,
     validate_terminal_consistency,
@@ -31,7 +33,7 @@ from switchvi.model import (
 
 from switchvi.pde_solver import solve_minmax
 
-from conftest import assert_matches_walker, gathered, make_spec
+from conftest import CAP_Q_TERMS, assert_matches_walker, cap_broadcast_arguments, gathered, make_spec, mode_pair_cap_spec
 
 POINTS = [(0.0, 0.0), (0.25, 1.0), (0.5, -1.5)]
 
@@ -307,7 +309,11 @@ def _table_spec():
 class TestCoefficientTables:
     """``terminal_table`` and ``jump_tables`` hold the bytes of the per-pair, per-atom ``eval_*`` loops."""
 
-    XS = {"nodes": np.linspace(-2.0, 2.0, 41), "paths": np.random.default_rng(4).normal(0.1, 0.7, 1_000)}
+    XS = {
+        "nodes": np.linspace(-2.0, 2.0, 41),
+        "paths": np.random.default_rng(4).normal(0.1, 0.7, 1_000),
+        "2-D": np.random.default_rng(5).normal(0.1, 0.7, (7, 13)),
+    }
 
     @pytest.mark.parametrize("shape", list(XS))
     def test_terminal_table(self, shape):
@@ -318,7 +324,7 @@ class TestCoefficientTables:
             assert table[pair].tobytes() == spec.eval_terminal(pair, x).tobytes()
 
     @pytest.mark.parametrize("shape", list(XS))
-    @pytest.mark.parametrize("marks", [(0.5, -0.7, 1.1), ()], ids=["three atoms", "no atoms"])
+    @pytest.mark.parametrize("marks", [(0.5, -0.7, 1.1), (0.5,), ()], ids=["three atoms", "one atom", "no atoms"])
     def test_jump_tables(self, shape, marks):
         spec, x = _table_spec(), self.XS[shape]
         beta, gamma = spec.jump_tables(x, np.asarray(marks))
@@ -330,6 +336,17 @@ class TestCoefficientTables:
                 assert gamma[pair][a].tobytes() == spec.eval_gamma(pair, x, e).tobytes()
         if marks:
             assert not np.array_equal(gamma[1, 0], gamma[0, 0])
+
+    def test_one_evaluation_per_expression(self, monkeypatch):
+        """One ``eval_beta`` call over every mark, and one ``eval_gamma`` call per pair."""
+        spec, calls = _table_spec(), Counter()
+        for name in ("eval_beta", "eval_gamma"):
+            original = getattr(ProblemSpec, name)
+            monkeypatch.setattr(ProblemSpec, name, lambda self, *a, _o=original, _n=name: calls.update([_n]) or _o(self, *a))
+        spec.beta_table(self.XS["nodes"], (0.5, -0.7, 1.1))
+        assert calls == {"eval_beta": 1}
+        spec.jump_tables(self.XS["nodes"], (0.5, -0.7, 1.1))
+        assert calls == {"eval_beta": 2, "eval_gamma": 6}
 
     def test_cost_tables(self):
         spec = _cost_spec("0.3 + 0.1*x", "0.5 - t", m1=3, m2=2)
@@ -435,6 +452,35 @@ class TestDriverEvaluator:
             for b, name in enumerate([driver_variable(*p) for p in pairs] + ["z", "q"]):
                 assert np.max(np.abs(slopes[a, b] - coefs.get(name, 0.0))) <= 1e-9, (pair, name)
 
+    @pytest.mark.parametrize("q_term", list(CAP_Q_TERMS.values()), ids=list(CAP_Q_TERMS))
+    def test_increments_at_the_mode_pair_cap(self, q_term, monkeypatch):
+        """The 6x6 spec's 40 driver bindings, with np.broadcast capped at numpy
+        1.x's 32 arguments: each increment equals a per-bump ``eval_driver`` call's."""
+        spec = mode_pair_cap_spec(q_term)
+        pairs = list(spec.modes.pairs())
+        times, xs, h = [0.0, 0.5], np.linspace(-2.0, 2.0, 41), 1e-4
+        rows = np.random.default_rng(4).normal(size=(len(times), 6, 6))
+        cap_broadcast_arguments(monkeypatch)
+        got = driver_increments(spec, times, xs, rows, h)
+        px = probe_points(xs)
+        assert got.shape == (36, 38, 2, len(px))
+        for r, t in enumerate(times):
+            entries = {driver_variable(i, j): float(rows[r, i, j]) for i, j in pairs}
+            bumps = [(dict(entries, **{driver_variable(*other): float(rows[r][other]) + h}), 0.0, 0.0) for other in pairs]
+            bumps += [(entries, h, 0.0), (entries, 0.0, h)]
+            for a in (0, 17, 35):
+                base = spec.eval_driver(pairs[a], t, px, entries, 0.0, 0.0)
+                for b, (bumped, z, q) in enumerate(bumps):
+                    assert (spec.eval_driver(pairs[a], t, px, bumped, z, q) - base).tobytes() == got[a, b, r].tobytes()
+
+    def test_drivers_that_read_no_value_entry_keep_the_increments_shape(self):
+        """A constant driver and one in x alone still give every bump's row, all zero."""
+        spec = make_spec(modes={"m1": 2, "m2": 2}, drivers={"0,0": "0", "default": "0.5*x"})
+        xs = np.linspace(-2.0, 2.0, 41)
+        got = driver_increments(spec, [0.0, 0.25, 0.5], xs, np.zeros((3, 2, 2)), 1e-4)
+        assert got.shape == (4, 6, 3, len(probe_points(xs)))
+        assert not np.any(got)
+
     def test_spec_pickles_after_a_solve(self):
         spec = load_builtin_problem("switch_2x2_jump")
         grid, tgrid, quad = SpatialGrid.line(-2.0, 2.0, 21), TimeGrid(spec.horizon, 10), build_levy_quadrature(spec.levy)
@@ -508,6 +554,15 @@ class TestCoefficientBounds:
         warnings = validate_coefficient_bounds(spec, ts, xs).warnings
         assert warnings == reference_monotonicity_warnings(spec, ts, xs)
         assert (len(warnings) > 0) == (name == "decreasing")
+
+    def test_warnings_at_the_mode_pair_cap(self, monkeypatch):
+        """The 6x6 spec's 40 driver bindings, with np.broadcast capped at numpy 1.x's 32 arguments."""
+        spec = mode_pair_cap_spec("- 0.02*q - 0.03*y_{i}_{k}")  # decreasing in q and in another entry
+        ts, xs = [0.0, 0.5], np.linspace(-2, 2, 41)
+        expected = reference_monotonicity_warnings(spec, ts, xs)
+        cap_broadcast_arguments(monkeypatch)
+        report = validate_coefficient_bounds(spec, ts, xs)
+        assert report.warnings == expected and len(expected) > 0
 
     def test_envelope_constants_reported(self, spec_2x2):
         report = validate_coefficient_bounds(spec_2x2, [0.0, 0.5], np.linspace(-2, 2, 9))

@@ -190,7 +190,8 @@ class TestInduction:
         assert float(np.max(np.abs(traj.values - res.values))) > 1e-7
 
     def test_jump_coefficients_are_evaluated_independently_of_n_steps(self, spec_2x2, quad_2x2, monkeypatch):
-        """beta and gamma do not read t, so the game tabulates them once."""
+        """beta and gamma do not read t, so the game tabulates them once:
+        one call over every mark for beta and one per pair for gamma."""
         counts = Counter()
         for name in ("eval_beta", "eval_gamma"):
 
@@ -205,7 +206,7 @@ class TestInduction:
             game = build_discrete_game(spec_2x2, GRID, TimeGrid(horizon=0.5, n_steps=n_steps), quad_2x2)
             backward_induction(game, order="minmax")
             per_run.append(dict(counts))
-        assert per_run[0] == per_run[1] == {"eval_beta": 2, "eval_gamma": 8}
+        assert per_run[0] == per_run[1] == {"eval_beta": 1, "eval_gamma": 4}
 
     def test_values_export_in_trajectory_layout(self, spec_2x2, quad_2x2, tmp_path):
         from switchvi.export import trajectory_csv_files

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from importlib.resources import files
 from pathlib import Path
@@ -18,7 +19,6 @@ from switchvi import pde_solver
 from switchvi.discretization import (
     SpatialGrid,
     TimeGrid,
-    beta_slope_at_zero,
     build_levy_quadrature,
     destination_table,
     gradient_surface,
@@ -43,6 +43,7 @@ from switchvi.oracle import backward_induction, build_discrete_game
 from switchvi.pde_solver import (
     AssumptionViolationError,
     CflViolationError,
+    ScheduleNonConvergenceError,
     SchemeConfig,
     SolverReport,
     SweepNonConvergenceError,
@@ -59,7 +60,18 @@ from switchvi.pde_solver import (
     _Workspace,
 )
 
-from conftest import assert_all_le, assert_matches_walker, gathered, make_spec, negated_transposed_spec, step
+from conftest import (
+    CAP_Q_TERMS,
+    assert_all_le,
+    assert_matches_walker,
+    beta_slope_at_zero,
+    cap_broadcast_arguments,
+    gathered,
+    make_spec,
+    mode_pair_cap_spec,
+    negated_transposed_spec,
+    step,
+)
 
 GRID = SpatialGrid.line(-2.0, 2.0, 41)
 TGRID = TimeGrid(horizon=0.5, n_steps=25)
@@ -227,7 +239,7 @@ def reference_cfl_bound(spec, grid, tgrid, quad, n, m, mode):
     ts = [float(t) for t in tgrid.times()[1:]]  # the times the steps read
     sig2_max = max(float(np.max(spec.eval_vol(t, x) ** 2)) for t in ts)
     if quad.small_jump_second_moment > 0.0:
-        slope = beta_slope_at_zero(lambda xx, e: spec.eval_beta(xx, e), x)
+        slope = beta_slope_at_zero(spec, x)
         sig2_max += quad.small_jump_second_moment * float(np.max(slope**2))
     compensator = np.zeros_like(x)
     gamma_sup = 0.0
@@ -730,6 +742,50 @@ class TestBilateral:
         assert not non_free(costs, costs)
         with pytest.raises(SweepNonConvergenceError):
             sweep(values, costs, costs, projection, SchemeConfig(max_sweeps=200))
+
+
+class TestWallClock:
+    """``wall_clock_s`` times the whole solve: the workspace, the loop gate and,
+    in limit mode, every schedule entry.  A fake clock advances 1,000 per
+    workspace, 100 per loop gate and 1 per step."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [0.0]
+
+        def advancing(fn, amount):
+            def run(*args, **kwargs):
+                now[0] += amount
+                return fn(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(pde_solver, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(_Workspace, "__init__", advancing(_Workspace.__init__, 1000.0))
+        monkeypatch.setattr(pde_solver, "_gate_loops", advancing(pde_solver._gate_loops, 100.0))
+        monkeypatch.setattr(_Workspace, "step", advancing(_Workspace.step, 1.0))
+
+    @pytest.mark.parametrize("solver", [solve_minmax, solve_maxmin])
+    def test_limit_mode_times_every_schedule_entry(self, spec_2x2, quad_2x2, clock, solver):
+        """It read 25, the last entry's backward loop."""
+        _, report = solver(spec_2x2, GRID, TGRID, quad_2x2, mode="limit", schedule=(1, 2, 4), gap_tol=0.0, raise_on_nonconvergence=False)
+        assert report.schedule == [1, 2, 4]
+        assert report.wall_clock_s == 4 * 1000 + 4 * 100 + 3 * TGRID.n_steps  # a workspace and a gate per entry, and the limit's own
+
+    def test_a_schedule_that_does_not_converge_reports_its_whole_time(self, spec_2x2, quad_2x2, clock):
+        with pytest.raises(ScheduleNonConvergenceError) as err:
+            solve_minmax(spec_2x2, GRID, TGRID, quad_2x2, mode="limit", schedule=(1, 2), gap_tol=0.0)
+        assert err.value.report.wall_clock_s == 3 * 1000 + 3 * 100 + 2 * TGRID.n_steps
+
+    @pytest.mark.parametrize("solve", [
+        lambda *args: solve_minmax(*args, mode="direct"),
+        lambda *args: solve_penalized(*args, 1.0, 1.0),
+        lambda *args: solve_lower_reflected(*args, 1.0),
+    ], ids=["direct", "penalized", "lower"])
+    def test_a_single_solve_times_its_workspace_and_gate(self, spec_2x2, quad_2x2, clock, solve):
+        """It read 25, the backward loop alone."""
+        _, report = solve(spec_2x2, GRID, TGRID, quad_2x2)
+        assert report.wall_clock_s == 1000 + 100 + TGRID.n_steps
 
 
 class TestResiduals:
@@ -1408,25 +1464,18 @@ class TestDriverTableStep:
             ctx = {"t": 0.1, "x": x, "z": 0.5, "q": q[pair], **entries}
             assert_matches_walker(spec_2x2.drivers[pair], table[pair], expected, ctx, f"pair {pair}")
 
-    @pytest.mark.parametrize("q_term", ["0.02*q*y_{i}_{k}", "0.02*q + 0.03*y_{i}_{k}"], ids=["not-affine", "affine"])
+    @pytest.mark.parametrize("q_term", list(CAP_Q_TERMS.values()), ids=list(CAP_Q_TERMS))
     def test_driver_table_at_the_mode_pair_cap(self, q_term, monkeypatch):
         """A 6x6 spec (36 pairs, the cap) matches eval_driver per pair
         (bitwise, or within the forward-error bound for affine drivers), and
         np.broadcast gets few enough arguments for numpy 1.x, which takes 32."""
-        pairs = [(i, j) for i in range(6) for j in range(6)]
-        drivers = {f"{i},{j}": f"0.1*z - 0.2*y_{i}_{j} + 0.01*y_{5 - i}_{j} + " + q_term.format(i=i, k=5 - j) for i, j in pairs}
-        spec = make_spec(modes={"m1": 6, "m2": 6}, drivers=drivers)
+        spec = mode_pair_cap_spec(q_term)
+        pairs = list(spec.modes.pairs())
         x = GRID.axis()
         rng = np.random.default_rng(3)
         y, z = rng.normal(size=(2, 6, 6) + x.shape)
         entries = {driver_variable(i, j): y[i, j] for i, j in pairs}
-        broadcast = np.broadcast
-
-        def capped(*args):
-            assert len(args) <= 32
-            return broadcast(*args)
-
-        monkeypatch.setattr(np, "broadcast", capped)
+        cap_broadcast_arguments(monkeypatch)
         table = spec.driver_evaluator(x)(0.2, y, z, 0.5)
         for pair in pairs:
             expected = spec.eval_driver(pair, 0.2, x, entries, z[pair], 0.5)
@@ -1475,8 +1524,15 @@ class TestDriverProbe:
         original = ProblemSpec.eval_driver
         monkeypatch.setattr(ProblemSpec, "eval_driver", lambda self, *a: calls.update([a[0]]) or original(self, *a))
         assert estimate_driver_lipschitz(spec, GRID, TGRID) == expected
-        n_pairs = spec.modes.m1 * spec.modes.m2
-        assert dict(calls) == {pair: n_pairs + 3 for pair in spec.modes.pairs()}
+        assert dict(calls) == {pair: 1 for pair in spec.modes.pairs()}  # the base point and every bump in one call
+
+    @pytest.mark.parametrize("q_term", list(CAP_Q_TERMS.values()), ids=list(CAP_Q_TERMS))
+    def test_at_the_mode_pair_cap(self, q_term, monkeypatch):
+        """The 6x6 spec's 40 driver bindings, with np.broadcast capped at numpy 1.x's 32 arguments."""
+        spec = mode_pair_cap_spec(q_term)
+        expected = reference_lipschitz(spec, GRID, TGRID)
+        cap_broadcast_arguments(monkeypatch)
+        assert estimate_driver_lipschitz(spec, GRID, TGRID) == expected
 
 
 def shifted_terminal(spec: ProblemSpec, c: float) -> ProblemSpec:
