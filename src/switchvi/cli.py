@@ -92,9 +92,12 @@ class UsageError(Exception):
 
 @contextmanager
 def _config_section(name: str):
-    """Report a bad value read from config section ``name`` as a usage error."""
+    """Report a bad value read from config section ``name`` as a usage error; the problem's own
+    errors, an expression or a jump density that does not evaluate, pass through."""
     try:
         yield
+    except (ExprError, NonIntegrableDensityError):
+        raise
     except (ValueError, IndexError, TypeError, OverflowError) as exc:
         raise UsageError(f"config '{name}': {exc}") from exc
 
@@ -154,12 +157,7 @@ def _grids(cfg: dict, spec: ProblemSpec) -> tuple[SpatialGrid, TimeGrid]:
 def _quadrature(cfg: dict, spec: ProblemSpec):
     q = cfg.get("quadrature", {})
     with _config_section("quadrature"):
-        n_atoms, radius = check_atom_count(q.get("n_atoms", 64)), q.get("radius")
-        if radius is not None and not is_finite_number(radius):
-            raise ValueError(f"radius must be a finite number, got {radius!r}")
-        if radius is not None and spec.levy.density is not None and not radius > spec.levy.cutoff:
-            raise ValueError(f"radius {radius} must exceed the density cutoff {spec.levy.cutoff}")
-    return build_levy_quadrature(spec.levy, n_atoms=n_atoms, radius=radius)
+        return build_levy_quadrature(spec.levy, n_atoms=check_atom_count(q.get("n_atoms", 64)), radius=q.get("radius"))
 
 
 def _scheme(cfg: dict, override_a4: bool) -> SchemeConfig:

@@ -214,11 +214,12 @@ def build_levy_quadrature(
     fine midpoint rule on ``|e| < cutoff``; a density that is negative on
     any cell of either rule is rejected.
     Atoms with weight below 1e-14 are dropped; a ``radius`` that is not a
-    finite number (a boolean or a string either) raises ValueError.
+    finite number (a boolean or a string either), or for a density is not
+    above the cutoff, raises ValueError.
     """
-    if radius is not None and not is_finite_number(radius):
-        raise ValueError(f"radius must be a finite number, got {radius!r}")
     delta = measure.cutoff
+    if radius is not None and not (is_finite_number(radius) and (measure.density is None or radius > delta)):
+        raise ValueError(f"radius must be a finite number, above the cutoff {delta} for a density, got {radius!r}")
     if measure.atoms is not None:
         marks, weights = [], []
         s_small = 0.0
@@ -238,8 +239,6 @@ def build_levy_quadrature(
         )
 
     R = float(radius if radius is not None else measure.radius)
-    if not R > delta > 0.0:
-        raise MalformedSpecError("density quadrature requires radius > cutoff > 0")
     n_half = check_atom_count(n_atoms) // 2
 
     def midpoint(lo: float, hi: float, n_cells: int):

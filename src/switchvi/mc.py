@@ -21,11 +21,10 @@ Each path draws from its own counter-based Philox stream keyed by the
 uint64 pair ``(seed mod 2**64, path index)``, so the batch is reproducible
 and independent of any scheduling.  One generator serves a batch: before
 each path it is re-keyed to the state a fresh ``Philox(key=...)`` starts
-in.  Each path draws its normals, then the uniforms its Poisson counts
-consume; below ``lam = 10`` the counts reproduce numpy's multiplication
-method from those uniforms, block by block of paths, and
-``tests/test_mc.py`` pins them against a fresh generator's ``rng.poisson``
-per path.  Regression assembly uses fixed-order reductions.
+in.  Each path draws its normals, then one uniform per Poisson draw when
+every intensity ``lam`` is in ``(0, 10)``, read block by block of paths by
+inverse transform on one table of the Poisson CDF; otherwise each path calls
+``rng.poisson`` itself.  Regression assembly uses fixed-order reductions.
 
 The pass thresholds reported by the check combine the Monte-Carlo standard
 error with a scheme-bias allowance; both are engineering defaults, not
@@ -112,6 +111,9 @@ class RegressionBasis:
 
 @dataclass
 class BsdeEstimate:
+    """The time-zero estimate per mode pair.  ``stderr`` is ``std(level-one values) / sqrt(P)``, the
+    spread of the values averaged at time zero; it understates ``y0``'s Monte-Carlo error."""
+
     y0: np.ndarray  # (m1, m2)
     stderr: np.ndarray  # (m1, m2)
     n_paths: int
@@ -124,68 +126,21 @@ class BsdeEstimate:
             raise ValueError("standard errors must be non-negative")
 
 
-def _uniforms_per_path(lam: np.ndarray, n_steps: int) -> int:
-    """The uniforms a path's row holds for its counts, or 0 when they are not read from uniforms.
+def _poisson_cdf(lam: np.ndarray) -> np.ndarray:
+    """``F[k, a] = P(N_a <= k)`` for Poisson ``N_a`` of mean ``lam[a]`` in ``(0, 10)``.
 
-    Numpy's multiplication method serves ``0 < lam < 10``.  A draw takes one
-    uniform more than its count, so a path takes one per draw plus its total
-    count, Poisson with mean ``n_steps * sum(lam)``; the row holds that mean
-    plus six standard deviations plus 8.
+    The rows run from ``k = 0`` to the first row where every column is 1.0;
+    64 rows cover ``lam < 10``, whose mass beyond 63 is below 1e-29, so row
+    63 is 1.0.  The pmf ``exp(-lam) lam^k / k!`` is summed from the left
+    while the sum is below 0.5 and from the right above it, as ``1 - P(N_a >
+    k)``, so every entry lies within a few ulps of the exact sum and a column
+    reaches 1.0 where its tail drops below half an ulp of 1.
     """
-    if not (lam.size and 0.0 < lam.min() and lam.max() < 10.0):
-        return 0
-    mean = n_steps * float(lam.sum())
-    return n_steps * lam.size + math.ceil(mean + 6.0 * math.sqrt(mean) + 8.0)
-
-
-def _multiplication_counts(uniforms: np.ndarray, enlam: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Poisson counts of numpy's multiplication method, read from each row's uniforms.
-
-    Row ``r`` of ``uniforms`` ``(B, K)`` holds the doubles a path's generator
-    yields after its normals; ``enlam`` holds ``exp(-lam)`` of each draw, in
-    draw order, and the first ``B`` rows of ``out`` are zeros that take the
-    counts.  As numpy's ``random_poisson_mult`` does, a draw takes uniforms
-    while their running product stays above ``exp(-lam)`` and counts all but
-    the last, so a draw whose first uniform is at most ``exp(-lam)`` takes
-    one and counts 0.  Each pass resolves, in every row still open, the first
-    draw whose first uniform exceeds ``exp(-lam)``, and shifts the row's
-    later draws by the uniforms it took.  Returns the rows that need more
-    than ``K`` uniforms; their counts are incomplete.
-    """
-    k = uniforms.shape[1]
-    last = enlam.size - 1
-    draws = np.arange(enlam.size)
-    shifted = np.lib.stride_tricks.sliding_window_view(uniforms, enlam.size, axis=1)  # [r, s]: row r's uniforms from s on
-    hit = shifted[:, 0] > enlam
-    rows = np.flatnonzero(hit.any(axis=1))
-    hit = hit[rows]
-    shift = np.zeros(rows.size, dtype=np.int64)  # uniforms taken beyond one per draw
-    short = [np.zeros(0, dtype=np.int64)]
-    while rows.size:
-        j = hit.argmax(axis=1)
-        e = enlam[j]
-        at = j + shift
-        prod = uniforms[rows, at]
-        n = np.zeros(rows.size, dtype=np.int64)
-        live = np.ones(rows.size, dtype=bool)
-        while live.any():
-            n += live
-            at += live
-            live &= at < k
-            prod = np.where(live, prod * uniforms[rows, np.minimum(at, k - 1)], prod)
-            live &= prod > e
-        shift += n
-        fits = at < k
-        out[rows[fits], j[fits]] = n[fits]
-        # a row with draws after j reads its last draw's first uniform at last + shift
-        fits &= j < last
-        short += [rows[at >= k], rows[fits & (last + shift >= k)]]
-        fits &= last + shift < k
-        rows, shift, j = rows[fits], shift[fits], j[fits]
-        hit = (shifted[rows, shift] > enlam) & (draws > j[:, None])
-        fits = hit.any(axis=1)
-        rows, shift, hit = rows[fits], shift[fits], hit[fits]
-    return np.concatenate(short)
+    pmf = np.exp(-lam) * lam ** np.arange(64.0)[:, None] / np.array([float(math.factorial(k)) for k in range(64)])[:, None]
+    below = np.cumsum(pmf[:-1], axis=0)
+    above = np.cumsum(pmf[:0:-1], axis=0)[::-1]  # P(N_a > k) for k < 63
+    cdf = np.vstack([np.where(below < 0.5, below, 1.0 - above), np.ones(lam.size)])
+    return cdf[: np.argmax((cdf == 1.0).all(axis=1)) + 1]
 
 
 def simulate_paths(
@@ -210,14 +165,13 @@ def simulate_paths(
     consume, from Philox keyed by ``np.array([seed mod 2**64, p],
     dtype=np.uint64)``: one generator, re-keyed per path to counter 0 and an
     empty buffer, so any integer seed, negative or at least 2**63 included,
-    has its own stream.  The counts are those of ``rng.poisson(lam,
-    size=(n_steps, atoms))``: below ``lam = 10`` numpy's multiplication
-    method multiplies the doubles ``rng.random`` yields, so each path draws
-    a row of uniforms into a block of at most ``_UNIFORM_BLOCK_BYTES``, and
-    :func:`_multiplication_counts` turns a block into counts at once.  A
-    path whose counts need more uniforms than its row holds, and every path
-    when some ``lam`` is not in ``(0, 10)``, is drawn again and calls
-    ``rng.poisson`` itself.
+    has its own stream.  When every ``lam = w_a dt`` is in ``(0, 10)`` the
+    counts come by inverse transform, one uniform per draw: each path draws
+    ``rng.random((n_steps, atoms))`` into a block of at most
+    ``_UNIFORM_BLOCK_BYTES`` (one path at least), and a draw ``u`` of atom
+    ``a`` counts ``#(F[:, a] <= u)`` in the table ``F`` of
+    :func:`_poisson_cdf`.  Otherwise every path calls ``rng.poisson(lam,
+    size=(n_steps, atoms))`` itself.
     """
     if not is_integer(n_paths) or n_paths < 1:
         raise ValueError(f"need an integer of at least one path, got {n_paths!r}")
@@ -253,26 +207,29 @@ def simulate_paths(
         bitgen.state = fresh
         rng.standard_normal(out=dB[p])
 
-    width = _uniforms_per_path(lam, n_steps)
-    redraw = range(n_paths)
-    if 0 < 8 * width <= _UNIFORM_BLOCK_BYTES:
-        # exp(-lam) by the libm exp numpy's C code calls, in draw order: step-major, atom-minor
-        enlam = np.tile([math.exp(-v) for v in lam.tolist()], n_steps)
-        flat = counts.reshape(n_paths, -1)
-        block = min(n_paths, _UNIFORM_BLOCK_BYTES // (8 * width))
-        uniforms = np.empty((block, width))
-        redraw = []
+    if n_atoms and 0.0 < lam.min() and lam.max() < 10.0:
+        cdf = _poisson_cdf(lam)
+        flat = counts.reshape(-1)
+        block = max(1, min(n_paths, _UNIFORM_BLOCK_BYTES // (8 * n_steps * n_atoms)))
+        uniforms = np.empty((block, n_steps, n_atoms))
         for lo in range(0, n_paths, block):
             rows = uniforms[: min(block, n_paths - lo)]
             for p, row in enumerate(rows, start=lo):
                 draw_normals(p)
                 rng.random(out=row)
-            redraw += (lo + _multiplication_counts(rows, enlam, flat[lo:])).tolist()
+            # a draw below F[0] = exp(-lam) counts 0; the rest count #(F[:, a] <= u)
+            hit = np.flatnonzero(rows >= cdf[0])
+            u, atom = rows.ravel()[hit], hit % n_atoms
+            n = np.ones(hit.size, dtype=np.int64)
+            for row_cdf in cdf[1:]:
+                n += row_cdf[atom] <= u
+            flat[lo * n_steps * n_atoms + hit] = n
         del uniforms
-    for p in redraw:
-        draw_normals(p)
-        if n_atoms:
-            counts[p] = rng.poisson(lam, size=(n_steps, n_atoms))
+    else:
+        for p in range(n_paths):
+            draw_normals(p)
+            if n_atoms:
+                counts[p] = rng.poisson(lam, size=(n_steps, n_atoms))
     dB *= math.sqrt(dt)
 
     times = tgrid.times()

@@ -352,6 +352,11 @@ class TestBadConfigValues:
                 "solve", {"problem": density_problem("0.4*exp(-abs(e))", radius=0.05, cutoff=0.1)},
                 "problem definition error: ", id="problem-radius-below-cutoff",
             ),
+            # the quadrature is built inside the config's quadrature section; the density's own error stays the problem's
+            pytest.param(
+                "solve", {"problem": density_problem("log(e)")},
+                "problem definition error: non-finite result in subexpression 'log(e)'", id="density-does-not-evaluate",
+            ),
             *(
                 pytest.param(
                     "solve", {"problem": density_problem("0.4*exp(-abs(e))", cutoff=0.05), "quadrature": {"n_atoms": n}},

@@ -180,6 +180,18 @@ class TestQuadrature:
             build_levy_quadrature(spec, radius=radius)
         assert type(err.value) is ValueError
 
+    @pytest.mark.parametrize("radius", [0.2, 0.1, -1.0], ids=["at", "below", "negative"])
+    def test_a_density_radius_must_exceed_the_cutoff(self, radius):
+        """The CLI kept this rule apart; the library raised ``density quadrature requires radius > cutoff > 0``."""
+        spec = LevyMeasureSpec.from_dict({"density": "1", "radius": 1.0, "cutoff": 0.2})
+        with pytest.raises(ValueError, match="radius") as err:
+            build_levy_quadrature(spec, radius=radius)
+        assert type(err.value) is ValueError
+
+    def test_atoms_read_no_radius(self):
+        spec = LevyMeasureSpec.from_dict({"atoms": [[0.5, 0.4]], "cutoff": 0.2})
+        assert build_levy_quadrature(spec, radius=0.1).marks.tolist() == [0.5]
+
     def test_a_numpy_radius_is_a_number(self):
         spec = LevyMeasureSpec.from_dict({"density": "1", "radius": 1.0, "cutoff": 0.2})
         np.testing.assert_array_equal(build_levy_quadrature(spec, radius=np.float64(2.0)).marks, build_levy_quadrature(spec, radius=2.0).marks)

@@ -115,16 +115,33 @@ class TestSeedKeys:
             np.testing.assert_array_equal(top.brownian[p], rng.standard_normal(TG.n_steps) * math.sqrt(TG.dt))
 
 
+def fsum_cdf(lam):
+    """``P(N <= k)`` for ``k = 0, ..., 63`` and Poisson ``N`` of mean ``lam``, by ``math.fsum`` of the pmf."""
+    terms = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(64)]
+    return np.array([math.fsum(terms[: k + 1]) for k in range(64)])
+
+
 def reference_paths(spec, quad, x0, n_paths, tgrid, seed):
-    """The per-path loop with a fresh ``Generator(Philox(key=uint64 [seed, p]))`` per path."""
+    """The per-path loop with a fresh ``Generator(Philox(key=uint64 [seed, p]))`` per path.
+
+    Each path draws its normals, then, when every ``lam`` is in ``(0, 10)``,
+    one uniform per draw that counts by inverse transform on the ``fsum`` CDF;
+    otherwise it calls ``rng.poisson``.
+    """
     dt = tgrid.dt
+    lam = quad.weights * dt
+    cdfs = [fsum_cdf(v) for v in lam.tolist()] if quad.n_atoms and 0.0 < lam.min() and lam.max() < 10.0 else None
     brownian = np.empty((n_paths, tgrid.n_steps))
     counts = np.zeros((n_paths, tgrid.n_steps, quad.n_atoms), dtype=np.int64)
     for p in range(n_paths):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, p], dtype=np.uint64)))
         brownian[p] = rng.standard_normal(tgrid.n_steps) * math.sqrt(dt)
-        if quad.n_atoms:
-            counts[p] = rng.poisson(quad.weights * dt, size=(tgrid.n_steps, quad.n_atoms))
+        if cdfs is not None:
+            u = rng.random((tgrid.n_steps, quad.n_atoms))
+            for a, cdf in enumerate(cdfs):
+                counts[p, :, a] = np.searchsorted(cdf, u[:, a], side="right")
+        elif quad.n_atoms:
+            counts[p] = rng.poisson(lam, size=(tgrid.n_steps, quad.n_atoms))
     states = np.empty((n_paths, tgrid.n_steps + 1))
     states[:, 0] = x0
     for k, t in enumerate(tgrid.times()[:-1].tolist()):
@@ -171,57 +188,98 @@ def assert_equals_reference(spec, quad, n_paths, seed):
 
 @pytest.fixture
 def count_blocks(monkeypatch):
-    """Spy on the block pass: the bytes of the block buffer behind each call, and the rows it could not finish."""
+    """Spy on the count reading: the ``(paths, n_steps, atoms)`` shape of each block of uniforms."""
     seen = []
-    counts = mc._multiplication_counts
+    flatnonzero = np.flatnonzero
 
-    def spy(uniforms, enlam, out):
-        short = counts(uniforms, enlam, out)
-        seen.append((uniforms.base.nbytes, len(uniforms), short.tolist()))
-        return short
+    def spy(a):
+        if a.ndim == 3:
+            seen.append(a.shape)
+        return flatnonzero(a)
 
-    monkeypatch.setattr(mc, "_multiplication_counts", spy)
+    monkeypatch.setattr(mc.np, "flatnonzero", spy)
     return seen
 
 
 class TestCountsFromUniforms:
-    """The counts read from each path's uniforms are bitwise those of ``rng.poisson``."""
+    """Inverse transform on one uniform per draw gives the reference's counts, block by block of paths."""
 
     @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1, 2**63, 2**64 - 1, -1])
-    @pytest.mark.parametrize("lams", [(0.004,), (0.5,), (3.0,), (9.5,), (12.0,), (0.004, 3.0, 9.99)], ids=repr)
+    @pytest.mark.parametrize(
+        "lams", [(0.004,), (0.5,), (3.0,), (9.5,), (12.0,), (0.004, 3.0, 9.99), (0.004, 12.0)], ids=repr
+    )
     def test_equals_the_per_path_reference(self, lams, seed, count_blocks):
         spec = lam_spec(*lams)
         quad = build_levy_quadrature(spec.levy)
         counts = assert_equals_reference(spec, quad, 120, seed)
         assert counts.sum() > 0
-        # lam >= 10 is numpy's rejection sampler, drawn path by path; below it every path reads its block
-        assert count_blocks == ([] if max(lams) >= 10.0 else [(count_blocks[0][0], 120, [])])
-        assert all(nbytes <= mc._UNIFORM_BLOCK_BYTES for nbytes, _, _ in count_blocks)
+        # with some lam >= 10 every path calls rng.poisson; below it every path reads one block
+        assert count_blocks == ([] if max(lams) >= 10.0 else [(120, TG.n_steps, len(lams))])
 
     def test_one_path_past_a_block_boundary(self, monkeypatch, count_blocks):
         spec = lam_spec(0.5, 0.004)
-        quad = build_levy_quadrature(spec.levy)
-        width = mc._uniforms_per_path(quad.weights * TG.dt, TG.n_steps)
-        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 3 * 8 * width + 8)
-        assert_equals_reference(spec, quad, 10, seed=5)
-        assert [rows for _, rows, _ in count_blocks] == [3, 3, 3, 1]
-        assert all(nbytes == 3 * 8 * width for nbytes, _, _ in count_blocks)
+        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 3 * 8 * TG.n_steps * 2 + 8)
+        assert_equals_reference(spec, build_levy_quadrature(spec.levy), 10, seed=5)
+        assert count_blocks == [(3, TG.n_steps, 2)] * 3 + [(1, TG.n_steps, 2)]
 
-    def test_rows_too_short_take_the_per_path_draw(self, monkeypatch, count_blocks):
-        spec = lam_spec(0.04, 0.004)
-        quad = build_levy_quadrature(spec.levy)
-        # two spare uniforms per path, where a path counts 2.2 jumps on average
-        monkeypatch.setattr(mc, "_uniforms_per_path", lambda lam, n_steps: n_steps * lam.size + 2)
-        assert_equals_reference(spec, quad, 200, seed=3)
-        short = sorted(p for _, _, rows in count_blocks for p in rows)
-        assert 0 < len(short) < 200 and len(set(short)) == len(short)
+    def test_a_path_wider_than_the_cap_reads_a_block_of_its_own(self, monkeypatch, count_blocks):
+        spec = lam_spec(0.5, 0.004)
+        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 8)
+        assert_equals_reference(spec, build_levy_quadrature(spec.levy), 4, seed=5)
+        assert count_blocks == [(1, TG.n_steps, 2)] * 4
 
     def test_the_block_buffer_stays_under_its_cap(self, count_blocks):
         spec = load_builtin_problem("switch_2x2_jump")
         quad = build_levy_quadrature(spec.levy)
         batch = simulate_paths(spec, quad, 0.0, 3_000, TG, seed=1)
-        assert len(count_blocks) > 1 and sum(rows for _, rows, _ in count_blocks) == batch.n_paths
-        assert all(nbytes <= mc._UNIFORM_BLOCK_BYTES for nbytes, _, _ in count_blocks)
+        assert len(count_blocks) > 1 and sum(rows for rows, _, _ in count_blocks) == batch.n_paths
+        assert all(8 * math.prod(shape) <= mc._UNIFORM_BLOCK_BYTES for shape in count_blocks)
+
+    def test_a_path_does_not_depend_on_the_batch(self, monkeypatch):
+        spec = lam_spec(0.5, 3.0)
+        quad = build_levy_quadrature(spec.levy)
+        whole = simulate_paths(spec, quad, 0.1, 40, TG, seed=2)
+        first = simulate_paths(spec, quad, 0.1, 7, TG, seed=2)
+        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 3 * 8 * TG.n_steps * 2)
+        blocked = simulate_paths(spec, quad, 0.1, 40, TG, seed=2)
+        for batch in (first, blocked):
+            n = batch.n_paths
+            assert batch.states.tobytes() == whole.states[:n].tobytes()
+            assert batch.jump_counts.tobytes() == whole.jump_counts[:n].tobytes()
+
+
+class TestPoissonCdf:
+    LAMS = np.concatenate([np.geomspace(1e-6, 9.999, 60), np.linspace(0.05, 9.95, 100)])
+
+    def test_within_four_ulps_of_the_fsum_cdf(self):
+        cdf = mc._poisson_cdf(self.LAMS)
+        assert cdf.shape[1] == self.LAMS.size and cdf.shape[0] < 64
+        # trimmed after the first row where every column is 1.0
+        assert (cdf[-1] == 1.0).all() and not (cdf[-2] == 1.0).all()
+        for a, lam in enumerate(self.LAMS.tolist()):
+            want = fsum_cdf(lam)
+            got = np.concatenate([cdf[:, a], np.ones(64 - cdf.shape[0])])
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), lam
+
+    @staticmethod
+    def worst_count_z(lams, n_draws=10**6):
+        """The largest ``|z|`` of a count's frequency against the exact pmf, over ``n_draws`` draws per ``lam``."""
+        spec = lam_spec(*lams)
+        batch = simulate_paths(spec, build_levy_quadrature(spec.levy), 0.0, n_draws // TG.n_steps, TG, seed=17)
+        worst = 0.0
+        for a, lam in enumerate(lams):
+            freq = np.bincount(batch.jump_counts[:, :, a].ravel(), minlength=64) / n_draws
+            pmf = np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(freq.size)])
+            worst = max(worst, float(np.max(np.abs(freq - pmf) / np.sqrt(pmf * (1.0 - pmf) / n_draws))))
+        return worst
+
+    def test_counts_follow_the_poisson_law(self):
+        assert self.worst_count_z((0.004, 0.5, 3.0, 9.5)) <= 5.0
+
+    def test_the_law_test_sees_a_table_without_its_first_row(self, monkeypatch):
+        cdf = mc._poisson_cdf
+        monkeypatch.setattr(mc, "_poisson_cdf", lambda lam: cdf(lam)[1:])
+        assert self.worst_count_z((0.004, 0.5, 3.0, 9.5)) > 5.0
 
 
 class TestArguments:
@@ -290,6 +348,8 @@ class TestBsdeRegression:
         assert est.y0[0, 0] == pytest.approx(0.35, abs=1e-8)
 
     def test_martingale_terminal_identity(self):
+        """Terminal data ``x`` and no driver: ``y0`` estimates ``E[X_T] = x0``.  ``est.stderr``
+        is the spread of the level-one values, not ``y0``'s error, so it bounds nothing here."""
         spec = make_spec(
             modes={"m1": 1, "m2": 1},
             drift="0",
@@ -304,8 +364,12 @@ class TestBsdeRegression:
         )
         quad = build_levy_quadrature(spec.levy)
         batch = simulate_paths(spec, quad, 0.3, 10_000, TG, seed=11)
-        est = solve_bsde_regression(batch, 0.0, 0.0)
-        assert abs(est.y0[0, 0] - 0.3) <= 4 * est.stderr[0, 0]
+        est = solve_bsde_regression(batch, 0.0, 0.0, RegressionBasis(1))
+        # least squares with an intercept keeps means, so with no driver y0 is the mean of X_T
+        xt = batch.states[:, -1]
+        assert abs(est.y0[0, 0] - xt.mean()) <= 1e-12
+        # and X_T is a martingale's terminal value: its mean lies within four of its own standard errors of x0
+        assert abs(xt.mean() - 0.3) <= 4 * xt.std(ddof=1) / math.sqrt(batch.n_paths)
 
     def test_too_few_paths_guard(self, spec_two_atom, quad_two_atom):
         batch = simulate_paths(spec_two_atom, quad_two_atom, 0.0, 1, TG, seed=1)
