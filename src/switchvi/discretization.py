@@ -7,11 +7,14 @@ and re-enters the generator as a matched diffusion correction
 which keeps the small-jump part of the non-local integral bounded while
 preserving its infinitesimal variance.
 
-Stencil conventions.  Each has a single implementation here, and the solver
-step calls it: ``gradient_surface``, ``upwind_drift`` and
-``second_derivative_surface`` all act along the last (node) axis, so one
-call covers every mode pair.  The dynamic-programming cross-check keeps its
-own independent copy.
+Stencil conventions.  Each has a single implementation here:
+``gradient_surface``, ``upwind_drift`` and ``second_derivative_surface`` all
+act along the last (node) axis, so one call covers every mode pair.  The
+solver step calls ``gradient_surface`` for drivers that read ``z``; the other
+two it does not call at every step: the solver reads them into three weights
+per node once per step time, by applying them to three interleaved
+indicator vectors (``pde_solver._Workspace.local_weights``).  The
+dynamic-programming cross-check keeps its own independent copy.
 
 * first derivative surfaces (``gradient_surface``): central differences
   inside, one-sided first-order at the two boundary nodes;
@@ -49,8 +52,10 @@ depend on ``t``, so ``jump_operator`` assembles them once per workspace as
 dense ``nodes x nodes`` matrices, with ``P_k`` the interpolation at ``x +
 beta(x, e_k)``: the generator ``sum_k w_k (P_k - I)`` and one driver matrix
 ``sum_k w_k gamma_k (P_k - I)`` per distinct gamma table (pairs with
-bitwise-equal tables share one).  ``JumpOperator.apply`` runs both on a
-whole ``(m1, m2, nodes)`` stack with one matrix product each.  Each
+bitwise-equal tables share one), stacked, transposed, side by side in one
+array.  ``JumpOperator.apply`` runs them all on a whole ``(m1, m2, nodes)``
+stack with one matrix product and reads each pair's driver sum off its own
+table's block.  Each
 destination adds its two cell ends ``(lo, 1 - theta)`` and ``(lo + 1,
 theta)`` of the destination table to its row, the clamped ones included.
 Dense storage costs ``(1 + distinct gamma tables) x nodes^2`` doubles.  The
@@ -374,36 +379,44 @@ def small_jump_variance(spec: ProblemSpec, quad: LevyQuadrature, x: np.ndarray) 
 
 @dataclass(frozen=True, eq=False)
 class JumpOperator:
-    """The jump sums of one workspace as matrices, built once by :func:`jump_operator`.
+    """The jump sums of one workspace as one stacked matrix, built once by :func:`jump_operator`.
 
-    ``generator`` is ``sum_k w_k (P_k - I)`` and ``drivers[d]`` is
-    ``sum_k w_k gamma_k (P_k - I)`` for the ``d``-th distinct gamma table;
-    ``driver_index[i, j]`` is the table of pair ``(i, j)``.  ``P_k``
-    interpolates at ``x + beta(x, e_k)`` and clamps outside the box.  The
-    compensator ``sum_k w_k beta_k`` is not here: it is upwinded with the
-    drift (see the module docstring).
+    ``stacked`` is the C-contiguous ``(nodes, (1 + tables) nodes)`` matrix
+    ``[generator | drivers[0] | drivers[1] | ...]^T``: the generator ``sum_k
+    w_k (P_k - I)`` and, for the ``d``-th distinct gamma table, ``sum_k w_k
+    gamma_k (P_k - I)``, each transposed in a column block of its own;
+    ``generator`` and ``drivers`` are views of it.  ``driver_index[i, j]``
+    is the table of pair ``(i, j)``.  ``P_k`` interpolates at ``x + beta(x,
+    e_k)`` and clamps outside the box.  The compensator ``sum_k w_k beta_k``
+    is not here: it is upwinded with the drift (see the module docstring).
     """
 
-    generator: np.ndarray
-    drivers: np.ndarray
+    stacked: np.ndarray
     driver_index: np.ndarray
 
+    @property
+    def generator(self) -> np.ndarray:
+        n = self.stacked.shape[0]
+        return self.stacked[:, :n].T
+
+    @property
+    def drivers(self) -> np.ndarray:
+        n = self.stacked.shape[0]
+        return self.stacked.reshape(n, -1, n)[:, 1:].transpose(1, 2, 0)
+
     def apply(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both jump sums of an ``(m1, m2, nodes)`` stack.
+        """Both jump sums of an ``(m1, m2, nodes)`` stack, by one matrix product.
 
         Returns the redistribution ``sum_k w_k [v(x+beta_k) - v]`` and the
-        drivers' jump argument, each of the stack's shape.  Neither the
-        compensator nor the small-jump surrogate is included: they enter as
-        drift and as diffusion.
+        drivers' jump argument, each of the stack's shape; each pair's
+        argument is read off its own table's block.  Neither the compensator
+        nor the small-jump surrogate is included: they enter as drift and as
+        diffusion.
         """
         flat = values.reshape(-1, values.shape[-1])
-        gen = flat @ self.generator.T
-        index = self.driver_index.reshape(-1)
-        q = np.empty_like(flat)
-        for d, matrix in enumerate(self.drivers):
-            sel = index == d
-            q[sel] = flat[sel] @ matrix.T
-        return gen.reshape(values.shape), q.reshape(values.shape)
+        sums = (flat @ self.stacked).reshape(len(flat), -1, flat.shape[-1])
+        q = sums[np.arange(len(flat)), 1 + self.driver_index.reshape(-1)]
+        return sums[:, 0].reshape(values.shape), q.reshape(values.shape)
 
 
 def jump_operator(
@@ -412,7 +425,7 @@ def jump_operator(
     beta: np.ndarray,
     gamma: np.ndarray,
 ) -> JumpOperator:
-    """Assemble the jump sums over ``quad``'s atoms as ``nodes x nodes`` matrices.
+    """Assemble the jump sums over ``quad``'s atoms as one stacked matrix.
 
     ``beta`` is the ``(atoms, nodes)`` table of ``beta(x, e_k)`` and
     ``gamma`` the ``(m1, m2, atoms, nodes)`` table of ``gamma_ij(x, e_k)``.
@@ -428,15 +441,19 @@ def jump_operator(
     index = np.array([ids.setdefault(g.tobytes(), len(ids)) for g in pair_tables])
     tables = pair_tables[np.unique(index, return_index=True)[1]]
 
-    # the two cell ends of every (atom, row) destination, stacked on a leading axis
+    # entry (row, col) of the d-th matrix sits at stacked[col, d * n + row]; the
+    # two cell ends of every (atom, row) destination, stacked on a leading axis
+    width = (1 + len(tables)) * n
     row = np.arange(n)
-    flat = np.stack([row * n + table.lo, row * n + table.lo + 1]).ravel()
+    flat = np.stack([table.lo * width + row, (table.lo + 1) * width + row]).ravel()
+    diagonal = row * (width + 1)
     ent_w = w * np.stack([1.0 - table.theta, table.theta])
 
-    mats = np.zeros((1 + len(tables), n, n))
-    np.add.at(mats[0].reshape(-1), flat, ent_w.ravel())
-    mats[0].reshape(-1)[:: n + 1] -= np.sum(quad.weights)
+    stacked = np.zeros((n, width))
+    entries = stacked.reshape(-1)
+    np.add.at(entries, flat, ent_w.ravel())
+    entries[diagonal] -= np.sum(quad.weights)
     for d, g in enumerate(tables, start=1):
-        np.add.at(mats[d].reshape(-1), flat, (ent_w * g).ravel())
-        mats[d].reshape(-1)[:: n + 1] -= np.sum(w * g, axis=0)
-    return JumpOperator(mats[0], mats[1:], index.reshape(m1, m2))
+        np.add.at(entries, flat + d * n, (ent_w * g).ravel())
+        entries[diagonal + d * n] -= np.sum(w * g, axis=0)
+    return JumpOperator(stacked, index.reshape(m1, m2))

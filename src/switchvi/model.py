@@ -107,14 +107,14 @@ def driver_variable(i: int, j: int) -> str:
     return f"y_{i}_{j}"
 
 
-def neg_part(x):
-    """(-x) v 0, elementwise."""
-    return np.maximum(-x, 0.0)
+def neg_part(x, out=None):
+    """(-x) v 0, elementwise, into ``out`` when given."""
+    return np.maximum(np.negative(x, out=out), 0.0, out=out)
 
 
-def pos_part(x):
-    """x v 0, elementwise."""
-    return np.maximum(x, 0.0)
+def pos_part(x, out=None):
+    """x v 0, elementwise, into ``out`` when given."""
+    return np.maximum(x, 0.0, out=out)
 
 
 @dataclass(frozen=True)

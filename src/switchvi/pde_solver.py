@@ -35,12 +35,16 @@ explicit treatment.
 
 Within one backward step node updates only read the previous level, so they
 are order-independent: the step works on the whole ``(m1, m2, nodes)`` stack
-at once, the jump sums included (one matrix product per assembled jump
-matrix), and the drivers of all pairs come as one table from the workspace's
-one driver evaluator (``ProblemSpec.driver_evaluator``), which sums an
-affine driver's linear form ``g0 + A·y + B z + C q`` in a fixed order,
-within rounding of the driver's own tree, and gives any other driver
-bitwise; only the implicit diffusion solves pair by pair.  That banded
+at once, the jump sums included (one matrix product with the stacked jump
+operator), and the drivers of all pairs come as one table from the
+workspace's one driver evaluator (``ProblemSpec.driver_evaluator``), which
+sums an affine driver's linear form ``g0 + A·y + B z + C q`` in a fixed
+order, within rounding of the driver's own tree, and gives any other driver
+bitwise.  The local part, the upwinded drift and in explicit mode the
+diffusion, enters as three weights per node (``_Workspace.local_weights``),
+read off the stencil helpers once per distinct step time, so a step is
+``dt (jumps + drivers + penalties)`` plus three weighted slices of the
+previous level; only the implicit diffusion solves pair by pair.  That banded
 solve is the package's one use of scipy, imported at the first implicit
 step, so the package imports and explicit solves run without loading scipy.
 An obstacle sweep is a run of whole-stack passes: each projects every pair
@@ -293,7 +297,7 @@ class _Workspace:
         # the step computes the gradient z = sigma Dv only for drivers that read it
         self._drivers_read_z = any("z" in exprdsl.free_variables(e) for e in spec.drivers.values())
         self.drivers = spec.driver_evaluator(self.x)
-        self._local = self._costs = self._banded = None
+        self._local = self._local_t = self._weights = self._costs = None
 
     # -- pieces ------------------------------------------------------------
 
@@ -347,12 +351,44 @@ class _Workspace:
 
     def local_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Upwind parts ``b^+``, ``b^-`` of the drift less the compensator, volatility and
-        diffusion coefficient at t; callers must not write to them."""
-        if self._local is None or self._local_reads_t:
+        diffusion coefficient at t, evaluated once per distinct t, or once if
+        neither drift nor volatility reads t; callers must not write to them."""
+        if self._local is None or (self._local_reads_t and t != self._local_t):
             b = self.spec.eval_drift(t, self.x) - self.compensator
             sig = self.spec.eval_vol(t, self.x)
             self._local = np.maximum(b, 0.0), np.minimum(b, 0.0), sig, 0.5 * sig**2 + self.corr_coeff
+            self._local_t, self._weights = t, None
         return self._local
+
+    def local_weights(self, t: float) -> tuple:
+        """The step's local part at t as weights, formed with
+        :meth:`local_coefficients`: ``v + dt (b^+ D^+ v + b^- D^- v)``, plus
+        ``dt a D2 v`` in explicit mode, is ``centre * v`` plus ``lower * v[:-1]``
+        on nodes 1 to n - 1 and ``upper * v[1:]`` on nodes 0 to n - 2.  The
+        fourth entry is the banded matrix of ``I - dt a D2`` for the implicit
+        solve in IMEX mode, None in explicit mode.  The weights are read off
+        ``upwind_drift`` and ``second_derivative_surface`` applied once to the
+        indicator stack of ``arange(n) % 3 == c``, ``c = 0, 1, 2``: the three
+        nodes of any row's stencil lie in distinct rows of that stack (Curtis,
+        Powell & Reid, J. Inst. Maths Applics 13, 1974).  Callers must not
+        write to them."""
+        bp, bm, _, a_diff = self.local_coefficients(t)
+        if self._weights is None:
+            probes = (np.arange(self.n_nodes) % 3 == np.arange(3)[:, None]).astype(float)
+            local = upwind_drift(probes, self.grid, self.dt * bp, self.dt * bm)
+            diffusion = (self.dt * a_diff) * second_derivative_surface(probes, self.grid)
+            banded = None
+            if self.config.mode == "explicit":
+                local += diffusion
+            else:
+                lower, centre, upper = _read_weights(diffusion)
+                banded = np.zeros((3, self.n_nodes))
+                banded[0, 1:] = -upper  # superdiagonal
+                banded[1] = 1.0 - centre
+                banded[2, :-1] = -lower  # subdiagonal
+            lower, centre, upper = _read_weights(local)
+            self._weights = lower, centre + 1.0, upper, banded
+        return self._weights
 
     # -- the explicit / imex step ------------------------------------------
 
@@ -360,28 +396,29 @@ class _Workspace:
         """One backward step; all coupling terms read the previous level.
 
         ``obstacles`` is ``eval_obstacles`` of ``values`` at ``t_next``; the
-        penalties read it.
+        penalties read it.  The result is ``dt (jumps + drivers + penalties)``
+        plus the local part by its weights (:meth:`local_weights`), then, in
+        IMEX mode, the implicit diffusion solve.
         """
-        bp, bm, sig, a_diff = self.local_coefficients(t_next)
-
-        rhs = upwind_drift(values, self.grid, bp, bm)
-        z = sig * gradient_surface(values, self.grid) if self._drivers_read_z else 0.0
-        q = 0.0
-        if self.jumps is not None:
+        lower, centre, upper, banded = self.local_weights(t_next)
+        z = self.local_coefficients(t_next)[2] * gradient_surface(values, self.grid) if self._drivers_read_z else 0.0
+        if self.jumps is None:
+            out = self.drivers(t_next, values, z, 0.0)
+        else:
             jump_gen, q = self.jumps.apply(values)
-            rhs += jump_gen
-        rhs += self.drivers(t_next, values, z, q)
-
-        if self.config.mode == "explicit":
-            rhs += a_diff * second_derivative_surface(values, self.grid)
+            out = self.drivers(t_next, values, z, q)
+            out += jump_gen
         if n > 0.0:
-            rhs += n * neg_part(values - obstacles[0])
+            out += n * neg_part(values - obstacles[0])
         if m > 0.0:
-            rhs -= m * pos_part(values - obstacles[1])
-        out = values + self.dt * rhs
+            out -= m * pos_part(values - obstacles[1])
+        out *= self.dt
+        out += centre * values
+        out[..., 1:] += lower * values[..., :-1]
+        out[..., :-1] += upper * values[..., 1:]
 
-        if self.config.mode == "imex":
-            out = self._implicit_diffusion(out, a_diff)
+        if banded is not None:
+            out = self._implicit_diffusion(out, banded)
         if not np.all(np.isfinite(out)):
             bad = np.argwhere(~np.isfinite(out))[0]
             raise FloatingPointError(
@@ -389,26 +426,25 @@ class _Workspace:
             )
         return out
 
-    def _implicit_diffusion(self, values: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
-        """Solve (I - dt * a * D2) v = rhs per surface, in place in ``values``,
-        which it returns; clamped ghost rows.  The solve skips scipy's
-        finiteness check: the step checks its result.  scipy is imported here,
-        at the first implicit step, and ``solve_banded`` looked up on
-        ``scipy.linalg`` at every call, so explicit runs never load scipy."""
+    def _implicit_diffusion(self, values: np.ndarray, banded: np.ndarray) -> np.ndarray:
+        """Solve ``banded`` v = rhs per surface, in place in ``values``, which it
+        returns.  The solve skips scipy's finiteness check: the step checks its
+        result.  scipy is imported here, at the first implicit step, and
+        ``solve_banded`` looked up on ``scipy.linalg`` at every call, so
+        explicit runs never load scipy."""
         import scipy.linalg
 
-        if self._banded is None or self._local_reads_t:
-            r = self.dt * a_diff / self.dx**2
-            ab = np.zeros((3, self.n_nodes))
-            ab[0, 1:] = -r[:-1]  # superdiagonal
-            ab[2, :-1] = -r[1:]  # subdiagonal
-            ab[1] = 1.0 + 2.0 * r
-            ab[1, 0] = 1.0 + r[0]
-            ab[1, -1] = 1.0 + r[-1]
-            self._banded = ab
         for i, j in self.pairs:
-            values[i, j] = scipy.linalg.solve_banded((1, 1), self._banded, values[i, j], overwrite_b=True, check_finite=False)
+            values[i, j] = scipy.linalg.solve_banded((1, 1), banded, values[i, j], overwrite_b=True, check_finite=False)
         return values
+
+
+def _read_weights(probed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A three-point stencil's ``(lower, centre, upper)`` weights per node, read
+    off its ``(3, n)`` action ``probed`` on the indicator stack of ``arange(n) %
+    3 == c``: node k's weight of node j sits in row ``j % 3``, column k."""
+    k = np.arange(probed.shape[-1])
+    return probed[(k[1:] - 1) % 3, k[1:]], probed[k % 3, k], probed[(k[:-1] + 1) % 3, k[:-1]]
 
 
 # --- obstacle sweeps --------------------------------------------------------
@@ -443,18 +479,20 @@ def _sweep(values: np.ndarray, costs: tuple, sides: tuple, config: SchemeConfig)
     """Whole-stack passes of ``_project`` onto the obstacles ``sides`` to their
     exact fixed point (module docstring), in place, on the obstacle costs
     ``_Workspace.obstacle_costs``; a zero-sum loop can keep them cycling until
-    the cap.  An entry a pass does not change keeps its bytes, a -0.0 included.
-    Returns the changed-pass count and ``(L, U)``, ``eval_obstacles`` of the
-    swept values."""
+    the cap, which raises with the last pass's largest change.  An entry a pass
+    does not change keeps its bytes, a -0.0 included.  Returns the
+    changed-pass count and ``(L, U)``, ``eval_obstacles`` of the swept values."""
     pde_values = values.copy()
+    changed = np.empty(values.shape, dtype=bool)
     for passes in range(config.max_sweeps):
         obstacles = eval_obstacles(values, costs)
         new = _project(pde_values, *obstacles, sides)
-        delta = np.abs(new - values)
-        if not delta.any():
+        if not np.not_equal(new, values, out=changed).any():
             return passes, obstacles
-        np.copyto(values, new, where=delta > 0.0)
-    raise SweepNonConvergenceError(float(delta.max()), config.max_sweeps)
+        if passes == config.max_sweeps - 1:
+            worst_residual = float(np.max(np.abs(new - values)))
+        np.copyto(values, new, where=changed)
+    raise SweepNonConvergenceError(worst_residual, config.max_sweeps)
 
 
 # --- assumption gates -------------------------------------------------------
@@ -473,12 +511,17 @@ def _gate_loops(spec: ProblemSpec, grid: SpatialGrid, tgrid: TimeGrid, sides: tu
 # --- backward solves --------------------------------------------------------
 
 
-def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float, obstacles=None) -> tuple[np.ndarray, np.ndarray]:
-    """Append the level's obstacle violations; returns the obstacles ``(L, U)``,
-    the caller's ``obstacles`` of ``values`` when it holds them."""
+def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, t: float, obstacles=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    """Append the level's obstacle violations, computed in ``scratch``, an array
+    of the level's shape, when given; returns the obstacles ``(L, U)``, the
+    caller's ``obstacles`` of ``values`` when it holds them."""
     L, U = obstacles if obstacles is not None else eval_obstacles(values, ws.obstacle_costs(t))
-    low = float(np.max(neg_part(values - L))) if ws.m1 > 1 else 0.0
-    up = float(np.max(pos_part(values - U))) if ws.m2 > 1 else 0.0
+    scratch = np.empty_like(values) if scratch is None else scratch
+    low = up = 0.0
+    if ws.m1 > 1:
+        low = float(np.max(neg_part(np.subtract(values, L, out=scratch), scratch)))
+    if ws.m2 > 1:
+        up = float(np.max(pos_part(np.subtract(values, U, out=scratch), scratch)))
     report.obstacle_lower_violation.append(low)
     report.obstacle_upper_violation.append(up)
     return L, U
@@ -486,8 +529,8 @@ def _record_obstacles(report: SolverReport, ws: _Workspace, values: np.ndarray, 
 
 def _solve_backward(ws: _Workspace, n: float, m: float, sides: tuple, system: str) -> tuple[Trajectory, SolverReport]:
     """Step from the terminal level to time 0, projecting onto the obstacles
-    ``sides`` and penalizing the others, recording each level's obstacle
-    violations.  The terminal level's two recorded violations are its
+    ``sides`` and penalizing the others, recording each level's update norm and
+    obstacle violations.  The terminal level's two recorded violations are its
     ``terminal_inconsistency``, the terminal-consistency check; only when it
     fails does ``validate_terminal_consistency`` run, to report the failure."""
     n, m = _penalties(sides, n, m)
@@ -498,7 +541,8 @@ def _solve_backward(ws: _Workspace, n: float, m: float, sides: tuple, system: st
     n_levels = ws.tgrid.n_steps + 1
     values = np.empty((n_levels, ws.m1, ws.m2, ws.n_nodes))
     values[-1] = ws.spec.terminal_table(ws.x)
-    obstacles = _record_obstacles(report, ws, values[-1], float(times[-1]))
+    scratch = np.empty_like(values[-1])
+    obstacles = _record_obstacles(report, ws, values[-1], float(times[-1]), scratch=scratch)
     report.terminal_inconsistency = max(report.obstacle_lower_violation[-1], report.obstacle_upper_violation[-1])
     if report.terminal_inconsistency > TERMINAL_CONSISTENCY_TOL and not ws.config.allow_terminal_inconsistency:
         raise AssumptionViolationError(validate_terminal_consistency(ws.spec, ws.x))
@@ -509,9 +553,9 @@ def _solve_backward(ws: _Workspace, n: float, m: float, sides: tuple, system: st
         new = ws.step(values[k + 1], t_next, n, m, obstacles)
         sweeps, obstacles = _sweep(new, ws.obstacle_costs(t_here), sides, ws.config) if any(sides) else (0, None)
         values[k] = new
-        report.update_norms.append(float(np.max(np.abs(values[k] - values[k + 1]))))
+        report.update_norms.append(float(np.max(np.abs(np.subtract(values[k], values[k + 1], out=scratch), out=scratch))))
         report.sweep_counts.append(sweeps)
-        obstacles = _record_obstacles(report, ws, values[k], t_here, obstacles)
+        obstacles = _record_obstacles(report, ws, values[k], t_here, obstacles, scratch)
 
     report.update_norms.reverse()
     report.sweep_counts.reverse()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -578,7 +579,7 @@ class TestUpperReflected:
     @pytest.mark.parametrize(
         "mode,driver,terminal",
         [
-            ("explicit", "1.7e308", "1e308"),
+            ("explicit", "-1.7e308", "-1.79e308"),  # the weighted local part overflows
             ("imex", "1e308", "1.7e308"),  # the implicit solve overflows
             ("imex", "1e308", "1.79e308"),  # the explicit part overflows before the implicit solve
         ],
@@ -1102,6 +1103,161 @@ class TestJumpOperator:
         ws = _Workspace(spec_no_jump, GRID, TGRID, build_levy_quadrature(spec_no_jump.levy), SchemeConfig())
         assert ws.jumps is None
 
+    def test_one_stacked_product_equals_per_atom_sums(self):
+        """Two distinct ``jump_weights`` tables on a 2x2 spec, so that each pair's
+        driver sum is gathered from its own block of the one product; the
+        operator holds its ``(1 + tables) nodes^2`` doubles once."""
+        spec = make_spec(
+            modes={"m1": 2, "m2": 2},
+            jump_amplitude="0.8*e*(1 + 0.3*x)",
+            jump_weights={"default": "0.5*min(abs(e), 1)", "1,0": "0.2*abs(e) - 0.3"},
+            levy={"atoms": [[0.5, 0.4], [-0.7, 0.3], [1.1, 0.2]]},
+        )
+        quad = build_levy_quadrature(spec.levy)
+        op = _Workspace(spec, GRID, TGRID, quad, SchemeConfig()).jumps
+        assert op.driver_index.tolist() == [[0, 0], [1, 0]]
+        n = GRID.n_nodes
+        arrays = [a for a in vars(op).values() if isinstance(a, np.ndarray) and a.dtype == float]
+        assert sum(a.size for a in arrays) == op.stacked.size == (1 + 2) * n * n
+        assert op.stacked.flags.c_contiguous
+        assert np.shares_memory(op.generator, op.stacked) and np.shares_memory(op.drivers, op.stacked)
+
+        values = np.random.default_rng(12).normal(size=(2, 2, n))
+        gen, q = op.apply(values)
+        x = GRID.axis()
+        for i, j in spec.modes.pairs():
+            ref_gen = np.zeros_like(x)
+            ref_q = np.zeros_like(x)
+            for e_k, w_k in zip(quad.marks, quad.weights):
+                shift = destination_table(GRID, x + spec.eval_beta(x, float(e_k))).apply(values[i, j]) - values[i, j]
+                ref_gen += w_k * shift
+                ref_q += w_k * spec.eval_gamma((i, j), x, float(e_k)) * shift
+            np.testing.assert_allclose(gen[i, j], ref_gen, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(q[i, j], ref_q, rtol=0.0, atol=1e-14)
+
+
+def shift_upper_diffusion(surface, grid):
+    """``second_derivative_surface`` with the upper neighbour's coefficient of
+    every interior row moved by 1e-3 / dx^2."""
+    out = second_derivative_surface(surface, grid)
+    out[..., 1:-1] += 1e-3 * surface[..., 2:] / grid.dx**2
+    return out
+
+
+def scale_forward_drift(surface, grid, b_plus, b_minus):
+    """``upwind_drift`` with the forward coefficient ``b^+`` moved by 1e-3 of itself."""
+    return upwind_drift(surface, grid, b_plus * (1.0 + 1e-3), b_minus)
+
+
+class TestStepWeights:
+    """The step's local weights against the stencil helpers they are read off."""
+
+    SPECS = {
+        "no_jump": lambda: load_builtin_problem("no_jump"),
+        "two_atom_jump": lambda: load_builtin_problem("two_atom_jump"),
+        "switch_2x2_jump": lambda: load_builtin_problem("switch_2x2_jump"),
+        "density": density_jump_spec,
+        "3x2 in t": lambda: switching_in_time(3, 2),
+    }
+
+    @staticmethod
+    def workspace(name: str, mode: str, n_nodes: int) -> _Workspace:
+        spec = TestStepWeights.SPECS[name]()
+        grid, tgrid = SpatialGrid.line(-2.0, 2.0, n_nodes), TimeGrid(spec.horizon, 200)
+        return _Workspace(spec, grid, tgrid, build_levy_quadrature(spec.levy), SchemeConfig(mode=mode))
+
+    @staticmethod
+    def step_times(ws: _Workspace) -> list:
+        return [float(t) for t in ws.tgrid.times()[[-1, 100, 1]]]
+
+    @staticmethod
+    def assert_local_part_matches_the_helpers(ws: _Workspace, t: float, values: np.ndarray) -> None:
+        """``centre v + lower v[:-1] + upper v[1:]`` against ``v + dt (upwind_drift
+        + a second_derivative_surface)`` (no diffusion in IMEX mode).  Forward
+        error: each side rounds a handful of times on terms no larger than
+        ``|v_k| + dt (|b_k| / dx + 4 a_k / dx^2) max |v_{k-1..k+1}|``, so the
+        two agree within 8 eps of that at node k."""
+        lower, centre, upper, _ = ws.local_weights(t)
+        weighted = centre * values
+        weighted[..., 1:] += lower * values[..., :-1]
+        weighted[..., :-1] += upper * values[..., 1:]
+        bp, bm, _, a_diff = ws.local_coefficients(t)
+        rates = upwind_drift(values, ws.grid, bp, bm)
+        explicit = ws.config.mode == "explicit"
+        if explicit:
+            rates += a_diff * second_derivative_surface(values, ws.grid)
+        reference = values + ws.dt * rates
+        padded = np.abs(np.pad(values, [(0, 0)] * (values.ndim - 1) + [(1, 1)], mode="edge"))
+        neighbours = np.maximum(np.maximum(padded[..., :-2], padded[..., 1:-1]), padded[..., 2:])
+        coefficient = ws.dt * ((bp - bm) / ws.dx + (4.0 * a_diff / ws.dx**2 if explicit else 0.0))
+        bound = 8.0 * np.finfo(float).eps * (np.abs(values) + coefficient * neighbours)
+        excess = np.abs(weighted - reference) - bound
+        assert np.all(excess <= 0.0), f"local part off the helpers by {float(np.max(excess)):.3e} beyond the bound"
+
+    @staticmethod
+    def noisy_values(ws: _Workspace) -> np.ndarray:
+        noise = np.random.default_rng(5).normal(scale=0.2, size=(ws.m1, ws.m2, ws.n_nodes))
+        return ws.spec.terminal_table(ws.x) + noise
+
+    @pytest.mark.parametrize("n_nodes", [21, 201])
+    @pytest.mark.parametrize("mode", ["explicit", "imex"])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_weights_are_monotone_sum_to_one_and_match_the_helpers(self, name, mode, n_nodes):
+        ws = self.workspace(name, mode, n_nodes)
+        try:
+            ws.check_cfl(0.0, 0.0)
+        except CflViolationError:  # the 3x2 spec in t, explicit at 201 nodes
+            stable = False
+        else:
+            stable = True
+        values = self.noisy_values(ws)
+        for t in self.step_times(ws):
+            lower, centre, upper, _ = ws.local_weights(t)
+            assert lower.shape == upper.shape == (n_nodes - 1,) and centre.shape == (n_nodes,)
+            rows = zip(np.append(0.0, lower), centre, np.append(upper, 0.0))
+            sums = np.array([math.fsum(row) for row in rows])  # exact, rounded once
+            assert np.all(np.abs(sums - 1.0) <= 2.0 * np.finfo(float).eps)
+            assert not stable or (np.all(lower >= 0.0) and np.all(upper >= 0.0))
+            self.assert_local_part_matches_the_helpers(ws, t, values)
+
+    @pytest.mark.parametrize("n_nodes", [21, 201])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_imex_banded_rows_are_the_clamped_diffusion_matrix(self, name, n_nodes):
+        ws = self.workspace(name, "imex", n_nodes)
+        for t in self.step_times(ws):
+            banded = ws.local_weights(t)[3]
+            r = ws.dt * ws.local_coefficients(t)[3] / ws.dx**2
+            diagonal = 1.0 + 2.0 * r
+            diagonal[[0, -1]] = 1.0 + r[[0, -1]]
+            assert np.all(np.abs(banded[1] - diagonal) <= np.spacing(diagonal))
+            assert np.all(np.abs(banded[0, 1:] + r[:-1]) <= np.spacing(r[:-1]))
+            assert np.all(np.abs(banded[2, :-1] + r[1:]) <= np.spacing(r[1:]))
+            assert banded[0, 0] == banded[2, -1] == 0.0
+        assert ws.local_weights(0.0)[3] is not None and self.workspace(name, "explicit", n_nodes).local_weights(0.0)[3] is None
+
+    @pytest.mark.parametrize("helper,perturbed", [("second_derivative_surface", shift_upper_diffusion), ("upwind_drift", scale_forward_drift)])
+    def test_a_moved_stencil_coefficient_fails_the_comparison(self, helper, perturbed, monkeypatch):
+        monkeypatch.setattr(pde_solver, helper, perturbed)
+        ws = self.workspace("switch_2x2_jump", "explicit", 201)
+        with pytest.raises(AssertionError, match="beyond the bound"):
+            self.assert_local_part_matches_the_helpers(ws, ws.tgrid.horizon, self.noisy_values(ws))
+
+    def test_helpers_are_read_once_per_distinct_step_time(self, monkeypatch):
+        counts = Counter()
+        for helper in ("upwind_drift", "second_derivative_surface"):
+
+            def counted(*args, _original=getattr(pde_solver, helper), _name=helper):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(pde_solver, helper, counted)
+        for name, reads_t in (("switch_2x2_jump", False), ("3x2 in t", True)):
+            counts.clear()
+            ws = self.workspace(name, "explicit", 21)
+            solve_penalized(ws.spec, ws.grid, ws.tgrid, build_levy_quadrature(ws.spec.levy), 2.0, 2.0)
+            expected = ws.tgrid.n_steps if reads_t else 1
+            assert counts == {"upwind_drift": expected, "second_derivative_surface": expected}
+
 
 _DENSITY_SOLVE = """
 import hashlib, json
@@ -1395,22 +1551,25 @@ def driver_arguments(ws: _Workspace, values: np.ndarray, t: float) -> tuple:
 
 def reference_step(ws: _Workspace, values: np.ndarray, t: float, n: float, m: float, drivers=None) -> np.ndarray:
     """The step with the gradient always computed and, unless a driver table
-    ``drivers`` is given, one ``eval_driver`` call per pair."""
-    bp, bm, _, a_diff = ws.local_coefficients(t)
+    ``drivers`` is given, one ``eval_driver`` call per pair, each pair's
+    driver set apart; the local part by the workspace's weights, which
+    ``TestStepWeights`` checks against the stencil helpers."""
+    lower, centre, upper, banded = ws.local_weights(t)
     L, U = eval_obstacles(values, ws.spec.obstacle_costs(t, ws.x))
     entries = {driver_variable(i, j): values[i, j] for i, j in ws.pairs}
-    rhs = upwind_drift(values, ws.grid, bp, bm)
     z, q = driver_arguments(ws, values, t)
+    rhs = np.empty_like(values)
+    for i, j in ws.pairs:
+        rhs[i, j] = ws.spec.eval_driver((i, j), t, ws.x, entries, z[i, j], q[i, j]) if drivers is None else drivers[i, j]
     if ws.jumps is not None:
         rhs += ws.jumps.apply(values)[0]
-    for i, j in ws.pairs:
-        rhs[i, j] += ws.spec.eval_driver((i, j), t, ws.x, entries, z[i, j], q[i, j]) if drivers is None else drivers[i, j]
-    if ws.config.mode == "explicit":
-        rhs += a_diff * second_derivative_surface(values, ws.grid)
     rhs += n * neg_part(values - L)
     rhs -= m * pos_part(values - U)
-    out = values + ws.dt * rhs
-    return ws._implicit_diffusion(out, a_diff) if ws.config.mode == "imex" else out
+    out = ws.dt * rhs
+    out += centre * values
+    out[..., 1:] += lower * values[..., :-1]
+    out[..., :-1] += upper * values[..., 1:]
+    return ws._implicit_diffusion(out, banded) if banded is not None else out
 
 
 class TestDriverTableStep:
