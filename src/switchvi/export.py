@@ -52,9 +52,10 @@ def _node_column(grid: SpatialGrid) -> list[str]:
 
 def _csv(header: list[str], nodes: list[str], columns: np.ndarray) -> str:
     """A header line, then one line per node: its formatted coordinate and
-    its entries of a ``(columns, nodes)`` array."""
-    rows = columns.T.tolist()  # Python floats: repr is fmt_float
-    return "\n".join([",".join(header)] + [x + "," + ",".join(map(repr, row)) for x, row in zip(nodes, rows)]) + "\n"
+    its entries of a ``(columns, nodes)`` array, each line by one ``%``
+    format whose ``%r`` is ``repr`` of a Python float, so ``fmt_float``."""
+    line = "%s" + ",%r" * columns.shape[0] + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in zip(nodes, *columns.tolist())])
 
 
 def _values_csv(values: np.ndarray, nodes: list[str]) -> str:

@@ -135,14 +135,15 @@ class NumericDomainError(ExprError):
 class _Node:
     """Base of the AST nodes.
 
-    :func:`evaluate` stores a tree's compiled form on its root node, and
-    :class:`Evaluator` its split and linear forms, so each lives exactly as
-    long as the tree; pickles leave them out.
+    :func:`evaluate` stores a tree's compiled form on its root node,
+    :class:`Evaluator` its split and linear forms, and :func:`free_variables`
+    each node's variable names on the node, so each lives exactly as long as
+    the tree; pickles leave them out.
     """
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for form in ("_compiled", "_split", "_affine"):
+        for form in ("_compiled", "_split", "_affine", "_free"):
             state.pop(form, None)
         return state
 
@@ -335,20 +336,25 @@ def expr_depth(expr: Expr) -> int:
 
 
 def free_variables(expr: Expr) -> frozenset[str]:
+    """The names ``expr`` reads, computed on first use and kept on each node."""
+    try:
+        return expr._free
+    except AttributeError:
+        pass
     if isinstance(expr, Num):
-        return frozenset()
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return free_variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return free_variables(expr.left) | free_variables(expr.right)
-    if isinstance(expr, Call):
         out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out = out | free_variables(a)
-        return out
-    raise TypeError(f"not an Expr node: {expr!r}")
+    elif isinstance(expr, Var):
+        out = frozenset((expr.name,))
+    elif isinstance(expr, Neg):
+        out = free_variables(expr.operand)
+    elif isinstance(expr, BinOp):
+        out = free_variables(expr.left) | free_variables(expr.right)
+    elif isinstance(expr, Call):
+        out = frozenset().union(*map(free_variables, expr.args))
+    else:
+        raise TypeError(f"not an Expr node: {expr!r}")
+    object.__setattr__(expr, "_free", out)
+    return out
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

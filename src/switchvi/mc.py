@@ -5,10 +5,13 @@ Simulates the jump-diffusion with compensated per-atom Poisson jumps
 least-squares regression on polynomial bases, then compares the time-zero
 estimate against the deterministic surface at the starting point.  The
 estimate works on the ``(m1, m2, paths)`` stack of all mode pairs: the
-pairs share each level's design, so one least-squares solve fits them all,
-and the obstacles and penalties act on the whole stack.  Jumps below the
-quadrature cutoff enter the paths as the grid solver's small-jump diffusion
-``0.5 s (d beta/de)(x, 0)^2 v''`` (see :func:`simulate_paths`).
+pairs share each level's design, so one Householder QR of it and one
+``lstsq`` on its triangle fit them all, and the obstacles and penalties act
+on the whole stack.  Switching costs that read neither ``t`` nor ``x``, and
+jump coefficients that do not read ``x``, are evaluated once per batch, not
+once per level.  Jumps below the quadrature cutoff enter the paths as the
+grid solver's small-jump diffusion ``0.5 s (d beta/de)(x, 0)^2 v''`` (see
+:func:`simulate_paths`).
 
 Supported problem class for the Monte-Carlo side: drivers that do not
 depend on the gradient argument ``z`` (it is passed as zero).  Estimating
@@ -38,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import exprdsl
 from .discretization import LevyQuadrature, TimeGrid, small_jump_variance
 from .model import ProblemSpec, eval_obstacles, is_finite_number, is_integer, neg_part, pos_part
 from .pde_solver import Trajectory, check_penalty
@@ -126,6 +130,11 @@ class BsdeEstimate:
             raise ValueError("standard errors must be non-negative")
 
 
+def _reads(exprs, names: tuple) -> bool:
+    """Whether any of the trees ``exprs`` reads one of ``names``."""
+    return any(not exprdsl.free_variables(e).isdisjoint(names) for e in exprs)
+
+
 def _poisson_cdf(lam: np.ndarray) -> np.ndarray:
     """``F[k, a] = P(N_a <= k)`` for Poisson ``N_a`` of mean ``lam[a]`` in ``(0, 10)``.
 
@@ -160,6 +169,8 @@ def simulate_paths(
     small-jump diffusion: with ``s = quad.small_jump_second_moment > 0`` the
     Brownian coefficient is ``sqrt(sigma^2 + s (d beta/de)(X_k, 0)^2)``, the
     variance from :func:`~switchvi.discretization.small_jump_variance`.
+    An amplitude ``beta`` that does not read ``x`` is tabulated once per
+    batch, otherwise once per step at the paths' states.
 
     Path ``p`` draws its normals, then the uniforms its Poisson counts
     consume, from Philox keyed by ``np.array([seed mod 2**64, p],
@@ -235,6 +246,7 @@ def simulate_paths(
     times = tgrid.times()
     states = np.empty((n_paths, n_steps + 1))
     states[:, 0] = x0
+    fixed_beta = None if _reads((spec.jump_amplitude,), ("x",)) else spec.beta_table(float(x0), quad.marks)
     for k in range(n_steps):
         t = float(times[k])
         xk = states[:, k]
@@ -243,7 +255,7 @@ def simulate_paths(
         if quad.small_jump_second_moment > 0.0:
             sig = np.sqrt(sig**2 + small_jump_variance(spec, quad, xk))
         incr = xk + b * dt + sig * dB[:, k]
-        beta = spec.beta_table(xk, quad.marks)
+        beta = spec.beta_table(xk, quad.marks) if fixed_beta is None else fixed_beta
         for a in range(n_atoms):
             incr = incr + counts[:, k, a] * beta[a] - dt * float(quad.weights[a]) * beta[a]
         states[:, k + 1] = incr
@@ -264,11 +276,16 @@ def simulate_paths(
 def _fit(design: np.ndarray, targets: np.ndarray, step: int) -> np.ndarray:
     """One least-squares fit of every pair's ``targets`` ``(m1, m2, P)`` on ``design`` ``(P, basis)``.
 
-    Returns the ``(m1*m2, basis)`` coefficients.  The rank, and so the
-    singularity check, depends on the design alone.
+    Returns the ``(m1*m2, basis)`` coefficients.  The design is reduced by
+    one Householder QR, ``design = Q R``, and the ``(basis, basis)``
+    triangle ``R`` solved against ``Q^T targets`` by one ``lstsq``, whose
+    cutoff ``eps * max(P, basis)`` is the one ``lstsq`` of the whole design
+    would take: ``R`` has the design's singular values, so the rank, and so
+    the singularity check, depends on the design alone.
     """
     rhs = targets.reshape(-1, targets.shape[-1]).T
-    coeffs, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
+    q, r = np.linalg.qr(design)
+    coeffs, _, rank, sv = np.linalg.lstsq(r, q.T @ rhs, rcond=np.finfo(float).eps * max(design.shape))
     if rank < design.shape[1]:
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         raise SingularRegressionError(cond, step)
@@ -287,7 +304,10 @@ def solve_bsde_regression(
     whole next level on the basis at the current states with one
     least-squares solve, predicts the continuation at the current and
     jump-shifted states for the driver's jump argument, and resolves the
-    value-matrix coupling with ``N_PICARD`` passes.  Time zero is degenerate
+    value-matrix coupling with ``N_PICARD`` passes.  Switching costs that
+    read neither ``t`` nor ``x`` are evaluated once per batch, at ``x0``,
+    and so are ``beta`` and ``gamma`` when neither reads ``x``; otherwise
+    each level evaluates them at its states.  Time zero is degenerate
     (all paths share ``x0``), so the conditional expectation is the plain
     mean and the continuation used for the jump argument is the smoothing
     fit of the level-one values on the level-one states.
@@ -306,9 +326,18 @@ def solve_bsde_regression(
         """The fitted ``(m1, m2) + x.shape`` stack at the states ``x``."""
         return (coeffs @ basis.design(x).T).reshape((m1, m2) + x.shape)
 
+    # the tables' tails broadcast against the paths: () costs, beta (atoms,), gamma (m1, m2, atoms, 1)
+    fixed_costs = None
+    if not _reads((*spec.lower_costs.values(), *spec.upper_costs.values()), ("t", "x")):
+        fixed_costs = spec.obstacle_costs(float(batch.times[0]), batch.x0)
+    fixed_jumps = None
+    if not _reads((spec.jump_amplitude, *spec.jump_weights.values()), ("x",)):
+        beta, gamma = spec.jump_tables(batch.x0, quad.marks)
+        fixed_jumps = beta, gamma[..., None]
+
     def jump_argument(coeffs: np.ndarray, x: np.ndarray, fitted: np.ndarray) -> np.ndarray:
         """``sum_a w_a gamma_a (fit(x + beta_a) - fitted)``; one shifted prediction at a time."""
-        beta, gamma = spec.jump_tables(x, quad.marks)
+        beta, gamma = spec.jump_tables(x, quad.marks) if fixed_jumps is None else fixed_jumps
         q = np.zeros((m1, m2) + x.shape)
         for a in range(quad.n_atoms):
             q += float(quad.weights[a]) * gamma[:, :, a] * (predict(x + beta[a], coeffs) - fitted)
@@ -316,7 +345,7 @@ def solve_bsde_regression(
 
     def picard(cont: np.ndarray, q_hat: np.ndarray, t: float, xk: np.ndarray) -> np.ndarray:
         """cont, q_hat: (m1, m2, P) continuation and jump-argument stacks."""
-        costs = spec.obstacle_costs(t, xk)
+        costs = spec.obstacle_costs(t, xk) if fixed_costs is None else fixed_costs
         drivers = spec.driver_evaluator(xk)
         y = cont
         for _ in range(N_PICARD):

@@ -17,13 +17,16 @@ the small-jump variance come from :meth:`ProblemSpec.jump_tables`,
 :meth:`ProblemSpec.terminal_table` and
 :func:`~switchvi.discretization.small_jump_variance`, built once per game;
 drift, volatility and the drivers are evaluated over the node vector, and
-the induction returns a :class:`~switchvi.pde_solver.Trajectory`.
+the induction returns a :class:`~switchvi.pde_solver.Trajectory`; switching
+costs that do not read t are tabulated once per induction.
 Everything that turns the coefficients into a step is written independently
-(explicit Python loops, no shared stepping code): the kernel assembly, the
-compensator sum, the interpolation weights, the gradient and jump-sum loops
-and the projection sweeps, the package's only pair-ordered ones (the solver
-projects the whole stack per pass).  So agreement between the two is
-evidence, not tautology.
+(no shared stepping code, no solver helper): the kernel assembly, the
+compensator sum and the interpolation weights in explicit Python loops, the
+reward's gradient as three slice differences and its jump sums as per-atom
+gathers of each node's interpolation neighbours, built once per game from
+those weights, and the projection sweeps, the package's only pair-ordered
+ones (the solver projects the whole stack per pass).  So agreement between
+the two is evidence, not tautology.
 Deliberately naive and single-threaded; meant for small instances.
 """
 
@@ -54,6 +57,7 @@ class DiscreteGame:
     terminal: np.ndarray  # (m1, m2, N)
     gamma: np.ndarray  # (m1, m2, atoms, N)
     destinations: list  # [node][atom]: _interp_weights of x_node + beta(x_node, e_atom)
+    gathers: tuple  # _gathers(destinations): the destinations as (lower, w_lower, upper, w_upper), each (atoms, N)
     config: SchemeConfig = field(default_factory=SchemeConfig)
 
 
@@ -73,6 +77,21 @@ def _interp_weights(grid: SpatialGrid, xq: float) -> list[tuple[int, float]]:
     lo = int(min(max(np.floor(pos), 0), n - 2))
     theta = pos - lo
     return [(lo, 1.0 - theta), (lo + 1, theta)]
+
+
+def _gathers(destinations: list, n_atoms: int) -> tuple:
+    """Each atom's destination nodes and weights as ``(atoms, N)`` arrays
+    ``(lower, w_lower, upper, w_upper)``; a clamped destination is its one
+    node, below, with node 0 at weight 0 above."""
+    n = len(destinations)
+    lower, upper = np.zeros((n_atoms, n), dtype=np.intp), np.zeros((n_atoms, n), dtype=np.intp)
+    w_lower, w_upper = np.zeros((n_atoms, n)), np.zeros((n_atoms, n))
+    for i, dests in enumerate(destinations):
+        for a, dest in enumerate(dests):
+            lower[a, i], w_lower[a, i] = dest[0]
+            if len(dest) == 2:
+                upper[a, i], w_upper[a, i] = dest[1]
+    return lower, w_lower, upper, w_upper
 
 
 def build_discrete_game(
@@ -160,45 +179,37 @@ def build_discrete_game(
 
     return DiscreteGame(
         spec=spec, grid=grid, tgrid=tgrid, quad=quad, kernels=kernels,
-        terminal=spec.terminal_table(x), gamma=gamma, destinations=destinations, config=config,
+        terminal=spec.terminal_table(x), gamma=gamma, destinations=destinations,
+        gathers=_gathers(destinations, quad.n_atoms), config=config,
     )
 
 
 def _reward(game: DiscreteGame, values: np.ndarray, t: float) -> np.ndarray:
-    """Running reward from the lagged level: the driver with its own gradient
-    and jump-sum loops (independent of the solver's vectorized versions)."""
+    """Running reward from the lagged level: the driver with its own
+    gradient and jump sums (independent of the solver's vectorized versions).
+
+    The gradient is central inside and one-sided at the two boundary nodes;
+    the jump sum gathers, per atom, each node's two interpolation
+    neighbours from ``game.gathers``.
+    """
     spec = game.spec
-    grid = game.grid
-    x = grid.axis()
-    n = grid.n_nodes
-    dx = grid.dx
+    x = game.grid.axis()
+    dx = game.grid.dx
     m1, m2 = spec.modes.m1, spec.modes.m2
     vol = spec.eval_vol(t, x)
     entries = {driver_variable(a, bb): values[a, bb] for a in range(m1) for bb in range(m2)}
-    weights = game.quad.weights.tolist()
+    grad = np.empty_like(values)
+    grad[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+    grad[..., 0] = (values[..., 1] - values[..., 0]) / dx
+    grad[..., -1] = (values[..., -1] - values[..., -2]) / dx
+    q = np.zeros_like(values)
+    for a, (lo, w_lo, hi, w_hi, w_k) in enumerate(zip(*game.gathers, game.quad.weights.tolist())):
+        dest = w_lo * values[..., lo] + w_hi * values[..., hi]
+        q += w_k * game.gamma[:, :, a] * (dest - values)
     out = np.empty_like(values)
     for i in range(m1):
         for j in range(m2):
-            s = values[i, j]
-            gamma_rows = game.gamma[i, j].T.tolist()
-            grad = np.empty(n)
-            q = np.empty(n)
-            for p in range(n):
-                if p == 0:
-                    grad[p] = (s[1] - s[0]) / dx
-                elif p == n - 1:
-                    grad[p] = (s[n - 1] - s[n - 2]) / dx
-                else:
-                    grad[p] = (s[p + 1] - s[p - 1]) / (2.0 * dx)
-            for p in range(n):
-                q_p = 0.0
-                for w_k, dest, gamma_k in zip(weights, game.destinations[p], gamma_rows[p]):
-                    dest_val = 0.0
-                    for idx, wgt in dest:
-                        dest_val += wgt * s[idx]
-                    q_p += w_k * gamma_k * (dest_val - s[p])
-                q[p] = q_p
-            out[i, j] = spec.eval_driver((i, j), t, x, entries, vol * grad, q)
+            out[i, j] = spec.eval_driver((i, j), t, x, entries, vol * grad[i, j], q[i, j])
     return out
 
 
@@ -225,6 +236,10 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
     values = np.empty((n_steps + 1, m1, m2, n))
     values[-1] = game.terminal.copy()
 
+    def cost_tables(t: float) -> tuple:
+        return spec.lower_cost_table(t, x), spec.upper_cost_table(t, x)
+
+    fixed_costs = None if spec.costs_read_t else cost_tables(float(times[0]))
     pairs = [(i, j) for i in range(m1) for j in range(m2)]
     for k in range(n_steps - 1, -1, -1):
         t_next = float(times[k + 1])
@@ -235,8 +250,7 @@ def backward_induction(game: DiscreteGame, order: str = "minmax") -> Trajectory:
         for i, j in pairs:
             cont[i, j] = game.kernels[k] @ nxt[i, j] + dt * reward[i, j]
 
-        lc = spec.lower_cost_table(t_here, x)
-        uc = spec.upper_cost_table(t_here, x)
+        lc, uc = fixed_costs or cost_tables(t_here)
         cur = cont.copy()
         for sweep in range(game.config.max_sweeps):
             worst = 0.0

@@ -695,18 +695,20 @@ class TestExportRoundTrip:
         (path,) = export.trajectory_csv_files(traj, tmp_path, "v")
         assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
-    def test_trajectory_csv_files_match_per_cell_reference(self, tmp_path):
+    @pytest.mark.parametrize("m1, m2", [(2, 2), (1, 1), (3, 2)])
+    def test_trajectory_csv_files_match_per_cell_reference(self, tmp_path, m1, m2):
         """The node column is formatted once per call; every level's file is still the per-cell text."""
         grid = SpatialGrid.line(-1.0, 1.0, 5)
-        values = np.resize([-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0, -7.25], (3, 2, 2, 5))
+        cells = [-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0 / 3.0, 2.0, -7.25, 1e-05, 1e16, 1.7976931348623157e308]
+        values = np.resize(cells, (3, m1, m2, 5))
         traj = Trajectory(times=np.array([0.0, 0.25, 0.5]), values=values, grid=grid)
         x = grid.axis()
         paths = export.trajectory_csv_files(traj, tmp_path, "v")
         assert [p.name for p in paths] == ["v_level0000.csv", "v_level0001.csv", "v_level0002.csv"]
         for k, path in enumerate(paths):
-            lines = ["x,v_0_0,v_0_1,v_1_0,v_1_1"]
+            lines = [",".join(["x"] + [f"v_{i}_{j}" for i in range(m1) for j in range(m2)])]
             for p in range(5):
-                cells = [x[p]] + [values[k, i, j, p] for i in range(2) for j in range(2)]
+                cells = [x[p]] + [values[k, i, j, p] for i in range(m1) for j in range(m2)]
                 lines.append(",".join(export.fmt_float(c) for c in cells))
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
         assert export.trajectory_csv_files(traj, tmp_path / "one", "v", levels=[2])[0].read_bytes() == paths[2].read_bytes()

@@ -195,6 +195,16 @@ class TestAstUtilities:
         e = parse("x*t + min(q, z)", ("x", "t", "q", "z"))
         assert free_variables(e) == frozenset({"x", "t", "q", "z"})
 
+    def test_free_variables_are_kept_on_each_node_and_not_pickled(self):
+        tree = parse("x*t + min(q, exp(z))", ("x", "t", "q", "z"))
+        names = free_variables(tree)
+        assert free_variables(tree) is names and tree.right._free == frozenset({"q", "z"})
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == tree and not hasattr(copy, "_free") and not hasattr(copy.right, "_free")
+        assert free_variables(copy) == names
+        ctx = {"x": 2.0, "t": 3.0, "q": 0.1, "z": -1.0}
+        assert evaluate(copy, ctx) == evaluate(tree, ctx) == 6.0 + 0.1
+
     def test_depth(self):
         assert expr_depth(Num(1.0)) == 1
         assert expr_depth(BinOp("+", Num(1.0), Neg(Var("x")))) == 3

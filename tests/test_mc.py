@@ -13,7 +13,7 @@ from switchvi.mc import (
     simulate_paths,
     solve_bsde_regression,
 )
-from switchvi.model import driver_variable, eval_obstacles, load_builtin_problem, load_problem, neg_part, pos_part
+from switchvi.model import ProblemSpec, driver_variable, eval_obstacles, load_builtin_problem, load_problem, neg_part, pos_part
 from switchvi.pde_solver import SchemeConfig, solve_penalized
 
 from conftest import beta_slope_at_zero, make_spec
@@ -509,6 +509,65 @@ class TestStackedRegression:
         with pytest.raises(SingularRegressionError) as got:
             solve_bsde_regression(batch, 4.0, 4.0)
         assert 0 < got.value.step == ref.value.step < TG.n_steps - 1
+
+
+def regression_spec(**overrides):
+    """A 2x2 problem whose switching costs and jump coefficients read neither t nor x, unless overridden."""
+    base = {
+        "modes": {"m1": 2, "m2": 2},
+        "drivers": {"default": "0.3 + 0.3*q - 0.2*y_0_0 + 0.05*y_1_1 + 0.1*max(x, 0)"},
+        "lower_costs": {"default": "0.1"},
+        "upper_costs": {"default": "0.15"},
+        "terminal": {"0,0": "0.3*exp(-x*x)", "0,1": "0.2*x", "1,0": "-0.1", "1,1": "0.1*x*x"},
+    }
+    return make_spec(**{**base, **overrides})
+
+
+TABLE_SPECS = {  # each reads t or x where the regression's once-per-batch tables may not
+    "costs read x": {"lower_costs": {"default": "0.1 + 0.05*x*x"}},
+    "costs read t": {"upper_costs": {"default": "0.15 + 0.2*t"}},
+    "amplitude reads x": {"jump_amplitude": "0.8*e*exp(-0.1*x*x)"},
+    "weights read x": {"jump_weights": {"default": "0.5*min(abs(e), 1)*(1 + 0.1*max(x, 0))"}},
+}
+
+
+class TestTablesPerBatch:
+    """Switching costs over neither t nor x, and jump coefficients not over x, are evaluated once per batch."""
+
+    @pytest.mark.parametrize("case", list(TABLE_SPECS))
+    def test_per_level_tables_match_the_per_pair_reference(self, case):
+        spec = regression_spec(**TABLE_SPECS[case])
+        quad = build_levy_quadrature(spec.levy)
+        batch = simulate_paths(spec, quad, 0.0, 2_000, TG, seed=21)
+        est = solve_bsde_regression(batch, 4.0, 2.0)
+        y0, stderr = per_pair_regression(batch, spec, 4.0, 2.0)
+        np.testing.assert_allclose(est.y0, y0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(est.stderr, stderr, rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(est.y0 - solve_bsde_regression(batch, 0.0, 0.0).y0)) > 1e-3
+
+    @pytest.mark.parametrize(
+        "case, per_batch",
+        [
+            ("switch_2x2_jump", {"beta_table": 1, "obstacle_costs": 1, "jump_tables": 1}),
+            ("costs read t", {"beta_table": 1, "obstacle_costs": TG.n_steps, "jump_tables": 1}),
+            ("amplitude reads x", {"beta_table": TG.n_steps, "obstacle_costs": 1, "jump_tables": TG.n_steps}),
+            ("weights read x", {"beta_table": 1, "obstacle_costs": 1, "jump_tables": TG.n_steps}),
+        ],
+    )
+    def test_table_calls_per_batch(self, case, per_batch, monkeypatch):
+        spec = load_builtin_problem(case) if case == "switch_2x2_jump" else regression_spec(**TABLE_SPECS[case])
+        quad = build_levy_quadrature(spec.levy)
+        assert quad.n_atoms > 0 and quad.small_jump_second_moment == 0.0
+        counts = {name: 0 for name in per_batch}
+        for name in per_batch:
+
+            def counted(self, *args, _original=getattr(ProblemSpec, name), _name=name):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ProblemSpec, name, counted)
+        solve_bsde_regression(simulate_paths(spec, quad, 0.0, 200, TG, seed=21), 4.0, 2.0)
+        assert counts == per_batch
 
 
 class TestFeynmanKac:

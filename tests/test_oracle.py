@@ -5,7 +5,7 @@ import pytest
 
 from switchvi import oracle
 from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature
-from switchvi.model import CapacityError, ProblemSpec, validate_non_free_loop
+from switchvi.model import CapacityError, ProblemSpec, driver_variable, load_builtin_problem, validate_non_free_loop
 from switchvi.oracle import backward_induction, build_discrete_game
 from switchvi.pde_solver import CflViolationError, SchemeConfig, SweepNonConvergenceError, solve_maxmin, solve_minmax
 
@@ -46,6 +46,67 @@ def chained_spec_3x3():
         upper_costs={f"{j},{l}": repr(0.41 + 0.053 * j + 0.009 * l + 0.5 * (j - l) ** 2) for j, l in pairs if j != l},
         terminal={"default": "0"},
     )
+
+
+def clamping_spec():
+    """Marks at +-3 jump past both ends of the [-2, 2] box from every node."""
+    return make_spec(
+        modes={"m1": 2, "m2": 2},
+        jump_amplitude="e + 0.1*x",
+        levy={"atoms": [[3.0, 0.05], [-3.0, 0.05], [0.37, 0.4]]},
+        drivers={"default": "0.2 + 0.3*q + 0.1*z - 0.15*y_0_0 + 0.05*max(y_1_1, 0)"},
+        terminal={"0,0": "exp(-x*x)", "0,1": "0.5*x", "1,0": "0.1", "1,1": "-0.2*x*x"},
+    )
+
+
+def node_loop_reward(game, values, t):
+    """The running reward by per-node loops over the gradient and the jump
+    destinations: the reference for ``oracle._reward``'s slices and gathers."""
+    spec = game.spec
+    x = game.grid.axis()
+    n = game.grid.n_nodes
+    dx = game.grid.dx
+    m1, m2 = spec.modes.m1, spec.modes.m2
+    vol = spec.eval_vol(t, x)
+    entries = {driver_variable(a, bb): values[a, bb] for a in range(m1) for bb in range(m2)}
+    weights = game.quad.weights.tolist()
+    out = np.empty_like(values)
+    for i in range(m1):
+        for j in range(m2):
+            s = values[i, j]
+            gamma_rows = game.gamma[i, j].T.tolist()
+            grad = np.empty(n)
+            q = np.empty(n)
+            for p in range(n):
+                if p == 0:
+                    grad[p] = (s[1] - s[0]) / dx
+                elif p == n - 1:
+                    grad[p] = (s[n - 1] - s[n - 2]) / dx
+                else:
+                    grad[p] = (s[p + 1] - s[p - 1]) / (2.0 * dx)
+            for p in range(n):
+                q_p = 0.0
+                for w_k, dest, gamma_k in zip(weights, game.destinations[p], gamma_rows[p]):
+                    dest_val = 0.0
+                    for idx, wgt in dest:
+                        dest_val += wgt * s[idx]
+                    q_p += w_k * gamma_k * (dest_val - s[p])
+                q[p] = q_p
+            out[i, j] = spec.eval_driver((i, j), t, x, entries, vol * grad, q)
+    return out
+
+
+class TestReward:
+    @pytest.mark.parametrize("name", ["switch_2x2_jump", "two_atom_jump", "no_jump", "clamping"])
+    def test_equals_the_node_loop_reference(self, name):
+        """Bitwise, up to the sign of zero (``np.array_equal`` takes -0.0 == 0.0)."""
+        spec = clamping_spec() if name == "clamping" else load_builtin_problem(name)
+        game = build_discrete_game(spec, GRID, TGRID, build_levy_quadrature(spec.levy))
+        if name == "clamping":
+            assert [(0, 1.0)] in game.destinations[20] and [(40, 1.0)] in game.destinations[20]
+        values = game.terminal + np.random.default_rng(5).standard_normal(game.terminal.shape)
+        for t in (0.0, 0.5):
+            assert np.array_equal(oracle._reward(game, values, t), node_loop_reward(game, values, t))
 
 
 class TestGameBuild:
@@ -207,6 +268,24 @@ class TestInduction:
             backward_induction(game, order="minmax")
             per_run.append(dict(counts))
         assert per_run[0] == per_run[1] == {"eval_beta": 1, "eval_gamma": 4}
+
+    @pytest.mark.parametrize("cost, per_induction", [("0.4", 1), ("0.4 + 0.2*t", TGRID.n_steps)])
+    def test_cost_tables_are_read_once_unless_a_cost_reads_t(self, cost, per_induction, monkeypatch):
+        spec = make_spec(modes={"m1": 2, "m2": 2}, lower_costs={"default": cost}, upper_costs={"default": "0.6 + 0.1*x*x"})
+        quad = build_levy_quadrature(spec.levy)
+        counts = Counter()
+        for name in ("lower_cost_table", "upper_cost_table"):
+
+            def counted(self, *args, _original=getattr(ProblemSpec, name), _name=name):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ProblemSpec, name, counted)
+        game = build_discrete_game(spec, GRID, TGRID, quad)
+        res = backward_induction(game, order="minmax")
+        assert counts == {"lower_cost_table": per_induction, "upper_cost_table": per_induction}
+        traj, _ = solve_minmax(spec, GRID, TGRID, quad, mode="direct")
+        assert float(np.max(np.abs(traj.values - res.values))) <= 1e-10
 
     def test_values_export_in_trajectory_layout(self, spec_2x2, quad_2x2, tmp_path):
         from switchvi.export import trajectory_csv_files
