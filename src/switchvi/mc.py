@@ -20,14 +20,15 @@ not materially strengthen the representation check.  The jump argument is
 estimated from the fitted continuation function; the value-matrix coupling
 is resolved with ``N_PICARD`` Picard passes per step.
 
-Each path draws from its own counter-based Philox stream keyed by the
-uint64 pair ``(seed mod 2**64, path index)``, so the batch is reproducible
-and independent of any scheduling.  One generator serves a batch: before
-each path it is re-keyed to the state a fresh ``Philox(key=...)`` starts
-in.  Each path draws its normals, then one uniform per Poisson draw when
-every intensity ``lam`` is in ``(0, 10)``, read block by block of paths by
-inverse transform on one table of the Poisson CDF; otherwise each path calls
-``rng.poisson`` itself.  Regression assembly uses fixed-order reductions.
+A batch draws from two counter-based Philox streams keyed by the uint64
+pairs ``(seed mod 2**64, 0)`` and ``(seed mod 2**64, 1)``: the first gives
+the Brownian increments, the second the Poisson counts.  Each is read
+sequentially in path-major order, so path ``p`` takes the same entries of
+both streams whatever the batch size, and the batch is reproducible.  When
+every intensity ``lam`` is in ``(0, 10)`` the counts come by inverse
+transform, one uniform per draw, read block by block from one table of the
+Poisson CDF; otherwise by one ``poisson`` call.  Regression assembly uses
+fixed-order reductions.
 
 The pass thresholds reported by the check combine the Monte-Carlo standard
 error with a scheme-bias allowance; both are engineering defaults, not
@@ -170,19 +171,20 @@ def simulate_paths(
     Brownian coefficient is ``sqrt(sigma^2 + s (d beta/de)(X_k, 0)^2)``, the
     variance from :func:`~switchvi.discretization.small_jump_variance`.
     An amplitude ``beta`` that does not read ``x`` is tabulated once per
-    batch, otherwise once per step at the paths' states.
+    batch, with the small-jump variance, otherwise both once per step at
+    the paths' states.
 
-    Path ``p`` draws its normals, then the uniforms its Poisson counts
-    consume, from Philox keyed by ``np.array([seed mod 2**64, p],
-    dtype=np.uint64)``: one generator, re-keyed per path to counter 0 and an
-    empty buffer, so any integer seed, negative or at least 2**63 included,
-    has its own stream.  When every ``lam = w_a dt`` is in ``(0, 10)`` the
-    counts come by inverse transform, one uniform per draw: each path draws
-    ``rng.random((n_steps, atoms))`` into a block of at most
-    ``_UNIFORM_BLOCK_BYTES`` (one path at least), and a draw ``u`` of atom
-    ``a`` counts ``#(F[:, a] <= u)`` in the table ``F`` of
-    :func:`_poisson_cdf`.  Otherwise every path calls ``rng.poisson(lam,
-    size=(n_steps, atoms))`` itself.
+    The normals are one ``standard_normal((n_paths, n_steps))`` call on
+    Philox keyed by ``np.array([seed mod 2**64, 0], dtype=np.uint64)``, the
+    counts read from the key ``[seed mod 2**64, 1]``, so any integer seed,
+    negative or at least 2**63 included, has its own streams.  When every
+    ``lam = w_a dt`` is in ``(0, 10)`` a count takes one uniform: blocks of
+    at most ``_UNIFORM_BLOCK_BYTES`` (one row at least) hold a row of
+    ``atoms`` uniforms per path and step, and a draw ``u`` of atom ``a``
+    counts ``#(F[:, a] <= u)`` in the table ``F`` of :func:`_poisson_cdf`.
+    Otherwise one ``poisson(lam, size=(n_paths, n_steps, atoms))`` call
+    draws them.  Both streams are read in path-major order, so a path's
+    draws do not depend on ``n_paths`` or the block size.
     """
     if not is_integer(n_paths) or n_paths < 1:
         raise ValueError(f"need an integer of at least one path, got {n_paths!r}")
@@ -198,64 +200,47 @@ def simulate_paths(
     dt = tgrid.dt
     n_atoms = quad.n_atoms
 
-    dB = np.empty((n_paths, n_steps))
-    counts = np.zeros((n_paths, n_steps, n_atoms), dtype=np.int64)
     lam = quad.weights * dt
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    key = np.array([seed, 0], dtype=np.uint64)
-    fresh = {  # the state of a fresh ``Philox(key=key)``
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-    def draw_normals(p: int) -> None:
-        key[1] = p
-        bitgen.state = fresh
-        rng.standard_normal(out=dB[p])
-
+    normals, draws = (np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))) for i in (0, 1))
+    dB = normals.standard_normal((n_paths, n_steps))
+    dB *= math.sqrt(dt)
+    counts = np.zeros((n_paths, n_steps, n_atoms), dtype=np.int64)
     if n_atoms and 0.0 < lam.min() and lam.max() < 10.0:
         cdf = _poisson_cdf(lam)
         flat = counts.reshape(-1)
-        block = max(1, min(n_paths, _UNIFORM_BLOCK_BYTES // (8 * n_steps * n_atoms)))
-        uniforms = np.empty((block, n_steps, n_atoms))
-        for lo in range(0, n_paths, block):
-            rows = uniforms[: min(block, n_paths - lo)]
-            for p, row in enumerate(rows, start=lo):
-                draw_normals(p)
-                rng.random(out=row)
+        block = max(1, min(n_paths * n_steps, _UNIFORM_BLOCK_BYTES // (8 * n_atoms)))
+        uniforms = np.empty((block, n_atoms))
+        for lo in range(0, n_paths * n_steps, block):
+            rows = uniforms[: n_paths * n_steps - lo]
+            draws.random(out=rows)
             # a draw below F[0] = exp(-lam) counts 0; the rest count #(F[:, a] <= u)
             hit = np.flatnonzero(rows >= cdf[0])
             u, atom = rows.ravel()[hit], hit % n_atoms
             n = np.ones(hit.size, dtype=np.int64)
             for row_cdf in cdf[1:]:
                 n += row_cdf[atom] <= u
-            flat[lo * n_steps * n_atoms + hit] = n
-        del uniforms
-    else:
-        for p in range(n_paths):
-            draw_normals(p)
-            if n_atoms:
-                counts[p] = rng.poisson(lam, size=(n_steps, n_atoms))
-    dB *= math.sqrt(dt)
+            flat[lo * n_atoms + hit] = n
+    elif n_atoms:
+        counts = draws.poisson(lam, size=(n_paths, n_steps, n_atoms))
+
+    def jump_terms(x):
+        """``beta`` at the atoms and the small-jump variance (``None`` without small jumps) at ``x``."""
+        variance = small_jump_variance(spec, quad, x) if quad.small_jump_second_moment > 0.0 else None
+        return spec.beta_table(x, quad.marks), variance
 
     times = tgrid.times()
     states = np.empty((n_paths, n_steps + 1))
     states[:, 0] = x0
-    fixed_beta = None if _reads((spec.jump_amplitude,), ("x",)) else spec.beta_table(float(x0), quad.marks)
+    fixed = None if _reads((spec.jump_amplitude,), ("x",)) else jump_terms(float(x0))
     for k in range(n_steps):
         t = float(times[k])
         xk = states[:, k]
         b = spec.eval_drift(t, xk)
         sig = spec.eval_vol(t, xk)
-        if quad.small_jump_second_moment > 0.0:
-            sig = np.sqrt(sig**2 + small_jump_variance(spec, quad, xk))
+        beta, variance = jump_terms(xk) if fixed is None else fixed
+        if variance is not None:
+            sig = np.sqrt(sig**2 + variance)
         incr = xk + b * dt + sig * dB[:, k]
-        beta = spec.beta_table(xk, quad.marks) if fixed_beta is None else fixed_beta
         for a in range(n_atoms):
             incr = incr + counts[:, k, a] * beta[a] - dt * float(quad.weights[a]) * beta[a]
         states[:, k + 1] = incr

@@ -1,9 +1,11 @@
+import json
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, interpolate
+from switchvi.discretization import SpatialGrid, TimeGrid, build_levy_quadrature, interpolate, small_jump_variance
 from switchvi import mc
 from switchvi.mc import (
     BsdeEstimate,
@@ -104,15 +106,14 @@ class TestSimulate:
 
 
 class TestSeedKeys:
-    """Path ``p`` draws from Philox keyed by ``(seed mod 2**64, p)`` as uint64."""
+    """The normals come from Philox keyed by ``(seed mod 2**64, 0)`` as uint64."""
 
     def test_the_top_seed_has_its_own_stream(self, spec_2x2, quad_2x2):
         top = simulate_paths(spec_2x2, quad_2x2, 0.0, 20, TG, seed=2**64 - 1)
         zero = simulate_paths(spec_2x2, quad_2x2, 0.0, 20, TG, seed=0)
         assert not np.array_equal(top.brownian, zero.brownian)
-        for p in range(20):
-            rng = np.random.Generator(np.random.Philox(key=np.array([2**64 - 1, p], dtype=np.uint64)))
-            np.testing.assert_array_equal(top.brownian[p], rng.standard_normal(TG.n_steps) * math.sqrt(TG.dt))
+        rng = np.random.Generator(np.random.Philox(key=np.array([2**64 - 1, 0], dtype=np.uint64)))
+        np.testing.assert_array_equal(top.brownian, rng.standard_normal((20, TG.n_steps)) * math.sqrt(TG.dt))
 
 
 def fsum_cdf(lam):
@@ -121,32 +122,39 @@ def fsum_cdf(lam):
     return np.array([math.fsum(terms[: k + 1]) for k in range(64)])
 
 
-def reference_paths(spec, quad, x0, n_paths, tgrid, seed):
-    """The per-path loop with a fresh ``Generator(Philox(key=uint64 [seed, p]))`` per path.
+def poisson_pmf(lam, size):
+    """``P(N = k)`` for ``k = 0, ..., size - 1`` and Poisson ``N`` of mean ``lam``, in ``lgamma`` form."""
+    return np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(size)])
 
-    Each path draws its normals, then, when every ``lam`` is in ``(0, 10)``,
-    one uniform per draw that counts by inverse transform on the ``fsum`` CDF;
-    otherwise it calls ``rng.poisson``.
+
+def reference_paths(spec, quad, x0, n_paths, tgrid, seed):
+    """Each stream drawn whole from a fresh ``Generator(Philox(key=uint64 [seed, i]))``, then the states step by step.
+
+    Stream 0 gives the ``(n_paths, n_steps)`` normals.  When every ``lam`` is
+    in ``(0, 10)``, stream 1 gives one ``(n_paths, n_steps, atoms)`` array of
+    uniforms, each counting by ``searchsorted`` on the ``fsum`` CDF; otherwise
+    one ``poisson`` call.  Tables are evaluated at every step's states.
     """
     dt = tgrid.dt
     lam = quad.weights * dt
-    cdfs = [fsum_cdf(v) for v in lam.tolist()] if quad.n_atoms and 0.0 < lam.min() and lam.max() < 10.0 else None
-    brownian = np.empty((n_paths, tgrid.n_steps))
-    counts = np.zeros((n_paths, tgrid.n_steps, quad.n_atoms), dtype=np.int64)
-    for p in range(n_paths):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, p], dtype=np.uint64)))
-        brownian[p] = rng.standard_normal(tgrid.n_steps) * math.sqrt(dt)
-        if cdfs is not None:
-            u = rng.random((tgrid.n_steps, quad.n_atoms))
-            for a, cdf in enumerate(cdfs):
-                counts[p, :, a] = np.searchsorted(cdf, u[:, a], side="right")
-        elif quad.n_atoms:
-            counts[p] = rng.poisson(lam, size=(tgrid.n_steps, quad.n_atoms))
+    shape = (n_paths, tgrid.n_steps, quad.n_atoms)
+    normals, draws = (np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, i], dtype=np.uint64))) for i in (0, 1))
+    brownian = normals.standard_normal(shape[:2]) * math.sqrt(dt)
+    counts = np.zeros(shape, dtype=np.int64)
+    if quad.n_atoms and 0.0 < lam.min() and lam.max() < 10.0:
+        u = draws.random(shape)
+        for a, v in enumerate(lam.tolist()):
+            counts[:, :, a] = np.searchsorted(fsum_cdf(v), u[:, :, a], side="right")
+    elif quad.n_atoms:
+        counts = draws.poisson(lam, size=shape)
     states = np.empty((n_paths, tgrid.n_steps + 1))
     states[:, 0] = x0
     for k, t in enumerate(tgrid.times()[:-1].tolist()):
         xk = states[:, k]
-        incr = xk + spec.eval_drift(t, xk) * dt + spec.eval_vol(t, xk) * brownian[:, k]
+        sig = spec.eval_vol(t, xk)
+        if quad.small_jump_second_moment > 0.0:
+            sig = np.sqrt(sig**2 + small_jump_variance(spec, quad, xk))
+        incr = xk + spec.eval_drift(t, xk) * dt + sig * brownian[:, k]
         beta = spec.beta_table(xk, quad.marks)
         for a in range(quad.n_atoms):
             incr = incr + counts[:, k, a] * beta[a] - dt * float(quad.weights[a]) * beta[a]
@@ -154,12 +162,21 @@ def reference_paths(spec, quad, x0, n_paths, tgrid, seed):
     return states, brownian, counts
 
 
-class TestOneGeneratorPerCall:
-    """Re-keying one generator per path draws the bits of a fresh generator per path."""
+def density_spec(**overrides):
+    """``switch_2x2_jump`` with a jump density: 64 atoms and a small-jump second moment."""
+    problem = json.loads((files("switchvi.problems") / "switch_2x2_jump.json").read_text())
+    return load_problem({**problem, "levy": {"density": "0.4*exp(-abs(e))", "radius": 1.0, "cutoff": 0.05}, **overrides})
+
+
+DENSITY_SPECS = {"density": {}, "density, amplitude reads x": {"jump_amplitude": "0.8*e*exp(-0.1*x*x)"}}
+
+
+class TestTwoStreams:
+    """Two generators per batch, each read in path-major order, draw the reference's two streams."""
 
     @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1, 2**63, 2**64 - 1, -1])
     @pytest.mark.parametrize("name", ["no_jump", "switch_2x2_jump"])
-    def test_equals_the_per_path_reference(self, name, seed):
+    def test_equals_the_two_stream_reference(self, name, seed):
         spec = load_builtin_problem(name)
         quad = build_levy_quadrature(spec.levy)
         assert quad.small_jump_second_moment == 0.0 and (quad.n_atoms > 0) == (name != "no_jump")
@@ -169,6 +186,28 @@ class TestOneGeneratorPerCall:
         assert np.array_equal(batch.states, states)
         assert np.array_equal(batch.brownian, brownian)
         assert batch.jump_counts.shape == counts.shape and np.array_equal(batch.jump_counts, counts)
+
+    @pytest.mark.parametrize("case", list(DENSITY_SPECS))
+    def test_small_jumps_equal_the_per_step_reference(self, case):
+        """The x-free amplitude's small-jump variance, taken once at x0, is every path's at every step."""
+        spec = density_spec(**DENSITY_SPECS[case])
+        quad = build_levy_quadrature(spec.levy)
+        assert quad.n_atoms == 64 and quad.small_jump_second_moment > 0.0
+        assert_equals_reference(spec, quad, 300, seed=7)
+
+    @pytest.mark.parametrize("lams", [(), (0.5, 3.0), (0.004, 12.0)], ids=repr)
+    def test_two_philox_generators_per_batch(self, lams, monkeypatch):
+        made = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        spec = lam_spec(*lams)
+        simulate_paths(spec, build_levy_quadrature(spec.levy), 0.1, 40, TG, seed=3)
+        assert len(made) == 2
 
 
 def lam_spec(*lams):
@@ -188,12 +227,12 @@ def assert_equals_reference(spec, quad, n_paths, seed):
 
 @pytest.fixture
 def count_blocks(monkeypatch):
-    """Spy on the count reading: the ``(paths, n_steps, atoms)`` shape of each block of uniforms."""
+    """Spy on the count reading: the ``(rows, atoms)`` shape of each block of uniforms, a row per path and step."""
     seen = []
     flatnonzero = np.flatnonzero
 
     def spy(a):
-        if a.ndim == 3:
+        if a.ndim == 2:
             seen.append(a.shape)
         return flatnonzero(a)
 
@@ -202,48 +241,51 @@ def count_blocks(monkeypatch):
 
 
 class TestCountsFromUniforms:
-    """Inverse transform on one uniform per draw gives the reference's counts, block by block of paths."""
+    """Inverse transform on one uniform per draw gives the reference's counts, block by block of rows."""
 
     @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1, 2**63, 2**64 - 1, -1])
     @pytest.mark.parametrize(
         "lams", [(0.004,), (0.5,), (3.0,), (9.5,), (12.0,), (0.004, 3.0, 9.99), (0.004, 12.0)], ids=repr
     )
-    def test_equals_the_per_path_reference(self, lams, seed, count_blocks):
+    def test_equals_the_two_stream_reference(self, lams, seed, count_blocks):
         spec = lam_spec(*lams)
         quad = build_levy_quadrature(spec.levy)
         counts = assert_equals_reference(spec, quad, 120, seed)
         assert counts.sum() > 0
-        # with some lam >= 10 every path calls rng.poisson; below it every path reads one block
-        assert count_blocks == ([] if max(lams) >= 10.0 else [(120, TG.n_steps, len(lams))])
+        # with some lam >= 10 one poisson call draws the counts; below it the batch reads one block
+        assert count_blocks == ([] if max(lams) >= 10.0 else [(120 * TG.n_steps, len(lams))])
 
-    def test_one_path_past_a_block_boundary(self, monkeypatch, count_blocks):
+    def test_one_row_past_a_block_boundary(self, monkeypatch, count_blocks):
         spec = lam_spec(0.5, 0.004)
-        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 3 * 8 * TG.n_steps * 2 + 8)
-        assert_equals_reference(spec, build_levy_quadrature(spec.levy), 10, seed=5)
-        assert count_blocks == [(3, TG.n_steps, 2)] * 3 + [(1, TG.n_steps, 2)]
+        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", (3 * TG.n_steps - 1) * 8 * 2 + 8)
+        assert_equals_reference(spec, build_levy_quadrature(spec.levy), 3, seed=5)
+        assert count_blocks == [(3 * TG.n_steps - 1, 2), (1, 2)]
 
-    def test_a_path_wider_than_the_cap_reads_a_block_of_its_own(self, monkeypatch, count_blocks):
+    def test_a_row_wider_than_the_cap_reads_a_block_of_its_own(self, monkeypatch, count_blocks):
         spec = lam_spec(0.5, 0.004)
         monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 8)
         assert_equals_reference(spec, build_levy_quadrature(spec.levy), 4, seed=5)
-        assert count_blocks == [(1, TG.n_steps, 2)] * 4
+        assert count_blocks == [(1, 2)] * (4 * TG.n_steps)
 
     def test_the_block_buffer_stays_under_its_cap(self, count_blocks):
         spec = load_builtin_problem("switch_2x2_jump")
         quad = build_levy_quadrature(spec.levy)
         batch = simulate_paths(spec, quad, 0.0, 3_000, TG, seed=1)
-        assert len(count_blocks) > 1 and sum(rows for rows, _, _ in count_blocks) == batch.n_paths
+        assert len(count_blocks) > 1 and sum(rows for rows, _ in count_blocks) == batch.n_paths * batch.n_steps
         assert all(8 * math.prod(shape) <= mc._UNIFORM_BLOCK_BYTES for shape in count_blocks)
 
-    def test_a_path_does_not_depend_on_the_batch(self, monkeypatch):
-        spec = lam_spec(0.5, 3.0)
+    @pytest.mark.parametrize("lams", [(), (0.5, 3.0), (0.004, 12.0)], ids=repr)
+    def test_a_path_does_not_depend_on_the_batch(self, lams, monkeypatch):
+        spec = lam_spec(*lams)
         quad = build_levy_quadrature(spec.levy)
         whole = simulate_paths(spec, quad, 0.1, 40, TG, seed=2)
         first = simulate_paths(spec, quad, 0.1, 7, TG, seed=2)
-        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 3 * 8 * TG.n_steps * 2)
+        # blocks of 37 rows end mid-path
+        monkeypatch.setattr(mc, "_UNIFORM_BLOCK_BYTES", 37 * 8 * max(1, len(lams)))
         blocked = simulate_paths(spec, quad, 0.1, 40, TG, seed=2)
         for batch in (first, blocked):
             n = batch.n_paths
+            assert batch.brownian.tobytes() == whole.brownian[:n].tobytes()
             assert batch.states.tobytes() == whole.states[:n].tobytes()
             assert batch.jump_counts.tobytes() == whole.jump_counts[:n].tobytes()
 
@@ -269,12 +311,15 @@ class TestPoissonCdf:
         worst = 0.0
         for a, lam in enumerate(lams):
             freq = np.bincount(batch.jump_counts[:, :, a].ravel(), minlength=64) / n_draws
-            pmf = np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(freq.size)])
+            pmf = poisson_pmf(lam, freq.size)
             worst = max(worst, float(np.max(np.abs(freq - pmf) / np.sqrt(pmf * (1.0 - pmf) / n_draws))))
         return worst
 
     def test_counts_follow_the_poisson_law(self):
         assert self.worst_count_z((0.004, 0.5, 3.0, 9.5)) <= 5.0
+
+    def test_counts_of_one_poisson_call_follow_the_poisson_law(self):
+        assert self.worst_count_z((12.0, 25.0)) <= 5.0
 
     def test_the_law_test_sees_a_table_without_its_first_row(self, monkeypatch):
         cdf = mc._poisson_cdf
@@ -568,6 +613,22 @@ class TestTablesPerBatch:
             monkeypatch.setattr(ProblemSpec, name, counted)
         solve_bsde_regression(simulate_paths(spec, quad, 0.0, 200, TG, seed=21), 4.0, 2.0)
         assert counts == per_batch
+
+    @pytest.mark.parametrize("case, calls", [("density", 2), ("density, amplitude reads x", 2 * TG.n_steps)])
+    def test_simulation_beta_tables_per_batch(self, case, calls, monkeypatch):
+        """The atoms' amplitudes and the small-jump variance: one ``beta_table`` each per batch when ``beta`` does not read x."""
+        spec = density_spec(**DENSITY_SPECS[case])
+        quad = build_levy_quadrature(spec.levy)
+        made = []
+        beta_table = ProblemSpec.beta_table
+
+        def counted(self, *args):
+            made.append(1)
+            return beta_table(self, *args)
+
+        monkeypatch.setattr(ProblemSpec, "beta_table", counted)
+        simulate_paths(spec, quad, 0.0, 200, TG, seed=21)
+        assert len(made) == calls
 
 
 class TestFeynmanKac:
